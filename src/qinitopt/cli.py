@@ -123,6 +123,46 @@ def default_config(command: str) -> dict:
     raise ValueError(f"unknown command '{command}'")
 
 
+# a value of the one type each key with a None default may take besides null
+_NULLABLE_TEMPLATES = {"ansatz.qubits": 0, "hamiltonian": "", "dataset": "",
+                       "initial": [0.0]}
+_TYPE_NAMES = {bool: "boolean", int: "integer", float: "finite number",
+               str: "string", list: "list"}
+
+
+def _fits(value, expected: type) -> bool:
+    """JSON value against a default's type: an int passes where a float is
+    expected, a bool never counts as a number, floats must be finite."""
+    if expected is bool or isinstance(value, bool):
+        return expected is bool and isinstance(value, bool)
+    if expected is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, expected)
+
+
+def _check_types(cfg: dict, defaults: dict, path: str = "") -> None:
+    """Reject a config value whose type differs from its key's default."""
+    for key, default in defaults.items():
+        here = f"{path}{key}"
+        value = cfg[key]
+        if isinstance(default, dict):
+            _check_types(value, default, f"{here}.")
+            continue
+        if default is None:
+            if value is None:
+                continue
+            default = _NULLABLE_TEMPLATES[here]
+        expected = type(default)
+        item = type(default[0]) if isinstance(default, list) and default else None
+        if _fits(value, expected) and (
+                item is None or all(_fits(entry, item) for entry in value)):
+            continue
+        what = _TYPE_NAMES[expected] + ("" if item is None
+                                        else f" of {_TYPE_NAMES[item]}s")
+        raise ValueError(f"config key '{here}' expects type {what}, "
+                         f"got {json.dumps(value)}")
+
+
 def _merge(base: dict, incoming: dict, path: str) -> None:
     for key, value in incoming.items():
         here = f"{path}{key}"
@@ -166,7 +206,8 @@ def _apply_override(cfg: dict, key: str, value) -> None:
 def resolve_config(command: str, config_path=None, overrides=(),
                    seed=None, out=None, workers=None) -> dict:
     """Defaults, then config file, then --set overrides, then flags."""
-    cfg = copy.deepcopy(default_config(command))
+    defaults = default_config(command)
+    cfg = copy.deepcopy(defaults)
     if config_path is not None:
         loaded = json.loads(pathlib.Path(config_path).read_text())
         if not isinstance(loaded, dict):
@@ -175,6 +216,7 @@ def resolve_config(command: str, config_path=None, overrides=(),
     for item in overrides:
         key, value = _parse_override(item)
         _apply_override(cfg, key, value)
+    _check_types(cfg, defaults)
     if seed is not None:
         cfg["seed"] = seed
     if out is not None:
@@ -586,8 +628,9 @@ def main(argv=None) -> int:
         record = _RUNNERS[args.command](cfg)
         wall_clock = time.perf_counter() - started
         written = write_outputs(args.command, cfg, record, wall_clock)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}")
+    except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
+        cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
+        print(f"error: {exc}{cause}")
         return 2
     for line in _summary_lines(args.command, record):
         print(line)

@@ -1,9 +1,11 @@
-"""Parameter-shift differentiation and quantum Fisher information.
+"""Parameter-shift and adjoint differentiation, quantum Fisher information.
 
 Every parameterized gate in the simulator is a Pauli rotation, so the
 two-point shift rule with shift pi/2 is exact both for expectation-value
 costs and, with the matching 1/(4 sin(pi/4)) scaling, for statevector
-derivatives. The QFIM comes in three fidelities: exact (all cross terms),
+derivatives. For costs that are sums of per-row diagonal expectations, the
+adjoint sweep gets the same gradient from the forward states and one
+backward pass. The QFIM comes in three fidelities: exact (all cross terms),
 block-diagonal (one block per tagged ansatz layer), and the rank-one
 empirical surrogate built from a task gradient.
 """
@@ -14,7 +16,8 @@ import math
 
 import numpy as np
 
-from .simulator import Circuit, apply_circuit, run_gates
+from .simulator import (ROT, ROT_AXES, Circuit, Gate, apply_circuit,
+                        apply_gate, apply_generator, run_gates)
 
 SHIFT = math.pi / 2
 # ψ(θ+s) − ψ(θ−s) = −4i sin(s/2) G U ψ for a rotation generator G, so the
@@ -60,6 +63,48 @@ def gradient(circuit: Circuit, theta, cost_fn) -> np.ndarray:
     grad = (values[:p] - values[p:]) / 2.0
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("gradient has non-finite entries")
+    return grad
+
+
+def _single_axis(gate: Gate) -> tuple[Gate, ...]:
+    """A rot gate as its three one-slot rotations, any other gate as itself,
+    in the order they act."""
+    if gate.kind != ROT:
+        return (gate,)
+    return tuple(Gate(axis, gate.target, param_slots=(slot,))
+                 for axis, slot in zip(ROT_AXES, gate.param_slots))
+
+
+def adjoint_gradient(circuit: Circuit, theta, states: np.ndarray,
+                     diagonal: np.ndarray, features=None) -> np.ndarray:
+    """sum_i d<psi_i|D_i|psi_i>/dtheta by one backward sweep (Jones & Gacon,
+    arXiv:2009.02823).
+
+    states: the (n, 2^q) forward states at theta for the n feature rows;
+    diagonal: (n, 2^q) real diagonals D_i. Walking the
+    gates in reverse with phi = U_k..U_1|0> and lambda = U_{k+1}^dag..D psi,
+    the slot of a rotation exp(-i a G / 2) gets Im<lambda|G|phi>, and then
+    both states undo the gate.
+    """
+    theta = np.asarray(theta, dtype=float)
+    n = states.shape[0]
+    grad = np.zeros(circuit.num_params)
+    pieces = [piece for gate in circuit.gates for piece in _single_axis(gate)]
+    first = next((k for k, piece in enumerate(pieces) if piece.param_slots),
+                 len(pieces))
+    feats = np.zeros((n, 0)) if features is None else np.atleast_2d(
+        np.asarray(features, dtype=float))
+    # phi rows then lambda rows, so each undo is one kernel call
+    pair = np.concatenate([states, diagonal * states])
+    pair_feats = np.concatenate([feats, feats])
+    thetas = theta[None, :]
+    for k in range(len(pieces) - 1, first - 1, -1):
+        piece = pieces[k]
+        if piece.param_slots:
+            g_phi = apply_generator(pair[:n], piece.kind, piece.target)
+            grad[piece.param_slots[0]] = np.vdot(pair[n:], g_phi).imag
+        if k > first:
+            apply_gate(pair, piece, thetas, pair_feats, inverse=True)
     return grad
 
 

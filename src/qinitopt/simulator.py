@@ -22,6 +22,7 @@ CZ = "cz"
 FIXED_RY = "fixed_ry"  # constant RY(pi/4), no parameters
 
 ROTATION_KINDS = (RX, RY, RZ)
+ROT_AXES = (RZ, RY, RZ)  # axes of a rot gate's slots, in the order they act
 GATE_KINDS = (RX, RY, RZ, ROT, CNOT, CZ, FIXED_RY)
 
 FIXED_RY_ANGLE = math.pi / 4
@@ -150,6 +151,26 @@ def _rotate_single(state: np.ndarray, kind: str, qubit: int,
     s[:, :, 1, :] = new1
 
 
+def apply_generator(state: np.ndarray, kind: str, qubit: int) -> np.ndarray:
+    """G|psi> for the Pauli generator G of an rx/ry/rz rotation, where
+    R(a) = exp(-i a G / 2); returns a new (B, 2^n) batch."""
+    batch = state.shape[0]
+    s = state.reshape(batch, 1 << qubit, 2, -1)
+    out = np.empty_like(s)
+    if kind == RZ:
+        out[:, :, 0, :] = s[:, :, 0, :]
+        out[:, :, 1, :] = -s[:, :, 1, :]
+    elif kind == RY:
+        out[:, :, 0, :] = -1j * s[:, :, 1, :]
+        out[:, :, 1, :] = 1j * s[:, :, 0, :]
+    elif kind == RX:
+        out[:, :, 0, :] = s[:, :, 1, :]
+        out[:, :, 1, :] = s[:, :, 0, :]
+    else:
+        raise ValueError(f"not a rotation kind: {kind}")
+    return out.reshape(state.shape)
+
+
 def _two_qubit_view(state: np.ndarray, q_lo: int, q_hi: int) -> np.ndarray:
     batch = state.shape[0]
     mid = 1 << (q_hi - q_lo - 1)
@@ -180,6 +201,31 @@ def _angle_for(gate: Gate, slot_pos: int, thetas: np.ndarray,
     return thetas[:, gate.param_slots[slot_pos]]
 
 
+def apply_gate(state: np.ndarray, gate: Gate, thetas: np.ndarray,
+               features: np.ndarray, inverse: bool = False) -> None:
+    """Apply one gate, or with inverse=True its inverse, in place to a
+    (B, 2^n) state batch; angles come from (B, p) thetas and (B, f)
+    features (a single row broadcasts)."""
+    kind = gate.kind
+    if kind in ROTATION_KINDS:
+        angle = _angle_for(gate, 0, thetas, features)
+        _rotate_single(state, kind, gate.target, -angle if inverse else angle)
+    elif kind == ROT:
+        steps = zip(ROT_AXES, gate.param_slots)
+        for axis, slot in (reversed(tuple(steps)) if inverse else steps):
+            angle = thetas[:, slot]
+            _rotate_single(state, axis, gate.target, -angle if inverse else angle)
+    elif kind == FIXED_RY:
+        _rotate_single(state, RY, gate.target,
+                       np.array([-FIXED_RY_ANGLE if inverse else FIXED_RY_ANGLE]))
+    elif kind == CNOT:
+        _apply_cnot(state, gate.control, gate.target)
+    elif kind == CZ:
+        _apply_cz(state, gate.control, gate.target)
+    else:
+        raise ValueError(f"cannot apply gate kind {kind!r}")
+
+
 def run_gates(gates, num_qubits: int, thetas: np.ndarray,
               features: np.ndarray | None = None) -> np.ndarray:
     """Apply a gate sequence to |0...0> for a (B, p) batch of parameter rows.
@@ -192,25 +238,7 @@ def run_gates(gates, num_qubits: int, thetas: np.ndarray,
         features = np.zeros((batch, 0))
     state = zero_state(num_qubits, batch)
     for gate in gates:
-        if gate.kind in ROTATION_KINDS:
-            _rotate_single(state, gate.kind, gate.target,
-                           _angle_for(gate, 0, thetas, features))
-        elif gate.kind == ROT:
-            _rotate_single(state, RZ, gate.target,
-                           thetas[:, gate.param_slots[0]])
-            _rotate_single(state, RY, gate.target,
-                           thetas[:, gate.param_slots[1]])
-            _rotate_single(state, RZ, gate.target,
-                           thetas[:, gate.param_slots[2]])
-        elif gate.kind == FIXED_RY:
-            _rotate_single(state, RY, gate.target,
-                           np.full(batch, FIXED_RY_ANGLE))
-        elif gate.kind == CNOT:
-            _apply_cnot(state, gate.control, gate.target)
-        elif gate.kind == CZ:
-            _apply_cz(state, gate.control, gate.target)
-        else:
-            raise ValueError(f"cannot apply gate kind {gate.kind!r}")
+        apply_gate(state, gate, thetas, features)
     return state
 
 
@@ -247,8 +275,8 @@ def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
         feats = np.broadcast_to(feats, (batch, feats.shape[1]))
     state = run_gates(circuit.gates, circuit.num_qubits, thetas, feats)
     norms = np.linalg.norm(state, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-10:
-        raise FloatingPointError("statevector norm drifted beyond 1e-10")
+    if not np.max(np.abs(norms - 1.0)) <= 1e-10:
+        raise FloatingPointError("statevector norm is NaN or drifted beyond 1e-10")
     if not (batched_t or batched_f):
         return state[0]
     return state
@@ -294,8 +322,9 @@ def expectation(state: np.ndarray, obs: Observable):
     for coeff, word in obs.terms:
         total += coeff * np.sum(np.conj(state) * apply_pauli_word(state, word),
                                 axis=-1)
-    if np.any(np.abs(total.imag) > 1e-10):
-        raise FloatingPointError("expectation value has imaginary residue > 1e-10")
+    if not np.all(np.abs(total.imag) <= 1e-10):
+        raise FloatingPointError(
+            "expectation value is NaN or has imaginary residue > 1e-10")
     real = total.real
     return float(real) if real.ndim == 0 else real
 

@@ -3,9 +3,11 @@
 VQE minimizes a Pauli-sum energy; QML classification embeds features as
 rotation angles and reads class probabilities off computational-basis
 marginals. Both expose cost_value/gradient so one Adam loop trains either.
-Gradients are exact: energies and class marginals are expectation values, so
-the parameter-shift rule applies, and the classification loss chains through
-the marginals analytically.
+Gradients are exact. The VQE energy gradient uses the parameter-shift rule
+(2p shifted circuits). The classification loss chains through the class
+marginals analytically; at fixed chain-rule weights it is a sum of per-row
+diagonal expectations, whose gradient one adjoint sweep over the forward
+states gives.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .differentiation import SHIFT, jacobi_eigendecomposition
+from .differentiation import adjoint_gradient, jacobi_eigendecomposition
 from .simulator import (Circuit, Observable, apply_circuit,
                         build_strongly_entangling, expectation)
 
@@ -156,9 +158,12 @@ def qml_cost_batch(task: QmlTask, thetas) -> np.ndarray:
 def qml_gradient(task: QmlTask, theta) -> np.ndarray:
     """d(mean cross-entropy)/dtheta, exact.
 
-    Each class marginal is an expectation value, so its theta-derivative
-    follows the shift rule; the loss then chains through
-    dL_i/draw_c = -delta_{c,y_i}/raw_y + 1/s with s the kept-probability sum.
+    The loss chains through the class marginals raw_c with
+    dL_i/draw_c = -delta_{c,y_i}/raw_y + 1/s, s the kept-probability sum, so
+    at fixed weights w_ic = dL_i/draw_c the gradient is that of
+    sum_i <psi_i|D_i|psi_i> / n, with D_i the diagonal holding w_ic on every
+    amplitude whose measured-qubit prefix is class c (0 on truncated
+    classes). One adjoint sweep from the forward states gives it.
     Samples sitting on the clamp contribute zero gradient.
     """
     theta = np.asarray(theta, dtype=float)
@@ -180,18 +185,10 @@ def qml_gradient(task: QmlTask, theta) -> np.ndarray:
     weights[~live] = 0.0
     if p == 0:
         return np.zeros(0)
-    shifts = np.repeat(theta[None, :], 2 * p, axis=0)
-    idx = np.arange(p)
-    shifts[idx, idx] += SHIFT
-    shifts[p + idx, idx] -= SHIFT
-    # all (shift, sample) pairs in one batch: rows ordered shift-major
-    big_thetas = np.repeat(shifts, n, axis=0)
-    big_feats = np.tile(feats, (2 * p, 1))
-    states = apply_circuit(task.circuit, big_thetas, big_feats)
-    lead = (np.abs(states) ** 2).reshape(2 * p, n, 1 << task.measured_qubits, -1)
-    raw_shift = lead.sum(axis=-1)[..., :task.num_classes]
-    draw = (raw_shift[:p] - raw_shift[p:]) / 2.0  # (p, n, C)
-    grad = np.einsum("pnc,nc->p", draw, weights) / n
+    per_class = np.zeros(lead.shape)
+    per_class[:, :task.num_classes] = weights
+    diagonal = np.repeat(per_class, states.shape[1] // lead.shape[1], axis=1)
+    grad = adjoint_gradient(task.circuit, theta, states, diagonal, feats) / n
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("classification gradient has non-finite entries")
     return grad

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from qinitopt import cli
 from qinitopt.cli import (cmd_bp_scan, cmd_grad_profile, cmd_hypopt, cmd_qml,
                           cmd_vqe, default_config, main, resolve_config)
 from qinitopt.records import record_hash
@@ -299,3 +300,50 @@ def test_main_vqe_curves_csv(tmp_path):
     methods = [row[2] for row in rows[1:]]
     assert methods == ["manual"] * 11 + ["s3"] * 11
     assert [row[0] for row in rows[1:12]] == [str(i) for i in range(11)]
+
+
+def test_config_values_must_match_default_types(tmp_path):
+    bad = ['es.n_iters="abc"', 'train.lr="x"', "es.n_iters=2.5", "es.n_iters=true",
+           "train.lr=true", "train.lr=NaN", "es.antithetic=1", 'methods="s1"',
+           'methods=["s1",3]', "ansatz.qubits=2.0", "hamiltonian=3",
+           'initial=[1,"a"]']
+    for item in bad:
+        key = item.partition("=")[0]
+        with pytest.raises(ValueError, match=f"config key '{key}' expects type"):
+            resolve_config("vqe" if key != "initial" else "hypopt",
+                           overrides=[item])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"es": {"n_samples": "8"}}))
+    with pytest.raises(ValueError, match="'es.n_samples' expects type integer"):
+        resolve_config("vqe", config)
+    cfg = resolve_config("vqe", overrides=[
+        "train.lr=1", "ansatz.qubits=3", "ansatz.qubits=null", "es.eta=0.5"])
+    assert cfg["train"]["lr"] == 1 and cfg["ansatz"]["qubits"] is None
+    cfg = resolve_config("hypopt", overrides=["initial=[1,2.5]"])
+    assert cfg["initial"] == [1, 2.5]
+    config.write_text(json.dumps({"initial": None, "hamiltonian": "h.txt"}))
+    assert resolve_config("hypopt", config)["hamiltonian"] == "h.txt"
+
+
+def test_main_reports_bad_set_values(tmp_path, capsys):
+    for item in ('es.n_iters="abc"', 'train.lr="x"'):
+        code = main(["vqe", "--out", str(tmp_path), "--set", item])
+        assert code == 2
+        out = capsys.readouterr().out
+        assert out.startswith("error: config key") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [
+    FloatingPointError("statevector norm is NaN"),
+    ZeroDivisionError("division by zero"),
+    RuntimeError("score evaluation failed at iteration 0"),
+])
+def test_main_reports_arithmetic_and_es_errors(tmp_path, capsys, monkeypatch,
+                                                exc):
+    def failing(cfg):
+        raise exc from ValueError("inner cause")
+    monkeypatch.setitem(cli._RUNNERS, "hypopt", failing)
+    code = main(["hypopt", "--out", str(tmp_path)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out == f"error: {exc}: inner cause\n"

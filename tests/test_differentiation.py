@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, gradient,
+from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, adjoint_gradient,
+                                      gradient,
                                       hermitian_eigenvalues,
                                       jacobi_eigendecomposition, qfim,
                                       qfim_block_diagonal, qfim_empirical,
@@ -75,6 +76,19 @@ def test_gradient_matches_finite_differences():
         got = gradient(circ, theta, cost)
         want = finite_difference_gradient(cost, theta)
         assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_adjoint_matches_shift_on_diagonal_observables():
+    rng = np.random.default_rng(22)
+    for circ in (build_strongly_entangling(2, 3), build_hea(2, 3),
+                 build_two_design(3, 3, seed=4)):
+        theta = rng.uniform(0, 2 * math.pi, circ.num_params)
+        diagonal = rng.standard_normal((1, 8))
+        got = adjoint_gradient(circ, theta, apply_circuit(circ, theta[None, :]),
+                               diagonal)
+        want = gradient(circ, theta, lambda rows: (
+            np.abs(apply_circuit(circ, rows)) ** 2) @ diagonal[0])
+        assert np.max(np.abs(got - want)) < 1e-10
 
 
 def test_gradient_shape_errors():

@@ -11,8 +11,8 @@ import pytest
 
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE, ROT,
                                 ROTATION_KINDS, RX, RY, RZ, Circuit, Gate,
-                                Layer, Observable, apply_circuit,
-                                apply_pauli_word, build_hea,
+                                Layer, Observable, apply_circuit, apply_gate,
+                                apply_generator, apply_pauli_word, build_hea,
                                 build_strongly_entangling, build_two_design,
                                 embed_angles, expectation, zero_state)
 
@@ -157,6 +157,54 @@ def test_rotation_inverse_roundtrip():
         assert np.allclose(state, zero_state(2), atol=1e-12)
 
 
+def random_states(rng, batch: int, qubits: int) -> np.ndarray:
+    states = (rng.standard_normal((batch, 1 << qubits))
+              + 1j * rng.standard_normal((batch, 1 << qubits)))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def test_apply_gate_inverse_undoes_each_kind():
+    rng = np.random.default_rng(31)
+    thetas = rng.uniform(-4, 4, (5, 3))
+    feats = rng.uniform(-4, 4, (5, 1))
+    gates = [Gate(kind, target=2, param_slots=(1,)) for kind in ROTATION_KINDS]
+    gates += [Gate(kind, target=0, feature_slot=0) for kind in ROTATION_KINDS]
+    gates += [Gate(ROT, target=1, param_slots=(2, 0, 1)), Gate(FIXED_RY, target=1),
+              Gate(CNOT, target=2, control=0), Gate(CNOT, target=0, control=2),
+              Gate(CZ, target=1, control=2)]
+    for gate in gates:
+        start = random_states(rng, 5, 3)
+        state = start.copy()
+        apply_gate(state, gate, thetas, feats)
+        assert np.max(np.abs(state - start)) > 1e-3
+        apply_gate(state, gate, thetas, feats, inverse=True)
+        assert np.allclose(state, start, atol=1e-12)
+
+
+def test_apply_generator_matches_dense_pauli():
+    rng = np.random.default_rng(32)
+    states = random_states(rng, 4, 3)
+    for kind, axis in ((RX, "X"), (RY, "Y"), (RZ, "Z")):
+        for qubit in range(3):
+            ops = [PAULI["I"]] * 3
+            ops[qubit] = PAULI[axis]
+            dense = np.kron(np.kron(ops[0], ops[1]), ops[2])
+            got = apply_generator(states, kind, qubit)
+            assert np.allclose(got, states @ dense.T, atol=1e-12)
+    with pytest.raises(ValueError):
+        apply_generator(states, ROT, 0)
+
+
+def test_norm_guard_catches_nan():
+    circ = build_hea(1, 2)
+    with pytest.raises(FloatingPointError):
+        apply_circuit(circ, [math.nan, 0.1, 0.2, 0.3])
+    thetas = np.full((3, circ.num_params), 0.5)
+    thetas[1, 2] = math.nan
+    with pytest.raises(FloatingPointError):
+        apply_circuit(circ, thetas)
+
+
 def test_cnot_cz_truth_tables():
     # prepare |11> then act
     prep = (Gate(RY, 0, param_slots=(0,)), Gate(RY, 1, param_slots=(1,)))
@@ -218,6 +266,17 @@ def test_expectation_batched():
     assert values.shape == (5,)
     singles = [expectation(apply_circuit(circ, t), obs) for t in thetas]
     assert np.allclose(values, singles, atol=1e-12)
+
+
+def test_expectation_guard_catches_nan():
+    obs = Observable(terms=((1.0, "ZI"), (0.5, "XX")))
+    state = zero_state(2)
+    state[3] = math.nan
+    with pytest.raises(FloatingPointError):
+        expectation(state, obs)
+    batch = np.stack([zero_state(2), state])
+    with pytest.raises(FloatingPointError):
+        expectation(batch, obs)
 
 
 def test_strongly_entangling_structure():

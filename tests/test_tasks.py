@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qinitopt.simulator import (Circuit, Gate, Observable, RY,
+from qinitopt.differentiation import gradient
+from qinitopt.simulator import (CNOT, CZ, FIXED_RY, ROT, ROTATION_KINDS, RY,
+                                RZ, Circuit, Gate, Observable, apply_circuit,
                                 build_strongly_entangling, embed_angles)
-from qinitopt.tasks import (AdamState, QmlTask, VqeTask, adam_step,
+from qinitopt.tasks import (PROB_CLAMP, AdamState, QmlTask, VqeTask, adam_step,
                             exact_ground_energy, make_vqe_task, qml_cost_batch,
                             qml_gradient, qml_logits, qml_loss, train, vqe_cost)
 
@@ -233,6 +235,106 @@ def test_qml_gradient_matches_finite_differences():
             down = theta.copy(); down[mu] -= h
             fd = (qml_loss(task, up) - qml_loss(task, down)) / (2 * h)
             assert abs(got[mu] - fd) < 1e-7
+
+
+def class_marginals(task: QmlTask, thetas) -> np.ndarray:
+    """Untruncated-class raw marginals, (B, n, num_classes) for (B, p) rows."""
+    n = len(task.train_features)
+    out = []
+    for row in np.atleast_2d(thetas):
+        states = apply_circuit(task.circuit, row, task.train_features)
+        probs = (np.abs(states) ** 2).reshape(n, 1 << task.measured_qubits, -1)
+        out.append(probs.sum(axis=-1)[:, :task.num_classes])
+    return np.array(out)
+
+
+def chain_weights(task: QmlTask, theta, clamp: bool = True) -> np.ndarray:
+    """dL_i/draw_ic of the clamped cross-entropy at theta."""
+    raw = class_marginals(task, theta)[0]
+    rows = np.arange(len(raw))
+    labels = task.train_labels
+    s = raw.sum(axis=1)
+    weights = np.repeat((1.0 / s)[:, None], task.num_classes, axis=1)
+    weights[rows, labels] -= 1.0 / np.maximum(raw[rows, labels], PROB_CLAMP)
+    if clamp:
+        hit = raw[rows, labels] / s
+        weights[(hit <= PROB_CLAMP) | (hit >= 1.0 - PROB_CLAMP)] = 0.0
+    return weights
+
+
+def shift_reference(task: QmlTask, theta, clamp: bool = True) -> np.ndarray:
+    """Parameter-shift gradient of sum_ic w_ic raw_ic(theta') / n with the
+    chain-rule weights w frozen at theta."""
+    weights = chain_weights(task, theta, clamp)
+    n = len(task.train_features)
+    return gradient(task.circuit, theta, lambda thetas: np.einsum(
+        "bnc,nc->b", class_marginals(task, thetas), weights) / n)
+
+
+def random_classifier(rng, qubits: int, features: int, depth: int) -> Circuit:
+    """Every gate kind, CNOTs both ways, feature rotations interleaved."""
+    gates = [Gate(ROTATION_KINDS[j % 3], target=j, feature_slot=j)
+             for j in range(features - 1)]
+    slot = 0
+    for step in range(depth):
+        q = int(rng.integers(qubits))
+        roll = step % 7
+        if roll < 3:
+            gates.append(Gate(ROTATION_KINDS[roll], target=q, param_slots=(slot,)))
+            slot += 1
+        elif roll == 3:
+            gates.append(Gate(ROT, target=q, param_slots=(slot, slot + 1, slot + 2)))
+            slot += 3
+        elif roll == 4:
+            gates.append(Gate(FIXED_RY, target=q))
+        else:
+            a, b = sorted(rng.choice(qubits, size=2, replace=False))
+            kind = CNOT if roll == 5 else CZ
+            gates.append(Gate(kind, target=int(a), control=int(b)))
+            gates.append(Gate(kind, target=int(b), control=int(a)))
+        if step == depth // 2:
+            gates.append(Gate(RZ, target=q, feature_slot=features - 1))
+    order = rng.permutation(slot)
+    gates = [Gate(g.kind, g.target, g.control,
+                  tuple(int(order[k]) for k in g.param_slots), g.feature_slot)
+             for g in gates]
+    return Circuit(qubits, tuple(gates), slot,
+                   embedding_slots=tuple(range(features)))
+
+
+def test_qml_gradient_matches_parameter_shift():
+    rng = np.random.default_rng(83)
+    for trial in range(6):
+        qubits, classes = ((2, 2), (3, 3), (3, 2))[trial % 3]
+        circ = random_classifier(rng, qubits, qubits, depth=int(rng.integers(8, 20)))
+        feats = rng.uniform(-math.pi, math.pi, (9, qubits))
+        labels = rng.integers(0, classes, 9)
+        task = QmlTask(circ, feats, labels, classes)
+        theta = rng.uniform(0, 2 * math.pi, circ.num_params)
+        got = qml_gradient(task, theta)
+        want = shift_reference(task, theta)
+        assert np.max(np.abs(want)) > 1e-3
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_qml_gradient_zeroes_clamped_samples():
+    # RY(theta_0) then RY(feature) leaves qubit 0 nearly |1> for the first
+    # row, so its class-0 probability sits below the clamp
+    gates = (Gate(RY, target=0, param_slots=(0,)), Gate(RY, target=0, feature_slot=0),
+             Gate(RY, target=1, feature_slot=1),
+             Gate(ROT, target=1, param_slots=(1, 2, 3)),
+             Gate(CNOT, target=1, control=0), Gate(CZ, target=1, control=0))
+    circ = Circuit(2, gates, 4, embedding_slots=(0, 1))
+    rng = np.random.default_rng(84)
+    theta = rng.uniform(0, 2 * math.pi, 4)
+    feats = rng.uniform(-math.pi, math.pi, (6, 2))
+    feats[0, 0] = math.pi - theta[0] + 1e-6
+    labels = np.array([0, 1, 0, 1, 1, 0])
+    task = QmlTask(circ, feats, labels, 2)
+    assert class_marginals(task, theta)[0, 0, 0] < PROB_CLAMP
+    got = qml_gradient(task, theta)
+    assert np.max(np.abs(got - shift_reference(task, theta))) < 1e-10
+    assert np.max(np.abs(got - shift_reference(task, theta, clamp=False))) > 1e-3
 
 
 def test_qml_cost_batch_matches_per_row_loss():
