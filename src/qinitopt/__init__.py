@@ -4,10 +4,8 @@ experiments built on a dense statevector simulator."""
 
 __version__ = "0.1.0"
 
-from .differentiation import (Qfim, gradient, hermitian_eigenvalues,
-                              jacobi_eigendecomposition, qfim,
-                              qfim_block_diagonal, qfim_empirical, qfim_exact,
-                              stabilize)
+from .differentiation import (Qfim, gradient, hermitian_eigenvalues, qfim,
+                              qfim_block_diagonal, qfim_empirical, qfim_exact)
 from .distributions import (HyperParams, beta_samples, child_rng,
                             from_unconstrained, gamma_samples, init_guess,
                             manual_baseline, sample_params, standard_normals,
@@ -32,10 +30,10 @@ __all__ = [
     "embed_angles", "es_optimize", "exact_ground_energy", "expectation",
     "from_unconstrained", "gamma_samples", "gradient",
     "hermitian_eigenvalues", "init_guess", "initialization_objective",
-    "jacobi_eigendecomposition", "make_vqe_task", "manual_baseline",
+    "make_vqe_task", "manual_baseline",
     "omega_reduce", "order_statistic", "perturbation_matrix", "qfim",
     "qfim_block_diagonal", "qfim_empirical", "qfim_exact", "qml_cost_batch",
     "qml_gradient", "qml_logits", "qml_loss", "sample_params", "score",
-    "stabilize", "standard_normals", "to_unconstrained", "train",
+    "standard_normals", "to_unconstrained", "train",
     "utility_shape", "vqe_cost", "zero_state",
 ]

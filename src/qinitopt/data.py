@@ -1,7 +1,7 @@
 """Dataset ingestion and preprocessing for the classification experiments.
 
-CSV in, then PCA to a handful of components (eigendecomposition of the
-covariance via the same Jacobi solver the QFIM reductions use), min-max
+CSV in, then PCA to a handful of components (the SVD of the covariance,
+which for a positive semidefinite matrix is its eigendecomposition), min-max
 scaling onto [0, pi] with train-set statistics, and a stratified 80/20
 split. Hamiltonians load from a plain text format, one Pauli term per line.
 """
@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .differentiation import jacobi_eigendecomposition
 from .distributions import child_rng
 from .simulator import Observable
 
@@ -47,7 +46,8 @@ class Dataset:
 
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a rectangular numeric CSV with a header; one column holds
-    integer-coded labels, every other column becomes a feature."""
+    integer-coded labels, every other column becomes a feature. Every cell
+    must be a finite number."""
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
     if not rows:
@@ -69,6 +69,8 @@ def load_csv(path, label_column: str = "label") -> Dataset:
             values = [float(cell) for cell in row]
         except ValueError:
             raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}:{lineno}: non-finite cell")
         label = values.pop(label_idx)
         if label != int(label):
             raise ValueError(f"{path}:{lineno}: label {label} is not an integer")
@@ -111,8 +113,10 @@ def fit_pca(features, k: int = 4) -> PcaModel:
     centered = features - mean
     cov = centered.T @ centered / (n - 1)
     cov = (cov + cov.T) / 2.0
-    values, vectors = jacobi_eigendecomposition(cov)
-    scale = max(values[0], 0.0)
+    # singular values of a PSD matrix are its eigenvalues, already
+    # descending; eigh would wake an idle BLAS worker thread here
+    vectors, values, _ = np.linalg.svd(cov)
+    scale = values[0]
     if values[k - 1] <= 1e-12 * max(scale, 1.0):
         raise ValueError(f"input is rank deficient: fewer than {k} components "
                          "carry variance")

@@ -112,15 +112,17 @@ def standard_normals(n: int, rng: np.random.Generator) -> np.ndarray:
     return z[:n]
 
 
-def gamma_samples(shape: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Gamma(shape, 1) draws via Marsaglia-Tsang squeeze rejection."""
+def _gamma_parts(shape: float, n: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """n Gamma(shape, 1) draws as (g, u): g * u^(1/shape) with g from
+    Marsaglia-Tsang at shape + 1 when shape < 1, else g itself (u None)."""
     if shape <= 0:
         raise ValueError("gamma shape must be positive")
-    boost = None
+    u = None
     a = shape
     if a < 1.0:
         # Gamma(a) = Gamma(a+1) * U^(1/a)
-        boost = rng.random(n) ** (1.0 / a)
+        u = rng.random(n)
         a = a + 1.0
     d = a - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
@@ -130,23 +132,56 @@ def gamma_samples(shape: float, n: int, rng: np.random.Generator) -> np.ndarray:
         need = n - filled
         x = standard_normals(need, rng)
         v = (1.0 + c * x) ** 3
-        u = rng.random(need)
+        uniform = rng.random(need)
         ok = v > 0
         logv = np.log(np.where(ok, v, 1.0))
-        ok &= np.log(u) < 0.5 * x * x + d - d * v + d * logv
+        ok &= np.log(uniform) < 0.5 * x * x + d - d * v + d * logv
         accepted = d * v[ok]
         out[filled:filled + accepted.size] = accepted
         filled += accepted.size
-    if boost is not None:
-        out *= boost
-    return out
+    return out, u
+
+
+def _boosted(g: np.ndarray, u: np.ndarray | None, shape: float) -> np.ndarray:
+    return g if u is None else g * u ** (1.0 / shape)
+
+
+def _log_boosted(g: np.ndarray, u: np.ndarray | None, shape: float,
+                 rows: np.ndarray, unit: float) -> np.ndarray:
+    """unit * log of _boosted(g, u, shape)[rows]: finite where that
+    underflows, and for unit <= shape also where 1/shape overflows."""
+    log_g = np.log(g[rows]) * unit
+    return log_g if u is None else log_g + np.log(u[rows]) * (unit / shape)
+
+
+def gamma_samples(shape: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Gamma(shape, 1) draws via Marsaglia-Tsang squeeze rejection."""
+    return _boosted(*_gamma_parts(shape, n, rng), shape)
 
 
 def beta_samples(alpha: float, beta: float, n: int,
                  rng: np.random.Generator) -> np.ndarray:
-    x = gamma_samples(alpha, n, rng)
-    y = gamma_samples(beta, n, rng)
-    return x / (x + y)
+    """n Beta(alpha, beta) draws as X / (X + Y) of Gamma(alpha) and
+    Gamma(beta) draws.
+
+    At small shapes both U^(1/a)-boosted gammas can underflow to 0; only
+    those rows take the ratio in log space, as the logistic of
+    log X - log Y, so every other draw keeps the plain quotient's bits.
+    """
+    gx, ux = _gamma_parts(alpha, n, rng)
+    gy, uy = _gamma_parts(beta, n, rng)
+    x = _boosted(gx, ux, alpha)
+    total = x + _boosted(gy, uy, beta)
+    under = total == 0.0
+    out = x / np.where(under, 1.0, total)
+    if under.any():
+        unit = min(alpha, beta)
+        with np.errstate(over="ignore"):  # |t| = inf still gives 0 or 1
+            log_ratio = (_log_boosted(gy, uy, beta, under, unit)
+                         - _log_boosted(gx, ux, alpha, under, unit)) / unit
+        # 1 / (1 + e^t) without overflow for large t
+        out[under] = np.exp(-np.logaddexp(0.0, log_ratio))
+    return out
 
 
 def sample_params(hp: HyperParams, p: int, rng: np.random.Generator,

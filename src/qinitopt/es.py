@@ -9,7 +9,6 @@ rollouts run serially or on a thread pool.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,6 +106,8 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int,
         raw = np.empty(cfg.n_samples)
         try:
             if workers is not None and workers > 1:
+                # imported here so the default serial run never pays for it
+                from concurrent.futures import ThreadPoolExecutor
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     futures = [pool.submit(run_rollout, iteration, j, candidates[j])
                                for j in range(cfg.n_samples)]

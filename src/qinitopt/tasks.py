@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .differentiation import adjoint_gradient, jacobi_eigendecomposition
+from .differentiation import adjoint_gradient, hermitian_eigenvalues
 from .simulator import (Circuit, Observable, apply_circuit,
                         build_strongly_entangling, expectation)
 
@@ -248,20 +248,8 @@ def _dense_matrix(obs: Observable) -> np.ndarray:
 
 
 def exact_ground_energy(obs: Observable) -> float:
-    """Smallest eigenvalue of the dense Pauli-sum matrix.
-
-    Complex Hermitian H = A + iB is embedded as the real symmetric
-    [[A, -B], [B, A]] (same spectrum, doubled multiplicity) so the real
-    Jacobi eigensolver applies.
-    """
-    q = obs.num_qubits
-    if q > MAX_ORACLE_QUBITS:
+    """Smallest eigenvalue of the dense (complex Hermitian) Pauli-sum
+    matrix."""
+    if obs.num_qubits > MAX_ORACLE_QUBITS:
         raise ValueError(f"dense oracle capped at {MAX_ORACLE_QUBITS} qubits")
-    dense = _dense_matrix(obs)
-    if np.max(np.abs(dense.imag)) < 1e-14:
-        values, _ = jacobi_eigendecomposition(dense.real)
-    else:
-        a, b = dense.real, dense.imag
-        embedded = np.block([[a, -b], [b, a]])
-        values, _ = jacobi_eigendecomposition(embedded)
-    return float(values[-1])
+    return float(hermitian_eigenvalues(_dense_matrix(obs))[-1])

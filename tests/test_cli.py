@@ -286,6 +286,15 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "unknown config key 'turbo'" in capsys.readouterr().out
 
 
+def test_main_rejects_non_finite_dataset_cell(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b,label\n" + "1,2,0\n3,4,1\n" * 10 + "5,nan,0\n")
+    code = main(["qml", "--out", str(tmp_path / "out"),
+                 "--set", f'dataset="{path}"'])
+    assert code == 2
+    assert f"error: {path}:22: non-finite cell" in capsys.readouterr().out
+
+
 def test_main_vqe_curves_csv(tmp_path):
     out = tmp_path / "vqe"
     code = main(["vqe", "--seed", "2", "--out", str(out),

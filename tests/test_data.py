@@ -50,6 +50,16 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path / "empty.csv", ""))
 
 
+def test_load_csv_rejects_non_finite_cells(tmp_path):
+    for cell in ("nan", "inf", "-Infinity", "NaN"):
+        path = write(tmp_path / "bad.csv", f"a,b,label\n1,2,0\n3,{cell},1\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: non-finite cell"):
+            load_csv(path)
+    path = write(tmp_path / "badlabel.csv", "a,label\n1,0\n2,nan\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        load_csv(path)
+
+
 def test_shipped_corpora_shapes():
     wine = load_csv(REPO / "datasets" / "wine.csv")
     assert wine.features.shape == (178, 13) and wine.num_classes == 3
@@ -102,6 +112,20 @@ def test_pca_variance_conservation_and_reconstruction():
     residual = np.sum((centered - recon) ** 2) / (len(data) - 1)
     discarded = full.variances[3:].sum()
     assert residual <= discarded + 1e-8
+
+
+def test_pca_axes_match_eigh_up_to_sign():
+    rng = np.random.default_rng(85)
+    data = rng.standard_normal((80, 7)) @ rng.standard_normal((7, 7))
+    model = fit_pca(data, k=5)
+    values, vectors = np.linalg.eigh(np.cov(data.T))
+    values, vectors = values[::-1], vectors[:, ::-1]
+    assert np.allclose(model.variances, values[:5], rtol=1e-10)
+    for j in range(5):
+        overlap = model.components[:, j] @ vectors[:, j]
+        assert abs(abs(overlap) - 1.0) < 1e-10
+        assert np.allclose(model.components[:, j],
+                           np.sign(overlap) * vectors[:, j], atol=1e-10)
 
 
 def test_pca_errors():

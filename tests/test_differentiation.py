@@ -1,15 +1,17 @@
 """Differentiation checked against finite differences and numpy's eigensolver."""
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
 from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, adjoint_gradient,
                                       gradient,
-                                      hermitian_eigenvalues,
-                                      jacobi_eigendecomposition, qfim,
+                                      hermitian_eigenvalues, qfim,
                                       qfim_block_diagonal, qfim_empirical,
-                                      qfim_exact, stabilize)
+                                      qfim_exact)
 from qinitopt.simulator import (Circuit, Gate, Observable, RY, RZ,
                                 apply_circuit, build_hea,
                                 build_strongly_entangling, build_two_design,
@@ -197,46 +199,58 @@ def test_fidelity_ladder_dispatch():
         qfim(untagged, np.zeros(big.num_params))
 
 
-def test_stabilize():
-    circ = build_hea(1, 2)
-    fisher = qfim_exact(circ, np.full(circ.num_params, 0.3))
-    bumped = stabilize(fisher, 1e-6)
-    assert np.allclose(bumped.entries, fisher.entries + 1e-6 * np.eye(4))
-    assert bumped.fidelity == fisher.fidelity
-    with pytest.raises(ValueError):
-        stabilize(fisher, 0.0)
-    with pytest.raises(ValueError):
-        stabilize(fisher, -1e-6)
-
-
-def test_jacobi_matches_numpy():
+def test_hermitian_eigenvalues_match_numpy():
     rng = np.random.default_rng(27)
     for n in (1, 2, 3, 5, 8, 20, 40):
         mat = rng.standard_normal((n, n))
         mat = (mat + mat.T) / 2
-        values, vectors = jacobi_eigendecomposition(mat)
-        reference = np.sort(np.linalg.eigvalsh(mat))[::-1]
-        assert np.max(np.abs(values - reference)) < 1e-9
-        assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) < 1e-9
-        recon = vectors @ np.diag(values) @ vectors.T
-        assert np.linalg.norm(recon - mat) <= 1e-8 * max(np.linalg.norm(mat), 1.0)
+        cplx = mat + 1j * rng.standard_normal((n, n))
+        cplx = (cplx + cplx.conj().T) / 2
+        for m in (mat, cplx):
+            values = hermitian_eigenvalues(m)
+            assert values.dtype == float
+            reference = np.sort(np.linalg.eigvalsh(m))[::-1]
+            assert np.max(np.abs(values - reference)) < 1e-12
 
 
-def test_jacobi_degenerate_and_trivial():
-    values, vectors = jacobi_eigendecomposition(2.5 * np.eye(4))
-    assert np.allclose(values, 2.5)
-    assert np.allclose(vectors.T @ vectors, np.eye(4))
-    values, _ = jacobi_eigendecomposition(np.zeros((3, 3)))
-    assert np.array_equal(values, np.zeros(3))
-    values, _ = jacobi_eigendecomposition(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(values, [3.0, 2.0, -1.0])
+def test_hermitian_eigenvalues_degenerate_and_trivial():
+    assert np.allclose(hermitian_eigenvalues(2.5 * np.eye(4)), 2.5)
+    assert np.array_equal(hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
+    for dtype in (float, complex):
+        assert np.allclose(hermitian_eigenvalues(
+            np.diag([3.0, -1.0, 2.0]).astype(dtype)), [3.0, 2.0, -1.0])
+    assert np.array_equal(hermitian_eigenvalues([[-0.75]]), [-0.75])
+    # Pauli Y: complex entries, spectrum +-1
+    assert np.allclose(hermitian_eigenvalues([[0, -1j], [1j, 0]]), [1.0, -1.0])
 
 
-def test_jacobi_rejects_bad_input():
-    with pytest.raises(ValueError):
-        jacobi_eigendecomposition(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        jacobi_eigendecomposition(np.zeros((2, 3)))
+def test_hermitian_eigenvalues_rejects_bad_input():
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_eigenvalues(np.array([[0.0, 1j], [1j, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_eigenvalues(np.zeros(4))
+    for bad in (np.nan, np.inf):
+        mat = np.eye(3)
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eigenvalues(mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda n: arrays(np.float64, (n, n), elements=st.floats(-1e3, 1e3))))
+def test_hermitian_eigenvalues_descending_and_sum_to_trace(block):
+    n = len(block)
+    mat = block + block.T
+    values = hermitian_eigenvalues(mat)
+    assert values.shape == (n,)
+    assert np.all(np.diff(values) <= 0)
+    scale = max(np.abs(mat).max(), 1.0)
+    assert abs(values.sum() - np.trace(mat)) <= 1e-12 * n * scale
 
 
 def test_hermitian_eigenvalues_descending():

@@ -131,6 +131,28 @@ def test_beta_manual_mean_sixteenth():
     assert abs(b.mean() - 0.0625) < 0.005
 
 
+def test_beta_finite_at_tiny_shapes():
+    # both boosted gammas underflow to 0 for most rows at these shapes; at
+    # 1e-310 the exponent 1/a overflows as well
+    for a in (1e-4, 1e-310):
+        draws = beta_samples(a, a, 2000, child_rng(0))
+        assert np.all(np.isfinite(draws))
+        assert np.all((draws >= 0) & (draws <= 1))
+        # Beta(a, a) tends to a fair coin on {0, 1} as a -> 0
+        assert abs(np.mean(draws < 0.5) - 0.5) < 0.05
+        skewed = beta_samples(a, 3 * a, 2000, child_rng(1))
+        assert np.all(np.isfinite(skewed))
+        assert abs(np.mean(skewed > 0.5) - 0.25) < 0.05
+
+
+def test_beta_draws_pinned_at_manual_baseline():
+    draws = beta_samples(0.1, 1.5, 6, child_rng(46))
+    assert [float(x).hex() for x in draws] == [
+        "0x1.dce68f24e2d49p-4", "0x1.f2abdea8a2171p-12",
+        "0x1.b2cb51c297a37p-28", "0x1.36678434aed36p-10",
+        "0x1.7c50390d07cb8p-19", "0x1.23f5fd4128f4ap-18"]
+
+
 def test_sample_params_gaussian():
     hp = HyperParams(GAUSSIAN, (0.3, 1e-9))
     theta = sample_params(hp, 4, child_rng(46))

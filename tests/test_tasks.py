@@ -55,6 +55,15 @@ def test_ground_energy_matches_numpy_on_random_sums():
         assert abs(exact_ground_energy(obs) - want) < 1e-8
 
 
+def test_ground_energy_complex_hamiltonian_closed_form():
+    # ZII, XYI and YIX pairwise anticommute, so H^2 = (sum of squared
+    # coefficients) I and the spectrum is +-0.6; one Y per word makes the
+    # dense matrix complex
+    obs = Observable(terms=((0.2, "ZII"), (0.4, "XYI"), (0.4, "YIX")))
+    assert np.max(np.abs(dense(obs).imag)) > 0.1
+    assert abs(exact_ground_energy(obs) + 0.6) < 1e-12
+
+
 def test_ground_energy_qubit_cap():
     with pytest.raises(ValueError):
         exact_ground_energy(Observable(terms=((1.0, "Z" * 11),)))
