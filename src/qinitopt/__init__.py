@@ -19,7 +19,7 @@ from .simulator import (Circuit, Gate, Layer, Observable, apply_circuit,
                         zero_state)
 from .tasks import (AdamState, QmlTask, VqeTask, adam_step,
                     exact_ground_energy, make_vqe_task, qml_cost_batch,
-                    qml_gradient, qml_logits, qml_loss, train, vqe_cost)
+                    qml_gradient, qml_loss, train, vqe_cost)
 
 __all__ = [
     "__version__",
@@ -33,7 +33,7 @@ __all__ = [
     "make_vqe_task", "manual_baseline",
     "omega_reduce", "order_statistic", "perturbation_matrix", "qfim",
     "qfim_block_diagonal", "qfim_empirical", "qfim_exact", "qml_cost_batch",
-    "qml_gradient", "qml_logits", "qml_loss", "sample_params", "score",
+    "qml_gradient", "qml_loss", "sample_params", "score",
     "standard_normals", "to_unconstrained", "train",
     "utility_shape", "vqe_cost", "zero_state",
 ]

@@ -6,8 +6,10 @@ costs and, with the matching 1/(4 sin(pi/4)) scaling, for statevector
 derivatives. For costs that are sums of per-row diagonal expectations, the
 adjoint sweep gets the same gradient from the forward states and one
 backward pass. The QFIM comes in three fidelities: exact (all cross terms),
-block-diagonal (one block per tagged ansatz layer), and the rank-one
-empirical surrogate built from a task gradient. Spectra of the QFIM and of
+block-diagonal (one block per tagged ansatz layer, each layer's shifted rows
+started from the carried unshifted state before it, so every gate is
+simulated once), and the rank-one empirical surrogate built from a task
+gradient. Spectra of the QFIM and of
 dense Hamiltonians come from one eigensolver, LAPACK's via
 np.linalg.eigvalsh.
 """
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from .simulator import (ROT, ROT_AXES, Circuit, Gate, apply_circuit,
-                        apply_gate, apply_generator, run_gates)
+                        apply_gate, apply_generator, zero_state)
 
 SHIFT = math.pi / 2
 # ψ(θ+s) − ψ(θ−s) = −4i sin(s/2) G U ψ for a rotation generator G, so the
@@ -139,7 +141,15 @@ def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
 
 def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
     """Layer-blocked QFIM: each tagged layer's block is the exact QFIM of the
-    circuit truncated after that layer; cross-layer entries are zero."""
+    circuit truncated after that layer; cross-layer entries are zero.
+
+    Each gate is simulated once per call. The unshifted state after layer
+    l-1 is carried as one row, broadcast to layer l's 2m+1 rows (its m
+    slots shifted by +-pi/2, then theta) and only layer l's segment of gates
+    is applied; the first segment holds any prelude. That prefix is right
+    only if no gate before a layer's segment reads one of its slots, which
+    raises ValueError.
+    """
     theta = np.asarray(theta, dtype=float)
     p = circuit.num_params
     if theta.shape != (p,):
@@ -149,19 +159,28 @@ def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
     if sorted(covered) != list(range(p)):
         raise ValueError("circuit has no complete layer tags; "
                          "block-diagonal QFIM needs a tagged ansatz")
-    feats = None
+    reader = {slot: k for k, gate in enumerate(circuit.gates)
+              for slot in gate.param_slots}
+    feats = (np.zeros((1, 0)) if features is None
+             else np.atleast_2d(np.asarray(features, dtype=float)))
+    prefix = zero_state(circuit.num_qubits, 1)
+    start = 0
     entries = np.zeros((p, p))
     for tag in circuit.layers:
-        gates = circuit.gates[:tag.gate_stop]
         idx = np.arange(tag.param_start, tag.param_stop)
+        if any(reader[mu] < start for mu in idx):
+            raise ValueError(
+                f"layer tag {tag} has a slot read before gate {start}; "
+                "block-diagonal QFIM needs layers tagged in circuit order")
         rows = np.vstack([_shift_rows(theta, idx), theta[None, :]])
-        if features is not None:
-            feats = np.broadcast_to(np.asarray(features, dtype=float),
-                                    (rows.shape[0], len(features)))
-        states = run_gates(gates, circuit.num_qubits, rows, feats)
+        states = np.repeat(prefix, rows.shape[0], axis=0)
+        for gate in circuit.gates[start:tag.gate_stop]:
+            apply_gate(states, gate, rows, feats)
         m = len(idx)
         dpsi = (states[:m] - states[m:2 * m]) * _STATE_SHIFT_SCALE
         entries[np.ix_(idx, idx)] = _qfim_from_states(dpsi, states[-1])
+        prefix = states[-1:]
+        start = tag.gate_stop
     return Qfim(entries, FIDELITY_BLOCK)
 
 

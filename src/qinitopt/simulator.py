@@ -9,6 +9,7 @@ return a batch of states, which keeps parameter-shift sweeps cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -282,7 +283,11 @@ def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
     return state
 
 
-def _pauli_phases_and_flip(word: str) -> tuple[np.ndarray, int]:
+@functools.lru_cache(maxsize=None)
+def _pauli_table(word: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """(phase, source) with (P psi)[i] = phase[i] * psi[source[i]] for a
+    Pauli word; source is None for a diagonal word. Built once per word and
+    read-only, since every caller shares the cached arrays."""
     q = len(word)
     flip = 0
     sign_mask = 0  # bits whose value flips the sign (Y and Z positions)
@@ -300,16 +305,21 @@ def _pauli_phases_and_flip(word: str) -> tuple[np.ndarray, int]:
     idx = np.arange(1 << q, dtype=np.uint64)
     parity = np.bitwise_count(idx & np.uint64(sign_mask)) & 1
     phases = (1j ** n_y) * np.where(parity, -1.0, 1.0)
-    return phases, flip
+    source = None
+    if flip:
+        source = np.arange(1 << q) ^ flip
+        phases = phases[source]
+        source.flags.writeable = False
+    phases.flags.writeable = False
+    return phases, source
 
 
 def apply_pauli_word(state: np.ndarray, word: str) -> np.ndarray:
     """P|psi> for a Pauli word; acts on the last axis."""
-    phases, flip = _pauli_phases_and_flip(word)
-    if flip:
-        src = np.arange(state.shape[-1]) ^ flip
-        return phases[src] * state[..., src]
-    return phases * state
+    phases, source = _pauli_table(word)
+    if source is None:
+        return phases * state
+    return phases * state[..., source]
 
 
 def expectation(state: np.ndarray, obs: Observable):

@@ -124,17 +124,6 @@ class QmlTask:
         return float(np.mean(predicted == np.asarray(labels, dtype=int)))
 
 
-def qml_logits(task: QmlTask, theta, features) -> np.ndarray:
-    """Readout for one feature row: binary gives the single <Z_0> logit,
-    multiclass gives the truncated renormalized marginal probabilities."""
-    if task.num_classes == 2:
-        state = apply_circuit(task.circuit, theta, features)
-        z0 = expectation(state, Observable(
-            terms=((1.0, "Z" + "I" * (task.circuit.num_qubits - 1)),)))
-        return np.array([z0])
-    return task.probabilities(theta, features)
-
-
 def qml_loss(task: QmlTask, theta) -> float:
     """Mean cross-entropy over the training batch, probabilities clamped."""
     probs = task.probabilities(theta, task.train_features)

@@ -12,10 +12,10 @@ from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, adjoint_gradient,
                                       hermitian_eigenvalues, qfim,
                                       qfim_block_diagonal, qfim_empirical,
                                       qfim_exact)
-from qinitopt.simulator import (Circuit, Gate, Observable, RY, RZ,
+from qinitopt.simulator import (Circuit, Gate, Layer, Observable, RY, RZ,
                                 apply_circuit, build_hea,
                                 build_strongly_entangling, build_two_design,
-                                expectation)
+                                embed_angles, expectation)
 
 
 def expectation_cost(circuit, obs):
@@ -175,6 +175,68 @@ def test_block_diagonal_requires_tags():
     plain = Circuit(1, (Gate(RY, target=0, param_slots=(0,)),), 1)
     with pytest.raises(ValueError):
         qfim_block_diagonal(plain, [0.3])
+
+
+ANGLES = st.floats(-2 * math.pi, 2 * math.pi)
+
+
+@st.composite
+def tagged_circuits(draw, min_layers=1):
+    """A circuit from one of the three builders at random size, with an
+    angle-embedding prelude on a random number of qubits."""
+    qubits = draw(st.integers(2, 4))
+    layers = draw(st.integers(min_layers, 3))
+    builder = draw(st.sampled_from(("strongly_entangling", "hea", "two_design")))
+    if builder == "strongly_entangling":
+        circ = build_strongly_entangling(layers, qubits)
+    elif builder == "hea":
+        circ = build_hea(layers, qubits)
+    else:
+        circ = build_two_design(layers, qubits, seed=draw(st.integers(0, 99)))
+    n_features = draw(st.integers(0, qubits))
+    return embed_angles(circ, n_features) if n_features else circ
+
+
+@given(st.data())
+def test_block_diagonal_equals_truncated_exact(data):
+    circ = data.draw(tagged_circuits())
+    p, f = circ.num_params, circ.num_features
+    theta = np.array(data.draw(st.lists(ANGLES, min_size=p, max_size=p)))
+    features = (np.array(data.draw(st.lists(ANGLES, min_size=f, max_size=f)))
+                if f else None)
+    blocked = qfim_block_diagonal(circ, theta, features).entries
+    mask = np.zeros((p, p), dtype=bool)
+    for tag in circ.layers:
+        trunc = Circuit(circ.num_qubits, circ.gates[:tag.gate_stop],
+                        tag.param_stop, embedding_slots=circ.embedding_slots)
+        sub = qfim_exact(trunc, theta[:tag.param_stop], features).entries
+        sl = slice(tag.param_start, tag.param_stop)
+        np.testing.assert_allclose(blocked[sl, sl], sub[sl, sl],
+                                   rtol=0, atol=1e-12)
+        mask[sl, sl] = True
+    assert np.all(blocked[~mask] == 0.0)
+
+
+@given(tagged_circuits(min_layers=2), st.data())
+def test_block_diagonal_rejects_tags_out_of_circuit_order(circ, data):
+    tags = list(circ.layers)
+    if data.draw(st.booleans()):
+        tags.reverse()
+    else:
+        # layer j's tag names layer i's slots, which gates before its
+        # segment read
+        i, j = sorted(data.draw(st.lists(
+            st.integers(0, len(tags) - 1), min_size=2, max_size=2,
+            unique=True)))
+        a, b = tags[i], tags[j]
+        tags[i] = Layer(a.gate_stop, b.param_start, b.param_stop)
+        tags[j] = Layer(b.gate_stop, a.param_start, a.param_stop)
+    mistagged = Circuit(circ.num_qubits, circ.gates, circ.num_params,
+                        embedding_slots=circ.embedding_slots,
+                        layers=tuple(tags))
+    features = np.zeros(circ.num_features) if circ.num_features else None
+    with pytest.raises(ValueError, match="read before"):
+        qfim_block_diagonal(mistagged, np.zeros(circ.num_params), features)
 
 
 def test_empirical_is_gradient_outer_product():

@@ -6,6 +6,8 @@ strided production simulator.
 """
 import math
 
+from hypothesis import given
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -179,6 +181,55 @@ def test_apply_gate_inverse_undoes_each_kind():
         assert np.max(np.abs(state - start)) > 1e-3
         apply_gate(state, gate, thetas, feats, inverse=True)
         assert np.allclose(state, start, atol=1e-12)
+
+
+ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
+
+
+@st.composite
+def gate_cases(draw):
+    """(qubit count, gate, (B, 3) thetas, (B, 1) features, state seed)."""
+    n = draw(st.integers(2, 5))
+    kind = draw(st.sampled_from(sorted(set(ROTATION_KINDS) | {ROT, FIXED_RY,
+                                                             CNOT, CZ})))
+    target = draw(st.integers(0, n - 1))
+    if kind in (CNOT, CZ):
+        control = draw(st.integers(0, n - 1).filter(lambda q: q != target))
+        gate = Gate(kind, target=target, control=control)
+    elif kind == ROT:
+        gate = Gate(ROT, target=target, param_slots=(0, 1, 2))
+    elif kind == FIXED_RY:
+        gate = Gate(FIXED_RY, target=target)
+    elif draw(st.booleans()):
+        gate = Gate(kind, target=target, feature_slot=0)
+    else:
+        gate = Gate(kind, target=target, param_slots=(draw(st.integers(0, 2)),))
+    batch = draw(st.integers(1, 4))
+    angles = draw(st.lists(ANGLES, min_size=4 * batch, max_size=4 * batch))
+    table = np.array(angles).reshape(batch, 4)
+    return n, gate, table[:, :3], table[:, 3:], draw(st.integers(0, 2**32 - 1))
+
+
+@given(gate_cases())
+def test_gate_kernels_preserve_norm_and_invert(case):
+    n, gate, thetas, feats, seed = case
+    start = random_states(np.random.default_rng(seed), len(thetas), n)
+    state = start.copy()
+    apply_gate(state, gate, thetas, feats)
+    np.testing.assert_allclose(np.linalg.norm(state, axis=1), 1.0,
+                               rtol=0, atol=1e-12)
+    apply_gate(state, gate, thetas, feats, inverse=True)
+    np.testing.assert_allclose(state, start, rtol=0, atol=1e-12)
+
+
+@given(st.text(alphabet="IXYZ", min_size=1, max_size=6),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_pauli_word_squares_to_identity(word, batch, seed):
+    state = random_states(np.random.default_rng(seed), batch, len(word))
+    once = apply_pauli_word(state, word)
+    np.testing.assert_allclose(np.linalg.norm(once, axis=1), 1.0,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(apply_pauli_word(once, word), state)
 
 
 def test_apply_generator_matches_dense_pauli():

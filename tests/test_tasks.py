@@ -10,7 +10,7 @@ from qinitopt.simulator import (CNOT, CZ, FIXED_RY, ROT, ROTATION_KINDS, RY,
                                 build_strongly_entangling, embed_angles)
 from qinitopt.tasks import (PROB_CLAMP, AdamState, QmlTask, VqeTask, adam_step,
                             exact_ground_energy, make_vqe_task, qml_cost_batch,
-                            qml_gradient, qml_logits, qml_loss, train, vqe_cost)
+                            qml_gradient, qml_loss, train, vqe_cost)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -184,12 +184,10 @@ def test_qml_task_validation():
         QmlTask(circ, feats, labels, num_classes=32)  # needs 5 qubits
 
 
-def test_qml_logits_and_probabilities():
+def test_qml_probabilities():
     circ = bare_embedding(2)
     task = QmlTask(circ, np.zeros((1, 2)), np.array([0]), 2)
     zeros = np.zeros(0)
-    logit = qml_logits(task, zeros, np.zeros(2))
-    assert abs(logit[0] - 1.0) < 1e-12  # |00> gives <Z0> = 1
     probs = task.probabilities(zeros, np.zeros(2))
     assert np.allclose(probs, [1.0, 0.0], atol=1e-12)
     # uniform superposition on the readout qubit
