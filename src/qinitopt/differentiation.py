@@ -9,9 +9,8 @@ backward pass. The QFIM comes in three fidelities: exact (all cross terms),
 block-diagonal (one block per tagged ansatz layer, each layer's shifted rows
 started from the carried unshifted state before it, so every gate is
 simulated once), and the rank-one empirical surrogate built from a task
-gradient. Spectra of the QFIM and of
-dense Hamiltonians come from one eigensolver, LAPACK's via
-np.linalg.eigvalsh.
+gradient. Spectra of the QFIM and of dense Hamiltonians come from one
+eigensolver, LAPACK's via np.linalg.eigvalsh.
 """
 from __future__ import annotations
 
@@ -147,8 +146,8 @@ def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
     l-1 is carried as one row, broadcast to layer l's 2m+1 rows (its m
     slots shifted by +-pi/2, then theta) and only layer l's segment of gates
     is applied; the first segment holds any prelude. That prefix is right
-    only if no gate before a layer's segment reads one of its slots, which
-    raises ValueError.
+    only if no gate before a layer's segment reads one of its slots; a
+    circuit whose tags break this raises ValueError.
     """
     theta = np.asarray(theta, dtype=float)
     p = circuit.num_params

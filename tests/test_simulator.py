@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE, ROT,
-                                ROTATION_KINDS, RX, RY, RZ, Circuit, Gate,
-                                Layer, Observable, apply_circuit, apply_gate,
+from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
+                                GATE_KINDS, ROT, ROTATION_KINDS, RX, RY, RZ,
+                                Circuit, Gate, Layer, Observable,
+                                apply_circuit, apply_gate,
                                 apply_generator, apply_pauli_word, build_hea,
                                 build_strongly_entangling, build_two_design,
                                 embed_angles, expectation, zero_state)
@@ -190,8 +191,7 @@ ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
 def gate_cases(draw):
     """(qubit count, gate, (B, 3) thetas, (B, 1) features, state seed)."""
     n = draw(st.integers(2, 5))
-    kind = draw(st.sampled_from(sorted(set(ROTATION_KINDS) | {ROT, FIXED_RY,
-                                                             CNOT, CZ})))
+    kind = draw(st.sampled_from(GATE_KINDS))
     target = draw(st.integers(0, n - 1))
     if kind in (CNOT, CZ):
         control = draw(st.integers(0, n - 1).filter(lambda q: q != target))
