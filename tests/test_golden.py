@@ -7,7 +7,7 @@ import pathlib
 
 import numpy as np
 
-from qinitopt.cli import cmd_vqe, resolve_config
+from qinitopt.cli import cmd_bp_scan, cmd_hypopt, cmd_vqe, resolve_config
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 RTOL = 1e-9
@@ -48,3 +48,76 @@ def test_vqe_block_diagonal_golden():
             np.testing.assert_allclose(entry[key], golden[key], rtol=RTOL,
                                        err_msg=f"{method}.{key}")
         assert entry["final_energy"] == entry["curve"][-1]
+
+
+# hypopt on h2_4q with es.n_iters=2, es.n_samples=4: mean_score and
+# best_score are averages and maxima of the raw scores themselves, so they
+# pin the QFIM and the task gradient directly, not only the ES ranks. At 2
+# layers (p = 24) every score takes the exact QFIM, at 6 layers (p = 72) the
+# block-diagonal one.
+HYPOPT_GOLDEN = {
+    ("s1", 2): {
+        "lambda_star": [1.8053696585256245, 5.321623231761556],
+        "mean_score": [18.007639872374984, 17.6488037676337],
+        "best_score": [18.380985691686103, 18.778419261162167],
+    },
+    ("s3", 2): {
+        "lambda_star": [2.1683902618405915, 2.30418201264117],
+        "mean_score": [1.7208432321301275, 1.6934064681609757],
+        "best_score": [1.7783831059022508, 1.8558345993491012],
+    },
+    ("s1", 6): {
+        "lambda_star": [1.8579592648524794, 4.428752774782135],
+        "mean_score": [62.96230455680383, 62.79249478447822],
+        "best_score": [65.37104041723403, 65.6927081252953],
+    },
+}
+
+
+def test_hypopt_score_golden():
+    hamiltonian = REPO / "hamiltonians" / "h2_4q.txt"
+    for (kind, layers), golden in HYPOPT_GOLDEN.items():
+        cfg = resolve_config("hypopt", overrides=[
+            f'hamiltonian="{hamiltonian}"', f"score.kind={kind}",
+            f"ansatz.layers={layers}", "es.n_iters=2", "es.n_samples=4"])
+        results = cmd_hypopt(cfg)["results"]
+        label = f"{kind} at {layers} layers"
+        np.testing.assert_allclose(results["lambda_star"],
+                                   golden["lambda_star"], rtol=RTOL,
+                                   err_msg=f"{label}: lambda_star")
+        for key in ("mean_score", "best_score"):
+            np.testing.assert_allclose(results["trace"][key], golden[key],
+                                       rtol=RTOL, err_msg=f"{label}: {key}")
+
+
+# bp-scan at 2 and 4 qubits, 20 gradient samples, one ES iteration per
+# score method: (qubits, method) -> (variance, hyperparams)
+BP_SCAN_GOLDEN = {
+    (2, "uniform"): (0.07782583407723462, [1.0, 1.0]),
+    (2, "s1"): (0.056693951876862304, [2.6305349636748203, 1.3988913405271737]),
+    (2, "s2"): (0.074900236646722, [3.753678765055597, 1.699528684593921]),
+    (2, "s3"): (0.0838593326973808, [1.36842456889163, 2.7830684535452264]),
+    (4, "uniform"): (0.014468029462821575, [1.0, 1.0]),
+    (4, "s1"): (0.007575556763700213, [2.665950718254012, 1.017089811511562]),
+    (4, "s2"): (0.022272555868263644, [3.6402093730432163, 3.8547114296103833]),
+    (4, "s3"): (0.018325973754406016, [2.527534677499868, 4.231665721150764]),
+}
+BP_SCAN_SLOPES = {"uniform": -0.8412660415563907, "s1": -1.0063703436764504,
+                  "s2": -0.6064009040071731, "s3": -0.7604106999893196}
+
+
+def test_bp_scan_golden():
+    cfg = resolve_config("bp-scan", overrides=[
+        "qubit_range=[2,4]", "m_samples=20", "es.n_iters=1"])
+    results = cmd_bp_scan(cfg)["results"]
+    rows = {(row["qubits"], row["method"]): row for row in results["rows"]}
+    assert set(rows) == set(BP_SCAN_GOLDEN)
+    for key, (variance, hyperparams) in BP_SCAN_GOLDEN.items():
+        np.testing.assert_allclose(rows[key]["variance"], variance, rtol=RTOL,
+                                   err_msg=f"{key}: variance")
+        np.testing.assert_allclose(rows[key]["hyperparams"], hyperparams,
+                                   rtol=RTOL, err_msg=f"{key}: hyperparams")
+    assert set(results["slopes"]) == set(BP_SCAN_SLOPES)
+    for method, slope in BP_SCAN_SLOPES.items():
+        np.testing.assert_allclose(results["slopes"][method], slope,
+                                   rtol=RTOL, err_msg=f"slope {method}")
