@@ -9,9 +9,9 @@ Beta initializations.
 import numpy as np
 
 from qinitopt import (Circuit, Gate, HyperParams, Observable, ScoreSpec,
-                      apply_circuit, build_strongly_entangling, child_rng,
-                      expectation, qfim_block_diagonal, qfim_exact, score,
-                      sample_params)
+                      build_strongly_entangling, child_rng,
+                      observable_gradient, qfim_block_diagonal, qfim_exact,
+                      score, sample_params)
 
 single = Circuit(1, (Gate("ry", target=0, param_slots=(0,)),), 1)
 print("QFIM of one RY gate:", qfim_exact(single, np.array([0.7])).entries)
@@ -32,8 +32,8 @@ print("largest entry dropped by the block approximation:",
 obs = Observable(((1.0, "ZZZ"),))
 
 
-def cost(thetas):
-    return expectation(apply_circuit(circuit, thetas), obs)
+def cost_gradient(theta):
+    return observable_gradient(circuit, theta, obs)
 
 
 print("\nscores for two initializations (higher is better):")
@@ -41,7 +41,8 @@ print(f"{'hyperparams':>22} {'s1 (volume)':>12} {'s2 (gradient)':>14} "
       f"{'s3 (mixed)':>11}")
 for hp in (HyperParams("beta", (1.0, 1.0)), HyperParams("beta", (0.1, 1.5))):
     draw = sample_params(hp, circuit.num_params, child_rng(0, "demo", "draw"))
-    row = [score(draw, circuit, task_cost=cost, spec=ScoreSpec(kind=kind)).raw
+    row = [score(draw, circuit, task_gradient=cost_gradient,
+                 spec=ScoreSpec(kind=kind)).raw
            for kind in ("s1", "s2", "s3")]
     label = f"beta{hp.values}"
     print(f"{label:>22} {row[0]:12.5f} {row[1]:14.6f} {row[2]:11.5f}")

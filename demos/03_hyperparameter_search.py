@@ -6,9 +6,10 @@ strongly entangling ansatz maximize the mixed score.
 """
 import numpy as np
 
-from qinitopt import (EsConfig, HyperParams, Observable, ScoreSpec,
-                      apply_circuit, build_strongly_entangling, es_optimize,
-                      expectation, initialization_objective, manual_baseline)
+from qinitopt import (EsConfig, Observable, ScoreSpec,
+                      build_strongly_entangling, es_optimize,
+                      initialization_objective, manual_baseline,
+                      observable_gradient)
 
 # toy: maximize -(x - 3)^2 directly in the unconstrained space
 toy_cfg = EsConfig(eta=0.1, sigma_es=0.1, n_samples=50, n_iters=200,
@@ -23,12 +24,12 @@ circuit = build_strongly_entangling(layers=4, qubits=4)
 obs = Observable(((1.0, "ZZZZ"),))
 
 
-def cost(thetas):
-    return expectation(apply_circuit(circuit, thetas), obs)
+def cost_gradient(theta):
+    return observable_gradient(circuit, theta, obs)
 
 
 objective = initialization_objective(circuit, ScoreSpec(kind="s3"),
-                                     task_cost=cost)
+                                     task_gradient=cost_gradient)
 hp0 = manual_baseline("beta")
 cfg = EsConfig(n_iters=30)
 tuned, trace = es_optimize(objective, hp0, cfg, master_seed=0)

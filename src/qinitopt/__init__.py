@@ -4,8 +4,9 @@ experiments built on a dense statevector simulator."""
 
 __version__ = "0.1.0"
 
-from .differentiation import (Qfim, gradient, hermitian_eigenvalues, qfim,
-                              qfim_block_diagonal, qfim_empirical, qfim_exact)
+from .differentiation import (Qfim, gradient, hermitian_eigenvalues,
+                              observable_gradient, qfim, qfim_block_diagonal,
+                              qfim_empirical, qfim_exact)
 from .distributions import (HyperParams, beta_samples, child_rng,
                             from_unconstrained, gamma_samples, init_guess,
                             manual_baseline, sample_params, standard_normals,
@@ -30,7 +31,7 @@ __all__ = [
     "embed_angles", "es_optimize", "exact_ground_energy", "expectation",
     "from_unconstrained", "gamma_samples", "gradient",
     "hermitian_eigenvalues", "init_guess", "initialization_objective",
-    "make_vqe_task", "manual_baseline",
+    "make_vqe_task", "manual_baseline", "observable_gradient",
     "omega_reduce", "order_statistic", "perturbation_matrix", "qfim",
     "qfim_block_diagonal", "qfim_empirical", "qfim_exact", "qml_cost_batch",
     "qml_gradient", "qml_loss", "sample_params", "score",

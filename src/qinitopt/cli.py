@@ -27,7 +27,7 @@ from . import __version__
 from .data import (Dataset, fit_pca, fit_scaler, load_csv, load_hamiltonian,
                    pca_transform, scale_features, split_80_20,
                    stratified_subsample)
-from .differentiation import SHIFT, gradient
+from .differentiation import SHIFT, observable_gradient
 from .distributions import (BETA, HyperParams, child_rng, init_guess,
                             manual_baseline, sample_params, to_unconstrained)
 from .es import EsConfig, es_optimize
@@ -37,7 +37,7 @@ from .scoring import S2, S3, ScoreSpec, initialization_objective
 from .simulator import (Observable, apply_circuit, build_hea,
                         build_strongly_entangling, build_two_design,
                         embed_angles, expectation)
-from .tasks import QmlTask, make_vqe_task, qml_cost_batch, train
+from .tasks import QmlTask, make_vqe_task, train
 
 COMMANDS = ("hypopt", "vqe", "qml", "grad-profile", "bp-scan")
 
@@ -290,7 +290,7 @@ def _trace_dict(trace) -> dict:
             "iterations": trace.n_iterations}
 
 
-def _method_hyperparams(method: str, cfg: dict, circuit, task_cost,
+def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
                         features, context=()):
     """Initialization hyperparameters for one method.
 
@@ -304,9 +304,10 @@ def _method_hyperparams(method: str, cfg: dict, circuit, task_cost,
     if method == "uniform":
         return HyperParams(BETA, (1.0, 1.0)), None
     spec = _score_spec(cfg["score"], method)
-    if spec.kind in (S2, S3) and task_cost is None:
+    if spec.kind in (S2, S3) and task_gradient is None:
         raise ValueError(f"score '{spec.kind}' needs a task cost")
-    objective = initialization_objective(circuit, spec, task_cost=task_cost,
+    objective = initialization_objective(circuit, spec,
+                                         task_gradient=task_gradient,
                                          features=features,
                                          theta_draws=cfg["theta_draws"])
     seed = cfg["seed"]
@@ -331,11 +332,11 @@ def cmd_hypopt(cfg: dict) -> dict:
     """Tune the initialization distribution for the configured score."""
     circuit = _build_ansatz(cfg["ansatz"])
     kind = cfg["score"]["kind"]
-    task_cost = None
+    task_gradient = None
     if cfg["hamiltonian"] is not None:
         task = make_vqe_task(load_hamiltonian(cfg["hamiltonian"]), circuit)
-        task_cost = task.cost_batch
-    hp, trace = _method_hyperparams(kind, cfg, circuit, task_cost, None)
+        task_gradient = task.gradient
+    hp, trace = _method_hyperparams(kind, cfg, circuit, task_gradient, None)
     results = {"family": cfg["family"],
                "score_kind": kind,
                "lambda_star": [float(v) for v in hp.values],
@@ -360,7 +361,7 @@ def cmd_vqe(cfg: dict) -> dict:
     per_method = {}
     for method in methods:
         hp, trace = _method_hyperparams(method, cfg, circuit,
-                                        task.cost_batch, None)
+                                        task.gradient, None)
         theta0 = sample_params(hp, circuit.num_params,
                                child_rng(seed, "theta0", method))
         _, curve = train(task, theta0, iters=cfg["train"]["iters"],
@@ -402,13 +403,12 @@ def cmd_qml(cfg: dict) -> dict:
     score_ds = stratified_subsample(Dataset("score", train_x, train_ds.labels),
                                     cfg["score_batch"], seed)
     score_task = QmlTask(circuit, score_ds.features, score_ds.labels, classes)
-    score_cost = lambda rows: qml_cost_batch(score_task, rows)
     representative = train_x.mean(axis=0)
     methods = _check_methods(cfg["methods"], _TRAIN_METHODS)
     per_method = {}
     for method in methods:
-        hp, trace = _method_hyperparams(method, cfg, circuit, score_cost,
-                                        representative)
+        hp, trace = _method_hyperparams(method, cfg, circuit,
+                                        score_task.gradient, representative)
         theta0 = sample_params(hp, circuit.num_params,
                                child_rng(seed, "theta0", method))
         theta, curve = train(task, theta0, iters=cfg["train"]["iters"],
@@ -439,7 +439,6 @@ def cmd_grad_profile(cfg: dict) -> dict:
         obs = load_hamiltonian(cfg["hamiltonian"])
     else:
         obs = _default_observable(circuit.num_qubits)
-    cost = lambda rows: expectation(apply_circuit(circuit, rows), obs)
     values = tuple(float(v) + cfg["delta"] for v in cfg["values"])
     hp = HyperParams(cfg["family"], values)
     rng = child_rng(cfg["seed"], "profile")
@@ -448,8 +447,8 @@ def cmd_grad_profile(cfg: dict) -> dict:
         raise ValueError("m_samples must be at least 1")
     grads = np.empty((m, circuit.num_params))
     for i in range(m):
-        grads[i] = gradient(circuit, sample_params(hp, circuit.num_params,
-                                                   rng), cost)
+        grads[i] = observable_gradient(
+            circuit, sample_params(hp, circuit.num_params, rng), obs)
     histogram = []
     layer_mean_abs = []
     for index, tag in enumerate(circuit.layers):
@@ -487,9 +486,11 @@ def cmd_bp_scan(cfg: dict) -> dict:
         obs = _default_observable(n)
         cost = (lambda rows, c=circuit, o=obs:
                 expectation(apply_circuit(c, rows), o))
+        task_gradient = (lambda theta, c=circuit, o=obs:
+                         observable_gradient(c, theta, o))
         for method in methods:
-            hp, _ = _method_hyperparams(method, cfg, circuit, cost, None,
-                                        context=(n,))
+            hp, _ = _method_hyperparams(method, cfg, circuit, task_gradient,
+                                        None, context=(n,))
             rng = child_rng(seed, "bp-init", method, n)
             thetas = np.stack([sample_params(hp, circuit.num_params, rng)
                                for _ in range(m)])

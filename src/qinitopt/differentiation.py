@@ -1,32 +1,35 @@
-"""Parameter-shift and adjoint differentiation, quantum Fisher information.
+"""Parameter-shift, adjoint and forward-sweep differentiation, quantum
+Fisher information.
 
-Every parameterized gate in the simulator is a Pauli rotation, so the
-two-point shift rule with shift pi/2 is exact both for expectation-value
-costs and, with the matching 1/(4 sin(pi/4)) scaling, for statevector
-derivatives. For costs that are sums of per-row diagonal expectations, the
-adjoint sweep gets the same gradient from the forward states and one
-backward pass. The QFIM comes in three fidelities: exact (all cross terms),
-block-diagonal (one block per tagged ansatz layer, each layer's shifted rows
-started from the carried unshifted state before it, so every gate is
-simulated once), and the rank-one empirical surrogate built from a task
-gradient. Spectra of the QFIM and of dense Hamiltonians come from one
+Every parameterized gate in the simulator is a Pauli rotation
+R(a) = exp(-i a G / 2), so the two-point shift rule with shift pi/2 is exact
+for expectation-value costs; `gradient` applies it and stays the reference
+the faster paths are tested against. The forward sweep gets every state
+derivative from one pass: it runs each gate once (a rot gate as its three
+one-axis rotations) on a batch whose row 0 is psi, and right after the gate
+of slot mu appends the row -(i/2) G_mu psi, which the remaining gates then
+carry to d_mu psi. That batch grows to at most p + 1 rows. The exact QFIM,
+the block-diagonal QFIM (one block per tagged ansatz layer, each closed at
+its layer's last gate) and the gradient of a Pauli-sum expectation,
+2 Re<H psi|d_mu psi>, all read the sweep. For costs that are sums of per-row
+diagonal expectations, the adjoint sweep gets the gradient from the forward
+states and one backward pass. The rank-one empirical QFIM is built from a
+task gradient. Spectra of the QFIM and of dense Hamiltonians come from one
 eigensolver, LAPACK's via np.linalg.eigvalsh.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
 
-from .simulator import (ROT, ROT_AXES, Circuit, Gate, apply_circuit,
-                        apply_gate, apply_generator, zero_state)
+from .simulator import (ROT, ROT_AXES, Circuit, Gate, Observable,
+                        _pauli_table, apply_gate, apply_generator,
+                        apply_pauli_word, check_normalized)
 
 SHIFT = math.pi / 2
-# ψ(θ+s) − ψ(θ−s) = −4i sin(s/2) G U ψ for a rotation generator G, so the
-# statewise central difference needs 1/(4 sin(s/2)), not the 1/2 used for
-# expectation values.
-_STATE_SHIFT_SCALE = 1.0 / (4.0 * math.sin(SHIFT / 2.0))
 
 EXACT_QFIM_MAX_PARAMS = 64
 
@@ -69,9 +72,10 @@ def gradient(circuit: Circuit, theta, cost_fn) -> np.ndarray:
     return grad
 
 
+@functools.lru_cache(maxsize=None)
 def _single_axis(gate: Gate) -> tuple[Gate, ...]:
     """A rot gate as its three one-slot rotations, any other gate as itself,
-    in the order they act."""
+    in the order they act; cached, as gates are immutable."""
     if gate.kind != ROT:
         return (gate,)
     return tuple(Gate(axis, gate.target, param_slots=(slot,))
@@ -118,23 +122,102 @@ def _qfim_from_states(dpsi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (fisher + fisher.T) / 2.0
 
 
+@functools.lru_cache(maxsize=None)
+def _derivative_table(kind: str, qubit: int, num_qubits: int):
+    """(factor, source) with -(i/2) G psi = factor * psi[source] for the
+    Pauli generator G of an rx/ry/rz rotation exp(-i a G / 2) on qubit;
+    source is None for rz. Built once and read-only."""
+    word = "I" * qubit + kind[1].upper() + "I" * (num_qubits - qubit - 1)
+    phases, source = _pauli_table(word)
+    factor = -0.5j * phases
+    factor.flags.writeable = False
+    return factor, source
+
+
+def _derivative_sweep(circuit: Circuit, theta, features, stops):
+    """Run the circuit once from |0>; at each gate index in stops (ascending)
+    yield (psi, dpsi, slots): psi after gates[:stop], and as the rows of
+    dpsi the derivatives d_mu psi of the slots in `slots`, those whose gates
+    ran since the previous stop, in the order they ran. The rows are then
+    dropped, and the yielded arrays are reused by the next segment.
+
+    Raises FloatingPointError when psi is not normalized (a NaN theta).
+    """
+    thetas = np.asarray(theta, dtype=float)[None, :]
+    f = circuit.num_features
+    if f and features is None:
+        raise ValueError("circuit has embedding slots; features required")
+    feats = np.zeros(0) if features is None else np.asarray(features,
+                                                            dtype=float)
+    if feats.size != f:
+        raise ValueError(f"features must have length {f}, got {feats.size}")
+    feats = feats.reshape(1, f)
+    rows = np.zeros((circuit.num_params + 1, 1 << circuit.num_qubits),
+                    dtype=complex)
+    rows[0, 0] = 1.0
+    n = 1
+    slots: list[int] = []
+    start = 0
+    for stop in stops:
+        for gate in circuit.gates[start:stop]:
+            for piece in _single_axis(gate):
+                apply_gate(rows[:n], piece, thetas, feats)
+                if piece.param_slots:
+                    factor, source = _derivative_table(
+                        piece.kind, piece.target, circuit.num_qubits)
+                    np.multiply(factor, rows[0] if source is None
+                                else rows[0, source], out=rows[n])
+                    slots.append(piece.param_slots[0])
+                    n += 1
+        check_normalized(rows[:1])
+        yield rows[0], rows[1:n], slots
+        n = 1
+        slots = []
+        start = stop
+
+
+def state_derivatives(circuit: Circuit, theta,
+                      features=None) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, dpsi): the state and its (p, 2^n) derivatives d_mu psi, row mu
+    for slot mu, from one forward sweep."""
+    theta = np.asarray(theta, dtype=float)
+    p = circuit.num_params
+    if theta.shape != (p,):
+        raise ValueError(f"theta must have shape ({p},)")
+    sweep = _derivative_sweep(circuit, theta, features, (len(circuit.gates),))
+    psi, rows, slots = next(sweep)
+    dpsi = np.empty_like(rows)
+    dpsi[slots] = rows
+    return psi.copy(), dpsi
+
+
+def observable_gradient(circuit: Circuit, theta, obs: Observable,
+                        features=None) -> np.ndarray:
+    """d<psi|H|psi>/dtheta_mu = 2 Re<H psi|d_mu psi> for a Pauli sum H,
+    from one forward sweep."""
+    if obs.num_qubits != circuit.num_qubits:
+        raise ValueError("observable and circuit qubit counts differ")
+    psi, dpsi = state_derivatives(circuit, theta, features)
+    h_psi = sum(coeff * apply_pauli_word(psi, word)
+                for coeff, word in obs.terms)
+    grad = 2.0 * (dpsi @ h_psi.conj()).real
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("gradient has non-finite entries")
+    return grad
+
+
 def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
     """Full QFIM  4 Re(<d_mu psi|d_nu psi> - <d_mu psi|psi><psi|d_nu psi>).
 
-    State derivatives come from pi/2-shifted statevectors. Only practical up
-    to EXACT_QFIM_MAX_PARAMS parameters; above that pick another fidelity.
+    State derivatives come from one forward sweep. Only practical up to
+    EXACT_QFIM_MAX_PARAMS parameters; above that pick another fidelity.
     """
-    theta = np.asarray(theta, dtype=float)
     p = circuit.num_params
     if p > EXACT_QFIM_MAX_PARAMS:
         raise ValueError(
             f"{p} parameters exceeds the exact-QFIM threshold "
             f"{EXACT_QFIM_MAX_PARAMS}; use block-diagonal or empirical")
-    psi = apply_circuit(circuit, theta, features)
-    if p == 0:
-        return Qfim(np.zeros((0, 0)), FIDELITY_EXACT)
-    states = apply_circuit(circuit, _shift_rows(theta, np.arange(p)), features)
-    dpsi = (states[:p] - states[p:]) * _STATE_SHIFT_SCALE
+    psi, dpsi = state_derivatives(circuit, theta, features)
     return Qfim(_qfim_from_states(dpsi, psi), FIDELITY_EXACT)
 
 
@@ -142,12 +225,12 @@ def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
     """Layer-blocked QFIM: each tagged layer's block is the exact QFIM of the
     circuit truncated after that layer; cross-layer entries are zero.
 
-    Each gate is simulated once per call. The unshifted state after layer
-    l-1 is carried as one row, broadcast to layer l's 2m+1 rows (its m
-    slots shifted by +-pi/2, then theta) and only layer l's segment of gates
-    is applied; the first segment holds any prelude. That prefix is right
-    only if no gate before a layer's segment reads one of its slots; a
-    circuit whose tags break this raises ValueError.
+    One forward sweep closes a block at each tag's gate_stop from the
+    derivative rows its segment added, then drops them, so each gate runs
+    once on at most m + 1 rows for a layer of m slots; the first segment
+    holds any prelude. A block is right only if no gate before its layer's
+    segment reads one of its slots; a circuit whose tags break this raises
+    ValueError.
     """
     theta = np.asarray(theta, dtype=float)
     p = circuit.num_params
@@ -160,26 +243,24 @@ def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
                          "block-diagonal QFIM needs a tagged ansatz")
     reader = {slot: k for k, gate in enumerate(circuit.gates)
               for slot in gate.param_slots}
-    feats = (np.zeros((1, 0)) if features is None
-             else np.atleast_2d(np.asarray(features, dtype=float)))
-    prefix = zero_state(circuit.num_qubits, 1)
     start = 0
-    entries = np.zeros((p, p))
     for tag in circuit.layers:
-        idx = np.arange(tag.param_start, tag.param_stop)
-        if any(reader[mu] < start for mu in idx):
+        if any(reader[mu] < start
+               for mu in range(tag.param_start, tag.param_stop)):
             raise ValueError(
                 f"layer tag {tag} has a slot read before gate {start}; "
                 "block-diagonal QFIM needs layers tagged in circuit order")
-        rows = np.vstack([_shift_rows(theta, idx), theta[None, :]])
-        states = np.repeat(prefix, rows.shape[0], axis=0)
-        for gate in circuit.gates[start:tag.gate_stop]:
-            apply_gate(states, gate, rows, feats)
-        m = len(idx)
-        dpsi = (states[:m] - states[m:2 * m]) * _STATE_SHIFT_SCALE
-        entries[np.ix_(idx, idx)] = _qfim_from_states(dpsi, states[-1])
-        prefix = states[-1:]
         start = tag.gate_stop
+    entries = np.zeros((p, p))
+    sweep = _derivative_sweep(circuit, theta, features,
+                              [tag.gate_stop for tag in circuit.layers])
+    for tag, (psi, rows, slots) in zip(circuit.layers, sweep):
+        # a slot of an earlier layer read in this segment does not move that
+        # layer's truncated state, so its block keeps zeros there
+        own = [k for k, mu in enumerate(slots)
+               if tag.param_start <= mu < tag.param_stop]
+        idx = [slots[k] for k in own]
+        entries[np.ix_(idx, idx)] = _qfim_from_states(rows[own], psi)
     return Qfim(entries, FIDELITY_BLOCK)
 
 

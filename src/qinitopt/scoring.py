@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .differentiation import gradient, hermitian_eigenvalues, qfim
+from .differentiation import hermitian_eigenvalues, qfim
 from .distributions import DEFAULT_BETA_SCALE, HyperParams, sample_params
 from .simulator import Circuit
 
@@ -89,23 +89,21 @@ def order_statistic(grad, t: int) -> float:
     return float(np.mean(np.abs(grad) ** t))
 
 
-def score(theta, circuit: Circuit, task_cost=None,
+def score(theta, circuit: Circuit, task_gradient=None,
           spec: ScoreSpec = ScoreSpec(), features=None) -> ScoreValue:
-    """Rate one parameter vector; task_cost is required whenever the score
-    reads gradients (S2 and S3) and feeds the empirical QFIM fallback."""
+    """Rate one parameter vector. task_gradient(theta) returns the task
+    cost's (p,) gradient; it is required whenever the score reads gradients
+    (S2 and S3) and feeds the empirical QFIM fallback."""
     theta = np.asarray(theta, dtype=float)
-    grad_fn = None
-    if task_cost is not None:
-        grad_fn = lambda th: gradient(circuit, th, task_cost)
     fisher_part = None
     if spec.kind in (S1, S3):
-        fisher = qfim(circuit, theta, features, gradient_fn=grad_fn)
+        fisher = qfim(circuit, theta, features, gradient_fn=task_gradient)
         fisher_part = omega_reduce(fisher, spec)
     grad_part = None
     if spec.kind in (S2, S3):
-        if task_cost is None:
-            raise ValueError("gradient-based scores need a task cost")
-        grad_part = order_statistic(gradient(circuit, theta, task_cost), spec.t)
+        if task_gradient is None:
+            raise ValueError("gradient-based scores need a task gradient")
+        grad_part = order_statistic(task_gradient(theta), spec.t)
     if spec.kind == S1:
         raw = fisher_part
     elif spec.kind == S2:
@@ -131,8 +129,9 @@ def utility_shape(raw_scores) -> np.ndarray:
     return ranks / (n - 1) - 0.5
 
 
-def initialization_objective(circuit: Circuit, spec: ScoreSpec, task_cost=None,
-                             features=None, scale: float = DEFAULT_BETA_SCALE,
+def initialization_objective(circuit: Circuit, spec: ScoreSpec,
+                             task_gradient=None, features=None,
+                             scale: float = DEFAULT_BETA_SCALE,
                              theta_draws: int = 1):
     """Objective for the hyperparameter search: theta ~ p(theta | hp), then
     score(theta), averaged over theta_draws independent draws."""
@@ -143,7 +142,8 @@ def initialization_objective(circuit: Circuit, spec: ScoreSpec, task_cost=None,
         total = 0.0
         for _ in range(theta_draws):
             theta = sample_params(hp, circuit.num_params, rng, scale)
-            total += score(theta, circuit, task_cost, spec, features).raw
+            total += score(theta, circuit, task_gradient, spec,
+                           features).raw
         return total / theta_draws
 
     return objective

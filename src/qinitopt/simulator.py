@@ -243,6 +243,14 @@ def run_gates(gates, num_qubits: int, thetas: np.ndarray,
     return state
 
 
+def check_normalized(states: np.ndarray) -> None:
+    """Raise FloatingPointError unless every row of a (B, 2^n) batch has
+    unit norm within 1e-10; a NaN amplitude fails."""
+    norms = np.linalg.norm(states, axis=1)
+    if not np.max(np.abs(norms - 1.0)) <= 1e-10:
+        raise FloatingPointError("statevector norm is NaN or drifted beyond 1e-10")
+
+
 def _as_batch(vec, length: int, name: str) -> tuple[np.ndarray, bool]:
     arr = np.atleast_2d(np.asarray(vec, dtype=float))
     if length == 0 and arr.size == 0:
@@ -275,9 +283,7 @@ def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
     if feats.shape[0] == 1 and batch > 1:
         feats = np.broadcast_to(feats, (batch, feats.shape[1]))
     state = run_gates(circuit.gates, circuit.num_qubits, thetas, feats)
-    norms = np.linalg.norm(state, axis=1)
-    if not np.max(np.abs(norms - 1.0)) <= 1e-10:
-        raise FloatingPointError("statevector norm is NaN or drifted beyond 1e-10")
+    check_normalized(state)
     if not (batched_t or batched_f):
         return state[0]
     return state

@@ -3,11 +3,11 @@
 VQE minimizes a Pauli-sum energy; QML classification embeds features as
 rotation angles and reads class probabilities off computational-basis
 marginals. Both expose cost_value/gradient so one Adam loop trains either.
-Gradients are exact. The VQE energy gradient uses the parameter-shift rule
-(2p shifted circuits). The classification loss chains through the class
-marginals analytically; at fixed chain-rule weights it is a sum of per-row
-diagonal expectations, whose gradient one adjoint sweep over the forward
-states gives.
+Gradients are exact. The VQE energy gradient, 2 Re<H psi|d_mu psi>, reads
+the state derivatives of one forward sweep. The classification loss chains
+through the class marginals analytically; at fixed chain-rule weights it is
+a sum of per-row diagonal expectations, whose gradient one adjoint sweep over
+the forward states gives.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .differentiation import adjoint_gradient, hermitian_eigenvalues
+from .differentiation import (adjoint_gradient, hermitian_eigenvalues,
+                              observable_gradient)
 from .simulator import (Circuit, Observable, apply_circuit,
                         build_strongly_entangling, expectation)
 
@@ -48,8 +49,7 @@ class VqeTask:
         return expectation(apply_circuit(self.circuit, thetas), self.hamiltonian)
 
     def gradient(self, theta) -> np.ndarray:
-        from .differentiation import gradient as shift_gradient
-        return shift_gradient(self.circuit, theta, self.cost_batch)
+        return observable_gradient(self.circuit, theta, self.hamiltonian)
 
 
 def make_vqe_task(hamiltonian: Observable, circuit: Circuit | None = None,

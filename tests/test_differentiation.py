@@ -7,13 +7,15 @@ from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
-from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, adjoint_gradient,
-                                      gradient,
-                                      hermitian_eigenvalues, qfim,
+from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
+                                      adjoint_gradient, gradient,
+                                      hermitian_eigenvalues,
+                                      observable_gradient, qfim,
                                       qfim_block_diagonal, qfim_empirical,
-                                      qfim_exact)
-from qinitopt.simulator import (Circuit, Gate, Layer, Observable, RY, RZ,
-                                apply_circuit, build_hea,
+                                      qfim_exact, state_derivatives)
+from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
+                                ROTATION_KINDS, ROT, Circuit, Gate, Layer,
+                                Observable, RY, RZ, apply_circuit, build_hea,
                                 build_strongly_entangling, build_two_design,
                                 embed_angles, expectation)
 
@@ -237,6 +239,109 @@ def test_block_diagonal_rejects_tags_out_of_circuit_order(circ, data):
     features = np.zeros(circ.num_features) if circ.num_features else None
     with pytest.raises(ValueError, match="read before"):
         qfim_block_diagonal(mistagged, np.zeros(circ.num_params), features)
+
+
+@st.composite
+def random_circuits(draw):
+    """Every gate kind at least once in random order on 2-4 qubits, theta
+    slots permuted, and 0-2 feature rotations: a prelude and one placed
+    between the parameterized gates."""
+    qubits = draw(st.integers(2, 4))
+    kinds = draw(st.permutations(
+        GATE_KINDS + tuple(draw(st.lists(st.sampled_from(GATE_KINDS),
+                                         max_size=6)))))
+    n_features = draw(st.integers(0, 2))
+    gates = []
+    slot = 0
+    for kind in kinds:
+        target = draw(st.integers(0, qubits - 1))
+        if kind in (CNOT, CZ):
+            control = draw(st.integers(0, qubits - 2))
+            gates.append(Gate(kind, target,
+                              control + (control >= target)))
+        elif kind == FIXED_RY:
+            gates.append(Gate(kind, target))
+        else:
+            width = 3 if kind == ROT else 1
+            gates.append(Gate(kind, target,
+                              param_slots=tuple(range(slot, slot + width))))
+            slot += width
+    order = draw(st.permutations(range(slot)))
+    gates = [Gate(g.kind, g.target, g.control,
+                  tuple(order[k] for k in g.param_slots)) for g in gates]
+    for j in range(n_features):
+        position = 0 if j == 0 else draw(st.integers(0, len(gates)))
+        gates.insert(position, Gate(draw(st.sampled_from(ROTATION_KINDS)),
+                                    j, feature_slot=j))
+    return Circuit(qubits, tuple(gates), slot,
+                   embedding_slots=tuple(range(n_features)))
+
+
+def draw_point(data, circ):
+    """(theta, features or None) for a circuit, angles from ANGLES."""
+    p, f = circ.num_params, circ.num_features
+    theta = np.array(data.draw(st.lists(ANGLES, min_size=p, max_size=p)))
+    features = (np.array(data.draw(st.lists(ANGLES, min_size=f, max_size=f)))
+                if f else None)
+    return theta, features
+
+
+def shifted_state_derivatives(circ, theta, features):
+    """d_mu psi as the statewise central difference of pi/2-shifted states,
+    (psi(theta + s e_mu) - psi(theta - s e_mu)) / (4 sin(s / 2))."""
+    p = circ.num_params
+    rows = np.repeat(theta[None, :], 2 * p, axis=0)
+    rows[np.arange(p), np.arange(p)] += SHIFT
+    rows[p + np.arange(p), np.arange(p)] -= SHIFT
+    states = apply_circuit(circ, rows, features)
+    return (states[:p] - states[p:]) / (4.0 * math.sin(SHIFT / 2.0))
+
+
+@given(st.one_of(random_circuits(), tagged_circuits()), st.data())
+def test_state_derivatives_match_shifted_states(circ, data):
+    theta, features = draw_point(data, circ)
+    psi, dpsi = state_derivatives(circ, theta, features)
+    np.testing.assert_allclose(psi, apply_circuit(circ, theta, features),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        dpsi, shifted_state_derivatives(circ, theta, features),
+        rtol=0, atol=1e-12)
+
+
+@st.composite
+def pauli_sums(draw, qubits):
+    """1-4 random terms plus one word with an odd number of Ys, whose
+    matrix is not real."""
+    words = draw(st.lists(st.text("IXYZ", min_size=qubits, max_size=qubits),
+                          min_size=1, max_size=4))
+    odd_y = list(draw(st.text("IXZ", min_size=qubits, max_size=qubits)))
+    odd_y[draw(st.integers(0, qubits - 1))] = "Y"
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(words) + 1,
+                           max_size=len(words) + 1))
+    return Observable(tuple(zip(coeffs, words + ["".join(odd_y)])))
+
+
+@given(st.one_of(random_circuits(), tagged_circuits()), st.data())
+def test_observable_gradient_matches_parameter_shift(circ, data):
+    theta, features = draw_point(data, circ)
+    obs = data.draw(pauli_sums(circ.num_qubits))
+    got = observable_gradient(circ, theta, obs, features)
+    want = gradient(circ, theta, lambda rows: expectation(
+        apply_circuit(circ, rows, features), obs))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_nan_theta_raises_from_the_sweep():
+    for circ in (build_hea(2, 3), build_strongly_entangling(2, 3)):
+        theta = np.full(circ.num_params, 0.3)
+        theta[-1] = math.nan  # read only in the last layer
+        with pytest.raises(FloatingPointError):
+            qfim_exact(circ, theta)
+        with pytest.raises(FloatingPointError):
+            qfim_block_diagonal(circ, theta)
+        with pytest.raises(FloatingPointError):
+            observable_gradient(circ, theta,
+                                Observable(((1.0, "ZZZ"),)))
 
 
 def test_empirical_is_gradient_outer_product():

@@ -1,14 +1,17 @@
 """Distribution sampling checked against closed-form moments."""
 import math
 
+from hypothesis import given
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from qinitopt.distributions import (BETA, DEFAULT_BETA_SCALE, GAUSSIAN,
-                                    HyperParams, beta_samples, child_rng,
-                                    from_unconstrained, gamma_samples,
-                                    init_guess, manual_baseline, sample_params,
-                                    standard_normals, to_unconstrained)
+from qinitopt.distributions import (BETA, DEFAULT_BETA_SCALE, FAMILIES,
+                                    GAUSSIAN, HyperParams, beta_samples,
+                                    child_rng, from_unconstrained,
+                                    gamma_samples, init_guess, manual_baseline,
+                                    sample_params, standard_normals,
+                                    to_unconstrained)
 
 
 def test_hyperparams_validation():
@@ -179,3 +182,16 @@ def test_sample_params_errors_and_reproducibility():
     a = sample_params(hp, 32, child_rng(50, "theta", 1))
     b = sample_params(hp, 32, child_rng(50, "theta", 1))
     assert np.array_equal(a, b)
+
+
+@given(st.sampled_from(FAMILIES), st.floats(-30.0, 30.0),
+       st.floats(-30.0, 30.0), st.integers(0, 2 ** 32 - 1))
+def test_sample_params_finite_over_the_search_box(family, u0, u1, seed):
+    # unconstrained (log alpha, log beta) or (mu, log sigma) in [-30, 30]^2:
+    # shapes and sigma from e^-30 to e^30
+    hp = from_unconstrained(family, [u0, u1])
+    theta = sample_params(hp, 16, child_rng(seed, "box"))
+    assert theta.shape == (16,)
+    assert np.all(np.isfinite(theta))
+    if family == BETA:
+        assert np.all((theta >= 0.0) & (theta <= DEFAULT_BETA_SCALE))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qinitopt.differentiation import Qfim, qfim_exact
+from qinitopt.differentiation import Qfim, gradient, qfim_exact
 from qinitopt.distributions import GAUSSIAN, HyperParams, child_rng
 from qinitopt.scoring import (HARMONIC, LOG_DET, S1, S2, S3, TRACE, ScoreSpec,
                               ScoreValue, initialization_objective,
@@ -79,11 +79,14 @@ def test_score_single_ry_all_kinds():
     circ, cost = single_ry()
     theta = [math.pi / 2]
     eps = 1e-12
-    s1 = score(theta, circ, cost, ScoreSpec(kind=S1, eps=eps)).raw
+    s1 = score(theta, circ, lambda th: gradient(circ, th, cost),
+               ScoreSpec(kind=S1, eps=eps)).raw
     assert abs(s1 - 1.0) < 1e-9  # QFIM [[1]], trace
-    s2 = score(theta, circ, cost, ScoreSpec(kind=S2, t=2)).raw
+    s2 = score(theta, circ, lambda th: gradient(circ, th, cost),
+               ScoreSpec(kind=S2, t=2)).raw
     assert abs(s2 - 1.0) < 1e-9  # grad [-1], mean square
-    s3 = score(theta, circ, cost, ScoreSpec(kind=S3, w=0.9, eps=eps)).raw
+    s3 = score(theta, circ, lambda th: gradient(circ, th, cost),
+               ScoreSpec(kind=S3, w=0.9, eps=eps)).raw
     assert abs(s3 - 1.0) < 1e-9
 
 
@@ -93,11 +96,16 @@ def test_score_s3_endpoints_match_branches():
     obs = Observable(terms=((0.7, "ZI"), (0.3, "XX")))
     cost = lambda rows: expectation(apply_circuit(circ, rows), obs)
     theta = rng.uniform(0, 2 * math.pi, circ.num_params)
-    s1 = score(theta, circ, cost, ScoreSpec(kind=S1)).raw
-    s2 = score(theta, circ, cost, ScoreSpec(kind=S2)).raw
-    assert score(theta, circ, cost, ScoreSpec(kind=S3, w=0.0)).raw == s1
-    assert score(theta, circ, cost, ScoreSpec(kind=S3, w=1.0)).raw == s2
-    blended = score(theta, circ, cost, ScoreSpec(kind=S3, w=0.25)).raw
+    s1 = score(theta, circ, lambda th: gradient(circ, th, cost),
+               ScoreSpec(kind=S1)).raw
+    s2 = score(theta, circ, lambda th: gradient(circ, th, cost),
+               ScoreSpec(kind=S2)).raw
+    assert score(theta, circ, lambda th: gradient(circ, th, cost),
+                 ScoreSpec(kind=S3, w=0.0)).raw == s1
+    assert score(theta, circ, lambda th: gradient(circ, th, cost),
+                 ScoreSpec(kind=S3, w=1.0)).raw == s2
+    blended = score(theta, circ, lambda th: gradient(circ, th, cost),
+                    ScoreSpec(kind=S3, w=0.25)).raw
     assert abs(blended - (0.75 * s1 + 0.25 * s2)) < 1e-12
 
 
@@ -162,15 +170,19 @@ def test_utility_invariant_under_monotone_transform():
 
 def test_initialization_objective_deterministic():
     circ, cost = single_ry()
-    objective = initialization_objective(circ, ScoreSpec(kind=S3), cost)
+    objective = initialization_objective(
+        circ, ScoreSpec(kind=S3), lambda th: gradient(circ, th, cost))
     hp = HyperParams(GAUSSIAN, (0.0, 1.0))
     a = objective(hp, child_rng(9, "rollout", 0))
     b = objective(hp, child_rng(9, "rollout", 0))
     assert a == b
     c = objective(hp, child_rng(9, "rollout", 1))
     assert a != c
-    averaged = initialization_objective(circ, ScoreSpec(kind=S3), cost,
-                                        theta_draws=8)
+    averaged = initialization_objective(
+        circ, ScoreSpec(kind=S3), lambda th: gradient(circ, th, cost),
+        theta_draws=8)
     assert math.isfinite(averaged(hp, child_rng(9)))
     with pytest.raises(ValueError):
-        initialization_objective(circ, ScoreSpec(), cost, theta_draws=0)
+        initialization_objective(
+            circ, ScoreSpec(), lambda th: gradient(circ, th, cost),
+            theta_draws=0)

@@ -99,6 +99,25 @@ def test_vqe_zz_two_qubit():
     assert abs(curve[-1] + 1.0) < 1e-3
 
 
+def test_vqe_gradient_matches_parameter_shift():
+    rng = np.random.default_rng(74)
+    obs = Observable(terms=((0.4, "ZIY"), (-0.7, "XYZ"), (0.2, "IIZ")))
+    task = make_vqe_task(obs, circuit=build_strongly_entangling(2, 3))
+    for _ in range(3):
+        theta = rng.uniform(0, 2 * math.pi, task.circuit.num_params)
+        want = gradient(task.circuit, theta, task.cost_batch)
+        assert np.max(np.abs(task.gradient(theta) - want)) < 1e-10
+
+
+def test_vqe_gradient_rejects_nan_theta():
+    task = make_vqe_task(Observable(terms=((1.0, "ZZ"),)),
+                         circuit=build_strongly_entangling(1, 2))
+    theta = np.zeros(task.circuit.num_params)
+    theta[3] = math.nan
+    with pytest.raises(FloatingPointError):
+        task.gradient(theta)
+
+
 def test_train_zero_iters_echoes_start():
     task = single_ry_task()
     theta, curve = train(task, [0.3], iters=0)
