@@ -244,8 +244,8 @@ def test_block_diagonal_rejects_tags_out_of_circuit_order(circ, data):
 @st.composite
 def random_circuits(draw):
     """Every gate kind at least once in random order on 2-4 qubits, theta
-    slots permuted, and 0-2 feature rotations: a prelude and one placed
-    between the parameterized gates."""
+    slots permuted, and 0-2 feature rotations: feature 0 first, feature 1
+    at a random position."""
     qubits = draw(st.integers(2, 4))
     kinds = draw(st.permutations(
         GATE_KINDS + tuple(draw(st.lists(st.sampled_from(GATE_KINDS),
@@ -257,8 +257,7 @@ def random_circuits(draw):
         target = draw(st.integers(0, qubits - 1))
         if kind in (CNOT, CZ):
             control = draw(st.integers(0, qubits - 2))
-            gates.append(Gate(kind, target,
-                              control + (control >= target)))
+            gates.append(Gate(kind, target, control + (control >= target)))
         elif kind == FIXED_RY:
             gates.append(Gate(kind, target))
         else:
