@@ -7,7 +7,8 @@ import pathlib
 
 import numpy as np
 
-from qinitopt.cli import cmd_bp_scan, cmd_hypopt, cmd_vqe, resolve_config
+from qinitopt.cli import (cmd_bp_scan, cmd_grad_profile, cmd_hypopt, cmd_qml,
+                          cmd_vqe, resolve_config)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 RTOL = 1e-9
@@ -121,3 +122,85 @@ def test_bp_scan_golden():
     for method, slope in BP_SCAN_SLOPES.items():
         np.testing.assert_allclose(results["slopes"][method], slope,
                                    rtol=RTOL, err_msg=f"slope {method}")
+
+
+# qml on breast_cancer cut to 40 training rows, an 8-row score slice, one ES
+# iteration of two rollouts and 3 Adam steps: the loss curve pins the
+# training loss and its gradient, the s2 and s3 hyperparameters the QML
+# score gradient.
+QML_GOLDEN = {
+    "s1": {
+        "hyperparams": [1.3486810164015746, 4.666680698446902],
+        "loss_curve": [0.6944650076977352, 0.6834968920117674,
+                       0.6728288016816177, 0.6624476911023576],
+        "train_accuracy": 0.675,
+        "test_accuracy": 0.6548672566371682,
+    },
+    "s2": {
+        "hyperparams": [3.7300957074550705, 1.9233970044888762],
+        "loss_curve": [0.7436681533048481, 0.7180614890414267,
+                       0.6938346846441432, 0.6711258408877268],
+        "train_accuracy": 0.6,
+        "test_accuracy": 0.6106194690265486,
+    },
+    "s3": {
+        "hyperparams": [3.2828431333477712, 1.8466029432737459],
+        "loss_curve": [0.7754132395753246, 0.7572511017540308,
+                       0.7398634714280081, 0.7233709200400474],
+        "train_accuracy": 0.4,
+        "test_accuracy": 0.35398230088495575,
+    },
+    "manual": {
+        "hyperparams": [0.1, 1.5],
+        "loss_curve": [1.147333869232863, 1.131039899252476,
+                       1.1142557520643703, 1.0971340392015883],
+        "train_accuracy": 0.35,
+        "test_accuracy": 0.4336283185840708,
+    },
+}
+
+
+def test_qml_golden():
+    dataset = REPO / "datasets" / "breast_cancer.csv"
+    cfg = resolve_config("qml", overrides=[
+        f'dataset="{dataset}"', "subsample=40", "score_batch=8",
+        'methods=["s1","s2","s3","manual"]', "es.n_iters=1",
+        "es.n_samples=2", "train.iters=3"])
+    results = cmd_qml(cfg)["results"]
+    assert (results["n_train"], results["n_test"]) == (40, 113)
+    assert set(results["methods"]) == set(QML_GOLDEN)
+    for method, golden in QML_GOLDEN.items():
+        entry = results["methods"][method]
+        for key, value in golden.items():
+            np.testing.assert_allclose(entry[key], value, rtol=RTOL,
+                                       err_msg=f"{method}.{key}")
+        assert entry["final_loss"] == entry["loss_curve"][-1]
+
+
+# grad-profile at its defaults (5 hea layers on 4 qubits, Z-parity cost)
+# with 16 samples and 4 bins per layer
+GRAD_PROFILE_MEANS = [0.07631625778741263, 0.0934240220230748,
+                      0.08468919007527986, 0.06027318934796039,
+                      0.05772582184378427]
+GRAD_PROFILE_DENSITIES = [
+    [4.237827061141904, 0.1095989757191872, 0.07306598381279146,
+     0.2557309433447701],
+    [4.031006303770672, 0.3298096066721458, 0.10993653555738199,
+     0.21987307111476387],
+    [3.5742835568151348, 0.22141579555491986, 0.09489248380925137,
+     0.1581541396820856],
+    [4.074172014242927, 0.20716128885980986, 0.034526881476634984,
+     0.1035806444299049],
+    [3.826710944814883, 0.12862893932150868, 0.03215723483037716,
+     0.12862893932150868],
+]
+
+
+def test_grad_profile_golden():
+    cfg = resolve_config("grad-profile", overrides=["m_samples=16", "bins=4"])
+    results = cmd_grad_profile(cfg)["results"]
+    np.testing.assert_allclose(results["layer_mean_abs_gradient"],
+                               GRAD_PROFILE_MEANS, rtol=RTOL)
+    densities = [[row["density"] for row in results["histogram"]
+                  if row["layer"] == layer] for layer in range(1, 6)]
+    np.testing.assert_allclose(densities, GRAD_PROFILE_DENSITIES, rtol=RTOL)
