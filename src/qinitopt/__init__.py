@@ -20,7 +20,7 @@ from .simulator import (Circuit, Gate, Layer, Observable, apply_circuit,
                         zero_state)
 from .tasks import (AdamState, QmlTask, VqeTask, adam_step,
                     exact_ground_energy, make_vqe_task, qml_cost_batch,
-                    qml_gradient, qml_loss, train, vqe_cost)
+                    train)
 
 __all__ = [
     "__version__",
@@ -34,7 +34,6 @@ __all__ = [
     "make_vqe_task", "manual_baseline", "observable_gradient",
     "omega_reduce", "order_statistic", "perturbation_matrix", "qfim",
     "qfim_block_diagonal", "qfim_empirical", "qfim_exact", "qml_cost_batch",
-    "qml_gradient", "qml_loss", "sample_params", "score",
-    "standard_normals", "to_unconstrained", "train",
-    "utility_shape", "vqe_cost", "zero_state",
+    "sample_params", "score", "standard_normals", "to_unconstrained",
+    "train", "utility_shape", "zero_state",
 ]

@@ -223,6 +223,8 @@ def resolve_config(command: str, config_path=None, overrides=(),
         cfg["out"] = str(out)
     if workers is not None:
         cfg["workers"] = workers
+    if cfg["workers"] < 1:
+        raise ValueError(f"workers must be at least 1, got {cfg['workers']}")
     return cfg
 
 
@@ -322,6 +324,27 @@ def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
     return hp, trace
 
 
+def _train_methods(cfg: dict, circuit, task, score_gradient, features,
+                   describe) -> dict:
+    """Per method: its initialization hyperparameters, one Adam run of the
+    task from a draw of them, and describe(theta, curve) of that run."""
+    per_method = {}
+    for method in _check_methods(cfg["methods"], _TRAIN_METHODS):
+        hp, trace = _method_hyperparams(method, cfg, circuit, score_gradient,
+                                        features)
+        theta0 = sample_params(hp, circuit.num_params,
+                               child_rng(cfg["seed"], "theta0", method))
+        theta, curve = train(task, theta0, iters=cfg["train"]["iters"],
+                             lr=cfg["train"]["lr"])
+        entry = {"hyperparams": [float(v) for v in hp.values],
+                 **describe(theta, [float(c) for c in curve])}
+        if trace is not None:
+            entry["es_iterations"] = trace.n_iterations
+            entry["es_converged"] = bool(trace.converged)
+        per_method[method] = entry
+    return per_method
+
+
 def _record_for(command: str, cfg: dict, results: dict) -> dict:
     hashable_cfg = {k: v for k, v in cfg.items() if k not in _VOLATILE_KEYS}
     return {"command": command, "version": __version__,
@@ -356,24 +379,11 @@ def cmd_vqe(cfg: dict) -> dict:
                             qubits=cfg["ansatz"]["qubits"]
                             or hamiltonian.num_qubits)
     task = make_vqe_task(hamiltonian, circuit)
-    methods = _check_methods(cfg["methods"], _TRAIN_METHODS)
-    seed = cfg["seed"]
-    per_method = {}
-    for method in methods:
-        hp, trace = _method_hyperparams(method, cfg, circuit,
-                                        task.gradient, None)
-        theta0 = sample_params(hp, circuit.num_params,
-                               child_rng(seed, "theta0", method))
-        _, curve = train(task, theta0, iters=cfg["train"]["iters"],
-                         lr=cfg["train"]["lr"])
-        entry = {"hyperparams": [float(v) for v in hp.values],
-                 "curve": [float(c) for c in curve],
-                 "final_energy": float(curve[-1]),
-                 "gap": float(curve[-1] - task.exact_ground_energy)}
-        if trace is not None:
-            entry["es_iterations"] = trace.n_iterations
-            entry["es_converged"] = bool(trace.converged)
-        per_method[method] = entry
+    per_method = _train_methods(
+        cfg, circuit, task, task.gradient, None,
+        lambda theta, curve: {
+            "curve": curve, "final_energy": curve[-1],
+            "gap": float(curve[-1] - task.exact_ground_energy)})
     results = {"exact_ground_energy": float(task.exact_ground_energy),
                "family": cfg["family"],
                "methods": per_method}
@@ -397,32 +407,17 @@ def cmd_qml(cfg: dict) -> dict:
     measured = max(1, math.ceil(math.log2(classes)))
     qubits = cfg["ansatz"]["qubits"] or max(k, measured)
     circuit = embed_angles(_build_ansatz(cfg["ansatz"], qubits=qubits), k)
-    task = QmlTask(circuit, train_x, train_ds.labels, classes,
-                   test_x, test_ds.labels)
+    task = QmlTask(circuit, train_x, train_ds.labels, classes)
     # score on a small stratified slice; training uses the full subsample
     score_ds = stratified_subsample(Dataset("score", train_x, train_ds.labels),
                                     cfg["score_batch"], seed)
     score_task = QmlTask(circuit, score_ds.features, score_ds.labels, classes)
-    representative = train_x.mean(axis=0)
-    methods = _check_methods(cfg["methods"], _TRAIN_METHODS)
-    per_method = {}
-    for method in methods:
-        hp, trace = _method_hyperparams(method, cfg, circuit,
-                                        score_task.gradient, representative)
-        theta0 = sample_params(hp, circuit.num_params,
-                               child_rng(seed, "theta0", method))
-        theta, curve = train(task, theta0, iters=cfg["train"]["iters"],
-                             lr=cfg["train"]["lr"])
-        entry = {"hyperparams": [float(v) for v in hp.values],
-                 "loss_curve": [float(c) for c in curve],
-                 "final_loss": float(curve[-1]),
-                 "test_accuracy": task.accuracy(theta, test_x, test_ds.labels),
-                 "train_accuracy": task.accuracy(theta, train_x,
-                                                 train_ds.labels)}
-        if trace is not None:
-            entry["es_iterations"] = trace.n_iterations
-            entry["es_converged"] = bool(trace.converged)
-        per_method[method] = entry
+    per_method = _train_methods(
+        cfg, circuit, task, score_task.gradient, train_x.mean(axis=0),
+        lambda theta, curve: {
+            "loss_curve": curve, "final_loss": curve[-1],
+            "test_accuracy": task.accuracy(theta, test_x, test_ds.labels),
+            "train_accuracy": task.accuracy(theta, train_x, train_ds.labels)})
     results = {"dataset": full.name,
                "num_classes": classes,
                "n_train": int(len(train_x)),
@@ -479,13 +474,14 @@ def cmd_bp_scan(cfg: dict) -> dict:
     if m < 2:
         raise ValueError("m_samples must be at least 2 for a variance")
     qubit_range = [int(n) for n in cfg["qubit_range"]]
+    if not qubit_range or len(set(qubit_range)) < len(qubit_range):
+        raise ValueError("qubit_range must list distinct qubit counts, "
+                         f"got {qubit_range}")
     table = []
     variances = {method: [] for method in methods}
     for n in qubit_range:
         circuit = build_two_design(cfg["layers"], n, cfg["structure_seed"])
         obs = _default_observable(n)
-        cost = (lambda rows, c=circuit, o=obs:
-                expectation(apply_circuit(c, rows), o))
         task_gradient = (lambda theta, c=circuit, o=obs:
                          observable_gradient(c, theta, o))
         for method in methods:
@@ -497,7 +493,7 @@ def cmd_bp_scan(cfg: dict) -> dict:
             shifted = np.vstack([thetas, thetas])
             shifted[:m, 0] += SHIFT
             shifted[m:, 0] -= SHIFT
-            vals = cost(shifted)
+            vals = expectation(apply_circuit(circuit, shifted), obs)
             derivs = (vals[:m] - vals[m:]) / 2.0
             variance = float(np.var(derivs))
             table.append({"qubits": n, "method": method,
@@ -536,13 +532,9 @@ def write_outputs(command: str, cfg: dict, record: dict,
         header, rows = es_trace_rows(results["trace"],
                                      hyperparam_names(cfg["family"]))
         written.append(write_csv(out / f"{command}_trace.csv", header, rows))
-    elif command == "vqe":
-        curves = {m: results["methods"][m]["curve"] for m in cfg["methods"]}
-        header, rows = curve_rows(curves)
-        written.append(write_csv(out / f"{command}_curves.csv", header, rows))
-    elif command == "qml":
-        curves = {m: results["methods"][m]["loss_curve"]
-                  for m in cfg["methods"]}
+    elif command in ("vqe", "qml"):
+        key = "curve" if command == "vqe" else "loss_curve"
+        curves = {m: results["methods"][m][key] for m in cfg["methods"]}
         header, rows = curve_rows(curves)
         written.append(write_csv(out / f"{command}_curves.csv", header, rows))
     elif command == "grad-profile":

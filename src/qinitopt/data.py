@@ -95,10 +95,6 @@ class PcaModel:
     components: np.ndarray  # (d_in, k) orthonormal columns
     variances: np.ndarray  # descending, one per kept component
 
-    @property
-    def k(self) -> int:
-        return self.components.shape[1]
-
 
 def fit_pca(features, k: int = 4) -> PcaModel:
     """Top-k principal axes of the covariance. Component signs follow the

@@ -191,10 +191,10 @@ def state_derivatives(circuit: Circuit, theta,
     return psi.copy(), dpsi
 
 
-def observable_gradient(circuit: Circuit, theta, obs: Observable,
-                        features=None) -> np.ndarray:
-    """d<psi|H|psi>/dtheta_mu = 2 Re<H psi|d_mu psi> for a Pauli sum H,
-    from one forward sweep."""
+def _energy_gradient(circuit: Circuit, theta, obs: Observable,
+                     features=None) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, grad): the state and d<psi|H|psi>/dtheta_mu =
+    2 Re<H psi|d_mu psi> for a Pauli sum H, from one forward sweep."""
     if obs.num_qubits != circuit.num_qubits:
         raise ValueError("observable and circuit qubit counts differ")
     psi, dpsi = state_derivatives(circuit, theta, features)
@@ -203,7 +203,13 @@ def observable_gradient(circuit: Circuit, theta, obs: Observable,
     grad = 2.0 * (dpsi @ h_psi.conj()).real
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("gradient has non-finite entries")
-    return grad
+    return psi, grad
+
+
+def observable_gradient(circuit: Circuit, theta, obs: Observable,
+                        features=None) -> np.ndarray:
+    """d<psi|H|psi>/dtheta for a Pauli sum H, from one forward sweep."""
+    return _energy_gradient(circuit, theta, obs, features)[1]
 
 
 def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:

@@ -166,14 +166,20 @@ def beta_samples(alpha: float, beta: float, n: int,
 
     At small shapes both U^(1/a)-boosted gammas can underflow to 0; only
     those rows take the ratio in log space, as the logistic of
-    log X - log Y, so every other draw keeps the plain quotient's bits.
+    log X - log Y. At huge shapes X + Y can overflow; only those rows halve
+    both draws before adding. Every other draw keeps the plain quotient's
+    bits.
     """
     gx, ux = _gamma_parts(alpha, n, rng)
     gy, uy = _gamma_parts(beta, n, rng)
     x = _boosted(gx, ux, alpha)
-    total = x + _boosted(gy, uy, beta)
+    y = _boosted(gy, uy, beta)
+    with np.errstate(over="ignore"):
+        total = x + y
     under = total == 0.0
     out = x / np.where(under, 1.0, total)
+    over = np.isinf(total)  # halving is exact at these magnitudes
+    out[over] = x[over] / 2.0 / (x[over] / 2.0 + y[over] / 2.0)
     if under.any():
         unit = min(alpha, beta)
         with np.errstate(over="ignore"):  # |t| = inf still gives 0 or 1

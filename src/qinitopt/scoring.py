@@ -57,7 +57,6 @@ class ScoreSpec:
 @dataclass
 class ScoreValue:
     raw: float
-    utility: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.raw):

@@ -2,12 +2,15 @@
 
 VQE minimizes a Pauli-sum energy; QML classification embeds features as
 rotation angles and reads class probabilities off computational-basis
-marginals. Both expose cost_value/gradient so one Adam loop trains either.
-Gradients are exact. The VQE energy gradient, 2 Re<H psi|d_mu psi>, reads
-the state derivatives of one forward sweep. The classification loss chains
-through the class marginals analytically; at fixed chain-rule weights it is
-a sum of per-row diagonal expectations, whose gradient one adjoint sweep over
-the forward states gives.
+marginals. Each task's value_and_gradient returns the cost and its exact
+gradient from one simulation of theta, so a step of the Adam loop `train`
+simulates once; cost_value is the cost alone, and cost_batch (VQE) or
+qml_cost_batch the cost of each row of a parameter batch, which the
+parameter-shift oracle reads. The VQE energy and its gradient,
+2 Re<H psi|d_mu psi>, come from the state and state derivatives of one
+forward sweep. The classification loss chains through the class marginals
+analytically; at fixed chain-rule weights it is a sum of per-row diagonal
+expectations, whose gradient one adjoint sweep over the forward states gives.
 """
 from __future__ import annotations
 
@@ -16,20 +19,13 @@ import math
 
 import numpy as np
 
-from .differentiation import (adjoint_gradient, hermitian_eigenvalues,
-                              observable_gradient)
+from .differentiation import (_energy_gradient, adjoint_gradient,
+                              hermitian_eigenvalues)
 from .simulator import (Circuit, Observable, apply_circuit,
-                        build_strongly_entangling, expectation)
+                        apply_pauli_word, expectation)
 
 PROB_CLAMP = 1e-10
 MAX_ORACLE_QUBITS = 10
-
-_PAULI_DENSE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass
@@ -43,39 +39,38 @@ class VqeTask:
             raise ValueError("Hamiltonian and ansatz qubit counts differ")
 
     def cost_value(self, theta) -> float:
-        return vqe_cost(self, theta)
+        p = self.circuit.num_params
+        if np.shape(theta) != (p,):
+            raise ValueError(f"theta must have shape ({p},)")
+        return float(expectation(apply_circuit(self.circuit, theta),
+                                 self.hamiltonian))
 
     def cost_batch(self, thetas) -> np.ndarray:
         return expectation(apply_circuit(self.circuit, thetas), self.hamiltonian)
 
+    def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
+        psi, grad = _energy_gradient(self.circuit, theta, self.hamiltonian)
+        return expectation(psi, self.hamiltonian), grad
+
     def gradient(self, theta) -> np.ndarray:
-        return observable_gradient(self.circuit, theta, self.hamiltonian)
+        # scores ask for the gradient alone; the energy's pass over the 15
+        # terms of h2_4q would add about a fifth to each call at p = 24
+        return _energy_gradient(self.circuit, theta, self.hamiltonian)[1]
 
 
-def make_vqe_task(hamiltonian: Observable, circuit: Circuit | None = None,
-                  layers: int = 8) -> VqeTask:
-    """Bundle a Hamiltonian with an ansatz (strongly-entangling by default)
-    and the dense-diagonalization ground energy."""
-    if circuit is None:
-        circuit = build_strongly_entangling(layers, hamiltonian.num_qubits)
+def make_vqe_task(hamiltonian: Observable, circuit: Circuit) -> VqeTask:
+    """Bundle a Hamiltonian with an ansatz and the dense-diagonalization
+    ground energy."""
     return VqeTask(hamiltonian, circuit, exact_ground_energy(hamiltonian))
 
 
-def vqe_cost(task: VqeTask, theta) -> float:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (task.circuit.num_params,):
-        raise ValueError(f"theta must have shape ({task.circuit.num_params},)")
-    return float(expectation(apply_circuit(task.circuit, theta),
-                             task.hamiltonian))
-
-
-def _marginals(states: np.ndarray, measured: int, num_classes: int) -> np.ndarray:
-    """Probabilities of the first `measured` qubits, truncated to num_classes
-    entries and renormalized. states: (..., 2^n)."""
+def _class_marginals(states: np.ndarray, measured: int,
+                     num_classes: int) -> np.ndarray:
+    """Unnormalized probabilities of the first `measured` qubits, truncated
+    to num_classes entries. states: (..., 2^n)."""
     probs = np.abs(states) ** 2
     lead = probs.reshape(*probs.shape[:-1], 1 << measured, -1).sum(axis=-1)
-    kept = lead[..., :num_classes]
-    return kept / kept.sum(axis=-1, keepdims=True)
+    return lead[..., :num_classes]
 
 
 @dataclass
@@ -84,8 +79,6 @@ class QmlTask:
     train_features: np.ndarray
     train_labels: np.ndarray
     num_classes: int
-    test_features: np.ndarray | None = None
-    test_labels: np.ndarray | None = None
     measured_qubits: int = field(init=False)
 
     def __post_init__(self):
@@ -109,26 +102,68 @@ class QmlTask:
 
     def probabilities(self, theta, features) -> np.ndarray:
         """Class probabilities for one feature row or a batch of rows."""
-        states = apply_circuit(self.circuit, theta, features)
-        return _marginals(states, self.measured_qubits, self.num_classes)
+        raw = _class_marginals(apply_circuit(self.circuit, theta, features),
+                               self.measured_qubits, self.num_classes)
+        return raw / raw.sum(axis=-1, keepdims=True)
+
+    def _loss(self, states: np.ndarray):
+        """(loss, raw, s, hit) for (..., n, 2^q) states of the n training
+        rows: the mean cross-entropy, probabilities clamped to PROB_CLAMP;
+        the kept class marginals; their sums; each label's probability."""
+        raw = _class_marginals(states, self.measured_qubits, self.num_classes)
+        s = raw.sum(axis=-1)
+        hit = raw[..., np.arange(len(self.train_labels)), self.train_labels] / s
+        loss = np.mean(-np.log(np.clip(hit, PROB_CLAMP, 1.0 - PROB_CLAMP)),
+                       axis=-1)
+        return loss, raw, s, hit
 
     def cost_value(self, theta) -> float:
-        return qml_loss(self, theta)
+        """Mean cross-entropy over the training batch."""
+        return float(self._loss(apply_circuit(self.circuit, theta,
+                                              self.train_features))[0])
+
+    def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
+        """The mean cross-entropy and its exact gradient.
+
+        The loss chains through the class marginals raw_c with
+        dL_i/draw_c = -delta_{c,y_i}/raw_y + 1/s, s the kept-probability
+        sum, so at fixed weights w_ic = dL_i/draw_c the gradient is that of
+        sum_i <psi_i|D_i|psi_i> / n, with D_i the diagonal holding w_ic on
+        every amplitude whose measured-qubit prefix is class c (0 on
+        truncated classes). One adjoint sweep from the forward states gives
+        it. Samples sitting on the clamp contribute zero gradient.
+        """
+        theta = np.asarray(theta, dtype=float)
+        p = self.circuit.num_params
+        if theta.shape != (p,):
+            raise ValueError(f"theta must have shape ({p},)")
+        feats = self.train_features
+        states = apply_circuit(self.circuit, theta, feats)
+        loss, raw, s, hit = self._loss(states)
+        n = len(feats)
+        rows, labels = np.arange(n), self.train_labels
+        live = (hit > PROB_CLAMP) & (hit < 1.0 - PROB_CLAMP)
+        weights = np.zeros((n, 1 << self.measured_qubits))
+        weights[:, :self.num_classes] = (1.0 / s)[:, None]
+        weights[rows, labels] -= 1.0 / np.maximum(raw[rows, labels],
+                                                  PROB_CLAMP)
+        weights[~live] = 0.0
+        diagonal = np.repeat(weights, states.shape[1] >> self.measured_qubits,
+                             axis=1)
+        grad = adjoint_gradient(self.circuit, theta, states, diagonal,
+                                feats) / n
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError(
+                "classification gradient has non-finite entries")
+        return float(loss), grad
 
     def gradient(self, theta) -> np.ndarray:
-        return qml_gradient(self, theta)
+        return self.value_and_gradient(theta)[1]
 
     def accuracy(self, theta, features, labels) -> float:
         probs = self.probabilities(theta, np.asarray(features, dtype=float))
         predicted = np.argmax(probs, axis=-1)
         return float(np.mean(predicted == np.asarray(labels, dtype=int)))
-
-
-def qml_loss(task: QmlTask, theta) -> float:
-    """Mean cross-entropy over the training batch, probabilities clamped."""
-    probs = task.probabilities(theta, task.train_features)
-    hit = probs[np.arange(len(task.train_labels)), task.train_labels]
-    return float(np.mean(-np.log(np.clip(hit, PROB_CLAMP, 1.0 - PROB_CLAMP))))
 
 
 def qml_cost_batch(task: QmlTask, thetas) -> np.ndarray:
@@ -139,48 +174,7 @@ def qml_cost_batch(task: QmlTask, thetas) -> np.ndarray:
     big_thetas = np.repeat(thetas, n, axis=0)
     big_feats = np.tile(task.train_features, (b, 1))
     states = apply_circuit(task.circuit, big_thetas, big_feats)
-    probs = _marginals(states, task.measured_qubits, task.num_classes)
-    hit = probs.reshape(b, n, task.num_classes)[:, np.arange(n), task.train_labels]
-    return np.mean(-np.log(np.clip(hit, PROB_CLAMP, 1.0 - PROB_CLAMP)), axis=1)
-
-
-def qml_gradient(task: QmlTask, theta) -> np.ndarray:
-    """d(mean cross-entropy)/dtheta, exact.
-
-    The loss chains through the class marginals raw_c with
-    dL_i/draw_c = -delta_{c,y_i}/raw_y + 1/s, s the kept-probability sum, so
-    at fixed weights w_ic = dL_i/draw_c the gradient is that of
-    sum_i <psi_i|D_i|psi_i> / n, with D_i the diagonal holding w_ic on every
-    amplitude whose measured-qubit prefix is class c (0 on truncated
-    classes). One adjoint sweep from the forward states gives it.
-    Samples sitting on the clamp contribute zero gradient.
-    """
-    theta = np.asarray(theta, dtype=float)
-    p = task.circuit.num_params
-    if theta.shape != (p,):
-        raise ValueError(f"theta must have shape ({p},)")
-    feats = task.train_features
-    n = len(feats)
-    labels = task.train_labels
-    states = apply_circuit(task.circuit, theta, feats)
-    lead = (np.abs(states) ** 2).reshape(n, 1 << task.measured_qubits, -1).sum(axis=-1)
-    raw = lead[:, :task.num_classes]
-    s = raw.sum(axis=1)
-    hit = raw[np.arange(n), labels] / s
-    live = (hit > PROB_CLAMP) & (hit < 1.0 - PROB_CLAMP)
-    weights = np.broadcast_to((1.0 / s)[:, None], raw.shape).copy()
-    weights[np.arange(n), labels] -= 1.0 / np.maximum(raw[np.arange(n), labels],
-                                                      PROB_CLAMP)
-    weights[~live] = 0.0
-    if p == 0:
-        return np.zeros(0)
-    per_class = np.zeros(lead.shape)
-    per_class[:, :task.num_classes] = weights
-    diagonal = np.repeat(per_class, states.shape[1] // lead.shape[1], axis=1)
-    grad = adjoint_gradient(task.circuit, theta, states, diagonal, feats) / n
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("classification gradient has non-finite entries")
-    return grad
+    return task._loss(states.reshape(b, n, -1))[0]
 
 
 @dataclass
@@ -214,31 +208,31 @@ def adam_step(state: AdamState, theta, grad) -> np.ndarray:
 
 
 def train(task, theta0, iters: int = 100, lr: float = 0.01):
-    """Adam on task.cost_value via task.gradient; returns (theta, curve) with
-    curve[k] the cost after k updates (length iters + 1)."""
+    """Adam from theta0; returns (theta, curve) with curve[k] the cost after
+    k updates (length iters + 1).
+
+    Each step makes one task.value_and_gradient call, which simulates the
+    current theta once for both its cost and its gradient; one
+    task.cost_value call gives the cost after the last update.
+    """
     theta = np.array(theta0, dtype=float)
-    curve = [task.cost_value(theta)]
+    curve = []
     state = AdamState(lr=lr)
     for _ in range(iters):
-        theta = adam_step(state, theta, task.gradient(theta))
-        curve.append(task.cost_value(theta))
+        cost, grad = task.value_and_gradient(theta)
+        curve.append(cost)
+        theta = adam_step(state, theta, grad)
+    curve.append(task.cost_value(theta))
     return theta, np.array(curve)
-
-
-def _dense_matrix(obs: Observable) -> np.ndarray:
-    dim = 1 << obs.num_qubits
-    total = np.zeros((dim, dim), dtype=complex)
-    for coeff, word in obs.terms:
-        term = np.eye(1, dtype=complex)
-        for ch in word:
-            term = np.kron(term, _PAULI_DENSE[ch])
-        total += coeff * term
-    return total
 
 
 def exact_ground_energy(obs: Observable) -> float:
     """Smallest eigenvalue of the dense (complex Hermitian) Pauli-sum
-    matrix."""
+    matrix. Row j of a Pauli word applied to the identity is P e_j, so each
+    applied word is P transposed."""
     if obs.num_qubits > MAX_ORACLE_QUBITS:
         raise ValueError(f"dense oracle capped at {MAX_ORACLE_QUBITS} qubits")
-    return float(hermitian_eigenvalues(_dense_matrix(obs))[-1])
+    eye = np.eye(1 << obs.num_qubits, dtype=complex)
+    dense = sum(coeff * apply_pauli_word(eye, word).T
+                for coeff, word in obs.terms)
+    return float(hermitian_eigenvalues(dense)[-1])

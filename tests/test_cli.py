@@ -11,6 +11,7 @@ import pytest
 from qinitopt import cli
 from qinitopt.cli import (cmd_bp_scan, cmd_grad_profile, cmd_hypopt, cmd_qml,
                           cmd_vqe, default_config, main, resolve_config)
+from qinitopt.distributions import HyperParams, child_rng, sample_params
 from qinitopt.records import record_hash
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -247,6 +248,50 @@ def test_bp_scan_record_contents():
         assert row["variance"] >= 0.0
     assert set(results["slopes"]) == {"uniform", "s1"}
     validate(record)
+
+
+def test_bp_scan_rejects_empty_and_repeated_qubit_counts(tmp_path, capsys):
+    for counts in ("[]", "[2, 2]", "[2, 3, 2]"):
+        out = tmp_path / "bp"
+        code = main(["bp-scan", "--out", str(out),
+                     "--set", f"qubit_range={counts}"])
+        assert code == 2
+        assert capsys.readouterr().out == (
+            f"error: qubit_range must list distinct qubit counts, "
+            f"got {counts}\n")
+        assert not out.exists()
+
+
+def test_bp_scan_single_qubit_count_has_no_slope():
+    cfg = resolve_config("bp-scan", overrides=[
+        "qubit_range=[2]", "m_samples=4", 'methods=["uniform"]'])
+    results = cmd_bp_scan(cfg)["results"]
+    assert len(results["rows"]) == 1
+    assert results["slopes"] == {"uniform": None}
+
+
+def test_grad_profile_at_overflowing_shapes():
+    # alpha + beta overflows; every draw is 3/4 of the period, where the
+    # parity cost's second layer has a gradient, not 0
+    values = [1.5e308, 5e307]
+    draws = sample_params(HyperParams("beta", tuple(values)), 8, child_rng(0))
+    np.testing.assert_allclose(draws, 1.5 * math.pi, rtol=1e-12)
+    results = cmd_grad_profile(grad_profile_config(values=values))["results"]
+    assert results["layer_mean_abs_gradient"][1] > 0.1
+
+
+def test_main_rejects_workers_below_one(tmp_path, capsys):
+    for workers in ("0", "-3"):
+        code = main(["hypopt", "--out", str(tmp_path / "run"),
+                     "--workers", workers])
+        assert code == 2
+        assert capsys.readouterr().out == (
+            f"error: workers must be at least 1, got {workers}\n")
+    code = main(["hypopt", "--out", str(tmp_path / "run"),
+                 "--set", "workers=0"])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("error: workers must be")
+    assert not (tmp_path / "run").exists()
 
 
 def test_main_writes_all_outputs(tmp_path, capsys):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
-                                      adjoint_gradient, gradient,
-                                      hermitian_eigenvalues,
+                                      _energy_gradient, adjoint_gradient,
+                                      gradient, hermitian_eigenvalues,
                                       observable_gradient, qfim,
                                       qfim_block_diagonal, qfim_empirical,
                                       qfim_exact, state_derivatives)
@@ -328,6 +328,11 @@ def test_observable_gradient_matches_parameter_shift(circ, data):
     want = gradient(circ, theta, lambda rows: expectation(
         apply_circuit(circ, rows, features), obs))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+    # the sweep's psi, from which VqeTask.value_and_gradient reads the
+    # energy, keeps the bits of apply_circuit's, so the energy equals the cost
+    psi, grad = _energy_gradient(circ, theta, obs, features)
+    np.testing.assert_array_equal(grad, got)
+    np.testing.assert_array_equal(psi, apply_circuit(circ, theta, features))
 
 
 def test_nan_theta_raises_from_the_sweep():

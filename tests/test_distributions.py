@@ -148,6 +148,17 @@ def test_beta_finite_at_tiny_shapes():
         assert abs(np.mean(skewed > 0.5) - 0.25) < 0.05
 
 
+def test_beta_finite_at_huge_shapes():
+    # X + Y overflows to inf at these shapes; a plain quotient would give 0
+    for a in (1e308, 1.7e308):
+        draws = beta_samples(a, a, 200, child_rng(2))
+        assert np.all(np.isfinite(draws))
+        assert np.all((draws >= 0) & (draws <= 1))
+        assert np.max(np.abs(draws - 0.5)) < 1e-12
+    lopsided = beta_samples(1e308, 1.0, 50, child_rng(3))
+    assert np.all(lopsided == 1.0)
+
+
 def test_beta_draws_pinned_at_manual_baseline():
     draws = beta_samples(0.1, 1.5, 6, child_rng(46))
     assert [float(x).hex() for x in draws] == [

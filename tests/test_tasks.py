@@ -10,7 +10,7 @@ from qinitopt.simulator import (CNOT, CZ, FIXED_RY, ROT, ROTATION_KINDS, RY,
                                 build_strongly_entangling, embed_angles)
 from qinitopt.tasks import (PROB_CLAMP, AdamState, QmlTask, VqeTask, adam_step,
                             exact_ground_energy, make_vqe_task, qml_cost_batch,
-                            qml_gradient, qml_loss, train, vqe_cost)
+                            train)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -71,13 +71,13 @@ def test_ground_energy_qubit_cap():
 
 def test_vqe_cost_examples():
     task = single_ry_task()
-    assert abs(vqe_cost(task, [math.pi]) + 1.0) < 1e-12
+    assert abs(task.cost_value([math.pi]) + 1.0) < 1e-12
     identity = make_vqe_task(Observable(terms=((1.0, "I"),)),
                              circuit=task.circuit)
     for theta in (0.0, 1.0, -2.5):
-        assert abs(vqe_cost(identity, [theta]) - 1.0) < 1e-12
+        assert abs(identity.cost_value([theta]) - 1.0) < 1e-12
     with pytest.raises(ValueError):
-        vqe_cost(task, [0.1, 0.2])
+        task.cost_value([0.1, 0.2])
     with pytest.raises(ValueError):
         VqeTask(Observable(terms=((1.0, "ZZ"),)), task.circuit, -1.0)
 
@@ -107,6 +107,9 @@ def test_vqe_gradient_matches_parameter_shift():
         theta = rng.uniform(0, 2 * math.pi, task.circuit.num_params)
         want = gradient(task.circuit, theta, task.cost_batch)
         assert np.max(np.abs(task.gradient(theta) - want)) < 1e-10
+        value, grad = task.value_and_gradient(theta)
+        assert value == task.cost_value(theta)
+        assert np.max(np.abs(grad - want)) < 1e-10
 
 
 def test_vqe_gradient_rejects_nan_theta():
@@ -134,6 +137,40 @@ class QuadraticToy:
 
     def gradient(self, theta):
         return np.array([2.0 * (theta[0] - 2.0)])
+
+    def value_and_gradient(self, theta):
+        return self.cost_value(theta), self.gradient(theta)
+
+
+class Counting:
+    """A task wrapper that records the theta of every cost call."""
+
+    def __init__(self, task):
+        self.task = task
+        self.calls = {"cost_value": [], "value_and_gradient": []}
+
+    def cost_value(self, theta):
+        self.calls["cost_value"].append(np.array(theta))
+        return self.task.cost_value(theta)
+
+    def value_and_gradient(self, theta):
+        self.calls["value_and_gradient"].append(np.array(theta))
+        return self.task.value_and_gradient(theta)
+
+
+def test_train_simulates_each_theta_once():
+    for task, theta0 in ((QuadraticToy(), [5.0]), (single_ry_task(), [0.3])):
+        for iters in (0, 1, 5):
+            counting = Counting(task)
+            theta, curve = train(counting, theta0, iters=iters, lr=0.05)
+            stepped = counting.calls["value_and_gradient"]
+            final = counting.calls["cost_value"]
+            assert len(stepped) == iters and len(final) == 1
+            # curve[k] is the cost at the theta after k updates
+            visited = stepped + final
+            assert len({t[0] for t in visited}) == iters + 1
+            assert visited[0][0] == theta0[0] and visited[-1][0] == theta[0]
+            assert list(curve) == [task.cost_value(t) for t in visited]
 
 
 def test_training_curve_monotone_after_warmup():
@@ -237,13 +274,15 @@ def test_qml_loss_known_values():
     theta = np.zeros(0)
     # q0 in uniform superposition: P = (0.5, 0.5)
     task = QmlTask(circ, np.array([[math.pi / 2, 0.0]]), np.array([0]), 2)
-    assert abs(qml_loss(task, theta) - math.log(2)) < 1e-9
+    assert abs(task.cost_value(theta) - math.log(2)) < 1e-9
+    value, grad = task.value_and_gradient(theta)
+    assert value == task.cost_value(theta) and grad.shape == (0,)
     # P(class 0) = cos^2(f/2) = 0.25 at f = 2pi/3
     task = QmlTask(circ, np.array([[2 * math.pi / 3, 0.0]]), np.array([0]), 2)
-    assert abs(qml_loss(task, theta) - math.log(4)) < 1e-9
+    assert abs(task.cost_value(theta) - math.log(4)) < 1e-9
     # perfect prediction bottoms out at the clamp
     task = QmlTask(circ, np.zeros((1, 2)), np.array([0]), 2)
-    assert qml_loss(task, theta) < 1e-9
+    assert task.cost_value(theta) < 1e-9
 
 
 def test_qml_gradient_matches_finite_differences():
@@ -254,12 +293,12 @@ def test_qml_gradient_matches_finite_differences():
         labels = rng.integers(0, classes, 10)
         task = QmlTask(circ, feats, labels, classes)
         theta = rng.uniform(0, 2 * math.pi, circ.num_params)
-        got = qml_gradient(task, theta)
+        got = task.gradient(theta)
         h = 1e-6
         for mu in range(len(theta)):
             up = theta.copy(); up[mu] += h
             down = theta.copy(); down[mu] -= h
-            fd = (qml_loss(task, up) - qml_loss(task, down)) / (2 * h)
+            fd = (task.cost_value(up) - task.cost_value(down)) / (2 * h)
             assert abs(got[mu] - fd) < 1e-7
 
 
@@ -337,10 +376,13 @@ def test_qml_gradient_matches_parameter_shift():
         labels = rng.integers(0, classes, 9)
         task = QmlTask(circ, feats, labels, classes)
         theta = rng.uniform(0, 2 * math.pi, circ.num_params)
-        got = qml_gradient(task, theta)
+        got = task.gradient(theta)
         want = shift_reference(task, theta)
         assert np.max(np.abs(want)) > 1e-3
         assert np.max(np.abs(got - want)) < 1e-10
+        value, grad = task.value_and_gradient(theta)
+        assert value == task.cost_value(theta)
+        assert np.max(np.abs(grad - want)) < 1e-10
 
 
 def test_qml_gradient_zeroes_clamped_samples():
@@ -358,7 +400,7 @@ def test_qml_gradient_zeroes_clamped_samples():
     labels = np.array([0, 1, 0, 1, 1, 0])
     task = QmlTask(circ, feats, labels, 2)
     assert class_marginals(task, theta)[0, 0, 0] < PROB_CLAMP
-    got = qml_gradient(task, theta)
+    got = task.gradient(theta)
     assert np.max(np.abs(got - shift_reference(task, theta))) < 1e-10
     assert np.max(np.abs(got - shift_reference(task, theta, clamp=False))) > 1e-3
 
@@ -373,7 +415,7 @@ def test_qml_cost_batch_matches_per_row_loss():
     batch = qml_cost_batch(task, thetas)
     assert batch.shape == (5,)
     for row, got in zip(thetas, batch):
-        assert got == qml_loss(task, row)
+        assert got == task.cost_value(row)
     single = qml_cost_batch(task, thetas[0])
     assert single.shape == (1,) and single[0] == batch[0]
 
