@@ -14,12 +14,12 @@ from qinitopt import (Circuit, Gate, Observable, apply_circuit,
                       build_two_design, expectation)
 
 # one RX(pi) on qubit 0 of two qubits: |00> -> -i|10> (index 2)
-flip = Circuit(2, (Gate("rx", target=0, param_slots=(0,)),), 1)
+flip = Circuit(2, (Gate("rx", target=0, param_slot=0),), 1)
 state = apply_circuit(flip, np.array([math.pi]))
 print("RX(pi) on qubit 0:", np.round(state, 12))
 
 # a batch of RY angles evaluated in one pass
-ry = Circuit(1, (Gate("ry", target=0, param_slots=(0,)),), 1)
+ry = Circuit(1, (Gate("ry", target=0, param_slot=0),), 1)
 angles = np.linspace(0, math.pi, 5)[:, None]
 batch = apply_circuit(ry, angles)
 print("\nRY amplitudes for 5 angles (rows):")
@@ -27,7 +27,7 @@ print(np.round(batch.real, 6))
 
 # a Bell-type circuit: RY then CNOT gives cos(t/2)|00> + sin(t/2)|11>,
 # so <Z on qubit 0> traces cos(t) and <XX> traces sin(t)
-bell = Circuit(2, (Gate("ry", target=0, param_slots=(0,)),
+bell = Circuit(2, (Gate("ry", target=0, param_slot=0),
                    Gate("cnot", target=1, control=0)), 1)
 z0 = Observable(((1.0, "ZI"),))
 xx = Observable(((1.0, "XX"),))

@@ -13,7 +13,7 @@ from qinitopt import (Circuit, Gate, HyperParams, Observable, ScoreSpec,
                       observable_gradient, qfim_block_diagonal, qfim_exact,
                       score, sample_params)
 
-single = Circuit(1, (Gate("ry", target=0, param_slots=(0,)),), 1)
+single = Circuit(1, (Gate("ry", target=0, param_slot=0),), 1)
 print("QFIM of one RY gate:", qfim_exact(single, np.array([0.7])).entries)
 
 circuit = build_strongly_entangling(layers=2, qubits=3)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import pathlib
@@ -33,11 +34,11 @@ from .distributions import (BETA, HyperParams, child_rng, init_guess,
 from .es import EsConfig, es_optimize
 from .records import (bp_rows, curve_rows, es_trace_rows, hyperparam_names,
                       histogram_rows, record_hash, write_csv, write_record)
-from .scoring import S2, S3, ScoreSpec, initialization_objective
+from .scoring import S1, S2, S3, ScoreSpec, initialization_objective
 from .simulator import (Observable, apply_circuit, build_hea,
                         build_strongly_entangling, build_two_design,
                         embed_angles, expectation)
-from .tasks import QmlTask, make_vqe_task, train
+from .tasks import QmlTask, class_qubits, make_vqe_task, train
 
 COMMANDS = ("hypopt", "vqe", "qml", "grad-profile", "bp-scan")
 
@@ -49,16 +50,11 @@ _BP_METHODS = ("s1", "s2", "s3", "manual", "uniform")
 
 
 def _score_defaults(with_kind: bool) -> dict:
-    base = {"omega": "trace", "t": 2, "w": 0.9, "eps": 1e-6,
-            "k_eigs": 5, "big_k": 1.0}
-    if with_kind:
-        base = {"kind": "s1", **base}
+    # hypopt scores with s1 by default; other commands name it per method
+    base = dataclasses.asdict(ScoreSpec(kind=S1))
+    if not with_kind:
+        del base["kind"]
     return base
-
-
-def _es_defaults() -> dict:
-    return {"eta": 0.05, "sigma_es": 0.1, "n_samples": 16, "n_iters": 50,
-            "eps_converge": 1e-3, "antithetic": True, "use_utility": True}
 
 
 def default_config(command: str) -> dict:
@@ -72,7 +68,7 @@ def default_config(command: str) -> dict:
                            "qubits": 4, "structure_seed": 0},
                 "hamiltonian": None,
                 "score": _score_defaults(with_kind=True),
-                "es": _es_defaults(),
+                "es": dataclasses.asdict(EsConfig()),
                 "theta_draws": 1}
     if command == "vqe":
         return {**common,
@@ -82,7 +78,7 @@ def default_config(command: str) -> dict:
                 "ansatz": {"kind": "strongly_entangling", "layers": 8,
                            "qubits": None, "structure_seed": 0},
                 "score": _score_defaults(with_kind=False),
-                "es": _es_defaults(),
+                "es": dataclasses.asdict(EsConfig()),
                 "theta_draws": 1,
                 "train": {"lr": 0.01, "iters": 100}}
     if command == "qml":
@@ -96,7 +92,7 @@ def default_config(command: str) -> dict:
                 "ansatz": {"kind": "strongly_entangling", "layers": 3,
                            "qubits": None, "structure_seed": 0},
                 "score": _score_defaults(with_kind=False),
-                "es": _es_defaults(),
+                "es": dataclasses.asdict(EsConfig()),
                 "theta_draws": 1,
                 "train": {"lr": 0.01, "iters": 100}}
     if command == "grad-profile":
@@ -118,7 +114,7 @@ def default_config(command: str) -> dict:
                 "family": "beta",
                 "methods": ["uniform", "s1", "s2", "s3"],
                 "score": _score_defaults(with_kind=False),
-                "es": _es_defaults(),
+                "es": dataclasses.asdict(EsConfig()),
                 "theta_draws": 1}
     raise ValueError(f"unknown command '{command}'")
 
@@ -228,20 +224,6 @@ def resolve_config(command: str, config_path=None, overrides=(),
     return cfg
 
 
-def _score_spec(score_cfg: dict, kind: str) -> ScoreSpec:
-    return ScoreSpec(kind=kind, omega=score_cfg["omega"], t=score_cfg["t"],
-                     w=score_cfg["w"], eps=score_cfg["eps"],
-                     k_eigs=score_cfg["k_eigs"], big_k=score_cfg["big_k"])
-
-
-def _es_config(es_cfg: dict) -> EsConfig:
-    return EsConfig(eta=es_cfg["eta"], sigma_es=es_cfg["sigma_es"],
-                    n_samples=es_cfg["n_samples"], n_iters=es_cfg["n_iters"],
-                    eps_converge=es_cfg["eps_converge"],
-                    antithetic=es_cfg["antithetic"],
-                    use_utility=es_cfg["use_utility"])
-
-
 def _build_ansatz(ansatz_cfg: dict, qubits: int | None = None):
     kind = ansatz_cfg["kind"]
     layers = ansatz_cfg["layers"]
@@ -305,7 +287,7 @@ def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
         return manual_baseline(cfg["family"]), None
     if method == "uniform":
         return HyperParams(BETA, (1.0, 1.0)), None
-    spec = _score_spec(cfg["score"], method)
+    spec = ScoreSpec(**{**cfg["score"], "kind": method})
     if spec.kind in (S2, S3) and task_gradient is None:
         raise ValueError(f"score '{spec.kind}' needs a task cost")
     objective = initialization_objective(circuit, spec,
@@ -318,7 +300,7 @@ def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
     else:
         hp0 = init_guess(cfg["family"], child_rng(seed, "guess", method,
                                                   *context))
-    hp, trace = es_optimize(objective, hp0, _es_config(cfg["es"]),
+    hp, trace = es_optimize(objective, hp0, EsConfig(**cfg["es"]),
                             _derived_seed(seed, "es", method, *context),
                             workers=cfg["workers"])
     return hp, trace
@@ -404,8 +386,7 @@ def cmd_qml(cfg: dict) -> dict:
     train_x = scale_features(pca_transform(pca, train_ds.features), scaler)
     test_x = scale_features(pca_transform(pca, test_ds.features), scaler)
     classes = full.num_classes
-    measured = max(1, math.ceil(math.log2(classes)))
-    qubits = cfg["ansatz"]["qubits"] or max(k, measured)
+    qubits = cfg["ansatz"]["qubits"] or max(k, class_qubits(classes))
     circuit = embed_angles(_build_ansatz(cfg["ansatz"], qubits=qubits), k)
     task = QmlTask(circuit, train_x, train_ds.labels, classes)
     # score on a small stratified slice; training uses the full subsample

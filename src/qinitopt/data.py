@@ -99,6 +99,8 @@ class PcaModel:
 def fit_pca(features, k: int = 4) -> PcaModel:
     """Top-k principal axes of the covariance. Component signs follow the
     largest-magnitude entry (made positive) so the fit is reproducible."""
+    if k < 1:
+        raise ValueError(f"need at least 1 principal component, got {k}")
     features = np.asarray(features, dtype=float)
     n, d = features.shape
     if n <= k:

@@ -5,17 +5,17 @@ Every parameterized gate in the simulator is a Pauli rotation
 R(a) = exp(-i a G / 2), so the two-point shift rule with shift pi/2 is exact
 for expectation-value costs; `gradient` applies it and stays the reference
 the faster paths are tested against. The forward sweep gets every state
-derivative from one pass: it runs each gate once (a rot gate as its three
-one-axis rotations) on a batch whose row 0 is psi, and right after the gate
-of slot mu appends the row -(i/2) G_mu psi, which the remaining gates then
-carry to d_mu psi. That batch grows to at most p + 1 rows. The exact QFIM,
-the block-diagonal QFIM (one block per tagged ansatz layer, each closed at
-its layer's last gate) and the gradient of a Pauli-sum expectation,
-2 Re<H psi|d_mu psi>, all read the sweep. For costs that are sums of per-row
-diagonal expectations, the adjoint sweep gets the gradient from the forward
-states and one backward pass. The rank-one empirical QFIM is built from a
-task gradient. Spectra of the QFIM and of dense Hamiltonians come from one
-eigensolver, LAPACK's via np.linalg.eigvalsh.
+derivative from one pass: it runs each gate once on a batch whose row 0 is
+psi, and right after the gate of slot mu appends the row -(i/2) G_mu psi,
+which the remaining gates then carry to d_mu psi. That batch grows to at
+most p + 1 rows. The exact QFIM, the block-diagonal QFIM (one block per
+tagged ansatz layer, each closed at its layer's last gate) and the gradient
+of a Pauli-sum expectation, 2 Re<H psi|d_mu psi>, all read the sweep. For
+costs that are sums of per-row diagonal expectations, the adjoint sweep gets
+the gradient from the forward states and one backward pass. Both sweeps read
+-(i/2) G psi off one cached Pauli table per rotation. The rank-one empirical
+QFIM is built from a task gradient. Spectra of the QFIM and of dense
+Hamiltonians come from one eigensolver, LAPACK's via np.linalg.eigvalsh.
 """
 from __future__ import annotations
 
@@ -25,8 +25,7 @@ import math
 
 import numpy as np
 
-from .simulator import (ROT, ROT_AXES, Circuit, Gate, Observable,
-                        _pauli_table, apply_gate, apply_generator,
+from .simulator import (Circuit, Observable, _pauli_table, apply_gate,
                         apply_pauli_word, check_normalized)
 
 SHIFT = math.pi / 2
@@ -73,13 +72,15 @@ def gradient(circuit: Circuit, theta, cost_fn) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _single_axis(gate: Gate) -> tuple[Gate, ...]:
-    """A rot gate as its three one-slot rotations, any other gate as itself,
-    in the order they act; cached, as gates are immutable."""
-    if gate.kind != ROT:
-        return (gate,)
-    return tuple(Gate(axis, gate.target, param_slots=(slot,))
-                 for axis, slot in zip(ROT_AXES, gate.param_slots))
+def _derivative_table(kind: str, qubit: int, num_qubits: int):
+    """(factor, source) with -(i/2) G psi = factor * psi[source] for the
+    Pauli generator G of an rx/ry/rz rotation exp(-i a G / 2) on qubit;
+    source is None for rz. Built once and read-only."""
+    word = "I" * qubit + kind[1].upper() + "I" * (num_qubits - qubit - 1)
+    phases, source = _pauli_table(word)
+    factor = -0.5j * phases
+    factor.flags.writeable = False
+    return factor, source
 
 
 def adjoint_gradient(circuit: Circuit, theta, states: np.ndarray,
@@ -90,28 +91,31 @@ def adjoint_gradient(circuit: Circuit, theta, states: np.ndarray,
     states: the (n, 2^q) forward states at theta for the n feature rows;
     diagonal: (n, 2^q) real diagonals D_i. Walking the
     gates in reverse with phi = U_k..U_1|0> and lambda = U_{k+1}^dag..D psi,
-    the slot of a rotation exp(-i a G / 2) gets Im<lambda|G|phi>, and then
-    both states undo the gate.
+    the slot of a rotation exp(-i a G / 2) gets
+    Im<lambda|G|phi> = 2 Re<lambda|-(i/2) G phi>, and then both states undo
+    the gate.
     """
     theta = np.asarray(theta, dtype=float)
     n = states.shape[0]
     grad = np.zeros(circuit.num_params)
-    pieces = [piece for gate in circuit.gates for piece in _single_axis(gate)]
-    first = next((k for k, piece in enumerate(pieces) if piece.param_slots),
-                 len(pieces))
+    gates = circuit.gates
+    first = next((k for k, gate in enumerate(gates)
+                  if gate.param_slot is not None), len(gates))
     feats = np.zeros((n, 0)) if features is None else np.atleast_2d(
         np.asarray(features, dtype=float))
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([states, diagonal * states])
     pair_feats = np.concatenate([feats, feats])
     thetas = theta[None, :]
-    for k in range(len(pieces) - 1, first - 1, -1):
-        piece = pieces[k]
-        if piece.param_slots:
-            g_phi = apply_generator(pair[:n], piece.kind, piece.target)
-            grad[piece.param_slots[0]] = np.vdot(pair[n:], g_phi).imag
+    for k in range(len(gates) - 1, first - 1, -1):
+        gate = gates[k]
+        if gate.param_slot is not None:
+            factor, source = _derivative_table(gate.kind, gate.target,
+                                               circuit.num_qubits)
+            phi = pair[:n] if source is None else pair[:n, source]
+            grad[gate.param_slot] = 2.0 * np.vdot(pair[n:], factor * phi).real
         if k > first:
-            apply_gate(pair, piece, thetas, pair_feats, inverse=True)
+            apply_gate(pair, gate, thetas, pair_feats, inverse=True)
     return grad
 
 
@@ -120,18 +124,6 @@ def _qfim_from_states(dpsi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     berry = dpsi.conj() @ psi
     fisher = 4.0 * (overlap - np.outer(berry, berry.conj())).real
     return (fisher + fisher.T) / 2.0
-
-
-@functools.lru_cache(maxsize=None)
-def _derivative_table(kind: str, qubit: int, num_qubits: int):
-    """(factor, source) with -(i/2) G psi = factor * psi[source] for the
-    Pauli generator G of an rx/ry/rz rotation exp(-i a G / 2) on qubit;
-    source is None for rz. Built once and read-only."""
-    word = "I" * qubit + kind[1].upper() + "I" * (num_qubits - qubit - 1)
-    phases, source = _pauli_table(word)
-    factor = -0.5j * phases
-    factor.flags.writeable = False
-    return factor, source
 
 
 def _derivative_sweep(circuit: Circuit, theta, features, stops):
@@ -160,15 +152,14 @@ def _derivative_sweep(circuit: Circuit, theta, features, stops):
     start = 0
     for stop in stops:
         for gate in circuit.gates[start:stop]:
-            for piece in _single_axis(gate):
-                apply_gate(rows[:n], piece, thetas, feats)
-                if piece.param_slots:
-                    factor, source = _derivative_table(
-                        piece.kind, piece.target, circuit.num_qubits)
-                    np.multiply(factor, rows[0] if source is None
-                                else rows[0, source], out=rows[n])
-                    slots.append(piece.param_slots[0])
-                    n += 1
+            apply_gate(rows[:n], gate, thetas, feats)
+            if gate.param_slot is not None:
+                factor, source = _derivative_table(
+                    gate.kind, gate.target, circuit.num_qubits)
+                np.multiply(factor, rows[0] if source is None
+                            else rows[0, source], out=rows[n])
+                slots.append(gate.param_slot)
+                n += 1
         check_normalized(rows[:1])
         yield rows[0], rows[1:n], slots
         n = 1
@@ -247,8 +238,8 @@ def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
     if sorted(covered) != list(range(p)):
         raise ValueError("circuit has no complete layer tags; "
                          "block-diagonal QFIM needs a tagged ansatz")
-    reader = {slot: k for k, gate in enumerate(circuit.gates)
-              for slot in gate.param_slots}
+    reader = {gate.param_slot: k for k, gate in enumerate(circuit.gates)
+              if gate.param_slot is not None}
     start = 0
     for tag in circuit.layers:
         if any(reader[mu] < start

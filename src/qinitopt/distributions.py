@@ -35,6 +35,9 @@ class HyperParams:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
+        if len(self.values) != 2:
+            raise ValueError(f"{self.family} takes exactly two hyperparameters, "
+                             f"got {len(self.values)}")
         a, b = self.values
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError("hyperparameters must be finite")

@@ -2,9 +2,11 @@
 
 Convention: qubit 0 is the most significant bit of the amplitude index,
 so |q0 q1 ... q_{n-1}> lives at index int("q0q1...", 2). Gates are applied
-by strided amplitude updates; no 2^n x 2^n matrices are ever built. All
-state-producing functions accept a batch of parameter vectors and then
-return a batch of states, which keeps parameter-shift sweeps cheap.
+by strided amplitude updates; no 2^n x 2^n matrices are ever built. Every
+parameterized gate is a one-angle Pauli rotation exp(-i a P / 2), so
+Rot(a, b, c) is written as RZ(a), RY(b), RZ(c). All state-producing
+functions accept a batch of parameter vectors and then return a batch of
+states, which keeps parameter-shift sweeps cheap.
 """
 from __future__ import annotations
 
@@ -17,26 +19,24 @@ import numpy as np
 RX = "rx"
 RY = "ry"
 RZ = "rz"
-ROT = "rot"  # 3-parameter ZYZ rotation: RZ(a) RY(b) RZ(c), slots (a, b, c)
 CNOT = "cnot"
 CZ = "cz"
 FIXED_RY = "fixed_ry"  # constant RY(pi/4), no parameters
 
 ROTATION_KINDS = (RX, RY, RZ)
-ROT_AXES = (RZ, RY, RZ)  # axes of a rot gate's slots, in the order they act
-GATE_KINDS = (RX, RY, RZ, ROT, CNOT, CZ, FIXED_RY)
+GATE_KINDS = (RX, RY, RZ, CNOT, CZ, FIXED_RY)
 
 FIXED_RY_ANGLE = math.pi / 4
 
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit operation; angles come from theta slots or feature slots."""
+    """One circuit operation; a rotation reads one theta or feature slot."""
 
     kind: str
     target: int
     control: int | None = None
-    param_slots: tuple[int, ...] = ()
+    param_slot: int | None = None
     feature_slot: int | None = None
 
     def __post_init__(self):
@@ -44,12 +44,10 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.control is not None and self.control == self.target:
             raise ValueError("control and target must differ")
-        n_angle = len(self.param_slots) + (self.feature_slot is not None)
-        expected = {ROT: 3, CNOT: 0, CZ: 0, FIXED_RY: 0}.get(self.kind, 1)
+        n_angle = (self.param_slot is not None) + (self.feature_slot is not None)
+        expected = int(self.kind in ROTATION_KINDS)
         if n_angle != expected:
             raise ValueError(f"{self.kind} takes {expected} angle(s), got {n_angle}")
-        if self.kind == ROT and self.feature_slot is not None:
-            raise ValueError("rot gates cannot read feature slots")
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,8 @@ class Circuit:
             for q in qubits:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"qubit index {q} out of range")
-            seen.extend(g.param_slots)
+            if g.param_slot is not None:
+                seen.append(g.param_slot)
             if g.feature_slot is not None:
                 feat.append(g.feature_slot)
         if sorted(seen) != list(range(self.num_params)):
@@ -152,26 +151,6 @@ def _rotate_single(state: np.ndarray, kind: str, qubit: int,
     s[:, :, 1, :] = new1
 
 
-def apply_generator(state: np.ndarray, kind: str, qubit: int) -> np.ndarray:
-    """G|psi> for the Pauli generator G of an rx/ry/rz rotation, where
-    R(a) = exp(-i a G / 2); returns a new (B, 2^n) batch."""
-    batch = state.shape[0]
-    s = state.reshape(batch, 1 << qubit, 2, -1)
-    out = np.empty_like(s)
-    if kind == RZ:
-        out[:, :, 0, :] = s[:, :, 0, :]
-        out[:, :, 1, :] = -s[:, :, 1, :]
-    elif kind == RY:
-        out[:, :, 0, :] = -1j * s[:, :, 1, :]
-        out[:, :, 1, :] = 1j * s[:, :, 0, :]
-    elif kind == RX:
-        out[:, :, 0, :] = s[:, :, 1, :]
-        out[:, :, 1, :] = s[:, :, 0, :]
-    else:
-        raise ValueError(f"not a rotation kind: {kind}")
-    return out.reshape(state.shape)
-
-
 def _two_qubit_view(state: np.ndarray, q_lo: int, q_hi: int) -> np.ndarray:
     batch = state.shape[0]
     mid = 1 << (q_hi - q_lo - 1)
@@ -195,11 +174,11 @@ def _apply_cz(state: np.ndarray, q_a: int, q_b: int) -> None:
     s[:, :, 1, :, 1, :] *= -1.0
 
 
-def _angle_for(gate: Gate, slot_pos: int, thetas: np.ndarray,
+def _angle_for(gate: Gate, thetas: np.ndarray,
                features: np.ndarray) -> np.ndarray:
     if gate.feature_slot is not None:
         return features[:, gate.feature_slot]
-    return thetas[:, gate.param_slots[slot_pos]]
+    return thetas[:, gate.param_slot]
 
 
 def apply_gate(state: np.ndarray, gate: Gate, thetas: np.ndarray,
@@ -209,13 +188,8 @@ def apply_gate(state: np.ndarray, gate: Gate, thetas: np.ndarray,
     features (a single row broadcasts)."""
     kind = gate.kind
     if kind in ROTATION_KINDS:
-        angle = _angle_for(gate, 0, thetas, features)
+        angle = _angle_for(gate, thetas, features)
         _rotate_single(state, kind, gate.target, -angle if inverse else angle)
-    elif kind == ROT:
-        steps = zip(ROT_AXES, gate.param_slots)
-        for axis, slot in (reversed(tuple(steps)) if inverse else steps):
-            angle = thetas[:, slot]
-            _rotate_single(state, axis, gate.target, -angle if inverse else angle)
     elif kind == FIXED_RY:
         _rotate_single(state, RY, gate.target,
                        np.array([-FIXED_RY_ANGLE if inverse else FIXED_RY_ANGLE]))
@@ -346,8 +320,9 @@ def expectation(state: np.ndarray, obs: Observable):
 
 
 def build_strongly_entangling(layers: int, qubits: int) -> Circuit:
-    """Strongly-entangling ansatz: per layer a 3-parameter ZYZ rotation on
-    every qubit, then a ring of CNOTs with range 1 + (layer mod (qubits-1))."""
+    """Strongly-entangling ansatz: per layer Rot as RZ, RY, RZ on consecutive
+    slots on every qubit, then a ring of CNOTs with range 1 + (layer mod
+    (qubits-1))."""
     if qubits < 2:
         raise ValueError("strongly-entangling ansatz needs at least 2 qubits")
     if layers < 1:
@@ -358,8 +333,9 @@ def build_strongly_entangling(layers: int, qubits: int) -> Circuit:
     for layer in range(layers):
         p_start = slot
         for q in range(qubits):
-            gates.append(Gate(ROT, target=q, param_slots=(slot, slot + 1, slot + 2)))
-            slot += 3
+            for axis in (RZ, RY, RZ):
+                gates.append(Gate(axis, target=q, param_slot=slot))
+                slot += 1
         reach = 1 + (layer % (qubits - 1))
         for q in range(qubits):
             gates.append(Gate(CNOT, target=(q + reach) % qubits, control=q))
@@ -383,7 +359,7 @@ def build_two_design(layers: int, qubits: int, seed: int) -> Circuit:
         p_start = slot
         for q in range(qubits):
             kind = ROTATION_KINDS[rng.integers(3)]
-            gates.append(Gate(kind, target=q, param_slots=(slot,)))
+            gates.append(Gate(kind, target=q, param_slot=slot))
             slot += 1
         for q in range(qubits - 1):
             gates.append(Gate(CZ, target=q + 1, control=q))
@@ -404,10 +380,10 @@ def build_hea(layers: int, qubits: int) -> Circuit:
     for _ in range(layers):
         p_start = slot
         for q in range(qubits):
-            gates.append(Gate(RY, target=q, param_slots=(slot,)))
+            gates.append(Gate(RY, target=q, param_slot=slot))
             slot += 1
         for q in range(qubits):
-            gates.append(Gate(RZ, target=q, param_slots=(slot,)))
+            gates.append(Gate(RZ, target=q, param_slot=slot))
             slot += 1
         for q in range(qubits - 1):
             gates.append(Gate(CNOT, target=q + 1, control=q))

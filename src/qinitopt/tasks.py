@@ -73,6 +73,11 @@ def _class_marginals(states: np.ndarray, measured: int,
     return lead[..., :num_classes]
 
 
+def class_qubits(num_classes: int) -> int:
+    """Qubits whose computational-basis marginal holds num_classes classes."""
+    return max(1, math.ceil(math.log2(num_classes)))
+
+
 @dataclass
 class QmlTask:
     circuit: Circuit  # must carry embedding slots
@@ -96,7 +101,7 @@ class QmlTask:
             raise ValueError("feature and label counts differ")
         if np.any((self.train_labels < 0) | (self.train_labels >= self.num_classes)):
             raise ValueError("labels must lie in [0, num_classes)")
-        self.measured_qubits = max(1, math.ceil(math.log2(self.num_classes)))
+        self.measured_qubits = class_qubits(self.num_classes)
         if self.measured_qubits > self.circuit.num_qubits:
             raise ValueError("too many classes for this qubit count")
 
@@ -215,6 +220,10 @@ def train(task, theta0, iters: int = 100, lr: float = 0.01):
     current theta once for both its cost and its gradient; one
     task.cost_value call gives the cost after the last update.
     """
+    if iters < 0:
+        raise ValueError(f"training iters must not be negative, got {iters}")
+    if not lr >= 0:
+        raise ValueError(f"learning rate must not be negative, got {lr}")
     theta = np.array(theta0, dtype=float)
     curve = []
     state = AdamState(lr=lr)

@@ -49,10 +49,10 @@ def random_circuit(rng):
         else:
             kind = ROTATION_KINDS[rng.integers(3)]
             gates.append(Gate(kind, target=int(rng.integers(qubits)),
-                              param_slots=(slot,)))
+                              param_slot=slot))
             slot += 1
     if slot == 0:
-        gates.append(Gate(RY, target=0, param_slots=(0,)))
+        gates.append(Gate(RY, target=0, param_slot=0))
         slot = 1
     return Circuit(qubits, tuple(gates), slot)
 
@@ -94,13 +94,13 @@ def test_criterion_1_gradients_match_finite_differences():
 def test_criterion_2_qfim_closed_forms():
     with reported(2, "QFIM closed forms"):
         rng = child_rng(2024, "acceptance", "qfim")
-        single = Circuit(1, (Gate(RY, target=0, param_slots=(0,)),), 1)
+        single = Circuit(1, (Gate(RY, target=0, param_slot=0),), 1)
         for _ in range(20):
             theta = rng.uniform(-10, 10, 1)
             fisher = qfim_exact(single, theta)
             assert np.max(np.abs(fisher.entries - [[1.0]])) < 1e-8
-        product = Circuit(2, (Gate(RY, target=0, param_slots=(0,)),
-                              Gate(RY, target=1, param_slots=(1,))), 2)
+        product = Circuit(2, (Gate(RY, target=0, param_slot=0),
+                              Gate(RY, target=1, param_slot=1)), 2)
         fisher = qfim_exact(product, rng.uniform(0, 2 * math.pi, 2))
         assert np.max(np.abs(fisher.entries - np.eye(2))) < 1e-8
         for _ in range(20):

@@ -262,6 +262,44 @@ def test_bp_scan_rejects_empty_and_repeated_qubit_counts(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("item", ["train.iters=-1", "train.lr=-1"])
+def test_main_rejects_negative_training_inputs(tmp_path, capsys, item):
+    dataset = make_dataset(tmp_path)
+    runs = (["vqe", "--set", f"hamiltonian={TOY_HAMILTONIAN}"],
+            ["qml", "--set", f"dataset={dataset}"])
+    for command in runs:
+        out = tmp_path / command[0]
+        code = main([*command, "--out", str(out), "--set", item,
+                     "--set", 'methods=["manual"]', "--set", "ansatz.layers=1"])
+        assert code == 2
+        text = capsys.readouterr().out
+        assert text.startswith("error: ") and text.count("\n") == 1
+        assert "must not be negative" in text
+        assert not out.exists()
+
+
+def test_main_reports_wrong_hyperparameter_count(tmp_path, capsys):
+    for command, item in (("hypopt", "initial=[1.0]"),
+                          ("grad-profile", "values=[1.0]")):
+        out = tmp_path / command
+        code = main([command, "--out", str(out), "--set", item])
+        assert code == 2
+        assert capsys.readouterr().out == (
+            "error: beta takes exactly two hyperparameters, got 1\n")
+        assert not out.exists()
+
+
+def test_main_rejects_zero_pca_components(tmp_path, capsys):
+    out = tmp_path / "qml"
+    code = main(["qml", "--out", str(out),
+                 "--set", f"dataset={make_dataset(tmp_path)}",
+                 "--set", "pca_components=0"])
+    assert code == 2
+    assert capsys.readouterr().out == (
+        "error: need at least 1 principal component, got 0\n")
+    assert not out.exists()
+
+
 def test_bp_scan_single_qubit_count_has_no_slope():
     cfg = resolve_config("bp-scan", overrides=[
         "qubit_range=[2]", "m_samples=4", 'methods=["uniform"]'])

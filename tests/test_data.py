@@ -137,6 +137,10 @@ def test_pca_errors():
         fit_pca(np.hstack([col, col, col, 2 * col, np.ones((30, 1))]), k=4)
     with pytest.raises(ValueError, match="input features"):
         fit_pca(rng.standard_normal((30, 3)), k=4)
+    for k in (0, -2):
+        with pytest.raises(ValueError,
+                           match=f"at least 1 principal component, got {k}"):
+            fit_pca(rng.standard_normal((30, 4)), k=k)
 
 
 def test_scaling_examples():

@@ -14,7 +14,7 @@ from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       qfim_block_diagonal, qfim_empirical,
                                       qfim_exact, state_derivatives)
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
-                                ROTATION_KINDS, ROT, Circuit, Gate, Layer,
+                                ROTATION_KINDS, Circuit, Gate, Layer,
                                 Observable, RY, RZ, apply_circuit, build_hea,
                                 build_strongly_entangling, build_two_design,
                                 embed_angles, expectation)
@@ -61,7 +61,7 @@ def finite_difference_qfim(circuit, theta, h=1e-5):
 
 
 def test_gradient_single_ry_closed_form():
-    circ = Circuit(1, (Gate(RY, target=0, param_slots=(0,)),), 1)
+    circ = Circuit(1, (Gate(RY, target=0, param_slot=0),), 1)
     cost = expectation_cost(circ, Observable(terms=((1.0, "Z"),)))
     for theta in (0.0, 0.4, -1.3, 2.9):
         grad = gradient(circ, np.array([theta]), cost)
@@ -103,7 +103,7 @@ def test_gradient_shape_errors():
 
 
 def test_qfim_single_ry_is_one():
-    circ = Circuit(1, (Gate(RY, target=0, param_slots=(0,)),), 1)
+    circ = Circuit(1, (Gate(RY, target=0, param_slot=0),), 1)
     fisher = qfim_exact(circ, [0.7])
     assert abs(fisher.entries[0, 0] - 1.0) < 1e-12
     assert fisher.fidelity == "exact"
@@ -112,8 +112,8 @@ def test_qfim_single_ry_is_one():
 def test_qfim_phase_direction_is_flat():
     # RZ on |0> changes only the global phase, so that direction carries
     # zero Fisher information
-    circ = Circuit(1, (Gate(RZ, target=0, param_slots=(0,)),
-                       Gate(RY, target=0, param_slots=(1,))), 2)
+    circ = Circuit(1, (Gate(RZ, target=0, param_slot=0),
+                       Gate(RY, target=0, param_slot=1)), 2)
     fisher = qfim_exact(circ, [0.9, 0.4]).entries
     assert abs(fisher[0, 0]) < 1e-12
     assert abs(fisher[0, 1]) < 1e-12
@@ -174,7 +174,7 @@ def test_block_diagonal_single_layer_equals_exact():
 
 
 def test_block_diagonal_requires_tags():
-    plain = Circuit(1, (Gate(RY, target=0, param_slots=(0,)),), 1)
+    plain = Circuit(1, (Gate(RY, target=0, param_slot=0),), 1)
     with pytest.raises(ValueError):
         qfim_block_diagonal(plain, [0.3])
 
@@ -241,15 +241,20 @@ def test_block_diagonal_rejects_tags_out_of_circuit_order(circ, data):
         qfim_block_diagonal(mistagged, np.zeros(circ.num_params), features)
 
 
+# stands for back-to-back rotations on one qubit, as in Rot(a, b, c)
+ZYZ = "zyz"
+ZYZ_AXES = (RZ, RY, RZ)
+
+
 @st.composite
 def random_circuits(draw):
-    """Every gate kind at least once in random order on 2-4 qubits, theta
-    slots permuted, and 0-2 feature rotations: feature 0 first, feature 1
-    at a random position."""
+    """Every gate kind and an RZ-RY-RZ triple on one qubit at least once in
+    random order on 2-4 qubits, theta slots permuted, and 0-2 feature
+    rotations: feature 0 first, feature 1 at a random position."""
     qubits = draw(st.integers(2, 4))
+    pool = GATE_KINDS + (ZYZ,)
     kinds = draw(st.permutations(
-        GATE_KINDS + tuple(draw(st.lists(st.sampled_from(GATE_KINDS),
-                                         max_size=6)))))
+        pool + tuple(draw(st.lists(st.sampled_from(pool), max_size=6)))))
     n_features = draw(st.integers(0, 2))
     gates = []
     slot = 0
@@ -261,13 +266,13 @@ def random_circuits(draw):
         elif kind == FIXED_RY:
             gates.append(Gate(kind, target))
         else:
-            width = 3 if kind == ROT else 1
-            gates.append(Gate(kind, target,
-                              param_slots=tuple(range(slot, slot + width))))
-            slot += width
+            for axis in ZYZ_AXES if kind == ZYZ else (kind,):
+                gates.append(Gate(axis, target, param_slot=slot))
+                slot += 1
     order = draw(st.permutations(range(slot)))
     gates = [Gate(g.kind, g.target, g.control,
-                  tuple(order[k] for k in g.param_slots)) for g in gates]
+                  None if g.param_slot is None else order[g.param_slot])
+             for g in gates]
     for j in range(n_features):
         position = 0 if j == 0 else draw(st.integers(0, len(gates)))
         gates.insert(position, Gate(draw(st.sampled_from(ROTATION_KINDS)),

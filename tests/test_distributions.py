@@ -25,6 +25,10 @@ def test_hyperparams_validation():
         HyperParams(GAUSSIAN, (0.0, 0.0))
     with pytest.raises(ValueError):
         HyperParams(GAUSSIAN, (math.nan, 1.0))
+    for values in ((1.0,), (1.0, 2.0, 3.0), ()):
+        with pytest.raises(ValueError, match=(
+                f"takes exactly two hyperparameters, got {len(values)}")):
+            HyperParams(BETA, values)
     hp = HyperParams(GAUSSIAN, (0.3, 1.2))
     with pytest.raises(AttributeError):
         hp.alpha

@@ -15,7 +15,7 @@ from qinitopt.simulator import (Circuit, Gate, Observable, RY, apply_circuit,
 
 
 def single_ry():
-    circ = Circuit(1, (Gate(RY, target=0, param_slots=(0,)),), 1)
+    circ = Circuit(1, (Gate(RY, target=0, param_slot=0),), 1)
     obs = Observable(terms=((1.0, "Z"),))
     cost = lambda rows: expectation(apply_circuit(circ, rows), obs)
     return circ, cost

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from qinitopt.differentiation import _derivative_table
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
-                                GATE_KINDS, ROT, ROTATION_KINDS, RX, RY, RZ,
+                                GATE_KINDS, ROTATION_KINDS, RX, RY, RZ,
                                 Circuit, Gate, Layer, Observable,
-                                apply_circuit, apply_gate,
-                                apply_generator, apply_pauli_word, build_hea,
-                                build_strongly_entangling, build_two_design,
-                                embed_angles, expectation, zero_state)
+                                apply_circuit, apply_gate, apply_pauli_word,
+                                build_hea, build_strongly_entangling,
+                                build_two_design, embed_angles, expectation,
+                                zero_state)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -63,13 +64,8 @@ def dense_state(gates, n: int, theta, features=()) -> np.ndarray:
     for g in gates:
         if g.kind in ROTATION_KINDS:
             angle = (features[g.feature_slot] if g.feature_slot is not None
-                     else theta[g.param_slots[0]])
+                     else theta[g.param_slot])
             u = single_qubit_unitary(rotation_matrix(g.kind, angle), g.target, n)
-        elif g.kind == ROT:
-            a, b, c = (theta[s] for s in g.param_slots)
-            m = (rotation_matrix(RZ, c) @ rotation_matrix(RY, b)
-                 @ rotation_matrix(RZ, a))
-            u = single_qubit_unitary(m, g.target, n)
         elif g.kind == FIXED_RY:
             u = single_qubit_unitary(rotation_matrix(RY, FIXED_RY_ANGLE),
                                      g.target, n)
@@ -88,12 +84,14 @@ def random_circuit(rng, qubits: int, depth: int) -> Circuit:
         roll = rng.integers(6)
         if roll < 3:
             gates.append(Gate(ROTATION_KINDS[roll], target=int(rng.integers(qubits)),
-                              param_slots=(slot,)))
+                              param_slot=slot))
             slot += 1
         elif roll == 3:
-            gates.append(Gate(ROT, target=int(rng.integers(qubits)),
-                              param_slots=(slot, slot + 1, slot + 2)))
-            slot += 3
+            # back-to-back rotations on one qubit, as in Rot(a, b, c)
+            q = int(rng.integers(qubits))
+            for axis in (RZ, RY, RZ):
+                gates.append(Gate(axis, target=q, param_slot=slot))
+                slot += 1
         elif roll == 4 and qubits >= 2:
             a, b = rng.choice(qubits, size=2, replace=False)
             gates.append(Gate(CNOT, target=int(a), control=int(b)))
@@ -104,7 +102,7 @@ def random_circuit(rng, qubits: int, depth: int) -> Circuit:
 
 def test_msb_convention():
     # RX(pi) on qubit 0 of two sends |00> to -i|10>, which is index 2
-    circ = Circuit(2, (Gate(RX, target=0, param_slots=(0,)),), 1)
+    circ = Circuit(2, (Gate(RX, target=0, param_slot=0),), 1)
     state = apply_circuit(circ, [math.pi])
     expected = np.zeros(4, dtype=complex)
     expected[2] = -1j
@@ -112,7 +110,7 @@ def test_msb_convention():
 
 
 def test_ry_closed_form():
-    circ = Circuit(1, (Gate(RY, target=0, param_slots=(0,)),), 1)
+    circ = Circuit(1, (Gate(RY, target=0, param_slot=0),), 1)
     for theta in (0.0, 0.3, math.pi / 2, math.pi, -1.7):
         state = apply_circuit(circ, [theta])
         assert np.allclose(state, [math.cos(theta / 2), math.sin(theta / 2)],
@@ -154,8 +152,8 @@ def test_rotation_inverse_roundtrip():
     rng = np.random.default_rng(3)
     for kind in ROTATION_KINDS:
         theta = float(rng.uniform(-3, 3))
-        circ = Circuit(2, (Gate(kind, target=1, param_slots=(0,)),
-                           Gate(kind, target=1, param_slots=(1,))), 2)
+        circ = Circuit(2, (Gate(kind, target=1, param_slot=0),
+                           Gate(kind, target=1, param_slot=1)), 2)
         state = apply_circuit(circ, [theta, -theta])
         assert np.allclose(state, zero_state(2), atol=1e-12)
 
@@ -170,9 +168,11 @@ def test_apply_gate_inverse_undoes_each_kind():
     rng = np.random.default_rng(31)
     thetas = rng.uniform(-4, 4, (5, 3))
     feats = rng.uniform(-4, 4, (5, 1))
-    gates = [Gate(kind, target=2, param_slots=(1,)) for kind in ROTATION_KINDS]
+    gates = [Gate(kind, target=2, param_slot=1) for kind in ROTATION_KINDS]
     gates += [Gate(kind, target=0, feature_slot=0) for kind in ROTATION_KINDS]
-    gates += [Gate(ROT, target=1, param_slots=(2, 0, 1)), Gate(FIXED_RY, target=1),
+    gates += [Gate(axis, target=1, param_slot=slot)
+              for axis, slot in zip((RZ, RY, RZ), (2, 0, 1))]
+    gates += [Gate(FIXED_RY, target=1),
               Gate(CNOT, target=2, control=0), Gate(CNOT, target=0, control=2),
               Gate(CZ, target=1, control=2)]
     for gate in gates:
@@ -196,14 +196,12 @@ def gate_cases(draw):
     if kind in (CNOT, CZ):
         control = draw(st.integers(0, n - 1).filter(lambda q: q != target))
         gate = Gate(kind, target=target, control=control)
-    elif kind == ROT:
-        gate = Gate(ROT, target=target, param_slots=(0, 1, 2))
     elif kind == FIXED_RY:
         gate = Gate(FIXED_RY, target=target)
     elif draw(st.booleans()):
         gate = Gate(kind, target=target, feature_slot=0)
     else:
-        gate = Gate(kind, target=target, param_slots=(draw(st.integers(0, 2)),))
+        gate = Gate(kind, target=target, param_slot=draw(st.integers(0, 2)))
     batch = draw(st.integers(1, 4))
     angles = draw(st.lists(ANGLES, min_size=4 * batch, max_size=4 * batch))
     table = np.array(angles).reshape(batch, 4)
@@ -232,7 +230,8 @@ def test_pauli_word_squares_to_identity(word, batch, seed):
     np.testing.assert_array_equal(apply_pauli_word(once, word), state)
 
 
-def test_apply_generator_matches_dense_pauli():
+def test_derivative_table_matches_dense_pauli():
+    # -(i/2) G psi for the generator G of each rotation kind
     rng = np.random.default_rng(32)
     states = random_states(rng, 4, 3)
     for kind, axis in ((RX, "X"), (RY, "Y"), (RZ, "Z")):
@@ -240,10 +239,9 @@ def test_apply_generator_matches_dense_pauli():
             ops = [PAULI["I"]] * 3
             ops[qubit] = PAULI[axis]
             dense = np.kron(np.kron(ops[0], ops[1]), ops[2])
-            got = apply_generator(states, kind, qubit)
-            assert np.allclose(got, states @ dense.T, atol=1e-12)
-    with pytest.raises(ValueError):
-        apply_generator(states, ROT, 0)
+            factor, source = _derivative_table(kind, qubit, 3)
+            got = factor * (states if source is None else states[:, source])
+            assert np.allclose(got, -0.5j * states @ dense.T, atol=1e-12)
 
 
 def test_norm_guard_catches_nan():
@@ -258,7 +256,7 @@ def test_norm_guard_catches_nan():
 
 def test_cnot_cz_truth_tables():
     # prepare |11> then act
-    prep = (Gate(RY, 0, param_slots=(0,)), Gate(RY, 1, param_slots=(1,)))
+    prep = (Gate(RY, 0, param_slot=0), Gate(RY, 1, param_slot=1))
     flip = [math.pi, math.pi]
     circ = Circuit(2, prep + (Gate(CNOT, target=1, control=0),), 2)
     state = apply_circuit(circ, flip)
@@ -346,6 +344,17 @@ def test_strongly_entangling_structure():
     assert all((g.control + 2) % 4 == g.target for g in second)
 
 
+def test_strongly_entangling_rotation_order():
+    # Rot(a, b, c) on each qubit is RZ, RY, RZ on slots s, s + 1, s + 2
+    circ = build_strongly_entangling(2, 3)
+    for tag, start in zip(circ.layers, (0, circ.layers[0].gate_stop)):
+        layer = circ.gates[start:tag.gate_stop]
+        assert [(g.kind, g.target, g.param_slot) for g in layer[:9]] == [
+            (axis, q, tag.param_start + 3 * q + k)
+            for q in range(3) for k, axis in enumerate((RZ, RY, RZ))]
+        assert [g.kind for g in layer[9:]] == [CNOT] * 3
+
+
 def test_two_design_structure_and_seeding():
     circ = build_two_design(5, 4, seed=9)
     assert circ.num_params == 5 * 4
@@ -394,21 +403,19 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         Gate(CNOT, target=1, control=1)
     with pytest.raises(ValueError):
-        Gate(RX, target=0, param_slots=(0, 1))
+        Gate(RX, target=0, param_slot=0, feature_slot=0)
     with pytest.raises(ValueError):
-        Gate(ROT, target=0, param_slots=(0, 1))
-    with pytest.raises(ValueError):
-        Gate(CZ, target=0, control=1, param_slots=(0,))
+        Gate(CZ, target=0, control=1, param_slot=0)
 
 
 def test_circuit_validation():
-    good = Gate(RY, target=0, param_slots=(0,))
+    good = Gate(RY, target=0, param_slot=0)
     with pytest.raises(ValueError):
         Circuit(1, (good,), 2)  # slot 1 never used
     with pytest.raises(ValueError):
         Circuit(1, (good, good), 1)  # slot 0 used twice
     with pytest.raises(ValueError):
-        Circuit(1, (Gate(RY, target=3, param_slots=(0,)),), 1)
+        Circuit(1, (Gate(RY, target=3, param_slot=0),), 1)
     with pytest.raises(ValueError):
         apply_circuit(Circuit(1, (good,), 1), [0.1, 0.2])
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qinitopt.differentiation import gradient
-from qinitopt.simulator import (CNOT, CZ, FIXED_RY, ROT, ROTATION_KINDS, RY,
+from qinitopt.simulator import (CNOT, CZ, FIXED_RY, ROTATION_KINDS, RY,
                                 RZ, Circuit, Gate, Observable, apply_circuit,
                                 build_strongly_entangling, embed_angles)
 from qinitopt.tasks import (PROB_CLAMP, AdamState, QmlTask, VqeTask, adam_step,
@@ -31,7 +31,7 @@ def dense(obs: Observable) -> np.ndarray:
 
 
 def single_ry_task() -> VqeTask:
-    circ = Circuit(1, (Gate(RY, target=0, param_slots=(0,)),), 1)
+    circ = Circuit(1, (Gate(RY, target=0, param_slot=0),), 1)
     return make_vqe_task(Observable(terms=((1.0, "Z"),)), circuit=circ)
 
 
@@ -127,6 +127,15 @@ def test_train_zero_iters_echoes_start():
     assert np.array_equal(theta, [0.3])
     assert len(curve) == 1
     assert abs(curve[0] - math.cos(0.3)) < 1e-12
+
+
+def test_train_rejects_negative_iters_and_lr():
+    task = single_ry_task()
+    with pytest.raises(ValueError, match="iters must not be negative"):
+        train(task, [0.3], iters=-1)
+    for lr in (-0.01, math.nan):
+        with pytest.raises(ValueError, match="learning rate"):
+            train(task, [0.3], iters=1, lr=lr)
 
 
 class QuadraticToy:
@@ -337,7 +346,8 @@ def shift_reference(task: QmlTask, theta, clamp: bool = True) -> np.ndarray:
 
 
 def random_classifier(rng, qubits: int, features: int, depth: int) -> Circuit:
-    """Every gate kind, CNOTs both ways, feature rotations interleaved."""
+    """Every gate kind, an RZ-RY-RZ triple on one qubit, CNOTs both ways,
+    feature rotations interleaved."""
     gates = [Gate(ROTATION_KINDS[j % 3], target=j, feature_slot=j)
              for j in range(features - 1)]
     slot = 0
@@ -345,11 +355,12 @@ def random_classifier(rng, qubits: int, features: int, depth: int) -> Circuit:
         q = int(rng.integers(qubits))
         roll = step % 7
         if roll < 3:
-            gates.append(Gate(ROTATION_KINDS[roll], target=q, param_slots=(slot,)))
+            gates.append(Gate(ROTATION_KINDS[roll], target=q, param_slot=slot))
             slot += 1
         elif roll == 3:
-            gates.append(Gate(ROT, target=q, param_slots=(slot, slot + 1, slot + 2)))
-            slot += 3
+            for axis in (RZ, RY, RZ):
+                gates.append(Gate(axis, target=q, param_slot=slot))
+                slot += 1
         elif roll == 4:
             gates.append(Gate(FIXED_RY, target=q))
         else:
@@ -361,7 +372,8 @@ def random_classifier(rng, qubits: int, features: int, depth: int) -> Circuit:
             gates.append(Gate(RZ, target=q, feature_slot=features - 1))
     order = rng.permutation(slot)
     gates = [Gate(g.kind, g.target, g.control,
-                  tuple(int(order[k]) for k in g.param_slots), g.feature_slot)
+                  None if g.param_slot is None else int(order[g.param_slot]),
+                  g.feature_slot)
              for g in gates]
     return Circuit(qubits, tuple(gates), slot,
                    embedding_slots=tuple(range(features)))
@@ -388,9 +400,10 @@ def test_qml_gradient_matches_parameter_shift():
 def test_qml_gradient_zeroes_clamped_samples():
     # RY(theta_0) then RY(feature) leaves qubit 0 nearly |1> for the first
     # row, so its class-0 probability sits below the clamp
-    gates = (Gate(RY, target=0, param_slots=(0,)), Gate(RY, target=0, feature_slot=0),
+    gates = (Gate(RY, target=0, param_slot=0), Gate(RY, target=0, feature_slot=0),
              Gate(RY, target=1, feature_slot=1),
-             Gate(ROT, target=1, param_slots=(1, 2, 3)),
+             Gate(RZ, target=1, param_slot=1), Gate(RY, target=1, param_slot=2),
+             Gate(RZ, target=1, param_slot=3),
              Gate(CNOT, target=1, control=0), Gate(CZ, target=1, control=0))
     circ = Circuit(2, gates, 4, embedding_slots=(0, 1))
     rng = np.random.default_rng(84)
