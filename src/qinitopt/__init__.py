@@ -13,7 +13,8 @@ from .distributions import (HyperParams, beta_samples, child_rng,
                             to_unconstrained)
 from .es import EsConfig, EsTrace, es_optimize, perturbation_matrix
 from .scoring import (ScoreSpec, ScoreValue, initialization_objective,
-                      omega_reduce, order_statistic, score, utility_shape)
+                      omega_reduce, order_statistic, score, score_batch,
+                      utility_shape)
 from .simulator import (Circuit, Gate, Layer, Observable, apply_circuit,
                         build_hea, build_strongly_entangling,
                         build_two_design, embed_angles, expectation,
@@ -34,6 +35,6 @@ __all__ = [
     "make_vqe_task", "manual_baseline", "observable_gradient",
     "omega_reduce", "order_statistic", "perturbation_matrix", "qfim",
     "qfim_block_diagonal", "qfim_empirical", "qfim_exact", "qml_cost_batch",
-    "sample_params", "score", "standard_normals", "to_unconstrained",
-    "train", "utility_shape", "zero_state",
+    "sample_params", "score", "score_batch", "standard_normals",
+    "to_unconstrained", "train", "utility_shape", "zero_state",
 ]

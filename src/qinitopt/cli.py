@@ -38,7 +38,8 @@ from .scoring import S1, S2, S3, ScoreSpec, initialization_objective
 from .simulator import (Observable, apply_circuit, build_hea,
                         build_strongly_entangling, build_two_design,
                         embed_angles, expectation)
-from .tasks import QmlTask, class_qubits, make_vqe_task, train
+from .tasks import (QmlTask, check_training, class_qubits, make_vqe_task,
+                    train)
 
 COMMANDS = ("hypopt", "vqe", "qml", "grad-profile", "bp-scan")
 
@@ -279,7 +280,8 @@ def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
     """Initialization hyperparameters for one method.
 
     Score methods run the ES search; 'manual' uses the fixed baseline and
-    'uniform' spreads angles evenly over the full period. Returns
+    'uniform' spreads angles evenly over the full period. task_gradient is
+    a callable or a Pauli-sum Observable, as score_batch takes it. Returns
     (HyperParams, trace-or-None). `context` extends the seed labels so
     repeated searches inside one run stay independent.
     """
@@ -301,8 +303,7 @@ def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
         hp0 = init_guess(cfg["family"], child_rng(seed, "guess", method,
                                                   *context))
     hp, trace = es_optimize(objective, hp0, EsConfig(**cfg["es"]),
-                            _derived_seed(seed, "es", method, *context),
-                            workers=cfg["workers"])
+                            _derived_seed(seed, "es", method, *context))
     return hp, trace
 
 
@@ -310,8 +311,11 @@ def _train_methods(cfg: dict, circuit, task, score_gradient, features,
                    describe) -> dict:
     """Per method: its initialization hyperparameters, one Adam run of the
     task from a draw of them, and describe(theta, curve) of that run."""
+    methods = _check_methods(cfg["methods"], _TRAIN_METHODS)
+    # fail before the first search, not after it
+    check_training(cfg["train"]["iters"], cfg["train"]["lr"])
     per_method = {}
-    for method in _check_methods(cfg["methods"], _TRAIN_METHODS):
+    for method in methods:
         hp, trace = _method_hyperparams(method, cfg, circuit, score_gradient,
                                         features)
         theta0 = sample_params(hp, circuit.num_params,
@@ -339,8 +343,11 @@ def cmd_hypopt(cfg: dict) -> dict:
     kind = cfg["score"]["kind"]
     task_gradient = None
     if cfg["hamiltonian"] is not None:
-        task = make_vqe_task(load_hamiltonian(cfg["hamiltonian"]), circuit)
-        task_gradient = task.gradient
+        # the scores read only the Pauli sum; no VqeTask and no dense
+        # ground energy, which is capped at MAX_ORACLE_QUBITS
+        task_gradient = load_hamiltonian(cfg["hamiltonian"])
+        if task_gradient.num_qubits != circuit.num_qubits:
+            raise ValueError("Hamiltonian and ansatz qubit counts differ")
     hp, trace = _method_hyperparams(kind, cfg, circuit, task_gradient, None)
     results = {"family": cfg["family"],
                "score_kind": kind,
@@ -362,7 +369,7 @@ def cmd_vqe(cfg: dict) -> dict:
                             or hamiltonian.num_qubits)
     task = make_vqe_task(hamiltonian, circuit)
     per_method = _train_methods(
-        cfg, circuit, task, task.gradient, None,
+        cfg, circuit, task, task.hamiltonian, None,
         lambda theta, curve: {
             "curve": curve, "final_energy": curve[-1],
             "gap": float(curve[-1] - task.exact_ground_energy)})
@@ -463,11 +470,9 @@ def cmd_bp_scan(cfg: dict) -> dict:
     for n in qubit_range:
         circuit = build_two_design(cfg["layers"], n, cfg["structure_seed"])
         obs = _default_observable(n)
-        task_gradient = (lambda theta, c=circuit, o=obs:
-                         observable_gradient(c, theta, o))
         for method in methods:
-            hp, _ = _method_hyperparams(method, cfg, circuit, task_gradient,
-                                        None, context=(n,))
+            hp, _ = _method_hyperparams(method, cfg, circuit, obs, None,
+                                        context=(n,))
             rng = child_rng(seed, "bp-init", method, n)
             thetas = np.stack([sample_params(hp, circuit.num_params, rng)
                                for _ in range(m)])
@@ -589,7 +594,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides the config)")
         p.add_argument("--workers", type=int, default=None,
-                       help="max concurrent score evaluations")
+                       help="accepted for compatibility (at least 1); the "
+                            "ES scores each population in one batch call")
     return parser
 
 
@@ -602,6 +608,9 @@ def main(argv=None) -> int:
         record = _RUNNERS[args.command](cfg)
         wall_clock = time.perf_counter() - started
         written = write_outputs(args.command, cfg, record, wall_clock)
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}")
+        return 2
     except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
         cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
         print(f"error: {exc}{cause}")

@@ -8,9 +8,13 @@ the faster paths are tested against. The forward sweep gets every state
 derivative from one pass: it runs each gate once on a batch whose row 0 is
 psi, and right after the gate of slot mu appends the row -(i/2) G_mu psi,
 which the remaining gates then carry to d_mu psi. That batch grows to at
-most p + 1 rows. The exact QFIM, the block-diagonal QFIM (one block per
-tagged ansatz layer, each closed at its layer's last gate) and the gradient
-of a Pauli-sum expectation, 2 Re<H psi|d_mu psi>, all read the sweep. For
+most p + 1 rows. One sweep serves a whole (B, p) batch of thetas, so a
+population costs one kernel call per gate; the single-theta functions are
+sweeps of B = 1, and callers keep B under the MAX_SWEEP_AMPLITUDES cap with
+sweep_batch_size. The exact QFIM (one batched Gram over the (B, p, 2^n)
+derivatives), the block-diagonal QFIM (one block per tagged ansatz layer,
+each closed at its layer's last gate) and the gradient of a Pauli-sum
+expectation, 2 Re<H psi|d_mu psi>, all read the sweep. For
 costs that are sums of per-row diagonal expectations, the adjoint sweep gets
 the gradient from the forward states and one backward pass. Both sweeps read
 -(i/2) G psi off one cached Pauli table per rotation. The rank-one empirical
@@ -31,6 +35,10 @@ from .simulator import (Circuit, Observable, _pauli_table, apply_gate,
 SHIFT = math.pi / 2
 
 EXACT_QFIM_MAX_PARAMS = 64
+
+# one sweep buffer holds at most this many amplitudes; a larger population
+# is swept in chunks of sweep_batch_size(circuit) thetas
+MAX_SWEEP_AMPLITUDES = 1 << 15
 
 FIDELITY_EXACT = "exact"
 FIDELITY_BLOCK = "block_diagonal"
@@ -119,23 +127,54 @@ def adjoint_gradient(circuit: Circuit, theta, states: np.ndarray,
     return grad
 
 
-def _qfim_from_states(dpsi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    overlap = dpsi.conj() @ dpsi.T
-    berry = dpsi.conj() @ psi
-    fisher = 4.0 * (overlap - np.outer(berry, berry.conj())).real
-    return (fisher + fisher.T) / 2.0
+def qfims_from_states(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
+    """(B, m, m) QFIMs from (B, 2^n) states and (B, m, 2^n) derivatives by
+    one np.matmul Gram over the stack."""
+    conj = dpsi.conj()
+    overlap = conj @ dpsi.transpose(0, 2, 1)
+    berry = conj @ psi[:, :, None]
+    fisher = 4.0 * (overlap - berry * berry.conj().transpose(0, 2, 1)).real
+    return (fisher + fisher.transpose(0, 2, 1)) / 2.0
 
 
-def _derivative_sweep(circuit: Circuit, theta, features, stops):
-    """Run the circuit once from |0>; at each gate index in stops (ascending)
-    yield (psi, dpsi, slots): psi after gates[:stop], and as the rows of
-    dpsi the derivatives d_mu psi of the slots in `slots`, those whose gates
-    ran since the previous stop, in the order they ran. The rows are then
+def sweep_batch_size(circuit: Circuit) -> int:
+    """Thetas per sweep: the most whose (p + 1, B, 2^n) buffer holds at
+    most MAX_SWEEP_AMPLITUDES amplitudes, and at least one."""
+    per_theta = (circuit.num_params + 1) << circuit.num_qubits
+    return max(1, MAX_SWEEP_AMPLITUDES // per_theta)
+
+
+def _as_thetas(circuit: Circuit, thetas) -> np.ndarray:
+    thetas = np.asarray(thetas, dtype=float)
+    p = circuit.num_params
+    if thetas.ndim != 2 or thetas.shape[1] != p:
+        raise ValueError(f"thetas must have shape (B, {p})")
+    return thetas
+
+
+def _one_theta(circuit: Circuit, theta) -> np.ndarray:
+    """theta as a (1, p) batch."""
+    theta = np.asarray(theta, dtype=float)
+    p = circuit.num_params
+    if theta.shape != (p,):
+        raise ValueError(f"theta must have shape ({p},)")
+    return theta[None, :]
+
+
+def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, features, stops):
+    """Run the circuit once from |0> for every row of a (B, p) thetas batch;
+    at each gate index in stops (ascending) yield (psi, rows, slots): the
+    (B, 2^n) states after gates[:stop], and as the (m, B, 2^n) rows the
+    derivatives d_mu psi of the m slots in `slots`, those whose gates ran
+    since the previous stop, in the order they ran. The rows are then
     dropped, and the yielded arrays are reused by the next segment.
 
-    Raises FloatingPointError when psi is not normalized (a NaN theta).
+    The (p + 1, B, 2^n) buffer runs as one batch of rows, so each gate is
+    one kernel call: the B theta rows repeat over the derivative rows, and
+    the one feature row broadcasts.
+
+    Raises FloatingPointError when a state is not normalized (a NaN theta).
     """
-    thetas = np.asarray(theta, dtype=float)[None, :]
     f = circuit.num_features
     if f and features is None:
         raise ValueError("circuit has embedding slots; features required")
@@ -144,57 +183,75 @@ def _derivative_sweep(circuit: Circuit, theta, features, stops):
     if feats.size != f:
         raise ValueError(f"features must have length {f}, got {feats.size}")
     feats = feats.reshape(1, f)
-    rows = np.zeros((circuit.num_params + 1, 1 << circuit.num_qubits),
-                    dtype=complex)
-    rows[0, 0] = 1.0
+    batch = thetas.shape[0]
+    height = circuit.num_params + 1
+    rows = np.zeros((height, batch, 1 << circuit.num_qubits), dtype=complex)
+    rows[0, :, 0] = 1.0
+    flat = rows.reshape(height * batch, -1)
     n = 1
     slots: list[int] = []
     start = 0
     for stop in stops:
         for gate in circuit.gates[start:stop]:
-            apply_gate(rows[:n], gate, thetas, feats)
+            apply_gate(flat[:n * batch], gate, thetas, feats)
             if gate.param_slot is not None:
                 factor, source = _derivative_table(
                     gate.kind, gate.target, circuit.num_qubits)
                 np.multiply(factor, rows[0] if source is None
-                            else rows[0, source], out=rows[n])
+                            else rows[0][:, source], out=rows[n])
                 slots.append(gate.param_slot)
                 n += 1
-        check_normalized(rows[:1])
+        check_normalized(rows[0])
         yield rows[0], rows[1:n], slots
         n = 1
         slots = []
         start = stop
 
 
+def state_derivatives_batch(circuit: Circuit, thetas,
+                            features=None) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, dpsi): the (B, 2^n) states of a (B, p) thetas batch and their
+    (B, p, 2^n) derivatives d_mu psi, row mu for slot mu, from one forward
+    sweep."""
+    thetas = _as_thetas(circuit, thetas)
+    sweep = _derivative_sweep(circuit, thetas, features, (len(circuit.gates),))
+    psi, rows, slots = next(sweep)
+    dpsi = np.empty((thetas.shape[0], circuit.num_params, psi.shape[1]),
+                    dtype=complex)
+    dpsi[:, slots] = rows.transpose(1, 0, 2)
+    return psi.copy(), dpsi
+
+
 def state_derivatives(circuit: Circuit, theta,
                       features=None) -> tuple[np.ndarray, np.ndarray]:
     """(psi, dpsi): the state and its (p, 2^n) derivatives d_mu psi, row mu
     for slot mu, from one forward sweep."""
-    theta = np.asarray(theta, dtype=float)
-    p = circuit.num_params
-    if theta.shape != (p,):
-        raise ValueError(f"theta must have shape ({p},)")
-    sweep = _derivative_sweep(circuit, theta, features, (len(circuit.gates),))
-    psi, rows, slots = next(sweep)
-    dpsi = np.empty_like(rows)
-    dpsi[slots] = rows
-    return psi.copy(), dpsi
+    psi, dpsi = state_derivatives_batch(circuit, _one_theta(circuit, theta),
+                                        features)
+    return psi[0], dpsi[0]
+
+
+def pauli_sum_gradients(psi: np.ndarray, dpsi: np.ndarray,
+                        obs: Observable) -> np.ndarray:
+    """(B, p) gradients d<psi|H|psi>/dtheta_mu = 2 Re<H psi|d_mu psi> of a
+    Pauli sum H from (B, 2^n) states and their (B, p, 2^n) derivatives."""
+    if psi.shape[-1] != 1 << obs.num_qubits:
+        raise ValueError("observable and circuit qubit counts differ")
+    h_psi = sum(coeff * apply_pauli_word(psi, word)
+                for coeff, word in obs.terms)
+    grad = 2.0 * (dpsi @ h_psi.conj()[:, :, None])[:, :, 0].real
+    if not np.all(np.isfinite(grad)):
+        raise FloatingPointError("gradient has non-finite entries")
+    return grad
 
 
 def _energy_gradient(circuit: Circuit, theta, obs: Observable,
                      features=None) -> tuple[np.ndarray, np.ndarray]:
     """(psi, grad): the state and d<psi|H|psi>/dtheta_mu =
     2 Re<H psi|d_mu psi> for a Pauli sum H, from one forward sweep."""
-    if obs.num_qubits != circuit.num_qubits:
-        raise ValueError("observable and circuit qubit counts differ")
-    psi, dpsi = state_derivatives(circuit, theta, features)
-    h_psi = sum(coeff * apply_pauli_word(psi, word)
-                for coeff, word in obs.terms)
-    grad = 2.0 * (dpsi @ h_psi.conj()).real
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError("gradient has non-finite entries")
-    return psi, grad
+    psi, dpsi = state_derivatives_batch(circuit, _one_theta(circuit, theta),
+                                        features)
+    return psi[0], pauli_sum_gradients(psi, dpsi, obs)[0]
 
 
 def observable_gradient(circuit: Circuit, theta, obs: Observable,
@@ -214,25 +271,25 @@ def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
         raise ValueError(
             f"{p} parameters exceeds the exact-QFIM threshold "
             f"{EXACT_QFIM_MAX_PARAMS}; use block-diagonal or empirical")
-    psi, dpsi = state_derivatives(circuit, theta, features)
-    return Qfim(_qfim_from_states(dpsi, psi), FIDELITY_EXACT)
+    states = state_derivatives_batch(circuit, _one_theta(circuit, theta),
+                                     features)
+    return Qfim(qfims_from_states(*states)[0], FIDELITY_EXACT)
 
 
-def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
-    """Layer-blocked QFIM: each tagged layer's block is the exact QFIM of the
-    circuit truncated after that layer; cross-layer entries are zero.
+def qfim_block_batch(circuit: Circuit, thetas, features=None) -> np.ndarray:
+    """(B, p, p) layer-blocked QFIMs of a (B, p) thetas batch: each tagged
+    layer's block is the exact QFIM of the circuit truncated after that
+    layer; cross-layer entries are zero.
 
     One forward sweep closes a block at each tag's gate_stop from the
     derivative rows its segment added, then drops them, so each gate runs
-    once on at most m + 1 rows for a layer of m slots; the first segment
-    holds any prelude. A block is right only if no gate before its layer's
-    segment reads one of its slots; a circuit whose tags break this raises
-    ValueError.
+    once on at most m + 1 rows per theta for a layer of m slots; the first
+    segment holds any prelude. A block is right only if no gate before its
+    layer's segment reads one of its slots; a circuit whose tags break this
+    raises ValueError.
     """
-    theta = np.asarray(theta, dtype=float)
+    thetas = _as_thetas(circuit, thetas)
     p = circuit.num_params
-    if theta.shape != (p,):
-        raise ValueError(f"theta must have shape ({p},)")
     covered = [mu for tag in circuit.layers
                for mu in range(tag.param_start, tag.param_stop)]
     if sorted(covered) != list(range(p)):
@@ -248,8 +305,8 @@ def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
                 f"layer tag {tag} has a slot read before gate {start}; "
                 "block-diagonal QFIM needs layers tagged in circuit order")
         start = tag.gate_stop
-    entries = np.zeros((p, p))
-    sweep = _derivative_sweep(circuit, theta, features,
+    entries = np.zeros((thetas.shape[0], p, p))
+    sweep = _derivative_sweep(circuit, thetas, features,
                               [tag.gate_stop for tag in circuit.layers])
     for tag, (psi, rows, slots) in zip(circuit.layers, sweep):
         # a slot of an earlier layer read in this segment does not move that
@@ -257,8 +314,16 @@ def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
         own = [k for k, mu in enumerate(slots)
                if tag.param_start <= mu < tag.param_stop]
         idx = [slots[k] for k in own]
-        entries[np.ix_(idx, idx)] = _qfim_from_states(rows[own], psi)
-    return Qfim(entries, FIDELITY_BLOCK)
+        row, col = np.ix_(idx, idx)
+        entries[:, row, col] = qfims_from_states(
+            psi, rows[own].transpose(1, 0, 2).copy())
+    return entries
+
+
+def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
+    """Layer-blocked QFIM of one theta; see qfim_block_batch."""
+    return Qfim(qfim_block_batch(circuit, _one_theta(circuit, theta),
+                                 features)[0], FIDELITY_BLOCK)
 
 
 def qfim_empirical(grad: np.ndarray) -> Qfim:
@@ -267,12 +332,22 @@ def qfim_empirical(grad: np.ndarray) -> Qfim:
     return Qfim(np.outer(g, g), FIDELITY_EMPIRICAL)
 
 
-def qfim(circuit: Circuit, theta, features=None, gradient_fn=None) -> Qfim:
-    """Fidelity ladder: exact when p <= 64, else block-diagonal when the
-    circuit carries layer tags, else the empirical surrogate."""
+def qfim_fidelity(circuit: Circuit) -> str:
+    """The fidelity ladder: exact when p <= EXACT_QFIM_MAX_PARAMS, else
+    block-diagonal when the circuit carries layer tags, else the empirical
+    surrogate."""
     if circuit.num_params <= EXACT_QFIM_MAX_PARAMS:
+        return FIDELITY_EXACT
+    return FIDELITY_BLOCK if circuit.layers else FIDELITY_EMPIRICAL
+
+
+def qfim(circuit: Circuit, theta, features=None, gradient_fn=None) -> Qfim:
+    """The QFIM of one theta at the fidelity qfim_fidelity picks; the
+    empirical one is built from gradient_fn(theta)."""
+    fidelity = qfim_fidelity(circuit)
+    if fidelity == FIDELITY_EXACT:
         return qfim_exact(circuit, theta, features)
-    if circuit.layers:
+    if fidelity == FIDELITY_BLOCK:
         return qfim_block_diagonal(circuit, theta, features)
     if gradient_fn is None:
         raise ValueError("untagged circuit above the exact threshold needs a "

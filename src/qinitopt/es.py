@@ -4,8 +4,10 @@ Each iteration perturbs the unconstrained hyperparameter vector with N_s
 Gaussian rows (antithetic pairs by default), scores one parameter sample per
 perturbation, optionally rank-shapes the scores, and ascends the resulting
 gradient estimate. Every rollout draws from its own child stream keyed by
-(master_seed, iteration, rollout), so trajectories are bit-identical whether
-rollouts run serially or on a thread pool.
+(master_seed, iteration, rollout). An objective with a batch form scores the
+whole population of an iteration in one call (the initialization objective
+sweeps it in chunks, scoring.score_batch); the trajectory is bit-identical
+to scoring the rollouts one at a time.
 """
 from __future__ import annotations
 
@@ -72,14 +74,16 @@ def perturbation_matrix(n_samples: int, dim: int, antithetic: bool,
     return standard_normals(n_samples * dim, rng).reshape(n_samples, dim)
 
 
-def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int,
-                workers: int | None = None):
+def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
     """Maximize E[score] over hyperparameters by evolutionary ascent.
 
     hp0 may be a HyperParams (searched through its unconstrained view) or a
     plain real vector (searched as-is, useful for direct objectives).
-    score_eval(candidate, rng) must return a finite scalar. Returns the tuned
-    hyperparameters in the input's form plus the iteration trace.
+    score_eval(candidate, rng) must return a finite scalar. When score_eval
+    has a `batch` attribute, batch(candidates, rngs) scores the whole
+    population in one call and returns N_s values; rollout j's rng is the
+    same in both forms. Returns the tuned hyperparameters in the input's
+    form plus the iteration trace.
     """
     is_hp = isinstance(hp0, HyperParams)
     if is_hp:
@@ -90,37 +94,32 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int,
         if lam.size == 0:
             raise ValueError("empty hyperparameter vector")
         materialize = lambda vec: vec.copy()
+    batch = getattr(score_eval, "batch", None)
     trace = EsTrace()
-
-    def run_rollout(iteration, j, lam_p):
-        rng = child_rng(master_seed, "rollout", iteration, j)
-        value = float(score_eval(materialize(lam_p), rng))
-        if not np.isfinite(value):
-            raise FloatingPointError("score evaluation returned a non-finite value")
-        return value
 
     for iteration in range(cfg.n_iters):
         gamma = perturbation_matrix(cfg.n_samples, lam.size, cfg.antithetic,
                                     child_rng(master_seed, "perturb", iteration))
-        candidates = lam[None, :] + cfg.sigma_es * gamma
-        raw = np.empty(cfg.n_samples)
+        rngs = [child_rng(master_seed, "rollout", iteration, j)
+                for j in range(cfg.n_samples)]
         try:
-            if workers is not None and workers > 1:
-                # imported here so the default serial run never pays for it
-                from concurrent.futures import ThreadPoolExecutor
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    futures = [pool.submit(run_rollout, iteration, j, candidates[j])
-                               for j in range(cfg.n_samples)]
-                    for j, future in enumerate(futures):
-                        raw[j] = future.result()
+            candidates = [materialize(lam_p)
+                          for lam_p in lam[None, :] + cfg.sigma_es * gamma]
+            if batch is not None:
+                raw = np.array(batch(candidates, rngs), dtype=float)
+                if raw.shape != (cfg.n_samples,):
+                    raise ValueError(f"batch returned shape {raw.shape}, "
+                                     f"expected ({cfg.n_samples},)")
             else:
-                for j in range(cfg.n_samples):
-                    raw[j] = run_rollout(iteration, j, candidates[j])
+                raw = np.array([float(score_eval(candidate, rng))
+                                for candidate, rng in zip(candidates, rngs)])
         except FloatingPointError:
             raise
         except Exception as exc:
             raise RuntimeError(
                 f"score evaluation failed at iteration {iteration}") from exc
+        if not np.all(np.isfinite(raw)):
+            raise FloatingPointError("score evaluation returned a non-finite value")
         zeta = utility_shape(raw) if cfg.use_utility else raw
         if cfg.antithetic:
             # paired form: exact cancellation when both halves score equally

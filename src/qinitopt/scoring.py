@@ -2,8 +2,12 @@
 
 Three scores, all maximized: S1 reduces the QFIM to a scalar capacity
 measure, S2 is the mean t-th power of gradient magnitudes, and S3 blends the
-two with weight w. Rank-based utility shaping turns raw population scores
-into the zero-sum targets the evolutionary update consumes.
+two with weight w. score_batch rates a batch of parameter vectors from one
+forward sweep per chunk, with QFIMs and Pauli-sum task gradients read off
+the same states; score is its batch of one. The search objective scores a
+whole ES population through it. Rank-based utility shaping turns raw
+population scores into the zero-sum targets the evolutionary update
+consumes.
 """
 from __future__ import annotations
 
@@ -12,9 +16,13 @@ import math
 
 import numpy as np
 
-from .differentiation import hermitian_eigenvalues, qfim
+from .differentiation import (FIDELITY_BLOCK, FIDELITY_EMPIRICAL,
+                              FIDELITY_EXACT, hermitian_eigenvalues,
+                              pauli_sum_gradients, qfim_block_batch,
+                              qfim_fidelity, qfims_from_states,
+                              state_derivatives_batch, sweep_batch_size)
 from .distributions import DEFAULT_BETA_SCALE, HyperParams, sample_params
-from .simulator import Circuit
+from .simulator import Circuit, Observable
 
 S1 = "s1"
 S2 = "s2"
@@ -88,28 +96,70 @@ def order_statistic(grad, t: int) -> float:
     return float(np.mean(np.abs(grad) ** t))
 
 
+def score_batch(thetas, circuit: Circuit, task_gradient=None,
+                spec: ScoreSpec = ScoreSpec(), features=None) -> np.ndarray:
+    """Rate each row of a (B, p) parameter batch; returns (B,) raw scores.
+
+    task_gradient is the task cost's gradient, required whenever the score
+    reads gradients (S2, S3 and the empirical QFIM): a callable
+    theta -> (p,), called per row, or the Pauli sum H of a cost
+    <psi|H|psi> as an Observable, whose gradients 2 Re<H psi|d_mu psi> come
+    from the forward sweep. The batch runs in chunks of sweep_batch_size
+    thetas. A chunk sweeps once, and the exact QFIMs and Pauli-sum
+    gradients share that sweep's states; block-diagonal QFIMs take a sweep
+    of their own.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    p = circuit.num_params
+    if thetas.ndim != 2 or thetas.shape[1] != p:
+        raise ValueError(f"thetas must have shape (B, {p})")
+    fidelity = qfim_fidelity(circuit) if spec.kind in (S1, S3) else None
+    needs_grad = spec.kind in (S2, S3) or fidelity == FIDELITY_EMPIRICAL
+    if needs_grad and task_gradient is None:
+        raise ValueError(
+            "gradient-based scores need a task gradient" if spec.kind != S1
+            else "untagged circuit above the exact threshold needs a task "
+            "gradient for the empirical QFIM")
+    by_sweep = needs_grad and isinstance(task_gradient, Observable)
+    raw = np.empty(len(thetas))
+    step = sweep_batch_size(circuit)
+    for start in range(0, len(thetas), step):
+        chunk = thetas[start:start + step]
+        if fidelity == FIDELITY_EXACT or by_sweep:
+            states = state_derivatives_batch(circuit, chunk, features)
+        if by_sweep:
+            grads = pauli_sum_gradients(*states, task_gradient)
+        elif needs_grad:
+            grads = np.array([task_gradient(theta) for theta in chunk],
+                             dtype=float)
+        if fidelity == FIDELITY_EXACT:
+            fishers = qfims_from_states(*states)
+        elif fidelity == FIDELITY_BLOCK:
+            fishers = qfim_block_batch(circuit, chunk, features)
+        elif fidelity == FIDELITY_EMPIRICAL:
+            fishers = grads[:, :, None] * grads[:, None, :]
+        if fidelity is not None:
+            fisher_part = np.array([omega_reduce(f, spec) for f in fishers])
+        if spec.kind != S1:
+            grad_part = np.array([order_statistic(g, spec.t) for g in grads])
+        if spec.kind == S1:
+            raw[start:start + step] = fisher_part
+        elif spec.kind == S2:
+            raw[start:start + step] = grad_part
+        else:
+            raw[start:start + step] = ((1.0 - spec.w) * fisher_part
+                                       + spec.w * grad_part)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("raw score must be finite")
+    return raw
+
+
 def score(theta, circuit: Circuit, task_gradient=None,
           spec: ScoreSpec = ScoreSpec(), features=None) -> ScoreValue:
-    """Rate one parameter vector. task_gradient(theta) returns the task
-    cost's (p,) gradient; it is required whenever the score reads gradients
-    (S2 and S3) and feeds the empirical QFIM fallback."""
-    theta = np.asarray(theta, dtype=float)
-    fisher_part = None
-    if spec.kind in (S1, S3):
-        fisher = qfim(circuit, theta, features, gradient_fn=task_gradient)
-        fisher_part = omega_reduce(fisher, spec)
-    grad_part = None
-    if spec.kind in (S2, S3):
-        if task_gradient is None:
-            raise ValueError("gradient-based scores need a task gradient")
-        grad_part = order_statistic(task_gradient(theta), spec.t)
-    if spec.kind == S1:
-        raw = fisher_part
-    elif spec.kind == S2:
-        raw = grad_part
-    else:
-        raw = (1.0 - spec.w) * fisher_part + spec.w * grad_part
-    return ScoreValue(raw=float(raw))
+    """Rate one parameter vector: score_batch on a batch of one."""
+    thetas = np.asarray(theta, dtype=float)[None, :]
+    return ScoreValue(raw=float(score_batch(thetas, circuit, task_gradient,
+                                            spec, features)[0]))
 
 
 def utility_shape(raw_scores) -> np.ndarray:
@@ -133,16 +183,30 @@ def initialization_objective(circuit: Circuit, spec: ScoreSpec,
                              scale: float = DEFAULT_BETA_SCALE,
                              theta_draws: int = 1):
     """Objective for the hyperparameter search: theta ~ p(theta | hp), then
-    score(theta), averaged over theta_draws independent draws."""
+    score(theta), averaged over theta_draws independent draws.
+
+    objective(hp, rng) scores one rollout. objective.batch(hps, rngs)
+    scores a population, (N_s,) values, with one score_batch call; rollout
+    j draws its thetas from rngs[j] alone, so both forms give equal values.
+    """
     if theta_draws < 1:
         raise ValueError("theta_draws must be >= 1")
+    p = circuit.num_params
 
-    def objective(hp: HyperParams, rng: np.random.Generator) -> float:
-        total = 0.0
-        for _ in range(theta_draws):
-            theta = sample_params(hp, circuit.num_params, rng, scale)
-            total += score(theta, circuit, task_gradient, spec,
-                           features).raw
+    def batch(hps, rngs) -> np.ndarray:
+        thetas = np.empty((len(hps), theta_draws, p))
+        for j, (hp, rng) in enumerate(zip(hps, rngs)):
+            for d in range(theta_draws):
+                thetas[j, d] = sample_params(hp, p, rng, scale)
+        raw = score_batch(thetas.reshape(-1, p), circuit, task_gradient,
+                          spec, features).reshape(len(hps), theta_draws)
+        total = np.zeros(len(hps))
+        for d in range(theta_draws):
+            total += raw[:, d]
         return total / theta_draws
 
+    def objective(hp: HyperParams, rng: np.random.Generator) -> float:
+        return float(batch([hp], [rng])[0])
+
+    objective.batch = batch
     return objective

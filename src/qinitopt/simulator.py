@@ -127,18 +127,21 @@ def zero_state(num_qubits: int, batch: int | None = None) -> np.ndarray:
 
 def _rotate_single(state: np.ndarray, kind: str, qubit: int,
                    angle: np.ndarray) -> None:
-    """In-place single-qubit rotation on a (B, 2^n) state batch."""
-    batch = state.shape[0]
-    s = state.reshape(batch, 1 << qubit, 2, -1)
-    half = (np.asarray(angle, dtype=float) / 2.0).reshape(-1, 1, 1)
+    """In-place single-qubit rotation on a (B, 2^n) state batch. angle holds
+    k values, k dividing B, and row r turns by angle[r % k]: one per row, or
+    one set repeated over blocks of rows."""
+    half = np.asarray(angle, dtype=float) / 2.0
+    s = state.reshape(-1, half.size, 1 << qubit, 2,
+                      state.shape[1] >> (qubit + 1))
+    half = half.reshape(-1, 1, 1)
     if kind == RZ:
-        s[:, :, 0, :] *= np.exp(-1j * half)
-        s[:, :, 1, :] *= np.exp(1j * half)
+        s[..., 0, :] *= np.exp(-1j * half)
+        s[..., 1, :] *= np.exp(1j * half)
         return
     c = np.cos(half)
     sn = np.sin(half)
-    s0 = s[:, :, 0, :]
-    s1 = s[:, :, 1, :]
+    s0 = s[..., 0, :]
+    s1 = s[..., 1, :]
     if kind == RY:
         new0 = c * s0 - sn * s1
         new1 = sn * s0 + c * s1
@@ -147,8 +150,8 @@ def _rotate_single(state: np.ndarray, kind: str, qubit: int,
         new1 = -1j * sn * s0 + c * s1
     else:
         raise ValueError(f"not a rotation kind: {kind}")
-    s[:, :, 0, :] = new0
-    s[:, :, 1, :] = new1
+    s[..., 0, :] = new0
+    s[..., 1, :] = new1
 
 
 def _two_qubit_view(state: np.ndarray, q_lo: int, q_hi: int) -> np.ndarray:
@@ -184,8 +187,9 @@ def _angle_for(gate: Gate, thetas: np.ndarray,
 def apply_gate(state: np.ndarray, gate: Gate, thetas: np.ndarray,
                features: np.ndarray, inverse: bool = False) -> None:
     """Apply one gate, or with inverse=True its inverse, in place to a
-    (B, 2^n) state batch; angles come from (B, p) thetas and (B, f)
-    features (a single row broadcasts)."""
+    (B, 2^n) state batch; angles come from (k, p) thetas and (k, f)
+    features, row r of the batch taking angle row r % k (k = 1
+    broadcasts)."""
     kind = gate.kind
     if kind in ROTATION_KINDS:
         angle = _angle_for(gate, thetas, features)
@@ -351,6 +355,8 @@ def build_two_design(layers: int, qubits: int, seed: int) -> Circuit:
         raise ValueError("two-design ansatz needs at least 2 qubits")
     if layers < 1:
         raise ValueError("need at least one layer")
+    if seed < 0:
+        raise ValueError(f"structure seed must be non-negative, got {seed}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed])))
     gates: list[Gate] = [Gate(FIXED_RY, target=q) for q in range(qubits)]
     tags: list[Layer] = []

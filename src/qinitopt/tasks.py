@@ -53,8 +53,7 @@ class VqeTask:
         return expectation(psi, self.hamiltonian), grad
 
     def gradient(self, theta) -> np.ndarray:
-        # scores ask for the gradient alone; the energy's pass over the 15
-        # terms of h2_4q would add about a fifth to each call at p = 24
+        # the gradient alone, without the energy's pass over the Pauli terms
         return _energy_gradient(self.circuit, theta, self.hamiltonian)[1]
 
 
@@ -212,6 +211,14 @@ def adam_step(state: AdamState, theta, grad) -> np.ndarray:
     return theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_adam)
 
 
+def check_training(iters: int, lr: float) -> None:
+    """Raise ValueError unless iters >= 0 and lr >= 0 (a NaN lr fails)."""
+    if iters < 0:
+        raise ValueError(f"training iters must not be negative, got {iters}")
+    if not lr >= 0:
+        raise ValueError(f"learning rate must not be negative, got {lr}")
+
+
 def train(task, theta0, iters: int = 100, lr: float = 0.01):
     """Adam from theta0; returns (theta, curve) with curve[k] the cost after
     k updates (length iters + 1).
@@ -220,10 +227,7 @@ def train(task, theta0, iters: int = 100, lr: float = 0.01):
     current theta once for both its cost and its gradient; one
     task.cost_value call gives the cost after the last update.
     """
-    if iters < 0:
-        raise ValueError(f"training iters must not be negative, got {iters}")
-    if not lr >= 0:
-        raise ValueError(f"learning rate must not be negative, got {lr}")
+    check_training(iters, lr)
     theta = np.array(theta0, dtype=float)
     curve = []
     state = AdamState(lr=lr)

@@ -8,11 +8,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qinitopt import cli
+from qinitopt import cli, differentiation
 from qinitopt.cli import (cmd_bp_scan, cmd_grad_profile, cmd_hypopt, cmd_qml,
                           cmd_vqe, default_config, main, resolve_config)
+from qinitopt.differentiation import sweep_batch_size
 from qinitopt.distributions import HyperParams, child_rng, sample_params
 from qinitopt.records import record_hash
+from qinitopt.simulator import build_strongly_entangling, build_two_design
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "docs" / "runrecord.schema.json").read_text())
@@ -439,3 +441,120 @@ def test_main_reports_arithmetic_and_es_errors(tmp_path, capsys, monkeypatch,
     assert code == 2
     out = capsys.readouterr().out
     assert out == f"error: {exc}: inner cause\n"
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError("Unable to allocate 16.0 GiB for an array with shape "
+                "(1073741824,) and data type complex128"),
+    MemoryError(),
+])
+def test_main_reports_out_of_memory(tmp_path, capsys, monkeypatch, exc):
+    def failing(cfg):
+        raise exc
+    for command in ("bp-scan", "grad-profile"):
+        monkeypatch.setitem(cli._RUNNERS, command, failing)
+        out = tmp_path / command
+        assert main([command, "--out", str(out)]) == 2
+        text = capsys.readouterr().out
+        assert text.startswith("error: out of memory") and text.count("\n") == 1
+        assert str(exc) in text
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("item", ["train.iters=-1", "train.lr=-1"])
+def test_main_checks_training_before_any_search(tmp_path, capsys,
+                                                monkeypatch, item):
+    monkeypatch.setattr(cli, "es_optimize",
+                        lambda *a, **k: pytest.fail("ES ran before the check"))
+    runs = (["vqe", "--set", f"hamiltonian={TOY_HAMILTONIAN}"],
+            ["qml", "--set", f"dataset={make_dataset(tmp_path)}"])
+    for command in runs:
+        out = tmp_path / command[0]
+        assert main([*command, "--out", str(out), "--set", item]) == 2
+        text = capsys.readouterr().out
+        assert text.startswith("error: ") and text.count("\n") == 1
+        assert "must not be negative" in text
+        assert not out.exists()
+
+
+def test_main_rejects_negative_structure_seed(tmp_path, capsys):
+    runs = (["bp-scan", "--set", "structure_seed=-3"],
+            ["hypopt", "--set", "ansatz.kind=two_design",
+             "--set", "ansatz.structure_seed=-2"])
+    for command in runs:
+        out = tmp_path / command[0]
+        assert main([*command, "--out", str(out)]) == 2
+        seed = command[-1].split("=")[1]
+        assert capsys.readouterr().out == (
+            f"error: structure seed must be non-negative, got {seed}\n")
+        assert not out.exists()
+
+
+def count_sweeps(monkeypatch):
+    calls = []
+    sweep = differentiation._derivative_sweep
+
+    def counted(circuit, thetas, *args):
+        calls.append(len(thetas))
+        return sweep(circuit, thetas, *args)
+    monkeypatch.setattr(differentiation, "_derivative_sweep", counted)
+    return calls
+
+
+@pytest.mark.parametrize("amplitudes", [None, 2000])
+def test_cli_objectives_sweep_once_per_chunk(tmp_path, monkeypatch,
+                                             amplitudes):
+    """One sweep per chunk per ES iteration, two on the block path with a
+    Pauli-sum gradient (blocks, then gradients); amplitudes, when set,
+    lowers the cap so that 16 rollouts take several chunks."""
+    if amplitudes is not None:
+        monkeypatch.setattr(differentiation, "MAX_SWEEP_AMPLITUDES",
+                            amplitudes)
+    calls = count_sweeps(monkeypatch)
+    h2 = str(REPO / "hamiltonians" / "h2_4q.txt")
+
+    def chunks(circuit):
+        return -(-16 // sweep_batch_size(circuit))
+
+    for kind in ("s1", "s2", "s3"):
+        calls.clear()
+        cfg = resolve_config("hypopt", overrides=[
+            f"hamiltonian={h2}", f"score.kind={kind}", "ansatz.layers=2",
+            "es.n_iters=2"])
+        iterations = cmd_hypopt(cfg)["results"]["iterations"]
+        circuit = build_strongly_entangling(2, 4)
+        assert len(calls) == iterations * chunks(circuit)
+        assert sum(calls) == iterations * 16
+    for kind, per_chunk in (("s1", 1), ("s3", 2)):
+        calls.clear()
+        cfg = resolve_config("vqe", overrides=[
+            f"hamiltonian={h2}", "ansatz.layers=6", f"methods=[\"{kind}\"]",
+            "es.n_iters=1", "train.iters=0"])
+        record = cmd_vqe(cfg)
+        iterations = record["results"]["methods"][kind]["es_iterations"]
+        circuit = build_strongly_entangling(6, 4)
+        assert len(calls) == per_chunk * iterations * chunks(circuit)
+    calls.clear()
+    cfg = resolve_config("bp-scan", overrides=[
+        "qubit_range=[2,3]", "layers=2", "es.n_iters=1", "m_samples=2"])
+    cmd_bp_scan(cfg)
+    expected = sum(chunks(build_two_design(2, n, 0)) for n in (2, 3))
+    assert len(calls) == 3 * expected  # s1, s2 and s3; uniform runs no ES
+
+
+def test_hypopt_takes_a_hamiltonian_above_the_dense_oracle_cap(tmp_path,
+                                                               capsys):
+    # 11 qubits: above tasks.MAX_ORACLE_QUBITS, which caps only the dense
+    # ground energy that vqe reports and hypopt never reads
+    wide = tmp_path / "wide.txt"
+    wide.write_text("1.0 ZZZZZZZZZZZ\n0.5 XIIIIIIIIII\n")
+    args = ["hypopt", "--set", f"hamiltonian={wide}", "--set", "score.kind=s2",
+            "--set", "ansatz.layers=1", "--set", "es.n_iters=1",
+            "--set", "es.n_samples=2"]
+    assert main([*args, "--set", "ansatz.qubits=11",
+                 "--out", str(tmp_path / "a")]) == 0
+    capsys.readouterr()
+    assert main([*args, "--set", "ansatz.qubits=4",
+                 "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().out == (
+        "error: Hamiltonian and ansatz qubit counts differ\n")

@@ -10,9 +10,12 @@ import pytest
 from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       _energy_gradient, adjoint_gradient,
                                       gradient, hermitian_eigenvalues,
-                                      observable_gradient, qfim,
-                                      qfim_block_diagonal, qfim_empirical,
-                                      qfim_exact, state_derivatives)
+                                      observable_gradient,
+                                      pauli_sum_gradients, qfim,
+                                      qfim_block_batch, qfim_block_diagonal,
+                                      qfim_empirical, qfim_exact,
+                                      qfims_from_states, state_derivatives,
+                                      state_derivatives_batch)
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
                                 ROTATION_KINDS, Circuit, Gate, Layer,
                                 Observable, RY, RZ, apply_circuit, build_hea,
@@ -338,6 +341,40 @@ def test_observable_gradient_matches_parameter_shift(circ, data):
     psi, grad = _energy_gradient(circ, theta, obs, features)
     np.testing.assert_array_equal(grad, got)
     np.testing.assert_array_equal(psi, apply_circuit(circ, theta, features))
+
+
+@given(st.one_of(random_circuits(), tagged_circuits()), st.data())
+def test_batched_sweep_matches_single_theta_sweeps(circ, data):
+    """Each row of a batched sweep, whose theta rows repeat over the
+    derivative rows in one kernel call per gate, equals its own B = 1
+    sweep."""
+    p, f = circ.num_params, circ.num_features
+    rows = data.draw(st.integers(2, 4))
+    thetas = np.array(data.draw(st.lists(
+        st.lists(ANGLES, min_size=p, max_size=p), min_size=rows,
+        max_size=rows)))
+    features = (np.array(data.draw(st.lists(ANGLES, min_size=f, max_size=f)))
+                if f else None)
+    obs = data.draw(pauli_sums(circ.num_qubits))
+    psi, dpsi = state_derivatives_batch(circ, thetas, features)
+    grads = pauli_sum_gradients(psi, dpsi, obs)
+    fishers = qfims_from_states(psi, dpsi)
+    blocks = qfim_block_batch(circ, thetas, features) if circ.layers else None
+    for b, theta in enumerate(thetas):
+        one_psi, one_dpsi = state_derivatives(circ, theta, features)
+        np.testing.assert_allclose(psi[b], one_psi, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(dpsi[b], one_dpsi, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(
+            grads[b], observable_gradient(circ, theta, obs, features),
+            rtol=0, atol=1e-12)
+        if p <= EXACT_QFIM_MAX_PARAMS:
+            np.testing.assert_allclose(
+                fishers[b], qfim_exact(circ, theta, features).entries,
+                rtol=0, atol=1e-12)
+        if blocks is not None:
+            np.testing.assert_allclose(
+                blocks[b], qfim_block_diagonal(circ, theta, features).entries,
+                rtol=0, atol=1e-12)
 
 
 def test_nan_theta_raises_from_the_sweep():

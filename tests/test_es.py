@@ -101,14 +101,34 @@ def test_monotone_transform_invariance_with_utility():
     assert tr_base.unconstrained == tr_same.unconstrained
 
 
-def test_scheduling_invariance():
+def test_batch_form_matches_per_rollout():
     noisy = lambda lam, rng: -float(np.sum((lam - 2.0) ** 2)) + 0.01 * rng.random()
+    calls = []
+
+    def batched(lams, rngs):
+        calls.append(len(lams))
+        return [noisy(lam, rng) for lam, rng in zip(lams, rngs)]
+
+    scorer = lambda lam, rng: pytest.fail("per-rollout form called")
+    scorer.batch = batched
     cfg = EsConfig(n_iters=10, eps_converge=1e-12)
-    serial = es_optimize(noisy, np.zeros(3), cfg, 42, workers=None)
-    pooled = es_optimize(noisy, np.zeros(3), cfg, 42, workers=4)
+    serial = es_optimize(noisy, np.zeros(3), cfg, 42)
+    pooled = es_optimize(scorer, np.zeros(3), cfg, 42)
+    assert calls == [cfg.n_samples] * 10
     assert np.array_equal(serial[0], pooled[0])
-    assert serial[1].unconstrained == pooled[1].unconstrained
-    assert serial[1].mean_score == pooled[1].mean_score
+    assert serial[1] == pooled[1]
+
+
+def test_batch_form_shape_and_value_checks():
+    cfg = EsConfig(n_iters=1)
+    short = lambda lam, rng: 0.0
+    short.batch = lambda lams, rngs: np.zeros(len(lams) - 1)
+    with pytest.raises(RuntimeError, match="iteration 0"):
+        es_optimize(short, np.zeros(2), cfg, 0)
+    nan = lambda lam, rng: 0.0
+    nan.batch = lambda lams, rngs: np.r_[np.zeros(len(lams) - 1), np.nan]
+    with pytest.raises(FloatingPointError):
+        es_optimize(nan, np.zeros(2), cfg, 0)
 
 
 def test_hyperparams_input_stays_valid():

@@ -1,17 +1,27 @@
 """Score functions and utility shaping against hand-computed values."""
 import math
 
+from hypothesis import given
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from qinitopt.differentiation import Qfim, gradient, qfim_exact
-from qinitopt.distributions import GAUSSIAN, HyperParams, child_rng
-from qinitopt.scoring import (HARMONIC, LOG_DET, S1, S2, S3, TRACE, ScoreSpec,
-                              ScoreValue, initialization_objective,
-                              omega_reduce, order_statistic, score,
+from qinitopt import differentiation
+from qinitopt.differentiation import (Qfim, gradient, observable_gradient,
+                                      qfim, qfim_exact, sweep_batch_size)
+from qinitopt.distributions import (BETA, GAUSSIAN, HyperParams, child_rng,
+                                    sample_params)
+from qinitopt.es import EsConfig, es_optimize
+from qinitopt.scoring import (HARMONIC, LOG_DET, OMEGA_KINDS, S1, S2, S3,
+                              SCORE_KINDS, TRACE, ScoreSpec, ScoreValue,
+                              initialization_objective, omega_reduce,
+                              order_statistic, score, score_batch,
                               utility_shape)
 from qinitopt.simulator import (Circuit, Gate, Observable, RY, apply_circuit,
-                                build_hea, expectation)
+                                build_hea, build_strongly_entangling,
+                                build_two_design, expectation)
+from test_differentiation import (ANGLES, pauli_sums, random_circuits,
+                                  tagged_circuits)
 
 
 def single_ry():
@@ -186,3 +196,114 @@ def test_initialization_objective_deterministic():
         initialization_objective(
             circ, ScoreSpec(), lambda th: gradient(circ, th, cost),
             theta_draws=0)
+
+
+def per_theta_score(theta, circ, grad_fn, spec, features):
+    """The score of one theta composed from qfim, omega_reduce and
+    order_statistic, as a reference for the batch path."""
+    fisher = omega_reduce(qfim(circ, theta, features, gradient_fn=grad_fn),
+                          spec)
+    if spec.kind == S1:
+        return fisher
+    grad = order_statistic(grad_fn(theta), spec.t)
+    if spec.kind == S2:
+        return grad
+    return (1.0 - spec.w) * fisher + spec.w * grad
+
+
+@given(st.one_of(random_circuits(), tagged_circuits()), st.data())
+def test_score_batch_matches_per_theta_scores(circ, data):
+    """Random circuits and the three builders, with and without embedded
+    features, on the exact path and, with the threshold at 0, on the block
+    path (tagged) or the empirical one (untagged); the gradient given as a
+    Pauli sum or as a callable."""
+    p, f = circ.num_params, circ.num_features
+    rows = data.draw(st.integers(1, 5))
+    thetas = np.array(data.draw(st.lists(
+        st.lists(ANGLES, min_size=p, max_size=p), min_size=rows,
+        max_size=rows)))
+    features = (np.array(data.draw(st.lists(ANGLES, min_size=f, max_size=f)))
+                if f else None)
+    spec = ScoreSpec(kind=data.draw(st.sampled_from(SCORE_KINDS)),
+                     omega=data.draw(st.sampled_from(OMEGA_KINDS)),
+                     w=data.draw(st.floats(0.0, 1.0)))
+    obs = data.draw(pauli_sums(circ.num_qubits))
+    grad_fn = lambda theta: observable_gradient(circ, theta, obs, features)
+    source = obs if data.draw(st.booleans()) else grad_fn
+    with pytest.MonkeyPatch.context() as mp:
+        if data.draw(st.booleans()):
+            mp.setattr(differentiation, "EXACT_QFIM_MAX_PARAMS", 0)
+        got = score_batch(thetas, circ, source, spec, features)
+        want = [per_theta_score(theta, circ, grad_fn, spec, features)
+                for theta in thetas]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        singles = [score(theta, circ, source, spec, features).raw
+                   for theta in thetas]
+        np.testing.assert_allclose(got, singles, rtol=1e-12, atol=1e-12)
+        # one theta per chunk, then two
+        for per_chunk in (1, 2):
+            mp.setattr(differentiation, "MAX_SWEEP_AMPLITUDES",
+                       per_chunk * (p + 1) << circ.num_qubits)
+            assert sweep_batch_size(circ) == per_chunk
+            np.testing.assert_allclose(
+                score_batch(thetas, circ, source, spec, features), got,
+                rtol=1e-12, atol=1e-12)
+
+
+def test_score_batch_nan_row_raises():
+    obs = Observable(((1.0, "ZZZ"),))
+    grad_fn = lambda theta: observable_gradient(circ, theta, obs)
+    for circ in (build_hea(2, 3), build_strongly_entangling(2, 3)):
+        thetas = np.full((4, circ.num_params), 0.3)
+        thetas[2, -1] = math.nan
+        for exact_max in (64, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(differentiation, "EXACT_QFIM_MAX_PARAMS", exact_max)
+                for kind in SCORE_KINDS:
+                    for source in (obs, grad_fn):
+                        with pytest.raises(FloatingPointError):
+                            score_batch(thetas, circ, source,
+                                        ScoreSpec(kind=kind))
+
+
+def test_score_batch_validation():
+    circ = build_hea(1, 2)
+    with pytest.raises(ValueError, match="shape"):
+        score_batch(np.zeros(circ.num_params), circ, None, ScoreSpec(kind=S1))
+    with pytest.raises(ValueError, match="task gradient"):
+        score_batch(np.zeros((2, circ.num_params)), circ, None,
+                    ScoreSpec(kind=S2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(differentiation, "EXACT_QFIM_MAX_PARAMS", 0)
+        untagged = Circuit(2, circ.gates, circ.num_params)
+        with pytest.raises(ValueError, match="empirical QFIM"):
+            score_batch(np.zeros((2, circ.num_params)), untagged, None,
+                        ScoreSpec(kind=S1))
+
+
+@pytest.mark.parametrize("theta_draws", [1, 2])
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+def test_es_trace_same_through_batch_form(kind, theta_draws):
+    circ = build_two_design(2, 3, seed=4)
+    obs = Observable(((1.0, "ZZZ"), (0.5, "XIY")))
+    spec = ScoreSpec(kind=kind, omega=LOG_DET)
+    objective = initialization_objective(circ, spec, obs,
+                                         theta_draws=theta_draws)
+    assert hasattr(objective, "batch")
+
+    def rollout(hp, rng):
+        # the per-rollout form from score alone, with a callable gradient
+        grad_fn = lambda theta: observable_gradient(circ, theta, obs)
+        total = 0.0
+        for _ in range(theta_draws):
+            theta = sample_params(hp, circ.num_params, rng)
+            total += score(theta, circ, grad_fn, spec).raw
+        return total / theta_draws
+
+    cfg = EsConfig(n_iters=3, eps_converge=1e-12)
+    hp0 = HyperParams(BETA, (1.5, 2.0))
+    batched = es_optimize(objective, hp0, cfg, 7)
+    single = es_optimize(lambda hp, rng: objective(hp, rng), hp0, cfg, 7)
+    composed = es_optimize(rollout, hp0, cfg, 7)
+    assert batched[0] == single[0] == composed[0]
+    assert batched[1] == single[1] == composed[1]
