@@ -14,12 +14,14 @@ sweeps of B = 1, and callers keep B under the MAX_SWEEP_AMPLITUDES cap with
 sweep_batch_size. The exact QFIM (one batched Gram over the (B, p, 2^n)
 derivatives), the block-diagonal QFIM (one block per tagged ansatz layer,
 each closed at its layer's last gate) and the gradient of a Pauli-sum
-expectation, 2 Re<H psi|d_mu psi>, all read the sweep. For
-costs that are sums of per-row diagonal expectations, the adjoint sweep gets
-the gradient from the forward states and one backward pass. Both sweeps read
--(i/2) G psi off one cached Pauli table per rotation. The rank-one empirical
-QFIM is built from a task gradient. Spectra of the QFIM and of dense
-Hamiltonians come from one eigensolver, LAPACK's via np.linalg.eigvalsh.
+expectation, 2 Re<H psi|d_mu psi>, all read the sweep. For costs that are
+sums of per-row diagonal expectations, the adjoint sweep gets the gradient
+from one backward pass over given final rows and costates: the forward
+states, or the basis rows of a unitary that all rows share. Both sweeps
+read -(i/2) G psi off one cached Pauli table per rotation. The rank-one
+empirical QFIM is built from a task gradient. Spectra of the QFIM and of
+dense Hamiltonians come from one eigensolver, LAPACK's via
+np.linalg.eigvalsh.
 """
 from __future__ import annotations
 
@@ -91,37 +93,52 @@ def _derivative_table(kind: str, qubit: int, num_qubits: int):
     return factor, source
 
 
-def adjoint_gradient(circuit: Circuit, theta, states: np.ndarray,
-                     diagonal: np.ndarray, features=None) -> np.ndarray:
-    """sum_i d<psi_i|D_i|psi_i>/dtheta by one backward sweep (Jones & Gacon,
-    arXiv:2009.02823).
+def first_param_gate(circuit: Circuit) -> int:
+    """Index of the circuit's first theta gate (len(gates) if none): the
+    gates before it are theta-independent, and no backward sweep undoes
+    them."""
+    return next((k for k, gate in enumerate(circuit.gates)
+                 if gate.param_slot is not None), len(circuit.gates))
 
-    states: the (n, 2^q) forward states at theta for the n feature rows;
-    diagonal: (n, 2^q) real diagonals D_i. Walking the
-    gates in reverse with phi = U_k..U_1|0> and lambda = U_{k+1}^dag..D psi,
-    the slot of a rotation exp(-i a G / 2) gets
-    Im<lambda|G|phi> = 2 Re<lambda|-(i/2) G phi>, and then both states undo
-    the gate.
+
+def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
+                     lam: np.ndarray, features=None) -> np.ndarray:
+    """sum_j 2 Re<lambda_j|d phi_j/dtheta> by one backward sweep (Jones &
+    Gacon, arXiv:2009.02823).
+
+    phi: (m, 2^q) rows after the last gate, each made from a theta-free
+    row by the gates from the first theta gate on; lam: (m, 2^q) costates,
+    held fixed. Walking the gates in reverse, with both rows carried back
+    to just after gate k, the slot of a rotation exp(-i a G / 2) gets
+    Im<lambda|G|phi> = 2 Re<lambda|-(i/2) G phi>, and then both rows undo
+    the gate. The sweep stops at the first theta gate.
+
+    The gradient of sum_i <psi_i|D_i|psi_i> over n forward states takes
+    (psi, D psi, features), whose (n, f) rows drive any feature gate the
+    sweep meets. Without features no feature gate may follow the first
+    theta gate; then phi_j = U M e_j and lambda_j = e_j give
+    2 Re Tr(dU M) for the unitary U of the gates the sweep walks.
     """
     theta = np.asarray(theta, dtype=float)
-    n = states.shape[0]
+    m = phi.shape[0]
     grad = np.zeros(circuit.num_params)
     gates = circuit.gates
-    first = next((k for k, gate in enumerate(gates)
-                  if gate.param_slot is not None), len(gates))
-    feats = np.zeros((n, 0)) if features is None else np.atleast_2d(
-        np.asarray(features, dtype=float))
+    first = first_param_gate(circuit)
+    if features is None:
+        pair_feats = np.zeros((1, 0))
+    else:
+        feats = np.atleast_2d(np.asarray(features, dtype=float))
+        pair_feats = np.concatenate([feats, feats])
     # phi rows then lambda rows, so each undo is one kernel call
-    pair = np.concatenate([states, diagonal * states])
-    pair_feats = np.concatenate([feats, feats])
+    pair = np.concatenate([phi, lam])
     thetas = theta[None, :]
     for k in range(len(gates) - 1, first - 1, -1):
         gate = gates[k]
         if gate.param_slot is not None:
             factor, source = _derivative_table(gate.kind, gate.target,
                                                circuit.num_qubits)
-            phi = pair[:n] if source is None else pair[:n, source]
-            grad[gate.param_slot] = 2.0 * np.vdot(pair[n:], factor * phi).real
+            rows = pair[:m] if source is None else pair[:m, source]
+            grad[gate.param_slot] = 2.0 * np.vdot(pair[m:], factor * rows).real
         if k > first:
             apply_gate(pair, gate, thetas, pair_feats, inverse=True)
     return grad

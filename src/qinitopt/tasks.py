@@ -10,7 +10,17 @@ parameter-shift oracle reads. The VQE energy and its gradient,
 2 Re<H psi|d_mu psi>, come from the state and state derivatives of one
 forward sweep. The classification loss chains through the class marginals
 analytically; at fixed chain-rule weights it is a sum of per-row diagonal
-expectations, whose gradient one adjoint sweep over the forward states gives.
+expectations, whose gradient one adjoint sweep gives.
+
+A classifier whose feature gates all precede its first theta gate (every
+embed_angles circuit) has states psi_i = U(theta) x_i, with x_i the fixed
+state the feature prefix makes from row i. When the task has at least 2^q
+training rows it keeps X = (x_i) and, for each theta, runs the gates from
+the first theta gate on once on the 2^q basis rows to get U; every state
+is then a row of one matrix product, and the adjoint sweep runs over
+2 * 2^q rows. Otherwise (features re-uploaded after a theta gate, or fewer
+rows than 2^q) each row is simulated and swept on its own. The path is
+fixed when the task is built.
 """
 from __future__ import annotations
 
@@ -19,10 +29,12 @@ import math
 
 import numpy as np
 
-from .differentiation import (_energy_gradient, adjoint_gradient,
+from .differentiation import (_energy_gradient, _one_theta,
+                              adjoint_gradient, first_param_gate,
                               hermitian_eigenvalues)
-from .simulator import (Circuit, Observable, apply_circuit,
-                        apply_pauli_word, expectation)
+from .simulator import (Circuit, Observable, _as_batch, apply_circuit,
+                        apply_gate, apply_pauli_word, check_normalized,
+                        expectation, run_gates)
 
 PROB_CLAMP = 1e-10
 MAX_ORACLE_QUBITS = 10
@@ -84,6 +96,11 @@ class QmlTask:
     train_labels: np.ndarray
     num_classes: int
     measured_qubits: int = field(init=False)
+    # the theta-free gates before the first theta gate, the gates from it
+    # on, and on the shared path the (n, 2^q) training rows after the prefix
+    _prefix: tuple = field(init=False, repr=False)
+    _body: tuple = field(init=False, repr=False)
+    _embedded: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -103,11 +120,52 @@ class QmlTask:
         self.measured_qubits = class_qubits(self.num_classes)
         if self.measured_qubits > self.circuit.num_qubits:
             raise ValueError("too many classes for this qubit count")
+        first = first_param_gate(self.circuit)
+        self._prefix = self.circuit.gates[:first]
+        self._body = self.circuit.gates[first:]
+        # the shared path needs every feature gate in the prefix, and pays
+        # off once the 2^q basis rows are no more than the training rows
+        shared = (all(gate.feature_slot is None for gate in self._body)
+                  and 1 << self.circuit.num_qubits <= len(self.train_features))
+        self._embedded = self._embed(self.train_features) if shared else None
+
+    def _embed(self, feats: np.ndarray) -> np.ndarray:
+        """(B, 2^q) states after the prefix for (B, f) feature rows."""
+        # the prefix reads no theta slot
+        return run_gates(self._prefix, self.circuit.num_qubits,
+                         np.zeros((len(feats), 0)), feats)
+
+    def _shared_states(self, theta, embedded: np.ndarray):
+        """(states, basis): U(theta) applied to the (B, 2^q) embedded rows,
+        and basis, the (2^q, 2^q) rows U e_j that the body gives when run
+        once on the basis rows, so that states = embedded @ basis."""
+        theta = _one_theta(self.circuit, theta)
+        basis = np.eye(1 << self.circuit.num_qubits, dtype=complex)
+        for gate in self._body:
+            apply_gate(basis, gate, theta, np.zeros((1, 0)))
+        states = embedded @ basis
+        check_normalized(states)
+        return states, basis
+
+    def _train_states(self, theta):
+        """(states, basis) of the training rows; basis is None on the
+        per-row path."""
+        if self._embedded is None:
+            return apply_circuit(self.circuit, _one_theta(self.circuit, theta),
+                                 self.train_features), None
+        return self._shared_states(theta, self._embedded)
 
     def probabilities(self, theta, features) -> np.ndarray:
         """Class probabilities for one feature row or a batch of rows."""
-        raw = _class_marginals(apply_circuit(self.circuit, theta, features),
-                               self.measured_qubits, self.num_classes)
+        if self._embedded is None:
+            states = apply_circuit(self.circuit, theta, features)
+        else:
+            feats, batched = _as_batch(features, self.circuit.num_features,
+                                       "features")
+            states = self._shared_states(theta, self._embed(feats))[0]
+            if not batched:
+                states = states[0]
+        raw = _class_marginals(states, self.measured_qubits, self.num_classes)
         return raw / raw.sum(axis=-1, keepdims=True)
 
     def _loss(self, states: np.ndarray):
@@ -123,8 +181,7 @@ class QmlTask:
 
     def cost_value(self, theta) -> float:
         """Mean cross-entropy over the training batch."""
-        return float(self._loss(apply_circuit(self.circuit, theta,
-                                              self.train_features))[0])
+        return float(self._loss(self._train_states(theta)[0])[0])
 
     def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
         """The mean cross-entropy and its exact gradient.
@@ -134,17 +191,15 @@ class QmlTask:
         sum, so at fixed weights w_ic = dL_i/draw_c the gradient is that of
         sum_i <psi_i|D_i|psi_i> / n, with D_i the diagonal holding w_ic on
         every amplitude whose measured-qubit prefix is class c (0 on
-        truncated classes). One adjoint sweep from the forward states gives
-        it. Samples sitting on the clamp contribute zero gradient.
+        truncated classes). One adjoint sweep gives it: on the per-row path
+        over the n forward states psi_i and costates D_i psi_i; on the
+        shared path, where psi_i = U x_i, over the 2^q basis rows, as
+        2 Re Tr(dU M) with M = sum_i x_i (D_i psi_i)^dag. Samples sitting on
+        the clamp contribute zero gradient.
         """
-        theta = np.asarray(theta, dtype=float)
-        p = self.circuit.num_params
-        if theta.shape != (p,):
-            raise ValueError(f"theta must have shape ({p},)")
-        feats = self.train_features
-        states = apply_circuit(self.circuit, theta, feats)
+        states, basis = self._train_states(theta)
         loss, raw, s, hit = self._loss(states)
-        n = len(feats)
+        n = len(states)
         rows, labels = np.arange(n), self.train_labels
         live = (hit > PROB_CLAMP) & (hit < 1.0 - PROB_CLAMP)
         weights = np.zeros((n, 1 << self.measured_qubits))
@@ -152,10 +207,17 @@ class QmlTask:
         weights[rows, labels] -= 1.0 / np.maximum(raw[rows, labels],
                                                   PROB_CLAMP)
         weights[~live] = 0.0
-        diagonal = np.repeat(weights, states.shape[1] >> self.measured_qubits,
-                             axis=1)
-        grad = adjoint_gradient(self.circuit, theta, states, diagonal,
-                                feats) / n
+        costates = np.repeat(weights, states.shape[1] >> self.measured_qubits,
+                             axis=1) * states
+        if basis is None:
+            grad = adjoint_gradient(self.circuit, theta, states, costates,
+                                    self.train_features)
+        else:
+            # M = sum_i x_i lambda_i^dag; row j of M^T @ basis is U M e_j
+            m = self._embedded.T @ costates.conj()
+            grad = adjoint_gradient(self.circuit, theta, m.T @ basis,
+                                    np.eye(len(basis)))
+        grad /= n
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(
                 "classification gradient has non-finite entries")

@@ -14,7 +14,8 @@ from qinitopt.cli import (cmd_bp_scan, cmd_grad_profile, cmd_hypopt, cmd_qml,
 from qinitopt.differentiation import sweep_batch_size
 from qinitopt.distributions import HyperParams, child_rng, sample_params
 from qinitopt.records import record_hash
-from qinitopt.simulator import build_strongly_entangling, build_two_design
+from qinitopt.simulator import (build_hea, build_strongly_entangling,
+                                build_two_design)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCHEMA = json.loads((REPO / "docs" / "runrecord.schema.json").read_text())
@@ -505,8 +506,9 @@ def count_sweeps(monkeypatch):
 def test_cli_objectives_sweep_once_per_chunk(tmp_path, monkeypatch,
                                              amplitudes):
     """One sweep per chunk per ES iteration, two on the block path with a
-    Pauli-sum gradient (blocks, then gradients); amplitudes, when set,
-    lowers the cap so that 16 rollouts take several chunks."""
+    Pauli-sum gradient (blocks, then gradients), and one per chunk of
+    grad-profile's gradient samples; amplitudes, when set, lowers the cap
+    so that 16 rollouts take several chunks."""
     if amplitudes is not None:
         monkeypatch.setattr(differentiation, "MAX_SWEEP_AMPLITUDES",
                             amplitudes)
@@ -540,6 +542,11 @@ def test_cli_objectives_sweep_once_per_chunk(tmp_path, monkeypatch,
     cmd_bp_scan(cfg)
     expected = sum(chunks(build_two_design(2, n, 0)) for n in (2, 3))
     assert len(calls) == 3 * expected  # s1, s2 and s3; uniform runs no ES
+    calls.clear()
+    cfg = resolve_config("grad-profile", overrides=["m_samples=100"])
+    cmd_grad_profile(cfg)
+    step = sweep_batch_size(build_hea(5, 4))
+    assert len(calls) == -(-100 // step) and sum(calls) == 100
 
 
 def test_hypopt_takes_a_hamiltonian_above_the_dense_oracle_cap(tmp_path,

@@ -91,8 +91,8 @@ def test_adjoint_matches_shift_on_diagonal_observables():
                  build_two_design(3, 3, seed=4)):
         theta = rng.uniform(0, 2 * math.pi, circ.num_params)
         diagonal = rng.standard_normal((1, 8))
-        got = adjoint_gradient(circ, theta, apply_circuit(circ, theta[None, :]),
-                               diagonal)
+        states = apply_circuit(circ, theta[None, :])
+        got = adjoint_gradient(circ, theta, states, diagonal * states)
         want = gradient(circ, theta, lambda rows: (
             np.abs(apply_circuit(circ, rows)) ** 2) @ diagonal[0])
         assert np.max(np.abs(got - want)) < 1e-10

@@ -1,16 +1,22 @@
 """Task costs, gradients, Adam, and the dense ground-energy oracle."""
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qinitopt import tasks
 from qinitopt.differentiation import gradient
-from qinitopt.simulator import (CNOT, CZ, FIXED_RY, ROTATION_KINDS, RY,
-                                RZ, Circuit, Gate, Observable, apply_circuit,
-                                build_strongly_entangling, embed_angles)
+from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
+                                ROTATION_KINDS, RY, RZ, Circuit, Gate,
+                                Observable, apply_circuit, build_hea,
+                                build_strongly_entangling, build_two_design,
+                                embed_angles)
 from qinitopt.tasks import (PROB_CLAMP, AdamState, QmlTask, VqeTask, adam_step,
-                            exact_ground_energy, make_vqe_task, qml_cost_batch,
-                            train)
+                            class_qubits, exact_ground_energy, make_vqe_task,
+                            qml_cost_batch, train)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -381,9 +387,14 @@ def random_classifier(rng, qubits: int, features: int, depth: int) -> Circuit:
 
 def test_qml_gradient_matches_parameter_shift():
     rng = np.random.default_rng(83)
-    for trial in range(6):
+    for trial in range(7):
         qubits, classes = ((2, 2), (3, 3), (3, 2))[trial % 3]
-        circ = random_classifier(rng, qubits, qubits, depth=int(rng.integers(8, 20)))
+        if trial < 6:
+            circ = random_classifier(rng, qubits, qubits,
+                                     depth=int(rng.integers(8, 20)))
+        else:
+            # features first and 2^q <= 9 rows: the shared-unitary path
+            circ = embedded_classifier(2, qubits)
         feats = rng.uniform(-math.pi, math.pi, (9, qubits))
         labels = rng.integers(0, classes, 9)
         task = QmlTask(circ, feats, labels, classes)
@@ -455,3 +466,132 @@ def test_qml_training_reduces_loss():
     _, curve = train(task, theta0, iters=40, lr=0.1)
     assert curve[-1] < curve[0]
     assert np.all(np.isfinite(curve))
+
+
+def on_path(task: QmlTask, shared: bool) -> QmlTask:
+    """A copy of the task forced onto the shared-unitary or the per-row
+    path, whatever its own row count selects."""
+    forced = copy.copy(task)
+    forced._embedded = (forced._embed(forced.train_features) if shared
+                        else None)
+    return forced
+
+
+@st.composite
+def clamped_qml_cases(draw):
+    """(task, theta): an embed_angles classifier from one of the three
+    builders on 2-4 qubits with 2-4 classes, n rows on either side of 2^q,
+    some of them on the probability clamp. A clamp row's features leave
+    every embedded qubit in |0> after the prefix; at theta = 0 (or 1e-6 off
+    it) the body keeps the measured qubits' class-0 marginal at 1 (within
+    1e-12), so its label probability sits at 0 or 1."""
+    qubits = draw(st.integers(2, 4))
+    classes = draw(st.integers(2, 4))
+    layers = draw(st.integers(1, 2))
+    builder = draw(st.sampled_from(("strongly_entangling", "hea",
+                                    "two_design")))
+    clamp_angle = 0.0
+    if builder == "strongly_entangling":
+        circ = build_strongly_entangling(layers, qubits)
+    elif builder == "hea":
+        circ = build_hea(layers, qubits)
+    else:
+        circ = build_two_design(layers, qubits, seed=draw(st.integers(0, 9)))
+        clamp_angle = -FIXED_RY_ANGLE
+    width = draw(st.integers(class_qubits(classes), qubits))
+    circ = embed_angles(circ, width)
+    dim = 1 << qubits
+    n = dim + draw(st.integers(1 - dim, dim))
+    clamped = draw(st.integers(0, n))
+    scale = draw(st.sampled_from((0.0, 1e-6, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    feats = rng.uniform(-math.pi, math.pi, (n, width))
+    feats[:clamped] = clamp_angle
+    labels = rng.integers(0, classes, n)
+    theta = scale * rng.uniform(0, 2 * math.pi, circ.num_params)
+    return QmlTask(circ, feats, labels, classes), theta
+
+
+@given(clamped_qml_cases())
+def test_qml_shared_path_matches_per_row(case):
+    """Loss, gradient, cost and probabilities of the shared-unitary path
+    equal the per-row path's within 1e-12 of each quantity's scale."""
+    task, theta = case
+    shared, per_row = on_path(task, True), on_path(task, False)
+
+    def close(got, want):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    value, grad = shared.value_and_gradient(theta)
+    want_value, want_grad = per_row.value_and_gradient(theta)
+    close(value, want_value)
+    close(grad, want_grad)
+    close(shared.cost_value(theta), per_row.cost_value(theta))
+    feats = task.train_features
+    close(shared.probabilities(theta, feats),
+          per_row.probabilities(theta, feats))
+    close(shared.probabilities(theta, feats[0]),
+          per_row.probabilities(theta, feats[0]))
+
+
+def count_paths(monkeypatch):
+    """Rows of every backward sweep and the number of per-row forward
+    simulations that tasks makes."""
+    seen = {"sweep_rows": [], "per_row_runs": 0}
+    sweep, run = tasks.adjoint_gradient, tasks.apply_circuit
+
+    def counted_sweep(circuit, theta, phi, lam, features=None):
+        seen["sweep_rows"].append(len(phi) + len(lam))
+        return sweep(circuit, theta, phi, lam, features)
+
+    def counted_run(*args):
+        seen["per_row_runs"] += 1
+        return run(*args)
+    monkeypatch.setattr(tasks, "adjoint_gradient", counted_sweep)
+    monkeypatch.setattr(tasks, "apply_circuit", counted_run)
+    return seen
+
+
+def test_qml_path_selection(monkeypatch):
+    """Re-uploading circuits and tasks with 2^q > n sweep 2n rows per
+    gradient and simulate every row; an embed_angles circuit with n >= 2^q
+    sweeps 2 * 2^q rows and simulates no row alone."""
+    rng = np.random.default_rng(86)
+    reuploading = random_classifier(rng, 3, 3, depth=12)
+    embedded = embedded_classifier(1, 3)
+    seen = count_paths(monkeypatch)
+    for circ, n, shared in ((reuploading, 20, False), (embedded, 7, False),
+                            (embedded, 8, True), (embedded, 20, True)):
+        seen["sweep_rows"].clear()
+        seen["per_row_runs"] = 0
+        feats = rng.uniform(-math.pi, math.pi, (n, 3))
+        task = QmlTask(circ, feats, rng.integers(0, 2, n), 2)
+        theta = rng.uniform(0, 2 * math.pi, circ.num_params)
+        task.value_and_gradient(theta)
+        task.cost_value(theta)
+        task.accuracy(theta, feats, task.train_labels)
+        assert seen["sweep_rows"] == [2 * 8 if shared else 2 * n]
+        assert seen["per_row_runs"] == (0 if shared else 3)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_qml_rejects_nan_theta_and_features(shared):
+    rng = np.random.default_rng(87)
+    circ = embedded_classifier(1, 2)
+    n = 6 if shared else 3  # 2^q = 4 rows
+    feats = rng.uniform(-math.pi, math.pi, (n, 2))
+    task = QmlTask(circ, feats, rng.integers(0, 2, n), 2)
+    assert (task._embedded is not None) == shared
+    theta = rng.uniform(0, 2 * math.pi, circ.num_params)
+    bad = theta.copy()
+    bad[4] = math.nan
+    for call in (task.value_and_gradient, task.cost_value,
+                 lambda t: task.probabilities(t, feats)):
+        with pytest.raises(FloatingPointError):
+            call(bad)
+    bad_feats = feats.copy()
+    bad_feats[1, 0] = math.nan
+    for rows in (bad_feats, bad_feats[1]):
+        with pytest.raises(FloatingPointError):
+            task.probabilities(theta, rows)
