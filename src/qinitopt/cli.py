@@ -311,18 +311,23 @@ def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
 def _train_methods(cfg: dict, circuit, task, score_gradient, features,
                    describe) -> dict:
     """Per method: its initialization hyperparameters, one Adam run of the
-    task from a draw of them, and describe(theta, curve) of that run."""
+    task from a draw of them, and describe(theta, curve) of that run.
+
+    Every method's search and draw comes first, each from its own streams;
+    then one train call steps all the draws in lockstep as one stack."""
     methods = _check_methods(cfg["methods"], _TRAIN_METHODS)
     # fail before the first search, not after it
     check_training(cfg["train"]["iters"], cfg["train"]["lr"])
+    searched = [_method_hyperparams(method, cfg, circuit, score_gradient,
+                                    features) for method in methods]
+    theta0 = np.stack([sample_params(hp, circuit.num_params,
+                                     child_rng(cfg["seed"], "theta0", method))
+                       for method, (hp, _) in zip(methods, searched)])
+    thetas, curves = train(task, theta0, iters=cfg["train"]["iters"],
+                           lr=cfg["train"]["lr"])
     per_method = {}
-    for method in methods:
-        hp, trace = _method_hyperparams(method, cfg, circuit, score_gradient,
-                                        features)
-        theta0 = sample_params(hp, circuit.num_params,
-                               child_rng(cfg["seed"], "theta0", method))
-        theta, curve = train(task, theta0, iters=cfg["train"]["iters"],
-                             lr=cfg["train"]["lr"])
+    for method, (hp, trace), theta, curve in zip(methods, searched, thetas,
+                                                  curves):
         entry = {"hyperparams": [float(v) for v in hp.values],
                  **describe(theta, [float(c) for c in curve])}
         if trace is not None:
@@ -385,6 +390,11 @@ def cmd_qml(cfg: dict) -> dict:
     if cfg["dataset"] is None:
         raise ValueError("qml needs config key 'dataset'")
     full = load_csv(cfg["dataset"])
+    classes = full.num_classes
+    for key in ("subsample", "score_batch"):
+        if cfg[key] < classes:
+            raise ValueError(f"{key} must be at least the number of classes "
+                             f"({classes}), got {cfg[key]}")
     seed = cfg["seed"]
     train_ds, test_ds = split_80_20(full, seed)
     train_ds = stratified_subsample(train_ds, cfg["subsample"], seed)
@@ -393,7 +403,6 @@ def cmd_qml(cfg: dict) -> dict:
     scaler = fit_scaler(pca_transform(pca, train_ds.features))
     train_x = scale_features(pca_transform(pca, train_ds.features), scaler)
     test_x = scale_features(pca_transform(pca, test_ds.features), scaler)
-    classes = full.num_classes
     qubits = cfg["ansatz"]["qubits"] or max(k, class_qubits(classes))
     circuit = embed_angles(_build_ansatz(cfg["ansatz"], qubits=qubits), k)
     task = QmlTask(circuit, train_x, train_ds.labels, classes)
@@ -429,6 +438,8 @@ def cmd_grad_profile(cfg: dict) -> dict:
     m = cfg["m_samples"]
     if m < 1:
         raise ValueError("m_samples must be at least 1")
+    if cfg["bins"] < 1:
+        raise ValueError(f"bins must be at least 1, got {cfg['bins']}")
     thetas = np.stack([sample_params(hp, circuit.num_params, rng)
                        for _ in range(m)])
     step = sweep_batch_size(circuit)

@@ -113,15 +113,20 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     Im<lambda|G|phi> = 2 Re<lambda|-(i/2) G phi>, and then both rows undo
     the gate. The sweep stops at the first theta gate.
 
+    theta is one (p,) vector or a (B, p) batch; with a batch, row r of phi
+    and lam belongs to theta r % B, and each theta's slot sums are taken
+    over its own rows, in row order, into row b of the (B, p) result.
+
     The gradient of sum_i <psi_i|D_i|psi_i> over n forward states takes
-    (psi, D psi, features), whose (n, f) rows drive any feature gate the
-    sweep meets. Without features no feature gate may follow the first
-    theta gate; then phi_j = U M e_j and lambda_j = e_j give
-    2 Re Tr(dU M) for the unitary U of the gates the sweep walks.
+    (psi, D psi, features), whose rows drive any feature gate the sweep
+    meets. Without features no feature gate may follow the first theta
+    gate; then phi_j = U M e_j and lambda_j = e_j give 2 Re Tr(dU M) for
+    the unitary U of the gates the sweep walks.
     """
-    theta = np.asarray(theta, dtype=float)
+    thetas, batched = _theta_batch(circuit, theta)
+    b = len(thetas)
     m = phi.shape[0]
-    grad = np.zeros(circuit.num_params)
+    grad = np.zeros(thetas.shape)
     gates = circuit.gates
     first = first_param_gate(circuit)
     if features is None:
@@ -131,17 +136,21 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
         pair_feats = np.concatenate([feats, feats])
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([phi, lam])
-    thetas = theta[None, :]
     for k in range(len(gates) - 1, first - 1, -1):
         gate = gates[k]
         if gate.param_slot is not None:
             factor, source = _derivative_table(gate.kind, gate.target,
                                                circuit.num_qubits)
-            rows = pair[:m] if source is None else pair[:m, source]
-            grad[gate.param_slot] = 2.0 * np.vdot(pair[m:], factor * rows).real
+            rows = factor * (pair[:m] if source is None else pair[:m, source])
+            for r in range(b):
+                # contiguous, as a lone theta's rows are: vdot would pass a
+                # one-row strided view to BLAS with a stride, and sum it in
+                # another order
+                grad[r, gate.param_slot] = 2.0 * np.vdot(
+                    pair[m + r::b], np.ascontiguousarray(rows[r::b])).real
         if k > first:
             apply_gate(pair, gate, thetas, pair_feats, inverse=True)
-    return grad
+    return grad if batched else grad[0]
 
 
 def qfims_from_states(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
@@ -154,10 +163,14 @@ def qfims_from_states(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     return (fisher + fisher.transpose(0, 2, 1)) / 2.0
 
 
-def sweep_batch_size(circuit: Circuit) -> int:
-    """Thetas per sweep: the most whose (p + 1, B, 2^n) buffer holds at
-    most MAX_SWEEP_AMPLITUDES amplitudes, and at least one."""
-    per_theta = (circuit.num_params + 1) << circuit.num_qubits
+def sweep_batch_size(circuit: Circuit, rows_per_theta: int | None = None
+                     ) -> int:
+    """Thetas per sweep: the most whose buffers of rows_per_theta rows of
+    2^n amplitudes each (p + 1 by default, the forward sweep's height) hold
+    at most MAX_SWEEP_AMPLITUDES amplitudes, and at least one."""
+    if rows_per_theta is None:
+        rows_per_theta = circuit.num_params + 1
+    per_theta = rows_per_theta << circuit.num_qubits
     return max(1, MAX_SWEEP_AMPLITUDES // per_theta)
 
 
@@ -167,6 +180,18 @@ def _as_thetas(circuit: Circuit, thetas) -> np.ndarray:
     if thetas.ndim != 2 or thetas.shape[1] != p:
         raise ValueError(f"thetas must have shape (B, {p})")
     return thetas
+
+
+def _theta_batch(circuit: Circuit, theta) -> tuple[np.ndarray, bool]:
+    """(thetas, batched): a (p,) theta as a (1, p) batch, or a (B, p)
+    batch as it is; batched tells which was given."""
+    theta = np.asarray(theta, dtype=float)
+    p = circuit.num_params
+    if theta.shape == (p,):
+        return theta[None, :], False
+    if theta.ndim != 2 or theta.shape[1] != p:
+        raise ValueError(f"theta must have shape ({p},) or (B, {p})")
+    return theta, True
 
 
 def _one_theta(circuit: Circuit, theta) -> np.ndarray:

@@ -97,14 +97,26 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
     batch = getattr(score_eval, "batch", None)
     trace = EsTrace()
 
+    def settle(vec, iteration):
+        # an update that leaves the range the family maps back from (an
+        # exp over- or underflows) is a step too large, not a bad score
+        try:
+            if np.all(np.isfinite(vec)):
+                return materialize(vec)
+        except (OverflowError, ValueError):
+            pass
+        raise FloatingPointError(
+            f"ES diverged at iteration {iteration}: the hyperparameters left "
+            "the finite range; lower es.eta")
+
     for iteration in range(cfg.n_iters):
         gamma = perturbation_matrix(cfg.n_samples, lam.size, cfg.antithetic,
                                     child_rng(master_seed, "perturb", iteration))
         rngs = [child_rng(master_seed, "rollout", iteration, j)
                 for j in range(cfg.n_samples)]
+        candidates = [settle(lam_p, iteration)
+                      for lam_p in lam[None, :] + cfg.sigma_es * gamma]
         try:
-            candidates = [materialize(lam_p)
-                          for lam_p in lam[None, :] + cfg.sigma_es * gamma]
             if batch is not None:
                 raw = np.array(batch(candidates, rngs), dtype=float)
                 if raw.shape != (cfg.n_samples,):
@@ -128,12 +140,11 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
             grad /= cfg.n_samples * cfg.sigma_es
         else:
             grad = gamma.T @ zeta / (cfg.n_samples * cfg.sigma_es)
-        delta = cfg.eta * grad
-        if not np.all(np.isfinite(delta)):
-            raise FloatingPointError("non-finite hyperparameter update")
-        lam = lam + delta
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = cfg.eta * grad
+            lam = lam + delta
+        constrained = settle(lam, iteration)
         trace.unconstrained.append(tuple(lam))
-        constrained = materialize(lam)
         trace.hyperparams.append(tuple(constrained.values) if is_hp
                                  else tuple(constrained))
         trace.mean_score.append(float(raw.mean()))

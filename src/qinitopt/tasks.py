@@ -3,14 +3,21 @@
 VQE minimizes a Pauli-sum energy; QML classification embeds features as
 rotation angles and reads class probabilities off computational-basis
 marginals. Each task's value_and_gradient returns the cost and its exact
-gradient from one simulation of theta, so a step of the Adam loop `train`
-simulates once; cost_value is the cost alone, and cost_batch (VQE) or
-qml_cost_batch the cost of each row of a parameter batch, which the
-parameter-shift oracle reads. The VQE energy and its gradient,
-2 Re<H psi|d_mu psi>, come from the state and state derivatives of one
-forward sweep. The classification loss chains through the class marginals
-analytically; at fixed chain-rule weights it is a sum of per-row diagonal
-expectations, whose gradient one adjoint sweep gives.
+gradient from one simulation of theta, and cost_value the cost alone;
+cost_batch (VQE) and qml_cost_batch give the cost of each row of a
+parameter batch to the parameter-shift oracle. The VQE energy and its
+gradient, 2 Re<H psi|d_mu psi>, come from the state and state derivatives
+of one forward sweep. The classification loss chains through the class
+marginals analytically; at fixed chain-rule weights it is a sum of per-row
+diagonal expectations, whose gradient one adjoint sweep gives.
+
+value_and_gradient and cost_value take one (p,) theta or a (B, p) stack of
+thetas. A stack is simulated as one batch, chunked so that no buffer holds
+more than MAX_SWEEP_AMPLITUDES amplitudes, and returns (B,) costs and
+(B, p) gradients, row b bit for bit what theta b gives alone; a (p,) theta
+is the batch of one. `train` steps an (M, p) stack of starting points this
+way in lockstep: Adam is elementwise, so the rows never interact, and every
+step costs one batched simulation however many rows the stack holds.
 
 A classifier whose feature gates all precede its first theta gate (every
 embed_angles circuit) has states psi_i = U(theta) x_i, with x_i the fixed
@@ -18,9 +25,11 @@ state the feature prefix makes from row i. When the task has at least 2^q
 training rows it keeps X = (x_i) and, for each theta, runs the gates from
 the first theta gate on once on the 2^q basis rows to get U; every state
 is then a row of one matrix product, and the adjoint sweep runs over
-2 * 2^q rows. Otherwise (features re-uploaded after a theta gate, or fewer
-rows than 2^q) each row is simulated and swept on its own. The path is
-fixed when the task is built.
+2 * 2^q rows per theta. Otherwise (features re-uploaded after a theta gate,
+or fewer rows than 2^q) each row is simulated and swept on its own. The
+path is fixed when the task is built. In a batch of B thetas, row j * B + b
+of a basis or sweep batch belongs to theta b, the row-to-angle rule of
+simulator.apply_gate.
 """
 from __future__ import annotations
 
@@ -29,15 +38,41 @@ import math
 
 import numpy as np
 
-from .differentiation import (_energy_gradient, _one_theta,
+from .differentiation import (_energy_gradient, _one_theta, _theta_batch,
                               adjoint_gradient, first_param_gate,
-                              hermitian_eigenvalues)
+                              hermitian_eigenvalues, pauli_sum_gradients,
+                              state_derivatives_batch, sweep_batch_size)
 from .simulator import (Circuit, Observable, _as_batch, apply_circuit,
                         apply_gate, apply_pauli_word, check_normalized,
                         expectation, run_gates)
 
 PROB_CLAMP = 1e-10
 MAX_ORACLE_QUBITS = 10
+
+
+def _in_chunks(circuit: Circuit, theta, rows_per_theta, fn) -> tuple:
+    """fn over a (p,) theta or a (B, p) stack, in chunks of
+    sweep_batch_size(circuit, rows_per_theta) thetas. fn maps a (k, p)
+    chunk to a tuple of arrays with one leading entry per theta; they are
+    joined over the chunks, or cut to entry 0 for a (p,) theta."""
+    thetas, batched = _theta_batch(circuit, theta)
+    step = sweep_batch_size(circuit, rows_per_theta)
+    parts = [fn(thetas[start:start + step])
+             for start in range(0, len(thetas), step)]
+    joined = tuple(np.concatenate(column) for column in zip(*parts))
+    return joined if batched else tuple(column[0] for column in joined)
+
+
+def _by_theta(rows: np.ndarray, b: int) -> np.ndarray:
+    """(B, m, d) contiguous stack from (m * B, d) rows, row j * B + b of
+    theta b."""
+    return np.ascontiguousarray(
+        rows.reshape(-1, b, rows.shape[-1]).transpose(1, 0, 2))
+
+
+def _interleaved(stack: np.ndarray) -> np.ndarray:
+    """(m * B, d) rows from a (B, m, d) stack; the inverse of _by_theta."""
+    return stack.transpose(1, 0, 2).reshape(-1, stack.shape[-1])
 
 
 @dataclass
@@ -50,19 +85,24 @@ class VqeTask:
         if self.hamiltonian.num_qubits != self.circuit.num_qubits:
             raise ValueError("Hamiltonian and ansatz qubit counts differ")
 
-    def cost_value(self, theta) -> float:
-        p = self.circuit.num_params
-        if np.shape(theta) != (p,):
-            raise ValueError(f"theta must have shape ({p},)")
-        return float(expectation(apply_circuit(self.circuit, theta),
-                                 self.hamiltonian))
+    def cost_value(self, theta):
+        """The energy of a (p,) theta, or the (B,) energies of a stack."""
+        def chunk(thetas):
+            return (expectation(apply_circuit(self.circuit, thetas),
+                                self.hamiltonian),)
+        return _in_chunks(self.circuit, theta, None, chunk)[0]
 
     def cost_batch(self, thetas) -> np.ndarray:
         return expectation(apply_circuit(self.circuit, thetas), self.hamiltonian)
 
-    def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
-        psi, grad = _energy_gradient(self.circuit, theta, self.hamiltonian)
-        return expectation(psi, self.hamiltonian), grad
+    def value_and_gradient(self, theta):
+        """(energy, gradient) of a (p,) theta, or the (B,) energies and
+        (B, p) gradients of a stack, from one forward sweep per chunk."""
+        def chunk(thetas):
+            psi, dpsi = state_derivatives_batch(self.circuit, thetas)
+            return (expectation(psi, self.hamiltonian),
+                    pauli_sum_gradients(psi, dpsi, self.hamiltonian))
+        return _in_chunks(self.circuit, theta, None, chunk)
 
     def gradient(self, theta) -> np.ndarray:
         # the gradient alone, without the energy's pass over the Pauli terms
@@ -135,25 +175,40 @@ class QmlTask:
         return run_gates(self._prefix, self.circuit.num_qubits,
                          np.zeros((len(feats), 0)), feats)
 
-    def _shared_states(self, theta, embedded: np.ndarray):
-        """(states, basis): U(theta) applied to the (B, 2^q) embedded rows,
-        and basis, the (2^q, 2^q) rows U e_j that the body gives when run
-        once on the basis rows, so that states = embedded @ basis."""
-        theta = _one_theta(self.circuit, theta)
-        basis = np.eye(1 << self.circuit.num_qubits, dtype=complex)
+    def _shared_states(self, thetas: np.ndarray, embedded: np.ndarray):
+        """(states, unitary) for a (B, p) thetas batch: the (B, m, 2^q)
+        states U(theta_b) x_i of the (m, 2^q) embedded rows, and the
+        (B, 2^q, 2^q) rows U(theta_b) e_j, which the body gives when run
+        once on a batch of the 2^q basis rows, row j * B + b for theta b,
+        so that states[b] = embedded @ unitary[b]."""
+        d, b = 1 << self.circuit.num_qubits, len(thetas)
+        basis = np.repeat(np.eye(d, dtype=complex), b, axis=0)
         for gate in self._body:
-            apply_gate(basis, gate, theta, np.zeros((1, 0)))
-        states = embedded @ basis
-        check_normalized(states)
-        return states, basis
+            apply_gate(basis, gate, thetas, np.zeros((1, 0)))
+        unitary = basis.reshape(d, b, d).transpose(1, 0, 2)
+        states = embedded @ unitary
+        check_normalized(states.reshape(-1, d))
+        return states, unitary
 
-    def _train_states(self, theta):
-        """(states, basis) of the training rows; basis is None on the
-        per-row path."""
+    def _train_states(self, thetas: np.ndarray):
+        """(states, unitary): the (B, n, 2^q) training states under a
+        (B, p) thetas batch; unitary is None on the per-row path, whose
+        n * B rows run as one batch."""
         if self._embedded is None:
-            return apply_circuit(self.circuit, _one_theta(self.circuit, theta),
-                                 self.train_features), None
-        return self._shared_states(theta, self._embedded)
+            n, b = len(self.train_features), len(thetas)
+            rows = apply_circuit(self.circuit, np.tile(thetas, (n, 1)),
+                                 np.repeat(self.train_features, b, axis=0))
+            return _by_theta(rows, b), None
+        return self._shared_states(thetas, self._embedded)
+
+    def _rows_per_theta(self) -> int:
+        """Rows of 2^q amplitudes the largest buffer holds per theta: the
+        2n-row sweep on the per-row path; the n states or the 2 * 2^q-row
+        sweep on the shared path."""
+        n = len(self.train_features)
+        if self._embedded is None:
+            return 2 * n
+        return max(n, 2 << self.circuit.num_qubits)
 
     def probabilities(self, theta, features) -> np.ndarray:
         """Class probabilities for one feature row or a batch of rows."""
@@ -162,7 +217,8 @@ class QmlTask:
         else:
             feats, batched = _as_batch(features, self.circuit.num_features,
                                        "features")
-            states = self._shared_states(theta, self._embed(feats))[0]
+            states = self._shared_states(_one_theta(self.circuit, theta),
+                                         self._embed(feats))[0][0]
             if not batched:
                 states = states[0]
         raw = _class_marginals(states, self.measured_qubits, self.num_classes)
@@ -179,49 +235,65 @@ class QmlTask:
                        axis=-1)
         return loss, raw, s, hit
 
-    def cost_value(self, theta) -> float:
-        """Mean cross-entropy over the training batch."""
-        return float(self._loss(self._train_states(theta)[0])[0])
+    def cost_value(self, theta):
+        """Mean cross-entropy over the training batch, of a (p,) theta or
+        of each row of a (B, p) stack."""
+        def chunk(thetas):
+            return self._loss(self._train_states(thetas)[0])[:1]
+        return _in_chunks(self.circuit, theta, self._rows_per_theta(),
+                          chunk)[0]
 
-    def value_and_gradient(self, theta) -> tuple[float, np.ndarray]:
-        """The mean cross-entropy and its exact gradient.
+    def value_and_gradient(self, theta):
+        """The mean cross-entropy and its exact gradient, of a (p,) theta or
+        of each row of a (B, p) stack.
 
         The loss chains through the class marginals raw_c with
         dL_i/draw_c = -delta_{c,y_i}/raw_y + 1/s, s the kept-probability
         sum, so at fixed weights w_ic = dL_i/draw_c the gradient is that of
         sum_i <psi_i|D_i|psi_i> / n, with D_i the diagonal holding w_ic on
         every amplitude whose measured-qubit prefix is class c (0 on
-        truncated classes). One adjoint sweep gives it: on the per-row path
-        over the n forward states psi_i and costates D_i psi_i; on the
-        shared path, where psi_i = U x_i, over the 2^q basis rows, as
-        2 Re Tr(dU M) with M = sum_i x_i (D_i psi_i)^dag. Samples sitting on
-        the clamp contribute zero gradient.
+        truncated classes). One adjoint sweep per chunk of thetas gives it:
+        on the per-row path over the forward states psi_i and costates
+        D_i psi_i; on the shared path, where psi_i = U x_i, over the 2^q
+        basis rows of each theta, as 2 Re Tr(dU M) with
+        M = sum_i x_i (D_i psi_i)^dag. Samples sitting on the clamp
+        contribute zero gradient.
         """
-        states, basis = self._train_states(theta)
+        return _in_chunks(self.circuit, theta, self._rows_per_theta(),
+                          self._value_and_gradient)
+
+    def _value_and_gradient(self, thetas: np.ndarray):
+        """((B,) losses, (B, p) gradients) of a (B, p) thetas batch."""
+        states, unitary = self._train_states(thetas)
         loss, raw, s, hit = self._loss(states)
-        n = len(states)
+        b, n, d = states.shape
         rows, labels = np.arange(n), self.train_labels
         live = (hit > PROB_CLAMP) & (hit < 1.0 - PROB_CLAMP)
-        weights = np.zeros((n, 1 << self.measured_qubits))
-        weights[:, :self.num_classes] = (1.0 / s)[:, None]
-        weights[rows, labels] -= 1.0 / np.maximum(raw[rows, labels],
-                                                  PROB_CLAMP)
+        weights = np.zeros((b, n, 1 << self.measured_qubits))
+        weights[..., :self.num_classes] = (1.0 / s)[..., None]
+        weights[:, rows, labels] -= 1.0 / np.maximum(raw[:, rows, labels],
+                                                     PROB_CLAMP)
         weights[~live] = 0.0
-        costates = np.repeat(weights, states.shape[1] >> self.measured_qubits,
-                             axis=1) * states
-        if basis is None:
-            grad = adjoint_gradient(self.circuit, theta, states, costates,
-                                    self.train_features)
+        costates = np.repeat(weights, d >> self.measured_qubits,
+                             axis=-1) * states
+        if unitary is None:
+            grad = adjoint_gradient(
+                self.circuit, thetas, _interleaved(states),
+                _interleaved(costates),
+                np.repeat(self.train_features, b, axis=0))
         else:
-            # M = sum_i x_i lambda_i^dag; row j of M^T @ basis is U M e_j
+            # M_b = sum_i x_i lambda_i^dag; row j of M_b^T @ unitary[b] is
+            # U_b M_b e_j
             m = self._embedded.T @ costates.conj()
-            grad = adjoint_gradient(self.circuit, theta, m.T @ basis,
-                                    np.eye(len(basis)))
+            grad = adjoint_gradient(
+                self.circuit, thetas,
+                _interleaved(m.transpose(0, 2, 1) @ unitary),
+                np.repeat(np.eye(d), b, axis=0))
         grad /= n
         if not np.all(np.isfinite(grad)):
             raise FloatingPointError(
                 "classification gradient has non-finite entries")
-        return float(loss), grad
+        return loss, grad
 
     def gradient(self, theta) -> np.ndarray:
         return self.value_and_gradient(theta)[1]
@@ -233,7 +305,8 @@ class QmlTask:
 
 
 def qml_cost_batch(task: QmlTask, thetas) -> np.ndarray:
-    """Training loss for each row of a (B, p) parameter batch."""
+    """Training loss for each row of a (B, p) parameter batch, each training
+    row simulated on its own whatever path the task takes."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     b = thetas.shape[0]
     n = len(task.train_features)
@@ -282,23 +355,33 @@ def check_training(iters: int, lr: float) -> None:
 
 
 def train(task, theta0, iters: int = 100, lr: float = 0.01):
-    """Adam from theta0; returns (theta, curve) with curve[k] the cost after
-    k updates (length iters + 1).
+    """Adam from theta0; returns (theta, curve) with curve[..., k] the cost
+    after k updates (iters + 1 of them).
 
-    Each step makes one task.value_and_gradient call, which simulates the
-    current theta once for both its cost and its gradient; one
-    task.cost_value call gives the cost after the last update.
+    theta0 is one (p,) starting point, or an (M, p) stack that trains M
+    runs in lockstep: each step makes one task.value_and_gradient call on
+    the whole stack, which simulates every row once for both its cost and
+    its gradient, and one task.cost_value call gives the costs after the
+    last update. The Adam update is elementwise, so row r of the returned
+    (M, p) theta and (M, iters + 1) curve is bit for bit what
+    train(task, theta0[r]) returns. Raises FloatingPointError when an
+    update leaves a non-finite entry.
     """
     check_training(iters, lr)
     theta = np.array(theta0, dtype=float)
     curve = []
     state = AdamState(lr=lr)
-    for _ in range(iters):
+    for step in range(1, iters + 1):
         cost, grad = task.value_and_gradient(theta)
         curve.append(cost)
-        theta = adam_step(state, theta, grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            theta = adam_step(state, theta, grad)
+        if not np.all(np.isfinite(theta)):
+            raise FloatingPointError(
+                f"training diverged at step {step}: theta has non-finite "
+                "entries; lower train.lr")
     curve.append(task.cost_value(theta))
-    return theta, np.array(curve)
+    return theta, np.stack(curve, axis=-1)
 
 
 def exact_ground_energy(obs: Observable) -> float:

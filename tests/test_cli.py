@@ -2,7 +2,10 @@
 import csv
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -565,3 +568,70 @@ def test_hypopt_takes_a_hamiltonian_above_the_dense_oracle_cap(tmp_path,
                  "--out", str(tmp_path / "b")]) == 2
     assert capsys.readouterr().out == (
         "error: Hamiltonian and ansatz qubit counts differ\n")
+
+
+def test_vqe_trains_every_method_in_one_sweep_per_step(monkeypatch):
+    """All four methods step in lockstep: train.iters training sweeps of
+    four thetas each, not one sweep per method and step."""
+    calls = count_sweeps(monkeypatch)
+    cfg = resolve_config("vqe", overrides=[
+        f"hamiltonian={TOY_HAMILTONIAN}", "ansatz.layers=1", "es.n_iters=0",
+        "train.iters=5"])
+    record = cmd_vqe(cfg)
+    assert len(record["results"]["methods"]) == 4
+    assert calls == [4] * 5
+
+
+def test_main_reports_divergent_training_in_one_line(tmp_path):
+    """An overflowing Adam update ends the run with one error line that
+    names the step and train.lr, and no numpy warning reaches stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "vqe"
+    done = subprocess.run(
+        [sys.executable, "-m", "qinitopt.cli", "vqe", "--out", str(out),
+         "--set", "hamiltonian=hamiltonians/h2_4q.txt",
+         "--set", 'methods=["manual"]', "--set", "train.iters=2",
+         "--set", "train.lr=1e308"],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2
+    assert done.stdout.startswith("error: training diverged at step ")
+    assert done.stdout.count("\n") == 1 and "train.lr" in done.stdout
+    assert "RuntimeWarning" not in done.stderr
+    assert not out.exists()
+
+
+def test_main_names_es_overflow(tmp_path, capsys):
+    runs = (["hypopt", "--set", "ansatz.layers=1"],
+            ["vqe", "--set", f"hamiltonian={TOY_HAMILTONIAN}",
+             "--set", 'methods=["s1"]', "--set", "ansatz.layers=1",
+             "--set", "train.iters=1"])
+    for command in runs:
+        out = tmp_path / command[0]
+        assert main([*command, "--out", str(out), "--set", "es.eta=1e308",
+                     "--set", "es.n_iters=3"]) == 2
+        assert capsys.readouterr().out == (
+            "error: ES diverged at iteration 0: the hyperparameters left the "
+            "finite range; lower es.eta\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("item", ["score_batch=0", "score_batch=1",
+                                  "subsample=1"])
+def test_main_names_row_counts_below_the_class_count(tmp_path, capsys, item):
+    out = tmp_path / "qml"
+    code = main(["qml", "--out", str(out),
+                 "--set", f"dataset={make_dataset(tmp_path)}", "--set", item])
+    assert code == 2
+    key, value = item.split("=")
+    assert capsys.readouterr().out == (
+        f"error: {key} must be at least the number of classes (2), "
+        f"got {value}\n")
+    assert not out.exists()
+
+
+def test_main_rejects_zero_histogram_bins(tmp_path, capsys):
+    out = tmp_path / "grad-profile"
+    assert main(["grad-profile", "--out", str(out), "--set", "bins=0"]) == 2
+    assert capsys.readouterr().out == "error: bins must be at least 1, got 0\n"
+    assert not out.exists()

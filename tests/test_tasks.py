@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinitopt import tasks
+from qinitopt import differentiation, tasks
 from qinitopt.differentiation import gradient
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 ROTATION_KINDS, RY, RZ, Circuit, Gate,
@@ -145,13 +145,15 @@ def test_train_rejects_negative_iters_and_lr():
 
 
 class QuadraticToy:
-    """cost (theta - 2)^2 with its analytic gradient."""
+    """cost (theta - 2)^2 with its analytic gradient, of one (1,) theta or
+    of each row of an (M, 1) stack."""
 
     def cost_value(self, theta):
-        return float((theta[0] - 2.0) ** 2)
+        cost = (np.asarray(theta, dtype=float)[..., 0] - 2.0) ** 2
+        return float(cost) if cost.ndim == 0 else cost
 
     def gradient(self, theta):
-        return np.array([2.0 * (theta[0] - 2.0)])
+        return 2.0 * (np.asarray(theta, dtype=float) - 2.0)
 
     def value_and_gradient(self, theta):
         return self.cost_value(theta), self.gradient(theta)
@@ -186,6 +188,24 @@ def test_train_simulates_each_theta_once():
             assert len({t[0] for t in visited}) == iters + 1
             assert visited[0][0] == theta0[0] and visited[-1][0] == theta[0]
             assert list(curve) == [task.cost_value(t) for t in visited]
+    # a stack of two steps both rows with one call per step
+    for task, theta0 in ((QuadraticToy(), [[5.0], [-1.0]]),
+                         (single_ry_task(), [[0.3], [2.0]])):
+        for iters in (0, 1, 5):
+            counting = Counting(task)
+            theta, curve = train(counting, theta0, iters=iters, lr=0.05)
+            stepped = counting.calls["value_and_gradient"]
+            final = counting.calls["cost_value"]
+            assert len(stepped) == iters and len(final) == 1
+            visited = stepped + final
+            assert all(t.shape == (2, 1) for t in visited)
+            for row in range(2):
+                assert len({t[row, 0] for t in visited}) == iters + 1
+                assert visited[0][row, 0] == theta0[row][0]
+                assert visited[-1][row, 0] == theta[row, 0]
+            assert curve.shape == (2, iters + 1)
+            assert np.array_equal(curve, np.stack(
+                [task.cost_value(t) for t in visited], axis=-1))
 
 
 def test_training_curve_monotone_after_warmup():
@@ -595,3 +615,61 @@ def test_qml_rejects_nan_theta_and_features(shared):
     for rows in (bad_feats, bad_feats[1]):
         with pytest.raises(FloatingPointError):
             task.probabilities(theta, rows)
+
+
+@st.composite
+def lockstep_cases(draw):
+    """(task, stack, iters, lr): a VqeTask, or a QmlTask on the shared or
+    the per-row (re-uploading) path, with an (M, p) stack of starting
+    points."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    kind = draw(st.sampled_from(("vqe", "shared", "per_row")))
+    qubits = draw(st.integers(2, 3))
+    layers = draw(st.integers(1, 2))
+    if kind == "vqe":
+        circ = build_strongly_entangling(layers, qubits)
+        words = ["".join(rng.choice(list("IXYZ"), qubits)) for _ in range(3)]
+        task = make_vqe_task(
+            Observable(tuple(zip(rng.standard_normal(3).tolist(), words))),
+            circ)
+    else:
+        if kind == "shared":
+            circ = embedded_classifier(layers, qubits)
+            n = (1 << qubits) + draw(st.integers(0, 6))
+        else:
+            circ = random_classifier(rng, qubits, 2, depth=10)
+            n = draw(st.integers(1, 12))
+        task = QmlTask(circ, rng.uniform(-math.pi, math.pi,
+                                         (n, circ.num_features)),
+                       rng.integers(0, 2, n), 2)
+        assert (task._embedded is not None) == (kind == "shared")
+    stack = rng.uniform(0, 2 * math.pi,
+                        (draw(st.integers(1, 4)), circ.num_params))
+    return task, stack, draw(st.integers(0, 3)), draw(st.sampled_from(
+        (0.01, 0.1)))
+
+
+@pytest.mark.parametrize("one_per_chunk", [False, True])
+@settings(max_examples=40)
+@given(lockstep_cases())
+def test_train_stack_rows_equal_solo_runs(one_per_chunk, case):
+    """Row r of train(task, stack) is bit for bit train(task, stack[r]):
+    theta and curve, also when the sweep cap leaves one theta per chunk."""
+    task, stack, iters, lr = case
+    with pytest.MonkeyPatch.context() as patch:
+        if one_per_chunk:
+            patch.setattr(differentiation, "MAX_SWEEP_AMPLITUDES", 1)
+        theta, curve = train(task, stack, iters=iters, lr=lr)
+        assert theta.shape == stack.shape
+        assert curve.shape == (len(stack), iters + 1)
+        for row, start in enumerate(stack):
+            solo_theta, solo_curve = train(task, start, iters=iters, lr=lr)
+            assert theta[row].tobytes() == solo_theta.tobytes()
+            assert curve[row].tobytes() == solo_curve.tobytes()
+
+
+def test_train_names_the_diverging_step():
+    with np.errstate(all="raise"):  # no floating-point warning escapes
+        with pytest.raises(FloatingPointError,
+                           match="diverged at step 1.*lower train.lr"):
+            train(QuadraticToy(), [[5.0], [-1.0]], iters=3, lr=1e308)
