@@ -28,8 +28,7 @@ from . import __version__
 from .data import (Dataset, fit_pca, fit_scaler, load_csv, load_hamiltonian,
                    pca_transform, scale_features, split_80_20,
                    stratified_subsample)
-from .differentiation import (SHIFT, pauli_sum_gradients,
-                              state_derivatives_batch, sweep_batch_size)
+from .differentiation import SHIFT, observable_gradient
 from .distributions import (BETA, HyperParams, child_rng, init_guess,
                             manual_baseline, sample_params, to_unconstrained)
 from .es import EsConfig, es_optimize
@@ -442,11 +441,7 @@ def cmd_grad_profile(cfg: dict) -> dict:
         raise ValueError(f"bins must be at least 1, got {cfg['bins']}")
     thetas = np.stack([sample_params(hp, circuit.num_params, rng)
                        for _ in range(m)])
-    step = sweep_batch_size(circuit)
-    grads = np.concatenate([
-        pauli_sum_gradients(*state_derivatives_batch(
-            circuit, thetas[start:start + step]), obs)
-        for start in range(0, m, step)])
+    grads = observable_gradient(circuit, thetas, obs)
     histogram = []
     layer_mean_abs = []
     for index, tag in enumerate(circuit.layers):

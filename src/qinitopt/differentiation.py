@@ -4,24 +4,32 @@ Fisher information.
 Every parameterized gate in the simulator is a Pauli rotation
 R(a) = exp(-i a G / 2), so the two-point shift rule with shift pi/2 is exact
 for expectation-value costs; `gradient` applies it and stays the reference
-the faster paths are tested against. The forward sweep gets every state
-derivative from one pass: it runs each gate once on a batch whose row 0 is
-psi, and right after the gate of slot mu appends the row -(i/2) G_mu psi,
-which the remaining gates then carry to d_mu psi. That batch grows to at
-most p + 1 rows. One sweep serves a whole (B, p) batch of thetas, so a
-population costs one kernel call per gate; the single-theta functions are
-sweeps of B = 1, and callers keep B under the MAX_SWEEP_AMPLITUDES cap with
-sweep_batch_size. The exact QFIM (one batched Gram over the (B, p, 2^n)
-derivatives), the block-diagonal QFIM (one block per tagged ansatz layer,
-each closed at its layer's last gate) and the gradient of a Pauli-sum
-expectation, 2 Re<H psi|d_mu psi>, all read the sweep. For costs that are
-sums of per-row diagonal expectations, the adjoint sweep gets the gradient
-from one backward pass over given final rows and costates: the forward
-states, or the basis rows of a unitary that all rows share. Both sweeps
-read -(i/2) G psi off one cached Pauli table per rotation. The rank-one
-empirical QFIM is built from a task gradient. Spectra of the QFIM and of
-dense Hamiltonians come from one eigensolver, LAPACK's via
-np.linalg.eigvalsh.
+the faster paths are tested against.
+
+The forward sweep gets every state derivative from one pass: it runs each
+gate once on a batch whose row 0 is psi, and right after the gate of slot
+mu appends the row -(i/2) G_mu psi, which the remaining gates then carry to
+d_mu psi. That batch grows to at most p + 1 rows per theta. The exact QFIM
+(one batched Gram over the (B, p, 2^n) derivatives) and the block-diagonal
+QFIM (one block per tagged ansatz layer, each closed at its layer's last
+gate) read it, and so does pauli_sum_gradients, 2 Re<H psi|d_mu psi>, on
+the exact-QFIM path, where the derivatives are there anyway.
+
+The adjoint sweep (Jones & Gacon, arXiv:2009.02823) gets the gradient of a
+sum of per-row expectations from one backward pass over given final rows
+and costates, two rows each. It gives every other Pauli-sum gradient
+(observable_value_and_gradient: psi forward, then [psi; H psi] backward)
+and the classification gradient, over the forward states or the basis rows
+of a unitary that all rows share. Both sweeps read -(i/2) G psi off one
+cached Pauli table per rotation.
+
+One sweep serves a whole (B, p) batch of thetas, so a population costs one
+kernel call per gate, and a row's results keep the bits its theta gives
+alone; the single-theta functions are batches of one. Callers keep a
+buffer under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the rows per
+theta of the sweep they run. The rank-one empirical QFIM is built from a
+task gradient. Spectra of the QFIM and of dense Hamiltonians come from one
+eigensolver, LAPACK's via np.linalg.eigvalsh.
 """
 from __future__ import annotations
 
@@ -31,8 +39,9 @@ import math
 
 import numpy as np
 
-from .simulator import (Circuit, Observable, _pauli_table, apply_gate,
-                        apply_pauli_word, check_normalized)
+from .simulator import (Circuit, Observable, _expectation_from, _pauli_table,
+                        apply_gate, apply_observable, check_normalized,
+                        run_gates)
 
 SHIFT = math.pi / 2
 
@@ -114,8 +123,10 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     the gate. The sweep stops at the first theta gate.
 
     theta is one (p,) vector or a (B, p) batch; with a batch, row r of phi
-    and lam belongs to theta r % B, and each theta's slot sums are taken
-    over its own rows, in row order, into row b of the (B, p) result.
+    and lam belongs to theta r % B. Each slot reduces every row with one
+    np.vecdot, and each theta then sums its own rows' values in row order
+    into row b of the (B, p) result, so a theta gets the same bits at any
+    B.
 
     The gradient of sum_i <psi_i|D_i|psi_i> over n forward states takes
     (psi, D psi, features), whose rows drive any feature gate the sweep
@@ -126,7 +137,7 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     thetas, batched = _theta_batch(circuit, theta)
     b = len(thetas)
     m = phi.shape[0]
-    grad = np.zeros(thetas.shape)
+    p = circuit.num_params
     gates = circuit.gates
     first = first_param_gate(circuit)
     if features is None:
@@ -136,20 +147,23 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
         pair_feats = np.concatenate([feats, feats])
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([phi, lam])
+    # sums[mu, j] = Re<lambda_j|-(i/2) G_mu phi_j>, one vecdot per slot
+    sums = np.zeros((p, m))
     for k in range(len(gates) - 1, first - 1, -1):
         gate = gates[k]
         if gate.param_slot is not None:
             factor, source = _derivative_table(gate.kind, gate.target,
                                                circuit.num_qubits)
-            rows = factor * (pair[:m] if source is None else pair[:m, source])
-            for r in range(b):
-                # contiguous, as a lone theta's rows are: vdot would pass a
-                # one-row strided view to BLAS with a stride, and sum it in
-                # another order
-                grad[r, gate.param_slot] = 2.0 * np.vdot(
-                    pair[m + r::b], np.ascontiguousarray(rows[r::b])).real
+            rows = factor * (pair[:m] if source is None
+                             else pair[:m].take(source, axis=-1))
+            sums[gate.param_slot] = np.vecdot(pair[m:], rows).real
         if k > first:
             apply_gate(pair, gate, thetas, pair_feats, inverse=True)
+    # theta r owns rows r, r + b, ...; summing each theta's row sums along
+    # a contiguous axis gives it the same bits at any b
+    per_theta = np.ascontiguousarray(
+        sums.reshape(p, m // b, b).transpose(2, 0, 1))
+    grad = 2.0 * per_theta.sum(axis=-1)
     return grad if batched else grad[0]
 
 
@@ -174,33 +188,31 @@ def sweep_batch_size(circuit: Circuit, rows_per_theta: int | None = None
     return max(1, MAX_SWEEP_AMPLITUDES // per_theta)
 
 
-def _as_thetas(circuit: Circuit, thetas) -> np.ndarray:
-    thetas = np.asarray(thetas, dtype=float)
-    p = circuit.num_params
-    if thetas.ndim != 2 or thetas.shape[1] != p:
-        raise ValueError(f"thetas must have shape (B, {p})")
-    return thetas
-
-
-def _theta_batch(circuit: Circuit, theta) -> tuple[np.ndarray, bool]:
+def _theta_batch(circuit: Circuit, theta, single: bool = False
+                 ) -> tuple[np.ndarray, bool]:
     """(thetas, batched): a (p,) theta as a (1, p) batch, or a (B, p)
-    batch as it is; batched tells which was given."""
+    batch as it is; batched tells which was given. With single, only a
+    (p,) theta is accepted."""
     theta = np.asarray(theta, dtype=float)
     p = circuit.num_params
     if theta.shape == (p,):
         return theta[None, :], False
-    if theta.ndim != 2 or theta.shape[1] != p:
-        raise ValueError(f"theta must have shape ({p},) or (B, {p})")
+    if single or theta.ndim != 2 or theta.shape[1] != p:
+        raise ValueError(f"theta must have shape ({p},)"
+                         + ("" if single else f" or (B, {p})"))
     return theta, True
 
 
-def _one_theta(circuit: Circuit, theta) -> np.ndarray:
-    """theta as a (1, p) batch."""
-    theta = np.asarray(theta, dtype=float)
-    p = circuit.num_params
-    if theta.shape != (p,):
-        raise ValueError(f"theta must have shape ({p},)")
-    return theta[None, :]
+def _feature_row(circuit: Circuit, features) -> np.ndarray:
+    """features as the one (1, f) row every theta's feature gates read."""
+    f = circuit.num_features
+    if f and features is None:
+        raise ValueError("circuit has embedding slots; features required")
+    feats = np.zeros(0) if features is None else np.asarray(features,
+                                                            dtype=float)
+    if feats.size != f:
+        raise ValueError(f"features must have length {f}, got {feats.size}")
+    return feats.reshape(1, f)
 
 
 def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, features, stops):
@@ -217,14 +229,7 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, features, stops):
 
     Raises FloatingPointError when a state is not normalized (a NaN theta).
     """
-    f = circuit.num_features
-    if f and features is None:
-        raise ValueError("circuit has embedding slots; features required")
-    feats = np.zeros(0) if features is None else np.asarray(features,
-                                                            dtype=float)
-    if feats.size != f:
-        raise ValueError(f"features must have length {f}, got {feats.size}")
-    feats = feats.reshape(1, f)
+    feats = _feature_row(circuit, features)
     batch = thetas.shape[0]
     height = circuit.num_params + 1
     rows = np.zeros((height, batch, 1 << circuit.num_qubits), dtype=complex)
@@ -255,7 +260,7 @@ def state_derivatives_batch(circuit: Circuit, thetas,
     """(psi, dpsi): the (B, 2^n) states of a (B, p) thetas batch and their
     (B, p, 2^n) derivatives d_mu psi, row mu for slot mu, from one forward
     sweep."""
-    thetas = _as_thetas(circuit, thetas)
+    thetas = _theta_batch(circuit, thetas)[0]
     sweep = _derivative_sweep(circuit, thetas, features, (len(circuit.gates),))
     psi, rows, slots = next(sweep)
     dpsi = np.empty((thetas.shape[0], circuit.num_params, psi.shape[1]),
@@ -268,38 +273,58 @@ def state_derivatives(circuit: Circuit, theta,
                       features=None) -> tuple[np.ndarray, np.ndarray]:
     """(psi, dpsi): the state and its (p, 2^n) derivatives d_mu psi, row mu
     for slot mu, from one forward sweep."""
-    psi, dpsi = state_derivatives_batch(circuit, _one_theta(circuit, theta),
-                                        features)
+    psi, dpsi = state_derivatives_batch(
+        circuit, _theta_batch(circuit, theta, single=True)[0], features)
     return psi[0], dpsi[0]
 
 
 def pauli_sum_gradients(psi: np.ndarray, dpsi: np.ndarray,
                         obs: Observable) -> np.ndarray:
     """(B, p) gradients d<psi|H|psi>/dtheta_mu = 2 Re<H psi|d_mu psi> of a
-    Pauli sum H from (B, 2^n) states and their (B, p, 2^n) derivatives."""
-    if psi.shape[-1] != 1 << obs.num_qubits:
-        raise ValueError("observable and circuit qubit counts differ")
-    h_psi = sum(coeff * apply_pauli_word(psi, word)
-                for coeff, word in obs.terms)
+    Pauli sum H from (B, 2^n) states and their (B, p, 2^n) derivatives: the
+    exact-QFIM path, whose forward sweep has the derivatives anyway."""
+    h_psi = apply_observable(psi, obs)
     grad = 2.0 * (dpsi @ h_psi.conj()[:, :, None])[:, :, 0].real
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("gradient has non-finite entries")
     return grad
 
 
-def _energy_gradient(circuit: Circuit, theta, obs: Observable,
-                     features=None) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, grad): the state and d<psi|H|psi>/dtheta_mu =
-    2 Re<H psi|d_mu psi> for a Pauli sum H, from one forward sweep."""
-    psi, dpsi = state_derivatives_batch(circuit, _one_theta(circuit, theta),
-                                        features)
-    return psi[0], pauli_sum_gradients(psi, dpsi, obs)[0]
+def observable_value_and_gradient(circuit: Circuit, theta, obs: Observable,
+                                  features=None):
+    """(<psi|H|psi>, d<psi|H|psi>/dtheta) for a Pauli sum H, of a (p,) theta
+    or as (B,) values and (B, p) gradients of a (B, p) batch, by the adjoint
+    method: one forward run of psi, then one backward sweep of the rows
+    [psi; H psi], in chunks of sweep_batch_size(circuit, 2) thetas.
+
+    The value is read off the same psi and H psi, by the reduction
+    simulator.expectation uses, so it keeps expectation's bits; each row
+    also keeps the bits its theta gives alone. Raises FloatingPointError on
+    a NaN theta.
+    """
+    thetas, batched = _theta_batch(circuit, theta)
+    feats = _feature_row(circuit, features)
+    values = np.empty(len(thetas))
+    grads = np.empty(thetas.shape)
+    step = sweep_batch_size(circuit, 2)
+    for start in range(0, len(thetas), step):
+        chunk = thetas[start:start + step]
+        psi = run_gates(circuit.gates, circuit.num_qubits, chunk, feats)
+        check_normalized(psi)
+        h_psi = apply_observable(psi, obs)
+        values[start:start + step] = _expectation_from(psi, h_psi)
+        grads[start:start + step] = adjoint_gradient(circuit, chunk, psi,
+                                                     h_psi, feats)
+    if not np.all(np.isfinite(grads)):
+        raise FloatingPointError("gradient has non-finite entries")
+    return (values, grads) if batched else (values[0], grads[0])
 
 
 def observable_gradient(circuit: Circuit, theta, obs: Observable,
                         features=None) -> np.ndarray:
-    """d<psi|H|psi>/dtheta for a Pauli sum H, from one forward sweep."""
-    return _energy_gradient(circuit, theta, obs, features)[1]
+    """d<psi|H|psi>/dtheta for a Pauli sum H, of a (p,) theta or each row of
+    a (B, p) batch; see observable_value_and_gradient."""
+    return observable_value_and_gradient(circuit, theta, obs, features)[1]
 
 
 def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
@@ -313,8 +338,8 @@ def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
         raise ValueError(
             f"{p} parameters exceeds the exact-QFIM threshold "
             f"{EXACT_QFIM_MAX_PARAMS}; use block-diagonal or empirical")
-    states = state_derivatives_batch(circuit, _one_theta(circuit, theta),
-                                     features)
+    states = state_derivatives_batch(
+        circuit, _theta_batch(circuit, theta, single=True)[0], features)
     return Qfim(qfims_from_states(*states)[0], FIDELITY_EXACT)
 
 
@@ -330,7 +355,7 @@ def qfim_block_batch(circuit: Circuit, thetas, features=None) -> np.ndarray:
     layer's segment reads one of its slots; a circuit whose tags break this
     raises ValueError.
     """
-    thetas = _as_thetas(circuit, thetas)
+    thetas = _theta_batch(circuit, thetas)[0]
     p = circuit.num_params
     covered = [mu for tag in circuit.layers
                for mu in range(tag.param_start, tag.param_stop)]
@@ -364,8 +389,9 @@ def qfim_block_batch(circuit: Circuit, thetas, features=None) -> np.ndarray:
 
 def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
     """Layer-blocked QFIM of one theta; see qfim_block_batch."""
-    return Qfim(qfim_block_batch(circuit, _one_theta(circuit, theta),
-                                 features)[0], FIDELITY_BLOCK)
+    return Qfim(qfim_block_batch(
+        circuit, _theta_batch(circuit, theta, single=True)[0],
+        features)[0], FIDELITY_BLOCK)
 
 
 def qfim_empirical(grad: np.ndarray) -> Qfim:

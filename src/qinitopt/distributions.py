@@ -119,8 +119,9 @@ def _gamma_parts(shape: float, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
     """n Gamma(shape, 1) draws as (g, u): g * u^(1/shape) with g from
     Marsaglia-Tsang at shape + 1 when shape < 1, else g itself (u None)."""
-    if shape <= 0:
-        raise ValueError("gamma shape must be positive")
+    if not 0 < shape < math.inf:  # NaN fails too, where the loop never ends
+        raise ValueError(f"gamma shape must be positive and finite, "
+                         f"got {shape}")
     u = None
     a = shape
     if a < 1.0:

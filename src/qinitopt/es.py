@@ -31,9 +31,9 @@ class EsConfig:
     use_utility: bool = True
 
     def __post_init__(self):
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("eta must be positive")
-        if self.sigma_es <= 0:
+        if not self.sigma_es > 0:
             raise ValueError("sigma_es must be positive")
         if self.n_samples < 2:
             raise ValueError("need at least two rollouts")
@@ -41,7 +41,7 @@ class EsConfig:
             raise ValueError("antithetic sampling needs an even population")
         if self.n_iters < 0:
             raise ValueError("n_iters must be non-negative")
-        if self.eps_converge <= 0:
+        if not self.eps_converge > 0:
             raise ValueError("eps_converge must be positive")
 
 

@@ -2,12 +2,13 @@
 
 Three scores, all maximized: S1 reduces the QFIM to a scalar capacity
 measure, S2 is the mean t-th power of gradient magnitudes, and S3 blends the
-two with weight w. score_batch rates a batch of parameter vectors from one
-forward sweep per chunk, with QFIMs and Pauli-sum task gradients read off
-the same states; score is its batch of one. The search objective scores a
-whole ES population through it. Rank-based utility shaping turns raw
-population scores into the zero-sum targets the evolutionary update
-consumes.
+two with weight w. score_batch rates a batch of parameter vectors; score is
+its batch of one. A Pauli-sum task gradient comes from the forward sweep of
+the exact QFIM when the score builds one (S3 at p <= 64), and from adjoint
+passes otherwise (S2 always; S3 and the empirical S1 above the threshold).
+The search objective scores a whole ES population through it. Rank-based
+utility shaping turns raw population scores into the zero-sum targets the
+evolutionary update consumes.
 """
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ import numpy as np
 
 from .differentiation import (FIDELITY_BLOCK, FIDELITY_EMPIRICAL,
                               FIDELITY_EXACT, hermitian_eigenvalues,
-                              pauli_sum_gradients, qfim_block_batch,
-                              qfim_fidelity, qfims_from_states,
-                              state_derivatives_batch, sweep_batch_size)
+                              observable_gradient, pauli_sum_gradients,
+                              qfim_block_batch, qfim_fidelity,
+                              qfims_from_states, state_derivatives_batch,
+                              sweep_batch_size)
 from .distributions import DEFAULT_BETA_SCALE, HyperParams, sample_params
 from .simulator import Circuit, Observable
 
@@ -54,7 +56,7 @@ class ScoreSpec:
             raise ValueError("t must be an integer >= 1")
         if not 0.0 <= self.w <= 1.0:
             raise ValueError("w must lie in [0, 1]")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be positive")
         if self.k_eigs < 1:
             raise ValueError("k_eigs must be >= 1")
@@ -103,11 +105,12 @@ def score_batch(thetas, circuit: Circuit, task_gradient=None,
     task_gradient is the task cost's gradient, required whenever the score
     reads gradients (S2, S3 and the empirical QFIM): a callable
     theta -> (p,), called per row, or the Pauli sum H of a cost
-    <psi|H|psi> as an Observable, whose gradients 2 Re<H psi|d_mu psi> come
-    from the forward sweep. The batch runs in chunks of sweep_batch_size
-    thetas. A chunk sweeps once, and the exact QFIMs and Pauli-sum
-    gradients share that sweep's states; block-diagonal QFIMs take a sweep
-    of their own.
+    <psi|H|psi> as an Observable. The exact QFIM takes one forward sweep
+    per chunk of sweep_batch_size thetas, and the Pauli-sum gradients
+    2 Re<H psi|d_mu psi> read that sweep's derivatives. On every other
+    path they come from observable_gradient's adjoint passes, two rows per
+    theta, and block-diagonal QFIMs take forward sweeps of their own; each
+    pass is chunked by the height of its own buffer.
     """
     thetas = np.asarray(thetas, dtype=float)
     p = circuit.num_params
@@ -121,34 +124,40 @@ def score_batch(thetas, circuit: Circuit, task_gradient=None,
             else "untagged circuit above the exact threshold needs a task "
             "gradient for the empirical QFIM")
     by_sweep = needs_grad and isinstance(task_gradient, Observable)
-    raw = np.empty(len(thetas))
-    step = sweep_batch_size(circuit)
-    for start in range(0, len(thetas), step):
-        chunk = thetas[start:start + step]
-        if fidelity == FIDELITY_EXACT or by_sweep:
-            states = state_derivatives_batch(circuit, chunk, features)
+    grads = fisher_part = None
+    if by_sweep and fidelity != FIDELITY_EXACT:
+        grads = observable_gradient(circuit, thetas, task_gradient, features)
+    elif needs_grad and not by_sweep:
+        grads = np.array([task_gradient(theta) for theta in thetas],
+                         dtype=float).reshape(thetas.shape)
+    if fidelity == FIDELITY_EXACT:
+        fisher_part = np.empty(len(thetas))
         if by_sweep:
-            grads = pauli_sum_gradients(*states, task_gradient)
-        elif needs_grad:
-            grads = np.array([task_gradient(theta) for theta in chunk],
-                             dtype=float)
-        if fidelity == FIDELITY_EXACT:
-            fishers = qfims_from_states(*states)
-        elif fidelity == FIDELITY_BLOCK:
-            fishers = qfim_block_batch(circuit, chunk, features)
-        elif fidelity == FIDELITY_EMPIRICAL:
-            fishers = grads[:, :, None] * grads[:, None, :]
-        if fidelity is not None:
-            fisher_part = np.array([omega_reduce(f, spec) for f in fishers])
-        if spec.kind != S1:
-            grad_part = np.array([order_statistic(g, spec.t) for g in grads])
-        if spec.kind == S1:
-            raw[start:start + step] = fisher_part
-        elif spec.kind == S2:
-            raw[start:start + step] = grad_part
-        else:
-            raw[start:start + step] = ((1.0 - spec.w) * fisher_part
-                                       + spec.w * grad_part)
+            grads = np.empty(thetas.shape)
+        step = sweep_batch_size(circuit)
+        for start in range(0, len(thetas), step):
+            states = state_derivatives_batch(
+                circuit, thetas[start:start + step], features)
+            fisher_part[start:start + step] = [
+                omega_reduce(f, spec) for f in qfims_from_states(*states)]
+            if by_sweep:
+                grads[start:start + step] = pauli_sum_gradients(
+                    *states, task_gradient)
+    elif fidelity == FIDELITY_BLOCK:
+        step = sweep_batch_size(circuit)
+        fisher_part = np.array([
+            omega_reduce(f, spec) for start in range(0, len(thetas), step)
+            for f in qfim_block_batch(circuit, thetas[start:start + step],
+                                      features)])
+    elif fidelity == FIDELITY_EMPIRICAL:
+        fisher_part = np.array([omega_reduce(np.outer(g, g), spec)
+                                for g in grads])
+    if spec.kind == S1:
+        raw = fisher_part
+    else:
+        grad_part = np.array([order_statistic(g, spec.t) for g in grads])
+        raw = (grad_part if spec.kind == S2 else
+               (1.0 - spec.w) * fisher_part + spec.w * grad_part)
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw score must be finite")
     return raw

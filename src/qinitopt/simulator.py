@@ -298,29 +298,61 @@ def _pauli_table(word: str) -> tuple[np.ndarray, np.ndarray | None]:
     return phases, source
 
 
-def apply_pauli_word(state: np.ndarray, word: str) -> np.ndarray:
-    """P|psi> for a Pauli word; acts on the last axis."""
-    phases, source = _pauli_table(word)
-    if source is None:
-        return phases * state
-    return phases * state[..., source]
+@functools.lru_cache(maxsize=None)
+def _observable_table(terms) -> tuple:
+    """((diagonal, source), ...) with H psi = sum of diagonal * psi[source]
+    (psi itself where source is None) for a Pauli sum's terms: words that
+    flip the same bits share a source, so their coefficient-weighted phases
+    are summed, in term order, into one diagonal. Built once per sum and
+    read-only."""
+    groups = {}
+    for coeff, word in terms:
+        phases, source = _pauli_table(word)
+        # source = arange ^ flip, so source[0] is the flip mask
+        key = None if source is None else int(source[0])
+        if key in groups:
+            groups[key][0] += coeff * phases
+        else:
+            groups[key] = [coeff * phases, source]
+    for diagonal, _ in groups.values():
+        diagonal.flags.writeable = False
+    return tuple((diagonal, source) for diagonal, source in groups.values())
 
 
-def expectation(state: np.ndarray, obs: Observable):
-    """<psi|O|psi> as a real number (batched states give a real vector)."""
+def apply_observable(state: np.ndarray, obs: Observable) -> np.ndarray:
+    """H|psi> = sum_k c_k P_k |psi> for a Pauli sum H; acts on the last
+    axis, one gather per distinct set of flipped bits."""
     dim = state.shape[-1]
     if dim != 1 << obs.num_qubits:
         raise ValueError(
             f"state dimension {dim} does not match {obs.num_qubits}-qubit observable")
-    total = np.zeros(state.shape[:-1], dtype=complex)
-    for coeff, word in obs.terms:
-        total += coeff * np.sum(np.conj(state) * apply_pauli_word(state, word),
-                                axis=-1)
+    out = None
+    for diagonal, source in _observable_table(obs.terms):
+        # take keeps C order, where state[..., source] is Fortran-ordered
+        # and so would change how later row reductions sum
+        term = diagonal * (state if source is None
+                           else state.take(source, axis=-1))
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
+
+
+def _expectation_from(state: np.ndarray, h_state: np.ndarray):
+    """Re <psi|H psi> from states and their H|psi>, row by row, so each
+    row's bits do not depend on the batch around it."""
+    total = np.vecdot(state, h_state)
     if not np.all(np.abs(total.imag) <= 1e-10):
         raise FloatingPointError(
             "expectation value is NaN or has imaginary residue > 1e-10")
     real = total.real
     return float(real) if real.ndim == 0 else real
+
+
+def expectation(state: np.ndarray, obs: Observable):
+    """<psi|O|psi> as a real number (batched states give a real vector)."""
+    return _expectation_from(state, apply_observable(state, obs))
 
 
 def build_strongly_entangling(layers: int, qubits: int) -> Circuit:

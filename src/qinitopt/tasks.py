@@ -6,10 +6,11 @@ marginals. Each task's value_and_gradient returns the cost and its exact
 gradient from one simulation of theta, and cost_value the cost alone;
 cost_batch (VQE) and qml_cost_batch give the cost of each row of a
 parameter batch to the parameter-shift oracle. The VQE energy and its
-gradient, 2 Re<H psi|d_mu psi>, come from the state and state derivatives
-of one forward sweep. The classification loss chains through the class
-marginals analytically; at fixed chain-rule weights it is a sum of per-row
-diagonal expectations, whose gradient one adjoint sweep gives.
+gradient, 2 Re<H psi|d_mu psi>, come from one adjoint pass: psi forward,
+then the rows [psi; H psi] backward, with the energy read off the same
+psi and H psi. The classification loss chains through the class marginals
+analytically; at fixed chain-rule weights it is a sum of per-row diagonal
+expectations, whose gradient one adjoint sweep gives.
 
 value_and_gradient and cost_value take one (p,) theta or a (B, p) stack of
 thetas. A stack is simulated as one batch, chunked so that no buffer holds
@@ -38,12 +39,12 @@ import math
 
 import numpy as np
 
-from .differentiation import (_energy_gradient, _one_theta, _theta_batch,
-                              adjoint_gradient, first_param_gate,
-                              hermitian_eigenvalues, pauli_sum_gradients,
-                              state_derivatives_batch, sweep_batch_size)
+from .differentiation import (_theta_batch, adjoint_gradient,
+                              first_param_gate, hermitian_eigenvalues,
+                              observable_gradient,
+                              observable_value_and_gradient, sweep_batch_size)
 from .simulator import (Circuit, Observable, _as_batch, apply_circuit,
-                        apply_gate, apply_pauli_word, check_normalized,
+                        apply_gate, apply_observable, check_normalized,
                         expectation, run_gates)
 
 PROB_CLAMP = 1e-10
@@ -90,23 +91,20 @@ class VqeTask:
         def chunk(thetas):
             return (expectation(apply_circuit(self.circuit, thetas),
                                 self.hamiltonian),)
-        return _in_chunks(self.circuit, theta, None, chunk)[0]
+        return _in_chunks(self.circuit, theta, 1, chunk)[0]
 
     def cost_batch(self, thetas) -> np.ndarray:
         return expectation(apply_circuit(self.circuit, thetas), self.hamiltonian)
 
     def value_and_gradient(self, theta):
         """(energy, gradient) of a (p,) theta, or the (B,) energies and
-        (B, p) gradients of a stack, from one forward sweep per chunk."""
-        def chunk(thetas):
-            psi, dpsi = state_derivatives_batch(self.circuit, thetas)
-            return (expectation(psi, self.hamiltonian),
-                    pauli_sum_gradients(psi, dpsi, self.hamiltonian))
-        return _in_chunks(self.circuit, theta, None, chunk)
+        (B, p) gradients of a stack, by one adjoint pass per chunk; the
+        energies are cost_value's bit for bit."""
+        return observable_value_and_gradient(self.circuit, theta,
+                                             self.hamiltonian)
 
     def gradient(self, theta) -> np.ndarray:
-        # the gradient alone, without the energy's pass over the Pauli terms
-        return _energy_gradient(self.circuit, theta, self.hamiltonian)[1]
+        return observable_gradient(self.circuit, theta, self.hamiltonian)
 
 
 def make_vqe_task(hamiltonian: Observable, circuit: Circuit) -> VqeTask:
@@ -217,8 +215,9 @@ class QmlTask:
         else:
             feats, batched = _as_batch(features, self.circuit.num_features,
                                        "features")
-            states = self._shared_states(_one_theta(self.circuit, theta),
-                                         self._embed(feats))[0][0]
+            states = self._shared_states(
+                _theta_batch(self.circuit, theta, single=True)[0],
+                self._embed(feats))[0][0]
             if not batched:
                 states = states[0]
         raw = _class_marginals(states, self.measured_qubits, self.num_classes)
@@ -386,11 +385,10 @@ def train(task, theta0, iters: int = 100, lr: float = 0.01):
 
 def exact_ground_energy(obs: Observable) -> float:
     """Smallest eigenvalue of the dense (complex Hermitian) Pauli-sum
-    matrix. Row j of a Pauli word applied to the identity is P e_j, so each
-    applied word is P transposed."""
+    matrix. Row j of H applied to the identity is H e_j, so the applied
+    identity is H transposed."""
     if obs.num_qubits > MAX_ORACLE_QUBITS:
         raise ValueError(f"dense oracle capped at {MAX_ORACLE_QUBITS} qubits")
     eye = np.eye(1 << obs.num_qubits, dtype=complex)
-    dense = sum(coeff * apply_pauli_word(eye, word).T
-                for coeff, word in obs.terms)
+    dense = apply_observable(eye, obs).T
     return float(hermitian_eigenvalues(dense)[-1])

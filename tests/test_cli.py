@@ -495,61 +495,83 @@ def test_main_rejects_negative_structure_seed(tmp_path, capsys):
 
 
 def count_sweeps(monkeypatch):
-    calls = []
+    """Thetas per forward derivative sweep and per adjoint pass."""
+    calls = {"forward": [], "adjoint": []}
     sweep = differentiation._derivative_sweep
+    adjoint = differentiation.adjoint_gradient
 
     def counted(circuit, thetas, *args):
-        calls.append(len(thetas))
+        calls["forward"].append(len(thetas))
         return sweep(circuit, thetas, *args)
+
+    def counted_adjoint(circuit, thetas, *args):
+        calls["adjoint"].append(len(thetas))
+        return adjoint(circuit, thetas, *args)
     monkeypatch.setattr(differentiation, "_derivative_sweep", counted)
+    monkeypatch.setattr(differentiation, "adjoint_gradient", counted_adjoint)
     return calls
 
 
 @pytest.mark.parametrize("amplitudes", [None, 2000])
 def test_cli_objectives_sweep_once_per_chunk(tmp_path, monkeypatch,
                                              amplitudes):
-    """One sweep per chunk per ES iteration, two on the block path with a
-    Pauli-sum gradient (blocks, then gradients), and one per chunk of
-    grad-profile's gradient samples; amplitudes, when set, lowers the cap
-    so that 16 rollouts take several chunks."""
+    """Per ES iteration, one forward sweep per chunk for the exact and the
+    block-diagonal QFIM, whose exact sweep also gives s3 its Pauli-sum
+    gradients; every other Pauli-sum gradient (s2, s3 on the block path,
+    grad-profile's samples) takes one adjoint pass per chunk of the
+    adjoint's own size. amplitudes, when set, lowers the cap so that 16
+    rollouts take several forward chunks."""
     if amplitudes is not None:
         monkeypatch.setattr(differentiation, "MAX_SWEEP_AMPLITUDES",
                             amplitudes)
     calls = count_sweeps(monkeypatch)
     h2 = str(REPO / "hamiltonians" / "h2_4q.txt")
 
-    def chunks(circuit):
-        return -(-16 // sweep_batch_size(circuit))
+    def chunks(circuit, rows_per_theta=None):
+        return -(-16 // sweep_batch_size(circuit, rows_per_theta))
+
+    def reset():
+        for seen in calls.values():
+            seen.clear()
 
     for kind in ("s1", "s2", "s3"):
-        calls.clear()
+        reset()
         cfg = resolve_config("hypopt", overrides=[
             f"hamiltonian={h2}", f"score.kind={kind}", "ansatz.layers=2",
             "es.n_iters=2"])
         iterations = cmd_hypopt(cfg)["results"]["iterations"]
-        circuit = build_strongly_entangling(2, 4)
-        assert len(calls) == iterations * chunks(circuit)
-        assert sum(calls) == iterations * 16
-    for kind, per_chunk in (("s1", 1), ("s3", 2)):
-        calls.clear()
+        circuit = build_strongly_entangling(2, 4)  # p = 24: exact QFIM
+        swept = calls["adjoint" if kind == "s2" else "forward"]
+        rows = 2 if kind == "s2" else None
+        assert len(swept) == iterations * chunks(circuit, rows)
+        assert sum(swept) == iterations * 16
+        assert not calls["forward" if kind == "s2" else "adjoint"]
+    for kind in ("s1", "s3"):
+        reset()
         cfg = resolve_config("vqe", overrides=[
             f"hamiltonian={h2}", "ansatz.layers=6", f"methods=[\"{kind}\"]",
             "es.n_iters=1", "train.iters=0"])
         record = cmd_vqe(cfg)
         iterations = record["results"]["methods"][kind]["es_iterations"]
-        circuit = build_strongly_entangling(6, 4)
-        assert len(calls) == per_chunk * iterations * chunks(circuit)
-    calls.clear()
+        circuit = build_strongly_entangling(6, 4)  # p = 72: block QFIM
+        assert len(calls["forward"]) == iterations * chunks(circuit)
+        assert len(calls["adjoint"]) == (
+            0 if kind == "s1" else iterations * chunks(circuit, 2))
+    reset()
     cfg = resolve_config("bp-scan", overrides=[
         "qubit_range=[2,3]", "layers=2", "es.n_iters=1", "m_samples=2"])
     cmd_bp_scan(cfg)
-    expected = sum(chunks(build_two_design(2, n, 0)) for n in (2, 3))
-    assert len(calls) == 3 * expected  # s1, s2 and s3; uniform runs no ES
-    calls.clear()
+    circuits = [build_two_design(2, n, 0) for n in (2, 3)]
+    # s1 and s3 sweep forward, s2 takes adjoint passes; uniform runs no ES
+    assert len(calls["forward"]) == 2 * sum(map(chunks, circuits))
+    assert len(calls["adjoint"]) == sum(chunks(c, 2) for c in circuits)
+    reset()
     cfg = resolve_config("grad-profile", overrides=["m_samples=100"])
     cmd_grad_profile(cfg)
-    step = sweep_batch_size(build_hea(5, 4))
-    assert len(calls) == -(-100 // step) and sum(calls) == 100
+    step = sweep_batch_size(build_hea(5, 4), 2)
+    assert not calls["forward"]
+    assert len(calls["adjoint"]) == -(-100 // step)
+    assert sum(calls["adjoint"]) == 100
 
 
 def test_hypopt_takes_a_hamiltonian_above_the_dense_oracle_cap(tmp_path,
@@ -571,15 +593,16 @@ def test_hypopt_takes_a_hamiltonian_above_the_dense_oracle_cap(tmp_path,
 
 
 def test_vqe_trains_every_method_in_one_sweep_per_step(monkeypatch):
-    """All four methods step in lockstep: train.iters training sweeps of
-    four thetas each, not one sweep per method and step."""
+    """All four methods step in lockstep: train.iters adjoint passes of
+    four thetas each, not one pass per method and step, and no forward
+    derivative sweep."""
     calls = count_sweeps(monkeypatch)
     cfg = resolve_config("vqe", overrides=[
         f"hamiltonian={TOY_HAMILTONIAN}", "ansatz.layers=1", "es.n_iters=0",
         "train.iters=5"])
     record = cmd_vqe(cfg)
     assert len(record["results"]["methods"]) == 4
-    assert calls == [4] * 5
+    assert calls == {"forward": [], "adjoint": [4] * 5}
 
 
 def test_main_reports_divergent_training_in_one_line(tmp_path):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
-                                      _energy_gradient, adjoint_gradient,
-                                      gradient, hermitian_eigenvalues,
+                                      adjoint_gradient, gradient,
+                                      hermitian_eigenvalues,
                                       observable_gradient,
+                                      observable_value_and_gradient,
                                       pauli_sum_gradients, qfim,
                                       qfim_block_batch, qfim_block_diagonal,
                                       qfim_empirical, qfim_exact,
@@ -18,9 +19,9 @@ from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       state_derivatives_batch)
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
                                 ROTATION_KINDS, Circuit, Gate, Layer,
-                                Observable, RY, RZ, apply_circuit, build_hea,
-                                build_strongly_entangling, build_two_design,
-                                embed_angles, expectation)
+                                Observable, RX, RY, RZ, apply_circuit,
+                                build_hea, build_strongly_entangling,
+                                build_two_design, embed_angles, expectation)
 
 
 def expectation_cost(circuit, obs):
@@ -330,17 +331,53 @@ def pauli_sums(draw, qubits):
 
 @given(st.one_of(random_circuits(), tagged_circuits()), st.data())
 def test_observable_gradient_matches_parameter_shift(circ, data):
+    """The adjoint Pauli-sum gradient against parameter shift; each row of
+    a batch keeps the bits of its own call, and the value keeps those of
+    expectation on apply_circuit's state, as VqeTask.cost_value reads it."""
     theta, features = draw_point(data, circ)
     obs = data.draw(pauli_sums(circ.num_qubits))
-    got = observable_gradient(circ, theta, obs, features)
+    value, got = observable_value_and_gradient(circ, theta, obs, features)
     want = gradient(circ, theta, lambda rows: expectation(
         apply_circuit(circ, rows, features), obs))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
-    # the sweep's psi, from which VqeTask.value_and_gradient reads the
-    # energy, keeps the bits of apply_circuit's, so the energy equals the cost
-    psi, grad = _energy_gradient(circ, theta, obs, features)
-    np.testing.assert_array_equal(grad, got)
-    np.testing.assert_array_equal(psi, apply_circuit(circ, theta, features))
+    assert value == expectation(apply_circuit(circ, theta, features), obs)
+    np.testing.assert_array_equal(
+        observable_gradient(circ, theta, obs, features), got)
+    rows = data.draw(st.integers(2, 4))
+    thetas = np.array(data.draw(st.lists(
+        st.lists(ANGLES, min_size=len(theta), max_size=len(theta)),
+        min_size=rows, max_size=rows)))
+    values, grads = observable_value_and_gradient(circ, thetas, obs,
+                                                  features)
+    for b, row in enumerate(thetas):
+        one_value, one_grad = observable_value_and_gradient(circ, row, obs,
+                                                            features)
+        assert values[b] == one_value
+        np.testing.assert_array_equal(grads[b], one_grad)
+    thetas[data.draw(st.integers(0, rows - 1)),
+           data.draw(st.integers(0, len(theta) - 1))] = math.nan
+    with pytest.raises(FloatingPointError):
+        observable_value_and_gradient(circ, thetas, obs, features)
+
+
+def test_observable_gradient_through_reuploaded_features():
+    """Feature gates after theta gates are undone by the backward sweep
+    with the feature angles."""
+    rng = np.random.default_rng(23)
+    gates = (Gate(RY, 0, feature_slot=0), Gate(RZ, 0, param_slot=0),
+             Gate(RX, 1, param_slot=1), Gate(CNOT, 1, 0),
+             Gate(RX, 0, feature_slot=1), Gate(RY, 1, param_slot=2),
+             Gate(CZ, 0, 1), Gate(RY, 1, feature_slot=2),
+             Gate(RX, 0, param_slot=3))
+    circ = Circuit(2, gates, 4, embedding_slots=(0, 1, 2))
+    obs = Observable(((0.7, "ZX"), (-0.4, "YY"), (1.1, "IZ")))
+    features = rng.uniform(-math.pi, math.pi, 3)
+    thetas = rng.uniform(0, 2 * math.pi, (5, 4))
+    grads = observable_gradient(circ, thetas, obs, features)
+    for theta, got in zip(thetas, grads):
+        want = gradient(circ, theta, lambda rows: expectation(
+            apply_circuit(circ, rows, features), obs))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 @given(st.one_of(random_circuits(), tagged_circuits()), st.data())

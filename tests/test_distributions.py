@@ -117,6 +117,18 @@ def test_gamma_moments():
         gamma_samples(0.0, 1, child_rng(0))
 
 
+@pytest.mark.parametrize("shape", [math.nan, math.inf])
+def test_gamma_and_beta_reject_non_finite_shapes(shape):
+    """Every Marsaglia-Tsang comparison is false at a NaN or inf shape, so
+    the rejection loop would never end; the guard raises first."""
+    with pytest.raises(ValueError, match="shape"):
+        gamma_samples(shape, 3, child_rng(0))
+    with pytest.raises(ValueError, match="shape"):
+        beta_samples(shape, 1.0, 3, child_rng(0))
+    with pytest.raises(ValueError, match="shape"):
+        beta_samples(1.0, shape, 3, child_rng(0))
+
+
 def test_beta_moments():
     n = 100_000
     for alpha, beta in ((1.0, 1.0), (0.1, 1.5), (2.0, 5.0)):

@@ -24,6 +24,12 @@ def test_config_validation():
     EsConfig(n_samples=7, antithetic=False)  # odd is fine without pairing
 
 
+@pytest.mark.parametrize("field", ["eta", "sigma_es", "eps_converge"])
+def test_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=field):
+        EsConfig(**{field: float("nan")})
+
+
 def test_perturbation_matrix_antithetic_structure():
     gamma = perturbation_matrix(4, 2, True, child_rng(1))
     assert gamma.shape == (4, 2)

@@ -42,6 +42,8 @@ def test_spec_validation():
         ScoreSpec(w=1.5)
     with pytest.raises(ValueError):
         ScoreSpec(eps=0.0)
+    with pytest.raises(ValueError, match="eps"):
+        ScoreSpec(eps=math.nan)
     with pytest.raises(ValueError):
         ScoreSpec(k_eigs=0)
     with pytest.raises(ValueError):
@@ -292,12 +294,12 @@ def test_es_trace_same_through_batch_form(kind, theta_draws):
     assert hasattr(objective, "batch")
 
     def rollout(hp, rng):
-        # the per-rollout form from score alone, with a callable gradient
-        grad_fn = lambda theta: observable_gradient(circ, theta, obs)
+        # the per-rollout form from score alone; each score takes its
+        # gradient by the path its batch would, so the bits agree
         total = 0.0
         for _ in range(theta_draws):
             theta = sample_params(hp, circ.num_params, rng)
-            total += score(theta, circ, grad_fn, spec).raw
+            total += score(theta, circ, obs, spec).raw
         return total / theta_draws
 
     cfg = EsConfig(n_iters=3, eps_converge=1e-12)

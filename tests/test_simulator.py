@@ -4,6 +4,7 @@ The reference implementation here builds explicit 2^n x 2^n unitaries with
 Kronecker products and basis-index bookkeeping, sharing no code with the
 strided production simulator.
 """
+import functools
 import math
 
 from hypothesis import given
@@ -15,7 +16,7 @@ from qinitopt.differentiation import _derivative_table
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 GATE_KINDS, ROTATION_KINDS, RX, RY, RZ,
                                 Circuit, Gate, Layer, Observable,
-                                apply_circuit, apply_gate, apply_pauli_word,
+                                apply_circuit, apply_gate, apply_observable,
                                 build_hea, build_strongly_entangling,
                                 build_two_design, embed_angles, expectation,
                                 zero_state)
@@ -224,10 +225,11 @@ def test_gate_kernels_preserve_norm_and_invert(case):
        st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_pauli_word_squares_to_identity(word, batch, seed):
     state = random_states(np.random.default_rng(seed), batch, len(word))
-    once = apply_pauli_word(state, word)
+    obs = Observable(((1.0, word),))
+    once = apply_observable(state, obs)
     np.testing.assert_allclose(np.linalg.norm(once, axis=1), 1.0,
                                rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(apply_pauli_word(once, word), state)
+    np.testing.assert_array_equal(apply_observable(once, obs), state)
 
 
 def test_derivative_table_matches_dense_pauli():
@@ -285,8 +287,23 @@ def test_pauli_word_application():
         dense = np.eye(1, dtype=complex)
         for ch in word:
             dense = np.kron(dense, PAULI[ch])
-        assert np.allclose(apply_pauli_word(state, word), dense @ state,
-                           atol=1e-12)
+        assert np.allclose(apply_observable(state, Observable(((1.0, word),))),
+                           dense @ state, atol=1e-12)
+
+
+def test_apply_observable_matches_dense_sum():
+    """Terms that flip the same bits (XXYY, YYXX, XYYX) share one gather;
+    the sum still equals the dense H applied to each row."""
+    rng = np.random.default_rng(7)
+    obs = Observable(((0.3, "XXYY"), (-0.7, "ZIZI"), (0.2, "YYXX"),
+                      (1.1, "IIII"), (0.5, "XYYX"), (-0.4, "IXIZ")))
+    dense = sum(c * functools.reduce(np.kron, [PAULI[ch] for ch in w])
+                for c, w in obs.terms)
+    states = random_states(rng, 3, 4)
+    np.testing.assert_allclose(apply_observable(states, obs),
+                               states @ dense.T, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError, match="does not match"):
+        apply_observable(states[:, :8], obs)
 
 
 def test_expectation_matches_dense():
