@@ -372,7 +372,9 @@ def cmd_vqe(cfg: dict) -> dict:
     circuit = _build_ansatz(cfg["ansatz"],
                             qubits=cfg["ansatz"]["qubits"]
                             or hamiltonian.num_qubits)
-    task = make_vqe_task(hamiltonian, circuit)
+    # every method's theta trains in one stack
+    stack = len(_check_methods(cfg["methods"], _TRAIN_METHODS))
+    task = make_vqe_task(hamiltonian, circuit, stack)
     per_method = _train_methods(
         cfg, circuit, task, task.hamiltonian, None,
         lambda theta, curve: {

@@ -17,11 +17,14 @@ the exact-QFIM path, where the derivatives are there anyway.
 
 The adjoint sweep (Jones & Gacon, arXiv:2009.02823) gets the gradient of a
 sum of per-row expectations from one backward pass over given final rows
-and costates, two rows each. It gives every other Pauli-sum gradient
+and costates, two rows each. It gives the other Pauli-sum gradients
 (observable_value_and_gradient: psi forward, then [psi; H psi] backward)
 and the classification gradient, over the forward states or the basis rows
 of a unitary that all rows share. Both sweeps read -(i/2) G psi off one
-cached Pauli table per rotation.
+cached Pauli table per rotation. The adjoint makes twice the gate calls of
+a forward sweep, so on a small buffer, where call overhead outweighs the
+sweep's p + 1 rows per theta, the sweep is faster; adjoint_pays draws the
+line, and a VqeTask takes its path from it for its training stack.
 
 One sweep serves a whole (B, p) batch of thetas, so a population costs one
 kernel call per gate, and a row's results keep the bits its theta gives
@@ -50,6 +53,10 @@ EXACT_QFIM_MAX_PARAMS = 64
 # one sweep buffer holds at most this many amplitudes; a larger population
 # is swept in chunks of sweep_batch_size(circuit) thetas
 MAX_SWEEP_AMPLITUDES = 1 << 15
+
+# the smallest forward-sweep buffer on which the adjoint pays; see
+# adjoint_pays
+ADJOINT_MIN_SWEEP_AMPLITUDES = 1 << 12
 
 FIDELITY_EXACT = "exact"
 FIDELITY_BLOCK = "block_diagonal"
@@ -188,6 +195,16 @@ def sweep_batch_size(circuit: Circuit, rows_per_theta: int | None = None
     return max(1, MAX_SWEEP_AMPLITUDES // per_theta)
 
 
+def adjoint_pays(circuit: Circuit, batch: int) -> bool:
+    """Whether one adjoint pass beats one forward sweep on a batch of
+    `batch` thetas: whether the forward sweep's (p + 1) rows per theta
+    would hold at least ADJOINT_MIN_SWEEP_AMPLITUDES amplitudes. Below
+    that the cost of either is mostly per-gate call overhead, and the
+    adjoint makes twice the gate calls."""
+    rows = (circuit.num_params + 1) * batch
+    return rows << circuit.num_qubits >= ADJOINT_MIN_SWEEP_AMPLITUDES
+
+
 def _theta_batch(circuit: Circuit, theta, single: bool = False
                  ) -> tuple[np.ndarray, bool]:
     """(thetas, batched): a (p,) theta as a (1, p) batch, or a (B, p)
@@ -201,6 +218,19 @@ def _theta_batch(circuit: Circuit, theta, single: bool = False
         raise ValueError(f"theta must have shape ({p},)"
                          + ("" if single else f" or (B, {p})"))
     return theta, True
+
+
+def _in_chunks(circuit: Circuit, theta, rows_per_theta, fn) -> tuple:
+    """fn over a (p,) theta or a (B, p) stack, in chunks of
+    sweep_batch_size(circuit, rows_per_theta) thetas. fn maps a (k, p)
+    chunk to a tuple of arrays with one leading entry per theta; they are
+    joined over the chunks, or cut to entry 0 for a (p,) theta."""
+    thetas, batched = _theta_batch(circuit, theta)
+    step = sweep_batch_size(circuit, rows_per_theta)
+    parts = [fn(thetas[start:start + step])
+             for start in range(0, len(thetas), step)]
+    joined = tuple(np.concatenate(column) for column in zip(*parts))
+    return joined if batched else tuple(column[0] for column in joined)
 
 
 def _feature_row(circuit: Circuit, features) -> np.ndarray:
@@ -302,22 +332,17 @@ def observable_value_and_gradient(circuit: Circuit, theta, obs: Observable,
     also keeps the bits its theta gives alone. Raises FloatingPointError on
     a NaN theta.
     """
-    thetas, batched = _theta_batch(circuit, theta)
     feats = _feature_row(circuit, features)
-    values = np.empty(len(thetas))
-    grads = np.empty(thetas.shape)
-    step = sweep_batch_size(circuit, 2)
-    for start in range(0, len(thetas), step):
-        chunk = thetas[start:start + step]
-        psi = run_gates(circuit.gates, circuit.num_qubits, chunk, feats)
+
+    def chunk(thetas):
+        psi = run_gates(circuit.gates, circuit.num_qubits, thetas, feats)
         check_normalized(psi)
         h_psi = apply_observable(psi, obs)
-        values[start:start + step] = _expectation_from(psi, h_psi)
-        grads[start:start + step] = adjoint_gradient(circuit, chunk, psi,
-                                                     h_psi, feats)
-    if not np.all(np.isfinite(grads)):
-        raise FloatingPointError("gradient has non-finite entries")
-    return (values, grads) if batched else (values[0], grads[0])
+        grads = adjoint_gradient(circuit, thetas, psi, h_psi, feats)
+        if not np.all(np.isfinite(grads)):
+            raise FloatingPointError("gradient has non-finite entries")
+        return _expectation_from(psi, h_psi), grads
+    return _in_chunks(circuit, theta, 2, chunk)
 
 
 def observable_gradient(circuit: Circuit, theta, obs: Observable,

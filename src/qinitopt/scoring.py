@@ -18,11 +18,11 @@ import math
 import numpy as np
 
 from .differentiation import (FIDELITY_BLOCK, FIDELITY_EMPIRICAL,
-                              FIDELITY_EXACT, hermitian_eigenvalues,
-                              observable_gradient, pauli_sum_gradients,
-                              qfim_block_batch, qfim_fidelity,
-                              qfims_from_states, state_derivatives_batch,
-                              sweep_batch_size)
+                              FIDELITY_EXACT, _in_chunks,
+                              hermitian_eigenvalues, observable_gradient,
+                              pauli_sum_gradients, qfim_block_batch,
+                              qfim_fidelity, qfims_from_states,
+                              state_derivatives_batch)
 from .distributions import DEFAULT_BETA_SCALE, HyperParams, sample_params
 from .simulator import Circuit, Observable
 
@@ -110,7 +110,8 @@ def score_batch(thetas, circuit: Circuit, task_gradient=None,
     2 Re<H psi|d_mu psi> read that sweep's derivatives. On every other
     path they come from observable_gradient's adjoint passes, two rows per
     theta, and block-diagonal QFIMs take forward sweeps of their own; each
-    pass is chunked by the height of its own buffer.
+    pass is chunked by the height of its own buffer. The path depends on the
+    fidelity alone, not on B, so a row scores the same bits in any batch.
     """
     thetas = np.asarray(thetas, dtype=float)
     p = circuit.num_params
@@ -123,33 +124,35 @@ def score_batch(thetas, circuit: Circuit, task_gradient=None,
             "gradient-based scores need a task gradient" if spec.kind != S1
             else "untagged circuit above the exact threshold needs a task "
             "gradient for the empirical QFIM")
-    by_sweep = needs_grad and isinstance(task_gradient, Observable)
-    grads = fisher_part = None
-    if by_sweep and fidelity != FIDELITY_EXACT:
+    is_pauli_sum = isinstance(task_gradient, Observable)
+    # the exact QFIM's forward sweep has the state derivatives anyway
+    swept = needs_grad and is_pauli_sum and fidelity == FIDELITY_EXACT
+
+    def exact(chunk):
+        states = state_derivatives_batch(circuit, chunk, features)
+        fisher = np.array([omega_reduce(f, spec)
+                           for f in qfims_from_states(*states)])
+        if not swept:
+            return (fisher,)
+        return fisher, pauli_sum_gradients(*states, task_gradient)
+
+    def block(chunk):
+        return (np.array([omega_reduce(f, spec) for f in
+                          qfim_block_batch(circuit, chunk, features)]),)
+
+    fisher_part = grads = None
+    if fidelity == FIDELITY_EXACT:
+        fisher_part, *swept_grads = _in_chunks(circuit, thetas, None, exact)
+    elif fidelity == FIDELITY_BLOCK:
+        fisher_part, = _in_chunks(circuit, thetas, None, block)
+    if swept:
+        grads, = swept_grads
+    elif needs_grad and is_pauli_sum:
         grads = observable_gradient(circuit, thetas, task_gradient, features)
-    elif needs_grad and not by_sweep:
+    elif needs_grad:
         grads = np.array([task_gradient(theta) for theta in thetas],
                          dtype=float).reshape(thetas.shape)
-    if fidelity == FIDELITY_EXACT:
-        fisher_part = np.empty(len(thetas))
-        if by_sweep:
-            grads = np.empty(thetas.shape)
-        step = sweep_batch_size(circuit)
-        for start in range(0, len(thetas), step):
-            states = state_derivatives_batch(
-                circuit, thetas[start:start + step], features)
-            fisher_part[start:start + step] = [
-                omega_reduce(f, spec) for f in qfims_from_states(*states)]
-            if by_sweep:
-                grads[start:start + step] = pauli_sum_gradients(
-                    *states, task_gradient)
-    elif fidelity == FIDELITY_BLOCK:
-        step = sweep_batch_size(circuit)
-        fisher_part = np.array([
-            omega_reduce(f, spec) for start in range(0, len(thetas), step)
-            for f in qfim_block_batch(circuit, thetas[start:start + step],
-                                      features)])
-    elif fidelity == FIDELITY_EMPIRICAL:
+    if fidelity == FIDELITY_EMPIRICAL:
         fisher_part = np.array([omega_reduce(np.outer(g, g), spec)
                                 for g in grads])
     if spec.kind == S1:

@@ -593,16 +593,33 @@ def test_hypopt_takes_a_hamiltonian_above_the_dense_oracle_cap(tmp_path,
 
 
 def test_vqe_trains_every_method_in_one_sweep_per_step(monkeypatch):
-    """All four methods step in lockstep: train.iters adjoint passes of
-    four thetas each, not one pass per method and step, and no forward
-    derivative sweep."""
+    """All methods step in lockstep: train.iters gradient passes of every
+    method's theta at once, not one pass per method and step, by the one
+    path that adjoint_pays picks for the stack."""
     calls = count_sweeps(monkeypatch)
-    cfg = resolve_config("vqe", overrides=[
-        f"hamiltonian={TOY_HAMILTONIAN}", "ansatz.layers=1", "es.n_iters=0",
-        "train.iters=5"])
-    record = cmd_vqe(cfg)
-    assert len(record["results"]["methods"]) == 4
-    assert calls == {"forward": [], "adjoint": [4] * 5}
+    h2 = REPO / "hamiltonians" / "h2_4q.txt"
+    for hamiltonian, layers, methods, path in (
+            # p = 6, 4 thetas: 112 amplitudes in a forward sweep
+            (TOY_HAMILTONIAN, 1, None, "forward"),
+            # p = 96, 4 thetas: 6208 amplitudes, enough for the adjoint
+            (h2, 8, None, "adjoint"),
+            # p = 96, 1 theta: 1552 amplitudes
+            (h2, 8, ["manual"], "forward")):
+        for seen in calls.values():
+            seen.clear()
+        overrides = [f"hamiltonian={hamiltonian}", f"ansatz.layers={layers}",
+                     "es.n_iters=0", "train.iters=5"]
+        if methods is not None:
+            overrides.append("methods=" + json.dumps(methods))
+        cfg = resolve_config("vqe", overrides=overrides)
+        record = cmd_vqe(cfg)
+        stack = len(record["results"]["methods"])
+        assert stack == len(methods or cfg["methods"])
+        circuit = build_strongly_entangling(layers, 2 if layers == 1 else 4)
+        assert differentiation.adjoint_pays(circuit, stack) == (
+            path == "adjoint")
+        other = "forward" if path == "adjoint" else "adjoint"
+        assert calls == {path: [stack] * 5, other: []}
 
 
 def test_main_reports_divergent_training_in_one_line(tmp_path):
