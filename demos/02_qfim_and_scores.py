@@ -42,7 +42,7 @@ print(f"{'hyperparams':>22} {'s1 (volume)':>12} {'s2 (gradient)':>14} "
 for hp in (HyperParams("beta", (1.0, 1.0)), HyperParams("beta", (0.1, 1.5))):
     draw = sample_params(hp, circuit.num_params, child_rng(0, "demo", "draw"))
     row = [score(draw, circuit, task_gradient=cost_gradient,
-                 spec=ScoreSpec(kind=kind)).raw
+                 spec=ScoreSpec(kind=kind))
            for kind in ("s1", "s2", "s3")]
     label = f"beta{hp.values}"
     print(f"{label:>22} {row[0]:12.5f} {row[1]:14.6f} {row[2]:11.5f}")

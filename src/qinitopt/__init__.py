@@ -12,9 +12,8 @@ from .distributions import (HyperParams, beta_samples, child_rng,
                             manual_baseline, sample_params, standard_normals,
                             to_unconstrained)
 from .es import EsConfig, EsTrace, es_optimize, perturbation_matrix
-from .scoring import (ScoreSpec, ScoreValue, initialization_objective,
-                      omega_reduce, order_statistic, score, score_batch,
-                      utility_shape)
+from .scoring import (ScoreSpec, initialization_objective, omega_reduce,
+                      order_statistic, score, utility_shape)
 from .simulator import (Circuit, Gate, Layer, Observable, apply_circuit,
                         build_hea, build_strongly_entangling,
                         build_two_design, embed_angles, expectation,
@@ -26,8 +25,8 @@ from .tasks import (AdamState, QmlTask, VqeTask, adam_step,
 __all__ = [
     "__version__",
     "AdamState", "Circuit", "EsConfig", "EsTrace", "Gate", "HyperParams",
-    "Layer", "Observable", "Qfim", "QmlTask", "ScoreSpec", "ScoreValue",
-    "VqeTask", "adam_step", "apply_circuit", "beta_samples", "build_hea",
+    "Layer", "Observable", "Qfim", "QmlTask", "ScoreSpec", "VqeTask",
+    "adam_step", "apply_circuit", "beta_samples", "build_hea",
     "build_strongly_entangling", "build_two_design", "child_rng",
     "embed_angles", "es_optimize", "exact_ground_energy", "expectation",
     "from_unconstrained", "gamma_samples", "gradient",
@@ -35,6 +34,6 @@ __all__ = [
     "make_vqe_task", "manual_baseline", "observable_gradient",
     "omega_reduce", "order_statistic", "perturbation_matrix", "qfim",
     "qfim_block_diagonal", "qfim_empirical", "qfim_exact", "qml_cost_batch",
-    "sample_params", "score", "score_batch", "standard_normals",
-    "to_unconstrained", "train", "utility_shape", "zero_state",
+    "sample_params", "score", "standard_normals", "to_unconstrained",
+    "train", "utility_shape", "zero_state",
 ]

@@ -34,7 +34,8 @@ from .distributions import (BETA, HyperParams, child_rng, init_guess,
 from .es import EsConfig, es_optimize
 from .records import (bp_rows, curve_rows, es_trace_rows, hyperparam_names,
                       histogram_rows, record_hash, write_csv, write_record)
-from .scoring import S1, S2, S3, ScoreSpec, initialization_objective
+from .scoring import (S1, S2, S3, SCORE_KINDS, ScoreSpec,
+                      initialization_objective)
 from .simulator import (Observable, apply_circuit, build_hea,
                         build_strongly_entangling, build_two_design,
                         embed_angles, expectation)
@@ -241,6 +242,15 @@ def _build_ansatz(ansatz_cfg: dict, qubits: int | None = None):
     raise ValueError(f"unknown ansatz kind '{kind}'")
 
 
+def _load_observable(path: str, circuit) -> Observable:
+    """The Pauli sum in a Hamiltonian file, which must act on the circuit's
+    qubits."""
+    obs = load_hamiltonian(path)
+    if obs.num_qubits != circuit.num_qubits:
+        raise ValueError("Hamiltonian and ansatz qubit counts differ")
+    return obs
+
+
 def _default_observable(qubits: int) -> Observable:
     """All-qubit Z parity: a global cost, so its gradient variance shows the
     barren-plateau decay even at fixed circuit depth."""
@@ -281,7 +291,7 @@ def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
 
     Score methods run the ES search; 'manual' uses the fixed baseline and
     'uniform' spreads angles evenly over the full period. task_gradient is
-    a callable or a Pauli-sum Observable, as score_batch takes it. Returns
+    a callable or a Pauli-sum Observable, as scoring.score takes it. Returns
     (HyperParams, trace-or-None). `context` extends the seed labels so
     repeated searches inside one run stay independent.
     """
@@ -344,15 +354,16 @@ def _record_for(command: str, cfg: dict, results: dict) -> dict:
 
 def cmd_hypopt(cfg: dict) -> dict:
     """Tune the initialization distribution for the configured score."""
-    circuit = _build_ansatz(cfg["ansatz"])
     kind = cfg["score"]["kind"]
+    if kind not in SCORE_KINDS:
+        raise ValueError(f"hypopt needs score.kind among "
+                         f"{', '.join(SCORE_KINDS)}, got {kind!r}")
+    circuit = _build_ansatz(cfg["ansatz"])
     task_gradient = None
     if cfg["hamiltonian"] is not None:
         # the scores read only the Pauli sum; no VqeTask and no dense
         # ground energy, which is capped at MAX_ORACLE_QUBITS
-        task_gradient = load_hamiltonian(cfg["hamiltonian"])
-        if task_gradient.num_qubits != circuit.num_qubits:
-            raise ValueError("Hamiltonian and ansatz qubit counts differ")
+        task_gradient = _load_observable(cfg["hamiltonian"], circuit)
     hp, trace = _method_hyperparams(kind, cfg, circuit, task_gradient, None)
     results = {"family": cfg["family"],
                "score_kind": kind,
@@ -430,7 +441,7 @@ def cmd_grad_profile(cfg: dict) -> dict:
     """Per-layer histograms of |dC/dtheta| under one initialization."""
     circuit = _build_ansatz(cfg["ansatz"])
     if cfg["hamiltonian"] is not None:
-        obs = load_hamiltonian(cfg["hamiltonian"])
+        obs = _load_observable(cfg["hamiltonian"], circuit)
     else:
         obs = _default_observable(circuit.num_qubits)
     values = tuple(float(v) + cfg["delta"] for v in cfg["values"])

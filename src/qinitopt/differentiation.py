@@ -28,9 +28,11 @@ line, and a VqeTask takes its path from it for its training stack.
 
 One sweep serves a whole (B, p) batch of thetas, so a population costs one
 kernel call per gate, and a row's results keep the bits its theta gives
-alone; the single-theta functions are batches of one. Callers keep a
-buffer under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the rows per
-theta of the sweep they run. The rank-one empirical QFIM is built from a
+alone. Each quantity has one function, which takes a (p,) theta or a
+(B, p) stack and runs a (p,) theta as a stack of one; only the
+parameter-shift reference and the qfim dispatcher take one theta. Callers
+keep a buffer under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the
+rows per theta of the sweep they run. The rank-one empirical QFIM is built from a
 task gradient. Spectra of the QFIM and of dense Hamiltonians come from one
 eigensolver, LAPACK's via np.linalg.eigvalsh.
 """
@@ -285,27 +287,18 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, features, stops):
         start = stop
 
 
-def state_derivatives_batch(circuit: Circuit, thetas,
-                            features=None) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, dpsi): the (B, 2^n) states of a (B, p) thetas batch and their
-    (B, p, 2^n) derivatives d_mu psi, row mu for slot mu, from one forward
-    sweep."""
-    thetas = _theta_batch(circuit, thetas)[0]
+def state_derivatives(circuit: Circuit, theta,
+                      features=None) -> tuple[np.ndarray, np.ndarray]:
+    """(psi, dpsi): the state of a (p,) theta and its (p, 2^n) derivatives
+    d_mu psi, row mu for slot mu, or the (B, 2^n) states and
+    (B, p, 2^n) derivatives of a (B, p) stack, from one forward sweep."""
+    thetas, batched = _theta_batch(circuit, theta)
     sweep = _derivative_sweep(circuit, thetas, features, (len(circuit.gates),))
     psi, rows, slots = next(sweep)
     dpsi = np.empty((thetas.shape[0], circuit.num_params, psi.shape[1]),
                     dtype=complex)
     dpsi[:, slots] = rows.transpose(1, 0, 2)
-    return psi.copy(), dpsi
-
-
-def state_derivatives(circuit: Circuit, theta,
-                      features=None) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, dpsi): the state and its (p, 2^n) derivatives d_mu psi, row mu
-    for slot mu, from one forward sweep."""
-    psi, dpsi = state_derivatives_batch(
-        circuit, _theta_batch(circuit, theta, single=True)[0], features)
-    return psi[0], dpsi[0]
+    return (psi.copy(), dpsi) if batched else (psi[0].copy(), dpsi[0])
 
 
 def pauli_sum_gradients(psi: np.ndarray, dpsi: np.ndarray,
@@ -353,7 +346,8 @@ def observable_gradient(circuit: Circuit, theta, obs: Observable,
 
 
 def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
-    """Full QFIM  4 Re(<d_mu psi|d_nu psi> - <d_mu psi|psi><psi|d_nu psi>).
+    """Full QFIM  4 Re(<d_mu psi|d_nu psi> - <d_mu psi|psi><psi|d_nu psi>),
+    (p, p) for a (p,) theta or (B, p, p) for a (B, p) stack.
 
     State derivatives come from one forward sweep. Only practical up to
     EXACT_QFIM_MAX_PARAMS parameters; above that pick another fidelity.
@@ -363,15 +357,15 @@ def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
         raise ValueError(
             f"{p} parameters exceeds the exact-QFIM threshold "
             f"{EXACT_QFIM_MAX_PARAMS}; use block-diagonal or empirical")
-    states = state_derivatives_batch(
-        circuit, _theta_batch(circuit, theta, single=True)[0], features)
-    return Qfim(qfims_from_states(*states)[0], FIDELITY_EXACT)
+    thetas, batched = _theta_batch(circuit, theta)
+    entries = qfims_from_states(*state_derivatives(circuit, thetas, features))
+    return Qfim(entries if batched else entries[0], FIDELITY_EXACT)
 
 
-def qfim_block_batch(circuit: Circuit, thetas, features=None) -> np.ndarray:
-    """(B, p, p) layer-blocked QFIMs of a (B, p) thetas batch: each tagged
-    layer's block is the exact QFIM of the circuit truncated after that
-    layer; cross-layer entries are zero.
+def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
+    """Layer-blocked QFIM, (p, p) for a (p,) theta or (B, p, p) for a
+    (B, p) stack: each tagged layer's block is the exact QFIM of the
+    circuit truncated after that layer; cross-layer entries are zero.
 
     One forward sweep closes a block at each tag's gate_stop from the
     derivative rows its segment added, then drops them, so each gate runs
@@ -380,7 +374,7 @@ def qfim_block_batch(circuit: Circuit, thetas, features=None) -> np.ndarray:
     layer's segment reads one of its slots; a circuit whose tags break this
     raises ValueError.
     """
-    thetas = _theta_batch(circuit, thetas)[0]
+    thetas, batched = _theta_batch(circuit, theta)
     p = circuit.num_params
     covered = [mu for tag in circuit.layers
                for mu in range(tag.param_start, tag.param_stop)]
@@ -409,14 +403,7 @@ def qfim_block_batch(circuit: Circuit, thetas, features=None) -> np.ndarray:
         row, col = np.ix_(idx, idx)
         entries[:, row, col] = qfims_from_states(
             psi, rows[own].transpose(1, 0, 2).copy())
-    return entries
-
-
-def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
-    """Layer-blocked QFIM of one theta; see qfim_block_batch."""
-    return Qfim(qfim_block_batch(
-        circuit, _theta_batch(circuit, theta, single=True)[0],
-        features)[0], FIDELITY_BLOCK)
+    return Qfim(entries if batched else entries[0], FIDELITY_BLOCK)
 
 
 def qfim_empirical(grad: np.ndarray) -> Qfim:
@@ -437,6 +424,7 @@ def qfim_fidelity(circuit: Circuit) -> str:
 def qfim(circuit: Circuit, theta, features=None, gradient_fn=None) -> Qfim:
     """The QFIM of one theta at the fidelity qfim_fidelity picks; the
     empirical one is built from gradient_fn(theta)."""
+    theta = _theta_batch(circuit, theta, single=True)[0][0]
     fidelity = qfim_fidelity(circuit)
     if fidelity == FIDELITY_EXACT:
         return qfim_exact(circuit, theta, features)
@@ -445,7 +433,7 @@ def qfim(circuit: Circuit, theta, features=None, gradient_fn=None) -> Qfim:
     if gradient_fn is None:
         raise ValueError("untagged circuit above the exact threshold needs a "
                          "task gradient for the empirical QFIM")
-    return qfim_empirical(gradient_fn(np.asarray(theta, dtype=float)))
+    return qfim_empirical(gradient_fn(theta))
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:

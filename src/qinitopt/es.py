@@ -6,7 +6,7 @@ perturbation, optionally rank-shapes the scores, and ascends the resulting
 gradient estimate. Every rollout draws from its own child stream keyed by
 (master_seed, iteration, rollout). An objective with a batch form scores the
 whole population of an iteration in one call (the initialization objective
-sweeps it in chunks, scoring.score_batch); the trajectory is bit-identical
+sweeps it in chunks, scoring.score); the trajectory is bit-identical
 to scoring the rollouts one at a time.
 """
 from __future__ import annotations
@@ -97,9 +97,10 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
     batch = getattr(score_eval, "batch", None)
     trace = EsTrace()
 
-    def settle(vec, iteration):
-        # an update that leaves the range the family maps back from (an
-        # exp over- or underflows) is a step too large, not a bad score
+    def settle(vec, iteration, hint):
+        # a step that leaves the range the family maps back from (an exp
+        # over- or underflows) is a step too large, not a bad score; hint
+        # names the settings that size the step
         try:
             if np.all(np.isfinite(vec)):
                 return materialize(vec)
@@ -107,14 +108,14 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
             pass
         raise FloatingPointError(
             f"ES diverged at iteration {iteration}: the hyperparameters left "
-            "the finite range; lower es.eta")
+            f"the finite range; lower {hint}")
 
     for iteration in range(cfg.n_iters):
         gamma = perturbation_matrix(cfg.n_samples, lam.size, cfg.antithetic,
                                     child_rng(master_seed, "perturb", iteration))
         rngs = [child_rng(master_seed, "rollout", iteration, j)
                 for j in range(cfg.n_samples)]
-        candidates = [settle(lam_p, iteration)
+        candidates = [settle(lam_p, iteration, "es.sigma_es or es.eta")
                       for lam_p in lam[None, :] + cfg.sigma_es * gamma]
         try:
             if batch is not None:
@@ -143,7 +144,7 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
         with np.errstate(over="ignore", invalid="ignore"):
             delta = cfg.eta * grad
             lam = lam + delta
-        constrained = settle(lam, iteration)
+        constrained = settle(lam, iteration, "es.eta")
         trace.unconstrained.append(tuple(lam))
         trace.hyperparams.append(tuple(constrained.values) if is_hp
                                  else tuple(constrained))

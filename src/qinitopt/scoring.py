@@ -2,13 +2,13 @@
 
 Three scores, all maximized: S1 reduces the QFIM to a scalar capacity
 measure, S2 is the mean t-th power of gradient magnitudes, and S3 blends the
-two with weight w. score_batch rates a batch of parameter vectors; score is
-its batch of one. A Pauli-sum task gradient comes from the forward sweep of
-the exact QFIM when the score builds one (S3 at p <= 64), and from adjoint
-passes otherwise (S2 always; S3 and the empirical S1 above the threshold).
-The search objective scores a whole ES population through it. Rank-based
-utility shaping turns raw population scores into the zero-sum targets the
-evolutionary update consumes.
+two with weight w. score rates one (p,) parameter vector or each row of a
+(B, p) stack, by one path. A Pauli-sum task gradient comes from the forward
+sweep of the exact QFIM when the score builds one (S3 at p <= 64), and from
+adjoint passes otherwise (S2 always; S3 and the empirical S1 above the
+threshold). The search objective scores a whole ES population through it.
+Rank-based utility shaping turns raw population scores into the zero-sum
+targets the evolutionary update consumes.
 """
 from __future__ import annotations
 
@@ -18,11 +18,11 @@ import math
 import numpy as np
 
 from .differentiation import (FIDELITY_BLOCK, FIDELITY_EMPIRICAL,
-                              FIDELITY_EXACT, _in_chunks,
+                              FIDELITY_EXACT, _in_chunks, _theta_batch,
                               hermitian_eigenvalues, observable_gradient,
-                              pauli_sum_gradients, qfim_block_batch,
+                              pauli_sum_gradients, qfim_block_diagonal,
                               qfim_fidelity, qfims_from_states,
-                              state_derivatives_batch)
+                              state_derivatives)
 from .distributions import DEFAULT_BETA_SCALE, HyperParams, sample_params
 from .simulator import Circuit, Observable
 
@@ -64,15 +64,6 @@ class ScoreSpec:
             raise ValueError("harmonic prefactor must be finite")
 
 
-@dataclass
-class ScoreValue:
-    raw: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.raw):
-            raise ValueError("raw score must be finite")
-
-
 def omega_reduce(fisher, spec: ScoreSpec) -> float:
     """Scalar capacity of a QFIM: trace, eigenvalue log-sum, or the harmonic
     sum over the top k_eigs eigenvalues. eps regularizes every variant."""
@@ -98,9 +89,10 @@ def order_statistic(grad, t: int) -> float:
     return float(np.mean(np.abs(grad) ** t))
 
 
-def score_batch(thetas, circuit: Circuit, task_gradient=None,
-                spec: ScoreSpec = ScoreSpec(), features=None) -> np.ndarray:
-    """Rate each row of a (B, p) parameter batch; returns (B,) raw scores.
+def score(theta, circuit: Circuit, task_gradient=None,
+          spec: ScoreSpec = ScoreSpec(), features=None):
+    """The raw score of a (p,) parameter vector as a float, or of each row
+    of a (B, p) stack as a (B,) array.
 
     task_gradient is the task cost's gradient, required whenever the score
     reads gradients (S2, S3 and the empirical QFIM): a callable
@@ -110,13 +102,12 @@ def score_batch(thetas, circuit: Circuit, task_gradient=None,
     2 Re<H psi|d_mu psi> read that sweep's derivatives. On every other
     path they come from observable_gradient's adjoint passes, two rows per
     theta, and block-diagonal QFIMs take forward sweeps of their own; each
-    pass is chunked by the height of its own buffer. The path depends on the
+    pass is chunked by the height of its own buffer, and each chunk's QFIMs
+    are reduced before the next chunk runs. The path depends on the
     fidelity alone, not on B, so a row scores the same bits in any batch.
+    Raises ValueError on a non-finite raw score.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    p = circuit.num_params
-    if thetas.ndim != 2 or thetas.shape[1] != p:
-        raise ValueError(f"thetas must have shape (B, {p})")
+    thetas, batched = _theta_batch(circuit, theta)
     fidelity = qfim_fidelity(circuit) if spec.kind in (S1, S3) else None
     needs_grad = spec.kind in (S2, S3) or fidelity == FIDELITY_EMPIRICAL
     if needs_grad and task_gradient is None:
@@ -128,17 +119,19 @@ def score_batch(thetas, circuit: Circuit, task_gradient=None,
     # the exact QFIM's forward sweep has the state derivatives anyway
     swept = needs_grad and is_pauli_sum and fidelity == FIDELITY_EXACT
 
+    def reduced(fishers):
+        return np.array([omega_reduce(f, spec) for f in fishers])
+
     def exact(chunk):
-        states = state_derivatives_batch(circuit, chunk, features)
-        fisher = np.array([omega_reduce(f, spec)
-                           for f in qfims_from_states(*states)])
+        states = state_derivatives(circuit, chunk, features)
+        fisher = reduced(qfims_from_states(*states))
         if not swept:
             return (fisher,)
         return fisher, pauli_sum_gradients(*states, task_gradient)
 
     def block(chunk):
-        return (np.array([omega_reduce(f, spec) for f in
-                          qfim_block_batch(circuit, chunk, features)]),)
+        blocks = qfim_block_diagonal(circuit, chunk, features)
+        return (reduced(blocks.entries),)
 
     fisher_part = grads = None
     if fidelity == FIDELITY_EXACT:
@@ -150,11 +143,10 @@ def score_batch(thetas, circuit: Circuit, task_gradient=None,
     elif needs_grad and is_pauli_sum:
         grads = observable_gradient(circuit, thetas, task_gradient, features)
     elif needs_grad:
-        grads = np.array([task_gradient(theta) for theta in thetas],
+        grads = np.array([task_gradient(row) for row in thetas],
                          dtype=float).reshape(thetas.shape)
     if fidelity == FIDELITY_EMPIRICAL:
-        fisher_part = np.array([omega_reduce(np.outer(g, g), spec)
-                                for g in grads])
+        fisher_part = reduced(np.outer(g, g) for g in grads)
     if spec.kind == S1:
         raw = fisher_part
     else:
@@ -163,15 +155,7 @@ def score_batch(thetas, circuit: Circuit, task_gradient=None,
                (1.0 - spec.w) * fisher_part + spec.w * grad_part)
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw score must be finite")
-    return raw
-
-
-def score(theta, circuit: Circuit, task_gradient=None,
-          spec: ScoreSpec = ScoreSpec(), features=None) -> ScoreValue:
-    """Rate one parameter vector: score_batch on a batch of one."""
-    thetas = np.asarray(theta, dtype=float)[None, :]
-    return ScoreValue(raw=float(score_batch(thetas, circuit, task_gradient,
-                                            spec, features)[0]))
+    return raw if batched else float(raw[0])
 
 
 def utility_shape(raw_scores) -> np.ndarray:
@@ -198,7 +182,7 @@ def initialization_objective(circuit: Circuit, spec: ScoreSpec,
     score(theta), averaged over theta_draws independent draws.
 
     objective(hp, rng) scores one rollout. objective.batch(hps, rngs)
-    scores a population, (N_s,) values, with one score_batch call; rollout
+    scores a population, (N_s,) values, with one score call; rollout
     j draws its thetas from rngs[j] alone, so both forms give equal values.
     """
     if theta_draws < 1:
@@ -210,8 +194,8 @@ def initialization_objective(circuit: Circuit, spec: ScoreSpec,
         for j, (hp, rng) in enumerate(zip(hps, rngs)):
             for d in range(theta_draws):
                 thetas[j, d] = sample_params(hp, p, rng, scale)
-        raw = score_batch(thetas.reshape(-1, p), circuit, task_gradient,
-                          spec, features).reshape(len(hps), theta_draws)
+        raw = score(thetas.reshape(-1, p), circuit, task_gradient, spec,
+                    features).reshape(len(hps), theta_draws)
         total = np.zeros(len(hps))
         for d in range(theta_draws):
             total += raw[:, d]

@@ -641,6 +641,26 @@ def test_main_reports_divergent_training_in_one_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["manual", "uniform"])
+def test_hypopt_rejects_a_kind_that_is_not_a_score(tmp_path, capsys, kind):
+    out = tmp_path / "hypopt"
+    assert main(["hypopt", "--out", str(out), "--set", f"score.kind={kind}",
+                 "--set", "ansatz.layers=1", "--set", "es.n_iters=1"]) == 2
+    assert capsys.readouterr().out == (
+        f"error: hypopt needs score.kind among s1, s2, s3, got '{kind}'\n")
+    assert not out.exists()
+
+
+def test_grad_profile_names_a_qubit_mismatch(tmp_path, capsys):
+    out = tmp_path / "grad-profile"
+    assert main(["grad-profile", "--out", str(out),
+                 "--set", f"hamiltonian={TOY_HAMILTONIAN}",
+                 "--set", "ansatz.qubits=3", "--set", "m_samples=2"]) == 2
+    assert capsys.readouterr().out == (
+        "error: Hamiltonian and ansatz qubit counts differ\n")
+    assert not out.exists()
+
+
 def test_main_names_es_overflow(tmp_path, capsys):
     runs = (["hypopt", "--set", "ansatz.layers=1"],
             ["vqe", "--set", f"hamiltonian={TOY_HAMILTONIAN}",
@@ -654,6 +674,14 @@ def test_main_names_es_overflow(tmp_path, capsys):
             "error: ES diverged at iteration 0: the hyperparameters left the "
             "finite range; lower es.eta\n")
         assert not out.exists()
+    # a perturbation too wide leaves the range before any update
+    out = tmp_path / "sigma"
+    assert main(["hypopt", "--out", str(out), "--set", "ansatz.layers=1",
+                 "--set", "es.sigma_es=1e300", "--set", "es.n_iters=3"]) == 2
+    assert capsys.readouterr().out == (
+        "error: ES diverged at iteration 0: the hyperparameters left the "
+        "finite range; lower es.sigma_es or es.eta\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("item", ["score_batch=0", "score_batch=1",

@@ -13,10 +13,9 @@ from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       observable_gradient,
                                       observable_value_and_gradient,
                                       pauli_sum_gradients, qfim,
-                                      qfim_block_batch, qfim_block_diagonal,
-                                      qfim_empirical, qfim_exact,
-                                      qfims_from_states, state_derivatives,
-                                      state_derivatives_batch)
+                                      qfim_block_diagonal, qfim_empirical,
+                                      qfim_exact, qfims_from_states,
+                                      state_derivatives)
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
                                 ROTATION_KINDS, Circuit, Gate, Layer,
                                 Observable, RX, RY, RZ, apply_circuit,
@@ -384,7 +383,8 @@ def test_observable_gradient_through_reuploaded_features():
 def test_batched_sweep_matches_single_theta_sweeps(circ, data):
     """Each row of a batched sweep, whose theta rows repeat over the
     derivative rows in one kernel call per gate, equals its own B = 1
-    sweep."""
+    sweep: the (B, p) forms of state_derivatives, qfim_exact and
+    qfim_block_diagonal against their (p,) calls."""
     p, f = circ.num_params, circ.num_features
     rows = data.draw(st.integers(2, 4))
     thetas = np.array(data.draw(st.lists(
@@ -393,10 +393,18 @@ def test_batched_sweep_matches_single_theta_sweeps(circ, data):
     features = (np.array(data.draw(st.lists(ANGLES, min_size=f, max_size=f)))
                 if f else None)
     obs = data.draw(pauli_sums(circ.num_qubits))
-    psi, dpsi = state_derivatives_batch(circ, thetas, features)
+    psi, dpsi = state_derivatives(circ, thetas, features)
     grads = pauli_sum_gradients(psi, dpsi, obs)
     fishers = qfims_from_states(psi, dpsi)
-    blocks = qfim_block_batch(circ, thetas, features) if circ.layers else None
+    exact = None
+    if p <= EXACT_QFIM_MAX_PARAMS:
+        exact = qfim_exact(circ, thetas, features)
+        assert exact.entries.shape == (rows, p, p)
+        np.testing.assert_array_equal(exact.entries, fishers)
+    blocks = None
+    if circ.layers:
+        blocks = qfim_block_diagonal(circ, thetas, features)
+        assert blocks.entries.shape == (rows, p, p)
     for b, theta in enumerate(thetas):
         one_psi, one_dpsi = state_derivatives(circ, theta, features)
         np.testing.assert_allclose(psi[b], one_psi, rtol=0, atol=1e-14)
@@ -404,13 +412,14 @@ def test_batched_sweep_matches_single_theta_sweeps(circ, data):
         np.testing.assert_allclose(
             grads[b], observable_gradient(circ, theta, obs, features),
             rtol=0, atol=1e-12)
-        if p <= EXACT_QFIM_MAX_PARAMS:
+        if exact is not None:
             np.testing.assert_allclose(
-                fishers[b], qfim_exact(circ, theta, features).entries,
+                exact.entries[b], qfim_exact(circ, theta, features).entries,
                 rtol=0, atol=1e-12)
         if blocks is not None:
             np.testing.assert_allclose(
-                blocks[b], qfim_block_diagonal(circ, theta, features).entries,
+                blocks.entries[b],
+                qfim_block_diagonal(circ, theta, features).entries,
                 rtol=0, atol=1e-12)
 
 
@@ -447,6 +456,9 @@ def test_fidelity_ladder_dispatch():
                 gradient_fn=grad_fn).fidelity == "empirical"
     with pytest.raises(ValueError):
         qfim(untagged, np.zeros(big.num_params))
+    # the dispatcher rates one theta; the fidelity functions take stacks
+    with pytest.raises(ValueError, match="shape"):
+        qfim(small, np.zeros((2, small.num_params)))
 
 
 def test_hermitian_eigenvalues_match_numpy():

@@ -13,10 +13,9 @@ from qinitopt.distributions import (BETA, GAUSSIAN, HyperParams, child_rng,
                                     sample_params)
 from qinitopt.es import EsConfig, es_optimize
 from qinitopt.scoring import (HARMONIC, LOG_DET, OMEGA_KINDS, S1, S2, S3,
-                              SCORE_KINDS, TRACE, ScoreSpec, ScoreValue,
+                              SCORE_KINDS, TRACE, ScoreSpec,
                               initialization_objective, omega_reduce,
-                              order_statistic, score, score_batch,
-                              utility_shape)
+                              order_statistic, score, utility_shape)
 from qinitopt.simulator import (Circuit, Gate, Observable, RY, apply_circuit,
                                 build_hea, build_strongly_entangling,
                                 build_two_design, expectation)
@@ -46,8 +45,18 @@ def test_spec_validation():
         ScoreSpec(eps=math.nan)
     with pytest.raises(ValueError):
         ScoreSpec(k_eigs=0)
-    with pytest.raises(ValueError):
-        ScoreValue(raw=math.nan)
+
+
+def test_score_rejects_a_non_finite_raw_score():
+    # two RYs on one qubit: QFIM [[1, 1], [1, 1]] with eigenvalue 0, whose
+    # harmonic term 1e308 / eps overflows
+    circ = Circuit(1, (Gate(RY, target=0, param_slot=0),
+                       Gate(RY, target=0, param_slot=1)), 2)
+    spec = ScoreSpec(kind=S1, omega=HARMONIC, big_k=1e308)
+    for theta in ([0.3, 0.2], [[0.3, 0.2], [0.4, 0.1]]):
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="raw score must be finite"):
+            score(theta, circ, None, spec)
 
 
 def test_omega_trace():
@@ -92,13 +101,13 @@ def test_score_single_ry_all_kinds():
     theta = [math.pi / 2]
     eps = 1e-12
     s1 = score(theta, circ, lambda th: gradient(circ, th, cost),
-               ScoreSpec(kind=S1, eps=eps)).raw
+               ScoreSpec(kind=S1, eps=eps))
     assert abs(s1 - 1.0) < 1e-9  # QFIM [[1]], trace
     s2 = score(theta, circ, lambda th: gradient(circ, th, cost),
-               ScoreSpec(kind=S2, t=2)).raw
+               ScoreSpec(kind=S2, t=2))
     assert abs(s2 - 1.0) < 1e-9  # grad [-1], mean square
     s3 = score(theta, circ, lambda th: gradient(circ, th, cost),
-               ScoreSpec(kind=S3, w=0.9, eps=eps)).raw
+               ScoreSpec(kind=S3, w=0.9, eps=eps))
     assert abs(s3 - 1.0) < 1e-9
 
 
@@ -109,15 +118,15 @@ def test_score_s3_endpoints_match_branches():
     cost = lambda rows: expectation(apply_circuit(circ, rows), obs)
     theta = rng.uniform(0, 2 * math.pi, circ.num_params)
     s1 = score(theta, circ, lambda th: gradient(circ, th, cost),
-               ScoreSpec(kind=S1)).raw
+               ScoreSpec(kind=S1))
     s2 = score(theta, circ, lambda th: gradient(circ, th, cost),
-               ScoreSpec(kind=S2)).raw
+               ScoreSpec(kind=S2))
     assert score(theta, circ, lambda th: gradient(circ, th, cost),
-                 ScoreSpec(kind=S3, w=0.0)).raw == s1
+                 ScoreSpec(kind=S3, w=0.0)) == s1
     assert score(theta, circ, lambda th: gradient(circ, th, cost),
-                 ScoreSpec(kind=S3, w=1.0)).raw == s2
+                 ScoreSpec(kind=S3, w=1.0)) == s2
     blended = score(theta, circ, lambda th: gradient(circ, th, cost),
-                    ScoreSpec(kind=S3, w=0.25)).raw
+                    ScoreSpec(kind=S3, w=0.25))
     assert abs(blended - (0.75 * s1 + 0.25 * s2)) < 1e-12
 
 
@@ -127,7 +136,7 @@ def test_score_requires_cost_for_gradient_kinds():
         score([0.3], circ, None, ScoreSpec(kind=S2))
     with pytest.raises(ValueError):
         score([0.3], circ, None, ScoreSpec(kind=S3))
-    assert score([0.3], circ, None, ScoreSpec(kind=S1)).raw > 0
+    assert score([0.3], circ, None, ScoreSpec(kind=S1)) > 0
 
 
 def test_trace_of_stabilized_psd_at_least_p_eps():
@@ -235,12 +244,14 @@ def test_score_batch_matches_per_theta_scores(circ, data):
     with pytest.MonkeyPatch.context() as mp:
         if data.draw(st.booleans()):
             mp.setattr(differentiation, "EXACT_QFIM_MAX_PARAMS", 0)
-        got = score_batch(thetas, circ, source, spec, features)
+        got = score(thetas, circ, source, spec, features)
+        assert got.shape == (rows,)
         want = [per_theta_score(theta, circ, grad_fn, spec, features)
                 for theta in thetas]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        singles = [score(theta, circ, source, spec, features).raw
+        singles = [score(theta, circ, source, spec, features)
                    for theta in thetas]
+        assert all(type(single) is float for single in singles)
         np.testing.assert_allclose(got, singles, rtol=1e-12, atol=1e-12)
         # one theta per chunk, then two
         for per_chunk in (1, 2):
@@ -248,7 +259,7 @@ def test_score_batch_matches_per_theta_scores(circ, data):
                        per_chunk * (p + 1) << circ.num_qubits)
             assert sweep_batch_size(circ) == per_chunk
             np.testing.assert_allclose(
-                score_batch(thetas, circ, source, spec, features), got,
+                score(thetas, circ, source, spec, features), got,
                 rtol=1e-12, atol=1e-12)
 
 
@@ -264,23 +275,23 @@ def test_score_batch_nan_row_raises():
                 for kind in SCORE_KINDS:
                     for source in (obs, grad_fn):
                         with pytest.raises(FloatingPointError):
-                            score_batch(thetas, circ, source,
-                                        ScoreSpec(kind=kind))
+                            score(thetas, circ, source,
+                                  ScoreSpec(kind=kind))
 
 
 def test_score_batch_validation():
     circ = build_hea(1, 2)
     with pytest.raises(ValueError, match="shape"):
-        score_batch(np.zeros(circ.num_params), circ, None, ScoreSpec(kind=S1))
+        score(np.zeros((2, circ.num_params + 1)), circ, None,
+              ScoreSpec(kind=S1))
     with pytest.raises(ValueError, match="task gradient"):
-        score_batch(np.zeros((2, circ.num_params)), circ, None,
-                    ScoreSpec(kind=S2))
+        score(np.zeros((2, circ.num_params)), circ, None, ScoreSpec(kind=S2))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(differentiation, "EXACT_QFIM_MAX_PARAMS", 0)
         untagged = Circuit(2, circ.gates, circ.num_params)
         with pytest.raises(ValueError, match="empirical QFIM"):
-            score_batch(np.zeros((2, circ.num_params)), untagged, None,
-                        ScoreSpec(kind=S1))
+            score(np.zeros((2, circ.num_params)), untagged, None,
+                  ScoreSpec(kind=S1))
 
 
 @pytest.mark.parametrize("theta_draws", [1, 2])
@@ -299,7 +310,7 @@ def test_es_trace_same_through_batch_form(kind, theta_draws):
         total = 0.0
         for _ in range(theta_draws):
             theta = sample_params(hp, circ.num_params, rng)
-            total += score(theta, circ, obs, spec).raw
+            total += score(theta, circ, obs, spec)
         return total / theta_draws
 
     cfg = EsConfig(n_iters=3, eps_converge=1e-12)

@@ -641,6 +641,21 @@ def test_qml_rejects_nan_theta_and_features(shared):
             task.probabilities(theta, rows)
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_qml_probabilities_take_one_theta_on_either_path(shared):
+    rng = np.random.default_rng(88)
+    circ = embedded_classifier(1, 2)
+    n = 6 if shared else 3  # 2^q = 4 rows
+    feats = rng.uniform(-math.pi, math.pi, (n, 2))
+    task = QmlTask(circ, feats, rng.integers(0, 2, n), 2)
+    assert (task._embedded is not None) == shared
+    thetas = rng.uniform(0, 2 * math.pi, (n, circ.num_params))
+    assert task.probabilities(thetas[0], feats).shape == (n, 2)
+    assert task.probabilities(thetas[0], feats[0]).shape == (2,)
+    with pytest.raises(ValueError, match="shape"):
+        task.probabilities(thetas, feats)
+
+
 @st.composite
 def lockstep_cases(draw):
     """(task, stack, iters, lr): a VqeTask on the adjoint or the forward-
