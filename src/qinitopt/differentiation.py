@@ -28,7 +28,9 @@ line, and a VqeTask takes its path from it for its training stack.
 
 One sweep serves a whole (B, p) batch of thetas, so a population costs one
 kernel call per gate, and a row's results keep the bits its theta gives
-alone. Each quantity has one function, which takes a (p,) theta or a
+alone. Each sweep builds one simulator.angle_table before its first gate;
+the adjoint's undo table holds the inverse gates' factors, taken from
+-theta / 2. Each quantity has one function, which takes a (p,) theta or a
 (B, p) stack and runs a (p,) theta as a stack of one; only the
 parameter-shift reference and the qfim dispatcher take one theta. Callers
 keep a buffer under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the
@@ -45,8 +47,8 @@ import math
 import numpy as np
 
 from .simulator import (Circuit, Observable, _expectation_from, _pauli_table,
-                        apply_gate, apply_observable, check_normalized,
-                        run_gates)
+                        angle_table, apply_gate, apply_observable,
+                        check_normalized, run_gates)
 
 SHIFT = math.pi / 2
 
@@ -156,6 +158,7 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
         pair_feats = np.concatenate([feats, feats])
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([phi, lam])
+    undo = angle_table(gates[first + 1:], thetas, pair_feats, inverse=True)
     # sums[mu, j] = Re<lambda_j|-(i/2) G_mu phi_j>, one vecdot per slot
     sums = np.zeros((p, m))
     for k in range(len(gates) - 1, first - 1, -1):
@@ -167,7 +170,7 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
                              else pair[:m].take(source, axis=-1))
             sums[gate.param_slot] = np.vecdot(pair[m:], rows).real
         if k > first:
-            apply_gate(pair, gate, thetas, pair_feats, inverse=True)
+            apply_gate(pair, gate, undo)
     # theta r owns rows r, r + b, ...; summing each theta's row sums along
     # a contiguous axis gives it the same bits at any b
     per_theta = np.ascontiguousarray(
@@ -267,12 +270,13 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, features, stops):
     rows = np.zeros((height, batch, 1 << circuit.num_qubits), dtype=complex)
     rows[0, :, 0] = 1.0
     flat = rows.reshape(height * batch, -1)
+    table = angle_table(circuit.gates, thetas, feats)
     n = 1
     slots: list[int] = []
     start = 0
     for stop in stops:
         for gate in circuit.gates[start:stop]:
-            apply_gate(flat[:n * batch], gate, thetas, feats)
+            apply_gate(flat[:n * batch], gate, table)
             if gate.param_slot is not None:
                 factor, source = _derivative_table(
                     gate.kind, gate.target, circuit.num_qubits)

@@ -76,7 +76,13 @@ def omega_reduce(fisher, spec: ScoreSpec) -> float:
         if np.any(values <= 0):
             raise ValueError("log-det needs eigenvalues above -eps")
         return float(np.sum(np.log(values)))
-    return float(spec.big_k * np.sum(1.0 / values[:min(spec.k_eigs, p)]))
+    with np.errstate(over="ignore", divide="ignore"):
+        total = spec.big_k * np.sum(1.0 / values[:min(spec.k_eigs, p)])
+    if not np.isfinite(total):
+        raise ValueError(
+            f"raw score must be finite, but the harmonic sum is {total} at "
+            f"score.big_k = {spec.big_k:g} and score.eps = {spec.eps:g}")
+    return float(total)
 
 
 def order_statistic(grad, t: int) -> float:

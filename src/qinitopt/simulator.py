@@ -7,6 +7,13 @@ parameterized gate is a one-angle Pauli rotation exp(-i a P / 2), so
 Rot(a, b, c) is written as RZ(a), RY(b), RZ(c). All state-producing
 functions accept a batch of parameter vectors and then return a batch of
 states, which keeps parameter-shift sweeps cheap.
+
+A gate on a few rows of 16 amplitudes costs mostly numpy call overhead, so
+a run of a gate sequence takes the trig of all its angles at once:
+angle_table holds every rotation's half-angle factors, complex and shaped
+to broadcast over the batch, and apply_gate reads a gate's entry from it.
+A kernel then makes only the calls that move amplitudes, and each
+amplitude keeps the bits that per-gate trig would give it.
 """
 from __future__ import annotations
 
@@ -125,33 +132,76 @@ def zero_state(num_qubits: int, batch: int | None = None) -> np.ndarray:
     return state
 
 
+def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
+                inverse: bool = False) -> dict:
+    """The half-angle factors of every rotation in a gate sequence, built
+    once for a run of it, keyed by (kind, param_slot, feature_slot).
+
+    Theta slots read (k, p) thetas and feature slots (k', f) features, each
+    with its own row count; every factor has shape (k, 1, 1), and row r of
+    a state batch turns by angle row r % k. With h = a / 2, or h = -a / 2
+    for the inverse gates, an rz entry holds (exp(-ih), exp(ih)), an ry
+    or fixed-ry entry (cos h, sin h, sin h) and an rx entry
+    (cos h, i sin h, -i sin h), all complex, so no kernel casts a real
+    operand. A sequence builds only the factors its gate kinds read.
+    """
+    fixed = np.full((1, 1), FIXED_RY_ANGLE)
+    columns: dict = {}  # (kind, angle source) -> {table key: column}
+    for gate in gates:
+        kind = gate.kind
+        if gate.param_slot is not None:
+            group, column = (kind, 0), gate.param_slot
+        elif gate.feature_slot is not None:
+            group, column = (kind, 1), gate.feature_slot
+        elif kind == FIXED_RY:
+            group, column = (RY, 2), 0
+        else:
+            continue
+        columns.setdefault(group, {})[
+            kind, gate.param_slot, gate.feature_slot] = column
+    table = {}
+    for (kind, source), keys in columns.items():
+        angles = np.asarray((thetas, features, fixed)[source], dtype=float)
+        angles = angles[:, list(keys.values())]
+        half = (-angles if inverse else angles) / 2.0
+        if kind == RZ:
+            factors = (np.exp(-1j * half), np.exp(1j * half))
+        else:
+            c = np.cos(half).astype(complex)
+            sn = np.sin(half)
+            if kind == RX:
+                factors = (c, 1j * sn, -1j * sn)
+            else:
+                sn = sn.astype(complex)
+                factors = (c, sn, sn)
+        table.update(zip(keys, zip(*(f.T[:, :, None, None]
+                                     for f in factors))))
+    return table
+
+
 def _rotate_single(state: np.ndarray, kind: str, qubit: int,
-                   angle: np.ndarray) -> None:
-    """In-place single-qubit rotation on a (B, 2^n) state batch. angle holds
-    k values, k dividing B, and row r turns by angle[r % k]: one per row, or
-    one set repeated over blocks of rows."""
-    half = np.asarray(angle, dtype=float) / 2.0
-    s = state.reshape(-1, half.size, 1 << qubit, 2,
+                   factors: tuple) -> None:
+    """In-place single-qubit rotation on a (B, 2^n) state batch by its
+    angle_table entry, whose (k, 1, 1) factors repeat over blocks of k
+    rows. RZ scales the two half-views in place; RX and RY form
+    c * s0 - f * s1 and g * s0 + c * s1 in fresh contiguous arrays and copy
+    them back, which on numpy 2.4 beats updating the strided half-views in
+    place at every buffer size the package runs."""
+    s = state.reshape(-1, len(factors[0]), 1 << qubit, 2,
                       state.shape[1] >> (qubit + 1))
-    half = half.reshape(-1, 1, 1)
-    if kind == RZ:
-        s[..., 0, :] *= np.exp(-1j * half)
-        s[..., 1, :] *= np.exp(1j * half)
-        return
-    c = np.cos(half)
-    sn = np.sin(half)
     s0 = s[..., 0, :]
     s1 = s[..., 1, :]
-    if kind == RY:
-        new0 = c * s0 - sn * s1
-        new1 = sn * s0 + c * s1
-    elif kind == RX:
-        new0 = c * s0 - 1j * sn * s1
-        new1 = -1j * sn * s0 + c * s1
-    else:
-        raise ValueError(f"not a rotation kind: {kind}")
-    s[..., 0, :] = new0
-    s[..., 1, :] = new1
+    if kind == RZ:
+        s0 *= factors[0]
+        s1 *= factors[1]
+        return
+    c, f, g = factors
+    new0 = c * s0
+    new0 -= f * s1
+    new1 = g * s0
+    new1 += c * s1
+    s0[...] = new0
+    s1[...] = new1
 
 
 def _two_qubit_view(state: np.ndarray, q_lo: int, q_hi: int) -> np.ndarray:
@@ -162,47 +212,33 @@ def _two_qubit_view(state: np.ndarray, q_lo: int, q_hi: int) -> np.ndarray:
 
 def _apply_cnot(state: np.ndarray, control: int, target: int) -> None:
     s = _two_qubit_view(state, min(control, target), max(control, target))
-    if control < target:
-        tmp = s[:, :, 1, :, 0, :].copy()
-        s[:, :, 1, :, 0, :] = s[:, :, 1, :, 1, :]
-        s[:, :, 1, :, 1, :] = tmp
-    else:
-        tmp = s[:, :, 0, :, 1, :].copy()
-        s[:, :, 0, :, 1, :] = s[:, :, 1, :, 1, :]
-        s[:, :, 1, :, 1, :] = tmp
+    # swap the target's 0 and 1 halves where the control is 1
+    flip = s[:, :, 1, :, 0] if control < target else s[:, :, 0, :, 1]
+    both = s[:, :, 1, :, 1]
+    tmp = flip.copy()
+    flip[...] = both
+    both[...] = tmp
 
 
 def _apply_cz(state: np.ndarray, q_a: int, q_b: int) -> None:
     s = _two_qubit_view(state, min(q_a, q_b), max(q_a, q_b))
-    s[:, :, 1, :, 1, :] *= -1.0
+    block = s[:, :, 1, :, 1, :]
+    block *= -1.0
 
 
-def _angle_for(gate: Gate, thetas: np.ndarray,
-               features: np.ndarray) -> np.ndarray:
-    if gate.feature_slot is not None:
-        return features[:, gate.feature_slot]
-    return thetas[:, gate.param_slot]
-
-
-def apply_gate(state: np.ndarray, gate: Gate, thetas: np.ndarray,
-               features: np.ndarray, inverse: bool = False) -> None:
-    """Apply one gate, or with inverse=True its inverse, in place to a
-    (B, 2^n) state batch; angles come from (k, p) thetas and (k, f)
-    features, row r of the batch taking angle row r % k (k = 1
-    broadcasts)."""
+def apply_gate(state: np.ndarray, gate: Gate, table: dict) -> None:
+    """Apply one gate in place to a (B, 2^n) state batch; a rotation reads
+    its factors from table, an angle_table over a sequence that holds the
+    gate (built with inverse=True, it applies the gate's inverse; CNOT and
+    CZ are their own inverses)."""
     kind = gate.kind
-    if kind in ROTATION_KINDS:
-        angle = _angle_for(gate, thetas, features)
-        _rotate_single(state, kind, gate.target, -angle if inverse else angle)
-    elif kind == FIXED_RY:
-        _rotate_single(state, RY, gate.target,
-                       np.array([-FIXED_RY_ANGLE if inverse else FIXED_RY_ANGLE]))
-    elif kind == CNOT:
+    if kind == CNOT:
         _apply_cnot(state, gate.control, gate.target)
     elif kind == CZ:
         _apply_cz(state, gate.control, gate.target)
     else:
-        raise ValueError(f"cannot apply gate kind {kind!r}")
+        _rotate_single(state, kind, gate.target,
+                       table[kind, gate.param_slot, gate.feature_slot])
 
 
 def run_gates(gates, num_qubits: int, thetas: np.ndarray,
@@ -212,12 +248,10 @@ def run_gates(gates, num_qubits: int, thetas: np.ndarray,
     Internal workhorse: does not re-validate slot coverage, so it also works
     on truncated gate lists. Returns a (B, 2^n) batch.
     """
-    batch = thetas.shape[0]
-    if features is None:
-        features = np.zeros((batch, 0))
-    state = zero_state(num_qubits, batch)
+    state = zero_state(num_qubits, thetas.shape[0])
+    table = angle_table(gates, thetas, features)
     for gate in gates:
-        apply_gate(state, gate, thetas, features)
+        apply_gate(state, gate, table)
     return state
 
 

@@ -34,7 +34,7 @@ is then a row of one matrix product, and the adjoint sweep runs over
 or fewer rows than 2^q) each row is simulated and swept on its own. The
 path is fixed when the task is built. In a batch of B thetas, row j * B + b
 of a basis or sweep batch belongs to theta b, the row-to-angle rule of
-simulator.apply_gate.
+simulator.angle_table; the basis run reads one table for all B thetas.
 """
 from __future__ import annotations
 
@@ -48,9 +48,9 @@ from .differentiation import (_in_chunks, _theta_batch, adjoint_gradient,
                               hermitian_eigenvalues,
                               observable_value_and_gradient,
                               pauli_sum_gradients, state_derivatives)
-from .simulator import (Circuit, Observable, _as_batch, apply_circuit,
-                        apply_gate, apply_observable, check_normalized,
-                        expectation, run_gates)
+from .simulator import (Circuit, Observable, _as_batch, angle_table,
+                        apply_circuit, apply_gate, apply_observable,
+                        check_normalized, expectation, run_gates)
 
 PROB_CLAMP = 1e-10
 MAX_ORACLE_QUBITS = 10
@@ -188,8 +188,9 @@ class QmlTask:
         so that states[b] = embedded @ unitary[b]."""
         d, b = 1 << self.circuit.num_qubits, len(thetas)
         basis = np.repeat(np.eye(d, dtype=complex), b, axis=0)
+        table = angle_table(self._body, thetas)
         for gate in self._body:
-            apply_gate(basis, gate, thetas, np.zeros((1, 0)))
+            apply_gate(basis, gate, table)
         unitary = basis.reshape(d, b, d).transpose(1, 0, 2)
         states = embedded @ unitary
         check_normalized(states.reshape(-1, d))

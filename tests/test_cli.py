@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import jsonschema
 import numpy as np
@@ -463,6 +464,24 @@ def test_main_reports_out_of_memory(tmp_path, capsys, monkeypatch, exc):
         assert text.startswith("error: out of memory") and text.count("\n") == 1
         assert str(exc) in text
         assert not out.exists()
+
+
+def test_main_reports_a_harmonic_overflow_by_its_keys(tmp_path, capsys):
+    # 1e308 over a near-zero eigenvalue plus eps overflows the harmonic sum
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["hypopt", "--out", str(tmp_path / "out"),
+                     "--set", "ansatz.layers=1",
+                     "--set", "score.omega=harmonic",
+                     "--set", "score.big_k=1e308", "--set", "es.n_iters=1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.out.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and captured.out.count("\n") == 1
+    assert "score.big_k" in errors[0] and "score.eps" in errors[0]
+    assert "RuntimeWarning" not in captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("item", ["train.iters=-1", "train.lr=-1"])

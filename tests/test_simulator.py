@@ -16,7 +16,8 @@ from qinitopt.differentiation import _derivative_table
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 GATE_KINDS, ROTATION_KINDS, RX, RY, RZ,
                                 Circuit, Gate, Layer, Observable,
-                                apply_circuit, apply_gate, apply_observable,
+                                angle_table, apply_circuit, apply_gate,
+                                apply_observable,
                                 build_hea, build_strongly_entangling,
                                 build_two_design, embed_angles, expectation,
                                 zero_state)
@@ -179,9 +180,10 @@ def test_apply_gate_inverse_undoes_each_kind():
     for gate in gates:
         start = random_states(rng, 5, 3)
         state = start.copy()
-        apply_gate(state, gate, thetas, feats)
+        apply_gate(state, gate, angle_table([gate], thetas, feats))
         assert np.max(np.abs(state - start)) > 1e-3
-        apply_gate(state, gate, thetas, feats, inverse=True)
+        apply_gate(state, gate,
+                   angle_table([gate], thetas, feats, inverse=True))
         assert np.allclose(state, start, atol=1e-12)
 
 
@@ -214,11 +216,163 @@ def test_gate_kernels_preserve_norm_and_invert(case):
     n, gate, thetas, feats, seed = case
     start = random_states(np.random.default_rng(seed), len(thetas), n)
     state = start.copy()
-    apply_gate(state, gate, thetas, feats)
+    apply_gate(state, gate, angle_table([gate], thetas, feats))
     np.testing.assert_allclose(np.linalg.norm(state, axis=1), 1.0,
                                rtol=0, atol=1e-12)
-    apply_gate(state, gate, thetas, feats, inverse=True)
+    apply_gate(state, gate, angle_table([gate], thetas, feats, inverse=True))
     np.testing.assert_allclose(state, start, rtol=0, atol=1e-12)
+
+
+# Frozen copy of the row-major kernels as they stood before the angle
+# tables: every angle's trig taken per gate, new halves formed out of
+# place. The production kernels must reproduce them bit for bit.
+
+def _oracle_rotate(state, kind, qubit, angle):
+    half = np.asarray(angle, dtype=float) / 2.0
+    s = state.reshape(-1, half.size, 1 << qubit, 2,
+                      state.shape[1] >> (qubit + 1))
+    half = half.reshape(-1, 1, 1)
+    if kind == RZ:
+        s[..., 0, :] *= np.exp(-1j * half)
+        s[..., 1, :] *= np.exp(1j * half)
+        return
+    c = np.cos(half)
+    sn = np.sin(half)
+    s0 = s[..., 0, :]
+    s1 = s[..., 1, :]
+    if kind == RY:
+        new0 = c * s0 - sn * s1
+        new1 = sn * s0 + c * s1
+    else:
+        new0 = c * s0 - 1j * sn * s1
+        new1 = -1j * sn * s0 + c * s1
+    s[..., 0, :] = new0
+    s[..., 1, :] = new1
+
+
+def _oracle_two_qubit_view(state, q_lo, q_hi):
+    return state.reshape(state.shape[0], 1 << q_lo, 2,
+                         1 << (q_hi - q_lo - 1), 2, -1)
+
+
+def _oracle_cnot(state, control, target):
+    s = _oracle_two_qubit_view(state, min(control, target),
+                               max(control, target))
+    if control < target:
+        tmp = s[:, :, 1, :, 0, :].copy()
+        s[:, :, 1, :, 0, :] = s[:, :, 1, :, 1, :]
+        s[:, :, 1, :, 1, :] = tmp
+    else:
+        tmp = s[:, :, 0, :, 1, :].copy()
+        s[:, :, 0, :, 1, :] = s[:, :, 1, :, 1, :]
+        s[:, :, 1, :, 1, :] = tmp
+
+
+def _oracle_cz(state, q_a, q_b):
+    s = _oracle_two_qubit_view(state, min(q_a, q_b), max(q_a, q_b))
+    s[:, :, 1, :, 1, :] *= -1.0
+
+
+def _oracle_apply(state, gate, thetas, features, inverse):
+    if gate.kind in ROTATION_KINDS:
+        angle = (features[:, gate.feature_slot] if gate.feature_slot is not None
+                 else thetas[:, gate.param_slot])
+        _oracle_rotate(state, gate.kind, gate.target,
+                       -angle if inverse else angle)
+    elif gate.kind == FIXED_RY:
+        _oracle_rotate(state, RY, gate.target,
+                       np.array([-FIXED_RY_ANGLE if inverse
+                                 else FIXED_RY_ANGLE]))
+    elif gate.kind == CNOT:
+        _oracle_cnot(state, gate.control, gate.target)
+    else:
+        _oracle_cz(state, gate.control, gate.target)
+
+
+def assert_same_bits(got, want):
+    got, want = got.view(np.float64), want.view(np.float64)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def kernel_gates(n):
+    """Every gate kind on the first and the last qubit, two-qubit gates in
+    both control orders, rotations on a theta and on a feature slot."""
+    gates = []
+    for target in sorted({0, n - 1}):
+        gates += [Gate(kind, target=target, param_slot=1)
+                  for kind in ROTATION_KINDS]
+        gates += [Gate(kind, target=target, feature_slot=0)
+                  for kind in ROTATION_KINDS]
+        gates.append(Gate(FIXED_RY, target=target))
+        if n > 1:
+            other = n - 1 - target
+            for kind in (CNOT, CZ):
+                gates.append(Gate(kind, target=target, control=other))
+                if n > 2:
+                    gates.append(Gate(kind, target=target, control=1))
+    return gates
+
+
+def kernel_states(rng, batch, n):
+    """Random rows, |0...0> rows, basis rows and rows of signed zeros."""
+    d = 1 << n
+    random = random_states(rng, batch, n)
+    zero = zero_state(n, batch)
+    basis = np.eye(d, dtype=complex)[np.arange(batch) % d]
+    signed = random.copy()
+    signed.real[:, ::2] = -0.0
+    signed.imag[:, 1::3] = -0.0
+    signed.imag[:, ::4] = 0.0
+    return [random, zero, basis, -basis, signed]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("inverse", [False, True])
+def test_gate_kernels_match_the_row_major_oracle_bit_for_bit(n, inverse):
+    rng = np.random.default_rng(40 + n)
+    batch = 6
+    special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300]
+    for k in (1, 2, 3, 6):  # angle rows repeat over blocks of k state rows
+        thetas = rng.uniform(-7, 7, (k, 3))
+        thetas[:, 1] = [special[(j + n) % 6] if j % 2 else thetas[j, 1]
+                        for j in range(k)]
+        feats = rng.uniform(-7, 7, (k, 1))
+        feats[0, 0] = -0.0
+        gates = kernel_gates(n)
+        table = angle_table(gates, thetas, feats, inverse=inverse)
+        for start in kernel_states(rng, batch, n):
+            for gate in gates:
+                want = start.copy()
+                _oracle_apply(want, gate, thetas, feats, inverse)
+                got = start.copy()
+                apply_gate(got, gate, table)
+                assert_same_bits(got, want)
+                # the sweep updates a row prefix of a larger buffer in place
+                buffer = np.concatenate([start, random_states(rng, 3, n)])
+                rest = buffer[batch:].copy()
+                apply_gate(buffer[:batch], gate, table)
+                assert_same_bits(buffer[:batch], want)
+                assert_same_bits(buffer[batch:], rest)
+
+
+def test_gate_sequences_match_the_oracle_bit_for_bit():
+    rng = np.random.default_rng(47)
+    for circ in (build_strongly_entangling(3, 4), build_two_design(3, 4, 2),
+                 embed_angles(build_hea(2, 3), 3)):
+        thetas = rng.uniform(-4, 4, (5, circ.num_params))
+        feats = rng.uniform(-4, 4, (5, circ.num_features))
+        want = zero_state(circ.num_qubits, 5)
+        for gate in circ.gates:
+            _oracle_apply(want, gate, thetas, feats, False)
+        got = apply_circuit(circ, thetas, feats if circ.num_features else None)
+        assert_same_bits(got, want)
+        for gate in reversed(circ.gates):
+            _oracle_apply(want, gate, thetas, feats, True)
+        undo = angle_table(circ.gates, thetas, feats, inverse=True)
+        for gate in reversed(circ.gates):
+            apply_gate(got, gate, undo)
+        assert_same_bits(got, want)
 
 
 @given(st.text(alphabet="IXYZ", min_size=1, max_size=6),
