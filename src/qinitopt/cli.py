@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -632,11 +633,12 @@ def main(argv=None) -> int:
         wall_clock = time.perf_counter() - started
         written = write_outputs(args.command, cfg, record, wall_clock)
     except MemoryError as exc:
-        print(f"error: out of memory{f': {exc}' if str(exc) else ''}")
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}",
+              file=sys.stderr)
         return 2
     except (ValueError, OSError, ArithmeticError, RuntimeError) as exc:
         cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
-        print(f"error: {exc}{cause}")
+        print(f"error: {exc}{cause}", file=sys.stderr)
         return 2
     for line in _summary_lines(args.command, record):
         print(line)

@@ -10,10 +10,13 @@ The forward sweep gets every state derivative from one pass: it runs each
 gate once on a batch whose row 0 is psi, and right after the gate of slot
 mu appends the row -(i/2) G_mu psi, which the remaining gates then carry to
 d_mu psi. That batch grows to at most p + 1 rows per theta. The exact QFIM
-(one batched Gram over the (B, p, 2^n) derivatives) and the block-diagonal
-QFIM (one block per tagged ansatz layer, each closed at its layer's last
-gate) read it, and so does pauli_sum_gradients, 2 Re<H psi|d_mu psi>, on
-the exact-QFIM path, where the derivatives are there anyway.
+(np.vecdot reductions over the (B, p, 2^n) derivatives) and the
+block-diagonal QFIM (one block per tagged ansatz layer, each closed at its
+layer's last gate) read it, and so does pauli_sum_gradients,
+2 Re<H psi|d_mu psi>, on the exact-QFIM path, where the derivatives are
+there anyway. Both contract the amplitude axis by np.vecdot, one dot
+product per entry on the calling thread: a BLAS matmul of these sizes wakes
+a second thread that only spins.
 
 The adjoint sweep (Jones & Gacon, arXiv:2009.02823) gets the gradient of a
 sum of per-row expectations from one backward pass over given final rows
@@ -181,11 +184,20 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
 
 def qfims_from_states(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     """(B, m, m) QFIMs from (B, 2^n) states and (B, m, 2^n) derivatives by
-    one np.matmul Gram over the stack."""
-    conj = dpsi.conj()
-    overlap = conj @ dpsi.transpose(0, 2, 1)
-    berry = conj @ psi[:, :, None]
-    fisher = 4.0 * (overlap - berry * berry.conj().transpose(0, 2, 1)).real
+    np.vecdot reductions over the stack.
+
+    Re<d_mu psi|d_nu psi> is the dot product of the two rows' float views,
+    of length 2 * 2^n, and the Berry terms b_mu = <d_mu psi|psi> are one
+    complex vecdot. Each entry is one dot product, which at these lengths
+    runs on the calling thread, where a BLAS Gram over the stack wakes a
+    second thread that then spins after the call. dpsi's last axis must be
+    C-contiguous, as the float view needs it.
+    """
+    real = dpsi.view(float)
+    overlap = np.vecdot(real[:, :, None, :], real[:, None, :, :])
+    berry = np.vecdot(dpsi, psi[:, None, :])
+    fisher = 4.0 * (overlap
+                    - (berry[:, :, None] * berry[:, None, :].conj()).real)
     return (fisher + fisher.transpose(0, 2, 1)) / 2.0
 
 
@@ -309,9 +321,11 @@ def pauli_sum_gradients(psi: np.ndarray, dpsi: np.ndarray,
                         obs: Observable) -> np.ndarray:
     """(B, p) gradients d<psi|H|psi>/dtheta_mu = 2 Re<H psi|d_mu psi> of a
     Pauli sum H from (B, 2^n) states and their (B, p, 2^n) derivatives: the
-    exact-QFIM path, whose forward sweep has the derivatives anyway."""
+    exact-QFIM path, whose forward sweep has the derivatives anyway. Each
+    entry is one np.vecdot of float views, so dpsi's last axis must be
+    C-contiguous."""
     h_psi = apply_observable(psi, obs)
-    grad = 2.0 * (dpsi @ h_psi.conj()[:, :, None])[:, :, 0].real
+    grad = 2.0 * np.vecdot(h_psi.view(float)[:, None, :], dpsi.view(float))
     if not np.all(np.isfinite(grad)):
         raise FloatingPointError("gradient has non-finite entries")
     return grad

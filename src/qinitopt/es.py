@@ -115,8 +115,10 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
                                     child_rng(master_seed, "perturb", iteration))
         rngs = [child_rng(master_seed, "rollout", iteration, j)
                 for j in range(cfg.n_samples)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            perturbed = lam[None, :] + cfg.sigma_es * gamma
         candidates = [settle(lam_p, iteration, "es.sigma_es or es.eta")
-                      for lam_p in lam[None, :] + cfg.sigma_es * gamma]
+                      for lam_p in perturbed]
         try:
             if batch is not None:
                 raw = np.array(batch(candidates, rngs), dtype=float)
@@ -134,16 +136,21 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
         if not np.all(np.isfinite(raw)):
             raise FloatingPointError("score evaluation returned a non-finite value")
         zeta = utility_shape(raw) if cfg.use_utility else raw
-        if cfg.antithetic:
-            # paired form: exact cancellation when both halves score equally
-            half = cfg.n_samples // 2
-            grad = gamma[:half].T @ (zeta[:half] - zeta[half:])
-            grad /= cfg.n_samples * cfg.sigma_es
-        else:
-            grad = gamma.T @ zeta / (cfg.n_samples * cfg.sigma_es)
         with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.antithetic:
+                # paired form: exact cancellation when both halves score
+                # equally
+                half = cfg.n_samples // 2
+                grad = gamma[:half].T @ (zeta[:half] - zeta[half:])
+                grad /= cfg.n_samples * cfg.sigma_es
+            else:
+                grad = gamma.T @ zeta / (cfg.n_samples * cfg.sigma_es)
             delta = cfg.eta * grad
             lam = lam + delta
+        if not np.all(np.isfinite(grad)):
+            raise FloatingPointError(
+                f"ES diverged at iteration {iteration}: the search gradient "
+                f"overflowed; raise es.sigma_es")
         constrained = settle(lam, iteration, "es.eta")
         trace.unconstrained.append(tuple(lam))
         trace.hyperparams.append(tuple(constrained.values) if is_hp

@@ -1,13 +1,18 @@
 """CLI config resolution, command runners, and output files."""
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import jsonschema
 import numpy as np
 import pytest
@@ -28,6 +33,13 @@ TOY_HAMILTONIAN = str(REPO / "hamiltonians" / "toy_2q.txt")
 
 def validate(record):
     jsonschema.Draft202012Validator(SCHEMA).validate(record)
+
+
+def error_output(capsys) -> str:
+    """What a failed run printed: its stderr, once stdout is checked empty."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 def make_dataset(tmp_path, n=30, features=4, classes=2, seed=11):
@@ -263,7 +275,7 @@ def test_bp_scan_rejects_empty_and_repeated_qubit_counts(tmp_path, capsys):
         code = main(["bp-scan", "--out", str(out),
                      "--set", f"qubit_range={counts}"])
         assert code == 2
-        assert capsys.readouterr().out == (
+        assert error_output(capsys) == (
             f"error: qubit_range must list distinct qubit counts, "
             f"got {counts}\n")
         assert not out.exists()
@@ -279,7 +291,7 @@ def test_main_rejects_negative_training_inputs(tmp_path, capsys, item):
         code = main([*command, "--out", str(out), "--set", item,
                      "--set", 'methods=["manual"]', "--set", "ansatz.layers=1"])
         assert code == 2
-        text = capsys.readouterr().out
+        text = error_output(capsys)
         assert text.startswith("error: ") and text.count("\n") == 1
         assert "must not be negative" in text
         assert not out.exists()
@@ -291,7 +303,7 @@ def test_main_reports_wrong_hyperparameter_count(tmp_path, capsys):
         out = tmp_path / command
         code = main([command, "--out", str(out), "--set", item])
         assert code == 2
-        assert capsys.readouterr().out == (
+        assert error_output(capsys) == (
             "error: beta takes exactly two hyperparameters, got 1\n")
         assert not out.exists()
 
@@ -302,7 +314,7 @@ def test_main_rejects_zero_pca_components(tmp_path, capsys):
                  "--set", f"dataset={make_dataset(tmp_path)}",
                  "--set", "pca_components=0"])
     assert code == 2
-    assert capsys.readouterr().out == (
+    assert error_output(capsys) == (
         "error: need at least 1 principal component, got 0\n")
     assert not out.exists()
 
@@ -330,12 +342,12 @@ def test_main_rejects_workers_below_one(tmp_path, capsys):
         code = main(["hypopt", "--out", str(tmp_path / "run"),
                      "--workers", workers])
         assert code == 2
-        assert capsys.readouterr().out == (
+        assert error_output(capsys) == (
             f"error: workers must be at least 1, got {workers}\n")
     code = main(["hypopt", "--out", str(tmp_path / "run"),
                  "--set", "workers=0"])
     assert code == 2
-    assert capsys.readouterr().out.startswith("error: workers must be")
+    assert error_output(capsys).startswith("error: workers must be")
     assert not (tmp_path / "run").exists()
 
 
@@ -373,7 +385,7 @@ def test_main_rerun_is_byte_identical(tmp_path):
 def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["hypopt", "--out", str(tmp_path), "--set", "turbo=1"])
     assert code == 2
-    assert "unknown config key 'turbo'" in capsys.readouterr().out
+    assert "unknown config key 'turbo'" in error_output(capsys)
 
 
 def test_main_rejects_non_finite_dataset_cell(tmp_path, capsys):
@@ -382,7 +394,7 @@ def test_main_rejects_non_finite_dataset_cell(tmp_path, capsys):
     code = main(["qml", "--out", str(tmp_path / "out"),
                  "--set", f'dataset="{path}"'])
     assert code == 2
-    assert f"error: {path}:22: non-finite cell" in capsys.readouterr().out
+    assert f"error: {path}:22: non-finite cell" in error_output(capsys)
 
 
 def test_main_vqe_curves_csv(tmp_path):
@@ -428,7 +440,7 @@ def test_main_reports_bad_set_values(tmp_path, capsys):
     for item in ('es.n_iters="abc"', 'train.lr="x"'):
         code = main(["vqe", "--out", str(tmp_path), "--set", item])
         assert code == 2
-        out = capsys.readouterr().out
+        out = error_output(capsys)
         assert out.startswith("error: config key") and out.count("\n") == 1
 
 
@@ -444,7 +456,7 @@ def test_main_reports_arithmetic_and_es_errors(tmp_path, capsys, monkeypatch,
     monkeypatch.setitem(cli._RUNNERS, "hypopt", failing)
     code = main(["hypopt", "--out", str(tmp_path)])
     assert code == 2
-    out = capsys.readouterr().out
+    out = error_output(capsys)
     assert out == f"error: {exc}: inner cause\n"
 
 
@@ -460,7 +472,7 @@ def test_main_reports_out_of_memory(tmp_path, capsys, monkeypatch, exc):
         monkeypatch.setitem(cli._RUNNERS, command, failing)
         out = tmp_path / command
         assert main([command, "--out", str(out)]) == 2
-        text = capsys.readouterr().out
+        text = error_output(capsys)
         assert text.startswith("error: out of memory") and text.count("\n") == 1
         assert str(exc) in text
         assert not out.exists()
@@ -476,9 +488,10 @@ def test_main_reports_a_harmonic_overflow_by_its_keys(tmp_path, capsys):
                      "--set", "score.big_k=1e308", "--set", "es.n_iters=1"])
     assert code == 2
     captured = capsys.readouterr()
-    errors = [line for line in captured.out.splitlines()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines()
               if line.startswith("error:")]
-    assert len(errors) == 1 and captured.out.count("\n") == 1
+    assert len(errors) == 1 and captured.err.count("\n") == 1
     assert "score.big_k" in errors[0] and "score.eps" in errors[0]
     assert "RuntimeWarning" not in captured.err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -494,7 +507,7 @@ def test_main_checks_training_before_any_search(tmp_path, capsys,
     for command in runs:
         out = tmp_path / command[0]
         assert main([*command, "--out", str(out), "--set", item]) == 2
-        text = capsys.readouterr().out
+        text = error_output(capsys)
         assert text.startswith("error: ") and text.count("\n") == 1
         assert "must not be negative" in text
         assert not out.exists()
@@ -508,7 +521,7 @@ def test_main_rejects_negative_structure_seed(tmp_path, capsys):
         out = tmp_path / command[0]
         assert main([*command, "--out", str(out)]) == 2
         seed = command[-1].split("=")[1]
-        assert capsys.readouterr().out == (
+        assert error_output(capsys) == (
             f"error: structure seed must be non-negative, got {seed}\n")
         assert not out.exists()
 
@@ -607,7 +620,7 @@ def test_hypopt_takes_a_hamiltonian_above_the_dense_oracle_cap(tmp_path,
     capsys.readouterr()
     assert main([*args, "--set", "ansatz.qubits=4",
                  "--out", str(tmp_path / "b")]) == 2
-    assert capsys.readouterr().out == (
+    assert error_output(capsys) == (
         "error: Hamiltonian and ansatz qubit counts differ\n")
 
 
@@ -654,8 +667,9 @@ def test_main_reports_divergent_training_in_one_line(tmp_path):
          "--set", "train.lr=1e308"],
         cwd=REPO, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 2
-    assert done.stdout.startswith("error: training diverged at step ")
-    assert done.stdout.count("\n") == 1 and "train.lr" in done.stdout
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: training diverged at step ")
+    assert done.stderr.count("\n") == 1 and "train.lr" in done.stderr
     assert "RuntimeWarning" not in done.stderr
     assert not out.exists()
 
@@ -665,7 +679,7 @@ def test_hypopt_rejects_a_kind_that_is_not_a_score(tmp_path, capsys, kind):
     out = tmp_path / "hypopt"
     assert main(["hypopt", "--out", str(out), "--set", f"score.kind={kind}",
                  "--set", "ansatz.layers=1", "--set", "es.n_iters=1"]) == 2
-    assert capsys.readouterr().out == (
+    assert error_output(capsys) == (
         f"error: hypopt needs score.kind among s1, s2, s3, got '{kind}'\n")
     assert not out.exists()
 
@@ -675,7 +689,7 @@ def test_grad_profile_names_a_qubit_mismatch(tmp_path, capsys):
     assert main(["grad-profile", "--out", str(out),
                  "--set", f"hamiltonian={TOY_HAMILTONIAN}",
                  "--set", "ansatz.qubits=3", "--set", "m_samples=2"]) == 2
-    assert capsys.readouterr().out == (
+    assert error_output(capsys) == (
         "error: Hamiltonian and ansatz qubit counts differ\n")
     assert not out.exists()
 
@@ -689,7 +703,7 @@ def test_main_names_es_overflow(tmp_path, capsys):
         out = tmp_path / command[0]
         assert main([*command, "--out", str(out), "--set", "es.eta=1e308",
                      "--set", "es.n_iters=3"]) == 2
-        assert capsys.readouterr().out == (
+        assert error_output(capsys) == (
             "error: ES diverged at iteration 0: the hyperparameters left the "
             "finite range; lower es.eta\n")
         assert not out.exists()
@@ -697,9 +711,34 @@ def test_main_names_es_overflow(tmp_path, capsys):
     out = tmp_path / "sigma"
     assert main(["hypopt", "--out", str(out), "--set", "ansatz.layers=1",
                  "--set", "es.sigma_es=1e300", "--set", "es.n_iters=3"]) == 2
-    assert capsys.readouterr().out == (
+    assert error_output(capsys) == (
         "error: ES diverged at iteration 0: the hyperparameters left the "
         "finite range; lower es.sigma_es or es.eta\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, sigma, message", [
+    # the search gradient divides by sigma_es
+    ("bp-scan", "5e-324",
+     "the search gradient overflowed; raise es.sigma_es"),
+    # sigma_es times a normal draw overflows
+    ("hypopt", "1.7976931348623157e308",
+     "the hyperparameters left the finite range; lower es.sigma_es or "
+     "es.eta"),
+])
+def test_main_names_es_overflow_at_extreme_sigma(tmp_path, capsys, command,
+                                                  sigma, message):
+    """Found by the drawn-config property test: both printed numpy's
+    RuntimeWarning to stderr before their error line."""
+    out = tmp_path / command
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--out", str(out), *set_flags(
+            [*SMALL_RUNS[command], f"es.sigma_es={sigma}"])])
+    assert code == 2
+    assert error_output(capsys) == (
+        f"error: ES diverged at iteration 0: {message}\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not out.exists()
 
 
@@ -711,7 +750,7 @@ def test_main_names_row_counts_below_the_class_count(tmp_path, capsys, item):
                  "--set", f"dataset={make_dataset(tmp_path)}", "--set", item])
     assert code == 2
     key, value = item.split("=")
-    assert capsys.readouterr().out == (
+    assert error_output(capsys) == (
         f"error: {key} must be at least the number of classes (2), "
         f"got {value}\n")
     assert not out.exists()
@@ -720,5 +759,150 @@ def test_main_names_row_counts_below_the_class_count(tmp_path, capsys, item):
 def test_main_rejects_zero_histogram_bins(tmp_path, capsys):
     out = tmp_path / "grad-profile"
     assert main(["grad-profile", "--out", str(out), "--set", "bins=0"]) == 2
-    assert capsys.readouterr().out == "error: bins must be at least 1, got 0\n"
+    assert error_output(capsys) == "error: bins must be at least 1, got 0\n"
     assert not out.exists()
+
+
+# keys whose value sets the size of a run: drawn from a small range, out of
+# range included, so that every example stays a fraction of a second
+SIZE_KEYS = {"ansatz.layers": 3, "layers": 3, "ansatz.qubits": 6,
+             "m_samples": 5, "es.n_iters": 2, "es.n_samples": 4,
+             "train.iters": 3, "theta_draws": 2, "bins": 5,
+             "pca_components": 6, "subsample": 40, "score_batch": 40,
+             "score.k_eigs": 8, "score.t": 8}
+EXTREME_FLOATS = [0.0, -0.0, 0.5, -0.5, 1.0, 2.0, 5e-324, 1e-300, -1e-300,
+                  1e300, 1e308, -1e308, 1.7976931348623157e308,
+                  math.nan, math.inf, -math.inf]
+EXTREME_INTS = [0, 1, 2, -1, -2, 7, 2 ** 31, -2 ** 31, 2 ** 63, 10 ** 30]
+WORDS = {"ansatz.kind": ["hea", "two_design", "strongly_entangling"],
+         "family": ["beta", "gaussian"],
+         "score.kind": ["s1", "s2", "s3", "manual"],
+         "score.omega": ["trace", "log_det", "harmonic"],
+         "methods": ["s1", "s2", "s3", "manual", "uniform"]}
+PATHS = [TOY_HAMILTONIAN, str(REPO / "hamiltonians" / "h2_4q.txt"),
+         str(REPO / "datasets" / "wine.csv"), str(REPO / "missing.txt"),
+         str(REPO)]
+FLOATS = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats(-10.0, 10.0),
+                   st.integers(-2, 2))
+# of another type than most keys take; no integer, since an integer is in
+# range for a size key
+ODD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                       st.just({}), st.sampled_from(EXTREME_FLOATS),
+                       st.lists(FLOATS, max_size=2))
+
+
+def typed_values(key, default):
+    """Values of the type a key's default has (or its null), in range, at
+    the boundary, out of range and of extreme magnitude."""
+    if key == "qubit_range":
+        return st.lists(st.integers(-2, 6), max_size=3)
+    if key in SIZE_KEYS:
+        return st.integers(-2, SIZE_KEYS[key])
+    if key in ("hamiltonian", "dataset"):
+        return st.one_of(st.none(), st.sampled_from(PATHS))
+    if key == "methods":
+        return st.lists(st.sampled_from(WORDS[key] + ["x"]), max_size=4)
+    if key in ("values", "initial"):
+        return st.one_of(st.none(), st.lists(FLOATS, max_size=3))
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.one_of(st.sampled_from(EXTREME_INTS), st.integers(-3, 9))
+    if isinstance(default, float):
+        return FLOATS
+    return st.sampled_from(WORDS.get(key, []) + ["", "x"])
+
+
+@st.composite
+def config_values(draw, key, default):
+    """Mostly values of the key's own type, one in six of another."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(ODD_VALUES)
+    return draw(typed_values(key, default))
+
+
+def leaf_defaults(cfg, path=""):
+    """(dotted key, default) of every leaf of a default config."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from leaf_defaults(value, f"{path}{key}.")
+        else:
+            yield f"{path}{key}", value
+
+
+# a small run of each command, which the drawn overrides then change
+SMALL_RUNS = {
+    "hypopt": ["ansatz.layers=1", "ansatz.qubits=2", "es.n_iters=1",
+               "es.n_samples=2"],
+    "vqe": [f"hamiltonian={TOY_HAMILTONIAN}", "ansatz.layers=1",
+            "es.n_iters=1", "es.n_samples=2", "train.iters=2"],
+    "qml": ["ansatz.layers=1", "es.n_iters=1", "es.n_samples=2",
+            "train.iters=2", "subsample=20", "score_batch=4"],
+    "grad-profile": ["ansatz.layers=1", "ansatz.qubits=2", "m_samples=3",
+                     "bins=3"],
+    "bp-scan": ["qubit_range=[2,3]", "layers=1", "m_samples=3",
+                "es.n_iters=1", "es.n_samples=2"],
+}
+
+
+@st.composite
+def cli_runs(draw):
+    """(command, overrides): a small run of one command with 1-4 drawn
+    --set overrides of keys from its default config."""
+    command = draw(st.sampled_from(sorted(SMALL_RUNS)))
+    defaults = dict(leaf_defaults(default_config(command)))
+    chosen = draw(st.lists(st.sampled_from(sorted(defaults)), min_size=1,
+                           max_size=4, unique=True))
+    return command, [(key, draw(config_values(key, defaults[key])))
+                     for key in chosen]
+
+
+def set_flags(items) -> list:
+    """A --set flag for each key=value item."""
+    return [flag for item in items for flag in ("--set", item)]
+
+
+def finite_numbers(value) -> bool:
+    """Whether every float in a JSON value is finite."""
+    if isinstance(value, dict):
+        return all(map(finite_numbers, value.values()))
+    if isinstance(value, list):
+        return all(map(finite_numbers, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+def run_main(args):
+    """(exit code, stdout, stderr) of main(args)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300)
+@given(cli_runs())
+def test_every_drawn_config_runs_or_fails_in_one_line(run):
+    """Any --set override either runs, writing a schema-valid record of
+    finite numbers, or ends in exit code 2 with one error line on stderr,
+    nothing on stdout and nothing written."""
+    command, overrides = run
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        base = SMALL_RUNS[command]
+        if command == "qml":
+            base = [f"dataset={make_dataset(tmp)}", *base]
+        items = base + [f"{key}={json.dumps(value)}"
+                        for key, value in overrides]
+        out = tmp / "out"
+        code, stdout, stderr = run_main([command, "--out", str(out),
+                                         *set_flags(items)])
+        assert "Traceback" not in stderr
+        if code == 2:
+            assert stdout == ""
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert (code, stderr) == (0, "")
+            record = json.loads((out / f"{command}.json").read_text())
+            validate(record)
+            assert finite_numbers(record)

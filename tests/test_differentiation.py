@@ -436,6 +436,91 @@ def test_nan_theta_raises_from_the_sweep():
                                 Observable(((1.0, "ZZZ"),)))
 
 
+def matmul_qfims(psi, dpsi):
+    """The QFIM formula as one batched np.matmul Gram: the oracle that the
+    np.vecdot reductions of qfims_from_states are checked against."""
+    conj = dpsi.conj()
+    overlap = conj @ dpsi.transpose(0, 2, 1)
+    berry = conj @ psi[:, :, None]
+    fisher = 4.0 * (overlap - berry * berry.conj().transpose(0, 2, 1)).real
+    return (fisher + fisher.transpose(0, 2, 1)) / 2.0
+
+
+def random_stack(rng, shape):
+    """(psi, dpsi): random complex (B, 2^n) unit states and (B, m, 2^n)
+    derivative rows of norm about 1."""
+    def draw(size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    psi = draw((shape[0], shape[2]))
+    psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+    return psi, draw(shape) / math.sqrt(shape[2])
+
+
+# bp-scan's 8-qubit chunk, hypopt's and vqe-h2's shapes, and edge sizes
+QFIM_STACK_SHAPES = [(3, 40, 256), (81, 24, 16), (21, 12, 16), (4, 7, 8),
+                     (1, 1, 2), (2, 3, 2)]
+
+
+@pytest.mark.parametrize("shape", QFIM_STACK_SHAPES)
+def test_qfims_from_states_match_the_matmul_oracle(shape):
+    """The vecdot reductions give the matmul Gram's QFIMs within 1e-12 of
+    the largest entry, exactly symmetric, and row b of a stack keeps the
+    bits of its own (1, m, 2^n) call."""
+    psi, dpsi = random_stack(np.random.default_rng(sum(shape)), shape)
+    got = qfims_from_states(psi, dpsi)
+    want = matmul_qfims(psi, dpsi)
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+    np.testing.assert_array_equal(got, got.transpose(0, 2, 1))
+    for b in range(shape[0]):
+        np.testing.assert_array_equal(
+            got[b], qfims_from_states(psi[b:b + 1], dpsi[b:b + 1])[0])
+
+
+def test_qfims_from_states_match_the_oracle_on_bp_scan_states():
+    """The same agreement on the forward sweep's own derivatives of
+    bp-scan's largest circuit."""
+    circ = build_two_design(5, 8, 0)
+    thetas = np.random.default_rng(5).uniform(0, 2 * math.pi,
+                                              (3, circ.num_params))
+    psi, dpsi = state_derivatives(circ, thetas)
+    want = matmul_qfims(psi, dpsi)
+    np.testing.assert_allclose(qfims_from_states(psi, dpsi), want,
+                               rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@given(random_circuits(), st.data())
+def test_swept_pauli_sum_gradients_match_adjoint_and_shift(circ, data):
+    """2 Re<H psi|d_mu psi> off the forward sweep against the adjoint pass
+    and against parameter shift."""
+    theta, features = draw_point(data, circ)
+    obs = data.draw(pauli_sums(circ.num_qubits))
+    psi, dpsi = state_derivatives(circ, theta[None, :], features)
+    got = pauli_sum_gradients(psi, dpsi, obs)[0]
+    np.testing.assert_allclose(
+        got, observable_gradient(circ, theta, obs, features),
+        rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        got, gradient(circ, theta, lambda rows: expectation(
+            apply_circuit(circ, rows, features), obs)),
+        rtol=0, atol=1e-10)
+
+
+def test_nan_derivative_row_raises_from_the_swept_gradient():
+    """A NaN in one derivative row reaches the swept gradients, which raise,
+    and only that theta's QFIM, which the score's finiteness check sees."""
+    circ = build_hea(2, 3)
+    thetas = np.random.default_rng(6).uniform(0, 2 * math.pi,
+                                              (3, circ.num_params))
+    psi, dpsi = state_derivatives(circ, thetas)
+    dpsi[1, 4, 2] = math.nan
+    with pytest.raises(FloatingPointError):
+        pauli_sum_gradients(psi, dpsi, Observable(((1.0, "ZZZ"),)))
+    fishers = qfims_from_states(psi, dpsi)
+    assert np.isnan(fishers[1]).any()
+    assert np.all(np.isfinite(fishers[[0, 2]]))
+
+
 def test_empirical_is_gradient_outer_product():
     grad = np.array([0.5, -1.0, 2.0])
     fisher = qfim_empirical(grad)

@@ -1,5 +1,10 @@
 """Score functions and utility shaping against hand-computed values."""
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -320,3 +325,38 @@ def test_es_trace_same_through_batch_form(kind, theta_draws):
     composed = es_optimize(rollout, hp0, cfg, 7)
     assert batched[0] == single[0] == composed[0]
     assert batched[1] == single[1] == composed[1]
+
+
+# bp-scan's largest scoring call, looped for about 0.3 s; prints the
+# process CPU time and the wall time of the loop
+_SCORING_LOOP = """
+import json, time
+import numpy as np
+from qinitopt.scoring import S3, ScoreSpec, score
+from qinitopt.simulator import Observable, build_two_design
+circuit = build_two_design(5, 8, 0)
+obs = Observable(((1.0, "Z" * 8),))
+thetas = np.random.default_rng(0).uniform(0, 2 * np.pi,
+                                          (6, circuit.num_params))
+spec = ScoreSpec(kind=S3)
+score(thetas, circuit, obs, spec)
+wall, cpu = time.perf_counter(), time.process_time()
+while time.perf_counter() - wall < 0.3:
+    score(thetas, circuit, obs, spec)
+print(json.dumps({"cpu": time.process_time() - cpu,
+                  "wall": time.perf_counter() - wall}))
+"""
+
+
+def test_exact_scoring_runs_on_one_thread():
+    """The exact-QFIM s3 score of bp-scan's 8-qubit population, under the
+    user's default BLAS threads, takes no more CPU time than wall time: no
+    second thread works or spins beside the contractions."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", _SCORING_LOOP], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    times = json.loads(done.stdout)
+    assert times["cpu"] <= 1.05 * times["wall"] + 0.02, times
