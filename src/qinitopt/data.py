@@ -154,12 +154,18 @@ def scale_features(features, scaler: MinMaxScaler) -> np.ndarray:
     return np.clip(scaled, 0.0, ANGLE_SPAN)
 
 
+def _sorted_labels(labels: np.ndarray) -> list:
+    """The distinct labels, ascending."""
+    # not np.unique: its first call imports numpy.ma, ~15 ms per CLI run
+    return sorted(set(labels.tolist()))
+
+
 def split_80_20(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified split: ceil(0.8 N_c) of each class to train, rest to test,
     class membership shuffled by the seed."""
     train_idx = []
     test_idx = []
-    for label in np.unique(dataset.labels):
+    for label in _sorted_labels(dataset.labels):
         members = np.flatnonzero(dataset.labels == label)
         order = child_rng(seed, "split", int(label)).permutation(len(members))
         cut = math.ceil(0.8 * len(members))
@@ -181,7 +187,7 @@ def stratified_subsample(dataset: Dataset, max_rows: int, seed: int) -> Dataset:
     if dataset.n_samples <= max_rows:
         return dataset
     kept = []
-    labels = np.unique(dataset.labels)
+    labels = _sorted_labels(dataset.labels)
     quota = {}
     for label in labels:
         count = int(np.sum(dataset.labels == label))

@@ -190,15 +190,15 @@ def qfims_from_states(psi: np.ndarray, dpsi: np.ndarray) -> np.ndarray:
     of length 2 * 2^n, and the Berry terms b_mu = <d_mu psi|psi> are one
     complex vecdot. Each entry is one dot product, which at these lengths
     runs on the calling thread, where a BLAS Gram over the stack wakes a
-    second thread that then spins after the call. dpsi's last axis must be
+    second thread that then spins after the call. Both terms are exactly
+    symmetric in (mu, nu), so the QFIMs are too. dpsi's last axis must be
     C-contiguous, as the float view needs it.
     """
     real = dpsi.view(float)
     overlap = np.vecdot(real[:, :, None, :], real[:, None, :, :])
     berry = np.vecdot(dpsi, psi[:, None, :])
-    fisher = 4.0 * (overlap
-                    - (berry[:, :, None] * berry[:, None, :].conj()).real)
-    return (fisher + fisher.transpose(0, 2, 1)) / 2.0
+    return 4.0 * (overlap
+                  - (berry[:, :, None] * berry[:, None, :].conj()).real)
 
 
 def sweep_batch_size(circuit: Circuit, rows_per_theta: int | None = None

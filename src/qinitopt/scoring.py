@@ -6,7 +6,9 @@ two with weight w. score rates one (p,) parameter vector or each row of a
 (B, p) stack, by one path. A Pauli-sum task gradient comes from the forward
 sweep of the exact QFIM when the score builds one (S3 at p <= 64), and from
 adjoint passes otherwise (S2 always; S3 and the empirical S1 above the
-threshold). The search objective scores a whole ES population through it.
+threshold). A task gradient given as a callable gets what score got, a
+(p,) theta or the whole (B, p) stack, in one call. The search objective
+scores a whole ES population through score in one call.
 Rank-based utility shaping turns raw population scores into the zero-sum
 targets the evolutionary update consumes.
 """
@@ -101,16 +103,20 @@ def score(theta, circuit: Circuit, task_gradient=None,
     of a (B, p) stack as a (B,) array.
 
     task_gradient is the task cost's gradient, required whenever the score
-    reads gradients (S2, S3 and the empirical QFIM): a callable
-    theta -> (p,), called per row, or the Pauli sum H of a cost
-    <psi|H|psi> as an Observable. The exact QFIM takes one forward sweep
-    per chunk of sweep_batch_size thetas, and the Pauli-sum gradients
-    2 Re<H psi|d_mu psi> read that sweep's derivatives. On every other
-    path they come from observable_gradient's adjoint passes, two rows per
-    theta, and block-diagonal QFIMs take forward sweeps of their own; each
-    pass is chunked by the height of its own buffer, and each chunk's QFIMs
-    are reduced before the next chunk runs. The path depends on the
-    fidelity alone, not on B, so a row scores the same bits in any batch.
+    reads gradients (S2, S3 and the empirical QFIM): the Pauli sum H of a
+    cost <psi|H|psi> as an Observable, or a callable. The exact QFIM takes
+    one forward sweep per chunk of sweep_batch_size thetas, and the
+    Pauli-sum gradients 2 Re<H psi|d_mu psi> read that sweep's derivatives.
+    On every other path they come from observable_gradient's adjoint
+    passes, two rows per theta, and block-diagonal QFIMs take forward
+    sweeps of their own; each pass is chunked by the height of its own
+    buffer, and each chunk's QFIMs are reduced before the next chunk runs.
+    The path depends on the fidelity alone, not on B, so a row scores the
+    same bits in any batch. A callable is called once with what score was
+    given: a (p,) theta, returning (p,), or the whole (B, p) stack,
+    returning (B, p). Row b of its result must hold the bits theta b gives
+    alone, as QmlTask.gradient's and observable_gradient's rows do, for
+    the batch to keep that property.
     Raises ValueError on a non-finite raw score.
     """
     thetas, batched = _theta_batch(circuit, theta)
@@ -149,8 +155,8 @@ def score(theta, circuit: Circuit, task_gradient=None,
     elif needs_grad and is_pauli_sum:
         grads = observable_gradient(circuit, thetas, task_gradient, features)
     elif needs_grad:
-        grads = np.array([task_gradient(row) for row in thetas],
-                         dtype=float).reshape(thetas.shape)
+        grads = np.asarray(task_gradient(thetas if batched else thetas[0]),
+                           dtype=float).reshape(thetas.shape)
     if fidelity == FIDELITY_EMPIRICAL:
         fisher_part = reduced(np.outer(g, g) for g in grads)
     if spec.kind == S1:
@@ -190,6 +196,9 @@ def initialization_objective(circuit: Circuit, spec: ScoreSpec,
     objective(hp, rng) scores one rollout. objective.batch(hps, rngs)
     scores a population, (N_s,) values, with one score call; rollout
     j draws its thetas from rngs[j] alone, so both forms give equal values.
+    A callable task_gradient therefore always gets a (N_s * theta_draws, p)
+    stack, (theta_draws, p) for one rollout, and returns one gradient row
+    per theta (see score).
     """
     if theta_draws < 1:
         raise ValueError("theta_draws must be >= 1")

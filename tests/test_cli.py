@@ -906,3 +906,31 @@ def test_every_drawn_config_runs_or_fails_in_one_line(run):
             record = json.loads((out / f"{command}.json").read_text())
             validate(record)
             assert finite_numbers(record)
+
+
+# runs main on the given argv with stdout silenced, then prints its exit
+# code and whether numpy.ma was imported
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from qinitopt.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_command_does_not_import_numpy_ma(tmp_path, command):
+    """No command needs numpy.ma, whose import costs ~15 ms a run; the
+    first np.unique call imports it, so the data path does without."""
+    items = SMALL_RUNS[command]
+    if command == "qml":
+        # 30 rows over subsample=20: both the subsample and the split run
+        items = [f"dataset={make_dataset(tmp_path)}", *items]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(REPO / "src"), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, command,
+         "--out", str(tmp_path / "out"), *set_flags(items)],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=300)
+    assert done.stdout == "0 False\n", done.stderr

@@ -23,7 +23,8 @@ from qinitopt.scoring import (HARMONIC, LOG_DET, OMEGA_KINDS, S1, S2, S3,
                               order_statistic, score, utility_shape)
 from qinitopt.simulator import (Circuit, Gate, Observable, RY, apply_circuit,
                                 build_hea, build_strongly_entangling,
-                                build_two_design, expectation)
+                                build_two_design, embed_angles, expectation)
+from qinitopt.tasks import QmlTask
 from test_differentiation import (ANGLES, pauli_sums, random_circuits,
                                   tagged_circuits)
 
@@ -196,22 +197,20 @@ def test_utility_invariant_under_monotone_transform():
 
 def test_initialization_objective_deterministic():
     circ, cost = single_ry()
-    objective = initialization_objective(
-        circ, ScoreSpec(kind=S3), lambda th: gradient(circ, th, cost))
+    # the objective scores a (B, p) stack, so the callable gets all of it
+    shift = lambda ths: np.array([gradient(circ, th, cost) for th in ths])
+    objective = initialization_objective(circ, ScoreSpec(kind=S3), shift)
     hp = HyperParams(GAUSSIAN, (0.0, 1.0))
     a = objective(hp, child_rng(9, "rollout", 0))
     b = objective(hp, child_rng(9, "rollout", 0))
     assert a == b
     c = objective(hp, child_rng(9, "rollout", 1))
     assert a != c
-    averaged = initialization_objective(
-        circ, ScoreSpec(kind=S3), lambda th: gradient(circ, th, cost),
-        theta_draws=8)
+    averaged = initialization_objective(circ, ScoreSpec(kind=S3), shift,
+                                        theta_draws=8)
     assert math.isfinite(averaged(hp, child_rng(9)))
     with pytest.raises(ValueError):
-        initialization_objective(
-            circ, ScoreSpec(), lambda th: gradient(circ, th, cost),
-            theta_draws=0)
+        initialization_objective(circ, ScoreSpec(), shift, theta_draws=0)
 
 
 def per_theta_score(theta, circ, grad_fn, spec, features):
@@ -266,6 +265,57 @@ def test_score_batch_matches_per_theta_scores(circ, data):
             np.testing.assert_allclose(
                 score(thetas, circ, source, spec, features), got,
                 rtol=1e-12, atol=1e-12)
+
+
+def qml_score_tasks():
+    """Classifiers on 3 qubits, untagged so that a zero threshold takes the
+    empirical QFIM: 12 training rows on the shared path, 5 rows (fewer
+    than the 2^3 basis rows) on the per-row path, and a circuit that
+    re-uploads feature 0 after the trained gates, also per row."""
+    rng = np.random.default_rng(41)
+    tagged = embed_angles(build_strongly_entangling(2, 3), 3)
+    plain = Circuit(3, tagged.gates, tagged.num_params,
+                    tagged.embedding_slots)
+    reupload = Circuit(3, plain.gates[1:] + plain.gates[:1],
+                       plain.num_params, plain.embedding_slots)
+    tasks = []
+    for circ, rows in ((plain, 12), (plain, 5), (reupload, 12)):
+        feats = rng.uniform(0, math.pi, (rows, 3))
+        labels = np.arange(rows) % 3
+        tasks.append(QmlTask(circ, feats, labels, 3))
+    assert [task._embedded is not None for task in tasks] == [
+        True, False, False]
+    return tasks
+
+
+@pytest.mark.parametrize("kind, exact_max", [(S2, 64), (S3, 64), (S1, 0),
+                                             (S3, 0)])
+def test_batched_qml_score_matches_per_theta_scores(kind, exact_max):
+    """score on a (B, p) population calls QmlTask.gradient once, with the
+    whole stack, and each row keeps the bits of its theta scored alone, on
+    the exact QFIM and (threshold 0) the empirical one."""
+    rng = np.random.default_rng(42)
+    spec = ScoreSpec(kind=kind)
+    for task in qml_score_tasks():
+        circ = task.circuit
+        features = task.train_features.mean(axis=0)
+        thetas = rng.uniform(0, 2 * math.pi, (6, circ.num_params))
+        calls = []
+
+        def counted(theta):
+            calls.append(np.shape(theta))
+            return task.gradient(theta)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(differentiation, "EXACT_QFIM_MAX_PARAMS", exact_max)
+            got = score(thetas, circ, counted, spec, features)
+            assert calls == [thetas.shape]
+            want = []
+            for theta in thetas:
+                calls.clear()
+                want.append(score(theta, circ, counted, spec, features))
+                assert calls == [theta.shape]
+        assert np.array_equal(got, want)
 
 
 def test_score_batch_nan_row_raises():
