@@ -3,15 +3,16 @@
 The QFIM of a single RY qubit is the constant [[1.0]]. For deeper
 circuits the exact entry-by-entry matrix, the block-diagonal
 approximation over tagged layers, and the gradient outer-product
-estimate are compared, then each score variant is evaluated for two
-Beta initializations.
+estimate are compared; both matrices share the trace sum_mu (1 - <G_mu>^2)
+that qfim_trace reads off one forward run. Each score variant is then
+evaluated for two Beta initializations.
 """
 import numpy as np
 
 from qinitopt import (Circuit, Gate, HyperParams, Observable, ScoreSpec,
                       build_strongly_entangling, child_rng,
                       observable_gradient, qfim_block_diagonal, qfim_exact,
-                      score, sample_params)
+                      qfim_trace, score, sample_params)
 
 single = Circuit(1, (Gate("ry", target=0, param_slot=0),), 1)
 print("QFIM of one RY gate:", qfim_exact(single, np.array([0.7])).entries)
@@ -25,6 +26,7 @@ block = qfim_block_diagonal(circuit, theta)
 print(f"\n{circuit.num_params}-parameter strongly entangling circuit")
 print("exact trace      :", np.trace(exact.entries))
 print("block-diag trace :", np.trace(block.entries))
+print("qfim_trace       :", qfim_trace(circuit, theta))
 off = exact.entries - block.entries
 print("largest entry dropped by the block approximation:",
       f"{np.max(np.abs(off)):.4f}")

@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .differentiation import (Qfim, gradient, hermitian_eigenvalues,
                               observable_gradient, qfim, qfim_block_diagonal,
-                              qfim_empirical, qfim_exact)
+                              qfim_empirical, qfim_exact, qfim_trace)
 from .distributions import (HyperParams, beta_samples, child_rng,
                             from_unconstrained, gamma_samples, init_guess,
                             manual_baseline, sample_params, standard_normals,
@@ -33,7 +33,8 @@ __all__ = [
     "hermitian_eigenvalues", "init_guess", "initialization_objective",
     "make_vqe_task", "manual_baseline", "observable_gradient",
     "omega_reduce", "order_statistic", "perturbation_matrix", "qfim",
-    "qfim_block_diagonal", "qfim_empirical", "qfim_exact", "qml_cost_batch",
+    "qfim_block_diagonal", "qfim_empirical", "qfim_exact", "qfim_trace",
+    "qml_cost_batch",
     "sample_params", "score", "standard_normals", "to_unconstrained",
     "train", "utility_shape", "zero_state",
 ]

@@ -6,6 +6,12 @@ R(a) = exp(-i a G / 2), so the two-point shift rule with shift pi/2 is exact
 for expectation-value costs; `gradient` applies it and stays the reference
 the faster paths are tested against.
 
+Each generator G is a Pauli word, so G^2 = I and the QFIM's diagonal is
+F_mu,mu = 1 - <G_mu>^2 on the state right after gate mu (Stokes et al.,
+arXiv:1909.02108, build their block-diagonal metric from the same
+expectations). qfim_trace takes the trace, which the exact and the
+block-diagonal QFIM share, from one forward run of one row per theta.
+
 The forward sweep gets every state derivative from one pass: it runs each
 gate once on a batch whose row 0 is psi, and right after the gate of slot
 mu appends the row -(i/2) G_mu psi, which the remaining gates then carry to
@@ -13,8 +19,9 @@ d_mu psi. That batch grows to at most p + 1 rows per theta. The exact QFIM
 (np.vecdot reductions over the (B, p, 2^n) derivatives) and the
 block-diagonal QFIM (one block per tagged ansatz layer, each closed at its
 layer's last gate) read it, and so does pauli_sum_gradients,
-2 Re<H psi|d_mu psi>, on the exact-QFIM path, where the derivatives are
-there anyway. Both contract the amplitude axis by np.vecdot, one dot
+2 Re<H psi|d_mu psi>: for a score at omega=log_det or harmonic on the
+exact QFIM, whose derivatives are there anyway, and for VQE training on a
+small stack. Both contract the amplitude axis by np.vecdot, one dot
 product per entry on the calling thread: a BLAS matmul of these sizes wakes
 a second thread that only spins.
 
@@ -23,18 +30,19 @@ sum of per-row expectations from one backward pass over given final rows
 and costates, two rows each. It gives the other Pauli-sum gradients
 (observable_value_and_gradient: psi forward, then [psi; H psi] backward)
 and the classification gradient, over the forward states or the basis rows
-of a unitary that all rows share. Both sweeps read -(i/2) G psi off one
-cached Pauli table per rotation. The adjoint makes twice the gate calls of
-a forward sweep, so on a small buffer, where call overhead outweighs the
-sweep's p + 1 rows per theta, the sweep is faster; adjoint_pays draws the
-line, and a VqeTask takes its path from it for its training stack.
+of a unitary that all rows share. Both sweeps and the trace run read
+-(i/2) G psi off one cached Pauli table per rotation. The adjoint makes
+twice the gate calls of a forward sweep, so on a small buffer, where call
+overhead outweighs the sweep's p + 1 rows per theta, the sweep is faster;
+adjoint_pays draws the line, and a VqeTask takes its path from it for its
+training stack.
 
 One sweep serves a whole (B, p) batch of thetas, so a population costs one
 kernel call per gate, and a row's results keep the bits its theta gives
-alone. Each sweep builds one simulator.angle_table before its first gate;
-the adjoint's undo table holds the inverse gates' factors, taken from
--theta / 2. Each quantity has one function, which takes a (p,) theta or a
-(B, p) stack and runs a (p,) theta as a stack of one; only the
+alone. Each sweep or run builds one simulator.angle_table before its
+first gate; the adjoint's undo table holds the inverse gates' factors,
+taken from -theta / 2. Each quantity has one function, which takes a (p,)
+theta or a (B, p) stack and runs a (p,) theta as a stack of one; only the
 parameter-shift reference and the qfim dispatcher take one theta. Callers
 keep a buffer under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the
 rows per theta of the sweep they run. The rank-one empirical QFIM is built from a
@@ -51,7 +59,7 @@ import numpy as np
 
 from .simulator import (Circuit, Observable, _expectation_from, _pauli_table,
                         angle_table, apply_gate, apply_observable,
-                        check_normalized, run_gates)
+                        check_normalized, run_gates, zero_state)
 
 SHIFT = math.pi / 2
 
@@ -378,6 +386,50 @@ def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
     thetas, batched = _theta_batch(circuit, theta)
     entries = qfims_from_states(*state_derivatives(circuit, thetas, features))
     return Qfim(entries if batched else entries[0], FIDELITY_EXACT)
+
+
+def qfim_trace(circuit: Circuit, theta, features=None):
+    """tr F of a (p,) theta as a float, or of each row of a (B, p) stack as
+    a (B,) array, from one forward run of one row per theta, in chunks of
+    sweep_batch_size(circuit, 1) thetas.
+
+    A rotation exp(-i a G / 2) has a Pauli-word generator with G^2 = I, so
+    F_mu,mu = 1 - <phi_mu|G_mu|phi_mu>^2 for the state phi_mu right after
+    gate mu; the later gates are unitary and drop out, so the exact and the
+    block-diagonal QFIM share this diagonal. Each theta sums its own
+    contiguous row of 1 - <G>^2, so it keeps its bits in any batch. Raises
+    FloatingPointError on a NaN theta.
+    """
+    feats = _feature_row(circuit, features)
+
+    def chunk(thetas):
+        expect = _generator_expectations(circuit, thetas, feats)
+        return ((1.0 - expect * expect).sum(axis=-1),)
+    trace, = _in_chunks(circuit, theta, 1, chunk)
+    return trace if np.ndim(trace) else float(trace)
+
+
+def _generator_expectations(circuit: Circuit, thetas: np.ndarray,
+                            feats: np.ndarray) -> np.ndarray:
+    """(B, p) generator expectations <G_mu> on the state psi right after
+    gate mu, for a (B, p) thetas batch and the (1, f) feature row, from one
+    forward run of one row per theta: <G_mu> = -2 Im<psi|-(i/2) G_mu psi>,
+    one np.vecdot per slot. Raises FloatingPointError when a final state
+    is not normalized (a NaN theta)."""
+    gates = circuit.gates
+    state = zero_state(circuit.num_qubits, len(thetas))
+    table = angle_table(gates, thetas, feats)
+    expect = np.empty((len(thetas), circuit.num_params))
+    for gate in gates:
+        apply_gate(state, gate, table)
+        if gate.param_slot is not None:
+            factor, source = _derivative_table(gate.kind, gate.target,
+                                               circuit.num_qubits)
+            rows = factor * (state if source is None
+                             else state.take(source, axis=-1))
+            expect[:, gate.param_slot] = -2.0 * np.vecdot(state, rows).imag
+    check_normalized(state)
+    return expect
 
 
 def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:

@@ -3,12 +3,16 @@
 Three scores, all maximized: S1 reduces the QFIM to a scalar capacity
 measure, S2 is the mean t-th power of gradient magnitudes, and S3 blends the
 two with weight w. score rates one (p,) parameter vector or each row of a
-(B, p) stack, by one path. A Pauli-sum task gradient comes from the forward
-sweep of the exact QFIM when the score builds one (S3 at p <= 64), and from
-adjoint passes otherwise (S2 always; S3 and the empirical S1 above the
-threshold). A task gradient given as a callable gets what score got, a
-(p,) theta or the whole (B, p) stack, in one call. The search objective
-scores a whole ES population through score in one call.
+(B, p) stack, by one path. At the default omega=trace the exact and the
+block-diagonal QFIM enter only through their shared trace,
+sum_mu (1 - <G_mu>^2), which differentiation.qfim_trace takes from one
+forward run; log_det and harmonic need the whole QFIM and build it by
+forward derivative sweeps. A Pauli-sum task gradient comes from the exact
+QFIM's sweep when the score builds one (S3 at p <= 64 and omega log_det
+or harmonic), and from adjoint passes otherwise. A task gradient given as
+a callable gets what score got, a (p,) theta or the whole (B, p) stack,
+in one call. The search objective scores a whole ES population through
+score in one call.
 Rank-based utility shaping turns raw population scores into the zero-sum
 targets the evolutionary update consumes.
 """
@@ -23,7 +27,7 @@ from .differentiation import (FIDELITY_BLOCK, FIDELITY_EMPIRICAL,
                               FIDELITY_EXACT, _in_chunks, _theta_batch,
                               hermitian_eigenvalues, observable_gradient,
                               pauli_sum_gradients, qfim_block_diagonal,
-                              qfim_fidelity, qfims_from_states,
+                              qfim_fidelity, qfim_trace, qfims_from_states,
                               state_derivatives)
 from .distributions import DEFAULT_BETA_SCALE, HyperParams, sample_params
 from .simulator import Circuit, Observable
@@ -104,17 +108,21 @@ def score(theta, circuit: Circuit, task_gradient=None,
 
     task_gradient is the task cost's gradient, required whenever the score
     reads gradients (S2, S3 and the empirical QFIM): the Pauli sum H of a
-    cost <psi|H|psi> as an Observable, or a callable. The exact QFIM takes
-    one forward sweep per chunk of sweep_batch_size thetas, and the
-    Pauli-sum gradients 2 Re<H psi|d_mu psi> read that sweep's derivatives.
-    On every other path they come from observable_gradient's adjoint
-    passes, two rows per theta, and block-diagonal QFIMs take forward
-    sweeps of their own; each pass is chunked by the height of its own
-    buffer, and each chunk's QFIMs are reduced before the next chunk runs.
-    The path depends on the fidelity alone, not on B, so a row scores the
-    same bits in any batch. A callable is called once with what score was
-    given: a (p,) theta, returning (p,), or the whole (B, p) stack,
-    returning (B, p). Row b of its result must hold the bits theta b gives
+    cost <psi|H|psi> as an Observable, or a callable. At omega=trace the
+    exact and the block-diagonal rung read the QFIM's trace off qfim_trace,
+    one forward run of one row per theta, and no derivative sweep runs.
+    At log_det or harmonic the exact QFIM takes one forward sweep per chunk
+    of sweep_batch_size thetas, and the Pauli-sum gradients
+    2 Re<H psi|d_mu psi> read that sweep's derivatives. On every other
+    path they come from observable_gradient's adjoint passes, two rows per
+    theta, and block-diagonal QFIMs take forward sweeps of their own; each
+    pass is chunked by the height of its own buffer, and each chunk's QFIMs
+    are reduced before the next chunk runs. The empirical rung keeps the
+    rank-one surrogate, whose trace is |g|^2. The path depends on the
+    fidelity and omega alone, not on B, so a row scores the same bits in
+    any batch. A callable is called once with what score was given: a
+    (p,) theta, returning (p,), or the whole (B, p) stack, returning
+    (B, p). Row b of its result must hold the bits theta b gives
     alone, as QmlTask.gradient's and observable_gradient's rows do, for
     the batch to keep that property.
     Raises ValueError on a non-finite raw score.
@@ -128,8 +136,11 @@ def score(theta, circuit: Circuit, task_gradient=None,
             else "untagged circuit above the exact threshold needs a task "
             "gradient for the empirical QFIM")
     is_pauli_sum = isinstance(task_gradient, Observable)
+    traced = spec.omega == TRACE and fidelity in (FIDELITY_EXACT,
+                                                  FIDELITY_BLOCK)
     # the exact QFIM's forward sweep has the state derivatives anyway
-    swept = needs_grad and is_pauli_sum and fidelity == FIDELITY_EXACT
+    swept = (needs_grad and is_pauli_sum and fidelity == FIDELITY_EXACT
+             and not traced)
 
     def reduced(fishers):
         return np.array([omega_reduce(f, spec) for f in fishers])
@@ -146,7 +157,10 @@ def score(theta, circuit: Circuit, task_gradient=None,
         return (reduced(blocks.entries),)
 
     fisher_part = grads = None
-    if fidelity == FIDELITY_EXACT:
+    if traced:
+        fisher_part = (qfim_trace(circuit, thetas, features)
+                       + circuit.num_params * spec.eps)
+    elif fidelity == FIDELITY_EXACT:
         fisher_part, *swept_grads = _in_chunks(circuit, thetas, None, exact)
     elif fidelity == FIDELITY_BLOCK:
         fisher_part, = _in_chunks(circuit, thetas, None, block)

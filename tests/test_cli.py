@@ -547,16 +547,26 @@ def count_sweeps(monkeypatch):
 @pytest.mark.parametrize("amplitudes", [None, 2000])
 def test_cli_objectives_sweep_once_per_chunk(tmp_path, monkeypatch,
                                              amplitudes):
-    """Per ES iteration, one forward sweep per chunk for the exact and the
-    block-diagonal QFIM, whose exact sweep also gives s3 its Pauli-sum
-    gradients; every other Pauli-sum gradient (s2, s3 on the block path,
+    """Per ES iteration of 16 thetas, at the default omega=trace, one
+    one-row forward run per chunk gives the exact or block-diagonal QFIM's
+    trace and no derivative sweep runs; every Pauli-sum gradient (s2, s3,
     grad-profile's samples) takes one adjoint pass per chunk of the
-    adjoint's own size. amplitudes, when set, lowers the cap so that 16
-    rollouts take several forward chunks."""
+    adjoint's own size. At omega=log_det the exact and the block-diagonal
+    QFIM take one forward sweep per chunk, whose exact form also gives s3
+    its Pauli-sum gradients. amplitudes, when set, lowers the cap so that
+    16 rollouts take several chunks."""
     if amplitudes is not None:
         monkeypatch.setattr(differentiation, "MAX_SWEEP_AMPLITUDES",
                             amplitudes)
     calls = count_sweeps(monkeypatch)
+    calls["trace"] = []
+    trace_run = differentiation._generator_expectations
+
+    def counted_trace(circuit, thetas, *args):
+        calls["trace"].append(len(thetas))
+        return trace_run(circuit, thetas, *args)
+    monkeypatch.setattr(differentiation, "_generator_expectations",
+                        counted_trace)
     h2 = str(REPO / "hamiltonians" / "h2_4q.txt")
 
     def chunks(circuit, rows_per_theta=None):
@@ -566,42 +576,69 @@ def test_cli_objectives_sweep_once_per_chunk(tmp_path, monkeypatch,
         for seen in calls.values():
             seen.clear()
 
-    for kind in ("s1", "s2", "s3"):
+    def assert_runs(engine, iterations, circuit, rows_per_theta=None):
+        assert len(calls[engine]) == iterations * chunks(circuit,
+                                                         rows_per_theta)
+        assert sum(calls[engine]) == iterations * 16
+
+    circuit = build_strongly_entangling(2, 4)  # p = 24: exact QFIM
+    for kind, omega in (("s1", "trace"), ("s2", "trace"), ("s3", "trace"),
+                        ("s1", "log_det"), ("s3", "log_det")):
         reset()
         cfg = resolve_config("hypopt", overrides=[
-            f"hamiltonian={h2}", f"score.kind={kind}", "ansatz.layers=2",
-            "es.n_iters=2"])
+            f"hamiltonian={h2}", f"score.kind={kind}", f"score.omega={omega}",
+            "ansatz.layers=2", "es.n_iters=2"])
         iterations = cmd_hypopt(cfg)["results"]["iterations"]
-        circuit = build_strongly_entangling(2, 4)  # p = 24: exact QFIM
-        swept = calls["adjoint" if kind == "s2" else "forward"]
-        rows = 2 if kind == "s2" else None
-        assert len(swept) == iterations * chunks(circuit, rows)
-        assert sum(swept) == iterations * 16
-        assert not calls["forward" if kind == "s2" else "adjoint"]
-    for kind in ("s1", "s3"):
+        if omega == "log_det":
+            # the exact sweep's derivatives also give s3 its gradients
+            assert_runs("forward", iterations, circuit)
+            assert not calls["trace"] and not calls["adjoint"]
+            continue
+        assert not calls["forward"]
+        if kind == "s2":
+            assert not calls["trace"]
+        else:
+            assert_runs("trace", iterations, circuit, 1)
+        if kind == "s1":
+            assert not calls["adjoint"]
+        else:
+            assert_runs("adjoint", iterations, circuit, 2)
+    circuit = build_strongly_entangling(6, 4)  # p = 72: block QFIM
+    for kind, omega in (("s1", "trace"), ("s3", "trace"),
+                        ("s1", "log_det"), ("s3", "log_det")):
         reset()
         cfg = resolve_config("vqe", overrides=[
             f"hamiltonian={h2}", "ansatz.layers=6", f"methods=[\"{kind}\"]",
-            "es.n_iters=1", "train.iters=0"])
+            f"score.omega={omega}", "es.n_iters=1", "train.iters=0"])
         record = cmd_vqe(cfg)
         iterations = record["results"]["methods"][kind]["es_iterations"]
-        circuit = build_strongly_entangling(6, 4)  # p = 72: block QFIM
-        assert len(calls["forward"]) == iterations * chunks(circuit)
-        assert len(calls["adjoint"]) == (
-            0 if kind == "s1" else iterations * chunks(circuit, 2))
+        if omega == "log_det":
+            assert_runs("forward", iterations, circuit)
+            assert not calls["trace"]
+        else:
+            assert_runs("trace", iterations, circuit, 1)
+            assert not calls["forward"]
+        if kind == "s1":
+            assert not calls["adjoint"]
+        else:
+            assert_runs("adjoint", iterations, circuit, 2)
     reset()
     cfg = resolve_config("bp-scan", overrides=[
         "qubit_range=[2,3]", "layers=2", "es.n_iters=1", "m_samples=2"])
     cmd_bp_scan(cfg)
     circuits = [build_two_design(2, n, 0) for n in (2, 3)]
-    # s1 and s3 sweep forward, s2 takes adjoint passes; uniform runs no ES
-    assert len(calls["forward"]) == 2 * sum(map(chunks, circuits))
-    assert len(calls["adjoint"]) == sum(chunks(c, 2) for c in circuits)
+    # s1 and s3 run the trace forward, s2 and s3 take adjoint passes;
+    # uniform runs no ES
+    assert not calls["forward"]
+    assert len(calls["trace"]) == 2 * sum(chunks(c, 1) for c in circuits)
+    assert sum(calls["trace"]) == 2 * 2 * 16
+    assert len(calls["adjoint"]) == 2 * sum(chunks(c, 2) for c in circuits)
+    assert sum(calls["adjoint"]) == 2 * 2 * 16
     reset()
     cfg = resolve_config("grad-profile", overrides=["m_samples=100"])
     cmd_grad_profile(cfg)
     step = sweep_batch_size(build_hea(5, 4), 2)
-    assert not calls["forward"]
+    assert not calls["forward"] and not calls["trace"]
     assert len(calls["adjoint"]) == -(-100 // step)
     assert sum(calls["adjoint"]) == 100
 

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
+from qinitopt import differentiation
 from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       adjoint_gradient, gradient,
                                       hermitian_eigenvalues,
@@ -14,8 +15,9 @@ from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       observable_value_and_gradient,
                                       pauli_sum_gradients, qfim,
                                       qfim_block_diagonal, qfim_empirical,
-                                      qfim_exact, qfims_from_states,
-                                      state_derivatives)
+                                      qfim_exact, qfim_trace,
+                                      qfims_from_states, state_derivatives,
+                                      sweep_batch_size)
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
                                 ROTATION_KINDS, Circuit, Gate, Layer,
                                 Observable, RX, RY, RZ, apply_circuit,
@@ -434,6 +436,42 @@ def test_nan_theta_raises_from_the_sweep():
         with pytest.raises(FloatingPointError):
             observable_gradient(circ, theta,
                                 Observable(((1.0, "ZZZ"),)))
+
+
+def test_qfim_trace_is_the_trace_of_the_exact_and_block_qfims(monkeypatch):
+    """tr F = sum_mu (1 - <G_mu>^2) from one forward run against the traces
+    of the exact and the block-diagonal QFIM, on the three builders and an
+    embedded circuit with features; each row of a (B, p) stack keeps the
+    bits of its theta run alone, also in chunks of two thetas, and a NaN
+    row raises."""
+    rng = np.random.default_rng(16)
+    for circ in (build_two_design(3, 4, 2), build_strongly_entangling(2, 3),
+                 build_hea(3, 3), embed_angles(build_hea(2, 3), 3)):
+        f = circ.num_features
+        features = rng.uniform(0, math.pi, f) if f else None
+        thetas = rng.uniform(-2 * math.pi, 2 * math.pi,
+                             (5, circ.num_params))
+        got = qfim_trace(circ, thetas, features)
+        assert got.shape == (5,)
+        for build in (qfim_exact, qfim_block_diagonal):
+            want = np.trace(build(circ, thetas, features).entries,
+                            axis1=1, axis2=2)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        singles = [qfim_trace(circ, theta, features) for theta in thetas]
+        assert all(type(single) is float for single in singles)
+        assert np.array_equal(got, singles)
+        np.testing.assert_allclose(
+            singles[0], np.trace(qfim_exact(circ, thetas[0],
+                                            features).entries),
+            rtol=1e-12, atol=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(differentiation, "MAX_SWEEP_AMPLITUDES",
+                       2 << circ.num_qubits)
+            assert sweep_batch_size(circ, 1) == 2
+            assert np.array_equal(qfim_trace(circ, thetas, features), got)
+            thetas[3, -1] = math.nan
+            with pytest.raises(FloatingPointError):
+                qfim_trace(circ, thetas, features)
 
 
 def matmul_qfims(psi, dpsi):

@@ -13,7 +13,8 @@ import pytest
 
 from qinitopt import differentiation
 from qinitopt.differentiation import (Qfim, gradient, observable_gradient,
-                                      qfim, qfim_exact, sweep_batch_size)
+                                      qfim, qfim_block_diagonal, qfim_exact,
+                                      sweep_batch_size)
 from qinitopt.distributions import (BETA, GAUSSIAN, HyperParams, child_rng,
                                     sample_params)
 from qinitopt.es import EsConfig, es_optimize
@@ -265,6 +266,59 @@ def test_score_batch_matches_per_theta_scores(circ, data):
             np.testing.assert_allclose(
                 score(thetas, circ, source, spec, features), got,
                 rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("exact_max", [64, 0])
+def test_trace_scores_run_no_derivative_sweep(exact_max):
+    """At omega=trace, s1 and s3 on the exact rung and (threshold 0) the
+    block rung equal omega_reduce of the full QFIM, blended with the order
+    statistic of the adjoint gradient, without a derivative sweep; a (B, p)
+    population keeps the bits of each theta scored alone."""
+    rng = np.random.default_rng(14)
+    obs = Observable(((1.0, "ZZZ"), (0.5, "XIY")))
+    build = qfim_exact if exact_max else qfim_block_diagonal
+
+    def no_sweep(*args):
+        raise AssertionError("derivative sweep at omega=trace")
+    for circ in (build_two_design(2, 3, 4), build_strongly_entangling(2, 3),
+                 build_hea(3, 3)):
+        thetas = rng.uniform(0, 2 * math.pi, (6, circ.num_params))
+        for kind in (S1, S3):
+            spec = ScoreSpec(kind=kind, w=0.3)
+            want = []
+            for theta in thetas:
+                fisher = omega_reduce(build(circ, theta), spec)
+                grad = order_statistic(observable_gradient(circ, theta, obs),
+                                       spec.t)
+                want.append(fisher if kind == S1 else
+                            (1.0 - spec.w) * fisher + spec.w * grad)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(differentiation, "EXACT_QFIM_MAX_PARAMS",
+                           exact_max)
+                assert differentiation.qfim_fidelity(circ) == build(
+                    circ, thetas[0]).fidelity
+                mp.setattr(differentiation, "_derivative_sweep", no_sweep)
+                got = score(thetas, circ, obs, spec)
+                singles = [score(theta, circ, obs, spec) for theta in thetas]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            assert np.array_equal(got, singles)
+
+
+def test_empirical_trace_score_stays_the_squared_gradient_norm():
+    """Above the threshold on an untagged circuit, s1 at omega=trace keeps
+    the rank-one surrogate: |g|^2 + p * eps, not the true QFIM trace."""
+    rng = np.random.default_rng(15)
+    circ = build_hea(2, 3)
+    untagged = Circuit(3, circ.gates, circ.num_params)
+    obs = Observable(((1.0, "ZZZ"), (0.5, "XIY")))
+    thetas = rng.uniform(0, 2 * math.pi, (4, circ.num_params))
+    spec = ScoreSpec(kind=S1)
+    grads = observable_gradient(untagged, thetas, obs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(differentiation, "EXACT_QFIM_MAX_PARAMS", 0)
+        got = score(thetas, untagged, obs, spec)
+    want = [np.sum(g * g) + circ.num_params * spec.eps for g in grads]
+    assert np.array_equal(got, want)
 
 
 def qml_score_tasks():
