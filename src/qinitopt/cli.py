@@ -4,13 +4,9 @@ Five commands share one config style: per-command defaults, optionally
 overlaid by a JSON config file, then by --set key=value flags. Unknown
 keys fail fast with the offending key path. Every run writes a
 deterministic JSON record (hash-stable across re-runs with the same
-config and seed, whatever the worker count) plus flat CSV sidecars.
-
-  hypopt        tune initialization hyperparameters for one score function
-  vqe           compare initialization methods on a Hamiltonian file
-  qml           compare initialization methods on a CSV classification task
-  grad-profile  per-layer gradient-magnitude histograms for one setting
-  bp-scan       gradient variance versus qubit count per method
+config and seed, whatever the worker count) plus one flat CSV sidecar.
+`COMMANDS` lists the commands, each with its help line, defaults,
+runner, sidecar and stdout summary.
 """
 from __future__ import annotations
 
@@ -22,6 +18,7 @@ import math
 import pathlib
 import sys
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -43,83 +40,29 @@ from .simulator import (Observable, apply_circuit, build_hea,
 from .tasks import (QmlTask, check_training, class_qubits, make_vqe_task,
                     train)
 
-COMMANDS = ("hypopt", "vqe", "qml", "grad-profile", "bp-scan")
-
 # run plumbing, excluded from the hashable record
 _VOLATILE_KEYS = ("out", "workers")
 
 _TRAIN_METHODS = ("s1", "s2", "s3", "manual")
 _BP_METHODS = ("s1", "s2", "s3", "manual", "uniform")
 
-
-def _score_defaults(with_kind: bool) -> dict:
-    # hypopt scores with s1 by default; other commands name it per method
-    base = dataclasses.asdict(ScoreSpec(kind=S1))
-    if not with_kind:
-        del base["kind"]
-    return base
+# the distribution-search keys of every command that runs the ES; hypopt
+# scores with s1 by default, the others name the score kind per method
+_SEARCH_DEFAULTS = {
+    "family": "beta",
+    "score": {key: value for key, value
+              in dataclasses.asdict(ScoreSpec(kind=S1)).items()
+              if key != "kind"},
+    "es": dataclasses.asdict(EsConfig()),
+    "theta_draws": 1}
 
 
 def default_config(command: str) -> dict:
     """Full default config for one command; every legal key appears here."""
-    common = {"seed": 0, "out": f"runs/{command}", "workers": 1}
-    if command == "hypopt":
-        return {**common,
-                "family": "beta",
-                "initial": None,
-                "ansatz": {"kind": "strongly_entangling", "layers": 8,
-                           "qubits": 4, "structure_seed": 0},
-                "hamiltonian": None,
-                "score": _score_defaults(with_kind=True),
-                "es": dataclasses.asdict(EsConfig()),
-                "theta_draws": 1}
-    if command == "vqe":
-        return {**common,
-                "hamiltonian": None,
-                "family": "beta",
-                "methods": ["s1", "s2", "s3", "manual"],
-                "ansatz": {"kind": "strongly_entangling", "layers": 8,
-                           "qubits": None, "structure_seed": 0},
-                "score": _score_defaults(with_kind=False),
-                "es": dataclasses.asdict(EsConfig()),
-                "theta_draws": 1,
-                "train": {"lr": 0.01, "iters": 100}}
-    if command == "qml":
-        return {**common,
-                "dataset": None,
-                "pca_components": 4,
-                "subsample": 200,
-                "score_batch": 32,
-                "family": "beta",
-                "methods": ["s1", "s2", "s3", "manual"],
-                "ansatz": {"kind": "strongly_entangling", "layers": 3,
-                           "qubits": None, "structure_seed": 0},
-                "score": _score_defaults(with_kind=False),
-                "es": dataclasses.asdict(EsConfig()),
-                "theta_draws": 1,
-                "train": {"lr": 0.01, "iters": 100}}
-    if command == "grad-profile":
-        return {**common,
-                "family": "beta",
-                "values": [0.1, 1.5],
-                "delta": 0.0,
-                "m_samples": 200,
-                "bins": 30,
-                "ansatz": {"kind": "hea", "layers": 5, "qubits": 4,
-                           "structure_seed": 0},
-                "hamiltonian": None}
-    if command == "bp-scan":
-        return {**common,
-                "qubit_range": [2, 4, 6, 8],
-                "layers": 5,
-                "structure_seed": 0,
-                "m_samples": 200,
-                "family": "beta",
-                "methods": ["uniform", "s1", "s2", "s3"],
-                "score": _score_defaults(with_kind=False),
-                "es": dataclasses.asdict(EsConfig()),
-                "theta_draws": 1}
-    raise ValueError(f"unknown command '{command}'")
+    if command not in COMMANDS:
+        raise ValueError(f"unknown command '{command}'")
+    return {"seed": 0, "out": f"runs/{command}", "workers": 1,
+            **copy.deepcopy(COMMANDS[command].defaults)}
 
 
 # a value of the one type each key with a None default may take besides null
@@ -208,7 +151,11 @@ def resolve_config(command: str, config_path=None, overrides=(),
     defaults = default_config(command)
     cfg = copy.deepcopy(defaults)
     if config_path is not None:
-        loaded = json.loads(pathlib.Path(config_path).read_text())
+        try:
+            loaded = json.loads(
+                pathlib.Path(config_path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise ValueError(f"config file {config_path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         _merge(cfg, loaded, "")
@@ -318,14 +265,13 @@ def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
     return hp, trace
 
 
-def _train_methods(cfg: dict, circuit, task, score_gradient, features,
-                   describe) -> dict:
+def _train_methods(cfg: dict, methods, circuit, task, score_gradient,
+                   features, describe) -> dict:
     """Per method: its initialization hyperparameters, one Adam run of the
     task from a draw of them, and describe(theta, curve) of that run.
 
     Every method's search and draw comes first, each from its own streams;
     then one train call steps all the draws in lockstep as one stack."""
-    methods = _check_methods(cfg["methods"], _TRAIN_METHODS)
     # fail before the first search, not after it
     check_training(cfg["train"]["iters"], cfg["train"]["lr"])
     searched = [_method_hyperparams(method, cfg, circuit, score_gradient,
@@ -384,11 +330,11 @@ def cmd_vqe(cfg: dict) -> dict:
     circuit = _build_ansatz(cfg["ansatz"],
                             qubits=cfg["ansatz"]["qubits"]
                             or hamiltonian.num_qubits)
+    methods = _check_methods(cfg["methods"], _TRAIN_METHODS)
     # every method's theta trains in one stack
-    stack = len(_check_methods(cfg["methods"], _TRAIN_METHODS))
-    task = make_vqe_task(hamiltonian, circuit, stack)
+    task = make_vqe_task(hamiltonian, circuit, len(methods))
     per_method = _train_methods(
-        cfg, circuit, task, task.hamiltonian, None,
+        cfg, methods, circuit, task, task.hamiltonian, None,
         lambda theta, curve: {
             "curve": curve, "final_energy": curve[-1],
             "gap": float(curve[-1] - task.exact_ground_energy)})
@@ -424,7 +370,8 @@ def cmd_qml(cfg: dict) -> dict:
                                     cfg["score_batch"], seed)
     score_task = QmlTask(circuit, score_ds.features, score_ds.labels, classes)
     per_method = _train_methods(
-        cfg, circuit, task, score_task.gradient, train_x.mean(axis=0),
+        cfg, _check_methods(cfg["methods"], _TRAIN_METHODS), circuit, task,
+        score_task.gradient, train_x.mean(axis=0),
         lambda theta, curve: {
             "loss_curve": curve, "final_loss": curve[-1],
             "test_accuracy": task.accuracy(theta, test_x, test_ds.labels),
@@ -525,70 +472,124 @@ def cmd_bp_scan(cfg: dict) -> dict:
     return _record_for("bp-scan", cfg, results)
 
 
-_RUNNERS = {"hypopt": cmd_hypopt, "vqe": cmd_vqe, "qml": cmd_qml,
-            "grad-profile": cmd_grad_profile, "bp-scan": cmd_bp_scan}
+def _hypopt_summary(results: dict) -> list[str]:
+    pairs = ", ".join(f"{n}={v:.6g}" for n, v in
+                      zip(hyperparam_names(results["family"]),
+                          results["lambda_star"]))
+    state = "converged" if results["converged"] else "stopped"
+    return [f"lambda*: {pairs} ({state} after "
+            f"{results['iterations']} iterations)"]
+
+
+def _vqe_summary(results: dict) -> list[str]:
+    return [f"exact ground energy: {results['exact_ground_energy']:.8f}",
+            *(f"{method}: final energy {entry['final_energy']:.8f}"
+              f" (gap {entry['gap']:.3e})"
+              for method, entry in results["methods"].items())]
+
+
+def _qml_summary(results: dict) -> list[str]:
+    return [f"dataset {results['dataset']}: {results['num_classes']} "
+            f"classes, {results['n_train']} train / "
+            f"{results['n_test']} test",
+            *(f"{method}: final loss {entry['final_loss']:.4f}, "
+              f"test accuracy {entry['test_accuracy']:.4f}"
+              for method, entry in results["methods"].items())]
+
+
+def _curves(key: str):
+    """Sidecar rows of each method's training curve, stored under key."""
+    return lambda results: curve_rows(
+        {method: entry[key] for method, entry in results["methods"].items()})
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """One CLI command. Its run writes `<command>.json` and the CSV sidecar
+    `<command>_<sidecar>.csv` of rows(results), then prints
+    summary(results)."""
+    help: str
+    defaults: dict  # every config key beyond seed, out and workers
+    run: Callable[[dict], dict]  # config -> record
+    sidecar: str
+    rows: Callable[[dict], tuple]  # results -> (header, rows)
+    summary: Callable[[dict], list[str]]  # results -> stdout lines
+
+
+COMMANDS = {
+    "hypopt": Command(
+        "tune initialization hyperparameters for one score",
+        {"initial": None,
+         "ansatz": {"kind": "strongly_entangling", "layers": 8, "qubits": 4,
+                    "structure_seed": 0},
+         "hamiltonian": None,
+         **_SEARCH_DEFAULTS,
+         "score": dataclasses.asdict(ScoreSpec(kind=S1))},
+        cmd_hypopt, "trace",
+        lambda results: es_trace_rows(results["trace"],
+                                      hyperparam_names(results["family"])),
+        _hypopt_summary),
+    "vqe": Command(
+        "compare initialization methods on a Hamiltonian file",
+        {"hamiltonian": None,
+         "methods": ["s1", "s2", "s3", "manual"],
+         "ansatz": {"kind": "strongly_entangling", "layers": 8,
+                    "qubits": None, "structure_seed": 0},
+         **_SEARCH_DEFAULTS,
+         "train": {"lr": 0.01, "iters": 100}},
+        cmd_vqe, "curves", _curves("curve"), _vqe_summary),
+    "qml": Command(
+        "compare initialization methods on a CSV dataset",
+        {"dataset": None,
+         "pca_components": 4,
+         "subsample": 200,
+         "score_batch": 32,
+         "methods": ["s1", "s2", "s3", "manual"],
+         "ansatz": {"kind": "strongly_entangling", "layers": 3,
+                    "qubits": None, "structure_seed": 0},
+         **_SEARCH_DEFAULTS,
+         "train": {"lr": 0.01, "iters": 100}},
+        cmd_qml, "curves", _curves("loss_curve"), _qml_summary),
+    "grad-profile": Command(
+        "per-layer gradient-magnitude histograms",
+        {"family": "beta",
+         "values": [0.1, 1.5],
+         "delta": 0.0,
+         "m_samples": 200,
+         "bins": 30,
+         "ansatz": {"kind": "hea", "layers": 5, "qubits": 4,
+                    "structure_seed": 0},
+         "hamiltonian": None},
+        cmd_grad_profile, "histogram",
+        lambda results: histogram_rows(results["histogram"]),
+        lambda results: ["mean |dC/dtheta| per layer: " + ", ".join(
+            f"{v:.3e}" for v in results["layer_mean_abs_gradient"])]),
+    "bp-scan": Command(
+        "gradient variance versus qubit count",
+        {"qubit_range": [2, 4, 6, 8],
+         "layers": 5,
+         "structure_seed": 0,
+         "m_samples": 200,
+         "methods": ["uniform", "s1", "s2", "s3"],
+         **_SEARCH_DEFAULTS},
+        cmd_bp_scan, "bp", lambda results: bp_rows(results["rows"]),
+        lambda results: [f"{method}: log-variance slope "
+                         + ("n/a" if slope is None else f"{slope:.4f}")
+                         for method, slope in results["slopes"].items()]),
+}
 
 
 def write_outputs(command: str, cfg: dict, record: dict,
                   wall_clock: float) -> list:
-    """JSON record + meta + the command's CSV sidecars; returns the paths."""
+    """JSON record + meta + the command's CSV sidecar; returns the paths."""
     out = pathlib.Path(cfg["out"])
     extra = {"wall_clock_seconds": round(wall_clock, 6),
              "workers": cfg["workers"], "out": str(out)}
     record_path, meta_path = write_record(out, command, record, extra)
-    written = [record_path, meta_path]
-    results = record["results"]
-    if command == "hypopt":
-        header, rows = es_trace_rows(results["trace"],
-                                     hyperparam_names(cfg["family"]))
-        written.append(write_csv(out / f"{command}_trace.csv", header, rows))
-    elif command in ("vqe", "qml"):
-        key = "curve" if command == "vqe" else "loss_curve"
-        curves = {m: results["methods"][m][key] for m in cfg["methods"]}
-        header, rows = curve_rows(curves)
-        written.append(write_csv(out / f"{command}_curves.csv", header, rows))
-    elif command == "grad-profile":
-        header, rows = histogram_rows(results["histogram"])
-        written.append(write_csv(out / f"{command}_histogram.csv",
-                                 header, rows))
-    elif command == "bp-scan":
-        header, rows = bp_rows(results["rows"])
-        written.append(write_csv(out / f"{command}_bp.csv", header, rows))
-    return written
-
-
-def _summary_lines(command: str, record: dict) -> list[str]:
-    results = record["results"]
-    if command == "hypopt":
-        pairs = ", ".join(f"{n}={v:.6g}" for n, v in
-                          zip(hyperparam_names(results["family"]),
-                              results["lambda_star"]))
-        state = "converged" if results["converged"] else "stopped"
-        return [f"lambda*: {pairs} ({state} after "
-                f"{results['iterations']} iterations)"]
-    if command == "vqe":
-        lines = [f"exact ground energy: {results['exact_ground_energy']:.8f}"]
-        for method, entry in results["methods"].items():
-            lines.append(f"{method}: final energy {entry['final_energy']:.8f}"
-                         f" (gap {entry['gap']:.3e})")
-        return lines
-    if command == "qml":
-        lines = [f"dataset {results['dataset']}: {results['num_classes']} "
-                 f"classes, {results['n_train']} train / "
-                 f"{results['n_test']} test"]
-        for method, entry in results["methods"].items():
-            lines.append(f"{method}: final loss {entry['final_loss']:.4f}, "
-                         f"test accuracy {entry['test_accuracy']:.4f}")
-        return lines
-    if command == "grad-profile":
-        means = ", ".join(f"{v:.3e}"
-                          for v in results["layer_mean_abs_gradient"])
-        return [f"mean |dC/dtheta| per layer: {means}"]
-    lines = []
-    for method, slope in results["slopes"].items():
-        shown = "n/a" if slope is None else f"{slope:.4f}"
-        lines.append(f"{method}: log-variance slope {shown}")
-    return lines
+    spec = COMMANDS[command]
+    sidecar = write_csv(out / f"{command}_{spec.sidecar}.csv",
+                        *spec.rows(record["results"]))
+    return [record_path, meta_path, sidecar]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,15 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "hypopt": "tune initialization hyperparameters for one score",
-        "vqe": "compare initialization methods on a Hamiltonian file",
-        "qml": "compare initialization methods on a CSV dataset",
-        "grad-profile": "per-layer gradient-magnitude histograms",
-        "bp-scan": "gradient variance versus qubit count",
-    }
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=helps[command])
+    for command, spec in COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help)
         p.add_argument("--config", type=pathlib.Path, default=None,
                        help="JSON config file overlaying the defaults")
         p.add_argument("--set", dest="overrides", action="append",
@@ -625,11 +619,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    spec = COMMANDS[args.command]
     try:
         cfg = resolve_config(args.command, args.config, args.overrides,
                              args.seed, args.out, args.workers)
         started = time.perf_counter()
-        record = _RUNNERS[args.command](cfg)
+        record = spec.run(cfg)
         wall_clock = time.perf_counter() - started
         written = write_outputs(args.command, cfg, record, wall_clock)
     except MemoryError as exc:
@@ -640,7 +635,7 @@ def main(argv=None) -> int:
         cause = f": {exc.__cause__}" if exc.__cause__ is not None else ""
         print(f"error: {exc}{cause}", file=sys.stderr)
         return 2
-    for line in _summary_lines(args.command, record):
+    for line in spec.summary(record["results"]):
         print(line)
     for path in written:
         print(f"wrote {path}")

@@ -233,15 +233,15 @@ def adjoint_pays(circuit: Circuit, batch: int) -> bool:
 def _theta_batch(circuit: Circuit, theta, single: bool = False
                  ) -> tuple[np.ndarray, bool]:
     """(thetas, batched): a (p,) theta as a (1, p) batch, or a (B, p)
-    batch as it is; batched tells which was given. With single, only a
-    (p,) theta is accepted."""
+    batch with B >= 1 as it is; batched tells which was given. With
+    single, only a (p,) theta is accepted."""
     theta = np.asarray(theta, dtype=float)
     p = circuit.num_params
     if theta.shape == (p,):
         return theta[None, :], False
-    if single or theta.ndim != 2 or theta.shape[1] != p:
+    if single or theta.ndim != 2 or theta.shape[1] != p or not len(theta):
         raise ValueError(f"theta must have shape ({p},)"
-                         + ("" if single else f" or (B, {p})"))
+                         + ("" if single else f" or (B, {p}) with B >= 1"))
     return theta, True
 
 

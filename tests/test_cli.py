@@ -1,6 +1,7 @@
 """CLI config resolution, command runners, and output files."""
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -56,9 +57,18 @@ def make_dataset(tmp_path, n=30, features=4, classes=2, seed=11):
 
 
 def test_defaults_have_universal_keys():
-    for command in ("hypopt", "vqe", "qml", "grad-profile", "bp-scan"):
+    for command in cli.COMMANDS:
         cfg = default_config(command)
         assert {"seed", "out", "workers"} <= set(cfg)
+    with pytest.raises(ValueError, match="unknown command 'nope'"):
+        default_config("nope")
+
+
+def test_each_runner_is_found_by_its_command_name():
+    """The bench looks each runner up as cmd_<name> on the module, with
+    dashes as underscores, and tracing patches that attribute."""
+    for name, spec in cli.COMMANDS.items():
+        assert getattr(cli, "cmd_" + name.replace("-", "_")) is spec.run
 
 
 def test_resolve_config_precedence(tmp_path):
@@ -386,6 +396,18 @@ def test_main_reports_config_errors(tmp_path, capsys):
     code = main(["hypopt", "--out", str(tmp_path), "--set", "turbo=1"])
     assert code == 2
     assert "unknown config key 'turbo'" in error_output(capsys)
+    # a config file that does not parse is named in the one error line
+    config = tmp_path / "bad.json"
+    for body, reason in ((b"{seed: 1}", "Expecting property name"),
+                         (b'{"seed": "\xff"}', "'utf-8' codec can't decode")):
+        config.write_bytes(body)
+        code = main(["hypopt", "--out", str(tmp_path / "out"),
+                     "--config", str(config)])
+        assert code == 2
+        text = error_output(capsys)
+        assert text.startswith(f"error: config file {config}: {reason}")
+        assert text.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_main_rejects_non_finite_dataset_cell(tmp_path, capsys):
@@ -453,7 +475,9 @@ def test_main_reports_arithmetic_and_es_errors(tmp_path, capsys, monkeypatch,
                                                 exc):
     def failing(cfg):
         raise exc from ValueError("inner cause")
-    monkeypatch.setitem(cli._RUNNERS, "hypopt", failing)
+    monkeypatch.setitem(cli.COMMANDS, "hypopt",
+                        dataclasses.replace(cli.COMMANDS["hypopt"],
+                                            run=failing))
     code = main(["hypopt", "--out", str(tmp_path)])
     assert code == 2
     out = error_output(capsys)
@@ -469,7 +493,9 @@ def test_main_reports_out_of_memory(tmp_path, capsys, monkeypatch, exc):
     def failing(cfg):
         raise exc
     for command in ("bp-scan", "grad-profile"):
-        monkeypatch.setitem(cli._RUNNERS, command, failing)
+        monkeypatch.setitem(cli.COMMANDS, command,
+                            dataclasses.replace(cli.COMMANDS[command],
+                                                run=failing))
         out = tmp_path / command
         assert main([command, "--out", str(out)]) == 2
         text = error_output(capsys)
@@ -971,3 +997,70 @@ def test_command_does_not_import_numpy_ma(tmp_path, command):
          "--out", str(tmp_path / "out"), *set_flags(items)],
         cwd=REPO, env=env, capture_output=True, text=True, timeout=300)
     assert done.stdout == "0 False\n", done.stderr
+
+
+# the CSV sidecar each command writes beside its record, and its header
+SIDECARS = {
+    "hypopt": ("hypopt_trace.csv", ["iter", "alpha", "beta", "mean_score",
+                                    "best_score", "delta_l1"]),
+    "vqe": ("vqe_curves.csv", ["iter", "cost", "method"]),
+    "qml": ("qml_curves.csv", ["iter", "cost", "method"]),
+    "grad-profile": ("grad-profile_histogram.csv",
+                     ["layer", "bin_left", "bin_right", "density"]),
+    "bp-scan": ("bp-scan_bp.csv", ["qubits", "method", "variance"]),
+}
+
+
+def expected_summary(record) -> list:
+    """The stdout lines a run prints before its `wrote` lines, rebuilt from
+    the values in its written record, per method in the configured order."""
+    command, results = record["command"], record["results"]
+    methods = record["config"].get("methods", [])
+    if command == "hypopt":
+        alpha, beta = results["lambda_star"]
+        state = "converged" if results["converged"] else "stopped"
+        return [f"lambda*: alpha={alpha:.6g}, beta={beta:.6g} ({state} "
+                f"after {results['iterations']} iterations)"]
+    if command == "vqe":
+        entries = [(m, results["methods"][m]) for m in methods]
+        return [f"exact ground energy: {results['exact_ground_energy']:.8f}",
+                *(f"{m}: final energy {e['final_energy']:.8f} "
+                  f"(gap {e['gap']:.3e})" for m, e in entries)]
+    if command == "qml":
+        entries = [(m, results["methods"][m]) for m in methods]
+        return [f"dataset {results['dataset']}: {results['num_classes']} "
+                f"classes, {results['n_train']} train / {results['n_test']} "
+                f"test",
+                *(f"{m}: final loss {e['final_loss']:.4f}, "
+                  f"test accuracy {e['test_accuracy']:.4f}"
+                  for m, e in entries)]
+    if command == "grad-profile":
+        return ["mean |dC/dtheta| per layer: " + ", ".join(
+            f"{v:.3e}" for v in results["layer_mean_abs_gradient"])]
+    assert command == "bp-scan"
+    slopes = [(m, results["slopes"][m]) for m in methods]
+    return [f"{m}: log-variance slope "
+            + ("n/a" if s is None else f"{s:.4f}") for m, s in slopes]
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_main_prints_each_command_summary_and_sidecar(tmp_path, command):
+    """A run's stdout is its summary lines, one `wrote` line per file (the
+    record, its meta and one CSV sidecar) and the record hash."""
+    items = SMALL_RUNS[command]
+    if command == "qml":
+        items = [f"dataset={make_dataset(tmp_path)}", *items]
+    out = tmp_path / "out"
+    code, stdout, stderr = run_main([command, "--out", str(out),
+                                     *set_flags(items)])
+    assert (code, stderr) == (0, "")
+    record = json.loads((out / f"{command}.json").read_text())
+    sidecar, header = SIDECARS[command]
+    assert stdout.splitlines() == [
+        *expected_summary(record),
+        f"wrote {out / f'{command}.json'}",
+        f"wrote {out / f'{command}.meta.json'}",
+        f"wrote {out / sidecar}",
+        f"record sha256: {record_hash(record)}"]
+    with open(out / sidecar) as handle:
+        assert next(csv.reader(handle)) == header

@@ -1,5 +1,6 @@
 """Differentiation checked against finite differences and numpy's eigensolver."""
 import math
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       qfim_exact, qfim_trace,
                                       qfims_from_states, state_derivatives,
                                       sweep_batch_size)
+from qinitopt.scoring import score
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
                                 ROTATION_KINDS, Circuit, Gate, Layer,
                                 Observable, RX, RY, RZ, apply_circuit,
@@ -565,6 +567,28 @@ def test_empirical_is_gradient_outer_product():
     assert fisher.fidelity == "empirical"
     assert np.allclose(fisher.entries, np.outer(grad, grad))
     assert np.linalg.matrix_rank(fisher.entries) == 1
+
+
+# each batch entry point, called on (circuit, thetas)
+BATCH_ENTRY_POINTS = {
+    "qfim_trace": qfim_trace,
+    "score": lambda circ, thetas: score(thetas, circ,
+                                        Observable(((1.0, "ZZ"),))),
+    "observable_gradient": lambda circ, thetas: observable_gradient(
+        circ, thetas, Observable(((1.0, "ZZ"),))),
+    "qfim_exact": qfim_exact,
+    "state_derivatives": state_derivatives,
+    "qfim_block_diagonal": qfim_block_diagonal,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_ENTRY_POINTS))
+def test_batch_entry_points_reject_an_empty_stack(name):
+    circ = build_hea(1, 2)
+    p = circ.num_params
+    with pytest.raises(ValueError, match=re.escape(
+            f"theta must have shape ({p},) or (B, {p}) with B >= 1")):
+        BATCH_ENTRY_POINTS[name](circ, np.zeros((0, p)))
 
 
 def test_fidelity_ladder_dispatch():
