@@ -151,13 +151,15 @@ def resolve_config(command: str, config_path=None, overrides=(),
     defaults = default_config(command)
     cfg = copy.deepcopy(defaults)
     if config_path is not None:
+        # bad JSON, bytes that are not UTF-8 and too deep nesting raise here
         try:
             loaded = json.loads(
                 pathlib.Path(config_path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"config file {config_path}: {exc}") from None
         if not isinstance(loaded, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError(f"config file {config_path}: must hold a JSON "
+                             "object")
         _merge(cfg, loaded, "")
     for item in overrides:
         key, value = _parse_override(item)

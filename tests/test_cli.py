@@ -399,7 +399,10 @@ def test_main_reports_config_errors(tmp_path, capsys):
     # a config file that does not parse is named in the one error line
     config = tmp_path / "bad.json"
     for body, reason in ((b"{seed: 1}", "Expecting property name"),
-                         (b'{"seed": "\xff"}', "'utf-8' codec can't decode")):
+                         (b'{"seed": "\xff"}', "'utf-8' codec can't decode"),
+                         (b"[1]", "must hold a JSON object"),
+                         (b"[" * 10 ** 5 + b"]" * 10 ** 5,
+                          "maximum recursion depth exceeded")):
         config.write_bytes(body)
         code = main(["hypopt", "--out", str(tmp_path / "out"),
                      "--config", str(config)])
