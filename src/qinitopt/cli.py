@@ -333,8 +333,9 @@ def cmd_vqe(cfg: dict) -> dict:
                             qubits=cfg["ansatz"]["qubits"]
                             or hamiltonian.num_qubits)
     methods = _check_methods(cfg["methods"], _TRAIN_METHODS)
-    # every method's theta trains in one stack
-    task = make_vqe_task(hamiltonian, circuit, len(methods))
+    # every method's theta trains in one stack, by the adjoint at any
+    # height, so a method's curve does not depend on the other methods
+    task = make_vqe_task(hamiltonian, circuit)
     per_method = _train_methods(
         cfg, methods, circuit, task, task.hamiltonian, None,
         lambda theta, curve: {

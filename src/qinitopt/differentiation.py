@@ -19,23 +19,20 @@ d_mu psi. That batch grows to at most p + 1 rows per theta. The exact QFIM
 (np.vecdot reductions over the (B, p, 2^n) derivatives) and the
 block-diagonal QFIM (one block per tagged ansatz layer, each closed at its
 layer's last gate) read it, and so does pauli_sum_gradients,
-2 Re<H psi|d_mu psi>: for a score at omega=log_det or harmonic on the
-exact QFIM, whose derivatives are there anyway, and for VQE training on a
-small stack. Both contract the amplitude axis by np.vecdot, one dot
-product per entry on the calling thread: a BLAS matmul of these sizes wakes
-a second thread that only spins.
+2 Re<H psi|d_mu psi>, for a score at omega=log_det or harmonic on the
+exact QFIM, whose derivatives are there anyway. Both contract the
+amplitude axis by np.vecdot, one dot product per entry on the calling
+thread: a BLAS matmul of these sizes wakes a second thread that only
+spins.
 
 The adjoint sweep (Jones & Gacon, arXiv:2009.02823) gets the gradient of a
 sum of per-row expectations from one backward pass over given final rows
 and costates, two rows each. It gives the other Pauli-sum gradients
-(observable_value_and_gradient: psi forward, then [psi; H psi] backward)
-and the classification gradient, over the forward states or the basis rows
-of a unitary that all rows share. Both sweeps and the trace run read
--(i/2) G psi off one cached Pauli table per rotation. The adjoint makes
-twice the gate calls of a forward sweep, so on a small buffer, where call
-overhead outweighs the sweep's p + 1 rows per theta, the sweep is faster;
-adjoint_pays draws the line, and a VqeTask takes its path from it for its
-training stack.
+(observable_value_and_gradient: psi forward, then [psi; H psi] backward),
+which VQE training takes at any stack height, and the classification
+gradient, over the forward states or the basis rows of a unitary that all
+rows share. Both sweeps and the trace run form -(i/2) G psi by
+_generator_rows, off one cached Pauli table per rotation.
 
 One sweep serves a whole (B, p) batch of thetas, so a population costs one
 kernel call per gate, and a row's results keep the bits its theta gives
@@ -57,9 +54,10 @@ import math
 
 import numpy as np
 
-from .simulator import (Circuit, Observable, _expectation_from, _pauli_table,
-                        angle_table, apply_gate, apply_observable,
-                        check_normalized, run_gates, zero_state)
+from .simulator import (Circuit, Gate, Observable, _expectation_from,
+                        _pauli_table, angle_table, apply_gate,
+                        apply_observable, check_normalized, run_gates,
+                        zero_state)
 
 SHIFT = math.pi / 2
 
@@ -68,10 +66,6 @@ EXACT_QFIM_MAX_PARAMS = 64
 # one sweep buffer holds at most this many amplitudes; a larger population
 # is swept in chunks of sweep_batch_size(circuit) thetas
 MAX_SWEEP_AMPLITUDES = 1 << 15
-
-# the smallest forward-sweep buffer on which the adjoint pays; see
-# adjoint_pays
-ADJOINT_MIN_SWEEP_AMPLITUDES = 1 << 12
 
 FIDELITY_EXACT = "exact"
 FIDELITY_BLOCK = "block_diagonal"
@@ -122,6 +116,15 @@ def _derivative_table(kind: str, qubit: int, num_qubits: int):
     factor = -0.5j * phases
     factor.flags.writeable = False
     return factor, source
+
+
+def _generator_rows(gate: Gate, num_qubits: int, state: np.ndarray,
+                    out=None) -> np.ndarray:
+    """-(i/2) G psi for each (..., 2^n) row psi of state, G the Pauli
+    generator of the rotation gate, written into out when it is given."""
+    factor, source = _derivative_table(gate.kind, gate.target, num_qubits)
+    return np.multiply(factor, state if source is None
+                       else state.take(source, axis=-1), out=out)
 
 
 def first_param_gate(circuit: Circuit) -> int:
@@ -175,10 +178,7 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     for k in range(len(gates) - 1, first - 1, -1):
         gate = gates[k]
         if gate.param_slot is not None:
-            factor, source = _derivative_table(gate.kind, gate.target,
-                                               circuit.num_qubits)
-            rows = factor * (pair[:m] if source is None
-                             else pair[:m].take(source, axis=-1))
+            rows = _generator_rows(gate, circuit.num_qubits, pair[:m])
             sums[gate.param_slot] = np.vecdot(pair[m:], rows).real
         if k > first:
             apply_gate(pair, gate, undo)
@@ -218,16 +218,6 @@ def sweep_batch_size(circuit: Circuit, rows_per_theta: int | None = None
         rows_per_theta = circuit.num_params + 1
     per_theta = rows_per_theta << circuit.num_qubits
     return max(1, MAX_SWEEP_AMPLITUDES // per_theta)
-
-
-def adjoint_pays(circuit: Circuit, batch: int) -> bool:
-    """Whether one adjoint pass beats one forward sweep on a batch of
-    `batch` thetas: whether the forward sweep's (p + 1) rows per theta
-    would hold at least ADJOINT_MIN_SWEEP_AMPLITUDES amplitudes. Below
-    that the cost of either is mostly per-gate call overhead, and the
-    adjoint makes twice the gate calls."""
-    rows = (circuit.num_params + 1) * batch
-    return rows << circuit.num_qubits >= ADJOINT_MIN_SWEEP_AMPLITUDES
 
 
 def _theta_batch(circuit: Circuit, theta, single: bool = False
@@ -298,10 +288,8 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, features, stops):
         for gate in circuit.gates[start:stop]:
             apply_gate(flat[:n * batch], gate, table)
             if gate.param_slot is not None:
-                factor, source = _derivative_table(
-                    gate.kind, gate.target, circuit.num_qubits)
-                np.multiply(factor, rows[0] if source is None
-                            else rows[0][:, source], out=rows[n])
+                _generator_rows(gate, circuit.num_qubits, rows[0],
+                                out=rows[n])
                 slots.append(gate.param_slot)
                 n += 1
         check_normalized(rows[0])
@@ -423,10 +411,7 @@ def _generator_expectations(circuit: Circuit, thetas: np.ndarray,
     for gate in gates:
         apply_gate(state, gate, table)
         if gate.param_slot is not None:
-            factor, source = _derivative_table(gate.kind, gate.target,
-                                               circuit.num_qubits)
-            rows = factor * (state if source is None
-                             else state.take(source, axis=-1))
+            rows = _generator_rows(gate, circuit.num_qubits, state)
             expect[:, gate.param_slot] = -2.0 * np.vecdot(state, rows).imag
     check_normalized(state)
     return expect

@@ -94,13 +94,9 @@ def write_csv(path, header, rows):
     return path
 
 
-def hyperparam_names(family: str, count: int = 2):
+def hyperparam_names(family: str):
     """Column names for a family's hyperparameter vector."""
-    if family == "beta":
-        return ("alpha", "beta")[:count]
-    if family == "gaussian":
-        return ("mu", "sigma")[:count]
-    return tuple(f"lambda{i}" for i in range(count))
+    return {"beta": ("alpha", "beta"), "gaussian": ("mu", "sigma")}[family]
 
 
 def es_trace_rows(trace: dict, names):

@@ -6,12 +6,9 @@ marginals. Each task's value_and_gradient returns the cost and its exact
 gradient from one simulation of theta, and cost_value the cost alone; it
 and qml_cost_batch give the cost of each row of a parameter batch to the
 parameter-shift oracle. The VQE energy and its gradient,
-2 Re<H psi|d_mu psi>, come from one adjoint pass (psi forward,
-then the rows [psi; H psi] backward, the energy read off the same psi and
-H psi) or from one forward sweep of psi and its p derivatives. The task
-fixes its path when it is built, from the number of thetas a call will
-carry (adjoint_pays): the adjoint makes twice the gate calls, so it pays
-only once the forward sweep's p + 1 rows per theta hold enough amplitudes.
+2 Re<H psi|d_mu psi>, come from one adjoint pass (psi forward, then the
+rows [psi; H psi] backward, the energy read off the same psi and H psi)
+at any stack height, so a theta's curve is the same in any stack.
 The classification loss chains through the class marginals
 analytically; at fixed chain-rule weights it is a sum of per-row diagonal
 expectations, whose gradient one adjoint sweep gives.
@@ -44,10 +41,8 @@ import math
 import numpy as np
 
 from .differentiation import (_in_chunks, _theta_batch, adjoint_gradient,
-                              adjoint_pays, first_param_gate,
-                              hermitian_eigenvalues,
-                              observable_value_and_gradient,
-                              pauli_sum_gradients, state_derivatives)
+                              first_param_gate, hermitian_eigenvalues,
+                              observable_value_and_gradient)
 from .simulator import (Circuit, Observable, _as_batch, angle_table,
                         apply_circuit, apply_gate, apply_observable,
                         check_normalized, expectation, run_gates)
@@ -73,9 +68,6 @@ class VqeTask:
     hamiltonian: Observable
     circuit: Circuit
     exact_ground_energy: float
-    # the gradient path, adjoint passes or else forward sweeps; make_vqe_task
-    # picks it from the stack height
-    adjoint: bool = False
 
     def __post_init__(self):
         if self.hamiltonian.num_qubits != self.circuit.num_qubits:
@@ -93,31 +85,19 @@ class VqeTask:
 
     def value_and_gradient(self, theta):
         """(energy, gradient) of a (p,) theta, or the (B,) energies and
-        (B, p) gradients of a stack, by one adjoint pass or one forward
-        sweep per chunk, as the task's path says; the energies are
-        cost_value's bit for bit."""
-        if self.adjoint:
-            return observable_value_and_gradient(self.circuit, theta,
-                                                 self.hamiltonian)
-
-        def chunk(thetas):
-            psi, dpsi = state_derivatives(self.circuit, thetas)
-            return (expectation(psi, self.hamiltonian),
-                    pauli_sum_gradients(psi, dpsi, self.hamiltonian))
-        return _in_chunks(self.circuit, theta, None, chunk)
+        (B, p) gradients of a stack, by one adjoint pass per chunk; the
+        energies are cost_value's bit for bit."""
+        return observable_value_and_gradient(self.circuit, theta,
+                                             self.hamiltonian)
 
     def gradient(self, theta) -> np.ndarray:
         return self.value_and_gradient(theta)[1]
 
 
-def make_vqe_task(hamiltonian: Observable, circuit: Circuit,
-                  stack: int = 1) -> VqeTask:
+def make_vqe_task(hamiltonian: Observable, circuit: Circuit) -> VqeTask:
     """Bundle a Hamiltonian with an ansatz and the dense-diagonalization
-    ground energy. stack is the number of thetas a value_and_gradient call
-    will carry, the training stack height; it fixes the gradient path,
-    adjoint when adjoint_pays(circuit, stack), else the forward sweep."""
-    return VqeTask(hamiltonian, circuit, exact_ground_energy(hamiltonian),
-                   adjoint_pays(circuit, stack))
+    ground energy."""
+    return VqeTask(hamiltonian, circuit, exact_ground_energy(hamiltonian))
 
 
 def _class_marginals(states: np.ndarray, measured: int,

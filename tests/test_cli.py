@@ -691,18 +691,14 @@ def test_hypopt_takes_a_hamiltonian_above_the_dense_oracle_cap(tmp_path,
 
 
 def test_vqe_trains_every_method_in_one_sweep_per_step(monkeypatch):
-    """All methods step in lockstep: train.iters gradient passes of every
-    method's theta at once, not one pass per method and step, by the one
-    path that adjoint_pays picks for the stack."""
+    """All methods step in lockstep: train.iters adjoint passes of every
+    method's theta at once, not one pass per method and step, and no
+    forward derivative sweep, at any stack height or circuit size."""
     calls = count_sweeps(monkeypatch)
     h2 = REPO / "hamiltonians" / "h2_4q.txt"
-    for hamiltonian, layers, methods, path in (
-            # p = 6, 4 thetas: 112 amplitudes in a forward sweep
-            (TOY_HAMILTONIAN, 1, None, "forward"),
-            # p = 96, 4 thetas: 6208 amplitudes, enough for the adjoint
-            (h2, 8, None, "adjoint"),
-            # p = 96, 1 theta: 1552 amplitudes
-            (h2, 8, ["manual"], "forward")):
+    for hamiltonian, layers, methods in ((TOY_HAMILTONIAN, 1, None),
+                                         (h2, 8, None),
+                                         (h2, 8, ["manual"])):
         for seen in calls.values():
             seen.clear()
         overrides = [f"hamiltonian={hamiltonian}", f"ansatz.layers={layers}",
@@ -713,11 +709,25 @@ def test_vqe_trains_every_method_in_one_sweep_per_step(monkeypatch):
         record = cmd_vqe(cfg)
         stack = len(record["results"]["methods"])
         assert stack == len(methods or cfg["methods"])
-        circuit = build_strongly_entangling(layers, 2 if layers == 1 else 4)
-        assert differentiation.adjoint_pays(circuit, stack) == (
-            path == "adjoint")
-        other = "forward" if path == "adjoint" else "adjoint"
-        assert calls == {path: [stack] * 5, other: []}
+        assert calls == {"forward": [], "adjoint": [stack] * 5}
+
+
+def test_vqe_method_curve_does_not_depend_on_the_method_count():
+    """A method's energy curve is the same bits whichever other methods
+    train beside it: the stack height picks no gradient path."""
+    h2 = REPO / "hamiltonians" / "h2_4q.txt"
+    curves = {}
+    for methods in (None, ["manual"], ["s1", "manual"]):
+        overrides = [f"hamiltonian={h2}", "ansatz.layers=8", "es.n_iters=1",
+                     "train.iters=10"]
+        if methods is not None:
+            overrides.append("methods=" + json.dumps(methods))
+        record = cmd_vqe(resolve_config("vqe", overrides=overrides))
+        curves[len(record["results"]["methods"])] = (
+            record["results"]["methods"]["manual"]["curve"])
+    assert sorted(curves) == [1, 2, 4]
+    assert curves[1] == curves[4]
+    assert curves[2] == curves[4]
 
 
 def test_main_reports_divergent_training_in_one_line(tmp_path):

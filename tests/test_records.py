@@ -68,7 +68,6 @@ def test_write_csv_full_precision(tmp_path):
 def test_hyperparam_names():
     assert hyperparam_names("beta") == ("alpha", "beta")
     assert hyperparam_names("gaussian") == ("mu", "sigma")
-    assert hyperparam_names("other", 3) == ("lambda0", "lambda1", "lambda2")
 
 
 def test_es_trace_rows_layout():

@@ -109,37 +109,13 @@ def test_vqe_gradient_matches_parameter_shift():
     rng = np.random.default_rng(74)
     obs = Observable(terms=((0.4, "ZIY"), (-0.7, "XYZ"), (0.2, "IIZ")))
     task = make_vqe_task(obs, circuit=build_strongly_entangling(2, 3))
-    for adjoint in (False, True):
-        task.adjoint = adjoint
-        for _ in range(3):
-            theta = rng.uniform(0, 2 * math.pi, task.circuit.num_params)
-            want = gradient(task.circuit, theta, task.cost_batch)
-            assert np.max(np.abs(task.gradient(theta) - want)) < 1e-10
-            value, grad = task.value_and_gradient(theta)
-            assert value == task.cost_value(theta)
-            assert np.max(np.abs(grad - want)) < 1e-10
-
-
-def test_vqe_task_path_follows_the_stack_height():
-    """make_vqe_task takes the adjoint once a forward sweep of the stack
-    would hold ADJOINT_MIN_SWEEP_AMPLITUDES amplitudes; both paths give the
-    same energies and gradients to rounding."""
-    obs = Observable(terms=((0.5, "ZZZZ"), (-0.3, "XIYI")))
-    circ = build_strongly_entangling(8, 4)  # p = 96: 97 * 16 = 1552 per theta
-    assert not make_vqe_task(obs, circ).adjoint
-    assert not make_vqe_task(obs, circ, stack=2).adjoint
-    assert make_vqe_task(obs, circ, stack=3).adjoint
-    floor = differentiation.ADJOINT_MIN_SWEEP_AMPLITUDES
-    for stack in range(1, 5):
-        assert differentiation.adjoint_pays(circ, stack) == (
-            1552 * stack >= floor)
-    thetas = np.random.default_rng(75).uniform(0, 2 * math.pi, (3, 96))
-    task = make_vqe_task(obs, circ, stack=3)
-    adjoint = task.value_and_gradient(thetas)
-    task.adjoint = False
-    swept = task.value_and_gradient(thetas)
-    assert np.array_equal(adjoint[0], swept[0])
-    np.testing.assert_allclose(adjoint[1], swept[1], rtol=0, atol=1e-12)
+    for _ in range(3):
+        theta = rng.uniform(0, 2 * math.pi, task.circuit.num_params)
+        want = gradient(task.circuit, theta, task.cost_batch)
+        assert np.max(np.abs(task.gradient(theta) - want)) < 1e-10
+        value, grad = task.value_and_gradient(theta)
+        assert value == task.cost_value(theta)
+        assert np.max(np.abs(grad - want)) < 1e-10
 
 
 def test_vqe_gradient_rejects_nan_theta():
@@ -658,9 +634,9 @@ def test_qml_probabilities_take_one_theta_on_either_path(shared):
 
 @st.composite
 def lockstep_cases(draw):
-    """(task, stack, iters, lr): a VqeTask on the adjoint or the forward-
-    sweep path, or a QmlTask on the shared or the per-row (re-uploading)
-    path, with an (M, p) stack of starting points."""
+    """(task, stack, iters, lr): a VqeTask, or a QmlTask on the shared or
+    the per-row (re-uploading) path, with an (M, p) stack of starting
+    points."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     kind = draw(st.sampled_from(("vqe", "shared", "per_row")))
     qubits = draw(st.integers(2, 3))
@@ -671,7 +647,6 @@ def lockstep_cases(draw):
         task = make_vqe_task(
             Observable(tuple(zip(rng.standard_normal(3).tolist(), words))),
             circ)
-        task.adjoint = draw(st.booleans())
     else:
         if kind == "shared":
             circ = embedded_classifier(layers, qubits)
