@@ -75,20 +75,48 @@ HYPOPT_GOLDEN = {
 }
 
 
-def test_hypopt_score_golden():
+# The same runs away from the default omega=trace, where the score builds
+# the whole QFIM: s3 at log_det on 2 layers takes the exact QFIM and the
+# Pauli-sum gradient from the same forward sweep; s1 at harmonic on 6
+# layers takes the block-diagonal QFIM. (kind, omega, layers) -> values.
+HYPOPT_OMEGA_GOLDEN = {
+    ("s3", "log_det", 2): {
+        "lambda_star": [2.8385890029207306, 2.21030349476943],
+        "mean_score": [-9.201428157235085, -8.24312130357024],
+        "best_score": [-8.425881821673876, -7.020292925299274],
+    },
+    ("s1", "harmonic", 6): {
+        "lambda_star": [1.8473704411833742, 6.412495845036482],
+        "mean_score": [1.7352520824886817, 1.750587895316431],
+        "best_score": [1.8719417577175337, 1.917237693292507],
+    },
+}
+
+
+def check_hypopt(label, golden, overrides):
     hamiltonian = REPO / "hamiltonians" / "h2_4q.txt"
+    cfg = resolve_config("hypopt", overrides=[
+        f'hamiltonian="{hamiltonian}"', "es.n_iters=2", "es.n_samples=4",
+        *overrides])
+    results = cmd_hypopt(cfg)["results"]
+    np.testing.assert_allclose(results["lambda_star"], golden["lambda_star"],
+                               rtol=RTOL, err_msg=f"{label}: lambda_star")
+    for key in ("mean_score", "best_score"):
+        np.testing.assert_allclose(results["trace"][key], golden[key],
+                                   rtol=RTOL, err_msg=f"{label}: {key}")
+
+
+def test_hypopt_score_golden():
     for (kind, layers), golden in HYPOPT_GOLDEN.items():
-        cfg = resolve_config("hypopt", overrides=[
-            f'hamiltonian="{hamiltonian}"', f"score.kind={kind}",
-            f"ansatz.layers={layers}", "es.n_iters=2", "es.n_samples=4"])
-        results = cmd_hypopt(cfg)["results"]
-        label = f"{kind} at {layers} layers"
-        np.testing.assert_allclose(results["lambda_star"],
-                                   golden["lambda_star"], rtol=RTOL,
-                                   err_msg=f"{label}: lambda_star")
-        for key in ("mean_score", "best_score"):
-            np.testing.assert_allclose(results["trace"][key], golden[key],
-                                       rtol=RTOL, err_msg=f"{label}: {key}")
+        check_hypopt(f"{kind} at {layers} layers", golden,
+                     [f"score.kind={kind}", f"ansatz.layers={layers}"])
+
+
+def test_hypopt_full_qfim_golden():
+    for (kind, omega, layers), golden in HYPOPT_OMEGA_GOLDEN.items():
+        check_hypopt(f"{kind} at omega={omega}, {layers} layers", golden,
+                     [f"score.kind={kind}", f"score.omega={omega}",
+                      f"ansatz.layers={layers}"])
 
 
 # bp-scan at 2 and 4 qubits, 20 gradient samples, one ES iteration per
