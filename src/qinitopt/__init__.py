@@ -4,7 +4,7 @@ experiments built on a dense statevector simulator."""
 
 __version__ = "0.1.0"
 
-from .differentiation import (Qfim, gradient, hermitian_eigenvalues,
+from .differentiation import (gradient, hermitian_eigenvalues,
                               observable_gradient, qfim, qfim_block_diagonal,
                               qfim_empirical, qfim_exact, qfim_trace)
 from .distributions import (HyperParams, beta_samples, child_rng,
@@ -25,7 +25,7 @@ from .tasks import (AdamState, QmlTask, VqeTask, adam_step,
 __all__ = [
     "__version__",
     "AdamState", "Circuit", "EsConfig", "EsTrace", "Gate", "HyperParams",
-    "Layer", "Observable", "Qfim", "QmlTask", "ScoreSpec", "VqeTask",
+    "Layer", "Observable", "QmlTask", "ScoreSpec", "VqeTask",
     "adam_step", "apply_circuit", "beta_samples", "build_hea",
     "build_strongly_entangling", "build_two_design", "child_rng",
     "embed_angles", "es_optimize", "exact_ground_energy", "expectation",

@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Five commands share one config style: per-command defaults, optionally
-overlaid by a JSON config file, then by --set key=value flags. Unknown
+overlaid by a JSON config file, then by --set key=value flags, each
+merged as a config-file fragment (a.b=v is {"a": {"b": v}}). Unknown
 keys fail fast with the offending key path. Every run writes a
 deterministic JSON record (hash-stable across re-runs with the same
 config and seed, whatever the worker count) plus one flat CSV sidecar.
@@ -118,7 +119,9 @@ def _merge(base: dict, incoming: dict, path: str) -> None:
             base[key] = value
 
 
-def _parse_override(text: str):
+def _parse_override(text: str) -> dict:
+    """--set a.b=v as the config fragment {"a": {"b": v}}, v parsed as JSON
+    where it parses and kept as a string otherwise."""
     key, sep, raw = text.partition("=")
     if not sep or not key:
         raise ValueError(f"override '{text}' must look like key=value")
@@ -126,23 +129,9 @@ def _parse_override(text: str):
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key.strip(), value
-
-
-def _apply_override(cfg: dict, key: str, value) -> None:
-    parts = key.split(".")
-    node = cfg
-    for depth, part in enumerate(parts[:-1]):
-        if not isinstance(node.get(part), dict):
-            raise ValueError(
-                f"unknown config key '{'.'.join(parts[:depth + 1])}'")
-        node = node[part]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ValueError(f"unknown config key '{key}'")
-    if isinstance(node[leaf], dict):
-        raise ValueError(f"config key '{key}' expects a table")
-    node[leaf] = value
+    for part in reversed(key.strip().split(".")):
+        value = {part: value}
+    return value
 
 
 def resolve_config(command: str, config_path=None, overrides=(),
@@ -162,8 +151,7 @@ def resolve_config(command: str, config_path=None, overrides=(),
                              "object")
         _merge(cfg, loaded, "")
     for item in overrides:
-        key, value = _parse_override(item)
-        _apply_override(cfg, key, value)
+        _merge(cfg, _parse_override(item), "")
     _check_types(cfg, defaults)
     if seed is not None:
         cfg["seed"] = seed

@@ -36,10 +36,6 @@ class Dataset:
         return len(self.labels)
 
     @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    @property
     def num_classes(self) -> int:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 

@@ -40,15 +40,19 @@ alone. Each sweep or run builds one simulator.angle_table before its
 first gate; the adjoint's undo table holds the inverse gates' factors,
 taken from -theta / 2. Each quantity has one function, which takes a (p,)
 theta or a (B, p) stack and runs a (p,) theta as a stack of one; only the
-parameter-shift reference and the qfim dispatcher take one theta. Callers
-keep a buffer under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the
-rows per theta of the sweep they run. The rank-one empirical QFIM is built from a
-task gradient. Spectra of the QFIM and of dense Hamiltonians come from one
+parameter-shift reference takes one theta alone. Callers keep a buffer
+under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the rows per theta
+of the sweep they run.
+
+A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim is the one
+fidelity ladder: the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters,
+else the block-diagonal one on a tagged circuit, else the rank-one
+empirical surrogate g g^T built from a task gradient. Spectra of QFIMs,
+one matrix or a stack, and of dense Hamiltonians come from one
 eigensolver, LAPACK's via np.linalg.eigvalsh.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 import functools
 import math
 
@@ -70,12 +74,6 @@ MAX_SWEEP_AMPLITUDES = 1 << 15
 FIDELITY_EXACT = "exact"
 FIDELITY_BLOCK = "block_diagonal"
 FIDELITY_EMPIRICAL = "empirical"
-
-
-@dataclass
-class Qfim:
-    entries: np.ndarray
-    fidelity: str
 
 
 def _shift_rows(theta: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -359,7 +357,7 @@ def observable_gradient(circuit: Circuit, theta, obs: Observable,
     return observable_value_and_gradient(circuit, theta, obs, features)[1]
 
 
-def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
+def qfim_exact(circuit: Circuit, theta, features=None) -> np.ndarray:
     """Full QFIM  4 Re(<d_mu psi|d_nu psi> - <d_mu psi|psi><psi|d_nu psi>),
     (p, p) for a (p,) theta or (B, p, p) for a (B, p) stack.
 
@@ -373,7 +371,7 @@ def qfim_exact(circuit: Circuit, theta, features=None) -> Qfim:
             f"{EXACT_QFIM_MAX_PARAMS}; use block-diagonal or empirical")
     thetas, batched = _theta_batch(circuit, theta)
     entries = qfims_from_states(*state_derivatives(circuit, thetas, features))
-    return Qfim(entries if batched else entries[0], FIDELITY_EXACT)
+    return entries if batched else entries[0]
 
 
 def qfim_trace(circuit: Circuit, theta, features=None):
@@ -417,7 +415,8 @@ def _generator_expectations(circuit: Circuit, thetas: np.ndarray,
     return expect
 
 
-def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
+def qfim_block_diagonal(circuit: Circuit, theta,
+                        features=None) -> np.ndarray:
     """Layer-blocked QFIM, (p, p) for a (p,) theta or (B, p, p) for a
     (B, p) stack: each tagged layer's block is the exact QFIM of the
     circuit truncated after that layer; cross-layer entries are zero.
@@ -458,13 +457,14 @@ def qfim_block_diagonal(circuit: Circuit, theta, features=None) -> Qfim:
         row, col = np.ix_(idx, idx)
         entries[:, row, col] = qfims_from_states(
             psi, rows[own].transpose(1, 0, 2).copy())
-    return Qfim(entries if batched else entries[0], FIDELITY_BLOCK)
+    return entries if batched else entries[0]
 
 
-def qfim_empirical(grad: np.ndarray) -> Qfim:
-    """Rank-one outer-product surrogate grad x grad."""
+def qfim_empirical(grad) -> np.ndarray:
+    """Rank-one surrogate g g^T: (p, p) for a (p,) gradient, or
+    (B, p, p) for a (B, p) stack, one outer product per row."""
     g = np.asarray(grad, dtype=float)
-    return Qfim(np.outer(g, g), FIDELITY_EMPIRICAL)
+    return g[..., :, None] * g[..., None, :]
 
 
 def qfim_fidelity(circuit: Circuit) -> str:
@@ -476,10 +476,12 @@ def qfim_fidelity(circuit: Circuit) -> str:
     return FIDELITY_BLOCK if circuit.layers else FIDELITY_EMPIRICAL
 
 
-def qfim(circuit: Circuit, theta, features=None, gradient_fn=None) -> Qfim:
-    """The QFIM of one theta at the fidelity qfim_fidelity picks; the
-    empirical one is built from gradient_fn(theta)."""
-    theta = _theta_batch(circuit, theta, single=True)[0][0]
+def qfim(circuit: Circuit, theta, features=None,
+         gradient_fn=None) -> np.ndarray:
+    """The QFIM at the fidelity qfim_fidelity picks, (p, p) for a (p,)
+    theta or (B, p, p) for a (B, p) stack; the empirical one is built
+    from gradient_fn(theta), which gets theta as given and returns one
+    gradient row per theta."""
     fidelity = qfim_fidelity(circuit)
     if fidelity == FIDELITY_EXACT:
         return qfim_exact(circuit, theta, features)
@@ -488,24 +490,28 @@ def qfim(circuit: Circuit, theta, features=None, gradient_fn=None) -> Qfim:
     if gradient_fn is None:
         raise ValueError("untagged circuit above the exact threshold needs a "
                          "task gradient for the empirical QFIM")
-    return qfim_empirical(gradient_fn(theta))
+    thetas, batched = _theta_batch(circuit, theta)
+    return qfim_empirical(gradient_fn(thetas if batched else thetas[0]))
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:
-    """Eigenvalues of a real symmetric or complex Hermitian matrix, sorted
-    descending (LAPACK via np.linalg.eigvalsh)."""
+    """Eigenvalues of a real symmetric or complex Hermitian (n, n) matrix,
+    or of each matrix of an (..., n, n) stack, sorted descending along the
+    last axis (LAPACK via np.linalg.eigvalsh)."""
     a = np.asarray(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if a.size and not (np.max(np.abs(a - a.conj().T)) <= 1e-9):
+    if a.size and not (np.max(np.abs(a - a.conj().swapaxes(-2, -1)))
+                       <= 1e-9):
         raise ValueError("matrix is not Hermitian within 1e-9")
     if np.iscomplexobj(a) and not a.imag.any():
         # e.g. a Hamiltonian whose Pauli words all hold an even number of
-        # Ys: the real solver needs half the flops and no complex LAPACK code
+        # Ys: the real solver needs half the flops and no complex LAPACK
+        # code. A stack takes it only when every matrix in it is real.
         a = a.real
-    return np.linalg.eigvalsh(a)[::-1]
+    return np.linalg.eigvalsh(a)[..., ::-1]
 
 
 # the benchmark's span tracer looks the eigensolver up under this name

@@ -3,13 +3,17 @@
 Three scores, all maximized: S1 reduces the QFIM to a scalar capacity
 measure, S2 is the mean t-th power of gradient magnitudes, and S3 blends the
 two with weight w. score rates one (p,) parameter vector or each row of a
-(B, p) stack, by one path. At the default omega=trace the exact and the
+(B, p) stack, by one path, and so do the reductions it is built from:
+omega_reduce takes one QFIM or a (B, p, p) stack, and order_statistic one
+gradient or a (B, p) stack. At the default omega=trace the exact and the
 block-diagonal QFIM enter only through their shared trace,
 sum_mu (1 - <G_mu>^2), which differentiation.qfim_trace takes from one
-forward run; log_det and harmonic need the whole QFIM and build it by
-forward derivative sweeps. A Pauli-sum task gradient comes from the exact
-QFIM's sweep when the score builds one (S3 at p <= 64 and omega log_det
-or harmonic), and from adjoint passes otherwise. A task gradient given as
+forward run; log_det and harmonic need the whole QFIM, which
+differentiation.qfim builds by forward derivative sweeps, one chunk of
+thetas at a time, each chunk reduced by one omega_reduce call. A
+Pauli-sum task gradient comes from the exact QFIM's sweep when the score
+builds one (S3 at p <= 64 and omega log_det or harmonic), and from
+adjoint passes otherwise. A task gradient given as
 a callable gets what score got, a (p,) theta or the whole (B, p) stack,
 in one call. The search objective scores a whole ES population through
 score in one call.
@@ -26,7 +30,7 @@ import numpy as np
 from .differentiation import (FIDELITY_BLOCK, FIDELITY_EMPIRICAL,
                               FIDELITY_EXACT, _in_chunks, _theta_batch,
                               hermitian_eigenvalues, observable_gradient,
-                              pauli_sum_gradients, qfim_block_diagonal,
+                              pauli_sum_gradients, qfim, qfim_empirical,
                               qfim_fidelity, qfim_trace, qfims_from_states,
                               state_derivatives)
 from .distributions import DEFAULT_BETA_SCALE, HyperParams, sample_params
@@ -70,35 +74,46 @@ class ScoreSpec:
             raise ValueError("harmonic prefactor must be finite")
 
 
-def omega_reduce(fisher, spec: ScoreSpec) -> float:
-    """Scalar capacity of a QFIM: trace, eigenvalue log-sum, or the harmonic
-    sum over the top k_eigs eigenvalues. eps regularizes every variant."""
-    entries = np.asarray(getattr(fisher, "entries", fisher), dtype=float)
-    p = entries.shape[0]
+def _scalar_or_rows(values: np.ndarray):
+    """A 0-d result as a float, a stack's (B,) results as they are."""
+    return float(values) if values.ndim == 0 else values
+
+
+def omega_reduce(fisher, spec: ScoreSpec):
+    """Scalar capacity of a (p, p) QFIM as a float, or of each matrix of
+    a (B, p, p) stack as a (B,) array: trace, eigenvalue log-sum, or the
+    harmonic sum over the top k_eigs eigenvalues. eps regularizes every
+    variant."""
+    fisher = np.asarray(fisher, dtype=float)
+    p = fisher.shape[-1]
     if spec.omega == TRACE:
-        return float(np.trace(entries) + p * spec.eps)
-    values = hermitian_eigenvalues(entries) + spec.eps
+        return _scalar_or_rows(np.trace(fisher, axis1=-2, axis2=-1)
+                               + p * spec.eps)
+    values = hermitian_eigenvalues(fisher) + spec.eps
     if spec.omega == LOG_DET:
         if np.any(values <= 0):
             raise ValueError("log-det needs eigenvalues above -eps")
-        return float(np.sum(np.log(values)))
+        return _scalar_or_rows(np.sum(np.log(values), axis=-1))
     with np.errstate(over="ignore", divide="ignore"):
-        total = spec.big_k * np.sum(1.0 / values[:min(spec.k_eigs, p)])
-    if not np.isfinite(total):
+        total = spec.big_k * np.sum(1.0 / values[..., :spec.k_eigs], axis=-1)
+    if not np.all(np.isfinite(total)):
+        bad = total[~np.isfinite(total)].flat[0]
         raise ValueError(
-            f"raw score must be finite, but the harmonic sum is {total} at "
+            f"raw score must be finite, but the harmonic sum is {bad} at "
             f"score.big_k = {spec.big_k:g} and score.eps = {spec.eps:g}")
-    return float(total)
+    return _scalar_or_rows(total)
 
 
-def order_statistic(grad, t: int) -> float:
-    """Mean t-th power of gradient magnitudes, (1/p) sum |g_mu|^t."""
+def order_statistic(grad, t: int):
+    """Mean t-th power of gradient magnitudes, (1/p) sum |g_mu|^t, of a
+    (p,) gradient as a float or of each row of a (B, p) stack as a (B,)
+    array."""
     grad = np.asarray(grad, dtype=float)
     if grad.size == 0:
         raise ValueError("gradient is empty")
     if t < 1:
         raise ValueError("t must be >= 1")
-    return float(np.mean(np.abs(grad) ** t))
+    return _scalar_or_rows(np.mean(np.abs(grad) ** t, axis=-1))
 
 
 def score(theta, circuit: Circuit, task_gradient=None,
@@ -116,9 +131,9 @@ def score(theta, circuit: Circuit, task_gradient=None,
     2 Re<H psi|d_mu psi> read that sweep's derivatives. On every other
     path they come from observable_gradient's adjoint passes, two rows per
     theta, and block-diagonal QFIMs take forward sweeps of their own; each
-    pass is chunked by the height of its own buffer, and each chunk's QFIMs
-    are reduced before the next chunk runs. The empirical rung keeps the
-    rank-one surrogate, whose trace is |g|^2. The path depends on the
+    pass is chunked by the height of its own buffer, and each chunk's QFIM
+    stack is reduced by one omega_reduce call before the next chunk runs.
+    The empirical rung keeps the rank-one surrogate, whose trace is |g|^2. The path depends on the
     fidelity and omega alone, not on B, so a row scores the same bits in
     any batch. A callable is called once with what score was given: a
     (p,) theta, returning (p,), or the whole (B, p) stack, returning
@@ -142,28 +157,20 @@ def score(theta, circuit: Circuit, task_gradient=None,
     swept = (needs_grad and is_pauli_sum and fidelity == FIDELITY_EXACT
              and not traced)
 
-    def reduced(fishers):
-        return np.array([omega_reduce(f, spec) for f in fishers])
-
-    def exact(chunk):
-        states = state_derivatives(circuit, chunk, features)
-        fisher = reduced(qfims_from_states(*states))
+    def fisher_chunk(chunk):
         if not swept:
-            return (fisher,)
-        return fisher, pauli_sum_gradients(*states, task_gradient)
-
-    def block(chunk):
-        blocks = qfim_block_diagonal(circuit, chunk, features)
-        return (reduced(blocks.entries),)
+            return (omega_reduce(qfim(circuit, chunk, features), spec),)
+        states = state_derivatives(circuit, chunk, features)
+        return (omega_reduce(qfims_from_states(*states), spec),
+                pauli_sum_gradients(*states, task_gradient))
 
     fisher_part = grads = None
     if traced:
         fisher_part = (qfim_trace(circuit, thetas, features)
                        + circuit.num_params * spec.eps)
-    elif fidelity == FIDELITY_EXACT:
-        fisher_part, *swept_grads = _in_chunks(circuit, thetas, None, exact)
-    elif fidelity == FIDELITY_BLOCK:
-        fisher_part, = _in_chunks(circuit, thetas, None, block)
+    elif fidelity in (FIDELITY_EXACT, FIDELITY_BLOCK):
+        fisher_part, *swept_grads = _in_chunks(circuit, thetas, None,
+                                              fisher_chunk)
     if swept:
         grads, = swept_grads
     elif needs_grad and is_pauli_sum:
@@ -172,11 +179,11 @@ def score(theta, circuit: Circuit, task_gradient=None,
         grads = np.asarray(task_gradient(thetas if batched else thetas[0]),
                            dtype=float).reshape(thetas.shape)
     if fidelity == FIDELITY_EMPIRICAL:
-        fisher_part = reduced(np.outer(g, g) for g in grads)
+        fisher_part = omega_reduce(qfim_empirical(grads), spec)
     if spec.kind == S1:
         raw = fisher_part
     else:
-        grad_part = np.array([order_statistic(g, spec.t) for g in grads])
+        grad_part = order_statistic(grads, spec.t)
         raw = (grad_part if spec.kind == S2 else
                (1.0 - spec.w) * fisher_part + spec.w * grad_part)
     if not np.all(np.isfinite(raw)):

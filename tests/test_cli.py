@@ -102,6 +102,22 @@ def test_resolve_config_rejects_unknown_keys(tmp_path):
         resolve_config("hypopt", overrides=["es=3"])
     with pytest.raises(ValueError, match="key=value"):
         resolve_config("hypopt", overrides=["banana"])
+    # --set merges its fragment like a config file does
+    with pytest.raises(ValueError, match="unknown config key 'es.sigma'"):
+        resolve_config("hypopt", overrides=['es={"sigma":0.1}'])
+    with pytest.raises(ValueError, match="config key 'seed' expects type "
+                       "integer"):
+        resolve_config("hypopt", overrides=["seed.x=1"])
+
+
+def test_set_merges_a_table_like_a_config_file(tmp_path):
+    cfg = resolve_config("hypopt", overrides=['es={"eta":0.1,"n_iters":3}'])
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"es": {"eta": 0.1, "n_iters": 3}}))
+    assert cfg == resolve_config("hypopt", config)
+    assert cfg["es"]["eta"] == 0.1 and cfg["es"]["n_iters"] == 3
+    assert cfg["es"]["n_samples"] == default_config("hypopt")["es"][
+        "n_samples"]
 
 
 def test_set_values_parse_as_json():

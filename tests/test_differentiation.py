@@ -16,7 +16,7 @@ from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       observable_value_and_gradient,
                                       pauli_sum_gradients, qfim,
                                       qfim_block_diagonal, qfim_empirical,
-                                      qfim_exact, qfim_trace,
+                                      qfim_exact, qfim_fidelity, qfim_trace,
                                       qfims_from_states, state_derivatives,
                                       sweep_batch_size)
 from qinitopt.scoring import score
@@ -112,8 +112,8 @@ def test_gradient_shape_errors():
 def test_qfim_single_ry_is_one():
     circ = Circuit(1, (Gate(RY, target=0, param_slot=0),), 1)
     fisher = qfim_exact(circ, [0.7])
-    assert abs(fisher.entries[0, 0] - 1.0) < 1e-12
-    assert fisher.fidelity == "exact"
+    assert fisher.shape == (1, 1)
+    assert abs(fisher[0, 0] - 1.0) < 1e-12
 
 
 def test_qfim_phase_direction_is_flat():
@@ -121,7 +121,7 @@ def test_qfim_phase_direction_is_flat():
     # zero Fisher information
     circ = Circuit(1, (Gate(RZ, target=0, param_slot=0),
                        Gate(RY, target=0, param_slot=1)), 2)
-    fisher = qfim_exact(circ, [0.9, 0.4]).entries
+    fisher = qfim_exact(circ, [0.9, 0.4])
     assert abs(fisher[0, 0]) < 1e-12
     assert abs(fisher[0, 1]) < 1e-12
 
@@ -131,7 +131,7 @@ def test_qfim_exact_matches_finite_differences():
     for circ in (build_strongly_entangling(2, 3), build_hea(2, 3),
                  build_two_design(3, 3, seed=4)):
         theta = rng.uniform(0, 2 * math.pi, circ.num_params)
-        got = qfim_exact(circ, theta).entries
+        got = qfim_exact(circ, theta)
         want = finite_difference_qfim(circ, theta)
         assert np.max(np.abs(got - want)) < 1e-4
 
@@ -141,7 +141,7 @@ def test_qfim_symmetric_and_psd():
     for _ in range(5):
         circ = build_hea(3, 3)
         theta = rng.uniform(0, 2 * math.pi, circ.num_params)
-        fisher = qfim_exact(circ, theta).entries
+        fisher = qfim_exact(circ, theta)
         assert np.array_equal(fisher, fisher.T)
         assert np.min(np.linalg.eigvalsh(fisher)) > -1e-8
 
@@ -158,26 +158,25 @@ def test_block_diagonal_blocks_and_zeros():
     circ = build_strongly_entangling(3, 3)
     theta = rng.uniform(0, 2 * math.pi, circ.num_params)
     blocked = qfim_block_diagonal(circ, theta)
-    assert blocked.fidelity == "block_diagonal"
-    mask = np.zeros_like(blocked.entries, dtype=bool)
+    mask = np.zeros_like(blocked, dtype=bool)
     for tag in circ.layers:
         mask[tag.param_start:tag.param_stop, tag.param_start:tag.param_stop] = True
-    assert np.all(blocked.entries[~mask] == 0.0)
+    assert np.all(blocked[~mask] == 0.0)
     # each block is the exact QFIM of the circuit truncated after its layer
     for k, tag in enumerate(circ.layers):
         trunc = Circuit(circ.num_qubits, circ.gates[:tag.gate_stop],
                         tag.param_stop)
-        sub = qfim_exact(trunc, theta[:tag.param_stop]).entries
+        sub = qfim_exact(trunc, theta[:tag.param_stop])
         sl = slice(tag.param_start, tag.param_stop)
-        assert np.allclose(blocked.entries[sl, sl], sub[sl, sl], atol=1e-12)
+        assert np.allclose(blocked[sl, sl], sub[sl, sl], atol=1e-12)
 
 
 def test_block_diagonal_single_layer_equals_exact():
     rng = np.random.default_rng(25)
     circ = build_hea(1, 3)
     theta = rng.uniform(0, 2 * math.pi, circ.num_params)
-    assert np.allclose(qfim_block_diagonal(circ, theta).entries,
-                       qfim_exact(circ, theta).entries, atol=1e-12)
+    assert np.allclose(qfim_block_diagonal(circ, theta),
+                       qfim_exact(circ, theta), atol=1e-12)
 
 
 def test_block_diagonal_requires_tags():
@@ -213,12 +212,12 @@ def test_block_diagonal_equals_truncated_exact(data):
     theta = np.array(data.draw(st.lists(ANGLES, min_size=p, max_size=p)))
     features = (np.array(data.draw(st.lists(ANGLES, min_size=f, max_size=f)))
                 if f else None)
-    blocked = qfim_block_diagonal(circ, theta, features).entries
+    blocked = qfim_block_diagonal(circ, theta, features)
     mask = np.zeros((p, p), dtype=bool)
     for tag in circ.layers:
         trunc = Circuit(circ.num_qubits, circ.gates[:tag.gate_stop],
                         tag.param_stop, embedding_slots=circ.embedding_slots)
-        sub = qfim_exact(trunc, theta[:tag.param_stop], features).entries
+        sub = qfim_exact(trunc, theta[:tag.param_stop], features)
         sl = slice(tag.param_start, tag.param_stop)
         np.testing.assert_allclose(blocked[sl, sl], sub[sl, sl],
                                    rtol=0, atol=1e-12)
@@ -403,12 +402,12 @@ def test_batched_sweep_matches_single_theta_sweeps(circ, data):
     exact = None
     if p <= EXACT_QFIM_MAX_PARAMS:
         exact = qfim_exact(circ, thetas, features)
-        assert exact.entries.shape == (rows, p, p)
-        np.testing.assert_array_equal(exact.entries, fishers)
+        assert exact.shape == (rows, p, p)
+        np.testing.assert_array_equal(exact, fishers)
     blocks = None
     if circ.layers:
         blocks = qfim_block_diagonal(circ, thetas, features)
-        assert blocks.entries.shape == (rows, p, p)
+        assert blocks.shape == (rows, p, p)
     for b, theta in enumerate(thetas):
         one_psi, one_dpsi = state_derivatives(circ, theta, features)
         np.testing.assert_allclose(psi[b], one_psi, rtol=0, atol=1e-14)
@@ -418,12 +417,12 @@ def test_batched_sweep_matches_single_theta_sweeps(circ, data):
             rtol=0, atol=1e-12)
         if exact is not None:
             np.testing.assert_allclose(
-                exact.entries[b], qfim_exact(circ, theta, features).entries,
+                exact[b], qfim_exact(circ, theta, features),
                 rtol=0, atol=1e-12)
         if blocks is not None:
             np.testing.assert_allclose(
-                blocks.entries[b],
-                qfim_block_diagonal(circ, theta, features).entries,
+                blocks[b],
+                qfim_block_diagonal(circ, theta, features),
                 rtol=0, atol=1e-12)
 
 
@@ -456,7 +455,7 @@ def test_qfim_trace_is_the_trace_of_the_exact_and_block_qfims(monkeypatch):
         got = qfim_trace(circ, thetas, features)
         assert got.shape == (5,)
         for build in (qfim_exact, qfim_block_diagonal):
-            want = np.trace(build(circ, thetas, features).entries,
+            want = np.trace(build(circ, thetas, features),
                             axis1=1, axis2=2)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         singles = [qfim_trace(circ, theta, features) for theta in thetas]
@@ -464,7 +463,7 @@ def test_qfim_trace_is_the_trace_of_the_exact_and_block_qfims(monkeypatch):
         assert np.array_equal(got, singles)
         np.testing.assert_allclose(
             singles[0], np.trace(qfim_exact(circ, thetas[0],
-                                            features).entries),
+                                            features)),
             rtol=1e-12, atol=0)
         with monkeypatch.context() as mp:
             mp.setattr(differentiation, "MAX_SWEEP_AMPLITUDES",
@@ -564,9 +563,9 @@ def test_nan_derivative_row_raises_from_the_swept_gradient():
 def test_empirical_is_gradient_outer_product():
     grad = np.array([0.5, -1.0, 2.0])
     fisher = qfim_empirical(grad)
-    assert fisher.fidelity == "empirical"
-    assert np.allclose(fisher.entries, np.outer(grad, grad))
-    assert np.linalg.matrix_rank(fisher.entries) == 1
+    assert fisher.shape == (3, 3)
+    assert np.allclose(fisher, np.outer(grad, grad))
+    assert np.linalg.matrix_rank(fisher) == 1
 
 
 # each batch entry point, called on (circuit, thetas)
@@ -579,6 +578,7 @@ BATCH_ENTRY_POINTS = {
     "qfim_exact": qfim_exact,
     "state_derivatives": state_derivatives,
     "qfim_block_diagonal": qfim_block_diagonal,
+    "qfim": qfim,
 }
 
 
@@ -592,20 +592,32 @@ def test_batch_entry_points_reject_an_empty_stack(name):
 
 
 def test_fidelity_ladder_dispatch():
+    """qfim returns the rung qfim_fidelity names, for a (p,) theta and a
+    (B, p) stack alike; the empirical rung gets its gradient from
+    gradient_fn, called with the theta or stack as given."""
     rng = np.random.default_rng(26)
     small = build_hea(2, 3)  # 12 params
-    assert qfim(small, rng.uniform(0, 1, small.num_params)).fidelity == "exact"
     big = build_strongly_entangling(8, 3)  # 72 params, tagged
-    assert qfim(big, rng.uniform(0, 1, big.num_params)).fidelity == "block_diagonal"
     untagged = Circuit(big.num_qubits, big.gates, big.num_params)
-    grad_fn = lambda theta: np.ones(big.num_params)
-    assert qfim(untagged, np.zeros(big.num_params),
-                gradient_fn=grad_fn).fidelity == "empirical"
-    with pytest.raises(ValueError):
+    grad_fn = np.cos
+    rungs = ((small, "exact", qfim_exact),
+             (big, "block_diagonal", qfim_block_diagonal),
+             (untagged, "empirical",
+              lambda circ, theta: qfim_empirical(grad_fn(theta))))
+    for circ, fidelity, rung in rungs:
+        p = circ.num_params
+        assert qfim_fidelity(circ) == fidelity
+        thetas = rng.uniform(0, 1, (3, p))
+        stack = qfim(circ, thetas, gradient_fn=grad_fn)
+        assert stack.shape == (3, p, p)
+        assert np.array_equal(stack, rung(circ, thetas))
+        one = qfim(circ, thetas[0], gradient_fn=grad_fn)
+        assert one.shape == (p, p)
+        assert np.array_equal(one, rung(circ, thetas[0]))
+    with pytest.raises(ValueError, match="task gradient"):
         qfim(untagged, np.zeros(big.num_params))
-    # the dispatcher rates one theta; the fidelity functions take stacks
     with pytest.raises(ValueError, match="shape"):
-        qfim(small, np.zeros((2, small.num_params)))
+        qfim(untagged, np.zeros((2, 3)), gradient_fn=grad_fn)
 
 
 def test_hermitian_eigenvalues_match_numpy():

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from qinitopt import differentiation
-from qinitopt.differentiation import (Qfim, gradient, observable_gradient,
-                                      qfim, qfim_block_diagonal, qfim_exact,
-                                      sweep_batch_size)
+from qinitopt.differentiation import (gradient, hermitian_eigenvalues,
+                                      observable_gradient, qfim,
+                                      qfim_block_diagonal, qfim_empirical,
+                                      qfim_exact, sweep_batch_size)
 from qinitopt.distributions import (BETA, GAUSSIAN, HyperParams, child_rng,
                                     sample_params)
 from qinitopt.es import EsConfig, es_optimize
@@ -69,8 +70,7 @@ def test_score_rejects_a_non_finite_raw_score():
 def test_omega_trace():
     spec = ScoreSpec(kind=S1, omega=TRACE, eps=1e-6)
     assert abs(omega_reduce(np.eye(2), spec) - (2 + 2e-6)) < 1e-15
-    fisher = Qfim(np.diag([3.0, 1.0]), "exact")
-    assert abs(omega_reduce(fisher, spec) - (4 + 2e-6)) < 1e-15
+    assert abs(omega_reduce(np.diag([3.0, 1.0]), spec) - (4 + 2e-6)) < 1e-15
 
 
 def test_omega_log_det():
@@ -101,6 +101,75 @@ def test_order_statistic():
         order_statistic([], 2)
     with pytest.raises(ValueError):
         order_statistic([1.0], 0)
+
+
+def hermitian_stack(rng, b, p, dtype=float):
+    """b random (p, p) Hermitian matrices, exactly Hermitian."""
+    a = rng.standard_normal((b, p, p))
+    if dtype is complex:
+        a = a + 1j * rng.standard_normal((b, p, p))
+    return (a + a.conj().swapaxes(-2, -1)) / 2
+
+
+def psd_stack(rng, b, p):
+    """b random positive definite (p, p) matrices."""
+    a = hermitian_stack(rng, b, p)
+    return a @ a + 0.1 * np.eye(p)
+
+
+def qfim_on(circ, grad_fn=None):
+    return lambda theta: qfim(circ, theta, gradient_fn=grad_fn)
+
+
+def untagged_72():
+    """72 parameters on an untagged circuit: the empirical rung."""
+    big = build_strongly_entangling(8, 3)
+    circ = Circuit(big.num_qubits, big.gates, big.num_params)
+    obs = Observable(((1.0, "ZZZ"), (0.5, "XIY")))
+    return circ, lambda theta: observable_gradient(circ, theta, obs)
+
+
+# each stack form as (function, (B, ...) stack), at p > 8 so that numpy's
+# pairwise summation runs along the reduced axis
+STACK_FORMS = {
+    "omega_reduce-trace": lambda rng: (
+        lambda f: omega_reduce(f, ScoreSpec(omega=TRACE)),
+        psd_stack(rng, 5, 24)),
+    "omega_reduce-log_det": lambda rng: (
+        lambda f: omega_reduce(f, ScoreSpec(omega=LOG_DET)),
+        psd_stack(rng, 5, 24)),
+    "omega_reduce-harmonic": lambda rng: (
+        lambda f: omega_reduce(f, ScoreSpec(omega=HARMONIC, k_eigs=20)),
+        psd_stack(rng, 5, 24)),
+    "order_statistic": lambda rng: (
+        lambda g: order_statistic(g, 3), rng.standard_normal((5, 40))),
+    "qfim_empirical": lambda rng: (qfim_empirical,
+                                   rng.standard_normal((5, 40))),
+    "hermitian_eigenvalues-real": lambda rng: (
+        hermitian_eigenvalues, hermitian_stack(rng, 5, 24)),
+    "hermitian_eigenvalues-complex": lambda rng: (
+        hermitian_eigenvalues, hermitian_stack(rng, 5, 24, complex)),
+    "qfim-exact": lambda rng: (qfim_on(build_hea(3, 4)),
+                               rng.uniform(0, 2 * math.pi, (5, 24))),
+    "qfim-block_diagonal": lambda rng: (
+        qfim_on(build_strongly_entangling(8, 3)),
+        rng.uniform(0, 2 * math.pi, (3, 72))),
+    "qfim-empirical": lambda rng: (qfim_on(*untagged_72()),
+                                   rng.uniform(0, 2 * math.pi, (3, 72))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_FORMS))
+def test_stack_form_equals_its_per_row_calls(name):
+    """Each quantity of the scoring path takes one row or a stack, and
+    row b of the stacked result is bit for bit the result of row b alone."""
+    fn, stack = STACK_FORMS[name](np.random.default_rng(31))
+    got = fn(stack)
+    assert len(got) == len(stack)
+    for row, want in zip(stack, got):
+        one = fn(row)
+        assert np.shape(one) == np.shape(want)
+        assert np.array_equal(one, want)
 
 
 def test_score_single_ry_all_kinds():
@@ -295,8 +364,8 @@ def test_trace_scores_run_no_derivative_sweep(exact_max):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(differentiation, "EXACT_QFIM_MAX_PARAMS",
                            exact_max)
-                assert differentiation.qfim_fidelity(circ) == build(
-                    circ, thetas[0]).fidelity
+                assert differentiation.qfim_fidelity(circ) == (
+                    "exact" if exact_max else "block_diagonal")
                 mp.setattr(differentiation, "_derivative_sweep", no_sweep)
                 got = score(thetas, circ, obs, spec)
                 singles = [score(theta, circ, obs, spec) for theta in thetas]

@@ -11,7 +11,8 @@ import sys
 import numpy as np
 
 import qinitopt.cli  # noqa: F401  (instrument needs every module imported)
-from qinitopt import differentiation, tasks
+from qinitopt import differentiation, scoring, tasks
+from qinitopt.scoring import LOG_DET, S1, ScoreSpec
 from qinitopt.simulator import Observable, build_hea
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -55,3 +56,23 @@ def test_span_tracer_instruments_and_restores_the_package():
     for name, bindings in before[0].items():
         assert all(after[0][name][key] is value
                    for key, value in bindings.items()), name
+
+
+def test_log_det_score_traces_its_qfim_under_the_score():
+    """A log_det score builds its QFIMs through differentiation.qfim, so the
+    tracer records that span inside scoring.score, and the eigensolver
+    inside scoring.omega_reduce."""
+    spans = load_spans()
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer)
+    try:
+        circ = build_hea(2, 3)
+        thetas = np.random.default_rng(5).uniform(0, 1, (4, circ.num_params))
+        scoring.score(thetas, circ, None, ScoreSpec(kind=S1, omega=LOG_DET))
+    finally:
+        restore()
+    parents = {name: parent and parent[0]
+               for name, parent, *_ in tracer.spans}
+    assert parents["differentiation.qfim"] == "scoring.score"
+    assert parents["scoring.omega_reduce"] == "scoring.score"
+    assert parents["differentiation.eigen"] == "scoring.omega_reduce"
