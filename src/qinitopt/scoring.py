@@ -13,10 +13,9 @@ differentiation.qfim builds by forward derivative sweeps, one chunk of
 thetas at a time, each chunk reduced by one omega_reduce call. A
 Pauli-sum task gradient comes from the exact QFIM's sweep when the score
 builds one (S3 at p <= 64 and omega log_det or harmonic), and from
-adjoint passes otherwise. A task gradient given as
-a callable gets what score got, a (p,) theta or the whole (B, p) stack,
-in one call. The search objective scores a whole ES population through
-score in one call.
+adjoint passes otherwise. A task gradient given as a callable gets what
+score got, a (p,) theta or the whole (B, p) stack, in one call. The
+search objective scores a whole ES population through score in one call.
 Rank-based utility shaping turns raw population scores into the zero-sum
 targets the evolutionary update consumes.
 """
@@ -133,9 +132,9 @@ def score(theta, circuit: Circuit, task_gradient=None,
     theta, and block-diagonal QFIMs take forward sweeps of their own; each
     pass is chunked by the height of its own buffer, and each chunk's QFIM
     stack is reduced by one omega_reduce call before the next chunk runs.
-    The empirical rung keeps the rank-one surrogate, whose trace is |g|^2. The path depends on the
-    fidelity and omega alone, not on B, so a row scores the same bits in
-    any batch. A callable is called once with what score was given: a
+    The empirical rung keeps the rank-one surrogate, whose trace is |g|^2.
+    The path depends on the fidelity and omega alone, not on B, so a row
+    scores the same bits in any batch. A callable is called once with what score was given: a
     (p,) theta, returning (p,), or the whole (B, p) stack, returning
     (B, p). Row b of its result must hold the bits theta b gives
     alone, as QmlTask.gradient's and observable_gradient's rows do, for

@@ -71,8 +71,8 @@ def test_log_det_score_traces_its_qfim_under_the_score():
         scoring.score(thetas, circ, None, ScoreSpec(kind=S1, omega=LOG_DET))
     finally:
         restore()
-    parents = {name: parent and parent[0]
-               for name, parent, *_ in tracer.spans}
-    assert parents["differentiation.qfim"] == "scoring.score"
-    assert parents["scoring.omega_reduce"] == "scoring.score"
-    assert parents["differentiation.eigen"] == "scoring.omega_reduce"
+    edges = {(name, parent and parent[0])
+             for name, parent, *_ in tracer.spans}
+    assert {("differentiation.qfim", "scoring.score"),
+            ("scoring.omega_reduce", "scoring.score"),
+            ("differentiation.eigen", "scoring.omega_reduce")} <= edges
