@@ -38,11 +38,14 @@ One sweep serves a whole (B, p) batch of thetas, so a population costs one
 kernel call per gate, and a row's results keep the bits its theta gives
 alone. Each sweep or run builds one simulator.angle_table before its
 first gate; the adjoint's undo table holds the inverse gates' factors,
-taken from -theta / 2. Each quantity has one function, which takes a (p,)
-theta or a (B, p) stack and runs a (p,) theta as a stack of one; only the
-parameter-shift reference takes one theta alone. Callers keep a buffer
-under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the rows per theta
-of the sweep they run.
+taken from -theta / 2. Each run also allocates the one scratch buffer
+that all its apply_gate calls write their temporaries into, as large as
+the biggest batch it runs; the forward sweep allocates one per segment
+and drops it before each yield. Each quantity has one function, which
+takes a (p,) theta or a (B, p) stack and runs a (p,) theta as a stack of
+one; only the parameter-shift reference takes one theta alone. Callers
+keep a buffer under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the
+rows per theta of the sweep they run.
 
 A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim is the one
 fidelity ladder: the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters,
@@ -171,6 +174,7 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([phi, lam])
     undo = angle_table(gates[first + 1:], thetas, pair_feats, inverse=True)
+    scratch = np.empty(pair.size, dtype=complex)
     # sums[mu, j] = Re<lambda_j|-(i/2) G_mu phi_j>, one vecdot per slot
     sums = np.zeros((p, m))
     for k in range(len(gates) - 1, first - 1, -1):
@@ -179,7 +183,7 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
             rows = _generator_rows(gate, circuit.num_qubits, pair[:m])
             sums[gate.param_slot] = np.vecdot(pair[m:], rows).real
         if k > first:
-            apply_gate(pair, gate, undo)
+            apply_gate(pair, gate, undo, scratch)
     # theta r owns rows r, r + b, ...; summing each theta's row sums along
     # a contiguous axis gives it the same bits at any b
     per_theta = np.ascontiguousarray(
@@ -283,13 +287,19 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, features, stops):
     slots: list[int] = []
     start = 0
     for stop in stops:
-        for gate in circuit.gates[start:stop]:
-            apply_gate(flat[:n * batch], gate, table)
+        segment = circuit.gates[start:stop]
+        # as large as the segment's last row prefix, and dropped before the
+        # yield: the caller's reductions between segments do not need it
+        grown = sum(gate.param_slot is not None for gate in segment)
+        scratch = np.empty((1 + grown) * batch * flat.shape[1], dtype=complex)
+        for gate in segment:
+            apply_gate(flat[:n * batch], gate, table, scratch)
             if gate.param_slot is not None:
                 _generator_rows(gate, circuit.num_qubits, rows[0],
                                 out=rows[n])
                 slots.append(gate.param_slot)
                 n += 1
+        del scratch
         check_normalized(rows[0])
         yield rows[0], rows[1:n], slots
         n = 1
@@ -406,8 +416,9 @@ def _generator_expectations(circuit: Circuit, thetas: np.ndarray,
     state = zero_state(circuit.num_qubits, len(thetas))
     table = angle_table(gates, thetas, feats)
     expect = np.empty((len(thetas), circuit.num_params))
+    scratch = np.empty(state.size, dtype=complex)
     for gate in gates:
-        apply_gate(state, gate, table)
+        apply_gate(state, gate, table, scratch)
         if gate.param_slot is not None:
             rows = _generator_rows(gate, circuit.num_qubits, state)
             expect[:, gate.param_slot] = -2.0 * np.vecdot(state, rows).imag

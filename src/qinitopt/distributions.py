@@ -196,11 +196,20 @@ def beta_samples(alpha: float, beta: float, n: int,
 
 def sample_params(hp: HyperParams, p: int, rng: np.random.Generator,
                   scale: float = DEFAULT_BETA_SCALE) -> np.ndarray:
-    """Draw a circuit parameter vector theta of length p from p(theta | hp)."""
+    """Draw a circuit parameter vector theta of length p from p(theta | hp).
+
+    Raises FloatingPointError when a Gaussian draw overflows, as finite
+    mu and sigma near the float maximum can make it."""
     if p < 1:
         raise ValueError("need at least one parameter")
     if hp.family == GAUSSIAN:
-        return hp.mu + hp.sigma * standard_normals(p, rng)
+        with np.errstate(over="ignore"):
+            theta = hp.mu + hp.sigma * standard_normals(p, rng)
+        if not np.isfinite(theta).all():
+            raise FloatingPointError(
+                f"Gaussian(mu={hp.mu}, sigma={hp.sigma}) draws overflow "
+                f"the float range")
+        return theta
     return scale * beta_samples(hp.alpha, hp.beta, p, rng)
 
 

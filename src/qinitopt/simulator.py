@@ -14,6 +14,13 @@ angle_table holds every rotation's half-angle factors, complex and shaped
 to broadcast over the batch, and apply_gate reads a gate's entry from it.
 A kernel then makes only the calls that move amplitudes, and each
 amplitude keeps the bits that per-gate trig would give it.
+
+A kernel's temporaries go into a scratch buffer of the state's size that
+the engine loop running the sequence allocates once and passes to every
+apply_gate call, so a gate allocates no array of its own. Per-gate
+temporaries on the wide sweep batches are large enough for glibc to map
+and unmap them on every gate, which made run time follow the heap's
+state more than the arithmetic.
 """
 from __future__ import annotations
 
@@ -180,13 +187,14 @@ def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
 
 
 def _rotate_single(state: np.ndarray, kind: str, qubit: int,
-                   factors: tuple) -> None:
+                   factors: tuple, scratch: np.ndarray) -> None:
     """In-place single-qubit rotation on a (B, 2^n) state batch by its
     angle_table entry, whose (k, 1, 1) factors repeat over blocks of k
     rows. RZ scales the two half-views in place; RX and RY form
-    c * s0 - f * s1 and g * s0 + c * s1 in fresh contiguous arrays and copy
-    them back, which on numpy 2.4 beats updating the strided half-views in
-    place at every buffer size the package runs."""
+    c * s0 - f * s1 and g * s0 + c * s1 in the two halves of scratch and
+    copy them back, which on numpy 2.4 beats updating the strided
+    half-views in place. The caller owns scratch, so the gate allocates
+    no array of its own."""
     s = state.reshape(-1, len(factors[0]), 1 << qubit, 2,
                       state.shape[1] >> (qubit + 1))
     s0 = s[..., 0, :]
@@ -196,12 +204,17 @@ def _rotate_single(state: np.ndarray, kind: str, qubit: int,
         s1 *= factors[1]
         return
     c, f, g = factors
-    new0 = c * s0
-    new0 -= f * s1
-    new1 = g * s0
-    new1 += c * s1
-    s0[...] = new0
-    s1[...] = new1
+    half = state.size >> 1
+    a = scratch[:half].reshape(s0.shape)
+    b = scratch[half:state.size].reshape(s0.shape)
+    np.multiply(c, s0, a)
+    np.multiply(f, s1, b)
+    a -= b
+    np.multiply(g, s0, b)
+    s0[...] = a
+    np.multiply(c, s1, a)
+    b += a
+    s1[...] = b
 
 
 def _two_qubit_view(state: np.ndarray, q_lo: int, q_hi: int) -> np.ndarray:
@@ -210,12 +223,14 @@ def _two_qubit_view(state: np.ndarray, q_lo: int, q_hi: int) -> np.ndarray:
     return state.reshape(batch, 1 << q_lo, 2, mid, 2, -1)
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int) -> None:
+def _apply_cnot(state: np.ndarray, control: int, target: int,
+                scratch: np.ndarray) -> None:
     s = _two_qubit_view(state, min(control, target), max(control, target))
     # swap the target's 0 and 1 halves where the control is 1
     flip = s[:, :, 1, :, 0] if control < target else s[:, :, 0, :, 1]
     both = s[:, :, 1, :, 1]
-    tmp = flip.copy()
+    tmp = scratch[:flip.size].reshape(flip.shape)
+    tmp[...] = flip
     flip[...] = both
     both[...] = tmp
 
@@ -226,19 +241,28 @@ def _apply_cz(state: np.ndarray, q_a: int, q_b: int) -> None:
     block *= -1.0
 
 
-def apply_gate(state: np.ndarray, gate: Gate, table: dict) -> None:
-    """Apply one gate in place to a (B, 2^n) state batch; a rotation reads
-    its factors from table, an angle_table over a sequence that holds the
-    gate (built with inverse=True, it applies the gate's inverse; CNOT and
-    CZ are their own inverses)."""
+def apply_gate(state: np.ndarray, gate: Gate, table: dict,
+               scratch: np.ndarray) -> None:
+    """Apply one gate in place to a C-contiguous (B, 2^n) state batch; a
+    rotation reads its factors from table, an angle_table over a sequence
+    that holds the gate (built with inverse=True, it applies the gate's
+    inverse; CNOT and CZ are their own inverses).
+
+    scratch is a flat complex array of at least state.size entries that
+    the kernels overwrite and never read first. The engine loop that owns
+    the state allocates it once per call and passes it to every gate, so
+    no gate allocates a temporary the size of the state: on the wide
+    sweep batches such temporaries exceed glibc's mmap threshold and are
+    mapped, trimmed and faulted in again on every gate."""
     kind = gate.kind
     if kind == CNOT:
-        _apply_cnot(state, gate.control, gate.target)
+        _apply_cnot(state, gate.control, gate.target, scratch)
     elif kind == CZ:
         _apply_cz(state, gate.control, gate.target)
     else:
         _rotate_single(state, kind, gate.target,
-                       table[kind, gate.param_slot, gate.feature_slot])
+                       table[kind, gate.param_slot, gate.feature_slot],
+                       scratch)
 
 
 def run_gates(gates, num_qubits: int, thetas: np.ndarray,
@@ -250,8 +274,9 @@ def run_gates(gates, num_qubits: int, thetas: np.ndarray,
     """
     state = zero_state(num_qubits, thetas.shape[0])
     table = angle_table(gates, thetas, features)
+    scratch = np.empty(state.size, dtype=complex)
     for gate in gates:
-        apply_gate(state, gate, table)
+        apply_gate(state, gate, table, scratch)
     return state
 
 

@@ -31,7 +31,8 @@ is then a row of one matrix product, and the adjoint sweep runs over
 or fewer rows than 2^q) each row is simulated and swept on its own. The
 path is fixed when the task is built. In a batch of B thetas, row j * B + b
 of a basis or sweep batch belongs to theta b, the row-to-angle rule of
-simulator.angle_table; the basis run reads one table for all B thetas.
+simulator.angle_table; the basis run reads one table for all B thetas
+and writes every gate's temporaries into one scratch buffer.
 """
 from __future__ import annotations
 
@@ -169,8 +170,9 @@ class QmlTask:
         d, b = 1 << self.circuit.num_qubits, len(thetas)
         basis = np.repeat(np.eye(d, dtype=complex), b, axis=0)
         table = angle_table(self._body, thetas)
+        scratch = np.empty(basis.size, dtype=complex)
         for gate in self._body:
-            apply_gate(basis, gate, table)
+            apply_gate(basis, gate, table, scratch)
         unitary = basis.reshape(d, b, d).transpose(1, 0, 2)
         states = embedded @ unitary
         check_normalized(states.reshape(-1, d))

@@ -542,6 +542,21 @@ def test_main_reports_a_harmonic_overflow_by_its_keys(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_main_reports_an_overflowing_gaussian_draw_by_its_values(tmp_path,
+                                                                capsys):
+    # sigma = 1e308 is finite, but sigma * z overflows for |z| > 1.8
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["grad-profile", "--out", str(tmp_path / "out"),
+                     "--set", "family=gaussian",
+                     "--set", "values=[0,1e308]"])
+    assert code == 2
+    text = error_output(capsys)
+    assert text == ("error: Gaussian(mu=0.0, sigma=1e+308) draws overflow "
+                    "the float range\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("item", ["train.iters=-1", "train.lr=-1"])
 def test_main_checks_training_before_any_search(tmp_path, capsys,
                                                 monkeypatch, item):

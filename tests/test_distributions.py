@@ -206,6 +206,10 @@ def test_sample_params_errors_and_reproducibility():
     hp = manual_baseline(GAUSSIAN)
     with pytest.raises(ValueError):
         sample_params(hp, 0, child_rng(0))
+    huge = HyperParams(GAUSSIAN, (1e308, 1e308))
+    with pytest.raises(FloatingPointError,
+                       match=r"Gaussian\(mu=1e\+308, sigma=1e\+308\)"):
+        sample_params(huge, 8, child_rng(51))
     a = sample_params(hp, 32, child_rng(50, "theta", 1))
     b = sample_params(hp, 32, child_rng(50, "theta", 1))
     assert np.array_equal(a, b)

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from qinitopt.distributions import GAUSSIAN, HyperParams, child_rng
+from qinitopt.distributions import (GAUSSIAN, HyperParams, child_rng,
+                                    sample_params)
 from qinitopt.es import EsConfig, EsTrace, es_optimize, perturbation_matrix
 
 
@@ -159,6 +160,15 @@ def test_score_failure_is_diagnosable():
     with pytest.raises(FloatingPointError):
         es_optimize(lambda l, r: float("nan"), np.zeros(2), EsConfig(), 0)
 
+
+
+def test_an_overflowing_draw_reaches_the_caller_unchanged():
+    # sigma near the float maximum: sigma * z overflows for |z| > 1.8
+    draw = lambda hp, rng: float(sample_params(hp, 40, rng).sum())
+    hp0 = HyperParams(GAUSSIAN, (0.0, 1e308))
+    with pytest.raises(FloatingPointError,
+                       match=r"^Gaussian\(mu=.*, sigma=.*\) draws overflow"):
+        es_optimize(draw, hp0, EsConfig(n_iters=1), 0)
 
 def test_trace_shape():
     cfg = EsConfig(n_iters=7, eps_converge=1e-15)

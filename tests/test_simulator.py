@@ -6,6 +6,7 @@ strided production simulator.
 """
 import functools
 import math
+import tracemalloc
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -166,6 +167,12 @@ def random_states(rng, batch: int, qubits: int) -> np.ndarray:
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
+def nan_scratch(size: int) -> np.ndarray:
+    """A scratch buffer whose old contents poison any kernel that reads
+    them before writing."""
+    return np.full(size, np.nan + 1j * np.nan)
+
+
 def test_apply_gate_inverse_undoes_each_kind():
     rng = np.random.default_rng(31)
     thetas = rng.uniform(-4, 4, (5, 3))
@@ -180,10 +187,11 @@ def test_apply_gate_inverse_undoes_each_kind():
     for gate in gates:
         start = random_states(rng, 5, 3)
         state = start.copy()
-        apply_gate(state, gate, angle_table([gate], thetas, feats))
+        scratch = nan_scratch(state.size)
+        apply_gate(state, gate, angle_table([gate], thetas, feats), scratch)
         assert np.max(np.abs(state - start)) > 1e-3
         apply_gate(state, gate,
-                   angle_table([gate], thetas, feats, inverse=True))
+                   angle_table([gate], thetas, feats, inverse=True), scratch)
         assert np.allclose(state, start, atol=1e-12)
 
 
@@ -216,10 +224,12 @@ def test_gate_kernels_preserve_norm_and_invert(case):
     n, gate, thetas, feats, seed = case
     start = random_states(np.random.default_rng(seed), len(thetas), n)
     state = start.copy()
-    apply_gate(state, gate, angle_table([gate], thetas, feats))
+    scratch = nan_scratch(state.size)
+    apply_gate(state, gate, angle_table([gate], thetas, feats), scratch)
     np.testing.assert_allclose(np.linalg.norm(state, axis=1), 1.0,
                                rtol=0, atol=1e-12)
-    apply_gate(state, gate, angle_table([gate], thetas, feats, inverse=True))
+    apply_gate(state, gate, angle_table([gate], thetas, feats, inverse=True),
+               scratch)
     np.testing.assert_allclose(state, start, rtol=0, atol=1e-12)
 
 
@@ -346,12 +356,14 @@ def test_gate_kernels_match_the_row_major_oracle_bit_for_bit(n, inverse):
                 want = start.copy()
                 _oracle_apply(want, gate, thetas, feats, inverse)
                 got = start.copy()
-                apply_gate(got, gate, table)
+                apply_gate(got, gate, table, nan_scratch(got.size))
                 assert_same_bits(got, want)
-                # the sweep updates a row prefix of a larger buffer in place
+                # the sweep updates a row prefix of a larger buffer in place,
+                # with a scratch sized for the whole buffer
                 buffer = np.concatenate([start, random_states(rng, 3, n)])
                 rest = buffer[batch:].copy()
-                apply_gate(buffer[:batch], gate, table)
+                apply_gate(buffer[:batch], gate, table,
+                           nan_scratch(buffer.size))
                 assert_same_bits(buffer[:batch], want)
                 assert_same_bits(buffer[batch:], rest)
 
@@ -370,9 +382,35 @@ def test_gate_sequences_match_the_oracle_bit_for_bit():
         for gate in reversed(circ.gates):
             _oracle_apply(want, gate, thetas, feats, True)
         undo = angle_table(circ.gates, thetas, feats, inverse=True)
+        scratch = nan_scratch(got.size)
         for gate in reversed(circ.gates):
-            apply_gate(got, gate, undo)
+            apply_gate(got, gate, undo, scratch)
         assert_same_bits(got, want)
+
+
+def test_gate_kernels_allocate_no_state_sized_temporary():
+    # numpy's in-place ufuncs may still buffer up to np.getbufsize()
+    # elements per strided operand, three operands at most
+    bound = 3 * np.getbufsize() * 16 + 4096
+    rng = np.random.default_rng(48)
+    n, batch = 10, 64
+    thetas = rng.uniform(-4, 4, (batch, 1))
+    state = random_states(rng, batch, n)
+    scratch = np.empty(state.size, dtype=complex)
+    for gate in (Gate(RX, target=3, param_slot=0),
+                 Gate(RY, target=3, param_slot=0),
+                 Gate(RZ, target=3, param_slot=0),
+                 Gate(FIXED_RY, target=3),
+                 Gate(CNOT, target=3, control=6),
+                 Gate(CZ, target=3, control=6)):
+        table = angle_table([gate], thetas)
+        tracemalloc.start()
+        try:
+            apply_gate(state, gate, table, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (gate.kind, peak)
 
 
 @given(st.text(alphabet="IXYZ", min_size=1, max_size=6),
