@@ -347,6 +347,11 @@ def cmd_qml(cfg: dict) -> dict:
                              f"({classes}), got {cfg[key]}")
     seed = cfg["seed"]
     train_ds, test_ds = split_80_20(full, seed)
+    if not test_ds.n_samples:
+        raise ValueError(
+            f"dataset {full.name!r} leaves no test rows: the 80/20 split "
+            "trains on ceil(0.8 n) of each class's n rows, so some class "
+            "needs at least 5 rows")
     train_ds = stratified_subsample(train_ds, cfg["subsample"], seed)
     k = cfg["pca_components"]
     pca = fit_pca(train_ds.features, k)
@@ -399,7 +404,16 @@ def cmd_grad_profile(cfg: dict) -> dict:
     for index, tag in enumerate(circuit.layers):
         block = np.abs(grads[:, tag.param_start:tag.param_stop]).ravel()
         layer_mean_abs.append(float(block.mean()))
-        density, edges = np.histogram(block, bins=cfg["bins"], density=True)
+        # a subnormal spread gives bins so narrow that 1 / width overflows
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            density, edges = np.histogram(block, bins=cfg["bins"],
+                                          density=True)
+        if not np.all(np.isfinite(density)):
+            spread = float(edges[-1] - edges[0])
+            raise ValueError(
+                f"layer {index + 1}'s |gradient| histogram has a non-finite "
+                f"density: its values span {spread!r}, too narrow for "
+                f"{cfg['bins']} bins")
         for b, d in enumerate(density):
             histogram.append({"layer": index + 1,
                               "bin_left": float(edges[b]),

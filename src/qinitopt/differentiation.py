@@ -36,16 +36,17 @@ _generator_rows, off one cached Pauli table per rotation.
 
 One sweep serves a whole (B, p) batch of thetas, so a population costs one
 kernel call per gate, and a row's results keep the bits its theta gives
-alone. Each sweep or run builds one simulator.angle_table before its
-first gate; the adjoint's undo table holds the inverse gates' factors,
-taken from -theta / 2. Each run also allocates the one scratch buffer
-that all its apply_gate calls write their temporaries into, as large as
-the biggest batch it runs; the forward sweep allocates one per segment
-and drops it before each yield. Each quantity has one function, which
-takes a (p,) theta or a (B, p) stack and runs a (p,) theta as a stack of
-one; only the parameter-shift reference takes one theta alone. Callers
-keep a buffer under MAX_SWEEP_AMPLITUDES with sweep_batch_size, given the
-rows per theta of the sweep they run.
+alone. The forward runs, psi for the adjoint and the trace run with its
+generator reads, go through simulator._forward, which owns their angle
+table, scratch buffer and norm check. The two sweeps keep loops of their
+own, as neither is a plain forward run: the forward sweep grows its
+buffer by a row per slot and allocates a scratch per segment, dropped
+before each yield; the adjoint walks backward over an undo table of the
+inverse gates' factors, taken from -theta / 2. Each quantity has one
+function, which takes a (p,) theta or a (B, p) stack and runs a (p,)
+theta as a stack of one; only the parameter-shift reference takes one
+theta alone. Callers keep a buffer under MAX_SWEEP_AMPLITUDES with
+sweep_batch_size, given the rows per theta of the sweep they run.
 
 A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim is the one
 fidelity ladder: the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters,
@@ -62,9 +63,8 @@ import math
 import numpy as np
 
 from .simulator import (Circuit, Gate, Observable, _expectation_from,
-                        _pauli_table, angle_table, apply_gate,
-                        apply_observable, check_normalized, run_gates,
-                        zero_state)
+                        _forward, _pauli_table, angle_table, apply_gate,
+                        apply_observable, check_normalized, run_gates)
 
 SHIFT = math.pi / 2
 
@@ -351,7 +351,6 @@ def observable_value_and_gradient(circuit: Circuit, theta, obs: Observable,
 
     def chunk(thetas):
         psi = run_gates(circuit.gates, circuit.num_qubits, thetas, feats)
-        check_normalized(psi)
         h_psi = apply_observable(psi, obs)
         grads = adjoint_gradient(circuit, thetas, psi, h_psi, feats)
         if not np.all(np.isfinite(grads)):
@@ -409,20 +408,16 @@ def _generator_expectations(circuit: Circuit, thetas: np.ndarray,
                             feats: np.ndarray) -> np.ndarray:
     """(B, p) generator expectations <G_mu> on the state psi right after
     gate mu, for a (B, p) thetas batch and the (1, f) feature row, from one
-    forward run of one row per theta: <G_mu> = -2 Im<psi|-(i/2) G_mu psi>,
-    one np.vecdot per slot. Raises FloatingPointError when a final state
-    is not normalized (a NaN theta)."""
-    gates = circuit.gates
-    state = zero_state(circuit.num_qubits, len(thetas))
-    table = angle_table(gates, thetas, feats)
+    engine run of one row per theta whose read takes
+    <G_mu> = -2 Im<psi|-(i/2) G_mu psi>, one np.vecdot per slot. Raises
+    FloatingPointError when a final state is not normalized (a NaN
+    theta)."""
     expect = np.empty((len(thetas), circuit.num_params))
-    scratch = np.empty(state.size, dtype=complex)
-    for gate in gates:
-        apply_gate(state, gate, table, scratch)
-        if gate.param_slot is not None:
-            rows = _generator_rows(gate, circuit.num_qubits, state)
-            expect[:, gate.param_slot] = -2.0 * np.vecdot(state, rows).imag
-    check_normalized(state)
+
+    def read(gate, state):
+        rows = _generator_rows(gate, circuit.num_qubits, state)
+        expect[:, gate.param_slot] = -2.0 * np.vecdot(state, rows).imag
+    _forward(circuit.gates, circuit.num_qubits, thetas, feats, read=read)
     return expect
 
 

@@ -6,9 +6,12 @@ unconstrained view (log alpha, log beta) or (mu, log sigma), so any update
 maps back to valid constrained values.
 
 Sampling is built from uniform draws only (Box-Muller normals, Marsaglia-Tsang
-gammas): the draw sequence then depends on nothing but this file and the
-counter-based bit stream, so results stay bit-identical across numpy versions
-and across parallel schedules.
+gammas): which uniforms a draw consumes then depends on nothing but this
+file and the counter-based bit stream, whatever the parallel schedule. The
+bits of a draw also pass through numpy's float64 log, exp and power, whose
+kernels numpy picks at import from the CPU's features, so draws repeat bit
+for bit per numpy build and CPU dispatch level. Under numpy 2.4.6, AVX2
+dispatch moves one pinned Beta draw by 1 ulp from AVX-512 dispatch.
 """
 from __future__ import annotations
 

@@ -53,22 +53,25 @@ def write_record(out_dir, name: str, record, extra_meta=None):
 
     Returns (record_path, meta_path). The meta file carries the creation
     timestamp, the record hash, and any extra entries (wall clock, worker
-    count); none of it affects the record bytes.
+    count); none of it affects the record bytes. Both files are serialized
+    before out_dir is created, so a record that cannot be written (a NaN
+    or an infinity in it) leaves no directory behind.
     """
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    record_path = out_dir / f"{name}.json"
     body = json.dumps(as_jsonable(record), sort_keys=True, indent=2,
                       allow_nan=False) + "\n"
-    record_path.write_text(body)
     meta = {
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "record_sha256": record_hash(record),
     }
     if extra_meta:
         meta.update(as_jsonable(extra_meta))
+    meta_body = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    out_dir = pathlib.Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    record_path = out_dir / f"{name}.json"
+    record_path.write_text(body)
     meta_path = out_dir / f"{name}.meta.json"
-    meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    meta_path.write_text(meta_body)
     return record_path, meta_path
 
 

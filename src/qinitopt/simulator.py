@@ -16,11 +16,16 @@ A kernel then makes only the calls that move amplitudes, and each
 amplitude keeps the bits that per-gate trig would give it.
 
 A kernel's temporaries go into a scratch buffer of the state's size that
-the engine loop running the sequence allocates once and passes to every
+the loop running the sequence allocates once and passes to every
 apply_gate call, so a gate allocates no array of its own. Per-gate
 temporaries on the wide sweep batches are large enough for glibc to map
 and unmap them on every gate, which made run time follow the heap's
 state more than the arithmetic.
+
+Every forward run goes through one engine, _forward, which owns the
+run's table, scratch and norm check; run_gates is the engine from
+|0...0>. Only the two sweeps in differentiation keep gate loops of their
+own.
 """
 from __future__ import annotations
 
@@ -265,19 +270,42 @@ def apply_gate(state: np.ndarray, gate: Gate, table: dict,
                        scratch)
 
 
-def run_gates(gates, num_qubits: int, thetas: np.ndarray,
-              features: np.ndarray | None = None) -> np.ndarray:
-    """Apply a gate sequence to |0...0> for a (B, p) batch of parameter rows.
+def _forward(gates, num_qubits: int, thetas: np.ndarray,
+             features: np.ndarray | None = None,
+             state: np.ndarray | None = None, read=None) -> np.ndarray:
+    """The forward engine: run a gate sequence on a batch of unit rows and
+    return the (B, 2^n) result.
 
-    Internal workhorse: does not re-validate slot coverage, so it also works
-    on truncated gate lists. Returns a (B, 2^n) batch.
+    The start is |0...0> for each of the (B, p) parameter rows, or the
+    given C-contiguous (B, 2^n) state batch, which is run in place; row r
+    turns by angle row r % k of the (k, p) thetas and (k', f) features, as
+    angle_table says. read(gate, state), when given, is called right after
+    each theta rotation, on the state the gate has just made. The engine
+    builds the one angle_table and the one scratch buffer of the run, and
+    raises FloatingPointError unless every result row has unit norm (a NaN
+    angle fails). It does not re-validate slot coverage, so it also works
+    on truncated gate lists.
     """
-    state = zero_state(num_qubits, thetas.shape[0])
+    if state is None:
+        state = zero_state(num_qubits, thetas.shape[0])
     table = angle_table(gates, thetas, features)
     scratch = np.empty(state.size, dtype=complex)
     for gate in gates:
         apply_gate(state, gate, table, scratch)
+        if read is not None and gate.param_slot is not None:
+            read(gate, state)
+    # the norm check makes a state-sized temporary of its own, so the
+    # scratch goes first and the run's peak stays at two state sizes
+    del scratch
+    check_normalized(state)
     return state
+
+
+def run_gates(gates, num_qubits: int, thetas: np.ndarray,
+              features: np.ndarray | None = None) -> np.ndarray:
+    """Apply a gate sequence to |0...0> for a (B, p) batch of parameter
+    rows; returns the (B, 2^n) batch, norm-checked by _forward."""
+    return _forward(gates, num_qubits, thetas, features)
 
 
 def check_normalized(states: np.ndarray) -> None:
@@ -320,7 +348,6 @@ def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
     if feats.shape[0] == 1 and batch > 1:
         feats = np.broadcast_to(feats, (batch, feats.shape[1]))
     state = run_gates(circuit.gates, circuit.num_qubits, thetas, feats)
-    check_normalized(state)
     if not (batched_t or batched_f):
         return state[0]
     return state

@@ -31,8 +31,9 @@ is then a row of one matrix product, and the adjoint sweep runs over
 or fewer rows than 2^q) each row is simulated and swept on its own. The
 path is fixed when the task is built. In a batch of B thetas, row j * B + b
 of a basis or sweep batch belongs to theta b, the row-to-angle rule of
-simulator.angle_table; the basis run reads one table for all B thetas
-and writes every gate's temporaries into one scratch buffer.
+simulator.angle_table. The basis run is one call of the simulator's
+forward engine from B copies of the basis rows, whose norm check then
+covers the U rows: unit vectors, as the states are.
 """
 from __future__ import annotations
 
@@ -44,9 +45,9 @@ import numpy as np
 from .differentiation import (_in_chunks, _theta_batch, adjoint_gradient,
                               first_param_gate, hermitian_eigenvalues,
                               observable_value_and_gradient)
-from .simulator import (Circuit, Observable, _as_batch, angle_table,
-                        apply_circuit, apply_gate, apply_observable,
-                        check_normalized, expectation, run_gates)
+from .simulator import (Circuit, Observable, _as_batch, _forward,
+                        apply_circuit, apply_observable, expectation,
+                        run_gates)
 
 PROB_CLAMP = 1e-10
 MAX_ORACLE_QUBITS = 10
@@ -169,14 +170,9 @@ class QmlTask:
         so that states[b] = embedded @ unitary[b]."""
         d, b = 1 << self.circuit.num_qubits, len(thetas)
         basis = np.repeat(np.eye(d, dtype=complex), b, axis=0)
-        table = angle_table(self._body, thetas)
-        scratch = np.empty(basis.size, dtype=complex)
-        for gate in self._body:
-            apply_gate(basis, gate, table, scratch)
+        _forward(self._body, self.circuit.num_qubits, thetas, state=basis)
         unitary = basis.reshape(d, b, d).transpose(1, 0, 2)
-        states = embedded @ unitary
-        check_normalized(states.reshape(-1, d))
-        return states, unitary
+        return embedded @ unitary, unitary
 
     def _train_states(self, thetas: np.ndarray):
         """(states, unitary): the (B, n, 2^q) training states under a

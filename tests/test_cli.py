@@ -557,6 +557,34 @@ def test_main_reports_an_overflowing_gaussian_draw_by_its_values(tmp_path,
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_main_reports_a_subnormal_gradient_spread(tmp_path, capsys):
+    # sigma = 1e-320 draws subnormal thetas, whose |gradient| spread is so
+    # small that the histogram's 1 / bin width overflows
+    out = tmp_path / "out"
+    code = main(["grad-profile", "--out", str(out),
+                 "--set", "family=gaussian", "--set", "values=[0,1e-320]"])
+    assert code == 2
+    text = error_output(capsys)
+    assert text.startswith("error: layer 1's |gradient| histogram has a "
+                           "non-finite density") and text.count("\n") == 1
+    assert not out.exists()
+
+
+def test_main_rejects_a_dataset_with_no_test_rows(tmp_path, capsys,
+                                                  monkeypatch):
+    # 4 rows per class: the 80/20 split trains on all ceil(3.2) = 4 of them
+    monkeypatch.setattr(cli, "es_optimize",
+                        lambda *a, **k: pytest.fail("ES ran before the check"))
+    out = tmp_path / "out"
+    code = main(["qml", "--out", str(out),
+                 "--set", f"dataset={make_dataset(tmp_path, n=8)}"])
+    assert code == 2
+    text = error_output(capsys)
+    assert text.startswith("error: dataset 'toy' leaves no test rows")
+    assert text.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("item", ["train.iters=-1", "train.lr=-1"])
 def test_main_checks_training_before_any_search(tmp_path, capsys,
                                                 monkeypatch, item):

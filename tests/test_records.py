@@ -54,6 +54,13 @@ def test_write_record_round_trip(tmp_path):
     assert record_path.read_bytes() == first_bytes
 
 
+def test_write_record_creates_nothing_for_a_non_finite_record(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_record(out, "run", {"results": {"x": float("inf")}})
+    assert not out.exists()
+
+
 def test_write_csv_full_precision(tmp_path):
     value = 0.1 + 0.2  # not exactly 0.3
     path = write_csv(tmp_path / "t.csv", ("i", "v", "tag"),

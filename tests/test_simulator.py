@@ -16,7 +16,7 @@ import pytest
 from qinitopt.differentiation import _derivative_table
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 GATE_KINDS, ROTATION_KINDS, RX, RY, RZ,
-                                Circuit, Gate, Layer, Observable,
+                                Circuit, Gate, Layer, Observable, _forward,
                                 angle_table, apply_circuit, apply_gate,
                                 apply_observable,
                                 build_hea, build_strongly_entangling,
@@ -386,6 +386,53 @@ def test_gate_sequences_match_the_oracle_bit_for_bit():
         for gate in reversed(circ.gates):
             apply_gate(got, gate, undo, scratch)
         assert_same_bits(got, want)
+
+
+def test_forward_engine_equals_an_explicit_gate_loop():
+    """_forward gives the bits of an apply_gate loop over the same table
+    and scratch, from |0...0> or from a given start batch (the basis rows,
+    as the classifier's unitary run starts), with feature rows; read sees
+    every theta slot once, in gate order, on the state its gate made."""
+    rng = np.random.default_rng(49)
+    for _ in range(40):
+        qubits = int(rng.integers(1, 5))
+        circ = embed_angles(
+            random_circuit(rng, qubits, depth=int(rng.integers(1, 16))),
+            int(rng.integers(0, qubits + 1)))
+        b, d = int(rng.integers(1, 4)), 1 << qubits
+        thetas = rng.uniform(-7, 7, (b, circ.num_params))
+        feats = rng.uniform(-7, 7, (b, circ.num_features))
+        basis = np.repeat(np.eye(d, dtype=complex), b, axis=0)
+        for start in (None, basis):
+            want = zero_state(qubits, b) if start is None else start.copy()
+            table = angle_table(circ.gates, thetas, feats)
+            scratch = np.empty(want.size, dtype=complex)
+            reads = []
+            for gate in circ.gates:
+                apply_gate(want, gate, table, scratch)
+                if gate.param_slot is not None:
+                    reads.append((gate.param_slot, want.copy()))
+            seen = []
+            given = None if start is None else start.copy()
+            got = _forward(circ.gates, qubits, thetas, feats, state=given,
+                           read=lambda gate, state: seen.append(
+                               (gate.param_slot, state.copy())))
+            assert given is None or got is given
+            assert_same_bits(got, want)
+            assert [slot for slot, _ in seen] == [slot for slot, _ in reads]
+            for (_, state), (_, expected) in zip(seen, reads):
+                assert_same_bits(state, expected)
+
+
+def test_forward_engine_checks_the_norm_of_its_result():
+    circ = build_hea(1, 2)
+    thetas = np.zeros((3, circ.num_params))
+    thetas[1, 2] = np.nan
+    with pytest.raises(FloatingPointError, match="norm"):
+        _forward(circ.gates, 2, thetas)
+    # a start batch is held to the same check: rows of norm 1.5 fail
+    with pytest.raises(FloatingPointError, match="norm"):
+        _forward(circ.gates, 2, thetas[:1], state=np.full((1, 4), 0.75 + 0j))
 
 
 def test_gate_kernels_allocate_no_state_sized_temporary():

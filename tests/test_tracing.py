@@ -10,8 +10,8 @@ import sys
 
 import numpy as np
 
-import qinitopt.cli  # noqa: F401  (instrument needs every module imported)
-from qinitopt import differentiation, scoring, tasks
+from qinitopt import cli, differentiation, scoring, tasks
+from qinitopt.records import record_hash
 from qinitopt.scoring import LOG_DET, S1, ScoreSpec
 from qinitopt.simulator import Observable, build_hea
 
@@ -76,3 +76,50 @@ def test_log_det_score_traces_its_qfim_under_the_score():
     assert {("differentiation.qfim", "scoring.score"),
             ("scoring.omega_reduce", "scoring.score"),
             ("differentiation.eigen", "scoring.omega_reduce")} <= edges
+
+
+def tiny_dataset(tmp_path) -> str:
+    """30 rows of 2 classes: 24 train rows, at least the 4 basis rows of
+    the 2-qubit classifier, so the task takes the shared path."""
+    rng = np.random.default_rng(3)
+    rows = ["f0,f1,f2,label"]
+    for i in range(30):
+        point = rng.standard_normal(3) + 2.0 * (i % 2)
+        rows.append(",".join(repr(float(v)) for v in point) + f",{i % 2}")
+    path = tmp_path / "tiny.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def test_traced_cli_runs_keep_their_record_hash(tmp_path):
+    """Every command run under the tracer gives the untraced record: a call
+    form that a tracer counter cannot take fails here, not only in a traced
+    benchmark run."""
+    toy = str(REPO / "hamiltonians" / "toy_2q.txt")
+    search = ["es.n_iters=1", "ansatz.layers=1"]
+    hypopt = [f"hamiltonian={toy}", "ansatz.qubits=2", "score.kind=s3",
+              *search]
+    runs = (
+        ("qml", [f"dataset={tiny_dataset(tmp_path)}", "pca_components=2",
+                 "score_batch=8", "train.iters=2",
+                 'methods=["s3","manual"]', *search]),
+        ("vqe", [f"hamiltonian={toy}", "train.iters=2",
+                 'methods=["s3","manual"]', *search]),
+        ("hypopt", hypopt),
+        ("hypopt", [*hypopt, "score.omega=log_det"]),
+        ("bp-scan", ["qubit_range=[2,3]", "m_samples=4", "layers=2",
+                     'methods=["uniform","s3"]', "es.n_iters=1"]),
+    )
+    spans = load_spans()
+    for command, overrides in runs:
+        run = cli.COMMANDS[command].run
+        cfg = cli.resolve_config(command, overrides=overrides)
+        untraced = record_hash(run(cfg))
+        tracer = spans.Tracer()
+        restore = spans.instrument(tracer)
+        try:
+            traced = record_hash(run(cfg))
+        finally:
+            restore()
+        assert tracer.spans, overrides
+        assert traced == untraced, overrides
