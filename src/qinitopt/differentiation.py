@@ -18,12 +18,11 @@ mu appends the row -(i/2) G_mu psi, which the remaining gates then carry to
 d_mu psi. That batch grows to at most p + 1 rows per theta. The exact QFIM
 (np.vecdot reductions over the (B, p, 2^n) derivatives) and the
 block-diagonal QFIM (one block per tagged ansatz layer, each closed at its
-layer's last gate) read it, and so does pauli_sum_gradients,
-2 Re<H psi|d_mu psi>, for a score at omega=log_det or harmonic on the
-exact QFIM, whose derivatives are there anyway. Both contract the
-amplitude axis by np.vecdot, one dot product per entry on the calling
-thread: a BLAS matmul of these sizes wakes a second thread that only
-spins.
+layer's last gate) read it; qfim_and_observable_gradient reads the exact
+QFIM and a Pauli sum's gradient 2 Re<H psi|d_mu psi> off the same
+derivatives. Both contract the amplitude axis by np.vecdot, one dot
+product per entry on the calling thread: a BLAS matmul of these sizes
+wakes a second thread that only spins.
 
 The adjoint sweep (Jones & Gacon, arXiv:2009.02823) gets the gradient of a
 sum of per-row expectations from one backward pass over given final rows
@@ -45,8 +44,10 @@ before each yield; the adjoint walks backward over an undo table of the
 inverse gates' factors, taken from -theta / 2. Each quantity has one
 function, which takes a (p,) theta or a (B, p) stack and runs a (p,)
 theta as a stack of one; only the parameter-shift reference takes one
-theta alone. Callers keep a buffer under MAX_SWEEP_AMPLITUDES with
-sweep_batch_size, given the rows per theta of the sweep they run.
+theta alone. Every stack entry point chunks itself through _in_chunks,
+by the rows per theta of its own buffer (p + 1 for a forward sweep, two
+for the adjoint, one for the trace run), so no buffer holds more than
+MAX_SWEEP_AMPLITUDES amplitudes.
 
 A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim is the one
 fidelity ladder: the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters,
@@ -62,9 +63,10 @@ import math
 
 import numpy as np
 
-from .simulator import (Circuit, Gate, Observable, _expectation_from,
-                        _forward, _pauli_table, angle_table, apply_gate,
-                        apply_observable, check_normalized, run_gates)
+from .simulator import (Circuit, Gate, Observable, _batch_of,
+                        _expectation_from, _forward, _pauli_table,
+                        angle_table, apply_gate, apply_observable,
+                        check_normalized, run_gates)
 
 SHIFT = math.pi / 2
 
@@ -94,10 +96,8 @@ def gradient(circuit: Circuit, theta, cost_fn) -> np.ndarray:
     cost_fn must accept a (B, p) batch of parameter rows and return (B,)
     values; it is evaluated once on all 2p shifted rows.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _batch_of(theta, circuit.num_params, single=True)[0][0]
     p = circuit.num_params
-    if theta.shape != (p,):
-        raise ValueError(f"theta must have shape ({p},)")
     if p == 0:
         return np.zeros(0)
     values = np.asarray(cost_fn(_shift_rows(theta, np.arange(p))), dtype=float)
@@ -160,7 +160,7 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     gate; then phi_j = U M e_j and lambda_j = e_j give 2 Re Tr(dU M) for
     the unitary U of the gates the sweep walks.
     """
-    thetas, batched = _theta_batch(circuit, theta)
+    thetas, batched = _batch_of(theta, circuit.num_params)
     b = len(thetas)
     m = phi.shape[0]
     p = circuit.num_params
@@ -222,31 +222,18 @@ def sweep_batch_size(circuit: Circuit, rows_per_theta: int | None = None
     return max(1, MAX_SWEEP_AMPLITUDES // per_theta)
 
 
-def _theta_batch(circuit: Circuit, theta, single: bool = False
-                 ) -> tuple[np.ndarray, bool]:
-    """(thetas, batched): a (p,) theta as a (1, p) batch, or a (B, p)
-    batch with B >= 1 as it is; batched tells which was given. With
-    single, only a (p,) theta is accepted."""
-    theta = np.asarray(theta, dtype=float)
-    p = circuit.num_params
-    if theta.shape == (p,):
-        return theta[None, :], False
-    if single or theta.ndim != 2 or theta.shape[1] != p or not len(theta):
-        raise ValueError(f"theta must have shape ({p},)"
-                         + ("" if single else f" or (B, {p}) with B >= 1"))
-    return theta, True
-
-
 def _in_chunks(circuit: Circuit, theta, rows_per_theta, fn) -> tuple:
     """fn over a (p,) theta or a (B, p) stack, in chunks of
     sweep_batch_size(circuit, rows_per_theta) thetas. fn maps a (k, p)
     chunk to a tuple of arrays with one leading entry per theta; they are
-    joined over the chunks, or cut to entry 0 for a (p,) theta."""
-    thetas, batched = _theta_batch(circuit, theta)
+    joined over the chunks (a lone chunk's arrays are returned as they
+    are, not copied), or cut to entry 0 for a (p,) theta."""
+    thetas, batched = _batch_of(theta, circuit.num_params)
     step = sweep_batch_size(circuit, rows_per_theta)
     parts = [fn(thetas[start:start + step])
              for start in range(0, len(thetas), step)]
-    joined = tuple(np.concatenate(column) for column in zip(*parts))
+    joined = parts[0] if len(parts) == 1 else tuple(
+        np.concatenate(column) for column in zip(*parts))
     return joined if batched else tuple(column[0] for column in joined)
 
 
@@ -311,14 +298,20 @@ def state_derivatives(circuit: Circuit, theta,
                       features=None) -> tuple[np.ndarray, np.ndarray]:
     """(psi, dpsi): the state of a (p,) theta and its (p, 2^n) derivatives
     d_mu psi, row mu for slot mu, or the (B, 2^n) states and
-    (B, p, 2^n) derivatives of a (B, p) stack, from one forward sweep."""
-    thetas, batched = _theta_batch(circuit, theta)
+    (B, p, 2^n) derivatives of a (B, p) stack, one forward sweep a chunk."""
+    return _in_chunks(circuit, theta, None,
+                      lambda thetas: _swept_states(circuit, thetas, features))
+
+
+def _swept_states(circuit: Circuit, thetas: np.ndarray, features):
+    """The (B, 2^n) states and (B, p, 2^n) derivatives of a (B, p) thetas
+    batch from one forward sweep."""
     sweep = _derivative_sweep(circuit, thetas, features, (len(circuit.gates),))
     psi, rows, slots = next(sweep)
     dpsi = np.empty((thetas.shape[0], circuit.num_params, psi.shape[1]),
                     dtype=complex)
     dpsi[:, slots] = rows.transpose(1, 0, 2)
-    return (psi.copy(), dpsi) if batched else (psi[0].copy(), dpsi[0])
+    return psi.copy(), dpsi
 
 
 def pauli_sum_gradients(psi: np.ndarray, dpsi: np.ndarray,
@@ -370,17 +363,35 @@ def qfim_exact(circuit: Circuit, theta, features=None) -> np.ndarray:
     """Full QFIM  4 Re(<d_mu psi|d_nu psi> - <d_mu psi|psi><psi|d_nu psi>),
     (p, p) for a (p,) theta or (B, p, p) for a (B, p) stack.
 
-    State derivatives come from one forward sweep. Only practical up to
-    EXACT_QFIM_MAX_PARAMS parameters; above that pick another fidelity.
+    State derivatives come from one forward sweep a chunk. Only practical
+    up to EXACT_QFIM_MAX_PARAMS parameters; above that pick another fidelity.
     """
+    return _exact_sweeps(circuit, theta, features)[0]
+
+
+def qfim_and_observable_gradient(circuit: Circuit, theta, obs: Observable,
+                                 features=None):
+    """(qfim_exact, observable_gradient) of a (p,) theta or a (B, p) stack
+    from one forward sweep a chunk, the gradient as 2 Re<H psi|d_mu psi>
+    over the derivatives the QFIM needs anyway: no second, adjoint pass."""
+    return _exact_sweeps(circuit, theta, features, obs)
+
+
+def _exact_sweeps(circuit: Circuit, theta, features, obs=None) -> tuple:
+    """(QFIMs,), or (QFIMs, Pauli-sum gradients) given obs, of a (p,)
+    theta or a (B, p) stack, one forward sweep a chunk."""
     p = circuit.num_params
     if p > EXACT_QFIM_MAX_PARAMS:
         raise ValueError(
             f"{p} parameters exceeds the exact-QFIM threshold "
             f"{EXACT_QFIM_MAX_PARAMS}; use block-diagonal or empirical")
-    thetas, batched = _theta_batch(circuit, theta)
-    entries = qfims_from_states(*state_derivatives(circuit, thetas, features))
-    return entries if batched else entries[0]
+
+    def chunk(thetas):
+        states = _swept_states(circuit, thetas, features)
+        fisher = qfims_from_states(*states)
+        return (fisher,) if obs is None else (
+            fisher, pauli_sum_gradients(*states, obs))
+    return _in_chunks(circuit, theta, None, chunk)
 
 
 def qfim_trace(circuit: Circuit, theta, features=None):
@@ -434,7 +445,6 @@ def qfim_block_diagonal(circuit: Circuit, theta,
     layer's segment reads one of its slots; a circuit whose tags break this
     raises ValueError.
     """
-    thetas, batched = _theta_batch(circuit, theta)
     p = circuit.num_params
     covered = [mu for tag in circuit.layers
                for mu in range(tag.param_start, tag.param_stop)]
@@ -451,19 +461,22 @@ def qfim_block_diagonal(circuit: Circuit, theta,
                 f"layer tag {tag} has a slot read before gate {start}; "
                 "block-diagonal QFIM needs layers tagged in circuit order")
         start = tag.gate_stop
-    entries = np.zeros((thetas.shape[0], p, p))
-    sweep = _derivative_sweep(circuit, thetas, features,
-                              [tag.gate_stop for tag in circuit.layers])
-    for tag, (psi, rows, slots) in zip(circuit.layers, sweep):
-        # a slot of an earlier layer read in this segment does not move that
-        # layer's truncated state, so its block keeps zeros there
-        own = [k for k, mu in enumerate(slots)
-               if tag.param_start <= mu < tag.param_stop]
-        idx = [slots[k] for k in own]
-        row, col = np.ix_(idx, idx)
-        entries[:, row, col] = qfims_from_states(
-            psi, rows[own].transpose(1, 0, 2).copy())
-    return entries if batched else entries[0]
+
+    def chunk(thetas):
+        entries = np.zeros((thetas.shape[0], p, p))
+        sweep = _derivative_sweep(circuit, thetas, features,
+                                  [tag.gate_stop for tag in circuit.layers])
+        for tag, (psi, rows, slots) in zip(circuit.layers, sweep):
+            # a slot of an earlier layer read in this segment does not move
+            # that layer's truncated state, so its block keeps zeros there
+            own = [k for k, mu in enumerate(slots)
+                   if tag.param_start <= mu < tag.param_stop]
+            idx = [slots[k] for k in own]
+            row, col = np.ix_(idx, idx)
+            entries[:, row, col] = qfims_from_states(
+                psi, rows[own].transpose(1, 0, 2).copy())
+        return (entries,)
+    return _in_chunks(circuit, theta, None, chunk)[0]
 
 
 def qfim_empirical(grad) -> np.ndarray:
@@ -496,7 +509,7 @@ def qfim(circuit: Circuit, theta, features=None,
     if gradient_fn is None:
         raise ValueError("untagged circuit above the exact threshold needs a "
                          "task gradient for the empirical QFIM")
-    thetas, batched = _theta_batch(circuit, theta)
+    thetas, batched = _batch_of(theta, circuit.num_params)
     return qfim_empirical(gradient_fn(thetas if batched else thetas[0]))
 
 

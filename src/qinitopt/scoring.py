@@ -8,12 +8,11 @@ omega_reduce takes one QFIM or a (B, p, p) stack, and order_statistic one
 gradient or a (B, p) stack. At the default omega=trace the exact and the
 block-diagonal QFIM enter only through their shared trace,
 sum_mu (1 - <G_mu>^2), which differentiation.qfim_trace takes from one
-forward run; log_det and harmonic need the whole QFIM, which
-differentiation.qfim builds by forward derivative sweeps, one chunk of
-thetas at a time, each chunk reduced by one omega_reduce call. A
-Pauli-sum task gradient comes from the exact QFIM's sweep when the score
-builds one (S3 at p <= 64 and omega log_det or harmonic), and from
-adjoint passes otherwise. A task gradient given as a callable gets what
+forward run; log_det and harmonic reduce the whole QFIM stack, which
+differentiation.qfim builds by forward derivative sweeps. A Pauli-sum
+task gradient comes from the exact QFIM's sweeps when the score builds
+one (S3 at p <= 64 and omega log_det or harmonic), and from adjoint
+passes otherwise. A task gradient given as a callable gets what
 score got, a (p,) theta or the whole (B, p) stack, in one call. The
 search objective scores a whole ES population through score in one call.
 Rank-based utility shaping turns raw population scores into the zero-sum
@@ -27,13 +26,12 @@ import math
 import numpy as np
 
 from .differentiation import (FIDELITY_BLOCK, FIDELITY_EMPIRICAL,
-                              FIDELITY_EXACT, _in_chunks, _theta_batch,
-                              hermitian_eigenvalues, observable_gradient,
-                              pauli_sum_gradients, qfim, qfim_empirical,
-                              qfim_fidelity, qfim_trace, qfims_from_states,
-                              state_derivatives)
-from .distributions import DEFAULT_BETA_SCALE, HyperParams, sample_params
-from .simulator import Circuit, Observable
+                              FIDELITY_EXACT, hermitian_eigenvalues,
+                              observable_gradient, qfim,
+                              qfim_and_observable_gradient, qfim_empirical,
+                              qfim_fidelity, qfim_trace)
+from .distributions import HyperParams, sample_params
+from .simulator import Circuit, Observable, _batch_of
 
 S1 = "s1"
 S2 = "s2"
@@ -125,23 +123,20 @@ def score(theta, circuit: Circuit, task_gradient=None,
     cost <psi|H|psi> as an Observable, or a callable. At omega=trace the
     exact and the block-diagonal rung read the QFIM's trace off qfim_trace,
     one forward run of one row per theta, and no derivative sweep runs.
-    At log_det or harmonic the exact QFIM takes one forward sweep per chunk
-    of sweep_batch_size thetas, and the Pauli-sum gradients
-    2 Re<H psi|d_mu psi> read that sweep's derivatives. On every other
-    path they come from observable_gradient's adjoint passes, two rows per
-    theta, and block-diagonal QFIMs take forward sweeps of their own; each
-    pass is chunked by the height of its own buffer, and each chunk's QFIM
-    stack is reduced by one omega_reduce call before the next chunk runs.
+    At log_det or harmonic one qfim call builds the QFIM stack, or on the
+    exact rung with a Pauli sum's gradient one qfim_and_observable_gradient
+    call, whose sweeps give both; one omega_reduce call reduces the stack.
+    Other gradients come from observable_gradient's adjoint or the callable.
     The empirical rung keeps the rank-one surrogate, whose trace is |g|^2.
     The path depends on the fidelity and omega alone, not on B, so a row
-    scores the same bits in any batch. A callable is called once with what score was given: a
-    (p,) theta, returning (p,), or the whole (B, p) stack, returning
-    (B, p). Row b of its result must hold the bits theta b gives
-    alone, as QmlTask.gradient's and observable_gradient's rows do, for
-    the batch to keep that property.
+    scores the same bits in any batch. A callable is called once with what
+    score was given: a (p,) theta, returning (p,), or the whole (B, p)
+    stack, returning (B, p). Row b of its result must hold the bits theta
+    b gives alone, as QmlTask.gradient's and observable_gradient's rows
+    do, for the batch to keep that property.
     Raises ValueError on a non-finite raw score.
     """
-    thetas, batched = _theta_batch(circuit, theta)
+    thetas, batched = _batch_of(theta, circuit.num_params)
     fidelity = qfim_fidelity(circuit) if spec.kind in (S1, S3) else None
     needs_grad = spec.kind in (S2, S3) or fidelity == FIDELITY_EMPIRICAL
     if needs_grad and task_gradient is None:
@@ -150,35 +145,25 @@ def score(theta, circuit: Circuit, task_gradient=None,
             else "untagged circuit above the exact threshold needs a task "
             "gradient for the empirical QFIM")
     is_pauli_sum = isinstance(task_gradient, Observable)
-    traced = spec.omega == TRACE and fidelity in (FIDELITY_EXACT,
-                                                  FIDELITY_BLOCK)
-    # the exact QFIM's forward sweep has the state derivatives anyway
-    swept = (needs_grad and is_pauli_sum and fidelity == FIDELITY_EXACT
-             and not traced)
-
-    def fisher_chunk(chunk):
-        if not swept:
-            return (omega_reduce(qfim(circuit, chunk, features), spec),)
-        states = state_derivatives(circuit, chunk, features)
-        return (omega_reduce(qfims_from_states(*states), spec),
-                pauli_sum_gradients(*states, task_gradient))
-
-    fisher_part = grads = None
-    if traced:
+    fisher = fisher_part = grads = None
+    if spec.omega == TRACE and fidelity in (FIDELITY_EXACT, FIDELITY_BLOCK):
         fisher_part = (qfim_trace(circuit, thetas, features)
                        + circuit.num_params * spec.eps)
+    elif needs_grad and is_pauli_sum and fidelity == FIDELITY_EXACT:
+        # the exact QFIM's forward sweep has the state derivatives anyway
+        fisher, grads = qfim_and_observable_gradient(
+            circuit, thetas, task_gradient, features)
     elif fidelity in (FIDELITY_EXACT, FIDELITY_BLOCK):
-        fisher_part, *swept_grads = _in_chunks(circuit, thetas, None,
-                                              fisher_chunk)
-    if swept:
-        grads, = swept_grads
-    elif needs_grad and is_pauli_sum:
-        grads = observable_gradient(circuit, thetas, task_gradient, features)
-    elif needs_grad:
-        grads = np.asarray(task_gradient(thetas if batched else thetas[0]),
-                           dtype=float).reshape(thetas.shape)
+        fisher = qfim(circuit, thetas, features)
+    if grads is None and needs_grad:
+        grads = (observable_gradient(circuit, thetas, task_gradient, features)
+                 if is_pauli_sum else
+                 np.asarray(task_gradient(thetas if batched else thetas[0]),
+                            dtype=float).reshape(thetas.shape))
     if fidelity == FIDELITY_EMPIRICAL:
-        fisher_part = omega_reduce(qfim_empirical(grads), spec)
+        fisher = qfim_empirical(grads)
+    if fisher is not None:
+        fisher_part = omega_reduce(fisher, spec)
     if spec.kind == S1:
         raw = fisher_part
     else:
@@ -208,7 +193,6 @@ def utility_shape(raw_scores) -> np.ndarray:
 
 def initialization_objective(circuit: Circuit, spec: ScoreSpec,
                              task_gradient=None, features=None,
-                             scale: float = DEFAULT_BETA_SCALE,
                              theta_draws: int = 1):
     """Objective for the hyperparameter search: theta ~ p(theta | hp), then
     score(theta), averaged over theta_draws independent draws.
@@ -228,7 +212,7 @@ def initialization_objective(circuit: Circuit, spec: ScoreSpec,
         thetas = np.empty((len(hps), theta_draws, p))
         for j, (hp, rng) in enumerate(zip(hps, rngs)):
             for d in range(theta_draws):
-                thetas[j, d] = sample_params(hp, p, rng, scale)
+                thetas[j, d] = sample_params(hp, p, rng)
         raw = score(thetas.reshape(-1, p), circuit, task_gradient, spec,
                     features).reshape(len(hps), theta_draws)
         total = np.zeros(len(hps))

@@ -294,9 +294,6 @@ def _forward(gates, num_qubits: int, thetas: np.ndarray,
         apply_gate(state, gate, table, scratch)
         if read is not None and gate.param_slot is not None:
             read(gate, state)
-    # the norm check makes a state-sized temporary of its own, so the
-    # scratch goes first and the run's peak stays at two state sizes
-    del scratch
     check_normalized(state)
     return state
 
@@ -310,19 +307,24 @@ def run_gates(gates, num_qubits: int, thetas: np.ndarray,
 
 def check_normalized(states: np.ndarray) -> None:
     """Raise FloatingPointError unless every row of a (B, 2^n) batch has
-    unit norm within 1e-10; a NaN amplitude fails."""
-    norms = np.linalg.norm(states, axis=1)
+    unit norm within 1e-10; a NaN amplitude fails. Allocates (B,) arrays."""
+    norms = np.sqrt(np.vecdot(states, states).real)
     if not np.max(np.abs(norms - 1.0)) <= 1e-10:
         raise FloatingPointError("statevector norm is NaN or drifted beyond 1e-10")
 
 
-def _as_batch(vec, length: int, name: str) -> tuple[np.ndarray, bool]:
-    arr = np.atleast_2d(np.asarray(vec, dtype=float))
-    if length == 0 and arr.size == 0:
-        return np.zeros((1, 0)), np.asarray(vec).ndim > 1
-    if arr.shape[1] != length:
-        raise ValueError(f"{name} must have length {length}, got {arr.shape[1]}")
-    return arr.reshape(-1, length), np.asarray(vec).ndim > 1
+def _batch_of(values, width: int, name: str = "theta",
+              single: bool = False) -> tuple[np.ndarray, bool]:
+    """(rows, batched): a (width,) vector as a (1, width) batch, or a
+    (B, width) stack with B >= 1 as it is; batched tells which was given.
+    With single, only a (width,) vector is accepted. The one batch rule."""
+    rows = np.asarray(values, dtype=float)
+    if rows.shape == (width,):
+        return rows[None, :], False
+    if single or rows.ndim != 2 or rows.shape[1] != width or not len(rows):
+        raise ValueError(f"{name} must have shape ({width},)" + (
+            "" if single else f" or (B, {width}) with B >= 1"))
+    return rows, True
 
 
 def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
@@ -331,11 +333,12 @@ def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
     theta may be shape (p,) or (B, p). Circuits with embedding slots require
     a features argument of shape (f,) or (B, f).
     """
-    thetas, batched_t = _as_batch(theta, circuit.num_params, "theta")
+    thetas, batched_t = _batch_of(theta, circuit.num_params)
     if circuit.num_features:
         if features is None:
             raise ValueError("circuit has embedding slots; features required")
-        feats, batched_f = _as_batch(features, circuit.num_features, "features")
+        feats, batched_f = _batch_of(features, circuit.num_features,
+                                     "features")
     else:
         if features is not None and np.asarray(features).size:
             raise ValueError("circuit has no embedding slots")

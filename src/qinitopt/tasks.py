@@ -42,10 +42,10 @@ import math
 
 import numpy as np
 
-from .differentiation import (_in_chunks, _theta_batch, adjoint_gradient,
+from .differentiation import (_in_chunks, adjoint_gradient,
                               first_param_gate, hermitian_eigenvalues,
                               observable_value_and_gradient)
-from .simulator import (Circuit, Observable, _as_batch, _forward,
+from .simulator import (Circuit, Observable, _batch_of, _forward,
                         apply_circuit, apply_observable, expectation,
                         run_gates)
 
@@ -197,11 +197,11 @@ class QmlTask:
     def probabilities(self, theta, features) -> np.ndarray:
         """Class probabilities under one (p,) theta for one feature row or
         a batch of rows."""
-        thetas = _theta_batch(self.circuit, theta, single=True)[0]
+        thetas = _batch_of(theta, self.circuit.num_params, single=True)[0]
         if self._embedded is None:
             states = apply_circuit(self.circuit, thetas[0], features)
         else:
-            feats, batched = _as_batch(features, self.circuit.num_features,
+            feats, batched = _batch_of(features, self.circuit.num_features,
                                        "features")
             states = self._shared_states(thetas, self._embed(feats))[0][0]
             if not batched:

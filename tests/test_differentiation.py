@@ -15,6 +15,7 @@ from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       observable_gradient,
                                       observable_value_and_gradient,
                                       pauli_sum_gradients, qfim,
+                                      qfim_and_observable_gradient,
                                       qfim_block_diagonal, qfim_empirical,
                                       qfim_exact, qfim_fidelity, qfim_trace,
                                       qfims_from_states, state_derivatives,
@@ -579,6 +580,10 @@ BATCH_ENTRY_POINTS = {
     "state_derivatives": state_derivatives,
     "qfim_block_diagonal": qfim_block_diagonal,
     "qfim": qfim,
+    "qfim_and_observable_gradient": lambda circ, thetas: (
+        qfim_and_observable_gradient(circ, thetas,
+                                     Observable(((1.0, "ZZ"),)))),
+    "apply_circuit": apply_circuit,
 }
 
 
@@ -589,6 +594,52 @@ def test_batch_entry_points_reject_an_empty_stack(name):
     with pytest.raises(ValueError, match=re.escape(
             f"theta must have shape ({p},) or (B, {p}) with B >= 1")):
         BATCH_ENTRY_POINTS[name](circ, np.zeros((0, p)))
+
+
+# each forward-sweep entry point, called on (circuit, thetas)
+SWEEP_ENTRY_POINTS = {
+    "state_derivatives": state_derivatives,
+    "qfim_exact": qfim_exact,
+    "qfim_block_diagonal": qfim_block_diagonal,
+    "qfim": qfim,
+    "qfim_and_observable_gradient": lambda circ, thetas: (
+        qfim_and_observable_gradient(circ, thetas,
+                                     Observable(((1.0, "ZZZ"), (0.5, "XIY"))))),
+}
+# p = 12 takes the exact rung and p = 72 the block-diagonal one
+SWEEP_CIRCUITS = {"exact": build_hea(2, 3),
+                  "block": build_strongly_entangling(8, 3)}
+SWEEP_CASES = ([(name, "exact") for name in sorted(SWEEP_ENTRY_POINTS)]
+               + [(name, "block") for name in ("state_derivatives",
+                                               "qfim_block_diagonal", "qfim")])
+
+
+@pytest.mark.parametrize("name, rung", SWEEP_CASES)
+def test_sweep_entry_points_chunk_themselves(monkeypatch, name, rung):
+    """Under a small MAX_SWEEP_AMPLITUDES a stack of 7 thetas takes
+    ceil(7 / step) forward sweeps of at most step thetas each, and every
+    result equals its per-theta calls bit for bit."""
+    def call(thetas):
+        result = SWEEP_ENTRY_POINTS[name](circ, thetas)
+        return result if isinstance(result, tuple) else (result,)
+    circ = SWEEP_CIRCUITS[rung]
+    thetas = np.random.default_rng(22).uniform(-math.pi, math.pi,
+                                               (7, circ.num_params))
+    singles = [call(theta) for theta in thetas]
+    monkeypatch.setattr(differentiation, "MAX_SWEEP_AMPLITUDES",
+                        3 * (circ.num_params + 1) << circ.num_qubits)
+    assert sweep_batch_size(circ) == 3
+    sizes = []
+    sweep = differentiation._derivative_sweep
+
+    def counted(circuit, chunk, *args):
+        sizes.append(len(chunk))
+        return sweep(circuit, chunk, *args)
+    monkeypatch.setattr(differentiation, "_derivative_sweep", counted)
+    got = call(thetas)
+    assert sizes == [3, 3, 1]
+    for k, part in enumerate(got):
+        assert np.array_equal(part, np.stack([one[k] for one in singles]))
 
 
 def test_fidelity_ladder_dispatch():

@@ -18,7 +18,7 @@ from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 GATE_KINDS, ROTATION_KINDS, RX, RY, RZ,
                                 Circuit, Gate, Layer, Observable, _forward,
                                 angle_table, apply_circuit, apply_gate,
-                                apply_observable,
+                                apply_observable, check_normalized,
                                 build_hea, build_strongly_entangling,
                                 build_two_design, embed_angles, expectation,
                                 zero_state)
@@ -458,6 +458,21 @@ def test_gate_kernels_allocate_no_state_sized_temporary():
         finally:
             tracemalloc.stop()
         assert peak <= bound, (gate.kind, peak)
+
+
+def test_norm_check_allocates_no_batch_sized_temporary():
+    """The norm check runs after every forward run and sweep segment; on a
+    (128, 2^8) batch it allocates a few (B,) arrays, not a copy of the
+    batch (np.linalg.norm made one of 0.5 MB)."""
+    states = random_states(np.random.default_rng(21), 128, 8)
+    check_normalized(states)
+    tracemalloc.start()
+    try:
+        check_normalized(states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= states.nbytes // 32, peak
 
 
 @given(st.text(alphabet="IXYZ", min_size=1, max_size=6),

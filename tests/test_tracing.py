@@ -96,6 +96,7 @@ def test_traced_cli_runs_keep_their_record_hash(tmp_path):
     form that a tracer counter cannot take fails here, not only in a traced
     benchmark run."""
     toy = str(REPO / "hamiltonians" / "toy_2q.txt")
+    h2 = str(REPO / "hamiltonians" / "h2_4q.txt")
     search = ["es.n_iters=1", "ansatz.layers=1"]
     hypopt = [f"hamiltonian={toy}", "ansatz.qubits=2", "score.kind=s3",
               *search]
@@ -107,6 +108,10 @@ def test_traced_cli_runs_keep_their_record_hash(tmp_path):
                  'methods=["s3","manual"]', *search]),
         ("hypopt", hypopt),
         ("hypopt", [*hypopt, "score.omega=log_det"]),
+        # p = 72 takes the block-diagonal QFIM and the harmonic reduction
+        ("hypopt", [f"hamiltonian={h2}", "score.kind=s3",
+                    "score.omega=harmonic", "ansatz.layers=6",
+                    "es.n_iters=1", "es.n_samples=4"]),
         ("bp-scan", ["qubit_range=[2,3]", "m_samples=4", "layers=2",
                      'methods=["uniform","s3"]', "es.n_iters=1"]),
     )
