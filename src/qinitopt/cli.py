@@ -31,8 +31,9 @@ from .differentiation import SHIFT, observable_gradient
 from .distributions import (BETA, HyperParams, child_rng, init_guess,
                             manual_baseline, sample_params, to_unconstrained)
 from .es import EsConfig, es_optimize
-from .records import (bp_rows, curve_rows, es_trace_rows, hyperparam_names,
-                      histogram_rows, record_hash, write_csv, write_record)
+from .records import (as_jsonable, bp_rows, curve_rows, es_trace_rows,
+                      hyperparam_names, histogram_rows, record_hash,
+                      write_csv, write_record)
 from .scoring import (S1, S2, S3, SCORE_KINDS, ScoreSpec,
                       initialization_objective)
 from .simulator import (Observable, apply_circuit, build_hea,
@@ -214,12 +215,7 @@ def _check_methods(methods, allowed):
 
 
 def _trace_dict(trace) -> dict:
-    return {"hyperparams": [list(v) for v in trace.hyperparams],
-            "unconstrained": [list(v) for v in trace.unconstrained],
-            "mean_score": list(trace.mean_score),
-            "best_score": list(trace.best_score),
-            "update_l1": list(trace.update_l1),
-            "converged": bool(trace.converged),
+    return {**as_jsonable(dataclasses.asdict(trace)),
             "iterations": trace.n_iterations}
 
 

@@ -72,6 +72,8 @@ def load_csv(path, label_column: str = "label") -> Dataset:
             raise ValueError(f"{path}:{lineno}: label {label} is not an integer")
         labels.append(int(label))
         features.append(values)
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
     name = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
     return Dataset(name, np.array(features, dtype=float),
                    np.array(labels, dtype=int))

@@ -47,7 +47,10 @@ theta as a stack of one; only the parameter-shift reference takes one
 theta alone. Every stack entry point chunks itself through _in_chunks,
 by the rows per theta of its own buffer (p + 1 for a forward sweep, two
 for the adjoint, one for the trace run), so no buffer holds more than
-MAX_SWEEP_AMPLITUDES amplitudes.
+MAX_SWEEP_AMPLITUDES amplitudes; before its first chunk it checks its
+features once, by simulator._features_of, as the one (1, f) row all its
+thetas read. Circuit has checked the layer tags, and the sweeps take their
+inputs as given.
 
 A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim is the one
 fidelity ladder: the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters,
@@ -64,9 +67,9 @@ import math
 import numpy as np
 
 from .simulator import (Circuit, Gate, Observable, _batch_of,
-                        _expectation_from, _forward, _pauli_table,
-                        angle_table, apply_gate, apply_observable,
-                        check_normalized, run_gates)
+                        _expectation_from, _features_of, _forward,
+                        _pauli_table, angle_table, apply_gate,
+                        apply_observable, check_normalized, run_gates)
 
 SHIFT = math.pi / 2
 
@@ -156,9 +159,10 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
 
     The gradient of sum_i <psi_i|D_i|psi_i> over n forward states takes
     (psi, D psi, features), whose rows drive any feature gate the sweep
-    meets. Without features no feature gate may follow the first theta
-    gate; then phi_j = U M e_j and lambda_j = e_j give 2 Re Tr(dU M) for
-    the unitary U of the gates the sweep walks.
+    meets: a (k, f) array, k = 1 or m, used as given, whose row r % k
+    rows r of phi and lam read. Without features no feature gate may
+    follow the first theta gate; then phi_j = U M e_j and lambda_j = e_j
+    give 2 Re Tr(dU M) for the unitary U of the gates the sweep walks.
     """
     thetas, batched = _batch_of(theta, circuit.num_params)
     b = len(thetas)
@@ -166,14 +170,9 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     p = circuit.num_params
     gates = circuit.gates
     first = first_param_gate(circuit)
-    if features is None:
-        pair_feats = np.zeros((1, 0))
-    else:
-        feats = np.atleast_2d(np.asarray(features, dtype=float))
-        pair_feats = np.concatenate([feats, feats])
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([phi, lam])
-    undo = angle_table(gates[first + 1:], thetas, pair_feats, inverse=True)
+    undo = angle_table(gates[first + 1:], thetas, features, inverse=True)
     scratch = np.empty(pair.size, dtype=complex)
     # sums[mu, j] = Re<lambda_j|-(i/2) G_mu phi_j>, one vecdot per slot
     sums = np.zeros((p, m))
@@ -237,19 +236,7 @@ def _in_chunks(circuit: Circuit, theta, rows_per_theta, fn) -> tuple:
     return joined if batched else tuple(column[0] for column in joined)
 
 
-def _feature_row(circuit: Circuit, features) -> np.ndarray:
-    """features as the one (1, f) row every theta's feature gates read."""
-    f = circuit.num_features
-    if f and features is None:
-        raise ValueError("circuit has embedding slots; features required")
-    feats = np.zeros(0) if features is None else np.asarray(features,
-                                                            dtype=float)
-    if feats.size != f:
-        raise ValueError(f"features must have length {f}, got {feats.size}")
-    return feats.reshape(1, f)
-
-
-def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, features, stops):
+def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
     """Run the circuit once from |0> for every row of a (B, p) thetas batch;
     at each gate index in stops (ascending) yield (psi, rows, slots): the
     (B, 2^n) states after gates[:stop], and as the (m, B, 2^n) rows the
@@ -259,11 +246,10 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, features, stops):
 
     The (p + 1, B, 2^n) buffer runs as one batch of rows, so each gate is
     one kernel call: the B theta rows repeat over the derivative rows, and
-    the one feature row broadcasts.
+    the one (1, f) feature row feats broadcasts.
 
     Raises FloatingPointError when a state is not normalized (a NaN theta).
     """
-    feats = _feature_row(circuit, features)
     batch = thetas.shape[0]
     height = circuit.num_params + 1
     rows = np.zeros((height, batch, 1 << circuit.num_qubits), dtype=complex)
@@ -299,14 +285,15 @@ def state_derivatives(circuit: Circuit, theta,
     """(psi, dpsi): the state of a (p,) theta and its (p, 2^n) derivatives
     d_mu psi, row mu for slot mu, or the (B, 2^n) states and
     (B, p, 2^n) derivatives of a (B, p) stack, one forward sweep a chunk."""
+    feats = _features_of(circuit, features, single=True)[0]
     return _in_chunks(circuit, theta, None,
-                      lambda thetas: _swept_states(circuit, thetas, features))
+                      lambda thetas: _swept_states(circuit, thetas, feats))
 
 
-def _swept_states(circuit: Circuit, thetas: np.ndarray, features):
+def _swept_states(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray):
     """The (B, 2^n) states and (B, p, 2^n) derivatives of a (B, p) thetas
-    batch from one forward sweep."""
-    sweep = _derivative_sweep(circuit, thetas, features, (len(circuit.gates),))
+    batch under the (1, f) feature row feats from one forward sweep."""
+    sweep = _derivative_sweep(circuit, thetas, feats, (len(circuit.gates),))
     psi, rows, slots = next(sweep)
     dpsi = np.empty((thetas.shape[0], circuit.num_params, psi.shape[1]),
                     dtype=complex)
@@ -340,7 +327,7 @@ def observable_value_and_gradient(circuit: Circuit, theta, obs: Observable,
     also keeps the bits its theta gives alone. Raises FloatingPointError on
     a NaN theta.
     """
-    feats = _feature_row(circuit, features)
+    feats = _features_of(circuit, features, single=True)[0]
 
     def chunk(thetas):
         psi = run_gates(circuit.gates, circuit.num_qubits, thetas, feats)
@@ -385,9 +372,10 @@ def _exact_sweeps(circuit: Circuit, theta, features, obs=None) -> tuple:
         raise ValueError(
             f"{p} parameters exceeds the exact-QFIM threshold "
             f"{EXACT_QFIM_MAX_PARAMS}; use block-diagonal or empirical")
+    feats = _features_of(circuit, features, single=True)[0]
 
     def chunk(thetas):
-        states = _swept_states(circuit, thetas, features)
+        states = _swept_states(circuit, thetas, feats)
         fisher = qfims_from_states(*states)
         return (fisher,) if obs is None else (
             fisher, pauli_sum_gradients(*states, obs))
@@ -406,7 +394,7 @@ def qfim_trace(circuit: Circuit, theta, features=None):
     contiguous row of 1 - <G>^2, so it keeps its bits in any batch. Raises
     FloatingPointError on a NaN theta.
     """
-    feats = _feature_row(circuit, features)
+    feats = _features_of(circuit, features, single=True)[0]
 
     def chunk(thetas):
         expect = _generator_expectations(circuit, thetas, feats)
@@ -441,40 +429,22 @@ def qfim_block_diagonal(circuit: Circuit, theta,
     One forward sweep closes a block at each tag's gate_stop from the
     derivative rows its segment added, then drops them, so each gate runs
     once on at most m + 1 rows per theta for a layer of m slots; the first
-    segment holds any prelude. A block is right only if no gate before its
-    layer's segment reads one of its slots; a circuit whose tags break this
-    raises ValueError.
+    segment holds any prelude. Circuit has checked that each segment reads
+    exactly its tag's slots.
     """
     p = circuit.num_params
-    covered = [mu for tag in circuit.layers
-               for mu in range(tag.param_start, tag.param_stop)]
-    if sorted(covered) != list(range(p)):
-        raise ValueError("circuit has no complete layer tags; "
+    stops = [tag.gate_stop for tag in circuit.layers]
+    if not stops:
+        raise ValueError("circuit has no layer tags; "
                          "block-diagonal QFIM needs a tagged ansatz")
-    reader = {gate.param_slot: k for k, gate in enumerate(circuit.gates)
-              if gate.param_slot is not None}
-    start = 0
-    for tag in circuit.layers:
-        if any(reader[mu] < start
-               for mu in range(tag.param_start, tag.param_stop)):
-            raise ValueError(
-                f"layer tag {tag} has a slot read before gate {start}; "
-                "block-diagonal QFIM needs layers tagged in circuit order")
-        start = tag.gate_stop
+    feats = _features_of(circuit, features, single=True)[0]
 
     def chunk(thetas):
         entries = np.zeros((thetas.shape[0], p, p))
-        sweep = _derivative_sweep(circuit, thetas, features,
-                                  [tag.gate_stop for tag in circuit.layers])
-        for tag, (psi, rows, slots) in zip(circuit.layers, sweep):
-            # a slot of an earlier layer read in this segment does not move
-            # that layer's truncated state, so its block keeps zeros there
-            own = [k for k, mu in enumerate(slots)
-                   if tag.param_start <= mu < tag.param_stop]
-            idx = [slots[k] for k in own]
-            row, col = np.ix_(idx, idx)
+        for psi, rows, slots in _derivative_sweep(circuit, thetas, feats, stops):
+            row, col = np.ix_(slots, slots)
             entries[:, row, col] = qfims_from_states(
-                psi, rows[own].transpose(1, 0, 2).copy())
+                psi, rows.transpose(1, 0, 2).copy())
         return (entries,)
     return _in_chunks(circuit, theta, None, chunk)[0]
 

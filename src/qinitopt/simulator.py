@@ -26,6 +26,11 @@ Every forward run goes through one engine, _forward, which owns the
 run's table, scratch and norm check; run_gates is the engine from
 |0...0>. Only the two sweeps in differentiation keep gate loops of their
 own.
+
+Each input is checked once, where it enters: a circuit and its layer tags
+when Circuit is built, thetas by _batch_of and features by _features_of in
+apply_circuit and the differentiation entry points. Engines and kernels
+take their inputs as given.
 """
 from __future__ import annotations
 
@@ -71,7 +76,9 @@ class Gate:
 
 @dataclass(frozen=True)
 class Layer:
-    """Index ranges identifying one ansatz layer (for block-diagonal QFIM)."""
+    """One ansatz layer's tag, for the block-diagonal QFIM: the gates from
+    the previous tag's gate_stop (0 for the first) to its own read exactly
+    the theta slots [param_start, param_stop)."""
 
     gate_stop: int  # gates[:gate_stop] is the circuit truncated after this layer
     param_start: int
@@ -80,6 +87,12 @@ class Layer:
 
 @dataclass(frozen=True)
 class Circuit:
+    """A gate sequence that reads each theta slot in [0, num_params) once
+    and the feature slots embedding_slots. Layer tags, if any, split it in
+    order: the gate_stops strictly increase up to len(gates), tag k's param
+    range starts where tag k - 1's stopped (the first at 0) and holds
+    exactly the slots its gates read, and the last stops at num_params."""
+
     num_qubits: int
     gates: tuple[Gate, ...]
     num_params: int
@@ -104,6 +117,24 @@ class Circuit:
             raise ValueError("theta slots must cover [0, num_params) exactly once")
         if sorted(feat) != list(self.embedding_slots):
             raise ValueError("feature slots do not match embedding_slots")
+        start = param_stop = 0
+        for k, tag in enumerate(self.layers):
+            if not start < tag.gate_stop <= len(self.gates):
+                raise ValueError(
+                    f"layer tag {k}: gate_stop must lie in ({start}, "
+                    f"{len(self.gates)}], got {tag.gate_stop}")
+            read = sorted(g.param_slot for g in self.gates[start:tag.gate_stop]
+                          if g.param_slot is not None)
+            if (tag.param_start != param_stop
+                    or read != list(range(param_stop, tag.param_stop))):
+                raise ValueError(
+                    f"layer tag {k}: param range [{tag.param_start}, "
+                    f"{tag.param_stop}) must start at {param_stop} and hold "
+                    f"exactly the slots that gates [{start}, "
+                    f"{tag.gate_stop}) read")
+            start, param_stop = tag.gate_stop, tag.param_stop
+        if self.layers and param_stop != self.num_params:
+            raise ValueError(f"layer tags must stop at num_params, got {param_stop}")
 
     @property
     def num_features(self) -> int:
@@ -327,6 +358,19 @@ def _batch_of(values, width: int, name: str = "theta",
     return rows, True
 
 
+def _features_of(circuit: Circuit, features, single: bool = False
+                 ) -> tuple[np.ndarray, bool]:
+    """(rows, batched) for a circuit's feature angles by the _batch_of rule,
+    or a (1, 0) row for a circuit without embedding slots. The one rule."""
+    if not circuit.num_features:
+        if features is not None and np.asarray(features).size:
+            raise ValueError("circuit has no embedding slots")
+        return np.zeros((1, 0)), False
+    if features is None:
+        raise ValueError("circuit has embedding slots; features required")
+    return _batch_of(features, circuit.num_features, "features", single)
+
+
 def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
     """Run the circuit from |0...0>; returns amplitudes (or a batch of them).
 
@@ -334,15 +378,7 @@ def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
     a features argument of shape (f,) or (B, f).
     """
     thetas, batched_t = _batch_of(theta, circuit.num_params)
-    if circuit.num_features:
-        if features is None:
-            raise ValueError("circuit has embedding slots; features required")
-        feats, batched_f = _batch_of(features, circuit.num_features,
-                                     "features")
-    else:
-        if features is not None and np.asarray(features).size:
-            raise ValueError("circuit has no embedding slots")
-        feats, batched_f = np.zeros((1, 0)), False
+    feats, batched_f = _features_of(circuit, features)
     batch = max(thetas.shape[0], feats.shape[0])
     if thetas.shape[0] not in (1, batch) or feats.shape[0] not in (1, batch):
         raise ValueError("theta and features batch sizes are incompatible")

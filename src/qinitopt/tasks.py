@@ -45,9 +45,9 @@ import numpy as np
 from .differentiation import (_in_chunks, adjoint_gradient,
                               first_param_gate, hermitian_eigenvalues,
                               observable_value_and_gradient)
-from .simulator import (Circuit, Observable, _batch_of, _forward,
-                        apply_circuit, apply_observable, expectation,
-                        run_gates)
+from .simulator import (Circuit, Observable, _batch_of, _features_of,
+                        _forward, apply_circuit, apply_observable,
+                        expectation, run_gates)
 
 PROB_CLAMP = 1e-10
 MAX_ORACLE_QUBITS = 10
@@ -134,12 +134,8 @@ class QmlTask:
             raise ValueError("need at least two classes")
         if not self.circuit.num_features:
             raise ValueError("classification circuit needs embedding slots")
-        self.train_features = np.asarray(self.train_features, dtype=float)
+        self.train_features = _features_of(self.circuit, self.train_features)[0]
         self.train_labels = np.asarray(self.train_labels, dtype=int)
-        if self.train_features.ndim != 2 or len(self.train_features) == 0:
-            raise ValueError("train_features must be a non-empty matrix")
-        if self.train_features.shape[1] != self.circuit.num_features:
-            raise ValueError("feature width does not match embedding slots")
         if len(self.train_labels) != len(self.train_features):
             raise ValueError("feature and label counts differ")
         if np.any((self.train_labels < 0) | (self.train_labels >= self.num_classes)):
@@ -198,14 +194,13 @@ class QmlTask:
         """Class probabilities under one (p,) theta for one feature row or
         a batch of rows."""
         thetas = _batch_of(theta, self.circuit.num_params, single=True)[0]
+        feats, batched = _features_of(self.circuit, features)
         if self._embedded is None:
-            states = apply_circuit(self.circuit, thetas[0], features)
+            states = apply_circuit(self.circuit, thetas[0], feats)
         else:
-            feats, batched = _batch_of(features, self.circuit.num_features,
-                                       "features")
             states = self._shared_states(thetas, self._embed(feats))[0][0]
-            if not batched:
-                states = states[0]
+        if not batched:
+            states = states[0]
         raw = _class_marginals(states, self.measured_qubits, self.num_classes)
         return raw / raw.sum(axis=-1, keepdims=True)
 
@@ -284,7 +279,7 @@ class QmlTask:
         return self.value_and_gradient(theta)[1]
 
     def accuracy(self, theta, features, labels) -> float:
-        probs = self.probabilities(theta, np.asarray(features, dtype=float))
+        probs = self.probabilities(theta, features)
         predicted = np.argmax(probs, axis=-1)
         return float(np.mean(predicted == np.asarray(labels, dtype=int)))
 
@@ -292,7 +287,7 @@ class QmlTask:
 def qml_cost_batch(task: QmlTask, thetas) -> np.ndarray:
     """Training loss for each row of a (B, p) parameter batch, each training
     row simulated on its own whatever path the task takes."""
-    thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    thetas = _batch_of(thetas, task.circuit.num_params)[0]
     b = thetas.shape[0]
     n = len(task.train_features)
     big_thetas = np.repeat(thetas, n, axis=0)

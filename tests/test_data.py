@@ -50,6 +50,12 @@ def test_load_csv_errors(tmp_path):
         load_csv(write(tmp_path / "empty.csv", ""))
 
 
+def test_load_csv_rejects_a_header_without_rows(tmp_path):
+    path = write(tmp_path / "header.csv", "a,b,label\n")
+    with pytest.raises(ValueError, match=r"header\.csv: no data rows"):
+        load_csv(path)
+
+
 def test_load_csv_rejects_non_finite_cells(tmp_path):
     for cell in ("nan", "inf", "-Infinity", "NaN"):
         path = write(tmp_path / "bad.csv", f"a,b,label\n1,2,0\n3,{cell},1\n")

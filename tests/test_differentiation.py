@@ -240,12 +240,45 @@ def test_block_diagonal_rejects_tags_out_of_circuit_order(circ, data):
         a, b = tags[i], tags[j]
         tags[i] = Layer(a.gate_stop, b.param_start, b.param_stop)
         tags[j] = Layer(b.gate_stop, a.param_start, a.param_stop)
-    mistagged = Circuit(circ.num_qubits, circ.gates, circ.num_params,
-                        embedding_slots=circ.embedding_slots,
-                        layers=tuple(tags))
-    features = np.zeros(circ.num_features) if circ.num_features else None
-    with pytest.raises(ValueError, match="read before"):
-        qfim_block_diagonal(mistagged, np.zeros(circ.num_params), features)
+    # Circuit checks its tags when built, so no block-diagonal QFIM can be
+    # asked of a circuit tagged out of order
+    with pytest.raises(ValueError, match=r"layer tag \d+: "):
+        Circuit(circ.num_qubits, circ.gates, circ.num_params,
+                embedding_slots=circ.embedding_slots, layers=tuple(tags))
+
+
+FEATURE_ENTRY_POINTS = {
+    "qfim_trace": qfim_trace,
+    "qfim": qfim,
+    "state_derivatives": state_derivatives,
+    "observable_gradient": lambda circ, theta, features: observable_gradient(
+        circ, theta, Observable(((1.0, "ZII"),)), features),
+    "qfim_and_observable_gradient":
+        lambda circ, theta, features: qfim_and_observable_gradient(
+            circ, theta, Observable(((1.0, "ZII"),)), features),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FEATURE_ENTRY_POINTS))
+def test_entry_points_take_features_by_the_simulator_rule(entry):
+    """Every sweep entry point checks its features by apply_circuit's rule,
+    for the one (f,) row all its thetas share: a (3, 1) array is not three
+    features, and a circuit without embedding slots takes none."""
+    call = FEATURE_ENTRY_POINTS[entry]
+    embedded = embed_angles(build_hea(1, 3), 3)
+    theta = np.zeros(embedded.num_params)
+    shape = re.escape("features must have shape (3,)")
+    with pytest.raises(ValueError, match=shape):
+        apply_circuit(embedded, theta, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match=shape):
+        call(embedded, theta, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="features required"):
+        call(embedded, theta, None)
+    call(embedded, theta, np.zeros(3))
+    plain = build_hea(1, 3)
+    with pytest.raises(ValueError, match="circuit has no embedding slots"):
+        call(plain, theta, np.zeros(3))
+    call(plain, theta, None)
 
 
 # stands for back-to-back rotations on one qubit, as in Rot(a, b, c)

@@ -691,6 +691,44 @@ def test_circuit_validation():
         apply_circuit(Circuit(1, (good,), 1), [0.1, 0.2])
 
 
+def test_circuit_rejects_malformed_layer_tags():
+    """Each tag rule, on 2 qubits: RY(0), RY(1), CNOT, then RZ(2), RZ(3),
+    CNOT. The gate_stops must increase within the circuit, each range
+    must start where the last stopped, each segment must read exactly its
+    range, and the last tag must stop at num_params."""
+    gates = (Gate(RY, target=0, param_slot=0), Gate(RY, target=1, param_slot=1),
+             Gate(CNOT, target=1, control=0),
+             Gate(RZ, target=0, param_slot=2), Gate(RZ, target=1, param_slot=3),
+             Gate(CNOT, target=1, control=0))
+    good = Circuit(2, gates, 4, layers=(Layer(3, 0, 2), Layer(6, 2, 4)))
+    assert len(good.layers) == 2
+    cases = (
+        ((Layer(3, 0, 2), Layer(3, 2, 4)), r"layer tag 1: gate_stop must "
+         r"lie in \(3, 6\], got 3"),
+        ((Layer(0, 0, 0), Layer(3, 0, 2), Layer(6, 2, 4)),
+         r"layer tag 0: gate_stop must lie in \(0, 6\], got 0"),
+        # a gate_stop past the last gate
+        ((Layer(3, 0, 2), Layer(7, 2, 4)), r"layer tag 1: gate_stop must "
+         r"lie in \(3, 6\], got 7"),
+        ((Layer(3, 1, 2), Layer(6, 2, 4)),
+         r"layer tag 0: param range \[1, 2\) must start at 0"),
+        ((Layer(3, 0, 2), Layer(6, 3, 4)),
+         r"layer tag 1: param range \[3, 4\) must start at 2"),
+        # slot 2 is read in the second segment; a block-diagonal QFIM of
+        # these tags would hold F_22 = 0
+        ((Layer(3, 0, 3), Layer(6, 3, 4)),
+         r"layer tag 0: param range \[0, 3\) must start at 0 and hold "
+         r"exactly the slots that gates \[0, 3\) read"),
+        ((Layer(3, 0, 2), Layer(6, 2, 3)),
+         r"layer tag 1: param range \[2, 3\) must start at 2 and hold "
+         r"exactly the slots that gates \[3, 6\) read"),
+        ((Layer(3, 0, 2),), "layer tags must stop at num_params, got 2"),
+    )
+    for tags, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Circuit(2, gates, 4, layers=tags)
+
+
 def test_observable_validation():
     with pytest.raises(ValueError):
         Observable(terms=())

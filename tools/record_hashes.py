@@ -1,0 +1,67 @@
+"""Print the record hash of each benchmark workload and of a few extra
+configs, one `name hash16` line each, all run in one process.
+
+    python3 tools/record_hashes.py [--seed N]
+
+The workloads come from bench/spec.json, which is only read. The extra
+configs cover paths no workload runs: the block-diagonal QFIM rung
+(hypopt-block, vqe-block), the per-row and shared QML paths (qml-per-row,
+qml-shared) and grad-profile at its defaults. Each config is resolved by
+cli.resolve_config with workers=1 and run by its cmd_* function from the
+checkout root, as bench/child.py runs a workload, so a workload's line
+matches the record hash bench/run.py prints for it at the same seed.
+Running the script at two commits and comparing the output checks that a
+change kept every record's bits.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+EXTRA = (
+    ("hypopt-block", "hypopt",
+     ["hamiltonian=hamiltonians/h2_4q.txt", "score.kind=s3",
+      "score.omega=harmonic", "ansatz.layers=6", "es.n_iters=1",
+      "es.n_samples=4"]),
+    ("vqe-block", "vqe",
+     ["hamiltonian=hamiltonians/h2_4q.txt", "score.omega=log_det",
+      "ansatz.layers=6", "es.n_iters=1", "train.iters=3"]),
+    ("qml-per-row", "qml",
+     ["dataset=datasets/wine.csv", "es.n_iters=1", "train.iters=3",
+      "ansatz.layers=1", "ansatz.qubits=6", "score_batch=32",
+      "subsample=40"]),
+    ("qml-shared", "qml",
+     ["dataset=datasets/wine.csv", "es.n_iters=2", "train.iters=5",
+      "ansatz.layers=1"]),
+    ("grad-profile", "grad-profile", []),
+)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    # configs name datasets and Hamiltonians relative to the checkout root
+    os.chdir(ROOT)
+    sys.path.insert(0, str(ROOT / "src"))
+    from qinitopt import cli
+    from qinitopt.records import record_hash
+
+    spec = json.loads((ROOT / "bench" / "spec.json").read_text())
+    configs = [(w["name"], w["command"], w["set"])
+               for w in spec["workloads"]] + list(EXTRA)
+    for name, command, overrides in configs:
+        cfg = cli.resolve_config(command, overrides=overrides,
+                                 seed=args.seed, workers=1)
+        record = getattr(cli, "cmd_" + command.replace("-", "_"))(cfg)
+        print(name, record_hash(record)[:16], flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
