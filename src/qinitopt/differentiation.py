@@ -15,14 +15,15 @@ block-diagonal QFIM share, from one forward run of one row per theta.
 The forward sweep gets every state derivative from one pass: it runs each
 gate once on a batch whose row 0 is psi, and right after the gate of slot
 mu appends the row -(i/2) G_mu psi, which the remaining gates then carry to
-d_mu psi. That batch grows to at most p + 1 rows per theta. The exact QFIM
-(np.vecdot reductions over the (B, p, 2^n) derivatives) and the
-block-diagonal QFIM (one block per tagged ansatz layer, each closed at its
-layer's last gate) read it; qfim_and_observable_gradient reads the exact
-QFIM and a Pauli sum's gradient 2 Re<H psi|d_mu psi> off the same
-derivatives. Both contract the amplitude axis by np.vecdot, one dot
-product per entry on the calling thread: a BLAS matmul of these sizes
-wakes a second thread that only spins.
+d_mu psi. That batch grows to at most p + 1 rows per theta. One reader,
+_swept_qfims, builds every QFIM from it, closing a block at each stop
+from the derivatives its segment added: the block-diagonal QFIM stops
+after each tagged ansatz layer, and the exact QFIM is its one block,
+closed at the last gate, off whose derivatives
+qfim_and_observable_gradient also reads a Pauli sum's gradient
+2 Re<H psi|d_mu psi>. Both contract the amplitude axis by np.vecdot, one
+dot product per entry on the calling thread: a BLAS matmul of these
+sizes wakes a second thread that only spins.
 
 The adjoint sweep (Jones & Gacon, arXiv:2009.02823) gets the gradient of a
 sum of per-row expectations from one backward pass over given final rows
@@ -52,11 +53,11 @@ features once, by simulator._features_of, as the one (1, f) row all its
 thetas read. Circuit has checked the layer tags, and the sweeps take their
 inputs as given.
 
-A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim is the one
-fidelity ladder: the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters,
-else the block-diagonal one on a tagged circuit, else the rank-one
-empirical surrogate g g^T built from a task gradient. Spectra of QFIMs,
-one matrix or a stack, and of dense Hamiltonians come from one
+A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim builds
+the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters, else the
+block-diagonal one; the ladder's last rung, the rank-one surrogate g g^T
+of a task gradient on an untagged circuit, is scoring.score's. Spectra
+of QFIMs, one matrix or a stack, and of dense Hamiltonians come from one
 eigensolver, LAPACK's via np.linalg.eigvalsh.
 """
 from __future__ import annotations
@@ -286,19 +287,15 @@ def state_derivatives(circuit: Circuit, theta,
     d_mu psi, row mu for slot mu, or the (B, 2^n) states and
     (B, p, 2^n) derivatives of a (B, p) stack, one forward sweep a chunk."""
     feats = _features_of(circuit, features, single=True)[0]
-    return _in_chunks(circuit, theta, None,
-                      lambda thetas: _swept_states(circuit, thetas, feats))
 
-
-def _swept_states(circuit: Circuit, thetas: np.ndarray, feats: np.ndarray):
-    """The (B, 2^n) states and (B, p, 2^n) derivatives of a (B, p) thetas
-    batch under the (1, f) feature row feats from one forward sweep."""
-    sweep = _derivative_sweep(circuit, thetas, feats, (len(circuit.gates),))
-    psi, rows, slots = next(sweep)
-    dpsi = np.empty((thetas.shape[0], circuit.num_params, psi.shape[1]),
-                    dtype=complex)
-    dpsi[:, slots] = rows.transpose(1, 0, 2)
-    return psi.copy(), dpsi
+    def chunk(thetas):
+        psi, rows, slots = next(_derivative_sweep(
+            circuit, thetas, feats, (len(circuit.gates),)))
+        dpsi = np.empty((len(thetas), circuit.num_params, psi.shape[1]),
+                        dtype=complex)
+        dpsi[:, slots] = rows.transpose(1, 0, 2)
+        return psi.copy(), dpsi
+    return _in_chunks(circuit, theta, None, chunk)
 
 
 def pauli_sum_gradients(psi: np.ndarray, dpsi: np.ndarray,
@@ -348,12 +345,11 @@ def observable_gradient(circuit: Circuit, theta, obs: Observable,
 
 def qfim_exact(circuit: Circuit, theta, features=None) -> np.ndarray:
     """Full QFIM  4 Re(<d_mu psi|d_nu psi> - <d_mu psi|psi><psi|d_nu psi>),
-    (p, p) for a (p,) theta or (B, p, p) for a (B, p) stack.
-
-    State derivatives come from one forward sweep a chunk. Only practical
-    up to EXACT_QFIM_MAX_PARAMS parameters; above that pick another fidelity.
-    """
-    return _exact_sweeps(circuit, theta, features)[0]
+    (p, p) for a (p,) theta or (B, p, p) for a (B, p) stack: the
+    block-diagonal QFIM's one block, closed at the last gate. Only
+    practical up to EXACT_QFIM_MAX_PARAMS parameters; above that take
+    qfim_block_diagonal or scoring.score's empirical surrogate."""
+    return _swept_qfims(circuit, theta, features, _one_block(circuit))[0]
 
 
 def qfim_and_observable_gradient(circuit: Circuit, theta, obs: Observable,
@@ -361,24 +357,39 @@ def qfim_and_observable_gradient(circuit: Circuit, theta, obs: Observable,
     """(qfim_exact, observable_gradient) of a (p,) theta or a (B, p) stack
     from one forward sweep a chunk, the gradient as 2 Re<H psi|d_mu psi>
     over the derivatives the QFIM needs anyway: no second, adjoint pass."""
-    return _exact_sweeps(circuit, theta, features, obs)
+    return _swept_qfims(circuit, theta, features, _one_block(circuit), obs)
 
 
-def _exact_sweeps(circuit: Circuit, theta, features, obs=None) -> tuple:
-    """(QFIMs,), or (QFIMs, Pauli-sum gradients) given obs, of a (p,)
-    theta or a (B, p) stack, one forward sweep a chunk."""
+def _one_block(circuit: Circuit) -> tuple[int]:
+    """The exact QFIM's one stop, after the last gate, at p up to
+    EXACT_QFIM_MAX_PARAMS."""
     p = circuit.num_params
     if p > EXACT_QFIM_MAX_PARAMS:
         raise ValueError(
             f"{p} parameters exceeds the exact-QFIM threshold "
             f"{EXACT_QFIM_MAX_PARAMS}; use block-diagonal or empirical")
+    return (len(circuit.gates),)
+
+
+def _swept_qfims(circuit: Circuit, theta, features, stops,
+                 obs=None) -> tuple:
+    """(QFIMs,), or (QFIMs, Pauli-sum gradients) given obs, of a (p,)
+    theta or a (B, p) stack, one forward sweep a chunk. The sweep closes a
+    block at each gate index in stops from the derivative rows its segment
+    added; cross-block entries are zero."""
+    p = circuit.num_params
     feats = _features_of(circuit, features, single=True)[0]
 
     def chunk(thetas):
-        states = _swept_states(circuit, thetas, feats)
-        fisher = qfims_from_states(*states)
-        return (fisher,) if obs is None else (
-            fisher, pauli_sum_gradients(*states, obs))
+        fisher = np.zeros((len(thetas), p, p))
+        grads = np.empty((len(thetas), p))
+        for psi, rows, slots in _derivative_sweep(circuit, thetas, feats, stops):
+            dpsi = rows.transpose(1, 0, 2).copy()
+            row, col = np.ix_(slots, slots)
+            fisher[:, row, col] = qfims_from_states(psi, dpsi)
+            if obs is not None:
+                grads[:, slots] = pauli_sum_gradients(psi, dpsi, obs)
+        return (fisher,) if obs is None else (fisher, grads)
     return _in_chunks(circuit, theta, None, chunk)
 
 
@@ -426,27 +437,16 @@ def qfim_block_diagonal(circuit: Circuit, theta,
     (B, p) stack: each tagged layer's block is the exact QFIM of the
     circuit truncated after that layer; cross-layer entries are zero.
 
-    One forward sweep closes a block at each tag's gate_stop from the
-    derivative rows its segment added, then drops them, so each gate runs
-    once on at most m + 1 rows per theta for a layer of m slots; the first
-    segment holds any prelude. Circuit has checked that each segment reads
-    exactly its tag's slots.
+    One forward sweep closes a block at each tag's gate_stop, so each gate
+    runs once on at most m + 1 rows per theta for a layer of m slots; the
+    first segment holds any prelude. Circuit has checked that each segment
+    reads exactly its tag's slots.
     """
-    p = circuit.num_params
     stops = [tag.gate_stop for tag in circuit.layers]
     if not stops:
         raise ValueError("circuit has no layer tags; "
                          "block-diagonal QFIM needs a tagged ansatz")
-    feats = _features_of(circuit, features, single=True)[0]
-
-    def chunk(thetas):
-        entries = np.zeros((thetas.shape[0], p, p))
-        for psi, rows, slots in _derivative_sweep(circuit, thetas, feats, stops):
-            row, col = np.ix_(slots, slots)
-            entries[:, row, col] = qfims_from_states(
-                psi, rows.transpose(1, 0, 2).copy())
-        return (entries,)
-    return _in_chunks(circuit, theta, None, chunk)[0]
+    return _swept_qfims(circuit, theta, features, stops)[0]
 
 
 def qfim_empirical(grad) -> np.ndarray:
@@ -465,22 +465,14 @@ def qfim_fidelity(circuit: Circuit) -> str:
     return FIDELITY_BLOCK if circuit.layers else FIDELITY_EMPIRICAL
 
 
-def qfim(circuit: Circuit, theta, features=None,
-         gradient_fn=None) -> np.ndarray:
-    """The QFIM at the fidelity qfim_fidelity picks, (p, p) for a (p,)
-    theta or (B, p, p) for a (B, p) stack; the empirical one is built
-    from gradient_fn(theta), which gets theta as given and returns one
-    gradient row per theta."""
-    fidelity = qfim_fidelity(circuit)
-    if fidelity == FIDELITY_EXACT:
+def qfim(circuit: Circuit, theta, features=None) -> np.ndarray:
+    """The QFIM, (p, p) for a (p,) theta or (B, p, p) for a (B, p) stack:
+    qfim_exact up to EXACT_QFIM_MAX_PARAMS parameters, else
+    qfim_block_diagonal, which rejects an untagged circuit. The empirical
+    rung needs a task gradient, so scoring.score builds it."""
+    if circuit.num_params <= EXACT_QFIM_MAX_PARAMS:
         return qfim_exact(circuit, theta, features)
-    if fidelity == FIDELITY_BLOCK:
-        return qfim_block_diagonal(circuit, theta, features)
-    if gradient_fn is None:
-        raise ValueError("untagged circuit above the exact threshold needs a "
-                         "task gradient for the empirical QFIM")
-    thetas, batched = _batch_of(theta, circuit.num_params)
-    return qfim_empirical(gradient_fn(thetas if batched else thetas[0]))
+    return qfim_block_diagonal(circuit, theta, features)
 
 
 def hermitian_eigenvalues(matrix) -> np.ndarray:

@@ -94,7 +94,9 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
         if lam.size == 0:
             raise ValueError("empty hyperparameter vector")
         materialize = lambda vec: vec.copy()
-    batch = getattr(score_eval, "batch", None)
+    batch = getattr(score_eval, "batch", None) or (
+        lambda candidates, rngs: [float(score_eval(candidate, rng))
+                                  for candidate, rng in zip(candidates, rngs)])
     trace = EsTrace()
 
     def settle(vec, iteration, hint):
@@ -120,14 +122,10 @@ def es_optimize(score_eval, hp0, cfg: EsConfig, master_seed: int):
         candidates = [settle(lam_p, iteration, "es.sigma_es or es.eta")
                       for lam_p in perturbed]
         try:
-            if batch is not None:
-                raw = np.array(batch(candidates, rngs), dtype=float)
-                if raw.shape != (cfg.n_samples,):
-                    raise ValueError(f"batch returned shape {raw.shape}, "
-                                     f"expected ({cfg.n_samples},)")
-            else:
-                raw = np.array([float(score_eval(candidate, rng))
-                                for candidate, rng in zip(candidates, rngs)])
+            raw = np.array(batch(candidates, rngs), dtype=float)
+            if raw.shape != (cfg.n_samples,):
+                raise ValueError(f"batch returned shape {raw.shape}, "
+                                 f"expected ({cfg.n_samples},)")
         except FloatingPointError:
             raise
         except Exception as exc:

@@ -9,7 +9,8 @@ gradient or a (B, p) stack. At the default omega=trace the exact and the
 block-diagonal QFIM enter only through their shared trace,
 sum_mu (1 - <G_mu>^2), which differentiation.qfim_trace takes from one
 forward run; log_det and harmonic reduce the whole QFIM stack, which
-differentiation.qfim builds by forward derivative sweeps. A Pauli-sum
+differentiation.qfim builds by forward derivative sweeps, or score itself
+as g g^T of the task gradient on the empirical rung. A Pauli-sum
 task gradient comes from the exact QFIM's sweeps when the score builds
 one (S3 at p <= 64 and omega log_det or harmonic), and from adjoint
 passes otherwise. A task gradient given as a callable gets what

@@ -88,10 +88,11 @@ class Layer:
 @dataclass(frozen=True)
 class Circuit:
     """A gate sequence that reads each theta slot in [0, num_params) once
-    and the feature slots embedding_slots. Layer tags, if any, split it in
-    order: the gate_stops strictly increase up to len(gates), tag k's param
-    range starts where tag k - 1's stopped (the first at 0) and holds
-    exactly the slots its gates read, and the last stops at num_params."""
+    and each feature slot in embedding_slots = [0, num_features) once.
+    Layer tags, if any, split it in order: the gate_stops strictly
+    increase up to len(gates), tag k's param range starts where tag
+    k - 1's stopped (the first at 0) and holds exactly the slots its gates
+    read, and the last stops at num_params."""
 
     num_qubits: int
     gates: tuple[Gate, ...]
@@ -115,6 +116,8 @@ class Circuit:
                 feat.append(g.feature_slot)
         if sorted(seen) != list(range(self.num_params)):
             raise ValueError("theta slots must cover [0, num_params) exactly once")
+        if sorted(feat) != list(range(len(feat))):
+            raise ValueError("feature slots must cover [0, num_features) exactly once")
         if sorted(feat) != list(self.embedding_slots):
             raise ValueError("feature slots do not match embedding_slots")
         start = param_stop = 0

@@ -176,8 +176,8 @@ def test_block_diagonal_single_layer_equals_exact():
     rng = np.random.default_rng(25)
     circ = build_hea(1, 3)
     theta = rng.uniform(0, 2 * math.pi, circ.num_params)
-    assert np.allclose(qfim_block_diagonal(circ, theta),
-                       qfim_exact(circ, theta), atol=1e-12)
+    assert np.array_equal(qfim_block_diagonal(circ, theta),
+                          qfim_exact(circ, theta))
 
 
 def test_block_diagonal_requires_tags():
@@ -677,31 +677,29 @@ def test_sweep_entry_points_chunk_themselves(monkeypatch, name, rung):
 
 def test_fidelity_ladder_dispatch():
     """qfim returns the rung qfim_fidelity names, for a (p,) theta and a
-    (B, p) stack alike; the empirical rung gets its gradient from
-    gradient_fn, called with the theta or stack as given."""
+    (B, p) stack alike; it builds no empirical surrogate, so an untagged
+    circuit above the threshold fails as the block-diagonal rung does."""
     rng = np.random.default_rng(26)
     small = build_hea(2, 3)  # 12 params
     big = build_strongly_entangling(8, 3)  # 72 params, tagged
     untagged = Circuit(big.num_qubits, big.gates, big.num_params)
-    grad_fn = np.cos
     rungs = ((small, "exact", qfim_exact),
-             (big, "block_diagonal", qfim_block_diagonal),
-             (untagged, "empirical",
-              lambda circ, theta: qfim_empirical(grad_fn(theta))))
+             (big, "block_diagonal", qfim_block_diagonal))
     for circ, fidelity, rung in rungs:
         p = circ.num_params
         assert qfim_fidelity(circ) == fidelity
         thetas = rng.uniform(0, 1, (3, p))
-        stack = qfim(circ, thetas, gradient_fn=grad_fn)
+        stack = qfim(circ, thetas)
         assert stack.shape == (3, p, p)
         assert np.array_equal(stack, rung(circ, thetas))
-        one = qfim(circ, thetas[0], gradient_fn=grad_fn)
+        one = qfim(circ, thetas[0])
         assert one.shape == (p, p)
         assert np.array_equal(one, rung(circ, thetas[0]))
-    with pytest.raises(ValueError, match="task gradient"):
+    assert qfim_fidelity(untagged) == "empirical"
+    with pytest.raises(ValueError, match="layer tags"):
         qfim(untagged, np.zeros(big.num_params))
     with pytest.raises(ValueError, match="shape"):
-        qfim(untagged, np.zeros((2, 3)), gradient_fn=grad_fn)
+        qfim(big, np.zeros((2, 3)))
 
 
 def test_hermitian_eigenvalues_match_numpy():

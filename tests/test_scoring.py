@@ -118,7 +118,9 @@ def psd_stack(rng, b, p):
 
 
 def qfim_on(circ, grad_fn=None):
-    return lambda theta: qfim(circ, theta, gradient_fn=grad_fn)
+    if grad_fn is not None:
+        return lambda theta: qfim_empirical(grad_fn(theta))
+    return lambda theta: qfim(circ, theta)
 
 
 def untagged_72():
@@ -284,10 +286,13 @@ def test_initialization_objective_deterministic():
 
 
 def per_theta_score(theta, circ, grad_fn, spec, features):
-    """The score of one theta composed from qfim, omega_reduce and
-    order_statistic, as a reference for the batch path."""
-    fisher = omega_reduce(qfim(circ, theta, features, gradient_fn=grad_fn),
-                          spec)
+    """The score of one theta composed from qfim (or qfim_empirical on the
+    empirical rung), omega_reduce and order_statistic, as a reference for
+    the batch path."""
+    empirical = (differentiation.qfim_fidelity(circ)
+                 == differentiation.FIDELITY_EMPIRICAL)
+    fisher = omega_reduce(qfim_empirical(grad_fn(theta)) if empirical
+                          else qfim(circ, theta, features), spec)
     if spec.kind == S1:
         return fisher
     grad = order_statistic(grad_fn(theta), spec.t)

@@ -691,6 +691,24 @@ def test_circuit_validation():
         apply_circuit(Circuit(1, (good,), 1), [0.1, 0.2])
 
 
+def test_circuit_rejects_feature_slots_outside_a_cover():
+    """The feature slots the gates read must cover [0, f) once each: a
+    slot past the features would fail inside the angle table, and a slot
+    read twice would leave a feature that no gate reads."""
+    theta_gate = Gate(RY, target=1, param_slot=0)
+    cases = (((Gate(RY, target=0, feature_slot=3),), (3,)),
+             ((Gate(RY, target=0, feature_slot=0),
+               Gate(RX, target=1, feature_slot=0)), (0, 0)))
+    for feature_gates, slots in cases:
+        with pytest.raises(ValueError, match=r"feature slots must cover "
+                           r"\[0, num_features\) exactly once"):
+            Circuit(2, feature_gates + (theta_gate,), 1,
+                    embedding_slots=slots)
+    good = Circuit(2, (Gate(RY, target=0, feature_slot=0), theta_gate), 1,
+                   embedding_slots=(0,))
+    assert good.num_features == 1
+
+
 def test_circuit_rejects_malformed_layer_tags():
     """Each tag rule, on 2 qubits: RY(0), RY(1), CNOT, then RZ(2), RZ(3),
     CNOT. The gate_stops must increase within the circuit, each range

@@ -4,9 +4,10 @@ configs, one `name hash16` line each, all run in one process.
     python3 tools/record_hashes.py [--seed N]
 
 The workloads come from bench/spec.json, which is only read. The extra
-configs cover paths no workload runs: the block-diagonal QFIM rung
-(hypopt-block, vqe-block), the per-row and shared QML paths (qml-per-row,
-qml-shared) and grad-profile at its defaults. Each config is resolved by
+configs cover paths no workload runs: the exact QFIM without a Pauli sum
+(hypopt-exact), the block-diagonal QFIM rung (hypopt-block, vqe-block),
+the per-row and shared QML paths (qml-per-row, qml-shared) and
+grad-profile at its defaults. Each config is resolved by
 cli.resolve_config with workers=1 and run by its cmd_* function from the
 checkout root, as bench/child.py runs a workload, so a workload's line
 matches the record hash bench/run.py prints for it at the same seed.
@@ -24,6 +25,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 EXTRA = (
+    ("hypopt-exact", "hypopt",
+     ["score.omega=log_det", "ansatz.layers=2", "es.n_iters=2"]),
     ("hypopt-block", "hypopt",
      ["hamiltonian=hamiltonians/h2_4q.txt", "score.kind=s3",
       "score.omega=harmonic", "ansatz.layers=6", "es.n_iters=1",
