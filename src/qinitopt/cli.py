@@ -30,7 +30,7 @@ from .data import (Dataset, fit_pca, fit_scaler, load_csv, load_hamiltonian,
 from .differentiation import SHIFT, observable_gradient
 from .distributions import (BETA, HyperParams, child_rng, init_guess,
                             manual_baseline, sample_params, to_unconstrained)
-from .es import EsConfig, es_optimize
+from .es import EsConfig, EsSearch, es_lockstep, es_optimize
 from .records import (as_jsonable, bp_rows, curve_rows, es_trace_rows,
                       hyperparam_names, histogram_rows, record_hash,
                       write_csv, write_record)
@@ -219,36 +219,75 @@ def _trace_dict(trace) -> dict:
             "iterations": trace.n_iterations}
 
 
-def _method_hyperparams(method: str, cfg: dict, circuit, task_gradient,
-                        features, context=()):
-    """Initialization hyperparameters for one method.
-
-    Score methods run the ES search; 'manual' uses the fixed baseline and
-    'uniform' spreads angles evenly over the full period. task_gradient is
-    a callable or a Pauli-sum Observable, as scoring.score takes it. Returns
-    (HyperParams, trace-or-None). `context` extends the seed labels so
-    repeated searches inside one run stay independent.
-    """
-    if method == "manual":
-        return manual_baseline(cfg["family"]), None
-    if method == "uniform":
-        return HyperParams(BETA, (1.0, 1.0)), None
-    spec = ScoreSpec(**{**cfg["score"], "kind": method})
-    if spec.kind in (S2, S3) and task_gradient is None:
-        raise ValueError(f"score '{spec.kind}' needs a task cost")
-    objective = initialization_objective(circuit, spec,
-                                         task_gradient=task_gradient,
-                                         features=features,
-                                         theta_draws=cfg["theta_draws"])
+def _score_searches(kinds, cfg: dict, circuit, task_gradient, features,
+                    context=()) -> tuple:
+    """(initialization objective, [(hp0, master seed) per kind]) of the
+    score searches; the objective's spec kind is kinds[0], and its batch
+    takes a kind per rollout. task_gradient is a callable or a Pauli-sum
+    Observable, as scoring.score takes it. `context` extends the seed
+    labels so repeated searches inside one run stay independent."""
+    spec = ScoreSpec(**{**cfg["score"], "kind": kinds[0]})
+    for kind in kinds:
+        if kind in (S2, S3) and task_gradient is None:
+            raise ValueError(f"score '{kind}' needs a task cost")
+    objective = initialization_objective(
+        circuit, spec, task_gradient=task_gradient, features=features,
+        theta_draws=cfg["theta_draws"])
     seed = cfg["seed"]
-    if cfg.get("initial") is not None:
-        hp0 = HyperParams(cfg["family"], tuple(cfg["initial"]))
-    else:
-        hp0 = init_guess(cfg["family"], child_rng(seed, "guess", method,
-                                                  *context))
-    hp, trace = es_optimize(objective, hp0, EsConfig(**cfg["es"]),
-                            _derived_seed(seed, "es", method, *context))
-    return hp, trace
+    starts = []
+    for kind in kinds:
+        if cfg.get("initial") is not None:
+            hp0 = HyperParams(cfg["family"], tuple(cfg["initial"]))
+        else:
+            hp0 = init_guess(cfg["family"],
+                             child_rng(seed, "guess", kind, *context))
+        starts.append((hp0, _derived_seed(seed, "es", kind, *context)))
+    return objective, starts
+
+
+def _method_hyperparams(methods, cfg: dict, circuit, task_gradient,
+                        features, context=()) -> list:
+    """Initialization hyperparameters of each method, in order.
+
+    Score methods run the ES; 'manual' uses the fixed baseline and
+    'uniform' spreads angles evenly over the full period. The searches of
+    the score methods step in lockstep (es.es_lockstep): each iteration
+    scores the union of their populations with one score call, and each
+    search keeps the trajectory it has alone. Returns one
+    (HyperParams, trace-or-None) per method up to the first search that
+    failed, whose entry is its exception, so that a caller who raises it
+    on reaching it raises what running the methods in order raises.
+    task_gradient, features and context are _score_searches'.
+    """
+    kinds = [method for method in methods if method in SCORE_KINDS]
+    outcomes = iter(())
+    if kinds:
+        objective, starts = _score_searches(kinds, cfg, circuit,
+                                            task_gradient, features, context)
+        es_cfg = EsConfig(**cfg["es"])
+        outcomes = iter(es_lockstep(
+            lambda candidates, rngs, owners: objective.batch(
+                candidates, rngs, [kinds[k] for k in owners]),
+            [EsSearch(hp0, es_cfg, seed) for hp0, seed in starts]))
+    found = []
+    for method in methods:
+        if method == "manual":
+            found.append((manual_baseline(cfg["family"]), None))
+        elif method == "uniform":
+            found.append((HyperParams(BETA, (1.0, 1.0)), None))
+        else:
+            found.append(next(outcomes))
+            if isinstance(found[-1], Exception):
+                break
+    return found
+
+
+def _raised(outcome):
+    """A method's (hyperparameters, trace), or the exception its search
+    raised, raised here."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _train_methods(cfg: dict, methods, circuit, task, score_gradient,
@@ -256,12 +295,16 @@ def _train_methods(cfg: dict, methods, circuit, task, score_gradient,
     """Per method: its initialization hyperparameters, one Adam run of the
     task from a draw of them, and describe(theta, curve) of that run.
 
-    Every method's search and draw comes first, each from its own streams;
-    then one train call steps all the draws in lockstep as one stack."""
+    The searches come first and step in lockstep, one score call per ES
+    iteration over every running search's population; then each method's
+    starting draw, from its own stream; then one train call steps all the
+    draws in lockstep as one stack. Every search and draw has its own
+    streams, so each method's hyperparameters and curve are the bits it
+    gets alone."""
     # fail before the first search, not after it
     check_training(cfg["train"]["iters"], cfg["train"]["lr"])
-    searched = [_method_hyperparams(method, cfg, circuit, score_gradient,
-                                    features) for method in methods]
+    searched = [_raised(outcome) for outcome in _method_hyperparams(
+        methods, cfg, circuit, score_gradient, features)]
     theta0 = np.stack([sample_params(hp, circuit.num_params,
                                      child_rng(cfg["seed"], "theta0", method))
                        for method, (hp, _) in zip(methods, searched)])
@@ -297,7 +340,9 @@ def cmd_hypopt(cfg: dict) -> dict:
         # the scores read only the Pauli sum; no VqeTask and no dense
         # ground energy, which is capped at MAX_ORACLE_QUBITS
         task_gradient = _load_observable(cfg["hamiltonian"], circuit)
-    hp, trace = _method_hyperparams(kind, cfg, circuit, task_gradient, None)
+    objective, ((hp0, seed),) = _score_searches((kind,), cfg, circuit,
+                                                task_gradient, None)
+    hp, trace = es_optimize(objective, hp0, EsConfig(**cfg["es"]), seed)
     results = {"family": cfg["family"],
                "score_kind": kind,
                "lambda_star": [float(v) for v in hp.values],
@@ -442,15 +487,20 @@ def cmd_bp_scan(cfg: dict) -> dict:
     for n in qubit_range:
         circuit = build_two_design(cfg["layers"], n, cfg["structure_seed"])
         obs = _default_observable(n)
-        for method in methods:
-            hp, _ = _method_hyperparams(method, cfg, circuit, obs, None,
-                                        context=(n,))
+        # every search runs before the first variance draw; each method's
+        # draws have their own stream, so the bits are those of a run
+        # that searches and draws one method at a time
+        for method, outcome in zip(methods, _method_hyperparams(
+                methods, cfg, circuit, obs, None, context=(n,))):
+            hp, _ = _raised(outcome)
             rng = child_rng(seed, "bp-init", method, n)
             thetas = np.stack([sample_params(hp, circuit.num_params, rng)
                                for _ in range(m)])
             shifted = np.vstack([thetas, thetas])
             shifted[:m, 0] += SHIFT
             shifted[m:, 0] -= SHIFT
+            # one call per method: stacking the methods' 2m rows into one
+            # call measured slower at 8 qubits, where the rows cost most
             vals = expectation(apply_circuit(circuit, shifted), obs)
             derivs = (vals[:m] - vals[m:]) / 2.0
             variance = float(np.var(derivs))

@@ -14,8 +14,13 @@ as g g^T of the task gradient on the empirical rung. A Pauli-sum
 task gradient comes from the exact QFIM's sweeps when the score builds
 one (S3 at p <= 64 and omega log_det or harmonic), and from adjoint
 passes otherwise. A task gradient given as a callable gets what
-score got, a (p,) theta or the whole (B, p) stack, in one call. The
-search objective scores a whole ES population through score in one call.
+score got, a (p,) theta or the (k, p) stack of the rows that read
+gradients, in one call. score takes a score kind per row as well as one
+for the whole stack: each row gets the bits its kind gives alone, with
+one Fisher call over the S1 and S3 rows and at most one gradient call
+over the rest. The search objective scores a whole ES population through
+score in one call, or the union population of several searches
+(es.es_lockstep) with each rollout's own kind.
 Rank-based utility shaping turns raw population scores into the zero-sum
 targets the evolutionary update consumes.
 """
@@ -115,62 +120,90 @@ def order_statistic(grad, t: int):
 
 
 def score(theta, circuit: Circuit, task_gradient=None,
-          spec: ScoreSpec = ScoreSpec(), features=None):
+          spec: ScoreSpec = ScoreSpec(), features=None, kinds=None):
     """The raw score of a (p,) parameter vector as a float, or of each row
     of a (B, p) stack as a (B,) array.
 
-    task_gradient is the task cost's gradient, required whenever the score
-    reads gradients (S2, S3 and the empirical QFIM): the Pauli sum H of a
-    cost <psi|H|psi> as an Observable, or a callable. At omega=trace the
-    exact and the block-diagonal rung read the QFIM's trace off qfim_trace,
-    one forward run of one row per theta, and no derivative sweep runs.
-    At log_det or harmonic one qfim call builds the QFIM stack, or on the
-    exact rung with a Pauli sum's gradient one qfim_and_observable_gradient
-    call, whose sweeps give both; one omega_reduce call reduces the stack.
-    Other gradients come from observable_gradient's adjoint or the callable.
-    The empirical rung keeps the rank-one surrogate, whose trace is |g|^2.
-    The path depends on the fidelity and omega alone, not on B, so a row
-    scores the same bits in any batch. A callable is called once with what
-    score was given: a (p,) theta, returning (p,), or the whole (B, p)
-    stack, returning (B, p). Row b of its result must hold the bits theta
-    b gives alone, as QmlTask.gradient's and observable_gradient's rows
-    do, for the batch to keep that property.
+    kinds, when given, names the score kind of each row (B entries, one
+    for a (p,) theta) in place of spec.kind; spec's other fields apply to
+    every row. S1 and S3 rows read the QFIM, S2 and S3 rows (and every row
+    on the empirical rung) read the task gradient. One Fisher call runs
+    over the rows that read the QFIM and at most one gradient call over
+    the other rows that read gradients. A one-kind stack runs this same
+    code, and no mix of kinds changes a row's bits.
+
+    task_gradient is the task cost's gradient, required whenever a row
+    reads gradients: the Pauli sum H of a cost <psi|H|psi> as an
+    Observable, or a callable. At omega=trace the exact and the
+    block-diagonal rung read the QFIM's trace off qfim_trace, one forward
+    run of one row per theta, and no derivative sweep runs. At log_det or
+    harmonic one qfim call builds the QFIM stack, or on the exact rung,
+    when S3 rows take a Pauli sum's gradient, one
+    qfim_and_observable_gradient call, whose sweeps give both; one
+    omega_reduce call reduces the stack. Other gradients come from one
+    observable_gradient adjoint call or one call of the callable. The
+    empirical rung keeps the rank-one surrogate, whose trace is |g|^2.
+    A row's bits depend on its kind, the fidelity and omega alone, not on
+    B or the other rows, so a row scores the same bits in any batch. Its
+    path does too, but for S1 rows beside S3 rows in that swept call:
+    they share it, and the gradient it takes of them goes unused (a small
+    share of that call, less than a second Fisher call costs).
+    A callable gets a (p,) theta when score was given one, returning
+    (p,), and otherwise the (k, p) stack of the rows it serves, returning
+    (k, p). Row b of its result must hold the bits theta b gives alone, as
+    QmlTask.gradient's and observable_gradient's rows do, for the batch
+    to keep that property.
     Raises ValueError on a non-finite raw score.
     """
     thetas, batched = _batch_of(theta, circuit.num_params)
-    fidelity = qfim_fidelity(circuit) if spec.kind in (S1, S3) else None
-    needs_grad = spec.kind in (S2, S3) or fidelity == FIDELITY_EMPIRICAL
-    if needs_grad and task_gradient is None:
+    kinds = [spec.kind] * len(thetas) if kinds is None else list(kinds)
+    if len(kinds) != len(thetas) or not set(kinds) <= set(SCORE_KINDS):
+        raise ValueError(f"kinds must name one of {', '.join(SCORE_KINDS)} "
+                         f"per theta")
+    graded = np.array([kind != S1 for kind in kinds])  # has a gradient part
+    fisher_rows = np.flatnonzero([kind != S2 for kind in kinds])
+    fidelity = qfim_fidelity(circuit) if len(fisher_rows) else None
+    grad_rows = (np.arange(len(thetas)) if fidelity == FIDELITY_EMPIRICAL
+                 else np.flatnonzero(graded))
+    if len(grad_rows) and task_gradient is None:
         raise ValueError(
-            "gradient-based scores need a task gradient" if spec.kind != S1
+            "gradient-based scores need a task gradient" if graded.any()
             else "untagged circuit above the exact threshold needs a task "
             "gradient for the empirical QFIM")
     is_pauli_sum = isinstance(task_gradient, Observable)
-    fisher = fisher_part = grads = None
+    fisher = None
+    fisher_part = np.zeros(len(thetas))
+    grads = np.zeros(thetas.shape)
+    unswept = grad_rows
     if spec.omega == TRACE and fidelity in (FIDELITY_EXACT, FIDELITY_BLOCK):
-        fisher_part = (qfim_trace(circuit, thetas, features)
-                       + circuit.num_params * spec.eps)
-    elif needs_grad and is_pauli_sum and fidelity == FIDELITY_EXACT:
+        fisher_part[fisher_rows] = (
+            qfim_trace(circuit, thetas[fisher_rows], features)
+            + circuit.num_params * spec.eps)
+    elif fidelity == FIDELITY_EXACT and is_pauli_sum and S3 in kinds:
         # the exact QFIM's forward sweep has the state derivatives anyway
-        fisher, grads = qfim_and_observable_gradient(
-            circuit, thetas, task_gradient, features)
+        fisher, grads[fisher_rows] = qfim_and_observable_gradient(
+            circuit, thetas[fisher_rows], task_gradient, features)
+        unswept = np.flatnonzero([kind == S2 for kind in kinds])
     elif fidelity in (FIDELITY_EXACT, FIDELITY_BLOCK):
-        fisher = qfim(circuit, thetas, features)
-    if grads is None and needs_grad:
-        grads = (observable_gradient(circuit, thetas, task_gradient, features)
-                 if is_pauli_sum else
-                 np.asarray(task_gradient(thetas if batched else thetas[0]),
-                            dtype=float).reshape(thetas.shape))
+        fisher = qfim(circuit, thetas[fisher_rows], features)
+    if len(unswept):
+        grads[unswept] = (
+            observable_gradient(circuit, thetas[unswept], task_gradient,
+                                features) if is_pauli_sum else
+            np.asarray(task_gradient(thetas[unswept] if batched
+                                     else thetas[0]),
+                       dtype=float).reshape(len(unswept), circuit.num_params))
     if fidelity == FIDELITY_EMPIRICAL:
-        fisher = qfim_empirical(grads)
+        fisher = qfim_empirical(grads[fisher_rows])
     if fisher is not None:
-        fisher_part = omega_reduce(fisher, spec)
-    if spec.kind == S1:
-        raw = fisher_part
-    else:
-        grad_part = order_statistic(grads, spec.t)
-        raw = (grad_part if spec.kind == S2 else
-               (1.0 - spec.w) * fisher_part + spec.w * grad_part)
+        fisher_part[fisher_rows] = omega_reduce(fisher, spec)
+    raw = fisher_part
+    if graded.any():
+        part = order_statistic(grads[graded], spec.t)
+        blend = np.array([kind == S3 for kind in kinds if kind != S1])
+        part[blend] = ((1.0 - spec.w) * fisher_part[graded][blend]
+                       + spec.w * part[blend])
+        raw[graded] = part
     if not np.all(np.isfinite(raw)):
         raise ValueError("raw score must be finite")
     return raw if batched else float(raw[0])
@@ -198,24 +231,30 @@ def initialization_objective(circuit: Circuit, spec: ScoreSpec,
     """Objective for the hyperparameter search: theta ~ p(theta | hp), then
     score(theta), averaged over theta_draws independent draws.
 
-    objective(hp, rng) scores one rollout. objective.batch(hps, rngs)
-    scores a population, (N_s,) values, with one score call; rollout
-    j draws its thetas from rngs[j] alone, so both forms give equal values.
-    A callable task_gradient therefore always gets a (N_s * theta_draws, p)
-    stack, (theta_draws, p) for one rollout, and returns one gradient row
-    per theta (see score).
+    objective(hp, rng) scores one rollout. objective.batch(hps, rngs,
+    kinds=None) scores a population, (N_s,) values, with one score call;
+    rollout j draws its thetas from rngs[j] alone, so both forms give equal
+    values. kinds, when given, names each rollout's score kind in place of
+    spec.kind, so one call can score the union population of several
+    searches (es.es_lockstep) and each rollout still gets the value its own
+    search's call gives it. A callable task_gradient gets one stack of the
+    thetas whose kind reads gradients (every theta on the empirical rung),
+    theta_draws rows per such rollout, and returns one gradient row per
+    theta (see score).
     """
     if theta_draws < 1:
         raise ValueError("theta_draws must be >= 1")
     p = circuit.num_params
 
-    def batch(hps, rngs) -> np.ndarray:
+    def batch(hps, rngs, kinds=None) -> np.ndarray:
         thetas = np.empty((len(hps), theta_draws, p))
         for j, (hp, rng) in enumerate(zip(hps, rngs)):
             for d in range(theta_draws):
                 thetas[j, d] = sample_params(hp, p, rng)
         raw = score(thetas.reshape(-1, p), circuit, task_gradient, spec,
-                    features).reshape(len(hps), theta_draws)
+                    features, None if kinds is None else
+                    [kind for kind in kinds for _ in range(theta_draws)]
+                    ).reshape(len(hps), theta_draws)
         total = np.zeros(len(hps))
         for d in range(theta_draws):
             total += raw[:, d]

@@ -573,7 +573,7 @@ def test_main_reports_a_subnormal_gradient_spread(tmp_path, capsys):
 def test_main_rejects_a_dataset_with_no_test_rows(tmp_path, capsys,
                                                   monkeypatch):
     # 4 rows per class: the 80/20 split trains on all ceil(3.2) = 4 of them
-    monkeypatch.setattr(cli, "es_optimize",
+    monkeypatch.setattr(cli, "es_lockstep",
                         lambda *a, **k: pytest.fail("ES ran before the check"))
     out = tmp_path / "out"
     code = main(["qml", "--out", str(out),
@@ -588,7 +588,7 @@ def test_main_rejects_a_dataset_with_no_test_rows(tmp_path, capsys,
 @pytest.mark.parametrize("item", ["train.iters=-1", "train.lr=-1"])
 def test_main_checks_training_before_any_search(tmp_path, capsys,
                                                 monkeypatch, item):
-    monkeypatch.setattr(cli, "es_optimize",
+    monkeypatch.setattr(cli, "es_lockstep",
                         lambda *a, **k: pytest.fail("ES ran before the check"))
     runs = (["vqe", "--set", f"hamiltonian={TOY_HAMILTONIAN}"],
             ["qml", "--set", f"dataset={make_dataset(tmp_path)}"])
@@ -657,8 +657,8 @@ def test_cli_objectives_sweep_once_per_chunk(tmp_path, monkeypatch,
                         counted_trace)
     h2 = str(REPO / "hamiltonians" / "h2_4q.txt")
 
-    def chunks(circuit, rows_per_theta=None):
-        return -(-16 // sweep_batch_size(circuit, rows_per_theta))
+    def chunks(circuit, rows_per_theta=None, thetas=16):
+        return -(-thetas // sweep_batch_size(circuit, rows_per_theta))
 
     def reset():
         for seen in calls.values():
@@ -715,12 +715,13 @@ def test_cli_objectives_sweep_once_per_chunk(tmp_path, monkeypatch,
         "qubit_range=[2,3]", "layers=2", "es.n_iters=1", "m_samples=2"])
     cmd_bp_scan(cfg)
     circuits = [build_two_design(2, n, 0) for n in (2, 3)]
-    # s1 and s3 run the trace forward, s2 and s3 take adjoint passes;
-    # uniform runs no ES
+    # the s1, s2 and s3 searches step in lockstep: per qubit count and
+    # iteration, one trace forward over the s1 and s3 rows and one adjoint
+    # pass over the s2 and s3 rows; uniform runs no ES
     assert not calls["forward"]
-    assert len(calls["trace"]) == 2 * sum(chunks(c, 1) for c in circuits)
+    assert len(calls["trace"]) == sum(chunks(c, 1, 32) for c in circuits)
     assert sum(calls["trace"]) == 2 * 2 * 16
-    assert len(calls["adjoint"]) == 2 * sum(chunks(c, 2) for c in circuits)
+    assert len(calls["adjoint"]) == sum(chunks(c, 2, 32) for c in circuits)
     assert sum(calls["adjoint"]) == 2 * 2 * 16
     reset()
     cfg = resolve_config("grad-profile", overrides=["m_samples=100"])

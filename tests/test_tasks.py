@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qinitopt import differentiation, tasks
+from qinitopt import differentiation, simulator, tasks
 from qinitopt.differentiation import gradient
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 ROTATION_KINDS, RY, RZ, Circuit, Gate,
@@ -560,6 +560,7 @@ def count_paths(monkeypatch):
     simulations that tasks makes."""
     seen = {"sweep_rows": [], "per_row_runs": 0}
     sweep, run = tasks.adjoint_gradient, tasks.apply_circuit
+    run_gates = tasks.run_gates
 
     def counted_sweep(circuit, theta, phi, lam, features=None):
         seen["sweep_rows"].append(len(phi) + len(lam))
@@ -568,8 +569,14 @@ def count_paths(monkeypatch):
     def counted_run(*args):
         seen["per_row_runs"] += 1
         return run(*args)
+
+    def counted_gates(gates, num_qubits, thetas, features=None):
+        # the shared path's embedding prefix reads no theta slot
+        seen["per_row_runs"] += thetas.shape[1] > 0
+        return run_gates(gates, num_qubits, thetas, features)
     monkeypatch.setattr(tasks, "adjoint_gradient", counted_sweep)
     monkeypatch.setattr(tasks, "apply_circuit", counted_run)
+    monkeypatch.setattr(tasks, "run_gates", counted_gates)
     return seen
 
 
@@ -630,6 +637,29 @@ def test_qml_probabilities_take_one_theta_on_either_path(shared):
     assert task.probabilities(thetas[0], feats[0]).shape == (2,)
     with pytest.raises(ValueError, match="shape"):
         task.probabilities(thetas, feats)
+
+
+def test_qml_per_row_probabilities_check_their_features_once(monkeypatch):
+    """The per-row path checks the feature rows once, in probabilities,
+    and runs them without apply_circuit's second check."""
+    rng = np.random.default_rng(89)
+    circ = embedded_classifier(1, 2)
+    feats = rng.uniform(-math.pi, math.pi, (3, 2))
+    task = QmlTask(circ, feats, rng.integers(0, 2, 3), 2)
+    assert task._embedded is None
+    theta = rng.uniform(0, 2 * math.pi, circ.num_params)
+    checks = []
+    check = simulator._features_of
+
+    def counted(*args, **kwargs):
+        checks.append(args[1])
+        return check(*args, **kwargs)
+    monkeypatch.setattr(simulator, "_features_of", counted)
+    monkeypatch.setattr(tasks, "_features_of", counted)
+    for rows in (feats, feats[0]):
+        checks.clear()
+        task.probabilities(theta, rows)
+        assert len(checks) == 1
 
 
 @st.composite

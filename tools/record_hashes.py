@@ -6,8 +6,10 @@ configs, one `name hash16` line each, all run in one process.
 The workloads come from bench/spec.json, which is only read. The extra
 configs cover paths no workload runs: the exact QFIM without a Pauli sum
 (hypopt-exact), the block-diagonal QFIM rung (hypopt-block, vqe-block),
-the per-row and shared QML paths (qml-per-row, qml-shared) and
-grad-profile at its defaults. Each config is resolved by
+the per-row and shared QML paths (qml-per-row, qml-shared),
+grad-profile at its defaults, and a vqe whose three lockstep searches
+stop at different iterations (vqe-converge: s2 converges after one, s3
+after six, s1 runs all six without converging). Each config is resolved by
 cli.resolve_config with workers=1 and run by its cmd_* function from the
 checkout root, as bench/child.py runs a workload, so a workload's line
 matches the record hash bench/run.py prints for it at the same seed.
@@ -42,6 +44,9 @@ EXTRA = (
      ["dataset=datasets/wine.csv", "es.n_iters=2", "train.iters=5",
       "ansatz.layers=1"]),
     ("grad-profile", "grad-profile", []),
+    ("vqe-converge", "vqe",
+     ["hamiltonian=hamiltonians/toy_2q.txt", "es.n_iters=6",
+      "es.eps_converge=0.02", "train.iters=2", "ansatz.layers=2"]),
 )
 
 
