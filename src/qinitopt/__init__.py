@@ -9,7 +9,8 @@ from .differentiation import (gradient, hermitian_eigenvalues,
                               qfim_empirical, qfim_exact, qfim_trace)
 from .distributions import (HyperParams, beta_samples, child_rng,
                             from_unconstrained, gamma_samples, init_guess,
-                            manual_baseline, sample_params, standard_normals,
+                            manual_baseline, sample_params,
+                            sample_params_lockstep, standard_normals,
                             to_unconstrained)
 from .es import EsConfig, EsTrace, es_optimize, perturbation_matrix
 from .scoring import (ScoreSpec, initialization_objective, omega_reduce,
@@ -35,6 +36,7 @@ __all__ = [
     "omega_reduce", "order_statistic", "perturbation_matrix", "qfim",
     "qfim_block_diagonal", "qfim_empirical", "qfim_exact", "qfim_trace",
     "qml_cost_batch",
-    "sample_params", "score", "standard_normals", "to_unconstrained",
+    "sample_params", "sample_params_lockstep", "score", "standard_normals",
+    "to_unconstrained",
     "train", "utility_shape", "zero_state",
 ]

@@ -29,7 +29,8 @@ from .data import (Dataset, fit_pca, fit_scaler, load_csv, load_hamiltonian,
                    stratified_subsample)
 from .differentiation import SHIFT, observable_gradient
 from .distributions import (BETA, HyperParams, child_rng, init_guess,
-                            manual_baseline, sample_params, to_unconstrained)
+                            manual_baseline, sample_params_lockstep,
+                            to_unconstrained)
 from .es import EsConfig, EsSearch, es_lockstep, es_optimize
 from .records import (as_jsonable, bp_rows, curve_rows, es_trace_rows,
                       hyperparam_names, histogram_rows, record_hash,
@@ -296,18 +297,18 @@ def _train_methods(cfg: dict, methods, circuit, task, score_gradient,
     task from a draw of them, and describe(theta, curve) of that run.
 
     The searches come first and step in lockstep, one score call per ES
-    iteration over every running search's population; then each method's
-    starting draw, from its own stream; then one train call steps all the
-    draws in lockstep as one stack. Every search and draw has its own
-    streams, so each method's hyperparameters and curve are the bits it
-    gets alone."""
+    iteration over every running search's population; then one lockstep
+    draw gives each method its starting theta, from its own stream; then
+    one train call steps all the draws in lockstep as one stack. Every
+    search and draw has its own streams, so each method's hyperparameters
+    and curve are the bits it gets alone."""
     # fail before the first search, not after it
     check_training(cfg["train"]["iters"], cfg["train"]["lr"])
     searched = [_raised(outcome) for outcome in _method_hyperparams(
         methods, cfg, circuit, score_gradient, features)]
-    theta0 = np.stack([sample_params(hp, circuit.num_params,
-                                     child_rng(cfg["seed"], "theta0", method))
-                       for method, (hp, _) in zip(methods, searched)])
+    theta0 = np.concatenate(sample_params_lockstep(
+        [hp for hp, _ in searched], [circuit.num_params] * len(methods),
+        [child_rng(cfg["seed"], "theta0", method) for method in methods]))
     thetas, curves = train(task, theta0, iters=cfg["train"]["iters"],
                            lr=cfg["train"]["lr"])
     per_method = {}
@@ -437,8 +438,7 @@ def cmd_grad_profile(cfg: dict) -> dict:
         raise ValueError("m_samples must be at least 1")
     if cfg["bins"] < 1:
         raise ValueError(f"bins must be at least 1, got {cfg['bins']}")
-    thetas = np.stack([sample_params(hp, circuit.num_params, rng)
-                       for _ in range(m)])
+    thetas, = sample_params_lockstep([hp], [circuit.num_params], [rng], m)
     grads = observable_gradient(circuit, thetas, obs)
     histogram = []
     layer_mean_abs = []
@@ -472,7 +472,16 @@ def cmd_grad_profile(cfg: dict) -> dict:
 
 
 def cmd_bp_scan(cfg: dict) -> dict:
-    """Gradient variance of the first parameter versus qubit count."""
+    """Gradient variance of the first parameter versus qubit count.
+
+    The searches of every qubit count run first, one count at a time, up
+    to the first failed search. Then one lockstep draw steps the "bp-init"
+    generators of all (method, n) sets planned before it together, m steps
+    in place of m draws per set; then each set's variance call, in order.
+    Each set draws from its own stream, so its thetas are the bits of a
+    run that searches and draws one set at a time. Errors come in that
+    run's order too: a draw error of a planned set before the search
+    error, and the lowest set's draw error first."""
     methods = _check_methods(cfg["methods"], _BP_METHODS)
     seed = cfg["seed"]
     m = cfg["m_samples"]
@@ -482,32 +491,40 @@ def cmd_bp_scan(cfg: dict) -> dict:
     if not qubit_range or len(set(qubit_range)) < len(qubit_range):
         raise ValueError("qubit_range must list distinct qubit counts, "
                          f"got {qubit_range}")
-    table = []
-    variances = {method: [] for method in methods}
+    plans, failure = [], None
     for n in qubit_range:
         circuit = build_two_design(cfg["layers"], n, cfg["structure_seed"])
         obs = _default_observable(n)
-        # every search runs before the first variance draw; each method's
-        # draws have their own stream, so the bits are those of a run
-        # that searches and draws one method at a time
         for method, outcome in zip(methods, _method_hyperparams(
                 methods, cfg, circuit, obs, None, context=(n,))):
-            hp, _ = _raised(outcome)
-            rng = child_rng(seed, "bp-init", method, n)
-            thetas = np.stack([sample_params(hp, circuit.num_params, rng)
-                               for _ in range(m)])
-            shifted = np.vstack([thetas, thetas])
-            shifted[:m, 0] += SHIFT
-            shifted[m:, 0] -= SHIFT
-            # one call per method: stacking the methods' 2m rows into one
-            # call measured slower at 8 qubits, where the rows cost most
-            vals = expectation(apply_circuit(circuit, shifted), obs)
-            derivs = (vals[:m] - vals[m:]) / 2.0
-            variance = float(np.var(derivs))
-            table.append({"qubits": n, "method": method,
-                          "variance": variance,
-                          "hyperparams": [float(v) for v in hp.values]})
-            variances[method].append(variance)
+            if isinstance(outcome, Exception):
+                failure = outcome
+                break
+            plans.append((n, method, outcome[0], circuit, obs))
+        if failure is not None:
+            break
+    draws = sample_params_lockstep(
+        [hp for _, _, hp, _, _ in plans],
+        [circuit.num_params for _, _, _, circuit, _ in plans],
+        [child_rng(seed, "bp-init", method, n) for n, method, *_ in plans], m)
+    if failure is not None:
+        raise failure
+    table = []
+    variances = {method: [] for method in methods}
+    for n, method, hp, circuit, obs in plans:
+        # the set's thetas twice; the draw itself is freed here
+        shifted = np.tile(draws.pop(0), (2, 1))
+        shifted[:m, 0] += SHIFT
+        shifted[m:, 0] -= SHIFT
+        # one call per set: stacking the methods' 2m rows into one call
+        # measured slower at 8 qubits, where the rows cost most
+        vals = expectation(apply_circuit(circuit, shifted), obs)
+        derivs = (vals[:m] - vals[m:]) / 2.0
+        variance = float(np.var(derivs))
+        table.append({"qubits": n, "method": method,
+                      "variance": variance,
+                      "hyperparams": [float(v) for v in hp.values]})
+        variances[method].append(variance)
     slopes = {}
     for method in methods:
         var = np.array(variances[method])

@@ -126,10 +126,16 @@ def _derivative_table(kind: str, qubit: int, num_qubits: int):
 def _generator_rows(gate: Gate, num_qubits: int, state: np.ndarray,
                     out=None) -> np.ndarray:
     """-(i/2) G psi for each (..., 2^n) row psi of state, G the Pauli
-    generator of the rotation gate, written into out when it is given."""
+    generator of the rotation gate, written into out when it is given. The
+    gather goes into the result and is scaled in place, so one row buffer
+    is live."""
     factor, source = _derivative_table(gate.kind, gate.target, num_qubits)
-    return np.multiply(factor, state if source is None
-                       else state.take(source, axis=-1), out=out)
+    if source is None:
+        return np.multiply(factor, state, out=out)
+    # mode="clip" (the indices are in range) lets take write into out
+    # without a buffer of its own
+    rows = np.take(state, source, axis=-1, out=out, mode="clip")
+    return np.multiply(factor, rows, out=rows)
 
 
 def first_param_gate(circuit: Circuit) -> int:

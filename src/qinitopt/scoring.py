@@ -18,9 +18,10 @@ score got, a (p,) theta or the (k, p) stack of the rows that read
 gradients, in one call. score takes a score kind per row as well as one
 for the whole stack: each row gets the bits its kind gives alone, with
 one Fisher call over the S1 and S3 rows and at most one gradient call
-over the rest. The search objective scores a whole ES population through
-score in one call, or the union population of several searches
-(es.es_lockstep) with each rollout's own kind.
+over the rest. The search objective draws a whole ES population's thetas
+in lockstep and scores them through score in one call, or the union
+population of several searches (es.es_lockstep) with each rollout's own
+kind.
 Rank-based utility shaping turns raw population scores into the zero-sum
 targets the evolutionary update consumes.
 """
@@ -36,7 +37,7 @@ from .differentiation import (FIDELITY_BLOCK, FIDELITY_EMPIRICAL,
                               observable_gradient, qfim,
                               qfim_and_observable_gradient, qfim_empirical,
                               qfim_fidelity, qfim_trace)
-from .distributions import HyperParams, sample_params
+from .distributions import HyperParams, sample_params_lockstep
 from .simulator import Circuit, Observable, _batch_of
 
 S1 = "s1"
@@ -232,25 +233,26 @@ def initialization_objective(circuit: Circuit, spec: ScoreSpec,
     score(theta), averaged over theta_draws independent draws.
 
     objective(hp, rng) scores one rollout. objective.batch(hps, rngs,
-    kinds=None) scores a population, (N_s,) values, with one score call;
-    rollout j draws its thetas from rngs[j] alone, so both forms give equal
-    values. kinds, when given, names each rollout's score kind in place of
-    spec.kind, so one call can score the union population of several
-    searches (es.es_lockstep) and each rollout still gets the value its own
-    search's call gives it. A callable task_gradient gets one stack of the
-    thetas whose kind reads gradients (every theta on the empirical rung),
-    theta_draws rows per such rollout, and returns one gradient row per
-    theta (see score).
+    kinds=None) scores a population, (N_s,) values, with one score call.
+    It draws every rollout's thetas with one lockstep call
+    (distributions.sample_params_lockstep): rollout j draws its
+    theta_draws thetas from rngs[j] alone, in order, so both forms give
+    equal values, and a failed draw raises the error that drawing the
+    rollouts one after another raises. kinds, when given, names each
+    rollout's score kind in place of spec.kind, so one call can score the
+    union population of several searches (es.es_lockstep) and each
+    rollout still gets the value its own search's call gives it. A
+    callable task_gradient gets one stack of the thetas whose kind reads
+    gradients (every theta on the empirical rung), theta_draws rows per
+    such rollout, and returns one gradient row per theta (see score).
     """
     if theta_draws < 1:
         raise ValueError("theta_draws must be >= 1")
     p = circuit.num_params
 
     def batch(hps, rngs, kinds=None) -> np.ndarray:
-        thetas = np.empty((len(hps), theta_draws, p))
-        for j, (hp, rng) in enumerate(zip(hps, rngs)):
-            for d in range(theta_draws):
-                thetas[j, d] = sample_params(hp, p, rng)
+        thetas = np.stack(sample_params_lockstep(hps, [p] * len(hps), rngs,
+                                                 theta_draws))
         raw = score(thetas.reshape(-1, p), circuit, task_gradient, spec,
                     features, None if kinds is None else
                     [kind for kind in kinds for _ in range(theta_draws)]

@@ -1,6 +1,7 @@
 """Differentiation checked against finite differences and numpy's eigensolver."""
 import math
 import re
+import tracemalloc
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -507,6 +508,26 @@ def test_qfim_trace_is_the_trace_of_the_exact_and_block_qfims(monkeypatch):
             thetas[3, -1] = math.nan
             with pytest.raises(FloatingPointError):
                 qfim_trace(circ, thetas, features)
+
+
+def test_qfim_trace_holds_one_generator_row_buffer():
+    """The trace run's generator reads gather into their result and scale
+    it in place, so one (B, 2^n) row buffer is live per read, not two: on
+    32 rows of bp-scan's 8-qubit two-design the traced peak is about 4.4
+    times the state stack (576 KB), and with a second row buffer it was
+    5.4 times (707 KB)."""
+    circ = build_two_design(3, 8, 0)
+    thetas = np.random.default_rng(17).uniform(0, 2 * math.pi,
+                                               (32, circ.num_params))
+    stack = 32 * (2 ** 8) * 16
+    qfim_trace(circ, thetas)
+    tracemalloc.start()
+    try:
+        qfim_trace(circ, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * stack, peak
 
 
 def matmul_qfims(psi, dpsi):

@@ -1,5 +1,6 @@
 """Distribution sampling checked against closed-form moments."""
 import math
+import tracemalloc
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,8 +11,8 @@ from qinitopt.distributions import (BETA, DEFAULT_BETA_SCALE, FAMILIES,
                                     GAUSSIAN, HyperParams, beta_samples,
                                     child_rng, from_unconstrained,
                                     gamma_samples, init_guess, manual_baseline,
-                                    sample_params, standard_normals,
-                                    to_unconstrained)
+                                    sample_params, sample_params_lockstep,
+                                    standard_normals, to_unconstrained)
 
 
 def test_hyperparams_validation():
@@ -226,3 +227,187 @@ def test_sample_params_finite_over_the_search_box(family, u0, u1, seed):
     assert np.all(np.isfinite(theta))
     if family == BETA:
         assert np.all((theta >= 0.0) & (theta <= DEFAULT_BETA_SCALE))
+
+
+def reference_sample_params(hp, p, rng, hits=None):
+    """The sampler on one generator, written as a plain loop: Box-Muller
+    normals, Marsaglia-Tsang rounds with separate uniform calls, and
+    beta_samples' quotient with its underflow and overflow branches. hits,
+    when given, counts the draws that take each branch. The lockstep draw
+    is pinned to this."""
+    def normals(n):
+        pairs = (n + 1) // 2
+        u1 = 1.0 - rng.random(pairs)
+        u2 = rng.random(pairs)
+        radius = np.sqrt(-2.0 * np.log(u1))
+        return np.concatenate([radius * np.cos(2.0 * np.pi * u2),
+                               radius * np.sin(2.0 * np.pi * u2)])[:n]
+
+    def gamma(shape):
+        u, a = (rng.random(p), shape + 1.0) if shape < 1.0 else (None, shape)
+        d = a - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        g = np.empty(0)
+        while g.size < p:
+            x = normals(p - g.size)
+            v = (1.0 + c * x) ** 3
+            uniform = rng.random(p - g.size)
+            ok = v > 0
+            logv = np.log(np.where(ok, v, 1.0))
+            ok &= np.log(uniform) < 0.5 * x * x + d - d * v + d * logv
+            g = np.concatenate([g, d * v[ok]])
+        return g, u
+
+    def log_boosted(g, u, shape, rows, unit):
+        log_g = np.log(g[rows]) * unit
+        return log_g if u is None else log_g + np.log(u[rows]) * (unit / shape)
+
+    if hp.family == GAUSSIAN:
+        with np.errstate(over="ignore"):
+            theta = hp.mu + hp.sigma * normals(p)
+        if not np.isfinite(theta).all():
+            raise FloatingPointError(
+                f"Gaussian(mu={hp.mu}, sigma={hp.sigma}) draws overflow "
+                f"the float range")
+        return theta
+    (gx, ux), (gy, uy) = gamma(hp.alpha), gamma(hp.beta)
+    x = gx if ux is None else gx * ux ** (1.0 / hp.alpha)
+    y = gy if uy is None else gy * uy ** (1.0 / hp.beta)
+    with np.errstate(over="ignore"):
+        total = x + y
+    under, over = total == 0.0, np.isinf(total)
+    out = x / np.where(under, 1.0, total)
+    out[over] = x[over] / 2.0 / (x[over] / 2.0 + y[over] / 2.0)
+    if under.any():
+        unit = min(hp.alpha, hp.beta)
+        with np.errstate(over="ignore"):
+            t = (log_boosted(gy, uy, hp.beta, under, unit)
+                 - log_boosted(gx, ux, hp.alpha, under, unit)) / unit
+        out[under] = np.exp(-np.logaddexp(0.0, t))
+    if hits is not None:
+        hits["under"] += int(under.sum())
+        hits["over"] += int(over.sum())
+    return DEFAULT_BETA_SCALE * out
+
+
+def lockstep_rows(pick, count):
+    """count hyperparameters: mostly Beta shapes e^U(-2.5, 2.5), about half
+    of them below 1, with Beta(1e-3, 1e-3) rows, whose boosted gammas both
+    underflow, Beta(1e308, b) rows, whose X + Y overflows, and Gaussian
+    rows."""
+    rows = []
+    for kind in pick.choice(["shapes", "tiny", "huge", "gaussian"], count,
+                            p=[0.55, 0.15, 0.15, 0.15]):
+        if kind == "shapes":
+            values = tuple(float(v) for v in np.exp(pick.uniform(-2.5, 2.5,
+                                                                  2)))
+        elif kind == "tiny":
+            values = (1e-3, 1e-3)
+        elif kind == "huge":
+            values = (1e308, float(pick.choice([1.0, 1e308])))
+        else:
+            values = (float(pick.normal()), float(np.exp(pick.uniform(-2, 2))))
+        rows.append(HyperParams(GAUSSIAN if kind == "gaussian" else BETA,
+                                values))
+    return rows
+
+
+@pytest.mark.parametrize("count", [1, 3, 16, 48])
+def test_lockstep_draws_equal_per_generator_draws(count):
+    """Each generator of a lockstep draw gives the bytes of its own draws
+    one after another, by the loop reference and by sample_params, and
+    ends in the same state, with a p of its own per generator and one to
+    three draws each; the rows reach both of beta_samples' branches."""
+    pick = np.random.default_rng(count)
+    hits = {"under": 0, "over": 0}
+    for trial in range(max(12, 200 // count)):
+        hps = lockstep_rows(pick, count)
+        ps = [int(p) for p in pick.integers(1, 97, count)]
+        draws = 1 + trial % 3
+        seeds = [int(seed) for seed in pick.integers(0, 2 ** 32, count)]
+        stepped = [child_rng(seed, "lockstep") for seed in seeds]
+        got = sample_params_lockstep(hps, ps, stepped, draws)
+        for k, seed in enumerate(seeds):
+            one, loop = child_rng(seed, "lockstep"), child_rng(seed,
+                                                               "lockstep")
+            alone = [sample_params(hps[k], ps[k], one) for _ in range(draws)]
+            want = [reference_sample_params(hps[k], ps[k], loop, hits)
+                    for _ in range(draws)]
+            assert got[k].shape == (draws, ps[k])
+            assert got[k].tobytes() == np.stack(want).tobytes()
+            assert np.stack(alone).tobytes() == np.stack(want).tobytes()
+            assert stepped[k].bytes(32) == one.bytes(32) == loop.bytes(32)
+    assert hits["under"] and hits["over"]
+
+
+def first_failures(hps, p, seeds, draws):
+    """{k: (i, error)}: the first draw i at which generator k fails when it
+    draws its draws alone, with its error, for each k that fails."""
+    failed = {}
+    for k, (hp, seed) in enumerate(zip(hps, seeds)):
+        rng = child_rng(seed, "order")
+        for i in range(draws):
+            try:
+                reference_sample_params(hp, p, rng)
+            except FloatingPointError as exc:
+                failed[k] = (i, exc)
+                break
+    return failed
+
+
+def test_lockstep_raises_the_error_of_one_generator_after_another():
+    """A lockstep draw finishes, then raises the lowest failed generator's
+    error, which drawing one generator after another raises first, also
+    when that generator fails at a later draw than a higher one; with no
+    error every row equals the reference's."""
+    hps = [HyperParams(BETA, (0.1, 1.5)),
+           *(HyperParams(GAUSSIAN, (0.5, 1e308 + k * 1e307))
+             for k in range(5))]
+    p, draws, later = 2, 3, 0
+    for seed in range(40):
+        seeds = [seed * 10 + k for k in range(len(hps))]
+        failed = first_failures(hps, p, seeds, draws)
+        rngs = [child_rng(s, "order") for s in seeds]
+        if not failed:
+            got = sample_params_lockstep(hps, [p] * len(hps), rngs, draws)
+            for hp, s, rows in zip(hps, seeds, got):
+                rng = child_rng(s, "order")
+                assert rows.tobytes() == np.stack([reference_sample_params(
+                    hp, p, rng) for _ in range(draws)]).tobytes()
+            continue
+        with pytest.raises(FloatingPointError) as caught:
+            sample_params_lockstep(hps, [p] * len(hps), rngs, draws)
+        lowest = min(failed)
+        assert str(caught.value) == str(failed[lowest][1])
+        later += failed[lowest][0] > min(i for i, _ in failed.values())
+    assert later
+
+
+def test_lockstep_validates_its_rows():
+    hp = manual_baseline(BETA)
+    rng = child_rng(0)
+    with pytest.raises(ValueError, match="its own generator"):
+        sample_params_lockstep([hp, hp], [3, 3], [rng, rng])
+    with pytest.raises(ValueError, match="one p and one generator"):
+        sample_params_lockstep([hp, hp], [3], [rng, child_rng(1)])
+    with pytest.raises(ValueError, match="at least one parameter"):
+        sample_params_lockstep([hp, hp], [3, 0], [rng, child_rng(1)])
+    with pytest.raises(ValueError, match="at least one draw"):
+        sample_params_lockstep([hp], [3], [rng], 0)
+    assert sample_params_lockstep([], [], []) == []
+
+
+def test_lockstep_buffers_stay_bounded_for_any_population():
+    """Generators step in groups of about LOCKSTEP_VALUES (2,048)
+    parameters, so a draw's buffers beyond its result stay bounded however
+    many generators it steps: under 0.3 MB for 96 generators at p = 96
+    (9,216 parameters), where one group of all of them took about 1 MB."""
+    hps = [HyperParams(BETA, (1.5, 2.0))] * 96
+    rngs = [child_rng(5, k) for k in range(96)]
+    tracemalloc.start()
+    try:
+        rows = sample_params_lockstep(hps, [96] * 96, rngs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(r.nbytes for r in rows) < 0.3e6, peak

@@ -86,6 +86,19 @@ def test_constant_score_is_a_fixed_point():
     assert trace.converged and trace.n_iterations == 1
 
 
+def test_an_update_of_exactly_eps_converge_converges():
+    """The convergence test is |update|_1 <= eps_converge: a first step
+    whose L1 equals the threshold exactly stops the search."""
+    cfg = EsConfig(n_iters=5)
+    _, first = es_optimize(quadratic, np.array([0.0]), cfg, 3)
+    l1 = first.update_l1[0]
+    assert l1 > cfg.eps_converge and not first.converged
+    exact = EsConfig(n_iters=5, eps_converge=l1)
+    _, trace = es_optimize(quadratic, np.array([0.0]), exact, 3)
+    assert trace.update_l1 == [l1]
+    assert trace.converged
+
+
 def test_linear_score_gradient_direction():
     a = np.array([1.0, 2.0, -2.0])
     cfg = EsConfig(eta=1.0, sigma_es=0.1, n_samples=16, n_iters=1,

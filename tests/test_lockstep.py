@@ -1,5 +1,7 @@
 """Searches stepped in lockstep: the driver, the score of a stack with a kind
-per row, and the CLI commands that run their searches together."""
+per row, the CLI commands that run their searches together, and the
+lockstep draws of the objective and bp-scan, whose errors come in the
+order of draws made one generator after another."""
 import math
 import pathlib
 
@@ -8,7 +10,8 @@ import pytest
 
 from qinitopt import cli, differentiation, scoring
 from qinitopt.cli import cmd_bp_scan, cmd_qml, cmd_vqe, resolve_config
-from qinitopt.distributions import GAUSSIAN, HyperParams
+from qinitopt.distributions import (GAUSSIAN, HyperParams, child_rng,
+                                    manual_baseline, sample_params)
 from qinitopt.es import EsConfig, EsSearch, es_lockstep, es_optimize
 from qinitopt.scoring import (OMEGA_KINDS, S1, S2, S3, TRACE, ScoreSpec,
                               initialization_objective, score)
@@ -320,3 +323,82 @@ def test_vqe_makes_one_trace_run_and_one_adjoint_call_per_iteration(
     assert union_sizes == [48] + [32] * 5
     assert calls == {"qfim_trace": [32] * 6,
                      "observable_gradient": [32] + [16] * 5}
+
+
+def test_objective_raises_the_draw_error_of_the_rollouts_in_order():
+    """objective.batch draws every rollout's theta_draws thetas in one
+    lockstep call. A Gaussian draw that overflows fails the batch with the
+    error that scoring the rollouts one after another raises: the lowest
+    failed rollout's, at its first failed draw, also when a higher
+    rollout fails at an earlier draw."""
+    circuit = build_hea(1, 2)
+    p, draws = circuit.num_params, 3
+    objective = initialization_objective(circuit, ScoreSpec(kind=S1),
+                                         theta_draws=draws)
+    hps = [HyperParams(GAUSSIAN, (0.5, 1e308 + j * 1e307)) for j in range(4)]
+    later = 0
+    for seed in range(30):
+        def rngs():
+            return [child_rng(seed, "rollout", j) for j in range(len(hps))]
+        failed = {}  # rollout -> its first failed draw, alone
+        for j, (hp, rng) in enumerate(zip(hps, rngs())):
+            for d in range(draws):
+                try:
+                    sample_params(hp, p, rng)
+                except FloatingPointError:
+                    failed[j] = d
+                    break
+        if not failed:
+            continue
+        with pytest.raises(FloatingPointError) as one_by_one:
+            for hp, rng in zip(hps, rngs()):
+                objective(hp, rng)
+        with pytest.raises(FloatingPointError) as batched:
+            objective.batch(hps, rngs())
+        assert str(batched.value) == str(one_by_one.value)
+        assert f"sigma={hps[min(failed)].sigma}" in str(batched.value)
+        later += failed[min(failed)] > min(failed.values())
+    assert later
+
+
+BP_ORDER = ['methods=["manual", "s1"]', "qubit_range=[2, 3, 4]", "layers=1",
+            "m_samples=4", "family=gaussian", "es.n_iters=1"]
+
+
+@pytest.mark.parametrize("overflow, search_fails, raised", [
+    # a draw error at n = 2 comes before the search error at n = 3
+    ((2,), 3, "draw 2"),
+    # manual at n = 3 is planned before s1's failed search at n = 3
+    ((3,), 3, "draw 3"),
+    # the lowest set's draw error first
+    ((3, 2), None, "draw 2"),
+    # a set after the failed search is never drawn
+    ((4,), 3, "search 3"),
+    ((), 3, "search 3"),
+], ids=["draw-before-later-search", "draw-before-search-at-its-n",
+        "lowest-draw-first", "unplanned-set-not-drawn", "search-alone"])
+def test_bp_scan_raises_errors_in_the_order_of_one_set_after_another(
+        monkeypatch, overflow, search_fails, raised):
+    """bp-scan runs the searches of every qubit count before any draw, yet
+    its errors come in the order of a run that searches and draws one
+    (method, n) set at a time. The s1 search at n = search_fails fails,
+    and the manual set at each n in overflow draws from a Gaussian that
+    overflows."""
+    def method_hyperparams(methods, cfg, circuit, task_gradient, features,
+                           context=()):
+        n, = context
+        manual = (HyperParams(GAUSSIAN, (1.7e308, 1.6e308 + n * 1e306))
+                  if n in overflow else manual_baseline(GAUSSIAN))
+        return [(manual, None),
+                RuntimeError(f"search {n}") if n == search_fails else
+                (HyperParams(GAUSSIAN, (0.1, 0.5)), None)]
+    monkeypatch.setattr(cli, "_method_hyperparams", method_hyperparams)
+    with pytest.raises((FloatingPointError, RuntimeError)) as caught:
+        cmd_bp_scan(resolve_config("bp-scan", overrides=BP_ORDER))
+    kind, n = raised.split()
+    if kind == "draw":
+        assert type(caught.value) is FloatingPointError
+        assert f"sigma={1.6e308 + int(n) * 1e306}" in str(caught.value)
+    else:
+        assert type(caught.value) is RuntimeError
+        assert str(caught.value) == f"search {n}"
