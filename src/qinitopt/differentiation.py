@@ -35,23 +35,25 @@ rows share. Both sweeps and the trace run form -(i/2) G psi by
 _generator_rows, off one cached Pauli table per rotation.
 
 One sweep serves a whole (B, p) batch of thetas, so a population costs one
-kernel call per gate, and a row's results keep the bits its theta gives
+kernel call per step of a simulator.gate_plan (a rotation, or a fused run
+of CNOTs and CZs), and a row's results keep the bits its theta gives
 alone. The forward runs, psi for the adjoint and the trace run with its
 generator reads, go through simulator._forward, which owns their angle
-table, scratch buffer and norm check. The two sweeps keep loops of their
-own, as neither is a plain forward run: the forward sweep grows its
-buffer by a row per slot and allocates a scratch per segment, dropped
-before each yield; the adjoint walks backward over an undo table of the
-inverse gates' factors, taken from -theta / 2. Each quantity has one
-function, which takes a (p,) theta or a (B, p) stack and runs a (p,)
-theta as a stack of one; only the parameter-shift reference takes one
-theta alone. Every stack entry point chunks itself through _in_chunks,
-by the rows per theta of its own buffer (p + 1 for a forward sweep, two
-for the adjoint, one for the trace run), so no buffer holds more than
-MAX_SWEEP_AMPLITUDES amplitudes; before its first chunk it checks its
-features once, by simulator._features_of, as the one (1, f) row all its
-thetas read. Circuit has checked the layer tags, and the sweeps take their
-inputs as given.
+table, scratch buffer and norm check. The two sweeps walk plans in loops
+of their own, as neither is a plain forward run: the forward sweep walks
+each segment's plan, so no run crosses a stop, grows its buffer by a row
+per slot and allocates a scratch per segment, dropped before each yield;
+the adjoint walks the plan of the reversed gates, whose runs undo the
+forward ones, with the inverse rotations' factors taken from -theta / 2.
+Each quantity has one function, which takes a (p,) theta or a (B, p) stack
+and runs a (p,) theta as a stack of one; only the parameter-shift
+reference takes one theta alone. Every stack entry point chunks itself
+through _in_chunks, by the rows per theta of its own buffer (p + 1 for a
+forward sweep, two for the adjoint, one for the trace run), so no buffer
+holds more than MAX_SWEEP_AMPLITUDES amplitudes; before its first chunk it
+checks its features once, by simulator._features_of, as the one (1, f) row
+all its thetas read. Circuit has checked the layer tags, and the sweeps
+take their inputs as given.
 
 A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim builds
 the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters, else the
@@ -70,7 +72,8 @@ import numpy as np
 from .simulator import (Circuit, Gate, Observable, _batch_of,
                         _expectation_from, _features_of, _forward,
                         _pauli_table, angle_table, apply_gate,
-                        apply_observable, check_normalized, run_gates)
+                        apply_observable, check_normalized, gate_plan,
+                        run_gates)
 
 SHIFT = math.pi / 2
 
@@ -183,13 +186,14 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     scratch = np.empty(pair.size, dtype=complex)
     # sums[mu, j] = Re<lambda_j|-(i/2) G_mu phi_j>, one vecdot per slot
     sums = np.zeros((p, m))
-    for k in range(len(gates) - 1, first - 1, -1):
-        gate = gates[k]
-        if gate.param_slot is not None:
-            rows = _generator_rows(gate, circuit.num_qubits, pair[:m])
-            sums[gate.param_slot] = np.vecdot(pair[m:], rows).real
-        if k > first:
-            apply_gate(pair, gate, undo, scratch)
+    # the reversed tail's plan undoes it, all but its last step, gates[first]
+    steps = gate_plan(gates[first:][::-1], circuit.num_qubits)
+    for k, step in enumerate(steps):
+        if isinstance(step, Gate) and step.param_slot is not None:
+            rows = _generator_rows(step, circuit.num_qubits, pair[:m])
+            sums[step.param_slot] = np.vecdot(pair[m:], rows).real
+        if k < len(steps) - 1:
+            apply_gate(pair, step, undo, scratch)
     # theta r owns rows r, r + b, ...; summing each theta's row sums along
     # a contiguous axis gives it the same bits at any b
     per_theta = np.ascontiguousarray(
@@ -251,9 +255,10 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
     since the previous stop, in the order they ran. The rows are then
     dropped, and the yielded arrays are reused by the next segment.
 
-    The (p + 1, B, 2^n) buffer runs as one batch of rows, so each gate is
-    one kernel call: the B theta rows repeat over the derivative rows, and
-    the one (1, f) feature row feats broadcasts.
+    The (p + 1, B, 2^n) buffer runs as one batch of rows, so each step of
+    a segment's own gate_plan, whose runs end at the stop, is one kernel
+    call: the B theta rows repeat over the derivative rows, and the one
+    (1, f) feature row feats broadcasts.
 
     Raises FloatingPointError when a state is not normalized (a NaN theta).
     """
@@ -272,12 +277,12 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
         # yield: the caller's reductions between segments do not need it
         grown = sum(gate.param_slot is not None for gate in segment)
         scratch = np.empty((1 + grown) * batch * flat.shape[1], dtype=complex)
-        for gate in segment:
-            apply_gate(flat[:n * batch], gate, table, scratch)
-            if gate.param_slot is not None:
-                _generator_rows(gate, circuit.num_qubits, rows[0],
+        for step in gate_plan(segment, circuit.num_qubits):
+            apply_gate(flat[:n * batch], step, table, scratch)
+            if isinstance(step, Gate) and step.param_slot is not None:
+                _generator_rows(step, circuit.num_qubits, rows[0],
                                 out=rows[n])
-                slots.append(gate.param_slot)
+                slots.append(step.param_slot)
                 n += 1
         del scratch
         check_normalized(rows[0])

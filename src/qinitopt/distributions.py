@@ -1,7 +1,7 @@
 """Initializing distributions for circuit parameters.
 
-Two families: Beta(alpha, beta) scaled onto [0, scale] (full rotation period
-2*pi by default) and Gaussian(mu, sigma). Hyperparameter search happens in an
+Two families: Beta(alpha, beta) scaled onto [0, 2*pi], the full rotation
+period, and Gaussian(mu, sigma). Hyperparameter search happens in an
 unconstrained view (log alpha, log beta) or (mu, log sigma), so any update
 maps back to valid constrained values.
 
@@ -295,8 +295,7 @@ def beta_samples(alpha: float, beta: float, n: int,
     return _beta_draws([alpha], [beta], [n], [rng])
 
 
-def _lockstep_draw(hps, ps: list, rngs, scale: float,
-                   failed: dict) -> np.ndarray:
+def _lockstep_draw(hps, ps: list, rngs, failed: dict) -> np.ndarray:
     """One theta per generator, concatenated: theta k of length ps[k] from
     hps[k] and rngs[k]. A Gaussian theta that overflows puts its
     FloatingPointError in failed[k], unless k failed before."""
@@ -310,7 +309,7 @@ def _lockstep_draw(hps, ps: list, rngs, scale: float,
         own = [rngs[k] for k in rows]
         first, second = zip(*(hps[k].values for k in rows))
         if family == BETA:
-            draws = scale * _beta_draws(first, second, counts, own)
+            draws = DEFAULT_BETA_SCALE * _beta_draws(first, second, counts, own)
         else:
             with np.errstate(over="ignore"):
                 draws = (_spread(first, counts) + _spread(second, counts)
@@ -326,8 +325,7 @@ def _lockstep_draw(hps, ps: list, rngs, scale: float,
     return theta
 
 
-def sample_params_lockstep(hps, ps, rngs, draws: int = 1,
-                           scale: float = DEFAULT_BETA_SCALE) -> list:
+def sample_params_lockstep(hps, ps, rngs, draws: int = 1) -> list:
     """draws parameter vectors per generator, the generators stepped in
     lockstep: entry k is a (draws, ps[k]) array whose row i equals, byte
     for byte, the i-th of draws sample_params(hps[k], ps[k], rngs[k])
@@ -359,7 +357,7 @@ def sample_params_lockstep(hps, ps, rngs, draws: int = 1,
         local = {}  # k - group.start -> its error
         for i in range(draws):
             theta = _lockstep_draw([hps[k] for k in group], own,
-                                   [rngs[k] for k in group], scale, local)
+                                   [rngs[k] for k in group], local)
             for k, start in zip(group, _starts(own)):
                 out[k][i] = theta[start:start + ps[k]]
         failed.update((group.start + k, exc) for k, exc in local.items())
@@ -375,14 +373,14 @@ def _groups(ps: list, cap: int) -> list:
     return [range(k, min(k + size, len(ps))) for k in range(0, len(ps), size)]
 
 
-def sample_params(hp: HyperParams, p: int, rng: np.random.Generator,
-                  scale: float = DEFAULT_BETA_SCALE) -> np.ndarray:
+def sample_params(hp: HyperParams, p: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """Draw a circuit parameter vector theta of length p from p(theta | hp):
     sample_params_lockstep on one generator.
 
     Raises FloatingPointError when a Gaussian draw overflows, as finite
     mu and sigma near the float maximum can make it."""
-    return sample_params_lockstep([hp], [p], [rng], scale=scale)[0][0]
+    return sample_params_lockstep([hp], [p], [rng])[0][0]
 
 
 def init_guess(family: str, rng: np.random.Generator) -> HyperParams:

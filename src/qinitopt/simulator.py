@@ -1,31 +1,33 @@
 """Dense statevector simulation of parameterized circuits.
 
 Convention: qubit 0 is the most significant bit of the amplitude index,
-so |q0 q1 ... q_{n-1}> lives at index int("q0q1...", 2). Gates are applied
-by strided amplitude updates; no 2^n x 2^n matrices are ever built. Every
-parameterized gate is a one-angle Pauli rotation exp(-i a P / 2), so
-Rot(a, b, c) is written as RZ(a), RY(b), RZ(c). All state-producing
-functions accept a batch of parameter vectors and then return a batch of
-states, which keeps parameter-shift sweeps cheap.
+so |q0 q1 ... q_{n-1}> lives at index int("q0q1...", 2). Rotations are
+applied by strided amplitude updates, CNOTs and CZs by gathers and sign
+flips; no 2^n x 2^n matrices are ever built. Every parameterized gate is
+a one-angle Pauli rotation exp(-i a P / 2), so Rot(a, b, c) is written as
+RZ(a), RY(b), RZ(c). All state-producing functions accept a batch of
+parameter vectors and then return a batch of states, which keeps
+parameter-shift sweeps cheap.
 
 A gate on a few rows of 16 amplitudes costs mostly numpy call overhead, so
 a run of a gate sequence takes the trig of all its angles at once:
 angle_table holds every rotation's half-angle factors, complex and shaped
 to broadcast over the batch, and apply_gate reads a gate's entry from it.
-A kernel then makes only the calls that move amplitudes, and each
-amplitude keeps the bits that per-gate trig would give it.
+For the same reason gate_plan, cached per sequence, makes each run of
+CNOTs and CZs between two rotations one step. A kernel then makes only
+the calls that move amplitudes, and each amplitude keeps the bits that
+per-gate trig and applying CNOTs and CZs one by one would give it.
 
-A kernel's temporaries go into a scratch buffer of the state's size that
-the loop running the sequence allocates once and passes to every
-apply_gate call, so a gate allocates no array of its own. Per-gate
-temporaries on the wide sweep batches are large enough for glibc to map
-and unmap them on every gate, which made run time follow the heap's
-state more than the arithmetic.
+A step's temporaries go into a scratch buffer of the state's size that
+the loop walking the plan allocates once and passes to every step.
+Per-gate temporaries on the wide sweep batches are large enough for glibc
+to map and unmap them on every gate, which made run time follow the
+heap's state more than the arithmetic.
 
 Every forward run goes through one engine, _forward, which owns the
 run's table, scratch and norm check; run_gates is the engine from
-|0...0>. Only the two sweeps in differentiation keep gate loops of their
-own.
+|0...0>. Only the two sweeps in differentiation walk plans in loops of
+their own.
 
 Each input is checked once, where it enters: a circuit and its layer tags
 when Circuit is built, thetas by _batch_of and features by _features_of in
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -225,20 +228,66 @@ def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
     return table
 
 
-def _rotate_single(state: np.ndarray, kind: str, qubit: int,
-                   factors: tuple, scratch: np.ndarray) -> None:
-    """In-place single-qubit rotation on a (B, 2^n) state batch by its
-    angle_table entry, whose (k, 1, 1) factors repeat over blocks of k
-    rows. RZ scales the two half-views in place; RX and RY form
-    c * s0 - f * s1 and g * s0 + c * s1 in the two halves of scratch and
-    copy them back, which on numpy 2.4 beats updating the strided
-    half-views in place. The caller owns scratch, so the gate allocates
-    no array of its own."""
-    s = state.reshape(-1, len(factors[0]), 1 << qubit, 2,
-                      state.shape[1] >> (qubit + 1))
+@functools.lru_cache(maxsize=None)
+def gate_plan(gates: tuple, num_qubits: int) -> tuple:
+    """The steps of a gate sequence, built once per sequence: each rotation
+    is its Gate, and each maximal run of CNOT and CZ gates is one
+    (sign, source) step that maps a row psi to sign * psi[source], with
+    sign a read-only ±1 vector over the row's float view. A run's step is
+    the run's own one-step plan, so sequences that share a run share it."""
+    groups = [(fused, tuple(group)) for fused, group in itertools.groupby(
+        gates, lambda gate: gate.kind in (CNOT, CZ))]
+    if groups != [(True, gates)]:
+        return tuple(step for fused, group in groups for step in (
+            gate_plan(group, num_qubits) if fused else group))
+    index = np.arange(1 << num_qubits)
+    source, sign = index, np.ones(len(index))
+    for gate in gates:
+        c_on = index >> (num_qubits - 1 - gate.control) & 1
+        t_bit = 1 << (num_qubits - 1 - gate.target)
+        if gate.kind == CNOT:
+            flip = index ^ c_on * t_bit
+            source, sign = source[flip], sign[flip]
+        else:
+            sign = np.where(c_on * (index & t_bit), -sign, sign)
+    sign = np.repeat(sign, 2)
+    sign.flags.writeable = source.flags.writeable = False
+    return (sign, source),
+
+
+def apply_gate(state: np.ndarray, step, table: dict,
+               scratch: np.ndarray) -> None:
+    """Apply one gate_plan step in place to a C-contiguous (B, 2^n) state
+    batch.
+
+    A rotation reads its factors from table, an angle_table over a
+    sequence that holds the gate (built with inverse=True, it applies the
+    gate's inverse), whose (k, 1, 1) factors repeat over blocks of k rows.
+    RZ scales the two half-views in place; RX and RY form c * s0 - f * s1
+    and g * s0 + c * s1 in the two halves of scratch and copy them back,
+    which on numpy 2.4 beats updating the strided half-views in place. A
+    CNOT/CZ run gathers into scratch, copies back and multiplies the float
+    view by its signs, an exact negation where a sign is -1; CNOT and CZ
+    are self-inverse, so a reversed run's step undoes the run.
+
+    scratch is a flat complex array of at least state.size entries that a
+    step overwrites and never reads first, so no temporary of a step grows
+    with the state. numpy's in-place ufuncs on strided operands still
+    buffer up to np.getbufsize() elements per operand: a step may allocate
+    up to 3 * np.getbufsize() * 16 + 4096 bytes, more than a small state."""
+    if not isinstance(step, Gate):
+        sign, source = step
+        gathered = scratch[:state.size].reshape(state.shape)
+        np.take(state, source, axis=1, out=gathered, mode="clip")
+        state[...] = gathered
+        np.multiply(state.view(float), sign, out=state.view(float))
+        return
+    factors = table[step.kind, step.param_slot, step.feature_slot]
+    s = state.reshape(-1, len(factors[0]), 1 << step.target, 2,
+                      state.shape[1] >> (step.target + 1))
     s0 = s[..., 0, :]
     s1 = s[..., 1, :]
-    if kind == RZ:
+    if step.kind == RZ:
         s0 *= factors[0]
         s1 *= factors[1]
         return
@@ -256,78 +305,32 @@ def _rotate_single(state: np.ndarray, kind: str, qubit: int,
     s1[...] = b
 
 
-def _two_qubit_view(state: np.ndarray, q_lo: int, q_hi: int) -> np.ndarray:
-    batch = state.shape[0]
-    mid = 1 << (q_hi - q_lo - 1)
-    return state.reshape(batch, 1 << q_lo, 2, mid, 2, -1)
-
-
-def _apply_cnot(state: np.ndarray, control: int, target: int,
-                scratch: np.ndarray) -> None:
-    s = _two_qubit_view(state, min(control, target), max(control, target))
-    # swap the target's 0 and 1 halves where the control is 1
-    flip = s[:, :, 1, :, 0] if control < target else s[:, :, 0, :, 1]
-    both = s[:, :, 1, :, 1]
-    tmp = scratch[:flip.size].reshape(flip.shape)
-    tmp[...] = flip
-    flip[...] = both
-    both[...] = tmp
-
-
-def _apply_cz(state: np.ndarray, q_a: int, q_b: int) -> None:
-    s = _two_qubit_view(state, min(q_a, q_b), max(q_a, q_b))
-    block = s[:, :, 1, :, 1, :]
-    block *= -1.0
-
-
-def apply_gate(state: np.ndarray, gate: Gate, table: dict,
-               scratch: np.ndarray) -> None:
-    """Apply one gate in place to a C-contiguous (B, 2^n) state batch; a
-    rotation reads its factors from table, an angle_table over a sequence
-    that holds the gate (built with inverse=True, it applies the gate's
-    inverse; CNOT and CZ are their own inverses).
-
-    scratch is a flat complex array of at least state.size entries that
-    the kernels overwrite and never read first. The engine loop that owns
-    the state allocates it once per call and passes it to every gate, so
-    no gate allocates a temporary the size of the state: on the wide
-    sweep batches such temporaries exceed glibc's mmap threshold and are
-    mapped, trimmed and faulted in again on every gate."""
-    kind = gate.kind
-    if kind == CNOT:
-        _apply_cnot(state, gate.control, gate.target, scratch)
-    elif kind == CZ:
-        _apply_cz(state, gate.control, gate.target)
-    else:
-        _rotate_single(state, kind, gate.target,
-                       table[kind, gate.param_slot, gate.feature_slot],
-                       scratch)
-
-
 def _forward(gates, num_qubits: int, thetas: np.ndarray,
              features: np.ndarray | None = None,
              state: np.ndarray | None = None, read=None) -> np.ndarray:
     """The forward engine: run a gate sequence on a batch of unit rows and
     return the (B, 2^n) result.
 
-    The start is |0...0> for each of the (B, p) parameter rows, or the
-    given C-contiguous (B, 2^n) state batch, which is run in place; row r
-    turns by angle row r % k of the (k, p) thetas and (k', f) features, as
-    angle_table says. read(gate, state), when given, is called right after
-    each theta rotation, on the state the gate has just made. The engine
-    builds the one angle_table and the one scratch buffer of the run, and
-    raises FloatingPointError unless every result row has unit norm (a NaN
-    angle fails). It does not re-validate slot coverage, so it also works
-    on truncated gate lists.
+    The start is |0...0> for each of the max(k, k') rows of the (k, p)
+    thetas and (k', f) features, or the given C-contiguous (B, 2^n) state
+    batch, which is run in place; row r turns by angle row r % k and
+    feature row r % k', as angle_table says. read(gate, state), when
+    given, is called right after each theta rotation, on the state the
+    gate has just made. The engine builds the one angle_table and the one
+    scratch buffer of the run, walks the sequence's gate_plan, and raises
+    FloatingPointError unless every result row has unit norm (a NaN angle
+    fails). It does not re-validate slot coverage, so it also works on
+    truncated gate lists.
     """
     if state is None:
-        state = zero_state(num_qubits, thetas.shape[0])
+        state = zero_state(num_qubits, max(
+            len(thetas), 0 if features is None else len(features)))
     table = angle_table(gates, thetas, features)
     scratch = np.empty(state.size, dtype=complex)
-    for gate in gates:
-        apply_gate(state, gate, table, scratch)
-        if read is not None and gate.param_slot is not None:
-            read(gate, state)
+    for step in gate_plan(gates, num_qubits):
+        apply_gate(state, step, table, scratch)
+        if read and isinstance(step, Gate) and step.param_slot is not None:
+            read(step, state)
     check_normalized(state)
     return state
 
@@ -385,10 +388,6 @@ def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
     batch = max(thetas.shape[0], feats.shape[0])
     if thetas.shape[0] not in (1, batch) or feats.shape[0] not in (1, batch):
         raise ValueError("theta and features batch sizes are incompatible")
-    if thetas.shape[0] == 1 and batch > 1:
-        thetas = np.broadcast_to(thetas, (batch, thetas.shape[1]))
-    if feats.shape[0] == 1 and batch > 1:
-        feats = np.broadcast_to(feats, (batch, feats.shape[1]))
     state = run_gates(circuit.gates, circuit.num_qubits, thetas, feats)
     if not (batched_t or batched_f):
         return state[0]

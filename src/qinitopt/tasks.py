@@ -196,11 +196,9 @@ class QmlTask:
         thetas = _batch_of(theta, self.circuit.num_params, single=True)[0]
         feats, batched = _features_of(self.circuit, features)
         if self._embedded is None:
-            # the rows are checked: run them without apply_circuit's checks
+            # checked rows skip apply_circuit; the one theta turns each row
             states = run_gates(self.circuit.gates, self.circuit.num_qubits,
-                               np.broadcast_to(thetas, (len(feats),
-                                                        thetas.shape[1])),
-                               feats)
+                               thetas, feats)
         else:
             states = self._shared_states(thetas, self._embed(feats))[0][0]
         if not batched:

@@ -199,8 +199,10 @@ def test_sample_params_beta_scaled():
     theta = sample_params(hp, 50_000, child_rng(48))
     assert np.all((theta >= 0) & (theta <= DEFAULT_BETA_SCALE))
     assert abs(theta.mean() - math.pi) < 0.05
-    half = sample_params(hp, 1000, child_rng(48), scale=math.pi)
-    assert np.all(half <= math.pi)
+    # the default scaling spans the full rotation period [0, 2*pi]
+    assert theta.min() < 0.01 and theta.max() > DEFAULT_BETA_SCALE - 0.01
+    unit = beta_samples(1.0, 1.0, 50_000, child_rng(48))
+    assert np.array_equal(theta, DEFAULT_BETA_SCALE * unit)
 
 
 def test_sample_params_errors_and_reproducibility():

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from qinitopt.differentiation import _derivative_table
+from qinitopt import differentiation, simulator
+from qinitopt.differentiation import (_derivative_table, adjoint_gradient,
+                                      qfim_block_diagonal, qfim_exact)
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 GATE_KINDS, ROTATION_KINDS, RX, RY, RZ,
                                 Circuit, Gate, Layer, Observable, _forward,
@@ -21,7 +23,7 @@ from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 apply_observable, check_normalized,
                                 build_hea, build_strongly_entangling,
                                 build_two_design, embed_angles, expectation,
-                                zero_state)
+                                gate_plan, zero_state)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -173,6 +175,13 @@ def nan_scratch(size: int) -> np.ndarray:
     return np.full(size, np.nan + 1j * np.nan)
 
 
+def apply_one(state, gate, table, scratch):
+    """apply_gate on the one step of a one-gate plan: the gate itself for
+    a rotation, a one-gate run for CNOT or CZ."""
+    step, = gate_plan((gate,), state.shape[1].bit_length() - 1)
+    apply_gate(state, step, table, scratch)
+
+
 def test_apply_gate_inverse_undoes_each_kind():
     rng = np.random.default_rng(31)
     thetas = rng.uniform(-4, 4, (5, 3))
@@ -188,10 +197,10 @@ def test_apply_gate_inverse_undoes_each_kind():
         start = random_states(rng, 5, 3)
         state = start.copy()
         scratch = nan_scratch(state.size)
-        apply_gate(state, gate, angle_table([gate], thetas, feats), scratch)
+        apply_one(state, gate, angle_table([gate], thetas, feats), scratch)
         assert np.max(np.abs(state - start)) > 1e-3
-        apply_gate(state, gate,
-                   angle_table([gate], thetas, feats, inverse=True), scratch)
+        apply_one(state, gate,
+                  angle_table([gate], thetas, feats, inverse=True), scratch)
         assert np.allclose(state, start, atol=1e-12)
 
 
@@ -225,11 +234,11 @@ def test_gate_kernels_preserve_norm_and_invert(case):
     start = random_states(np.random.default_rng(seed), len(thetas), n)
     state = start.copy()
     scratch = nan_scratch(state.size)
-    apply_gate(state, gate, angle_table([gate], thetas, feats), scratch)
+    apply_one(state, gate, angle_table([gate], thetas, feats), scratch)
     np.testing.assert_allclose(np.linalg.norm(state, axis=1), 1.0,
                                rtol=0, atol=1e-12)
-    apply_gate(state, gate, angle_table([gate], thetas, feats, inverse=True),
-               scratch)
+    apply_one(state, gate, angle_table([gate], thetas, feats, inverse=True),
+              scratch)
     np.testing.assert_allclose(state, start, rtol=0, atol=1e-12)
 
 
@@ -280,7 +289,8 @@ def _oracle_cnot(state, control, target):
 
 def _oracle_cz(state, q_a, q_b):
     s = _oracle_two_qubit_view(state, min(q_a, q_b), max(q_a, q_b))
-    s[:, :, 1, :, 1, :] *= -1.0
+    block = s[:, :, 1, :, 1, :]
+    np.negative(block, out=block)
 
 
 def _oracle_apply(state, gate, thetas, features, inverse):
@@ -356,14 +366,14 @@ def test_gate_kernels_match_the_row_major_oracle_bit_for_bit(n, inverse):
                 want = start.copy()
                 _oracle_apply(want, gate, thetas, feats, inverse)
                 got = start.copy()
-                apply_gate(got, gate, table, nan_scratch(got.size))
+                apply_one(got, gate, table, nan_scratch(got.size))
                 assert_same_bits(got, want)
                 # the sweep updates a row prefix of a larger buffer in place,
                 # with a scratch sized for the whole buffer
                 buffer = np.concatenate([start, random_states(rng, 3, n)])
                 rest = buffer[batch:].copy()
-                apply_gate(buffer[:batch], gate, table,
-                           nan_scratch(buffer.size))
+                apply_one(buffer[:batch], gate, table,
+                          nan_scratch(buffer.size))
                 assert_same_bits(buffer[:batch], want)
                 assert_same_bits(buffer[batch:], rest)
 
@@ -381,18 +391,123 @@ def test_gate_sequences_match_the_oracle_bit_for_bit():
         assert_same_bits(got, want)
         for gate in reversed(circ.gates):
             _oracle_apply(want, gate, thetas, feats, True)
+        # the reversed sequence's plan undoes it, as the adjoint walks it
         undo = angle_table(circ.gates, thetas, feats, inverse=True)
         scratch = nan_scratch(got.size)
-        for gate in reversed(circ.gates):
-            apply_gate(got, gate, undo, scratch)
+        for step in gate_plan(circ.gates[::-1], circ.num_qubits):
+            apply_gate(got, step, undo, scratch)
         assert_same_bits(got, want)
 
 
+def entangler_run(rng, n):
+    """A CNOT and a CZ on every ordered qubit pair, shuffled."""
+    run = [Gate(kind, target=t, control=c) for c in range(n)
+           for t in range(n) if c != t for kind in (CNOT, CZ)]
+    return tuple(run[k] for k in rng.permutation(len(run)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fused_runs_match_the_per_gate_oracle_bit_for_bit(n):
+    """A mixed CNOT/CZ run over every ordered pair (control above and below
+    the target), its one-gate and two-gate prefixes and its CZs or CNOTs
+    alone are each one plan step, which gives the bits of the oracle's
+    gate-by-gate loop on every start state, in place or on a row prefix;
+    the reversed run's step restores the start exactly."""
+    rng = np.random.default_rng(60 + n)
+    batch = 6
+    run = entangler_run(rng, n)
+    for gates in (run, run[:1], run[:2],
+                  tuple(gate for gate in run if gate.kind == CZ),
+                  tuple(gate for gate in run if gate.kind == CNOT)):
+        step, = gate_plan(gates, n)
+        back, = gate_plan(gates[::-1], n)
+        for start in kernel_states(rng, batch, n):
+            want = start.copy()
+            for gate in gates:
+                _oracle_apply(want, gate, None, None, False)
+            got = start.copy()
+            apply_gate(got, step, {}, nan_scratch(got.size))
+            assert_same_bits(got, want)
+            buffer = np.concatenate([start, random_states(rng, 3, n)])
+            rest = buffer[batch:].copy()
+            apply_gate(buffer[:batch], step, {}, nan_scratch(buffer.size))
+            assert_same_bits(buffer[:batch], want)
+            assert_same_bits(buffer[batch:], rest)
+            apply_gate(got, back, {}, nan_scratch(got.size))
+            assert_same_bits(got, start)
+
+
+def per_gate_plan(gates, num_qubits):
+    """gate_plan with each CNOT and CZ its own one-gate run."""
+    return tuple(step for gate in gates
+                 for step in gate_plan((gate,), num_qubits))
+
+
+def test_engines_give_fused_runs_the_bits_of_a_per_gate_loop(monkeypatch):
+    """Runs at the start and the end of the sequence, right after the first
+    theta gate (the adjoint's last undo) and split by layer-tag stops: the
+    forward run matches the oracle, and the forward run, the adjoint's
+    undo walk and both swept QFIMs give the same bits with one step per
+    gate."""
+    gates = (Gate(CZ, 1, 0), Gate(CNOT, 0, 2), Gate(FIXED_RY, 1),
+             Gate(RY, 1, param_slot=0), Gate(CNOT, 2, 1), Gate(CZ, 0, 2),
+             Gate(CNOT, 1, 0), Gate(RX, 0, param_slot=1),
+             Gate(RZ, 2, param_slot=2), Gate(CZ, 2, 1), Gate(CNOT, 0, 1),
+             Gate(RY, 2, param_slot=3), Gate(CNOT, 1, 2), Gate(CZ, 0, 1))
+    # the stops at 5 and 10 split the runs of gates 4-6 and 9-10
+    circ = Circuit(3, gates, 4, layers=(Layer(5, 0, 1), Layer(10, 1, 3),
+                                        Layer(14, 3, 4)))
+    assert sum(not isinstance(step, Gate)
+               for step in gate_plan(gates, 3)) == 4
+    rng = np.random.default_rng(61)
+    thetas = rng.uniform(-4, 4, (3, 4))
+    lam = random_states(rng, 3, 3)
+
+    def run_engines():
+        phi = apply_circuit(circ, thetas)
+        return (phi, adjoint_gradient(circ, thetas, phi, lam),
+                qfim_block_diagonal(circ, thetas),
+                qfim_exact(circ, thetas))
+    fused = run_engines()
+    want = zero_state(3, 3)
+    for gate in gates:
+        _oracle_apply(want, gate, thetas, None, False)
+    assert_same_bits(fused[0], want)
+    monkeypatch.setattr(simulator, "gate_plan", per_gate_plan)
+    monkeypatch.setattr(differentiation, "gate_plan", per_gate_plan)
+    for got, expected in zip(fused, run_engines()):
+        assert_same_bits(got, expected)
+
+
+def test_one_qubit_plan_is_its_gates():
+    circ = Circuit(1, (Gate(RY, 0, param_slot=0), Gate(FIXED_RY, 0),
+                       Gate(RZ, 0, param_slot=1), Gate(RX, 0, param_slot=2)),
+                   3)
+    assert gate_plan(circ.gates, 1) == circ.gates
+    thetas = np.random.default_rng(62).uniform(-4, 4, (4, 3))
+    want = zero_state(1, 4)
+    for gate in circ.gates:
+        _oracle_apply(want, gate, thetas, None, False)
+    assert_same_bits(apply_circuit(circ, thetas), want)
+
+
+def test_adjoint_gradient_hits_its_cached_plan():
+    circ = build_strongly_entangling(2, 3)
+    thetas = np.random.default_rng(63).uniform(-4, 4, (2, circ.num_params))
+    phi = apply_circuit(circ, thetas)
+    adjoint_gradient(circ, thetas, phi, phi)
+    before = gate_plan.cache_info()
+    adjoint_gradient(circ, thetas, phi, phi)
+    after = gate_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_forward_engine_equals_an_explicit_gate_loop():
-    """_forward gives the bits of an apply_gate loop over the same table
-    and scratch, from |0...0> or from a given start batch (the basis rows,
-    as the classifier's unitary run starts), with feature rows; read sees
-    every theta slot once, in gate order, on the state its gate made."""
+    """_forward, walking its plan with fused CNOT runs, gives the bits of a
+    loop of one-gate steps over the same table and scratch, from |0...0>
+    or from a given start batch (the basis rows, as the classifier's
+    unitary run starts), with feature rows; read sees every theta slot
+    once, in gate order, on the state its gate made."""
     rng = np.random.default_rng(49)
     for _ in range(40):
         qubits = int(rng.integers(1, 5))
@@ -409,7 +524,7 @@ def test_forward_engine_equals_an_explicit_gate_loop():
             scratch = np.empty(want.size, dtype=complex)
             reads = []
             for gate in circ.gates:
-                apply_gate(want, gate, table, scratch)
+                apply_one(want, gate, table, scratch)
                 if gate.param_slot is not None:
                     reads.append((gate.param_slot, want.copy()))
             seen = []
@@ -444,20 +559,23 @@ def test_gate_kernels_allocate_no_state_sized_temporary():
     thetas = rng.uniform(-4, 4, (batch, 1))
     state = random_states(rng, batch, n)
     scratch = np.empty(state.size, dtype=complex)
-    for gate in (Gate(RX, target=3, param_slot=0),
-                 Gate(RY, target=3, param_slot=0),
-                 Gate(RZ, target=3, param_slot=0),
-                 Gate(FIXED_RY, target=3),
-                 Gate(CNOT, target=3, control=6),
-                 Gate(CZ, target=3, control=6)):
-        table = angle_table([gate], thetas)
+    mixed = (Gate(CNOT, target=3, control=6), Gate(CZ, target=9, control=0),
+             Gate(CNOT, target=1, control=8))
+    for gates in ((Gate(RX, target=3, param_slot=0),),
+                  (Gate(RY, target=3, param_slot=0),),
+                  (Gate(RZ, target=3, param_slot=0),),
+                  (Gate(FIXED_RY, target=3),),
+                  (Gate(CNOT, target=3, control=6),),
+                  (Gate(CZ, target=3, control=6),), mixed):
+        table = angle_table(gates, thetas)
+        step, = gate_plan(gates, n)
         tracemalloc.start()
         try:
-            apply_gate(state, gate, table, scratch)
+            apply_gate(state, step, table, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound, (gate.kind, peak)
+        assert peak <= bound, ([gate.kind for gate in gates], peak)
 
 
 def test_norm_check_allocates_no_batch_sized_temporary():

@@ -3,6 +3,13 @@ configs, one `name hash16` line each, all run in one process.
 
     python3 tools/record_hashes.py [--seed N]
 
+The first line, which starts with `#`, names the numpy version and the
+CPU dispatch target numpy picked at import for float64 log, exp and power
+(numpy.lib.introspect.opt_func_info, e.g. X86_V4 on an AVX-512 host).
+The sampler's draws pass through those kernels, so record bits repeat only
+per numpy build and dispatch level; two hash lists are comparable when
+their first lines agree.
+
 The workloads come from bench/spec.json, which is only read. The extra
 configs cover paths no workload runs: the exact QFIM without a Pauli sum
 (hypopt-exact), the block-diagonal QFIM rung (hypopt-block, vqe-block),
@@ -57,8 +64,16 @@ def main(argv=None) -> int:
     # configs name datasets and Hamiltonians relative to the checkout root
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+    from numpy.lib.introspect import opt_func_info
     from qinitopt import cli
     from qinitopt.records import record_hash
+
+    # one float64 signature per function, so each has one target
+    info = opt_func_info(func_name="^(log|exp|power)$", signature="float64")
+    targets = " ".join(f"{name} {next(iter(info[name].values()))['current']}"
+                       for name in ("log", "exp", "power"))
+    print(f"# numpy {np.__version__} float64 dispatch: {targets}", flush=True)
 
     spec = json.loads((ROOT / "bench" / "spec.json").read_text())
     configs = [(w["name"], w["command"], w["set"])
