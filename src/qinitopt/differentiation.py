@@ -40,11 +40,16 @@ of CNOTs and CZs), and a row's results keep the bits its theta gives
 alone. The forward runs, psi for the adjoint and the trace run with its
 generator reads, go through simulator._forward, which owns their angle
 table, scratch buffer and norm check. The two sweeps walk plans in loops
-of their own, as neither is a plain forward run: the forward sweep walks
-each segment's plan, so no run crosses a stop, grows its buffer by a row
-per slot and allocates a scratch per segment, dropped before each yield;
-the adjoint walks the plan of the reversed gates, whose runs undo the
+of their own, as neither is a plain forward run, each through a
+simulator.stepper bound to its buffer: the forward sweep walks each
+segment's plan, so no run crosses a stop, grows its buffer by a row per
+slot, binding a new stepper to the longer row prefix, and allocates a
+scratch per segment, dropped before each yield; the adjoint binds one
+stepper and walks the plan of the reversed gates, whose runs undo the
 forward ones, with the inverse rotations' factors taken from -theta / 2.
+The adjoint and the trace run write each slot's generator rows into one
+reused buffer and its dot products into one preallocated complex array,
+and take the real or imaginary part once, at the end.
 Each quantity has one function, which takes a (p,) theta or a (B, p) stack
 and runs a (p,) theta as a stack of one; only the parameter-shift
 reference takes one theta alone. Every stack entry point chunks itself
@@ -71,9 +76,8 @@ import numpy as np
 
 from .simulator import (Circuit, Gate, Observable, _batch_of,
                         _expectation_from, _features_of, _forward,
-                        _pauli_table, angle_table, apply_gate,
-                        apply_observable, check_normalized, gate_plan,
-                        run_gates)
+                        _pauli_table, angle_table, apply_observable,
+                        check_normalized, gate_plan, run_gates, stepper)
 
 SHIFT = math.pi / 2
 
@@ -182,22 +186,24 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     first = first_param_gate(circuit)
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([phi, lam])
-    undo = angle_table(gates[first + 1:], thetas, features, inverse=True)
-    scratch = np.empty(pair.size, dtype=complex)
-    # sums[mu, j] = Re<lambda_j|-(i/2) G_mu phi_j>, one vecdot per slot
-    sums = np.zeros((p, m))
+    undo = stepper(pair, angle_table(gates[first + 1:], thetas, features,
+                                     inverse=True),
+                   np.empty(pair.size, dtype=complex))
+    rows = np.empty((m, pair.shape[1]), dtype=complex)
+    # dots[mu, j] = <lambda_j|-(i/2) G_mu phi_j>, one vecdot per slot
+    dots = np.zeros((p, m), dtype=complex)
     # the reversed tail's plan undoes it, all but its last step, gates[first]
     steps = gate_plan(gates[first:][::-1], circuit.num_qubits)
     for k, step in enumerate(steps):
         if isinstance(step, Gate) and step.param_slot is not None:
-            rows = _generator_rows(step, circuit.num_qubits, pair[:m])
-            sums[step.param_slot] = np.vecdot(pair[m:], rows).real
+            _generator_rows(step, circuit.num_qubits, pair[:m], out=rows)
+            np.vecdot(pair[m:], rows, out=dots[step.param_slot])
         if k < len(steps) - 1:
-            apply_gate(pair, step, undo, scratch)
+            undo(step)
     # theta r owns rows r, r + b, ...; summing each theta's row sums along
     # a contiguous axis gives it the same bits at any b
     per_theta = np.ascontiguousarray(
-        sums.reshape(p, m // b, b).transpose(2, 0, 1))
+        dots.real.reshape(p, m // b, b).transpose(2, 0, 1))
     grad = 2.0 * per_theta.sum(axis=-1)
     return grad if batched else grad[0]
 
@@ -277,14 +283,17 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
         # yield: the caller's reductions between segments do not need it
         grown = sum(gate.param_slot is not None for gate in segment)
         scratch = np.empty((1 + grown) * batch * flat.shape[1], dtype=complex)
+        apply = stepper(flat[:batch], table, scratch)
         for step in gate_plan(segment, circuit.num_qubits):
-            apply_gate(flat[:n * batch], step, table, scratch)
+            apply(step)
             if isinstance(step, Gate) and step.param_slot is not None:
                 _generator_rows(step, circuit.num_qubits, rows[0],
                                 out=rows[n])
                 slots.append(step.param_slot)
                 n += 1
-        del scratch
+                # the row prefix grew: bind the steps to the new one
+                apply = stepper(flat[:n * batch], table, scratch)
+        del scratch, apply
         check_normalized(rows[0])
         yield rows[0], rows[1:n], slots
         n = 1
@@ -430,16 +439,18 @@ def _generator_expectations(circuit: Circuit, thetas: np.ndarray,
     """(B, p) generator expectations <G_mu> on the state psi right after
     gate mu, for a (B, p) thetas batch and the (1, f) feature row, from one
     engine run of one row per theta whose read takes
-    <G_mu> = -2 Im<psi|-(i/2) G_mu psi>, one np.vecdot per slot. Raises
+    <G_mu> = -2 Im<psi|-(i/2) G_mu psi>, one np.vecdot per slot into
+    column mu of a (B, p) complex array, scaled once at the end. Raises
     FloatingPointError when a final state is not normalized (a NaN
     theta)."""
-    expect = np.empty((len(thetas), circuit.num_params))
+    dots = np.zeros((len(thetas), circuit.num_params), dtype=complex)
+    rows = np.empty((len(thetas), 1 << circuit.num_qubits), dtype=complex)
 
     def read(gate, state):
-        rows = _generator_rows(gate, circuit.num_qubits, state)
-        expect[:, gate.param_slot] = -2.0 * np.vecdot(state, rows).imag
+        _generator_rows(gate, circuit.num_qubits, state, out=rows)
+        np.vecdot(state, rows, out=dots[:, gate.param_slot])
     _forward(circuit.gates, circuit.num_qubits, thetas, feats, read=read)
-    return expect
+    return -2.0 * dots.imag
 
 
 def qfim_block_diagonal(circuit: Circuit, theta,

@@ -12,17 +12,21 @@ parameter-shift sweeps cheap.
 A gate on a few rows of 16 amplitudes costs mostly numpy call overhead, so
 a run of a gate sequence takes the trig of all its angles at once:
 angle_table holds every rotation's half-angle factors, complex and shaped
-to broadcast over the batch, and apply_gate reads a gate's entry from it.
-For the same reason gate_plan, cached per sequence, makes each run of
-CNOTs and CZs between two rotations one step. A kernel then makes only
-the calls that move amplitudes, and each amplitude keeps the bits that
-per-gate trig and applying CNOTs and CZs one by one would give it.
+to broadcast over the batch (RZ's two phases as one array, so its step is
+one multiply), and a step reads its gate's entry from it. For the same
+reason gate_plan, cached per sequence (a Gate hashes its fields once, so
+a lookup costs one pass over the tuple), makes each run of CNOTs and CZs
+between two rotations one step, and stepper builds the views of a state
+and its scratch once per walk, not once per step. A kernel then makes
+only the calls that move amplitudes, and each amplitude keeps the bits
+that per-gate trig and applying CNOTs and CZs one by one would give it.
 
 A step's temporaries go into a scratch buffer of the state's size that
-the loop walking the plan allocates once and passes to every step.
-Per-gate temporaries on the wide sweep batches are large enough for glibc
-to map and unmap them on every gate, which made run time follow the
-heap's state more than the arithmetic.
+the loop walking the plan allocates once and binds, with the state, to
+one stepper; apply_gate is a stepper's one-step case. Per-gate
+temporaries on the wide sweep batches are large enough for glibc to map
+and unmap them on every gate, which made run time follow the heap's
+state more than the arithmetic.
 
 Every forward run goes through one engine, _forward, which owns the
 run's table, scratch and norm check; run_gates is the engine from
@@ -75,6 +79,21 @@ class Gate:
         expected = int(self.kind in ROTATION_KINDS)
         if n_angle != expected:
             raise ValueError(f"{self.kind} takes {expected} angle(s), got {n_angle}")
+        # every plan lookup hashes a whole gate tuple, so each gate hashes
+        # its fields once; a frozen dataclass keeps an explicit __hash__
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.target, self.control, self.param_slot,
+                self.feature_slot)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild, so a gate sent to another process rehashes its kind
+        # under that process's string hash seed
+        return Gate, self._fields()
 
 
 @dataclass(frozen=True)
@@ -187,12 +206,14 @@ def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
     once for a run of it, keyed by (kind, param_slot, feature_slot).
 
     Theta slots read (k, p) thetas and feature slots (k', f) features, each
-    with its own row count; every factor has shape (k, 1, 1), and row r of
-    a state batch turns by angle row r % k. With h = a / 2, or h = -a / 2
-    for the inverse gates, an rz entry holds (exp(-ih), exp(ih)), an ry
-    or fixed-ry entry (cos h, sin h, sin h) and an rx entry
-    (cos h, i sin h, -i sin h), all complex, so no kernel casts a real
-    operand. A sequence builds only the factors its gate kinds read.
+    with its own row count, and row r of a state batch turns by angle row
+    r % k. With h = a / 2, or h = -a / 2 for the inverse gates, an rz
+    entry is one (k, 1, 2, 1) array of [exp(-ih), exp(ih)], which
+    broadcasts over a state view split at the gate's qubit; an ry or
+    fixed-ry entry is (cos h, sin h, sin h) and an rx entry
+    (cos h, i sin h, -i sin h), each factor (k, 1, 1). Every factor is
+    complex, so no kernel casts a real operand. A sequence builds only the
+    factors its gate kinds read.
     """
     fixed = np.full((1, 1), FIXED_RY_ANGLE)
     columns: dict = {}  # (kind, angle source) -> {table key: column}
@@ -214,15 +235,23 @@ def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
         angles = angles[:, list(keys.values())]
         half = (-angles if inverse else angles) / 2.0
         if kind == RZ:
-            factors = (np.exp(-1j * half), np.exp(1j * half))
+            # the bits of exp(-1j * h) and exp(1j * h), from real trig:
+            # + 0.0 turns sin(-0.0) into the +0 that exp(1j * -0.0) has
+            sn = np.sin(half).T
+            factors = np.empty(sn.shape + (1, 2, 1), dtype=complex)
+            pair = factors[:, :, 0, :, 0]
+            pair.real = np.cos(half).T[..., None]
+            pair.imag[..., 0] = -sn
+            pair.imag[..., 1] = sn + 0.0
+            table.update(zip(keys, factors))
+            continue
+        c = np.cos(half).astype(complex)
+        sn = np.sin(half)
+        if kind == RX:
+            factors = (c, 1j * sn, -1j * sn)
         else:
-            c = np.cos(half).astype(complex)
-            sn = np.sin(half)
-            if kind == RX:
-                factors = (c, 1j * sn, -1j * sn)
-            else:
-                sn = sn.astype(complex)
-                factors = (c, sn, sn)
+            sn = sn.astype(complex)
+            factors = (c, sn, sn)
         table.update(zip(keys, zip(*(f.T[:, :, None, None]
                                      for f in factors))))
     return table
@@ -255,54 +284,86 @@ def gate_plan(gates: tuple, num_qubits: int) -> tuple:
     return (sign, source),
 
 
+def stepper(state: np.ndarray, table: dict, scratch: np.ndarray):
+    """apply(step), which applies one gate_plan step in place to the
+    C-contiguous (B, 2^n) state batch, reading rotation factors from table
+    and writing temporaries into scratch. The views of state and scratch
+    that a step needs are built on the first step that needs them, once
+    per (target, angle rows k) and once for all runs, so a walk that binds
+    one stepper per buffer pays them once; apply_gate is the one-step
+    case, which documents the kernels."""
+    views: dict = {}
+
+    def split(target, k):
+        s = state.reshape(-1, k, 1 << target, 2,
+                          state.shape[1] >> (target + 1))
+        s0 = s[..., 0, :]
+        half = state.size >> 1
+        views[target, k] = bound = (
+            s, s0, s[..., 1, :], scratch[:half].reshape(s0.shape),
+            scratch[half:state.size].reshape(s0.shape), s.shape[-1] > 1)
+        return bound
+
+    def apply(step) -> None:
+        if not isinstance(step, Gate):
+            sign, source = step
+            if None not in views:
+                views[None] = (scratch[:state.size].reshape(state.shape),
+                               state.view(float))
+            gathered, real = views[None]
+            np.take(state, source, axis=1, out=gathered, mode="clip")
+            state[...] = gathered
+            np.multiply(real, sign, out=real)
+            return
+        factors = table[step.kind, step.param_slot, step.feature_slot]
+        rz = step.kind == RZ
+        key = step.target, len(factors if rz else factors[0])
+        s, s0, s1, a, b, wide = views.get(key) or split(*key)
+        if rz and wide:
+            np.multiply(s, factors, out=s)
+            return
+        if rz:
+            s0 *= factors[..., 0, :]
+            s1 *= factors[..., 1, :]
+            return
+        c, f, g = factors
+        np.multiply(c, s0, a)
+        np.multiply(f, s1, b)
+        a -= b
+        np.multiply(g, s0, b)
+        s0[...] = a
+        np.multiply(c, s1, a)
+        b += a
+        s1[...] = b
+    return apply
+
+
 def apply_gate(state: np.ndarray, step, table: dict,
                scratch: np.ndarray) -> None:
     """Apply one gate_plan step in place to a C-contiguous (B, 2^n) state
-    batch.
+    batch: the one-step case of stepper, which the engines bind once per
+    walk.
 
     A rotation reads its factors from table, an angle_table over a
     sequence that holds the gate (built with inverse=True, it applies the
-    gate's inverse), whose (k, 1, 1) factors repeat over blocks of k rows.
-    RZ scales the two half-views in place; RX and RY form c * s0 - f * s1
-    and g * s0 + c * s1 in the two halves of scratch and copy them back,
-    which on numpy 2.4 beats updating the strided half-views in place. A
-    CNOT/CZ run gathers into scratch, copies back and multiplies the float
-    view by its signs, an exact negation where a sign is -1; CNOT and CZ
-    are self-inverse, so a reversed run's step undoes the run.
+    gate's inverse), whose factors repeat over blocks of k rows. RZ is one
+    in-place multiply of the contiguous (B/k, k, 2^t, 2, rest) view by its
+    (k, 1, 2, 1) factors; on the last qubit (rest 1) it scales the two
+    strided half-views, which is faster there on wide batches. RX and RY
+    form c * s0 - f * s1 and g * s0 + c * s1 in the two halves of scratch
+    and copy them back, which on numpy 2.4 beats updating the strided
+    half-views in place. A CNOT/CZ run gathers into scratch, copies back
+    and multiplies the float view by its signs, an exact negation where a
+    sign is -1; CNOT and CZ are self-inverse, so a reversed run's step
+    undoes the run.
 
     scratch is a flat complex array of at least state.size entries that a
     step overwrites and never reads first, so no temporary of a step grows
-    with the state. numpy's in-place ufuncs on strided operands still
-    buffer up to np.getbufsize() elements per operand: a step may allocate
-    up to 3 * np.getbufsize() * 16 + 4096 bytes, more than a small state."""
-    if not isinstance(step, Gate):
-        sign, source = step
-        gathered = scratch[:state.size].reshape(state.shape)
-        np.take(state, source, axis=1, out=gathered, mode="clip")
-        state[...] = gathered
-        np.multiply(state.view(float), sign, out=state.view(float))
-        return
-    factors = table[step.kind, step.param_slot, step.feature_slot]
-    s = state.reshape(-1, len(factors[0]), 1 << step.target, 2,
-                      state.shape[1] >> (step.target + 1))
-    s0 = s[..., 0, :]
-    s1 = s[..., 1, :]
-    if step.kind == RZ:
-        s0 *= factors[0]
-        s1 *= factors[1]
-        return
-    c, f, g = factors
-    half = state.size >> 1
-    a = scratch[:half].reshape(s0.shape)
-    b = scratch[half:state.size].reshape(s0.shape)
-    np.multiply(c, s0, a)
-    np.multiply(f, s1, b)
-    a -= b
-    np.multiply(g, s0, b)
-    s0[...] = a
-    np.multiply(c, s1, a)
-    b += a
-    s1[...] = b
+    with the state. numpy's ufuncs may still buffer up to np.getbufsize()
+    elements per operand: an RZ step allocates at most one such buffer,
+    np.getbufsize() * 16 + 4096 bytes, and other steps at most three,
+    3 * np.getbufsize() * 16 + 4096 bytes, more than a small state."""
+    stepper(state, table, scratch)(step)
 
 
 def _forward(gates, num_qubits: int, thetas: np.ndarray,
@@ -325,10 +386,10 @@ def _forward(gates, num_qubits: int, thetas: np.ndarray,
     if state is None:
         state = zero_state(num_qubits, max(
             len(thetas), 0 if features is None else len(features)))
-    table = angle_table(gates, thetas, features)
-    scratch = np.empty(state.size, dtype=complex)
+    apply = stepper(state, angle_table(gates, thetas, features),
+                    np.empty(state.size, dtype=complex))
     for step in gate_plan(gates, num_qubits):
-        apply_gate(state, step, table, scratch)
+        apply(step)
         if read and isinstance(step, Gate) and step.param_slot is not None:
             read(step, state)
     check_normalized(state)

@@ -1,12 +1,20 @@
 """Distribution sampling checked against closed-form moments."""
+import json
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 import tracemalloc
 
 from hypothesis import given
 from hypothesis import strategies as st
 import numpy as np
+from numpy.lib.introspect import opt_func_info
 import pytest
 
+from qinitopt import distributions
 from qinitopt.distributions import (BETA, DEFAULT_BETA_SCALE, FAMILIES,
                                     GAUSSIAN, HyperParams, beta_samples,
                                     child_rng, from_unconstrained,
@@ -176,12 +184,59 @@ def test_beta_finite_at_huge_shapes():
     assert np.all(lopsided == 1.0)
 
 
-def test_beta_draws_pinned_at_manual_baseline():
+# The draws pass through numpy's float64 log, whose kernel numpy picks at
+# import from the CPU's features, so the pin is per dispatch target of
+# float64 log: the first five draws hold at every level, the sixth moves
+# by one ulp below AVX-512.
+BETA_DRAWS_FIRST_FIVE = [
+    "0x1.dce68f24e2d49p-4", "0x1.f2abdea8a2171p-12",
+    "0x1.b2cb51c297a37p-28", "0x1.36678434aed36p-10",
+    "0x1.7c50390d07cb8p-19"]
+BETA_DRAW_SIX_BY_LOG_TARGET = {
+    "X86_V4": "0x1.23f5fd4128f4ap-18",
+    "X86_V3": "0x1.23f5fd4128f4bp-18",
+    "baseline(X86_V2)": "0x1.23f5fd4128f4bp-18"}
+
+
+def pinned_beta_draws() -> tuple[str, list[str]]:
+    """(float64 log dispatch target, the six draws as float hex)."""
+    info = opt_func_info(func_name="^log$", signature="float64")
+    target = next(iter(info["log"].values()))["current"]
     draws = beta_samples(0.1, 1.5, 6, child_rng(46))
-    assert [float(x).hex() for x in draws] == [
-        "0x1.dce68f24e2d49p-4", "0x1.f2abdea8a2171p-12",
-        "0x1.b2cb51c297a37p-28", "0x1.36678434aed36p-10",
-        "0x1.7c50390d07cb8p-19", "0x1.23f5fd4128f4ap-18"]
+    return target, [float(x).hex() for x in draws]
+
+
+def check_pinned_beta_draws(target: str, draws: list[str]) -> None:
+    assert target in BETA_DRAW_SIX_BY_LOG_TARGET, (
+        f"no pin for float64 log dispatch target {target}; draws {draws}")
+    assert draws == BETA_DRAWS_FIRST_FIVE + [
+        BETA_DRAW_SIX_BY_LOG_TARGET[target]], (target, draws)
+
+
+def test_beta_draws_pinned_at_manual_baseline():
+    check_pinned_beta_draws(*pinned_beta_draws())
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the dispatch targets named are x86-64's")
+def test_beta_draws_pinned_under_avx2_dispatch():
+    """The pin below AVX-512: a child process draws with numpy's AVX-512
+    targets disabled, which numpy reads from NPY_DISABLE_CPU_FEATURES at
+    import."""
+    tests = pathlib.Path(__file__).resolve().parent
+    src = pathlib.Path(distributions.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4",
+           "PYTHONPATH": os.pathsep.join(filter(None, (
+               str(src), str(tests), os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, test_distributions as t; "
+         "print(json.dumps(t.pinned_beta_draws()))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    target, draws = json.loads(done.stdout)
+    assert target != "X86_V4", (target, draws)
+    check_pinned_beta_draws(target, draws)
 
 
 def test_sample_params_gaussian():

@@ -6,6 +6,7 @@ strided production simulator.
 """
 import functools
 import math
+import pickle
 import tracemalloc
 
 from hypothesis import given
@@ -23,7 +24,7 @@ from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 apply_observable, check_normalized,
                                 build_hea, build_strongly_entangling,
                                 build_two_design, embed_angles, expectation,
-                                gate_plan, zero_state)
+                                gate_plan, stepper, zero_state)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -399,6 +400,116 @@ def test_gate_sequences_match_the_oracle_bit_for_bit():
         assert_same_bits(got, want)
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+def test_rotations_match_the_oracle_bit_for_bit_at_every_target(inverse):
+    """Every rotation at every target of n = 5, so RZ runs both as one pass
+    over the whole state and, on the last qubit, as two half-view
+    multiplies, with angle rows repeating over blocks of k = 1, 2, 3 and 6
+    state rows. One stepper per buffer applies every gate, so each gate
+    after the first of its (target, k) reuses the views bound for it."""
+    n, batch = 5, 6
+    rng = np.random.default_rng(64)
+    special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300]
+    for k in (1, 2, 3, 6):
+        thetas = rng.uniform(-7, 7, (k, 2))
+        thetas[:, 1] = special[:k]
+        feats = rng.uniform(-7, 7, (k, 1))
+        feats[0, 0] = -0.0
+        gates = [Gate(kind, target=target, param_slot=slot)
+                 for target in range(n) for kind in ROTATION_KINDS
+                 for slot in (0, 1)]
+        gates += [Gate(kind, target=target, feature_slot=0)
+                  for target in range(n) for kind in ROTATION_KINDS]
+        gates += [Gate(FIXED_RY, target=target) for target in range(n)]
+        table = angle_table(gates, thetas, feats, inverse=inverse)
+        for start in kernel_states(rng, batch, n):
+            got = np.empty_like(start)
+            apply = stepper(got, table, nan_scratch(got.size))
+            # a row prefix of a larger buffer, with a scratch for all of it
+            buffer = np.concatenate([start, random_states(rng, 3, n)])
+            rest = buffer[batch:].copy()
+            apply_prefix = stepper(buffer[:batch], table,
+                                   nan_scratch(buffer.size))
+            for gate in gates:
+                want = start.copy()
+                _oracle_apply(want, gate, thetas, feats, inverse)
+                got[...] = start
+                apply(gate)
+                assert_same_bits(got, want)
+                buffer[:batch] = start
+                apply_prefix(gate)
+                assert_same_bits(buffer[:batch], want)
+                assert_same_bits(buffer[batch:], rest)
+
+
+def test_rz_factors_have_the_bits_of_complex_exp():
+    """An rz entry, built from real trig, holds the bits of
+    [exp(-1j * h), exp(1j * h)] for h = a / 2 and, inverse, h = -a / 2,
+    signed zeros included."""
+    special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
+               1e-300, -1e-300, 1e6, -1e6]
+    rng = np.random.default_rng(65)
+    thetas = np.concatenate([special, rng.uniform(-20, 20, 54)]).reshape(8, 8)
+    gates = [Gate(RZ, target=slot % 3, param_slot=slot) for slot in range(8)]
+    for inverse in (False, True):
+        table = angle_table(gates, thetas, inverse=inverse)
+        half = (-thetas if inverse else thetas) / 2.0
+        for gate in gates:
+            factors = table[RZ, gate.param_slot, None]
+            assert factors.shape == (8, 1, 2, 1)
+            h = half[:, gate.param_slot]
+            for column, want in enumerate((np.exp(-1j * h), np.exp(1j * h))):
+                assert_same_bits(
+                    np.ascontiguousarray(factors[:, 0, column, 0]), want)
+
+
+def test_one_walk_turns_a_target_by_three_angle_row_counts():
+    """Theta rows (k = 3), feature rows (k = 2) and the fixed angle (k = 1)
+    turn the same qubit in one walk, on the middle and on the last of three
+    qubits, so one stepper holds three views of a target: the forward
+    engine matches the oracle from a given start, and one stepper walking
+    the reversed plan undoes it."""
+    gates = []
+    for slot, (target, kind) in enumerate(
+            (target, kind) for target in (1, 2) for kind in ROTATION_KINDS):
+        gates += [Gate(kind, target, param_slot=slot),
+                  Gate(kind, target, feature_slot=slot),
+                  Gate(FIXED_RY, target)]
+    rng = np.random.default_rng(66)
+    thetas = rng.uniform(-7, 7, (3, 6))
+    feats = rng.uniform(-7, 7, (2, 6))
+    start = random_states(rng, 6, 3)
+    want = start.copy()
+    for gate in gates:
+        _oracle_apply(want, gate, thetas, feats, False)
+    got = _forward(tuple(gates), 3, thetas, feats, state=start.copy())
+    assert_same_bits(got, want)
+    for gate in reversed(gates):
+        _oracle_apply(want, gate, thetas, feats, True)
+    undo = stepper(got, angle_table(gates, thetas, feats, inverse=True),
+                   nan_scratch(got.size))
+    for step in gate_plan(tuple(gates[::-1]), 3):
+        undo(step)
+    assert_same_bits(got, want)
+
+
+def test_equal_gates_hash_equal_and_share_a_cached_plan():
+    circ = build_strongly_entangling(2, 3)
+    fresh = tuple(Gate(g.kind, g.target, g.control, g.param_slot,
+                       g.feature_slot) for g in circ.gates)
+    assert fresh == circ.gates
+    assert not any(a is b for a, b in zip(fresh, circ.gates))
+    assert [hash(g) for g in fresh] == [hash(g) for g in circ.gates]
+    assert hash(fresh) == hash(circ.gates)
+    gate = circ.gates[0]
+    assert hash(pickle.loads(pickle.dumps(gate))) == hash(gate)
+    plan = gate_plan(circ.gates, 3)
+    before = gate_plan.cache_info()
+    assert gate_plan(fresh, 3) is plan
+    after = gate_plan.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def entangler_run(rng, n):
     """A CNOT and a CZ on every ordered qubit pair, shuffled."""
     run = [Gate(kind, target=t, control=c) for c in range(n)
@@ -552,8 +663,9 @@ def test_forward_engine_checks_the_norm_of_its_result():
 
 def test_gate_kernels_allocate_no_state_sized_temporary():
     # numpy's in-place ufuncs may still buffer up to np.getbufsize()
-    # elements per strided operand, three operands at most
-    bound = 3 * np.getbufsize() * 16 + 4096
+    # elements per operand: one buffer for an RZ step, in either of its
+    # forms, and three operands at most for the other steps
+    buffer = np.getbufsize() * 16
     rng = np.random.default_rng(48)
     n, batch = 10, 64
     thetas = rng.uniform(-4, 4, (batch, 1))
@@ -564,11 +676,13 @@ def test_gate_kernels_allocate_no_state_sized_temporary():
     for gates in ((Gate(RX, target=3, param_slot=0),),
                   (Gate(RY, target=3, param_slot=0),),
                   (Gate(RZ, target=3, param_slot=0),),
+                  (Gate(RZ, target=n - 1, param_slot=0),),
                   (Gate(FIXED_RY, target=3),),
                   (Gate(CNOT, target=3, control=6),),
                   (Gate(CZ, target=3, control=6),), mixed):
         table = angle_table(gates, thetas)
         step, = gate_plan(gates, n)
+        bound = (1 if gates[0].kind == RZ else 3) * buffer + 4096
         tracemalloc.start()
         try:
             apply_gate(state, step, table, scratch)
