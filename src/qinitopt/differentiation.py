@@ -40,12 +40,10 @@ of CNOTs and CZs), and a row's results keep the bits its theta gives
 alone. The forward runs, psi for the adjoint and the trace run with its
 generator reads, go through simulator._forward, which owns their angle
 table, scratch buffer and norm check. The two sweeps walk plans in loops
-of their own, as neither is a plain forward run, each through a
-simulator.stepper bound to its buffer: the forward sweep walks each
-segment's plan, so no run crosses a stop, grows its buffer by a row per
-slot, binding a new stepper to the longer row prefix, and allocates a
-scratch per segment, dropped before each yield; the adjoint binds one
-stepper and walks the plan of the reversed gates, whose runs undo the
+of their own, as neither is a plain forward run: the forward sweep walks
+each segment's plan, so no run crosses a stop, grows its buffer by a row
+per slot and allocates a scratch per segment, dropped before each yield;
+the adjoint walks the plan of the reversed gates, whose runs undo the
 forward ones, with the inverse rotations' factors taken from -theta / 2.
 The adjoint and the trace run write each slot's generator rows into one
 reused buffer and its dot products into one preallocated complex array,
@@ -76,8 +74,9 @@ import numpy as np
 
 from .simulator import (Circuit, Gate, Observable, _batch_of,
                         _expectation_from, _features_of, _forward,
-                        _pauli_table, angle_table, apply_observable,
-                        check_normalized, gate_plan, run_gates, stepper)
+                        _pauli_table, angle_table, apply_gate,
+                        apply_observable, check_normalized, gate_plan,
+                        run_gates)
 
 SHIFT = math.pi / 2
 
@@ -186,9 +185,8 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     first = first_param_gate(circuit)
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([phi, lam])
-    undo = stepper(pair, angle_table(gates[first + 1:], thetas, features,
-                                     inverse=True),
-                   np.empty(pair.size, dtype=complex))
+    undo = angle_table(gates[first + 1:], thetas, features, inverse=True)
+    scratch = np.empty(pair.size, dtype=complex)
     rows = np.empty((m, pair.shape[1]), dtype=complex)
     # dots[mu, j] = <lambda_j|-(i/2) G_mu phi_j>, one vecdot per slot
     dots = np.zeros((p, m), dtype=complex)
@@ -199,7 +197,7 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
             _generator_rows(step, circuit.num_qubits, pair[:m], out=rows)
             np.vecdot(pair[m:], rows, out=dots[step.param_slot])
         if k < len(steps) - 1:
-            undo(step)
+            apply_gate(pair, step, undo, scratch)
     # theta r owns rows r, r + b, ...; summing each theta's row sums along
     # a contiguous axis gives it the same bits at any b
     per_theta = np.ascontiguousarray(
@@ -283,17 +281,14 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
         # yield: the caller's reductions between segments do not need it
         grown = sum(gate.param_slot is not None for gate in segment)
         scratch = np.empty((1 + grown) * batch * flat.shape[1], dtype=complex)
-        apply = stepper(flat[:batch], table, scratch)
         for step in gate_plan(segment, circuit.num_qubits):
-            apply(step)
+            apply_gate(flat[:n * batch], step, table, scratch)
             if isinstance(step, Gate) and step.param_slot is not None:
                 _generator_rows(step, circuit.num_qubits, rows[0],
                                 out=rows[n])
                 slots.append(step.param_slot)
                 n += 1
-                # the row prefix grew: bind the steps to the new one
-                apply = stepper(flat[:n * batch], table, scratch)
-        del scratch, apply
+        del scratch
         check_normalized(rows[0])
         yield rows[0], rows[1:n], slots
         n = 1

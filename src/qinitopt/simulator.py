@@ -12,21 +12,19 @@ parameter-shift sweeps cheap.
 A gate on a few rows of 16 amplitudes costs mostly numpy call overhead, so
 a run of a gate sequence takes the trig of all its angles at once:
 angle_table holds every rotation's half-angle factors, complex and shaped
-to broadcast over the batch (RZ's two phases as one array, so its step is
-one multiply), and a step reads its gate's entry from it. For the same
-reason gate_plan, cached per sequence (a Gate hashes its fields once, so
-a lookup costs one pass over the tuple), makes each run of CNOTs and CZs
-between two rotations one step, and stepper builds the views of a state
-and its scratch once per walk, not once per step. A kernel then makes
-only the calls that move amplitudes, and each amplitude keeps the bits
-that per-gate trig and applying CNOTs and CZs one by one would give it.
+to broadcast over the batch (RZ's two phases as one array), and a step
+reads its gate's entry from it. For the same reason gate_plan, cached per
+sequence (a Gate hashes its fields once, so a lookup costs one pass over
+the tuple), makes each run of CNOTs and CZs between two rotations one
+step. A kernel then makes only the calls that move amplitudes, and each
+amplitude keeps the bits that per-gate trig and applying CNOTs and CZs
+one by one would give it.
 
 A step's temporaries go into a scratch buffer of the state's size that
-the loop walking the plan allocates once and binds, with the state, to
-one stepper; apply_gate is a stepper's one-step case. Per-gate
-temporaries on the wide sweep batches are large enough for glibc to map
-and unmap them on every gate, which made run time follow the heap's
-state more than the arithmetic.
+the loop walking the plan allocates once and passes to every step.
+Per-gate temporaries on the wide sweep batches are large enough for glibc
+to map and unmap them on every gate, which made run time follow the
+heap's state more than the arithmetic.
 
 Every forward run goes through one engine, _forward, which owns the
 run's table, scratch and norm check; run_gates is the engine from
@@ -284,75 +282,23 @@ def gate_plan(gates: tuple, num_qubits: int) -> tuple:
     return (sign, source),
 
 
-def stepper(state: np.ndarray, table: dict, scratch: np.ndarray):
-    """apply(step), which applies one gate_plan step in place to the
-    C-contiguous (B, 2^n) state batch, reading rotation factors from table
-    and writing temporaries into scratch. The views of state and scratch
-    that a step needs are built on the first step that needs them, once
-    per (target, angle rows k) and once for all runs, so a walk that binds
-    one stepper per buffer pays them once; apply_gate is the one-step
-    case, which documents the kernels."""
-    views: dict = {}
-
-    def split(target, k):
-        s = state.reshape(-1, k, 1 << target, 2,
-                          state.shape[1] >> (target + 1))
-        s0 = s[..., 0, :]
-        half = state.size >> 1
-        views[target, k] = bound = (
-            s, s0, s[..., 1, :], scratch[:half].reshape(s0.shape),
-            scratch[half:state.size].reshape(s0.shape), s.shape[-1] > 1)
-        return bound
-
-    def apply(step) -> None:
-        if not isinstance(step, Gate):
-            sign, source = step
-            if None not in views:
-                views[None] = (scratch[:state.size].reshape(state.shape),
-                               state.view(float))
-            gathered, real = views[None]
-            np.take(state, source, axis=1, out=gathered, mode="clip")
-            state[...] = gathered
-            np.multiply(real, sign, out=real)
-            return
-        factors = table[step.kind, step.param_slot, step.feature_slot]
-        rz = step.kind == RZ
-        key = step.target, len(factors if rz else factors[0])
-        s, s0, s1, a, b, wide = views.get(key) or split(*key)
-        if rz and wide:
-            np.multiply(s, factors, out=s)
-            return
-        if rz:
-            s0 *= factors[..., 0, :]
-            s1 *= factors[..., 1, :]
-            return
-        c, f, g = factors
-        np.multiply(c, s0, a)
-        np.multiply(f, s1, b)
-        a -= b
-        np.multiply(g, s0, b)
-        s0[...] = a
-        np.multiply(c, s1, a)
-        b += a
-        s1[...] = b
-    return apply
-
-
 def apply_gate(state: np.ndarray, step, table: dict,
                scratch: np.ndarray) -> None:
     """Apply one gate_plan step in place to a C-contiguous (B, 2^n) state
-    batch: the one-step case of stepper, which the engines bind once per
-    walk.
+    batch.
 
     A rotation reads its factors from table, an angle_table over a
     sequence that holds the gate (built with inverse=True, it applies the
     gate's inverse), whose factors repeat over blocks of k rows. RZ is one
     in-place multiply of the contiguous (B/k, k, 2^t, 2, rest) view by its
-    (k, 1, 2, 1) factors; on the last qubit (rest 1) it scales the two
-    strided half-views, which is faster there on wide batches. RX and RY
-    form c * s0 - f * s1 and g * s0 + c * s1 in the two halves of scratch
-    and copy them back, which on numpy 2.4 beats updating the strided
-    half-views in place. A CNOT/CZ run gathers into scratch, copies back
+    (k, 1, 2, 1) factors. On the last qubit (rest 1) that multiply's inner
+    loops are two amplitudes long, so on a state of 1,024 amplitudes or
+    more RZ scales the two strided half-views there instead, in longer
+    loops (at k = 1, one pass against two: 1.7 against 3.1 us at (8, 2^4),
+    14 against 9 us at (256, 2^4), 100 against 27 us at (128, 2^8)). RX
+    and RY form c * s0 - f * s1 and g * s0 + c * s1 in the two halves of
+    scratch and copy them back, which on numpy 2.4 beats updating the
+    strided half-views in place. A CNOT/CZ run gathers into scratch, copies back
     and multiplies the float view by its signs, an exact negation where a
     sign is -1; CNOT and CZ are self-inverse, so a reversed run's step
     undoes the run.
@@ -363,7 +309,41 @@ def apply_gate(state: np.ndarray, step, table: dict,
     elements per operand: an RZ step allocates at most one such buffer,
     np.getbufsize() * 16 + 4096 bytes, and other steps at most three,
     3 * np.getbufsize() * 16 + 4096 bytes, more than a small state."""
-    stepper(state, table, scratch)(step)
+    if not isinstance(step, Gate):
+        sign, source = step
+        gathered = scratch[:state.size].reshape(state.shape)
+        np.take(state, source, axis=1, out=gathered, mode="clip")
+        state[...] = gathered
+        real = state.view(float)
+        np.multiply(real, sign, out=real)
+        return
+    factors = table[step.kind, step.param_slot, step.feature_slot]
+    rz = step.kind == RZ
+    s = state.reshape(-1, len(factors if rz else factors[0]),
+                      1 << step.target, 2, state.shape[1] >> (step.target + 1))
+    # on the last qubit one pass runs inner loops two amplitudes long, which
+    # outweigh a second call from about 1,024 amplitudes on
+    if rz and (s.shape[-1] > 1 or state.size < 1024):
+        np.multiply(s, factors, out=s)
+        return
+    s0 = s[..., 0, :]
+    s1 = s[..., 1, :]
+    if rz:
+        s0 *= factors[..., 0, :]
+        s1 *= factors[..., 1, :]
+        return
+    c, f, g = factors
+    half = state.size >> 1
+    a = scratch[:half].reshape(s0.shape)
+    b = scratch[half:state.size].reshape(s0.shape)
+    np.multiply(c, s0, a)
+    np.multiply(f, s1, b)
+    a -= b
+    np.multiply(g, s0, b)
+    s0[...] = a
+    np.multiply(c, s1, a)
+    b += a
+    s1[...] = b
 
 
 def _forward(gates, num_qubits: int, thetas: np.ndarray,
@@ -386,10 +366,10 @@ def _forward(gates, num_qubits: int, thetas: np.ndarray,
     if state is None:
         state = zero_state(num_qubits, max(
             len(thetas), 0 if features is None else len(features)))
-    apply = stepper(state, angle_table(gates, thetas, features),
-                    np.empty(state.size, dtype=complex))
+    table = angle_table(gates, thetas, features)
+    scratch = np.empty(state.size, dtype=complex)
     for step in gate_plan(gates, num_qubits):
-        apply(step)
+        apply_gate(state, step, table, scratch)
         if read and isinstance(step, Gate) and step.param_slot is not None:
             read(step, state)
     check_normalized(state)

@@ -5,6 +5,7 @@ Kronecker products and basis-index bookkeeping, sharing no code with the
 strided production simulator.
 """
 import functools
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -24,7 +25,7 @@ from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 apply_observable, check_normalized,
                                 build_hea, build_strongly_entangling,
                                 build_two_design, embed_angles, expectation,
-                                gate_plan, stepper, zero_state)
+                                gate_plan, zero_state)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -402,15 +403,14 @@ def test_gate_sequences_match_the_oracle_bit_for_bit():
 
 @pytest.mark.parametrize("inverse", [False, True])
 def test_rotations_match_the_oracle_bit_for_bit_at_every_target(inverse):
-    """Every rotation at every target of n = 5, so RZ runs both as one pass
-    over the whole state and, on the last qubit, as two half-view
-    multiplies, with angle rows repeating over blocks of k = 1, 2, 3 and 6
-    state rows. One stepper per buffer applies every gate, so each gate
-    after the first of its (target, k) reuses the views bound for it."""
-    n, batch = 5, 6
+    """Every rotation at every target of n = 5, with angle rows repeating
+    over blocks of k = 1, 2, 3 and 6 state rows, on a whole buffer and on a
+    row prefix of a larger one. On the last qubit RZ is one pass on 6 rows
+    (192 amplitudes) and two half-view multiplies on 36 (1,152)."""
+    n = 5
     rng = np.random.default_rng(64)
     special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300]
-    for k in (1, 2, 3, 6):
+    for batch, k in itertools.product((6, 36), (1, 2, 3, 6)):
         thetas = rng.uniform(-7, 7, (k, 2))
         thetas[:, 1] = special[:k]
         feats = rng.uniform(-7, 7, (k, 1))
@@ -424,20 +424,19 @@ def test_rotations_match_the_oracle_bit_for_bit_at_every_target(inverse):
         table = angle_table(gates, thetas, feats, inverse=inverse)
         for start in kernel_states(rng, batch, n):
             got = np.empty_like(start)
-            apply = stepper(got, table, nan_scratch(got.size))
+            scratch = nan_scratch(got.size)
             # a row prefix of a larger buffer, with a scratch for all of it
             buffer = np.concatenate([start, random_states(rng, 3, n)])
             rest = buffer[batch:].copy()
-            apply_prefix = stepper(buffer[:batch], table,
-                                   nan_scratch(buffer.size))
+            prefix_scratch = nan_scratch(buffer.size)
             for gate in gates:
                 want = start.copy()
                 _oracle_apply(want, gate, thetas, feats, inverse)
                 got[...] = start
-                apply(gate)
+                apply_gate(got, gate, table, scratch)
                 assert_same_bits(got, want)
                 buffer[:batch] = start
-                apply_prefix(gate)
+                apply_gate(buffer[:batch], gate, table, prefix_scratch)
                 assert_same_bits(buffer[:batch], want)
                 assert_same_bits(buffer[batch:], rest)
 
@@ -466,8 +465,7 @@ def test_rz_factors_have_the_bits_of_complex_exp():
 def test_one_walk_turns_a_target_by_three_angle_row_counts():
     """Theta rows (k = 3), feature rows (k = 2) and the fixed angle (k = 1)
     turn the same qubit in one walk, on the middle and on the last of three
-    qubits, so one stepper holds three views of a target: the forward
-    engine matches the oracle from a given start, and one stepper walking
+    qubits: the forward engine matches the oracle from a given start, and
     the reversed plan undoes it."""
     gates = []
     for slot, (target, kind) in enumerate(
@@ -486,10 +484,10 @@ def test_one_walk_turns_a_target_by_three_angle_row_counts():
     assert_same_bits(got, want)
     for gate in reversed(gates):
         _oracle_apply(want, gate, thetas, feats, True)
-    undo = stepper(got, angle_table(gates, thetas, feats, inverse=True),
-                   nan_scratch(got.size))
+    undo = angle_table(gates, thetas, feats, inverse=True)
+    scratch = nan_scratch(got.size)
     for step in gate_plan(tuple(gates[::-1]), 3):
-        undo(step)
+        apply_gate(got, step, undo, scratch)
     assert_same_bits(got, want)
 
 
