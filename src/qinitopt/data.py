@@ -45,33 +45,33 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     integer-coded labels, every other column becomes a feature. Every cell
     must be a finite number."""
     with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = rows[0]
-    if all(_is_number(cell) for cell in header):
-        raise ValueError(f"{path}: missing header row")
-    if label_column not in header:
-        raise ValueError(f"{path}: no column named {label_column!r}")
-    label_idx = header.index(label_column)
-    width = len(header)
-    features = []
-    labels = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValueError(f"{path}:{lineno}: expected {width} cells, "
-                             f"got {len(row)}")
-        try:
-            values = [float(cell) for cell in row]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}:{lineno}: non-finite cell")
-        label = values.pop(label_idx)
-        if label != int(label):
-            raise ValueError(f"{path}:{lineno}: label {label} is not an integer")
-        labels.append(int(label))
-        features.append(values)
+        rows = csv.reader(handle)
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if all(_is_number(cell) for cell in header):
+            raise ValueError(f"{path}: missing header row")
+        if label_column not in header:
+            raise ValueError(f"{path}: no column named {label_column!r}")
+        label_idx = header.index(label_column)
+        width = len(header)
+        features = []
+        labels = []
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} cells, "
+                                 f"got {len(row)}")
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite cell")
+            label = values.pop(label_idx)
+            if label != int(label):
+                raise ValueError(f"{path}:{lineno}: label {label} is not an integer")
+            labels.append(int(label))
+            features.append(values)
     if not labels:
         raise ValueError(f"{path}: no data rows")
     name = str(path).rsplit("/", 1)[-1].removesuffix(".csv")

@@ -75,8 +75,8 @@ import numpy as np
 from .simulator import (Circuit, Gate, Observable, _batch_of,
                         _expectation_from, _features_of, _forward,
                         _pauli_table, angle_table, apply_gate,
-                        apply_observable, check_normalized, gate_plan,
-                        run_gates)
+                        apply_observable, check_normalized, fixed_prefix,
+                        gate_plan, run_gates)
 
 SHIFT = math.pi / 2
 
@@ -252,34 +252,37 @@ def _in_chunks(circuit: Circuit, theta, rows_per_theta, fn) -> tuple:
 
 
 def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
-    """Run the circuit once from |0> for every row of a (B, p) thetas batch;
+    """Run the circuit once from |0> for every row of a (B, p) thetas batch,
+    starting from fixed_prefix's row of the gates before the first stop;
     at each gate index in stops (ascending) yield (psi, rows, slots): the
     (B, 2^n) states after gates[:stop], and as the (m, B, 2^n) rows the
     derivatives d_mu psi of the m slots in `slots`, those whose gates ran
     since the previous stop, in the order they ran. The rows are then
     dropped, and the yielded arrays are reused by the next segment.
 
-    The (p + 1, B, 2^n) buffer runs as one batch of rows, so each step of
-    a segment's own gate_plan, whose runs end at the stop, is one kernel
+    The buffer holds one row block more than the most slots a segment
+    reads (p + 1 for one stop) and runs as one batch of rows, so each step
+    of a segment's own gate_plan, whose runs end at the stop, is one kernel
     call: the B theta rows repeat over the derivative rows, and the one
     (1, f) feature row feats broadcasts.
 
     Raises FloatingPointError when a state is not normalized (a NaN theta).
     """
     batch = thetas.shape[0]
-    height = circuit.num_params + 1
-    rows = np.zeros((height, batch, 1 << circuit.num_qubits), dtype=complex)
-    rows[0, :, 0] = 1.0
-    flat = rows.reshape(height * batch, -1)
+    start, row = fixed_prefix(circuit.gates[:stops[0]], circuit.num_qubits)
+    bounds = list(zip([start, *stops], stops))
+    growth = [sum(gate.param_slot is not None for gate in circuit.gates[a:b])
+              for a, b in bounds]
+    rows = np.zeros((1 + max(growth), batch, row.shape[1]), dtype=complex)
+    rows[0] = row
+    flat = rows.reshape(-1, row.shape[1])
     table = angle_table(circuit.gates, thetas, feats)
     n = 1
     slots: list[int] = []
-    start = 0
-    for stop in stops:
+    for (start, stop), grown in zip(bounds, growth):
         segment = circuit.gates[start:stop]
         # as large as the segment's last row prefix, and dropped before the
         # yield: the caller's reductions between segments do not need it
-        grown = sum(gate.param_slot is not None for gate in segment)
         scratch = np.empty((1 + grown) * batch * flat.shape[1], dtype=complex)
         for step in gate_plan(segment, circuit.num_qubits):
             apply_gate(flat[:n * batch], step, table, scratch)
@@ -293,24 +296,6 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
         yield rows[0], rows[1:n], slots
         n = 1
         slots = []
-        start = stop
-
-
-def state_derivatives(circuit: Circuit, theta,
-                      features=None) -> tuple[np.ndarray, np.ndarray]:
-    """(psi, dpsi): the state of a (p,) theta and its (p, 2^n) derivatives
-    d_mu psi, row mu for slot mu, or the (B, 2^n) states and
-    (B, p, 2^n) derivatives of a (B, p) stack, one forward sweep a chunk."""
-    feats = _features_of(circuit, features, single=True)[0]
-
-    def chunk(thetas):
-        psi, rows, slots = next(_derivative_sweep(
-            circuit, thetas, feats, (len(circuit.gates),)))
-        dpsi = np.empty((len(thetas), circuit.num_params, psi.shape[1]),
-                        dtype=complex)
-        dpsi[:, slots] = rows.transpose(1, 0, 2)
-        return psi.copy(), dpsi
-    return _in_chunks(circuit, theta, None, chunk)
 
 
 def pauli_sum_gradients(psi: np.ndarray, dpsi: np.ndarray,

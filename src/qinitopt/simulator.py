@@ -29,7 +29,10 @@ heap's state more than the arithmetic.
 Every forward run goes through one engine, _forward, which owns the
 run's table, scratch and norm check; run_gates is the engine from
 |0...0>. Only the two sweeps in differentiation walk plans in loops of
-their own.
+their own. A walk from |0...0> starts from copies of one cached, read-only
+row, fixed_prefix's state after the leading gates that read no slot (the
+two-design's RY wall): their steps act on each row alone, so a copy has
+the bits that running them on every row gives.
 
 Each input is checked once, where it enters: a circuit and its layer tags
 when Circuit is built, thetas by _batch_of and features by _features_of in
@@ -260,8 +263,9 @@ def gate_plan(gates: tuple, num_qubits: int) -> tuple:
     """The steps of a gate sequence, built once per sequence: each rotation
     is its Gate, and each maximal run of CNOT and CZ gates is one
     (sign, source) step that maps a row psi to sign * psi[source], with
-    sign a read-only ±1 vector over the row's float view. A run's step is
-    the run's own one-step plan, so sequences that share a run share it."""
+    sign a read-only ±1 vector over the row's float view, or None where
+    every sign is +1. A run's step is the run's own one-step plan, so
+    sequences that share a run share it."""
     groups = [(fused, tuple(group)) for fused, group in itertools.groupby(
         gates, lambda gate: gate.kind in (CNOT, CZ))]
     if groups != [(True, gates)]:
@@ -279,7 +283,7 @@ def gate_plan(gates: tuple, num_qubits: int) -> tuple:
             sign = np.where(c_on * (index & t_bit), -sign, sign)
     sign = np.repeat(sign, 2)
     sign.flags.writeable = source.flags.writeable = False
-    return (sign, source),
+    return (None if (sign > 0).all() else sign, source),
 
 
 def apply_gate(state: np.ndarray, step, table: dict,
@@ -298,10 +302,18 @@ def apply_gate(state: np.ndarray, step, table: dict,
     14 against 9 us at (256, 2^4), 100 against 27 us at (128, 2^8)). RX
     and RY form c * s0 - f * s1 and g * s0 + c * s1 in the two halves of
     scratch and copy them back, which on numpy 2.4 beats updating the
-    strided half-views in place. A CNOT/CZ run gathers into scratch, copies back
-    and multiplies the float view by its signs, an exact negation where a
-    sign is -1; CNOT and CZ are self-inverse, so a reversed run's step
-    undoes the run.
+    strided half-views in place. numpy's inner loops run along the last
+    axis, so where the rest amplitudes below the target are fewer than the
+    2^t blocks above it, RX and RY swap those two axes of their views and
+    of the halves: at (100, 2^8), k = B, RX at t = 5 and 6 went from 265
+    and 351 us to 165 and 181 us, against 106-164 us on the other targets
+    (tools/step_timings.py). A CNOT/CZ run gathers into scratch, copies
+    back and multiplies the float view by its signs, an exact negation
+    where a sign is -1, unless all are +1 (no CZ): a CNOT-only step at
+    (100, 2^8) took 37 us against 66. A CZ-only run keeps its gather
+    through the identity: leaving it out saved about 1% of bp-scan's run
+    time and raised its peak RSS by about 0.15 MB. CNOT and CZ are
+    self-inverse, so a reversed run's step undoes the run.
 
     scratch is a flat complex array of at least state.size entries that a
     step overwrites and never reads first, so no temporary of a step grows
@@ -314,8 +326,9 @@ def apply_gate(state: np.ndarray, step, table: dict,
         gathered = scratch[:state.size].reshape(state.shape)
         np.take(state, source, axis=1, out=gathered, mode="clip")
         state[...] = gathered
-        real = state.view(float)
-        np.multiply(real, sign, out=real)
+        if sign is not None:
+            real = state.view(float)
+            np.multiply(real, sign, out=real)
         return
     factors = table[step.kind, step.param_slot, step.feature_slot]
     rz = step.kind == RZ
@@ -332,6 +345,8 @@ def apply_gate(state: np.ndarray, step, table: dict,
         s0 *= factors[..., 0, :]
         s1 *= factors[..., 1, :]
         return
+    if s0.shape[-1] < s0.shape[-2]:
+        s0, s1 = s0.swapaxes(-1, -2), s1.swapaxes(-1, -2)
     c, f, g = factors
     half = state.size >> 1
     a = scratch[:half].reshape(s0.shape)
@@ -346,15 +361,32 @@ def apply_gate(state: np.ndarray, step, table: dict,
     s1[...] = b
 
 
+def fixed_prefix(gates: tuple, num_qubits: int) -> tuple[int, np.ndarray]:
+    """(m, row): the count m of a sequence's leading gates that read no
+    theta or feature slot, and the read-only (1, 2^n) state they make from
+    |0...0>, built once per (prefix, n); an empty prefix gives |0...0>."""
+    m = next((k for k, gate in enumerate(gates)
+              if gate.kind in ROTATION_KINDS), len(gates))
+    return m, _prefix_row(gates[:m], num_qubits)
+
+
+@functools.lru_cache(maxsize=None)
+def _prefix_row(prefix: tuple, num_qubits: int) -> np.ndarray:
+    row = _forward(prefix, num_qubits, None, state=zero_state(num_qubits, 1))
+    row.flags.writeable = False
+    return row
+
+
 def _forward(gates, num_qubits: int, thetas: np.ndarray,
              features: np.ndarray | None = None,
              state: np.ndarray | None = None, read=None) -> np.ndarray:
     """The forward engine: run a gate sequence on a batch of unit rows and
     return the (B, 2^n) result.
 
-    The start is |0...0> for each of the max(k, k') rows of the (k, p)
-    thetas and (k', f) features, or the given C-contiguous (B, 2^n) state
-    batch, which is run in place; row r turns by angle row r % k and
+    The start is a copy of fixed_prefix's row, and the walk runs the gates
+    after it, for each of the max(k, k') rows of the (k, p) thetas and
+    (k', f) features, or the given C-contiguous (B, 2^n) state batch,
+    which is run in place; row r turns by angle row r % k and
     feature row r % k', as angle_table says. read(gate, state), when
     given, is called right after each theta rotation, on the state the
     gate has just made. The engine builds the one angle_table and the one
@@ -364,8 +396,10 @@ def _forward(gates, num_qubits: int, thetas: np.ndarray,
     truncated gate lists.
     """
     if state is None:
-        state = zero_state(num_qubits, max(
-            len(thetas), 0 if features is None else len(features)))
+        skip, row = fixed_prefix(gates, num_qubits)
+        gates = gates[skip:]
+        state = np.repeat(row, max(
+            len(thetas), 0 if features is None else len(features)), axis=0)
     table = angle_table(gates, thetas, features)
     scratch = np.empty(state.size, dtype=complex)
     for step in gate_plan(gates, num_qubits):

@@ -19,14 +19,14 @@ from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
                                       qfim_and_observable_gradient,
                                       qfim_block_diagonal, qfim_empirical,
                                       qfim_exact, qfim_fidelity, qfim_trace,
-                                      qfims_from_states, state_derivatives,
-                                      sweep_batch_size)
+                                      qfims_from_states, sweep_batch_size)
 from qinitopt.scoring import score
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
                                 ROTATION_KINDS, Circuit, Gate, Layer,
-                                Observable, RX, RY, RZ, apply_circuit,
-                                build_hea, build_strongly_entangling,
-                                build_two_design, embed_angles, expectation)
+                                Observable, RX, RY, RZ, _features_of,
+                                apply_circuit, build_hea,
+                                build_strongly_entangling, build_two_design,
+                                embed_angles, expectation)
 
 
 def expectation_cost(circuit, obs):
@@ -251,7 +251,6 @@ def test_block_diagonal_rejects_tags_out_of_circuit_order(circ, data):
 FEATURE_ENTRY_POINTS = {
     "qfim_trace": qfim_trace,
     "qfim": qfim,
-    "state_derivatives": state_derivatives,
     "observable_gradient": lambda circ, theta, features: observable_gradient(
         circ, theta, Observable(((1.0, "ZII"),)), features),
     "qfim_and_observable_gradient":
@@ -331,6 +330,19 @@ def draw_point(data, circ):
     return theta, features
 
 
+def swept_states(circ, thetas, features=None):
+    """(psi, dpsi): the (B, 2^n) states of a (B, p) stack and their
+    (B, p, 2^n) derivatives d_mu psi, slot mu in row mu, from one
+    _derivative_sweep closed after the last gate."""
+    feats = _features_of(circ, features, single=True)[0]
+    psi, rows, slots = next(differentiation._derivative_sweep(
+        circ, thetas, feats, (len(circ.gates),)))
+    dpsi = np.empty((len(thetas), circ.num_params, psi.shape[1]),
+                    dtype=complex)
+    dpsi[:, slots] = rows.transpose(1, 0, 2)
+    return psi, dpsi
+
+
 def shifted_state_derivatives(circ, theta, features):
     """d_mu psi as the statewise central difference of pi/2-shifted states,
     (psi(theta + s e_mu) - psi(theta - s e_mu)) / (4 sin(s / 2))."""
@@ -345,7 +357,7 @@ def shifted_state_derivatives(circ, theta, features):
 @given(st.one_of(random_circuits(), tagged_circuits()), st.data())
 def test_state_derivatives_match_shifted_states(circ, data):
     theta, features = draw_point(data, circ)
-    psi, dpsi = state_derivatives(circ, theta, features)
+    (psi,), (dpsi,) = swept_states(circ, theta[None, :], features)
     np.testing.assert_allclose(psi, apply_circuit(circ, theta, features),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(
@@ -421,8 +433,9 @@ def test_observable_gradient_through_reuploaded_features():
 def test_batched_sweep_matches_single_theta_sweeps(circ, data):
     """Each row of a batched sweep, whose theta rows repeat over the
     derivative rows in one kernel call per gate, equals its own B = 1
-    sweep: the (B, p) forms of state_derivatives, qfim_exact and
-    qfim_block_diagonal against their (p,) calls."""
+    sweep: the states and derivatives of a (B, p) sweep, and the (B, p)
+    forms of qfim_exact and qfim_block_diagonal, against their (p,)
+    calls."""
     p, f = circ.num_params, circ.num_features
     rows = data.draw(st.integers(2, 4))
     thetas = np.array(data.draw(st.lists(
@@ -431,7 +444,7 @@ def test_batched_sweep_matches_single_theta_sweeps(circ, data):
     features = (np.array(data.draw(st.lists(ANGLES, min_size=f, max_size=f)))
                 if f else None)
     obs = data.draw(pauli_sums(circ.num_qubits))
-    psi, dpsi = state_derivatives(circ, thetas, features)
+    psi, dpsi = swept_states(circ, thetas, features)
     grads = pauli_sum_gradients(psi, dpsi, obs)
     fishers = qfims_from_states(psi, dpsi)
     exact = None
@@ -444,7 +457,8 @@ def test_batched_sweep_matches_single_theta_sweeps(circ, data):
         blocks = qfim_block_diagonal(circ, thetas, features)
         assert blocks.shape == (rows, p, p)
     for b, theta in enumerate(thetas):
-        one_psi, one_dpsi = state_derivatives(circ, theta, features)
+        (one_psi,), (one_dpsi,) = swept_states(circ, theta[None, :],
+                                               features)
         np.testing.assert_allclose(psi[b], one_psi, rtol=0, atol=1e-14)
         np.testing.assert_allclose(dpsi[b], one_dpsi, rtol=0, atol=1e-14)
         np.testing.assert_allclose(
@@ -530,6 +544,21 @@ def test_qfim_trace_holds_one_generator_row_buffer():
     assert peak <= 5 * stack, peak
 
 
+def test_sweep_buffer_holds_the_largest_segment():
+    """The forward sweep's buffer holds one row block more than the most
+    slots a segment reads: 13 blocks for the block-diagonal sweep of the
+    8-layer, 4-qubit strongly-entangling circuit (12 slots a layer), and
+    p + 1 = 97 for its one-stop sweep."""
+    circ = build_strongly_entangling(8, 4)
+    thetas = np.random.default_rng(18).uniform(0, 2 * math.pi,
+                                               (3, circ.num_params))
+    for stops, height in (([tag.gate_stop for tag in circ.layers], 13),
+                          ((len(circ.gates),), 97)):
+        psi, _, _ = next(differentiation._derivative_sweep(
+            circ, thetas, np.zeros((1, 0)), stops))
+        assert psi.base.shape == (height, 3, 16)
+
+
 def matmul_qfims(psi, dpsi):
     """The QFIM formula as one batched np.matmul Gram: the oracle that the
     np.vecdot reductions of qfims_from_states are checked against."""
@@ -577,7 +606,7 @@ def test_qfims_from_states_match_the_oracle_on_bp_scan_states():
     circ = build_two_design(5, 8, 0)
     thetas = np.random.default_rng(5).uniform(0, 2 * math.pi,
                                               (3, circ.num_params))
-    psi, dpsi = state_derivatives(circ, thetas)
+    psi, dpsi = swept_states(circ, thetas)
     want = matmul_qfims(psi, dpsi)
     np.testing.assert_allclose(qfims_from_states(psi, dpsi), want,
                                rtol=1e-12, atol=1e-12 * np.abs(want).max())
@@ -589,7 +618,7 @@ def test_swept_pauli_sum_gradients_match_adjoint_and_shift(circ, data):
     and against parameter shift."""
     theta, features = draw_point(data, circ)
     obs = data.draw(pauli_sums(circ.num_qubits))
-    psi, dpsi = state_derivatives(circ, theta[None, :], features)
+    psi, dpsi = swept_states(circ, theta[None, :], features)
     got = pauli_sum_gradients(psi, dpsi, obs)[0]
     np.testing.assert_allclose(
         got, observable_gradient(circ, theta, obs, features),
@@ -606,7 +635,7 @@ def test_nan_derivative_row_raises_from_the_swept_gradient():
     circ = build_hea(2, 3)
     thetas = np.random.default_rng(6).uniform(0, 2 * math.pi,
                                               (3, circ.num_params))
-    psi, dpsi = state_derivatives(circ, thetas)
+    psi, dpsi = swept_states(circ, thetas)
     dpsi[1, 4, 2] = math.nan
     with pytest.raises(FloatingPointError):
         pauli_sum_gradients(psi, dpsi, Observable(((1.0, "ZZZ"),)))
@@ -631,7 +660,6 @@ BATCH_ENTRY_POINTS = {
     "observable_gradient": lambda circ, thetas: observable_gradient(
         circ, thetas, Observable(((1.0, "ZZ"),))),
     "qfim_exact": qfim_exact,
-    "state_derivatives": state_derivatives,
     "qfim_block_diagonal": qfim_block_diagonal,
     "qfim": qfim,
     "qfim_and_observable_gradient": lambda circ, thetas: (
@@ -652,7 +680,6 @@ def test_batch_entry_points_reject_an_empty_stack(name):
 
 # each forward-sweep entry point, called on (circuit, thetas)
 SWEEP_ENTRY_POINTS = {
-    "state_derivatives": state_derivatives,
     "qfim_exact": qfim_exact,
     "qfim_block_diagonal": qfim_block_diagonal,
     "qfim": qfim,
@@ -664,8 +691,8 @@ SWEEP_ENTRY_POINTS = {
 SWEEP_CIRCUITS = {"exact": build_hea(2, 3),
                   "block": build_strongly_entangling(8, 3)}
 SWEEP_CASES = ([(name, "exact") for name in sorted(SWEEP_ENTRY_POINTS)]
-               + [(name, "block") for name in ("state_derivatives",
-                                               "qfim_block_diagonal", "qfim")])
+               + [(name, "block") for name in ("qfim_block_diagonal",
+                                               "qfim")])
 
 
 @pytest.mark.parametrize("name, rung", SWEEP_CASES)

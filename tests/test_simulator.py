@@ -17,7 +17,10 @@ import pytest
 
 from qinitopt import differentiation, simulator
 from qinitopt.differentiation import (_derivative_table, adjoint_gradient,
-                                      qfim_block_diagonal, qfim_exact)
+                                      observable_gradient,
+                                      qfim_and_observable_gradient,
+                                      qfim_block_diagonal, qfim_exact,
+                                      qfim_trace)
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 GATE_KINDS, ROTATION_KINDS, RX, RY, RZ,
                                 Circuit, Gate, Layer, Observable, _forward,
@@ -25,7 +28,8 @@ from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 apply_observable, check_normalized,
                                 build_hea, build_strongly_entangling,
                                 build_two_design, embed_angles, expectation,
-                                gate_plan, zero_state)
+                                fixed_prefix, gate_plan, run_gates,
+                                zero_state)
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -404,13 +408,18 @@ def test_gate_sequences_match_the_oracle_bit_for_bit():
 @pytest.mark.parametrize("inverse", [False, True])
 def test_rotations_match_the_oracle_bit_for_bit_at_every_target(inverse):
     """Every rotation at every target of n = 5, with angle rows repeating
-    over blocks of k = 1, 2, 3 and 6 state rows, on a whole buffer and on a
-    row prefix of a larger one. On the last qubit RZ is one pass on 6 rows
-    (192 amplitudes) and two half-view multiplies on 36 (1,152)."""
-    n = 5
+    over blocks of k = 1, 2, 3 and 6 state rows, and of n = 8 with k = 1
+    and k = B, on a whole buffer and on a row prefix of a larger one. On
+    the last qubit RZ is one pass on 6 rows of n = 5 (192 amplitudes) and
+    two half-view multiplies on 36 (1,152) and at n = 8. RX and RY loop
+    along the amplitudes below the target while they are at least as many
+    as the blocks above it, and along those blocks from there on (t >= 3
+    at n = 5, t >= 4 at n = 8)."""
     rng = np.random.default_rng(64)
     special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 1e-300]
-    for batch, k in itertools.product((6, 36), (1, 2, 3, 6)):
+    cases = [(5, batch, k) for batch, k in
+             itertools.product((6, 36), (1, 2, 3, 6))] + [(8, 4, 1), (8, 4, 4)]
+    for n, batch, k in cases:
         thetas = rng.uniform(-7, 7, (k, 2))
         thetas[:, 1] = special[:k]
         feats = rng.uniform(-7, 7, (k, 1))
@@ -546,6 +555,28 @@ def test_fused_runs_match_the_per_gate_oracle_bit_for_bit(n):
             assert_same_bits(got, start)
 
 
+def test_runs_whose_signs_are_all_plus_leave_out_the_multiply():
+    """A run step whose signs are all +1 (a CNOT ring, a CNOT pair that
+    cancels) has no sign vector; the two-design's CZ ladder and a mixed run
+    keep theirs. Each step gives the oracle's bits."""
+    n = 4
+    ladder = tuple(Gate(CZ, q + 1, control=q) for q in range(n - 1))
+    ring = tuple(Gate(CNOT, (q + 1) % n, control=q) for q in range(n))
+    pair = (Gate(CNOT, 2, control=0), Gate(CNOT, 2, control=0))
+    rng = np.random.default_rng(68)
+    for gates, signs in ((ladder, True), (ring, False), (ladder + ring, True),
+                         (pair, False)):
+        step, = gate_plan(gates, n)
+        assert (step[0] is not None) == signs
+        for start in kernel_states(rng, 6, n):
+            want = start.copy()
+            for gate in gates:
+                _oracle_apply(want, gate, None, None, False)
+            got = start.copy()
+            apply_gate(got, step, {}, nan_scratch(got.size))
+            assert_same_bits(got, want)
+
+
 def per_gate_plan(gates, num_qubits):
     """gate_plan with each CNOT and CZ its own one-gate run."""
     return tuple(step for gate in gates
@@ -659,6 +690,84 @@ def test_forward_engine_checks_the_norm_of_its_result():
         _forward(circ.gates, 2, thetas[:1], state=np.full((1, 4), 0.75 + 0j))
 
 
+def no_prefix(gates, num_qubits):
+    """fixed_prefix as if no gate were fixed: every walk from |0...0>."""
+    return 0, zero_state(num_qubits, 1)
+
+
+def test_walks_start_from_the_cached_fixed_prefix(monkeypatch):
+    """The two-design (its RY wall), a circuit whose fixed prefix ends in a
+    CNOT/CZ run that its first layer tag splits, and the
+    strongly-entangling circuit (no fixed prefix): run_gates, from copies
+    of the cached prefix row, gives the bits of the oracle's per-gate loop
+    from |0...0>, and the sweeps, the trace run and the adjoint give the
+    bits of walks that run the prefix on every row. The cached row is
+    read-only and keeps its bytes."""
+    split = Circuit(3, (Gate(FIXED_RY, 0), Gate(FIXED_RY, 2), Gate(CNOT, 1, 0),
+                        Gate(CZ, 2, 1), Gate(RY, 1, param_slot=0),
+                        Gate(CNOT, 0, 1), Gate(RX, 2, param_slot=1),
+                        Gate(FIXED_RY, 1), Gate(RZ, 0, param_slot=2),
+                        Gate(CZ, 0, 2)), 3,
+                    layers=(Layer(3, 0, 0), Layer(6, 0, 1), Layer(10, 1, 3)))
+    rng = np.random.default_rng(69)
+    for circ, fixed in ((build_two_design(3, 4, 2), 4), (split, 4),
+                        (build_strongly_entangling(2, 3), 0)):
+        n = circ.num_qubits
+        m, row = fixed_prefix(circ.gates, n)
+        assert m == fixed and not row.flags.writeable
+        want = zero_state(n, 1)
+        for gate in circ.gates[:m]:
+            _oracle_apply(want, gate, None, None, False)
+        assert_same_bits(row, want)
+        before = row.tobytes()
+        thetas = rng.uniform(-4, 4, (5, circ.num_params))
+        obs = Observable(((0.5, "Z" * n), (0.3, "X" + "Y" * (n - 1))))
+
+        def run_walks():
+            return (run_gates(circ.gates, n, thetas),
+                    *qfim_and_observable_gradient(circ, thetas, obs),
+                    qfim_block_diagonal(circ, thetas),
+                    qfim_trace(circ, thetas),
+                    observable_gradient(circ, thetas, obs))
+        got = run_walks()
+        want = zero_state(n, 5)
+        for gate in circ.gates:
+            _oracle_apply(want, gate, thetas, None, False)
+        assert_same_bits(got[0], want)
+        with monkeypatch.context() as mp:
+            mp.setattr(simulator, "fixed_prefix", no_prefix)
+            mp.setattr(differentiation, "fixed_prefix", no_prefix)
+            for fast, full in zip(got, run_walks()):
+                assert_same_bits(fast, full)
+        assert fixed_prefix(circ.gates, n)[1] is row
+        assert row.tobytes() == before
+        with pytest.raises(ValueError, match="read-only"):
+            row[0, 0] = 0.0
+
+
+def test_forward_engine_peak_is_a_stated_multiple_of_its_stack():
+    """run_gates' traced peak holds its result and scratch buffer (two
+    stacks), the angle table and up to three numpy iterator buffers of at
+    most np.getbufsize() amplitudes. At (64, 2^8) on the two-design the
+    buffers are 1.5 stacks and the peak reads 3.46 stacks (886 KB); at
+    (48, 2^4) on the 2-layer strongly-entangling circuit the angle table
+    of 24 slots is about 3.5 stacks and the peak reads 6.8 stacks
+    (81 KB)."""
+    for circ, rows, multiple in ((build_two_design(5, 8, 0), 64, 4),
+                                 (build_strongly_entangling(2, 4), 48, 8)):
+        thetas = np.random.default_rng(70).uniform(
+            0, 2 * math.pi, (rows, circ.num_params))
+        stack = rows * 16 << circ.num_qubits
+        run_gates(circ.gates, circ.num_qubits, thetas)
+        tracemalloc.start()
+        try:
+            run_gates(circ.gates, circ.num_qubits, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= multiple * stack, (circ.num_qubits, peak)
+
+
 def test_gate_kernels_allocate_no_state_sized_temporary():
     # numpy's in-place ufuncs may still buffer up to np.getbufsize()
     # elements per operand: one buffer for an RZ step, in either of its
@@ -671,8 +780,11 @@ def test_gate_kernels_allocate_no_state_sized_temporary():
     scratch = np.empty(state.size, dtype=complex)
     mixed = (Gate(CNOT, target=3, control=6), Gate(CZ, target=9, control=0),
              Gate(CNOT, target=1, control=8))
+    # RX and RY at target 7 loop along the 128 blocks above it
     for gates in ((Gate(RX, target=3, param_slot=0),),
                   (Gate(RY, target=3, param_slot=0),),
+                  (Gate(RX, target=7, param_slot=0),),
+                  (Gate(RY, target=7, param_slot=0),),
                   (Gate(RZ, target=3, param_slot=0),),
                   (Gate(RZ, target=n - 1, param_slot=0),),
                   (Gate(FIXED_RY, target=3),),

@@ -57,6 +57,19 @@ EXTRA = (
 )
 
 
+def dispatch_line() -> str:
+    """The `#` line: numpy's version and its float64 log, exp and power
+    dispatch targets."""
+    import numpy as np
+    from numpy.lib.introspect import opt_func_info
+
+    # one float64 signature per function, so each has one target
+    info = opt_func_info(func_name="^(log|exp|power)$", signature="float64")
+    targets = " ".join(f"{name} {next(iter(info[name].values()))['current']}"
+                       for name in ("log", "exp", "power"))
+    return f"# numpy {np.__version__} float64 dispatch: {targets}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -64,16 +77,10 @@ def main(argv=None) -> int:
     # configs name datasets and Hamiltonians relative to the checkout root
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
-    import numpy as np
-    from numpy.lib.introspect import opt_func_info
     from qinitopt import cli
     from qinitopt.records import record_hash
 
-    # one float64 signature per function, so each has one target
-    info = opt_func_info(func_name="^(log|exp|power)$", signature="float64")
-    targets = " ".join(f"{name} {next(iter(info[name].values()))['current']}"
-                       for name in ("log", "exp", "power"))
-    print(f"# numpy {np.__version__} float64 dispatch: {targets}", flush=True)
+    print(dispatch_line(), flush=True)
 
     spec = json.loads((ROOT / "bench" / "spec.json").read_text())
     configs = [(w["name"], w["command"], w["set"])
