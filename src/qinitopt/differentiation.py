@@ -13,50 +13,32 @@ expectations). qfim_trace takes the trace, which the exact and the
 block-diagonal QFIM share, from one forward run of one row per theta.
 
 The forward sweep gets every state derivative from one pass: it runs each
-gate once on a batch whose row 0 is psi, and right after the gate of slot
-mu appends the row -(i/2) G_mu psi, which the remaining gates then carry to
-d_mu psi. That batch grows to at most p + 1 rows per theta. One reader,
-_swept_qfims, builds every QFIM from it, closing a block at each stop
-from the derivatives its segment added: the block-diagonal QFIM stops
-after each tagged ansatz layer, and the exact QFIM is its one block,
-closed at the last gate, off whose derivatives
-qfim_and_observable_gradient also reads a Pauli sum's gradient
-2 Re<H psi|d_mu psi>. Both contract the amplitude axis by np.vecdot, one
-dot product per entry on the calling thread: a BLAS matmul of these
-sizes wakes a second thread that only spins.
+gate once on a batch whose row 0 is psi and, right after the gate of slot
+mu, appends -(i/2) G_mu psi (_generator_rows), which the remaining gates
+carry to d_mu psi: at most p + 1 rows per theta. _swept_qfims closes a
+QFIM block at each stop from the derivatives its segment added: after
+each tagged layer (block-diagonal), or once at the last gate (exact, whose
+derivatives also give a Pauli sum's gradient 2 Re<H psi|d_mu psi>).
+Both contract the amplitude axis by np.vecdot on the calling thread: a
+BLAS matmul of these sizes wakes a second thread that only spins.
 
 The adjoint sweep (Jones & Gacon, arXiv:2009.02823) gets the gradient of a
 sum of per-row expectations from one backward pass over given final rows
-and costates, two rows each. It gives the other Pauli-sum gradients
-(observable_value_and_gradient: psi forward, then [psi; H psi] backward),
-which VQE training takes at any stack height, and the classification
-gradient, over the forward states or the basis rows of a unitary that all
-rows share. Both sweeps and the trace run form -(i/2) G psi by
-_generator_rows, off one cached Pauli table per rotation.
+and costates: the other Pauli-sum gradients (observable_value_and_gradient:
+psi forward, then [psi; H psi] backward), at any stack height, and the
+classification gradient, over the forward states or the basis rows of a
+unitary that all rows share. It and the trace run read their generator
+terms through _generator_dots.
 
-One sweep serves a whole (B, p) batch of thetas, so a population costs one
-kernel call per step of a simulator.gate_plan (a rotation, or a fused run
-of CNOTs and CZs), and a row's results keep the bits its theta gives
-alone. The forward runs, psi for the adjoint and the trace run with its
-generator reads, go through simulator._forward, which owns their angle
-table, scratch buffer and norm check. The two sweeps walk plans in loops
-of their own, as neither is a plain forward run: the forward sweep walks
-each segment's plan, so no run crosses a stop, grows its buffer by a row
-per slot and allocates a scratch per segment, dropped before each yield;
-the adjoint walks the plan of the reversed gates, whose runs undo the
-forward ones, with the inverse rotations' factors taken from -theta / 2.
-The adjoint and the trace run write each slot's generator rows into one
-reused buffer and its dot products into one preallocated complex array,
-and take the real or imaginary part once, at the end.
-Each quantity has one function, which takes a (p,) theta or a (B, p) stack
-and runs a (p,) theta as a stack of one; only the parameter-shift
-reference takes one theta alone. Every stack entry point chunks itself
-through _in_chunks, by the rows per theta of its own buffer (p + 1 for a
-forward sweep, two for the adjoint, one for the trace run), so no buffer
-holds more than MAX_SWEEP_AMPLITUDES amplitudes; before its first chunk it
-checks its features once, by simulator._features_of, as the one (1, f) row
-all its thetas read. Circuit has checked the layer tags, and the sweeps
-take their inputs as given.
+One sweep serves a (B, p) batch of thetas, one kernel call per step of a
+simulator.gate_plan, and a row's results keep the bits its theta gives
+alone. Forward runs go through simulator._forward; the forward sweep walks
+each segment's plan, and the adjoint the reversed gates' plan, which
+undoes them. Each quantity has one function, which runs a (p,) theta as a
+stack of one (only the parameter-shift reference takes one theta alone),
+chunks a stack by _in_chunks so no buffer holds more than
+MAX_SWEEP_AMPLITUDES amplitudes, and first checks its features, by
+simulator._features_of, as the one (1, f) row all its thetas read.
 
 A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim builds
 the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters, else the
@@ -76,7 +58,7 @@ from .simulator import (Circuit, Gate, Observable, _batch_of,
                         _expectation_from, _features_of, _forward,
                         _pauli_table, angle_table, apply_gate,
                         apply_observable, check_normalized, fixed_prefix,
-                        gate_plan, run_gates)
+                        gate_plan, run_gates, scratch_for)
 
 SHIFT = math.pi / 2
 
@@ -85,6 +67,7 @@ EXACT_QFIM_MAX_PARAMS = 64
 # one sweep buffer holds at most this many amplitudes; a larger population
 # is swept in chunks of sweep_batch_size(circuit) thetas
 MAX_SWEEP_AMPLITUDES = 1 << 15
+READ_BLOCK_AMPLITUDES = 1 << 12  # snapshot buffer of _generator_dots
 
 FIDELITY_EXACT = "exact"
 FIDELITY_BLOCK = "block_diagonal"
@@ -144,6 +127,63 @@ def _generator_rows(gate: Gate, num_qubits: int, state: np.ndarray,
     return np.multiply(factor, rows, out=rows)
 
 
+@functools.lru_cache(maxsize=None)
+def _read_tables(gates: tuple, num_qubits: int) -> tuple:
+    """Read-only (slots, source, factor) of a sequence's theta gates: the
+    i-th one's slot, and -(i/2) G psi = factor * psi[source] on entries
+    [i 2^n, (i + 1) 2^n) of its stacked states."""
+    reads = [gate for gate in gates if gate.param_slot is not None]
+    dim = 1 << num_qubits
+    factor, source = zip(*(_derivative_table(g.kind, g.target, num_qubits)
+                           for g in reads))
+    tables = (np.array([gate.param_slot for gate in reads]), np.concatenate(
+        [(np.arange(dim) if src is None else src) + i * dim
+         for i, src in enumerate(source)]), np.concatenate(factor))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _generator_dots(circuit: Circuit, rows: int, kets: int, reverse=False):
+    """(read, dots) for a walk over (rows, 2^n) states that calls
+    read(gate, state) after each theta gate, in gate order or reversed:
+    dots[r, mu] = <bra_r|-(i/2) G_mu ket_r>, one np.vecdot, kets the first
+    kets rows and bras the last. States of at most 256 amplitudes (16 or
+    more to READ_BLOCK_AMPLITUDES) are copied to a buffer that one gather,
+    one multiply and one np.vecdot read when full or at the end; wider
+    ones, whose copies cost more than the calls save, are read in place."""
+    n, p, dim = circuit.num_qubits, circuit.num_params, 1 << circuit.num_qubits
+    width = min(READ_BLOCK_AMPLITUDES // (rows * dim), p)  # snapshots
+    dots = np.empty((kets, p), dtype=complex)
+    if width < 16:
+        terms = np.empty((kets, dim), dtype=complex)
+
+        def read(gate, state):
+            _generator_rows(gate, n, state[:kets], out=terms)
+            np.vecdot(state[rows - kets:], terms, out=dots[:, gate.param_slot])
+        return read, dots
+    slots, source, factor = _read_tables(circuit.gates, n)
+    snaps = np.empty((rows, width, dim), dtype=complex)
+    flat_kets, bras = snaps[:kets].reshape(kets, -1), snaps[rows - kets:]
+    terms = np.empty(kets * width * dim, dtype=complex)
+    walk = iter(range(p - 1, -1, -1) if reverse else range(p))
+
+    def read(gate, state):
+        i = next(walk)
+        start = i - i % width
+        stop = min(start + width, p)
+        snaps[:, i - start] = state
+        if i == (start if reverse else stop - 1):
+            cut = slice(start * dim, stop * dim)
+            block = terms[:kets * (stop - start) * dim].reshape(kets, -1)
+            # source holds i 2^n + s, which wraps to snapshot i - start
+            np.take(flat_kets, source[cut], 1, block, "wrap")
+            np.multiply(factor[cut], block, out=block)
+            dots[:, slots[start:stop]] = np.vecdot(
+                bras[:, :stop - start], block.reshape(kets, -1, dim))
+    return read, dots
+
+
 def first_param_gate(circuit: Circuit) -> int:
     """Index of the circuit's first theta gate (len(gates) if none): the
     gates before it are theta-independent, and no backward sweep undoes
@@ -164,11 +204,9 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     Im<lambda|G|phi> = 2 Re<lambda|-(i/2) G phi>, and then both rows undo
     the gate. The sweep stops at the first theta gate.
 
-    theta is one (p,) vector or a (B, p) batch; with a batch, row r of phi
-    and lam belongs to theta r % B. Each slot reduces every row with one
-    np.vecdot, and each theta then sums its own rows' values in row order
-    into row b of the (B, p) result, so a theta gets the same bits at any
-    B.
+    theta is one (p,) vector or a (B, p) batch, whose theta r % B owns row
+    r of phi and lam; each theta sums its rows' values, one np.vecdot each
+    (_generator_dots), in row order: the same bits at any B.
 
     The gradient of sum_i <psi_i|D_i|psi_i> over n forward states takes
     (psi, D psi, features), whose rows drive any feature gate the sweep
@@ -178,30 +216,25 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     give 2 Re Tr(dU M) for the unitary U of the gates the sweep walks.
     """
     thetas, batched = _batch_of(theta, circuit.num_params)
-    b = len(thetas)
-    m = phi.shape[0]
-    p = circuit.num_params
-    gates = circuit.gates
-    first = first_param_gate(circuit)
+    b, m, p = len(thetas), phi.shape[0], circuit.num_params
+    gates, first = circuit.gates, first_param_gate(circuit)
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([phi, lam])
     undo = angle_table(gates[first + 1:], thetas, features, inverse=True)
-    scratch = np.empty(pair.size, dtype=complex)
-    rows = np.empty((m, pair.shape[1]), dtype=complex)
-    # dots[mu, j] = <lambda_j|-(i/2) G_mu phi_j>, one vecdot per slot
-    dots = np.zeros((p, m), dtype=complex)
+    scratch = scratch_for(pair.size)
+    # dots[j, mu] = <lambda_j|-(i/2) G_mu phi_j>
+    read, dots = _generator_dots(circuit, 2 * m, m, reverse=True)
     # the reversed tail's plan undoes it, all but its last step, gates[first]
     steps = gate_plan(gates[first:][::-1], circuit.num_qubits)
     for k, step in enumerate(steps):
         if isinstance(step, Gate) and step.param_slot is not None:
-            _generator_rows(step, circuit.num_qubits, pair[:m], out=rows)
-            np.vecdot(pair[m:], rows, out=dots[step.param_slot])
+            read(step, pair)
         if k < len(steps) - 1:
             apply_gate(pair, step, undo, scratch)
     # theta r owns rows r, r + b, ...; summing each theta's row sums along
     # a contiguous axis gives it the same bits at any b
     per_theta = np.ascontiguousarray(
-        dots.real.reshape(p, m // b, b).transpose(2, 0, 1))
+        dots.real.reshape(m // b, b, p).transpose(1, 2, 0))
     grad = 2.0 * per_theta.sum(axis=-1)
     return grad if batched else grad[0]
 
@@ -264,9 +297,8 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
     reads (p + 1 for one stop) and runs as one batch of rows, so each step
     of a segment's own gate_plan, whose runs end at the stop, is one kernel
     call: the B theta rows repeat over the derivative rows, and the one
-    (1, f) feature row feats broadcasts.
-
-    Raises FloatingPointError when a state is not normalized (a NaN theta).
+    (1, f) feature row feats broadcasts. Raises FloatingPointError when a
+    state is not normalized (a NaN theta).
     """
     batch = thetas.shape[0]
     start, row = fixed_prefix(circuit.gates[:stops[0]], circuit.num_qubits)
@@ -283,7 +315,7 @@ def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
         segment = circuit.gates[start:stop]
         # as large as the segment's last row prefix, and dropped before the
         # yield: the caller's reductions between segments do not need it
-        scratch = np.empty((1 + grown) * batch * flat.shape[1], dtype=complex)
+        scratch = scratch_for((1 + grown) * batch * flat.shape[1])
         for step in gate_plan(segment, circuit.num_qubits):
             apply_gate(flat[:n * batch], step, table, scratch)
             if isinstance(step, Gate) and step.param_slot is not None:
@@ -400,10 +432,9 @@ def qfim_trace(circuit: Circuit, theta, features=None):
 
     A rotation exp(-i a G / 2) has a Pauli-word generator with G^2 = I, so
     F_mu,mu = 1 - <phi_mu|G_mu|phi_mu>^2 for the state phi_mu right after
-    gate mu; the later gates are unitary and drop out, so the exact and the
-    block-diagonal QFIM share this diagonal. Each theta sums its own
-    contiguous row of 1 - <G>^2, so it keeps its bits in any batch. Raises
-    FloatingPointError on a NaN theta.
+    gate mu, which the exact and the block-diagonal QFIM share. Each theta
+    sums its own contiguous row of 1 - <G>^2, so it keeps its bits in any
+    batch. Raises FloatingPointError on a NaN theta.
     """
     feats = _features_of(circuit, features, single=True)[0]
 
@@ -416,19 +447,12 @@ def qfim_trace(circuit: Circuit, theta, features=None):
 
 def _generator_expectations(circuit: Circuit, thetas: np.ndarray,
                             feats: np.ndarray) -> np.ndarray:
-    """(B, p) generator expectations <G_mu> on the state psi right after
-    gate mu, for a (B, p) thetas batch and the (1, f) feature row, from one
-    engine run of one row per theta whose read takes
-    <G_mu> = -2 Im<psi|-(i/2) G_mu psi>, one np.vecdot per slot into
-    column mu of a (B, p) complex array, scaled once at the end. Raises
-    FloatingPointError when a final state is not normalized (a NaN
-    theta)."""
-    dots = np.zeros((len(thetas), circuit.num_params), dtype=complex)
-    rows = np.empty((len(thetas), 1 << circuit.num_qubits), dtype=complex)
-
-    def read(gate, state):
-        _generator_rows(gate, circuit.num_qubits, state, out=rows)
-        np.vecdot(state, rows, out=dots[:, gate.param_slot])
+    """(B, p) generator expectations <G_mu> = -2 Im<psi|-(i/2) G_mu psi>
+    on the state psi right after gate mu, for a (B, p) thetas batch and the
+    (1, f) feature row, read by _generator_dots off one engine run of one
+    row per theta, as the C-contiguous array whose rows qfim_trace sums.
+    Raises FloatingPointError on a NaN theta."""
+    read, dots = _generator_dots(circuit, len(thetas), len(thetas))
     _forward(circuit.gates, circuit.num_qubits, thetas, feats, read=read)
     return -2.0 * dots.imag
 

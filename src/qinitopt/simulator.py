@@ -11,28 +11,24 @@ parameter-shift sweeps cheap.
 
 A gate on a few rows of 16 amplitudes costs mostly numpy call overhead, so
 a run of a gate sequence takes the trig of all its angles at once:
-angle_table holds every rotation's half-angle factors, complex and shaped
-to broadcast over the batch (RZ's two phases as one array), and a step
-reads its gate's entry from it. For the same reason gate_plan, cached per
-sequence (a Gate hashes its fields once, so a lookup costs one pass over
-the tuple), makes each run of CNOTs and CZs between two rotations one
-step. A kernel then makes only the calls that move amplitudes, and each
-amplitude keeps the bits that per-gate trig and applying CNOTs and CZs
-one by one would give it.
+angle_table holds each rotation's factors as one complex array that
+broadcasts over the batch (RZ's two phases, an RX or RY 2x2 matrix). For
+the same reason gate_plan, cached per sequence (a Gate hashes its fields
+once), makes each run of CNOTs and CZs between two rotations one step. A
+kernel then makes only the calls that move amplitudes, and each amplitude
+keeps the bits that per-gate trig and gates applied one by one give it.
 
-A step's temporaries go into a scratch buffer of the state's size that
-the loop walking the plan allocates once and passes to every step.
-Per-gate temporaries on the wide sweep batches are large enough for glibc
-to map and unmap them on every gate, which made run time follow the
-heap's state more than the arithmetic.
+A step's temporaries go into one scratch buffer (scratch_for) that the
+loop walking the plan allocates once: per-gate temporaries on the wide
+sweep batches are large enough for glibc to map and unmap them on every
+gate, which made run time follow the heap's state more than the work.
 
 Every forward run goes through one engine, _forward, which owns the
-run's table, scratch and norm check; run_gates is the engine from
-|0...0>. Only the two sweeps in differentiation walk plans in loops of
-their own. A walk from |0...0> starts from copies of one cached, read-only
-row, fixed_prefix's state after the leading gates that read no slot (the
-two-design's RY wall): their steps act on each row alone, so a copy has
-the bits that running them on every row gives.
+run's table, scratch and norm check; run_gates is the engine from |0...0>,
+and only the two sweeps in differentiation walk plans of their own. A walk
+from |0...0> starts from copies of one cached, read-only row, the state
+after the leading slot-free gates (fixed_prefix: the two-design's RY
+wall), which act on each row alone, so a copy has the bits they give.
 
 Each input is checked once, where it enters: a circuit and its layer tags
 when Circuit is built, thetas by _batch_of and features by _features_of in
@@ -59,6 +55,13 @@ ROTATION_KINDS = (RX, RY, RZ)
 GATE_KINDS = (RX, RY, RZ, CNOT, CZ, FIXED_RY)
 
 FIXED_RY_ANGLE = math.pi / 4
+
+PAIR_FORM_AMPLITUDES = 512  # RX and RY take the pair form up to this
+
+
+def scratch_for(size: int) -> np.ndarray:
+    """apply_gate's scratch for any row prefix of a size-amplitude state."""
+    return np.empty(size + min(size, PAIR_FORM_AMPLITUDES), dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -210,11 +213,11 @@ def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
     with its own row count, and row r of a state batch turns by angle row
     r % k. With h = a / 2, or h = -a / 2 for the inverse gates, an rz
     entry is one (k, 1, 2, 1) array of [exp(-ih), exp(ih)], which
-    broadcasts over a state view split at the gate's qubit; an ry or
-    fixed-ry entry is (cos h, sin h, sin h) and an rx entry
-    (cos h, i sin h, -i sin h), each factor (k, 1, 1). Every factor is
-    complex, so no kernel casts a real operand. A sequence builds only the
-    factors its gate kinds read.
+    broadcasts over a state view split at the gate's qubit. An ry or
+    fixed-ry entry is the matrix [[c, f], [g, c]], c = cos h, f = g = sin h
+    (rx: f = i sin h, g = -i sin h), as a (2, 1, k, 1, 2, 1) view of row
+    r's stored [f, c, g] whose [j, 0, r, 0, i, 0] takes half j to half i.
+    Every factor is complex, so no kernel casts a real operand.
     """
     fixed = np.full((1, 1), FIXED_RY_ANGLE)
     columns: dict = {}  # (kind, angle source) -> {table key: column}
@@ -246,15 +249,15 @@ def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
             pair.imag[..., 1] = sn + 0.0
             table.update(zip(keys, factors))
             continue
-        c = np.cos(half).astype(complex)
+        fcg = np.empty(half.shape[::-1] + (3,), dtype=complex)
+        f, c, g = fcg.T
+        c[...] = np.cos(half)
         sn = np.sin(half)
-        if kind == RX:
-            factors = (c, 1j * sn, -1j * sn)
-        else:
-            sn = sn.astype(complex)
-            factors = (c, sn, sn)
-        table.update(zip(keys, zip(*(f.T[:, :, None, None]
-                                     for f in factors))))
+        f[...], g[...] = (1j * sn, -1j * sn) if kind == RX else (sn, sn)
+        step = fcg.itemsize
+        table.update(zip(keys, np.ndarray(
+            (len(keys), 2, 1, len(half), 1, 2, 1), complex, fcg, step,
+            (fcg.strides[0], -step, 0, fcg.strides[1], 0, step, 0))))
     return table
 
 
@@ -300,27 +303,32 @@ def apply_gate(state: np.ndarray, step, table: dict,
     more RZ scales the two strided half-views there instead, in longer
     loops (at k = 1, one pass against two: 1.7 against 3.1 us at (8, 2^4),
     14 against 9 us at (256, 2^4), 100 against 27 us at (128, 2^8)). RX
-    and RY form c * s0 - f * s1 and g * s0 + c * s1 in the two halves of
-    scratch and copy them back, which on numpy 2.4 beats updating the
-    strided half-views in place. numpy's inner loops run along the last
-    axis, so where the rest amplitudes below the target are fewer than the
-    2^t blocks above it, RX and RY swap those two axes of their views and
-    of the halves: at (100, 2^8), k = B, RX at t = 5 and 6 went from 265
-    and 351 us to 165 and 181 us, against 106-164 us on the other targets
+    and RY form c * s0 - f * s1 and g * s0 + c * s1. Up to
+    PAIR_FORM_AMPLITUDES that is three calls: the matrix times the pair
+    view into scratch, an exact negation of f * s1 (a stored -f flips the
+    sign of some zeros) and one add; with k = B, means over targets, 5.7
+    against 9.2 us at (4, 2^4), 11.2 against 12.3 at (32, 2^4), 17.1
+    against 16.5 at (64, 2^4). Above it eight calls on views of the
+    matrix form the halves in scratch and copy them back, which on numpy
+    2.4 beats updating the strided half-views in place, looping along the
+    longer of the 2^t blocks above the target and the amplitudes below it:
+    at (100, 2^8), k = B, RX at t = 5 and 6 took 165 and 181 us, not 265
+    and 351 us
     (tools/step_timings.py). A CNOT/CZ run gathers into scratch, copies
     back and multiplies the float view by its signs, an exact negation
     where a sign is -1, unless all are +1 (no CZ): a CNOT-only step at
     (100, 2^8) took 37 us against 66. A CZ-only run keeps its gather
-    through the identity: leaving it out saved about 1% of bp-scan's run
-    time and raised its peak RSS by about 0.15 MB. CNOT and CZ are
-    self-inverse, so a reversed run's step undoes the run.
+    through the identity, whose removal saved 1% of bp-scan's run time
+    and cost 0.15 MB of peak RSS. CNOT and CZ are self-inverse, so a
+    reversed run's step undoes the run.
 
-    scratch is a flat complex array of at least state.size entries that a
-    step overwrites and never reads first, so no temporary of a step grows
-    with the state. numpy's ufuncs may still buffer up to np.getbufsize()
-    elements per operand: an RZ step allocates at most one such buffer,
-    np.getbufsize() * 16 + 4096 bytes, and other steps at most three,
-    3 * np.getbufsize() * 16 + 4096 bytes, more than a small state."""
+    scratch is a flat complex array of at least scratch_for's
+    size + min(size, PAIR_FORM_AMPLITUDES) entries, size the widest state
+    of the walk, whose row prefixes a step may take; a step overwrites it
+    and never reads it first. numpy's ufuncs may still buffer up to
+    np.getbufsize() elements per operand: an RZ step allocates at most one
+    such buffer, np.getbufsize() * 16 + 4096 bytes, and other steps at
+    most three, 3 * np.getbufsize() * 16 + 4096 bytes."""
     if not isinstance(step, Gate):
         sign, source = step
         gathered = scratch[:state.size].reshape(state.shape)
@@ -332,12 +340,19 @@ def apply_gate(state: np.ndarray, step, table: dict,
         return
     factors = table[step.kind, step.param_slot, step.feature_slot]
     rz = step.kind == RZ
-    s = state.reshape(-1, len(factors if rz else factors[0]),
-                      1 << step.target, 2, state.shape[1] >> (step.target + 1))
+    s = state.reshape(-1, factors.shape[-4], 1 << step.target, 2,
+                      state.shape[1] >> (step.target + 1))
     # on the last qubit one pass runs inner loops two amplitudes long, which
     # outweigh a second call from about 1,024 amplitudes on
     if rz and (s.shape[-1] > 1 or state.size < 1024):
         np.multiply(s, factors, out=s)
+        return
+    if not rz and state.size <= PAIR_FORM_AMPLITUDES:
+        terms = scratch[:2 * state.size].reshape((2,) + s.shape)
+        np.multiply(factors, s.transpose(3, 0, 1, 2, 4)[..., None, :], terms)
+        fs1 = terms[1, ..., 0, :]
+        np.negative(fs1, out=fs1)
+        np.add(terms[0], terms[1], out=s)
         return
     s0 = s[..., 0, :]
     s1 = s[..., 1, :]
@@ -347,7 +362,8 @@ def apply_gate(state: np.ndarray, step, table: dict,
         return
     if s0.shape[-1] < s0.shape[-2]:
         s0, s1 = s0.swapaxes(-1, -2), s1.swapaxes(-1, -2)
-    c, f, g = factors
+    c, f, g = (factors[0, ..., 0, :], factors[1, ..., 0, :],
+               factors[0, ..., 1, :])
     half = state.size >> 1
     a = scratch[:half].reshape(s0.shape)
     b = scratch[half:state.size].reshape(s0.shape)
@@ -381,27 +397,22 @@ def _forward(gates, num_qubits: int, thetas: np.ndarray,
              features: np.ndarray | None = None,
              state: np.ndarray | None = None, read=None) -> np.ndarray:
     """The forward engine: run a gate sequence on a batch of unit rows and
-    return the (B, 2^n) result.
-
-    The start is a copy of fixed_prefix's row, and the walk runs the gates
-    after it, for each of the max(k, k') rows of the (k, p) thetas and
-    (k', f) features, or the given C-contiguous (B, 2^n) state batch,
-    which is run in place; row r turns by angle row r % k and
-    feature row r % k', as angle_table says. read(gate, state), when
-    given, is called right after each theta rotation, on the state the
-    gate has just made. The engine builds the one angle_table and the one
-    scratch buffer of the run, walks the sequence's gate_plan, and raises
-    FloatingPointError unless every result row has unit norm (a NaN angle
-    fails). It does not re-validate slot coverage, so it also works on
-    truncated gate lists.
-    """
+    return the (B, 2^n) result. The start is max(k, k') copies of
+    fixed_prefix's row, for the (k, p) thetas and (k', f) features (row r
+    turns by angle row r % k and feature row r % k'), or the given
+    C-contiguous (B, 2^n) state batch, run in place. read(gate, state), if
+    given, is called on the state right after each theta rotation. The
+    engine builds the run's angle_table and scratch, walks the gate_plan,
+    and raises FloatingPointError unless every result row has unit norm (a
+    NaN angle fails). It does not re-validate slot coverage, so it also
+    works on truncated gate lists."""
     if state is None:
         skip, row = fixed_prefix(gates, num_qubits)
         gates = gates[skip:]
         state = np.repeat(row, max(
             len(thetas), 0 if features is None else len(features)), axis=0)
     table = angle_table(gates, thetas, features)
-    scratch = np.empty(state.size, dtype=complex)
+    scratch = scratch_for(state.size)
     for step in gate_plan(gates, num_qubits):
         apply_gate(state, step, table, scratch)
         if read and isinstance(step, Gate) and step.param_slot is not None:

@@ -11,6 +11,7 @@ import pytest
 
 from qinitopt import differentiation
 from qinitopt.differentiation import (EXACT_QFIM_MAX_PARAMS, SHIFT,
+                                      _generator_rows,
                                       adjoint_gradient, gradient,
                                       hermitian_eigenvalues,
                                       observable_gradient,
@@ -24,9 +25,11 @@ from qinitopt.scoring import score
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
                                 ROTATION_KINDS, Circuit, Gate, Layer,
                                 Observable, RX, RY, RZ, _features_of,
-                                apply_circuit, build_hea,
+                                _forward, angle_table, apply_circuit,
+                                apply_gate, build_hea,
                                 build_strongly_entangling, build_two_design,
-                                embed_angles, expectation)
+                                embed_angles, expectation, gate_plan,
+                                run_gates, scratch_for)
 
 
 def expectation_cost(circuit, obs):
@@ -542,6 +545,141 @@ def test_qfim_trace_holds_one_generator_row_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * stack, peak
+
+
+def per_slot_adjoint(circ, thetas, phi, lam, features=None):
+    """adjoint_gradient with each slot read alone, by _generator_rows and
+    one np.vecdot, on the same backward walk: the reference for its block
+    reads."""
+    m, b, p = len(phi), len(thetas), circ.num_params
+    first = differentiation.first_param_gate(circ)
+    pair = np.concatenate([phi, lam])
+    undo = angle_table(circ.gates[first + 1:], thetas, features,
+                       inverse=True)
+    scratch = scratch_for(pair.size)
+    dots = np.zeros((p, m), dtype=complex)
+    steps = gate_plan(circ.gates[first:][::-1], circ.num_qubits)
+    for k, step in enumerate(steps):
+        if isinstance(step, Gate) and step.param_slot is not None:
+            dots[step.param_slot] = np.vecdot(pair[m:], _generator_rows(
+                step, circ.num_qubits, pair[:m]))
+        if k < len(steps) - 1:
+            apply_gate(pair, step, undo, scratch)
+    per_theta = np.ascontiguousarray(
+        dots.real.reshape(p, m // b, b).transpose(2, 0, 1))
+    return 2.0 * per_theta.sum(axis=-1)
+
+
+def per_slot_trace(circ, thetas, feats):
+    """qfim_trace of a (B, p) stack with each slot read alone, by
+    _generator_rows and one np.vecdot: the reference for its block
+    reads."""
+    dots = np.zeros((len(thetas), circ.num_params), dtype=complex)
+
+    def read(gate, state):
+        dots[:, gate.param_slot] = np.vecdot(
+            state, _generator_rows(gate, circ.num_qubits, state))
+    _forward(circ.gates, circ.num_qubits, thetas, feats, read=read)
+    expect = -2.0 * dots.imag
+    return (1.0 - expect * expect).sum(axis=-1)
+
+
+def reuploading_circuit(layers):
+    """4 qubits; a layer is an RY and an RZ theta gate on every qubit, an
+    RX feature gate and a CNOT chain, so feature gates follow theta
+    gates: 8 slots and 1 feature a layer. Slots count down along the
+    gates, so a walk reads them out of slot order."""
+    gates = []
+    p = 8 * layers
+    for layer in range(layers):
+        for q in range(4):
+            gates += [Gate(RY, q, param_slot=p - 1 - 8 * layer - 2 * q),
+                      Gate(RZ, q, param_slot=p - 2 - 8 * layer - 2 * q)]
+        gates.append(Gate(RX, layer % 4, feature_slot=layer))
+        gates += [Gate(CNOT, q + 1, control=q) for q in range(3)]
+    return Circuit(4, tuple(gates), p, embedding_slots=tuple(range(layers)))
+
+
+@pytest.mark.parametrize("circ, b, m, features", [
+    # 8-row pairs of 16 amplitudes: 96 slots in three full blocks of 32
+    (build_strongly_entangling(8, 4), 4, 4, None),
+    # 36 slots, not a multiple of the block: 32, then a partial 4
+    (build_strongly_entangling(3, 4), 4, 4, None),
+    # B = 1: room for 128 snapshots, so all 96 slots in one block
+    (build_strongly_entangling(8, 4), 1, 1, None),
+    # two rows a theta, 256 amplitudes: the least block, 16 snapshots
+    (build_strongly_entangling(3, 4), 4, 8, None),
+    # 1,024 amplitudes, four snapshots: read in place, a slot at a time
+    (build_strongly_entangling(2, 8), 2, 2, None),
+    # a feature row per row of the pair, as QmlTask's per-row path passes:
+    # 64 slots in blocks of 21, 21, 21 and 1, the block of one read first
+    (reuploading_circuit(8), 2, 6, "rows"),
+    # the one feature row observable_value_and_gradient passes
+    (reuploading_circuit(5), 3, 3, "one"),
+])
+def test_adjoint_block_reads_match_per_slot_reads_bit_for_bit(
+        circ, b, m, features):
+    rng = np.random.default_rng(29)
+    n = circ.num_qubits
+    thetas = rng.uniform(0, 2 * math.pi, (b, circ.num_params))
+    f = circ.num_features
+    feats = {None: None, "one": rng.uniform(0, math.pi, (1, f)),
+             "rows": rng.uniform(0, math.pi, (m, f))}[features]
+    phi = rng.standard_normal((m, 1 << n)) + 1j * rng.standard_normal(
+        (m, 1 << n))
+    lam = rng.standard_normal((m, 1 << n)) + 1j * rng.standard_normal(
+        (m, 1 << n))
+    got = adjoint_gradient(circ, thetas, phi, lam, feats)
+    assert got.tobytes() == per_slot_adjoint(
+        circ, thetas, phi, lam, feats).tobytes()
+
+
+@pytest.mark.parametrize("circ, rows, features", [
+    # 4 rows of 16: 96 slots in blocks of 64 and 32
+    (build_strongly_entangling(8, 4), 4, False),
+    # 13 rows of 16: blocks of 19 snapshots, the last of one
+    (build_strongly_entangling(8, 4), 13, False),
+    # B = 1 on bp-scan's 4-qubit two-design: its 20 slots in one block
+    (build_two_design(5, 4, 0), 1, False),
+    # 256 amplitudes, the least block: 16 snapshots, then 4
+    (build_two_design(5, 4, 0), 16, False),
+    # 272 amplitudes, 15 snapshots: read in place
+    (build_two_design(5, 4, 0), 17, False),
+    # an embedding prelude, whose feature row every theta reads
+    (embed_angles(build_strongly_entangling(3, 4), 4), 5, True),
+])
+def test_trace_block_reads_match_per_slot_reads_bit_for_bit(
+        circ, rows, features):
+    rng = np.random.default_rng(31)
+    thetas = rng.uniform(0, 2 * math.pi, (rows, circ.num_params))
+    feats = rng.uniform(0, math.pi, (1, 4)) if features else np.zeros((1, 0))
+    got = qfim_trace(circ, thetas, feats[0] if features else None)
+    assert got.tobytes() == per_slot_trace(circ, thetas, feats).tobytes()
+
+
+def test_adjoint_peak_is_a_stated_multiple_of_its_pair():
+    """adjoint_gradient's traced peak as a multiple of the bytes of its
+    (2m, 2^n) pair of phi and lambda rows. At vqe training's shape, the
+    8 x 4 strongly-entangling circuit at B = 4 (a 2 KB pair), the block
+    reads' snapshot buffer of 4,096 amplitudes (32 pairs) and their
+    gathered terms (16 pairs) join the angle table and scratch: the peak
+    reads 88 pairs (181 KB; 31 when every slot was read in place). At
+    n = 8 on the 8-layer two-design (64 slots) at B = 4, a 32 KB pair,
+    the slots are read in place and the peak reads 4.7 pairs."""
+    for circ, b, multiple in ((build_strongly_entangling(8, 4), 4, 96),
+                              (build_two_design(8, 8, 0), 4, 5)):
+        thetas = np.random.default_rng(71).uniform(
+            0, 2 * math.pi, (b, circ.num_params))
+        psi = run_gates(circ.gates, circ.num_qubits, thetas)
+        lam = psi[::-1].copy()
+        adjoint_gradient(circ, thetas, psi, lam)
+        tracemalloc.start()
+        try:
+            adjoint_gradient(circ, thetas, psi, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= multiple * 2 * psi.nbytes, (circ.num_qubits, peak)
 
 
 def test_sweep_buffer_holds_the_largest_segment():

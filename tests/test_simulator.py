@@ -176,9 +176,10 @@ def random_states(rng, batch: int, qubits: int) -> np.ndarray:
 
 
 def nan_scratch(size: int) -> np.ndarray:
-    """A scratch buffer whose old contents poison any kernel that reads
-    them before writing."""
-    return np.full(size, np.nan + 1j * np.nan)
+    """A scratch buffer for states of up to size amplitudes, of exactly the
+    size apply_gate documents (simulator.scratch_for), whose old contents
+    poison any kernel that reads them before writing."""
+    return np.full(simulator.scratch_for(size).size, np.nan + 1j * np.nan)
 
 
 def apply_one(state, gate, table, scratch):
@@ -450,6 +451,49 @@ def test_rotations_match_the_oracle_bit_for_bit_at_every_target(inverse):
                 assert_same_bits(buffer[batch:], rest)
 
 
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("batch, n", [(4, 4), (32, 4), (33, 4), (2, 8),
+                                      (3, 8), (8, 8)])
+def test_pair_form_matches_the_oracle_bit_for_bit(batch, n, inverse):
+    """RX, RY on a theta and on a feature slot, and fixed RY, at every
+    target, with angle rows repeating over k = 1 and k = B state rows, on
+    both sides of PAIR_FORM_AMPLITUDES: the three-call pair form up to 512
+    amplitudes ((4, 2^4), (32, 2^4), (2, 2^8)) and the long form above
+    ((33, 2^4), (3, 2^8), (8, 2^8)). Each step gives the oracle's bits,
+    signed zeros included, on the whole batch and on a row prefix of a
+    larger buffer, each with a NaN-poisoned scratch of exactly the
+    documented size for its buffer: the (2, 2^8) prefix of a (5, 2^8)
+    buffer takes the pair form in a scratch sized for the long one."""
+    assert (batch << n <= simulator.PAIR_FORM_AMPLITUDES) == (
+        (batch, n) in ((4, 4), (32, 4), (2, 8)))
+    rng = np.random.default_rng(67 + n)
+    for k in (1, batch):
+        thetas = rng.uniform(-7, 7, (k, 2))
+        thetas[0, 1] = -0.0
+        feats = rng.uniform(-7, 7, (k, 1))
+        gates = [Gate(kind, target=target, param_slot=slot)
+                 for target in range(n) for kind in (RX, RY)
+                 for slot in (0, 1)]
+        gates += [Gate(kind, target=target, feature_slot=0)
+                  for target in range(n) for kind in (RX, RY)]
+        gates += [Gate(FIXED_RY, target=target) for target in range(n)]
+        table = angle_table(gates, thetas, feats, inverse=inverse)
+        for start in kernel_states(rng, batch, n):
+            buffer = np.concatenate([start, random_states(rng, 3, n)])
+            rest = buffer[batch:].copy()
+            for gate in gates:
+                want = start.copy()
+                _oracle_apply(want, gate, thetas, feats, inverse)
+                got = start.copy()
+                apply_gate(got, gate, table, nan_scratch(got.size))
+                assert_same_bits(got, want)
+                buffer[:batch] = start
+                apply_gate(buffer[:batch], gate, table,
+                           nan_scratch(buffer.size))
+                assert_same_bits(buffer[:batch], want)
+                assert_same_bits(buffer[batch:], rest)
+
+
 def test_rz_factors_have_the_bits_of_complex_exp():
     """An rz entry, built from real trig, holds the bits of
     [exp(-1j * h), exp(1j * h)] for h = a / 2 and, inverse, h = -a / 2,
@@ -661,7 +705,7 @@ def test_forward_engine_equals_an_explicit_gate_loop():
         for start in (None, basis):
             want = zero_state(qubits, b) if start is None else start.copy()
             table = angle_table(circ.gates, thetas, feats)
-            scratch = np.empty(want.size, dtype=complex)
+            scratch = simulator.scratch_for(want.size)
             reads = []
             for gate in circ.gates:
                 apply_one(want, gate, table, scratch)
@@ -747,12 +791,12 @@ def test_walks_start_from_the_cached_fixed_prefix(monkeypatch):
 
 def test_forward_engine_peak_is_a_stated_multiple_of_its_stack():
     """run_gates' traced peak holds its result and scratch buffer (two
-    stacks), the angle table and up to three numpy iterator buffers of at
-    most np.getbufsize() amplitudes. At (64, 2^8) on the two-design the
-    buffers are 1.5 stacks and the peak reads 3.46 stacks (886 KB); at
-    (48, 2^4) on the 2-layer strongly-entangling circuit the angle table
-    of 24 slots is about 3.5 stacks and the peak reads 6.8 stacks
-    (81 KB)."""
+    stacks, the scratch 512 amplitudes more), the angle table and up to
+    three numpy iterator buffers of at most np.getbufsize() amplitudes.
+    At (64, 2^8) on the two-design the buffers are 1.5 stacks and the peak
+    reads 3.5 stacks (919 KB); at (48, 2^4) on the 2-layer
+    strongly-entangling circuit the angle table of 24 slots is about 3.5
+    stacks and the peak reads 7.8 stacks (95 KB)."""
     for circ, rows, multiple in ((build_two_design(5, 8, 0), 64, 4),
                                  (build_strongly_entangling(2, 4), 48, 8)):
         thetas = np.random.default_rng(70).uniform(
@@ -770,36 +814,42 @@ def test_forward_engine_peak_is_a_stated_multiple_of_its_stack():
 
 def test_gate_kernels_allocate_no_state_sized_temporary():
     # numpy's in-place ufuncs may still buffer up to np.getbufsize()
-    # elements per operand: one buffer for an RZ step, in either of its
-    # forms, and three operands at most for the other steps
-    buffer = np.getbufsize() * 16
+    # elements per operand, and no more than the operand has: one buffer
+    # for an RZ step, in either of its forms, and three operands at most
+    # for the other steps, whose widest operand on a small state is the
+    # pair form's 2 * state.size products in scratch
     rng = np.random.default_rng(48)
-    n, batch = 10, 64
-    thetas = rng.uniform(-4, 4, (batch, 1))
-    state = random_states(rng, batch, n)
-    scratch = np.empty(state.size, dtype=complex)
     mixed = (Gate(CNOT, target=3, control=6), Gate(CZ, target=9, control=0),
              Gate(CNOT, target=1, control=8))
     # RX and RY at target 7 loop along the 128 blocks above it
-    for gates in ((Gate(RX, target=3, param_slot=0),),
-                  (Gate(RY, target=3, param_slot=0),),
-                  (Gate(RX, target=7, param_slot=0),),
-                  (Gate(RY, target=7, param_slot=0),),
-                  (Gate(RZ, target=3, param_slot=0),),
-                  (Gate(RZ, target=n - 1, param_slot=0),),
-                  (Gate(FIXED_RY, target=3),),
-                  (Gate(CNOT, target=3, control=6),),
-                  (Gate(CZ, target=3, control=6),), mixed):
-        table = angle_table(gates, thetas)
-        step, = gate_plan(gates, n)
-        bound = (1 if gates[0].kind == RZ else 3) * buffer + 4096
-        tracemalloc.start()
-        try:
-            apply_gate(state, step, table, scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound, ([gate.kind for gate in gates], peak)
+    wide = ((Gate(RX, target=3, param_slot=0),),
+            (Gate(RY, target=3, param_slot=0),),
+            (Gate(RX, target=7, param_slot=0),),
+            (Gate(RY, target=7, param_slot=0),),
+            (Gate(RZ, target=3, param_slot=0),),
+            (Gate(RZ, target=9, param_slot=0),),
+            (Gate(FIXED_RY, target=3),),
+            (Gate(CNOT, target=3, control=6),),
+            (Gate(CZ, target=3, control=6),), mixed)
+    # the pair form on vqe training's forward and adjoint batches
+    small = tuple((Gate(kind, target=target, param_slot=0),)
+                  for kind in (RX, RY) for target in (0, 3))
+    for n, batch, cases in ((10, 64, wide), (4, 4, small), (4, 8, small)):
+        thetas = rng.uniform(-4, 4, (batch, 1))
+        state = random_states(rng, batch, n)
+        scratch = simulator.scratch_for(state.size)
+        buffer = min(np.getbufsize(), 2 * state.size) * 16
+        for gates in cases:
+            table = angle_table(gates, thetas)
+            step, = gate_plan(gates, n)
+            bound = (1 if gates[0].kind == RZ else 3) * buffer + 4096
+            tracemalloc.start()
+            try:
+                apply_gate(state, step, table, scratch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, ([gate.kind for gate in gates], n, peak)
 
 
 def test_norm_check_allocates_no_batch_sized_temporary():
