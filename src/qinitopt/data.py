@@ -1,7 +1,7 @@
 """Dataset ingestion and preprocessing for the classification experiments.
 
-CSV in, then PCA to a handful of components (the SVD of the covariance,
-which for a positive semidefinite matrix is its eigendecomposition), min-max
+CSV in through numpy's C reader, then PCA (the SVD of the covariance, which
+for a positive semidefinite matrix is its eigendecomposition), min-max
 scaling onto [0, pi] with train-set statistics, and a stratified 80/20
 split. Hamiltonians load from a plain text format, one Pauli term per line.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 import math
+import warnings
 
 import numpy as np
 
@@ -42,49 +43,56 @@ class Dataset:
 
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a rectangular numeric CSV with a header; one column holds
-    integer-coded labels, every other column becomes a feature. Every cell
-    must be a finite number."""
-    with open(path, newline="") as handle:
+    integer-coded labels, every other column becomes a feature. numpy's C
+    reader parses the body in one pass. Every cell must be a finite number
+    and every label an integer in int64's range; a file that breaks a rule
+    is read again, only to name its first bad line."""
+    with open(path, newline="") as handle, warnings.catch_warnings():
         rows = csv.reader(handle)
         header = next(rows, None)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        if all(_is_number(cell) for cell in header):
+        if None not in map(_number, header):
             raise ValueError(f"{path}: missing header row")
         if label_column not in header:
             raise ValueError(f"{path}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
-        width = len(header)
-        features = []
-        labels = []
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) != width:
-                raise ValueError(f"{path}:{lineno}: expected {width} cells, "
-                                 f"got {len(row)}")
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}:{lineno}: non-finite cell")
-            label = values.pop(label_idx)
-            if label != int(label):
-                raise ValueError(f"{path}:{lineno}: label {label} is not an integer")
-            labels.append(int(label))
-            features.append(values)
-    if not labels:
-        raise ValueError(f"{path}: no data rows")
-    name = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
-    return Dataset(name, np.array(features, dtype=float),
-                   np.array(labels, dtype=int))
+        width, label_idx = len(header), header.index(label_column)
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt: empty body
+        try:
+            table = np.loadtxt(handle, delimiter=",", quotechar='"',
+                               comments=None, ndmin=2)
+        except ValueError:  # the scan below names the line
+            table = np.empty((0, 0))
+    labels = table[:, label_idx] if table.shape[1] == width else ()
+    if (len(labels) and np.isfinite(table).all() and not np.any(labels % 1)
+            and -2.0**63 <= labels.min() <= labels.max() < 2.0**63):
+        name = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
+        return Dataset(name, np.delete(table, label_idx, axis=1),
+                       labels.astype(int))
+    with open(path, newline="") as handle:
+        rows = csv.reader(handle)
+        next(rows)
+        for row in filter(None, rows):  # numpy skips blank lines too
+            values = list(map(_number, row))
+            label = values[label_idx] if len(row) == width else None
+            problem = (
+                f"expected {width} cells, got {len(row)}" if len(row) != width
+                else "non-numeric cell" if None in values
+                else "non-finite cell" if not all(map(math.isfinite, values))
+                else f"label {label} is not an integer" if label % 1
+                else f"label {label} is outside int64"
+                if not -2.0**63 <= label < 2.0**63 else None)
+            if problem:  # the line the row ends on
+                raise ValueError(f"{path}:{rows.line_num}: {problem}")
+    raise ValueError(f"{path}: no data rows")
 
 
-def _is_number(cell: str) -> bool:
+def _number(cell: str):
+    """float(cell) by numpy's rules (no `_`, ASCII digits only), or None."""
     try:
-        float(cell)
+        return float(cell) if "_" not in cell and cell.strip().isascii() else None
     except ValueError:
-        return False
-    return True
+        return None
 
 
 @dataclass(frozen=True)
@@ -112,15 +120,12 @@ def fit_pca(features, k: int = 4) -> PcaModel:
     # singular values of a PSD matrix are its eigenvalues, already
     # descending; eigh would wake an idle BLAS worker thread here
     vectors, values, _ = np.linalg.svd(cov)
-    scale = values[0]
-    if values[k - 1] <= 1e-12 * max(scale, 1.0):
+    if values[k - 1] <= 1e-12 * max(values[0], 1.0):
         raise ValueError(f"input is rank deficient: fewer than {k} components "
                          "carry variance")
-    components = vectors[:, :k].copy()
-    for j in range(k):
-        pivot = np.argmax(np.abs(components[:, j]))
-        if components[pivot, j] < 0:
-            components[:, j] = -components[:, j]
+    components = vectors[:, :k]
+    pivots = components[np.argmax(np.abs(components), axis=0), np.arange(k)]
+    components = np.where(pivots < 0, -components, components)
     return PcaModel(mean, components, values[:k].copy())
 
 
@@ -152,29 +157,29 @@ def scale_features(features, scaler: MinMaxScaler) -> np.ndarray:
     return np.clip(scaled, 0.0, ANGLE_SPAN)
 
 
-def _sorted_labels(labels: np.ndarray) -> list:
-    """The distinct labels, ascending."""
+def _shuffled_classes(dataset: Dataset, seed: int, stream: str) -> dict:
+    """Each class's row indices, shuffled by the seed, classes ascending."""
+    classes = {}
     # not np.unique: its first call imports numpy.ma, ~15 ms per CLI run
-    return sorted(set(labels.tolist()))
+    for label in sorted(set(dataset.labels.tolist())):
+        members = np.flatnonzero(dataset.labels == label)
+        order = child_rng(seed, stream, int(label)).permutation(len(members))
+        classes[label] = members[order]
+    return classes
+
+
+def _rows(dataset: Dataset, keep: np.ndarray) -> Dataset:
+    """The rows a boolean mask keeps, in file order."""
+    return Dataset(dataset.name, dataset.features[keep], dataset.labels[keep])
 
 
 def split_80_20(dataset: Dataset, seed: int) -> tuple[Dataset, Dataset]:
     """Stratified split: ceil(0.8 N_c) of each class to train, rest to test,
     class membership shuffled by the seed."""
-    train_idx = []
-    test_idx = []
-    for label in _sorted_labels(dataset.labels):
-        members = np.flatnonzero(dataset.labels == label)
-        order = child_rng(seed, "split", int(label)).permutation(len(members))
-        cut = math.ceil(0.8 * len(members))
-        train_idx.extend(members[order[:cut]])
-        test_idx.extend(members[order[cut:]])
-    train_idx = np.sort(np.array(train_idx, dtype=int))
-    test_idx = np.sort(np.array(test_idx, dtype=int))
-    return (Dataset(dataset.name, dataset.features[train_idx],
-                    dataset.labels[train_idx]),
-            Dataset(dataset.name, dataset.features[test_idx],
-                    dataset.labels[test_idx]))
+    train = np.zeros(dataset.n_samples, dtype=bool)
+    for members in _shuffled_classes(dataset, seed, "split").values():
+        train[members[:math.ceil(0.8 * len(members))]] = True
+    return _rows(dataset, train), _rows(dataset, ~train)
 
 
 def stratified_subsample(dataset: Dataset, max_rows: int, seed: int) -> Dataset:
@@ -184,22 +189,17 @@ def stratified_subsample(dataset: Dataset, max_rows: int, seed: int) -> Dataset:
         raise ValueError("max_rows smaller than the number of classes")
     if dataset.n_samples <= max_rows:
         return dataset
-    kept = []
-    labels = _sorted_labels(dataset.labels)
-    quota = {}
-    for label in labels:
-        count = int(np.sum(dataset.labels == label))
-        quota[int(label)] = max(1, int(round(max_rows * count / dataset.n_samples)))
+    classes = _shuffled_classes(dataset, seed, "subsample")
+    quota = {label: max(1, round(max_rows * len(members) / dataset.n_samples))
+             for label, members in classes.items()}
     # trim overshoot from the largest classes, deterministically
     while sum(quota.values()) > max_rows:
         largest = max(quota, key=lambda c: (quota[c], -c))
         quota[largest] -= 1
-    for label in labels:
-        members = np.flatnonzero(dataset.labels == label)
-        order = child_rng(seed, "subsample", int(label)).permutation(len(members))
-        kept.extend(members[order[:quota[int(label)]]])
-    kept = np.sort(np.array(kept, dtype=int))
-    return Dataset(dataset.name, dataset.features[kept], dataset.labels[kept])
+    kept = np.zeros(dataset.n_samples, dtype=bool)
+    for label, members in classes.items():
+        kept[members[:quota[label]]] = True
+    return _rows(dataset, kept)
 
 
 def load_hamiltonian(path) -> Observable:

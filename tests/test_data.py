@@ -1,10 +1,16 @@
 """Data loading, PCA, scaling, and splitting."""
+import csv
+import io
 import math
 import pathlib
+import re
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from qinitopt.cli import main
 from qinitopt.data import (Dataset, MinMaxScaler, fit_pca, fit_scaler,
                            load_csv, load_hamiltonian, pca_transform,
                            scale_features, split_80_20, stratified_subsample)
@@ -73,6 +79,205 @@ def test_shipped_corpora_shapes():
     assert cancer.features.shape == (569, 30) and cancer.num_classes == 2
     digits = load_csv(REPO / "datasets" / "digits.csv")
     assert digits.features.shape == (1797, 64) and digits.num_classes == 10
+
+
+def per_cell_load_csv(path, label_column: str = "label") -> Dataset:
+    """The reader load_csv replaced, kept as the oracle of the differential
+    tests below: csv rows, Python's float() on every cell."""
+    with open(path, newline="") as handle:
+        rows = csv.reader(handle)
+        header = next(rows, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        if all(_is_number(cell) for cell in header):
+            raise ValueError(f"{path}: missing header row")
+        if label_column not in header:
+            raise ValueError(f"{path}: no column named {label_column!r}")
+        label_idx = header.index(label_column)
+        width = len(header)
+        features = []
+        labels = []
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != width:
+                raise ValueError(f"{path}:{lineno}: expected {width} cells, "
+                                 f"got {len(row)}")
+            try:
+                values = [float(cell) for cell in row]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite cell")
+            label = values.pop(label_idx)
+            if label != int(label):
+                raise ValueError(f"{path}:{lineno}: label {label} is not an integer")
+            labels.append(int(label))
+            features.append(values)
+    if not labels:
+        raise ValueError(f"{path}: no data rows")
+    name = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
+    return Dataset(name, np.array(features, dtype=float),
+                   np.array(labels, dtype=int))
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+CSV_CORPUS = {
+    "crlf": b"a,b,label\r\n1,2,0\r\n3,4,1\r\n",
+    "cr": b"a,b,label\r1,2,0\r3,4,1\r",
+    "bom": b"\xef\xbb\xbfa,b,label\n1,2,0\n",
+    "bom-label-first": b"\xef\xbb\xbflabel,a\n0,1\n",
+    "no-final-newline": b"a,b,label\n1,2,0\n3,4,1",
+    "padded": b"a,b,label\n 1 ,\t2, 0 \n3 ,4,1\t\n",
+    "signs-exponents": b"a,b,label\n-1.5e-3,+2E+2,1\n.5,1.,-0\n1e-320,-7E5,+3\n",
+    "label-first": b"label,a,b\n1,2,3\n0,4,5\n",
+    "label-middle": b"a,label,b\n1,1,3\n2,0,5\n",
+    "label-only": b"label\n0\n1\n",
+    "quoted": b'a,b,label\n"1.5","2",0\n3," 4 ","1"\n',
+    "hash-in-cell": b"a,b,label\n1,2,0#junk\n",
+    "hash-row": b"a,b,label\n1,2,0\n# note\n",
+    "blank-line": b"a,b,label\n1,2,0\n\n3,4,1\n",
+    "blank-crlf": b"a,b,label\r\n1,2,0\r\n\r\n3,4,1\r\n",
+    "blank-then-bad": b"a,b,label\n\n1,x,0\n",
+    "whitespace-line": b"a,b,label\n1,2,0\n   \n3,4,1\n",
+    "whitespace-line-one-column": b"label\n0\n \n1\n",
+    "short-row": b"a,b,label\n1,2,0\n3,4\n",
+    "long-row": b"a,b,label\n1,2,0\n3,4,1,5\n",
+    "one-wide-row": b"a,b,label\n1,2,0,5\n",
+    "short-non-numeric-row": b"a,b,label\n1,2,0\nx,4\n",
+    "empty-cell": b"a,b,label\n1,,0\n",
+    "non-numeric": b"a,b,label\n1,2,0\n1,x,0\n",
+    "nan": b"a,b,label\n1,nan,0\n",
+    "inf": b"a,b,label\n1,2,0\n1,inf,0\n",
+    "-Infinity": b"a,b,label\n1,-Infinity,0\n",
+    "nan-label": b"a,label\n1,0\n2,nan\n",
+    "huge-cell": b"a,b,label\n1,1e400,0\n",
+    "non-integer-label": b"a,label\n1,0\n1,0.5\n",
+    "non-finite-before-label": b"a,label\ninf,0.5\n",
+    "least-int64-label": b"a,label\n1,-9223372036854775808\n",
+    "label-2**63": b"a,label\n1,9223372036854775808\n",
+    "label-1e300": b"a,label\n1,0\n2,1e300\n",
+    "digit-separator": b"a,b,label\n1,1_0,0\n",
+    "non-ascii-digit": "a,b,label\n1,١,0\n".encode(),
+    "no-break-space": "a,b,label\n1, 2,0\n".encode(),
+    "numeric-header": b"1,2,3\n1,2,0\n",
+    "no-label-column": b"a,b\n1,2\n",
+    "header-only": b"a,b,label\n",
+    "header-only-label": b"label\n",
+    "blank-lines-only": b"a,b,label\n\n\n",
+    "empty": b"",
+}
+
+# Where load_csv differs from the per-cell reader on purpose: what it does
+# instead, with {path} for the file. An error is its message; a dataset is
+# (features, labels).
+CSV_CHANGES = {
+    # numpy's reader skips blank lines
+    "blank-line": ([[1.0, 2.0], [3.0, 4.0]], [0, 1]),
+    "blank-crlf": ([[1.0, 2.0], [3.0, 4.0]], [0, 1]),
+    "blank-then-bad": "{path}:3: non-numeric cell",
+    "blank-lines-only": "{path}: no data rows",
+    # numpy's reader takes ASCII decimals without `_` separators
+    "digit-separator": "{path}:2: non-numeric cell",
+    "non-ascii-digit": "{path}:2: non-numeric cell",
+    # the per-cell reader ended in OverflowError, which names no line
+    "label-2**63": "{path}:2: label 9.223372036854776e+18 is outside int64",
+    "label-1e300": "{path}:3: label 1e+300 is outside int64",
+}
+
+
+def outcome(reader, path):
+    """What reading path gives: its bytes, or the error's class and text."""
+    try:
+        ds = reader(path)
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    return (ds.name, ds.features.shape, ds.features.tobytes(),
+            ds.labels.dtype.str, ds.labels.tobytes())
+
+
+def expected_outcome(case, path):
+    change = CSV_CHANGES[case]
+    if isinstance(change, str):
+        return "ValueError", change.format(path=path)
+    features, labels = change
+    features = np.array(features, dtype=float)
+    return ("toy", features.shape, features.tobytes(), "<i8",
+            np.array(labels, dtype=np.int64).tobytes())
+
+
+@pytest.mark.parametrize("name", ["wine", "breast_cancer", "digits"])
+def test_load_csv_matches_the_per_cell_reader_on_shipped_datasets(name):
+    path = REPO / "datasets" / f"{name}.csv"
+    assert outcome(load_csv, path) == outcome(per_cell_load_csv, path)
+
+
+@pytest.mark.parametrize("case", CSV_CORPUS)
+def test_load_csv_matches_the_per_cell_reader(tmp_path, case):
+    path = tmp_path / "toy.csv"
+    path.write_bytes(CSV_CORPUS[case])
+    got = outcome(load_csv, path)
+    if case in CSV_CHANGES:
+        assert got == expected_outcome(case, path)
+        assert got != outcome(per_cell_load_csv, path)
+    else:
+        assert got == outcome(per_cell_load_csv, path)
+
+
+FILE_PROBLEMS = {"empty file", "missing header row", "no column named 'label'",
+                 "no data rows"}
+
+
+def test_every_malformed_csv_is_one_cli_error_line(tmp_path, capsys):
+    """qml names the file, and the line of a bad row, on one `error:` line
+    with exit code 2; a wrong label used to end without either."""
+    for case, body in CSV_CORPUS.items():
+        path = tmp_path / "toy.csv"
+        path.write_bytes(body)
+        try:
+            load_csv(path)
+        except ValueError as exc:
+            message = str(exc)
+        else:
+            continue
+        code = main(["qml", "--out", str(tmp_path / "out"),
+                     "--set", f'dataset="{path}"'])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), case
+        assert captured.err == f"error: {message}\n", case
+        where = re.fullmatch(rf"{re.escape(str(path))}(:\d+)?: (.+)", message)
+        assert where and bool(where[1]) != (where[2] in FILE_PROBLEMS), case
+
+
+CSV_CELLS = st.sampled_from(["0", "1", "-2", "3.5", "1e3", "2E-1", " 4",
+                             "5 ", '"6"', "", "x", "nan", "-inf", "7#",
+                             '"8,9"', "1,2", "0.5"])
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.lists(CSV_CELLS, min_size=1, max_size=4),
+                     max_size=5),
+       header=st.sampled_from(["a,b,label", "label,a,b", "a,label", "label"]),
+       newline=st.sampled_from(["\n", "\r\n"]), final=st.booleans())
+def test_load_csv_matches_the_per_cell_reader_on_drawn_bodies(
+        tmp_path_factory, rows, header, newline, final):
+    """Drawn bodies with no blank line, no `_` and ASCII cells only: the
+    two readers agree on every byte and every error."""
+    body = newline.join([header] + [",".join(row) for row in rows])
+    body += newline if final else ""
+    parsed = csv.reader(io.StringIO(body, newline=""))
+    assume(all(row and parsed.line_num == i
+               for i, row in enumerate(parsed, start=1)))
+    path = tmp_path_factory.mktemp("drawn") / "toy.csv"
+    path.write_bytes(body.encode())
+    want = outcome(per_cell_load_csv, path)
+    assume(want[0] != "OverflowError")
+    assert outcome(load_csv, path) == want
 
 
 def test_pca_collinear_line():

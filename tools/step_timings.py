@@ -15,11 +15,13 @@ control is qubit t - 1 (mod n). Every step gets a scratch of twice the
 state, which holds what either RX/RY form needs. Next comes the
 microseconds of one differentiation.adjoint_gradient call at B = 4 on the
 8-layer, 4-qubit strongly-entangling circuit, the shape of a vqe training
-step's backward pass. The last lines give the milliseconds of bp-scan's
+step's backward pass. The next lines give the milliseconds of bp-scan's
 variance call, expectation(apply_circuit(...)) on 100 rows of its
-two-design circuit, at n = 2, 4, 6 and 8. Each figure is the minimum over
-N repeats (default 15) of the mean of a timed loop. Comparing the output
-at two commits on one host shows what a kernel change moved.
+two-design circuit, at n = 2, 4, 6 and 8, and the last line the
+milliseconds of one data.load_csv call on each shipped dataset. Each
+figure is the minimum over N repeats (default 15) of the mean of a timed
+loop. Comparing the output at two commits on one host shows what a
+kernel change moved.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ import timeit
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHAPES = ((100, 8), (16, 4), (8, 4), (4, 4))
 ADJOINT_ROWS = 4
+DATASETS = ("wine", "breast_cancer", "digits")
 VARIANCE_ROWS = 100
 
 
@@ -50,6 +53,7 @@ def main(argv=None) -> int:
     import numpy as np
     from record_hashes import dispatch_line
     from qinitopt import cli
+    from qinitopt.data import load_csv
     from qinitopt.differentiation import adjoint_gradient
     from qinitopt.simulator import (CNOT, CZ, ROTATION_KINDS, Gate,
                                     angle_table, apply_circuit, apply_gate,
@@ -96,6 +100,13 @@ def main(argv=None) -> int:
         seconds = best(lambda: expectation(apply_circuit(circuit, thetas), obs),
                        args.repeats)
         print(f"n={n} {1e3 * seconds:8.3f}", flush=True)
+    print("# load_csv of each shipped dataset, ms", flush=True)
+    line = []
+    for name in DATASETS:
+        path = ROOT / "datasets" / f"{name}.csv"
+        seconds = best(lambda: load_csv(path), args.repeats)
+        line.append(f"{name} {1e3 * seconds:.3f}")
+    print("  ".join(line), flush=True)
     return 0
 
 
