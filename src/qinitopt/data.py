@@ -7,9 +7,11 @@ split. Hamiltonians load from a plain text format, one Pauli term per line.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 from dataclasses import dataclass
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -41,13 +43,30 @@ class Dataset:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
+@contextlib.contextmanager
+def _open_utf8(path, newline=None):
+    """open(path) as UTF-8 text; a byte that is not UTF-8 raises
+    ValueError `<path>:<line>: not valid UTF-8`, whatever reads it."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError:
+        data = pathlib.Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            line = data.count(b"\n", 0, err.start) + 1
+            raise ValueError(f"{path}:{line}: not valid UTF-8") from None
+        raise
+
+
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a rectangular numeric CSV with a header; one column holds
     integer-coded labels, every other column becomes a feature. numpy's C
     reader parses the body in one pass. Every cell must be a finite number
     and every label an integer in int64's range; a file that breaks a rule
     is read again, only to name its first bad line."""
-    with open(path, newline="") as handle, warnings.catch_warnings():
+    with _open_utf8(path, newline="") as handle, warnings.catch_warnings():
         rows = csv.reader(handle)
         header = next(rows, None)
         if header is None:
@@ -69,7 +88,7 @@ def load_csv(path, label_column: str = "label") -> Dataset:
         name = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
         return Dataset(name, np.delete(table, label_idx, axis=1),
                        labels.astype(int))
-    with open(path, newline="") as handle:
+    with _open_utf8(path, newline="") as handle:
         rows = csv.reader(handle)
         next(rows)
         for row in filter(None, rows):  # numpy skips blank lines too
@@ -206,7 +225,7 @@ def load_hamiltonian(path) -> Observable:
     """Pauli-sum text format: one `<coefficient> <word>` per line, words all
     the same length, `#` starts a comment."""
     terms = []
-    with open(path) as handle:
+    with _open_utf8(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             body = line.split("#", 1)[0].strip()
             if not body:

@@ -30,15 +30,16 @@ classification gradient, over the forward states or the basis rows of a
 unitary that all rows share. It and the trace run read their generator
 terms through _generator_dots.
 
-One sweep serves a (B, p) batch of thetas, one kernel call per step of a
-simulator.gate_plan, and a row's results keep the bits its theta gives
-alone. Forward runs go through simulator._forward; the forward sweep walks
-each segment's plan, and the adjoint the reversed gates' plan, which
-undoes them. Each quantity has one function, which runs a (p,) theta as a
-stack of one (only the parameter-shift reference takes one theta alone),
-chunks a stack by _in_chunks so no buffer holds more than
-MAX_SWEEP_AMPLITUDES amplitudes, and first checks its features, by
-simulator._features_of, as the one (1, f) row all its thetas read.
+One sweep serves a (B, p) batch of thetas, one kernel call per plan step,
+and a row's results keep the bits its theta gives alone. Forward runs go
+through simulator._forward; the forward sweep walks each segment's plan,
+and the adjoint the reversed gates' plan, which undoes them; these plans,
+the segments' slots and the block reads' schedules are built once, into
+the memo of the circuit's simulator.compiled form. Each quantity has one
+function, which runs a (p,) theta as a stack of one (only the
+parameter-shift reference takes one theta alone), chunks a stack by
+_in_chunks so no buffer holds more than MAX_SWEEP_AMPLITUDES amplitudes,
+and checks its features, by simulator._features_of, as one (1, f) row.
 
 A QFIM is a plain (p, p) array, or (B, p, p) for a stack. qfim builds
 the exact QFIM up to EXACT_QFIM_MAX_PARAMS parameters, else the
@@ -57,8 +58,8 @@ import numpy as np
 from .simulator import (Circuit, Gate, Observable, _batch_of,
                         _expectation_from, _features_of, _forward,
                         _pauli_table, angle_table, apply_gate,
-                        apply_observable, check_normalized, fixed_prefix,
-                        gate_plan, run_gates, scratch_for)
+                        _plan, apply_observable, check_normalized,
+                        compiled, run_gates, scratch_for)
 
 SHIFT = math.pi / 2
 
@@ -127,23 +128,6 @@ def _generator_rows(gate: Gate, num_qubits: int, state: np.ndarray,
     return np.multiply(factor, rows, out=rows)
 
 
-@functools.lru_cache(maxsize=None)
-def _read_tables(gates: tuple, num_qubits: int) -> tuple:
-    """Read-only (slots, source, factor) of a sequence's theta gates: the
-    i-th one's slot, and -(i/2) G psi = factor * psi[source] on entries
-    [i 2^n, (i + 1) 2^n) of its stacked states."""
-    reads = [gate for gate in gates if gate.param_slot is not None]
-    dim = 1 << num_qubits
-    factor, source = zip(*(_derivative_table(g.kind, g.target, num_qubits)
-                           for g in reads))
-    tables = (np.array([gate.param_slot for gate in reads]), np.concatenate(
-        [(np.arange(dim) if src is None else src) + i * dim
-         for i, src in enumerate(source)]), np.concatenate(factor))
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
 def _generator_dots(circuit: Circuit, rows: int, kets: int, reverse=False):
     """(read, dots) for a walk over (rows, 2^n) states that calls
     read(gate, state) after each theta gate, in gate order or reversed:
@@ -151,7 +135,9 @@ def _generator_dots(circuit: Circuit, rows: int, kets: int, reverse=False):
     kets rows and bras the last. States of at most 256 amplitudes (16 or
     more to READ_BLOCK_AMPLITUDES) are copied to a buffer that one gather,
     one multiply and one np.vecdot read when full or at the end; wider
-    ones, whose copies cost more than the calls save, are read in place."""
+    ones, whose copies cost more than the calls save, are read in place.
+    The block reads' schedule, each theta gate's snapshot and at a block's
+    last read the block's gather table, is compiled once per width."""
     n, p, dim = circuit.num_qubits, circuit.num_params, 1 << circuit.num_qubits
     width = min(READ_BLOCK_AMPLITUDES // (rows * dim), p)  # snapshots
     dots = np.empty((kets, p), dtype=complex)
@@ -162,34 +148,41 @@ def _generator_dots(circuit: Circuit, rows: int, kets: int, reverse=False):
             _generator_rows(gate, n, state[:kets], out=terms)
             np.vecdot(state[rows - kets:], terms, out=dots[:, gate.param_slot])
         return read, dots
-    slots, source, factor = _read_tables(circuit.gates, n)
+    memo = compiled(circuit.gates, n).memo
+    if "reads" not in memo:  # -(i/2) G psi = factor * psi[source], stacked
+        reads = [gate for gate in circuit.gates if gate.param_slot is not None]
+        factor, source = zip(*(_derivative_table(g.kind, g.target, n)
+                               for g in reads))
+        memo["reads"] = (np.concatenate([(np.arange(dim) if s is None else s)
+                                         + i * dim for i, s in enumerate(source)]),
+                         np.concatenate(factor),
+                         np.array([gate.param_slot for gate in reads]))
+    if ("reads", width, reverse) not in memo:
+        source, factor, slots = memo["reads"]
+        schedule = memo["reads", width, reverse] = []
+        for i in range(p - 1, -1, -1) if reverse else range(p):
+            start = i - i % width
+            block = slice(start * dim, (start + width) * dim)
+            last = i == start if reverse else i + 1 in (start + width, p)
+            schedule.append((i - start, last and (
+                source[block], factor[block], slots[start:start + width])))
+    walk = iter(memo["reads", width, reverse])
     snaps = np.empty((rows, width, dim), dtype=complex)
     flat_kets, bras = snaps[:kets].reshape(kets, -1), snaps[rows - kets:]
     terms = np.empty(kets * width * dim, dtype=complex)
-    walk = iter(range(p - 1, -1, -1) if reverse else range(p))
 
     def read(gate, state):
-        i = next(walk)
-        start = i - i % width
-        stop = min(start + width, p)
-        snaps[:, i - start] = state
-        if i == (start if reverse else stop - 1):
-            cut = slice(start * dim, stop * dim)
-            block = terms[:kets * (stop - start) * dim].reshape(kets, -1)
+        snapshot, flush = next(walk)
+        snaps[:, snapshot] = state
+        if flush:
+            source, factor, slots = flush  # -(i/2) G = factor * [source]
+            block = terms[:kets * len(slots) * dim].reshape(kets, -1)
             # source holds i 2^n + s, which wraps to snapshot i - start
-            np.take(flat_kets, source[cut], 1, block, "wrap")
-            np.multiply(factor[cut], block, out=block)
-            dots[:, slots[start:stop]] = np.vecdot(
-                bras[:, :stop - start], block.reshape(kets, -1, dim))
+            np.take(flat_kets, source, 1, block, "wrap")
+            np.multiply(factor, block, out=block)
+            dots[:, slots] = np.vecdot(bras[:, :len(slots)],
+                                       block.reshape(kets, -1, dim))
     return read, dots
-
-
-def first_param_gate(circuit: Circuit) -> int:
-    """Index of the circuit's first theta gate (len(gates) if none): the
-    gates before it are theta-independent, and no backward sweep undoes
-    them."""
-    return next((k for k, gate in enumerate(circuit.gates)
-                 if gate.param_slot is not None), len(circuit.gates))
 
 
 def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
@@ -217,20 +210,22 @@ def adjoint_gradient(circuit: Circuit, theta, phi: np.ndarray,
     """
     thetas, batched = _batch_of(theta, circuit.num_params)
     b, m, p = len(thetas), phi.shape[0], circuit.num_params
-    gates, first = circuit.gates, first_param_gate(circuit)
+    plan = compiled(circuit.gates, circuit.num_qubits)
     # phi rows then lambda rows, so each undo is one kernel call
     pair = np.concatenate([phi, lam])
-    undo = angle_table(gates[first + 1:], thetas, features, inverse=True)
+    # the plan of the gates after the first theta gate, reversed
+    steps, groups = plan.memo.get("undo") or plan.memo.setdefault(
+        "undo", _plan(circuit.gates[plan.first + 1:][::-1], circuit.num_qubits))
+    undo = angle_table(groups, thetas, features, inverse=True)
     scratch = scratch_for(pair.size)
     # dots[j, mu] = <lambda_j|-(i/2) G_mu phi_j>
     read, dots = _generator_dots(circuit, 2 * m, m, reverse=True)
-    # the reversed tail's plan undoes it, all but its last step, gates[first]
-    steps = gate_plan(gates[first:][::-1], circuit.num_qubits)
-    for k, step in enumerate(steps):
-        if isinstance(step, Gate) and step.param_slot is not None:
-            read(step, pair)
-        if k < len(steps) - 1:
-            apply_gate(pair, step, undo, scratch)
+    for step in steps:
+        if step[0] is not None and step[0].param_slot is not None:
+            read(step[0], pair)
+        apply_gate(pair, step, undo, scratch)
+    if p:
+        read(circuit.gates[plan.first], pair)
     # theta r owns rows r, r + b, ...; summing each theta's row sums along
     # a contiguous axis gives it the same bits at any b
     per_theta = np.ascontiguousarray(
@@ -285,49 +280,47 @@ def _in_chunks(circuit: Circuit, theta, rows_per_theta, fn) -> tuple:
 
 
 def _derivative_sweep(circuit: Circuit, thetas: np.ndarray, feats, stops):
-    """Run the circuit once from |0> for every row of a (B, p) thetas batch,
-    starting from fixed_prefix's row of the gates before the first stop;
-    at each gate index in stops (ascending) yield (psi, rows, slots): the
-    (B, 2^n) states after gates[:stop], and as the (m, B, 2^n) rows the
-    derivatives d_mu psi of the m slots in `slots`, those whose gates ran
-    since the previous stop, in the order they ran. The rows are then
-    dropped, and the yielded arrays are reused by the next segment.
+    """Run the circuit once from its compiled row for every row of a (B, p)
+    thetas batch; at each gate index in stops (ascending) yield
+    (psi, rows, slots): the (B, 2^n) states after gates[:stop], and as the
+    (m, B, 2^n) rows the derivatives d_mu psi of the m slots in `slots`,
+    those whose gates ran since the previous stop, in the order they ran.
+    The rows are then dropped, and the yielded arrays are reused.
 
     The buffer holds one row block more than the most slots a segment
     reads (p + 1 for one stop) and runs as one batch of rows, so each step
-    of a segment's own gate_plan, whose runs end at the stop, is one kernel
+    of a segment's own plan, whose runs end at the stop, is one kernel
     call: the B theta rows repeat over the derivative rows, and the one
-    (1, f) feature row feats broadcasts. Raises FloatingPointError when a
-    state is not normalized (a NaN theta).
-    """
-    batch = thetas.shape[0]
-    start, row = fixed_prefix(circuit.gates[:stops[0]], circuit.num_qubits)
-    bounds = list(zip([start, *stops], stops))
-    growth = [sum(gate.param_slot is not None for gate in circuit.gates[a:b])
-              for a, b in bounds]
-    rows = np.zeros((1 + max(growth), batch, row.shape[1]), dtype=complex)
-    rows[0] = row
-    flat = rows.reshape(-1, row.shape[1])
-    table = angle_table(circuit.gates, thetas, feats)
-    n = 1
-    slots: list[int] = []
-    for (start, stop), grown in zip(bounds, growth):
-        segment = circuit.gates[start:stop]
+    (1, f) feature row feats broadcasts. The segments' plans and slots go
+    into the compiled memo on the first sweep with these stops. Raises
+    FloatingPointError when a state is not normalized (a NaN theta)."""
+    batch, n_qubits = thetas.shape[0], circuit.num_qubits
+    plan = compiled(circuit.gates, n_qubits)
+    segments = plan.memo.get(("segments", *stops))
+    if segments is None:
+        cuts = [max(stop, plan.skip) for stop in (0, *stops)]
+        segments = plan.memo["segments", *stops] = [(
+            _plan(circuit.gates[a:b], n_qubits, plan.places)[0],
+            [gate.param_slot for gate in circuit.gates[a:b]
+             if gate.param_slot is not None]) for a, b in zip(cuts, cuts[1:])]
+    rows = np.zeros((1 + max(len(slots) for _, slots in segments), batch,
+                     plan.row.shape[1]), dtype=complex)
+    rows[0] = plan.row
+    flat = rows.reshape(-1, plan.row.shape[1])
+    table = angle_table(plan.groups, thetas, feats)
+    for steps, slots in segments:
+        n = 1
         # as large as the segment's last row prefix, and dropped before the
         # yield: the caller's reductions between segments do not need it
-        scratch = scratch_for((1 + grown) * batch * flat.shape[1])
-        for step in gate_plan(segment, circuit.num_qubits):
+        scratch = scratch_for((1 + len(slots)) * batch * flat.shape[1])
+        for step in steps:
             apply_gate(flat[:n * batch], step, table, scratch)
-            if isinstance(step, Gate) and step.param_slot is not None:
-                _generator_rows(step, circuit.num_qubits, rows[0],
-                                out=rows[n])
-                slots.append(step.param_slot)
+            if step[0] is not None and step[0].param_slot is not None:
+                _generator_rows(step[0], n_qubits, rows[0], out=rows[n])
                 n += 1
         del scratch
         check_normalized(rows[0])
         yield rows[0], rows[1:n], slots
-        n = 1
-        slots = []
 
 
 def pauli_sum_gradients(psi: np.ndarray, dpsi: np.ndarray,

@@ -5,30 +5,27 @@ so |q0 q1 ... q_{n-1}> lives at index int("q0q1...", 2). Rotations are
 applied by strided amplitude updates, CNOTs and CZs by gathers and sign
 flips; no 2^n x 2^n matrices are ever built. Every parameterized gate is
 a one-angle Pauli rotation exp(-i a P / 2), so Rot(a, b, c) is written as
-RZ(a), RY(b), RZ(c). All state-producing functions accept a batch of
-parameter vectors and then return a batch of states, which keeps
-parameter-shift sweeps cheap.
+RZ(a), RY(b), RZ(c). All state-producing functions take and return
+batches, which keeps parameter-shift sweeps cheap.
 
-A gate on a few rows of 16 amplitudes costs mostly numpy call overhead, so
-a run of a gate sequence takes the trig of all its angles at once:
-angle_table holds each rotation's factors as one complex array that
-broadcasts over the batch (RZ's two phases, an RX or RY 2x2 matrix). For
-the same reason gate_plan, cached per sequence (a Gate hashes its fields
-once), makes each run of CNOTs and CZs between two rotations one step. A
-kernel then makes only the calls that move amplitudes, and each amplitude
+A gate on a few rows of 16 amplitudes costs mostly numpy call overhead,
+and a run replays one frozen gate sequence hundreds of times, so each gate
+tuple is compiled once (compiled): its plan, in which a run of CNOTs and
+CZs is one step, and its angle layout, one group per rotation kind and
+angle source. A run's angle_table only gathers each group's columns and
+takes their trig into one stacked factor array, which a step indexes. A
+kernel makes only the calls that move amplitudes, and each amplitude
 keeps the bits that per-gate trig and gates applied one by one give it.
-
 A step's temporaries go into one scratch buffer (scratch_for) that the
-loop walking the plan allocates once: per-gate temporaries on the wide
-sweep batches are large enough for glibc to map and unmap them on every
-gate, which made run time follow the heap's state more than the work.
+walk allocates once: per-gate temporaries on the wide sweep batches made
+glibc map and unmap memory on every gate.
 
 Every forward run goes through one engine, _forward, which owns the
 run's table, scratch and norm check; run_gates is the engine from |0...0>,
-and only the two sweeps in differentiation walk plans of their own. A walk
-from |0...0> starts from copies of one cached, read-only row, the state
-after the leading slot-free gates (fixed_prefix: the two-design's RY
-wall), which act on each row alone, so a copy has the bits they give.
+and only the two sweeps in differentiation walk compiled plans of their
+own. A walk from |0...0> starts from copies of the compiled row, the state
+after the leading slot-free gates (the two-design's RY wall), which act on
+each row alone, so a copy has the bits they give.
 
 Each input is checked once, where it enters: a circuit and its layer tags
 when Circuit is built, thetas by _batch_of and features by _features_of in
@@ -55,6 +52,7 @@ ROTATION_KINDS = (RX, RY, RZ)
 GATE_KINDS = (RX, RY, RZ, CNOT, CZ, FIXED_RY)
 
 FIXED_RY_ANGLE = math.pi / 4
+_FIXED = np.full((1, 1), FIXED_RY_ANGLE)  # the fixed group's angle source
 
 PAIR_FORM_AMPLITUDES = 512  # RX and RY take the pair form up to this
 
@@ -83,21 +81,6 @@ class Gate:
         expected = int(self.kind in ROTATION_KINDS)
         if n_angle != expected:
             raise ValueError(f"{self.kind} takes {expected} angle(s), got {n_angle}")
-        # every plan lookup hashes a whole gate tuple, so each gate hashes
-        # its fields once; a frozen dataclass keeps an explicit __hash__
-        object.__setattr__(self, "_hash", hash(self._fields()))
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.target, self.control, self.param_slot,
-                self.feature_slot)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild, so a gate sent to another process rehashes its kind
-        # under that process's string hash seed
-        return Gate, self._fields()
 
 
 @dataclass(frozen=True)
@@ -129,22 +112,20 @@ class Circuit:
     def __post_init__(self):
         if self.num_qubits < 1:
             raise ValueError("need at least one qubit")
-        seen = []
-        feat = []
         for g in self.gates:
             qubits = (g.target,) if g.control is None else (g.target, g.control)
             for q in qubits:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"qubit index {q} out of range")
-            if g.param_slot is not None:
-                seen.append(g.param_slot)
-            if g.feature_slot is not None:
-                feat.append(g.feature_slot)
-        if sorted(seen) != list(range(self.num_params)):
+        seen = sorted(g.param_slot for g in self.gates
+                      if g.param_slot is not None)
+        feat = sorted(g.feature_slot for g in self.gates
+                      if g.feature_slot is not None)
+        if seen != list(range(self.num_params)):
             raise ValueError("theta slots must cover [0, num_params) exactly once")
-        if sorted(feat) != list(range(len(feat))):
+        if feat != list(range(len(feat))):
             raise ValueError("feature slots must cover [0, num_features) exactly once")
-        if sorted(feat) != list(self.embedding_slots):
+        if feat != list(self.embedding_slots):
             raise ValueError("feature slots do not match embedding_slots")
         start = param_stop = 0
         for k, tag in enumerate(self.layers):
@@ -204,40 +185,23 @@ def zero_state(num_qubits: int, batch: int | None = None) -> np.ndarray:
     return state
 
 
-def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
-                inverse: bool = False) -> dict:
-    """The half-angle factors of every rotation in a gate sequence, built
-    once for a run of it, keyed by (kind, param_slot, feature_slot).
-
-    Theta slots read (k, p) thetas and feature slots (k', f) features, each
-    with its own row count, and row r of a state batch turns by angle row
-    r % k. With h = a / 2, or h = -a / 2 for the inverse gates, an rz
-    entry is one (k, 1, 2, 1) array of [exp(-ih), exp(ih)], which
-    broadcasts over a state view split at the gate's qubit. An ry or
-    fixed-ry entry is the matrix [[c, f], [g, c]], c = cos h, f = g = sin h
-    (rx: f = i sin h, g = -i sin h), as a (2, 1, k, 1, 2, 1) view of row
-    r's stored [f, c, g] whose [j, 0, r, 0, i, 0] takes half j to half i.
-    Every factor is complex, so no kernel casts a real operand.
-    """
-    fixed = np.full((1, 1), FIXED_RY_ANGLE)
-    columns: dict = {}  # (kind, angle source) -> {table key: column}
-    for gate in gates:
-        kind = gate.kind
-        if gate.param_slot is not None:
-            group, column = (kind, 0), gate.param_slot
-        elif gate.feature_slot is not None:
-            group, column = (kind, 1), gate.feature_slot
-        elif kind == FIXED_RY:
-            group, column = (RY, 2), 0
-        else:
-            continue
-        columns.setdefault(group, {})[
-            kind, gate.param_slot, gate.feature_slot] = column
-    table = {}
-    for (kind, source), keys in columns.items():
-        angles = np.asarray((thetas, features, fixed)[source], dtype=float)
-        angles = angles[:, list(keys.values())]
-        half = (-angles if inverse else angles) / 2.0
+def angle_table(groups, thetas: np.ndarray, features: np.ndarray | None = None,
+                inverse: bool = False) -> list:
+    """The half-angle factors of a compiled sequence's rotations for one
+    run: one stacked array per group (kind, source, columns) of groups,
+    two for rx and ry, from the (k, p) thetas (source 0), the (k', f)
+    features (1) or the fixed angle (2, k = 1); state row r turns by angle
+    row r % k. With h = a / 2, or -a / 2 inverse, entry i of an rz group's
+    (m, k, 1, 2, 1) array is column i's [exp(-ih), exp(ih)], which
+    broadcasts over a state view split at the gate's qubit. An rx or ry
+    group stores each column's [f, c, g], c = cos h, f = g = sin h (rx:
+    f = i sin h, g = -i sin h): entry i of its (m, 2, 1, k, 1, 2, 1) view
+    is the matrix [[c, f], [g, c]], whose [j, 0, r, 0, i', 0] takes half j
+    to half i', and [:, i] of its (3, m, 1, k, 1, 1) view is [f, c, g]."""
+    table = []
+    for kind, source, columns in groups:
+        angles = np.asarray((thetas, features, _FIXED)[source], dtype=float)
+        half = (-angles[:, columns] if inverse else angles[:, columns]) / 2.0
         if kind == RZ:
             # the bits of exp(-1j * h) and exp(1j * h), from real trig:
             # + 0.0 turns sin(-0.0) into the +0 that exp(1j * -0.0) has
@@ -247,7 +211,7 @@ def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
             pair.real = np.cos(half).T[..., None]
             pair.imag[..., 0] = -sn
             pair.imag[..., 1] = sn + 0.0
-            table.update(zip(keys, factors))
+            table.append(factors)
             continue
         fcg = np.empty(half.shape[::-1] + (3,), dtype=complex)
         f, c, g = fcg.T
@@ -255,28 +219,21 @@ def angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
         sn = np.sin(half)
         f[...], g[...] = (1j * sn, -1j * sn) if kind == RX else (sn, sn)
         step = fcg.itemsize
-        table.update(zip(keys, np.ndarray(
-            (len(keys), 2, 1, len(half), 1, 2, 1), complex, fcg, step,
-            (fcg.strides[0], -step, 0, fcg.strides[1], 0, step, 0))))
+        table += (np.ndarray((len(columns), 2, 1, len(half), 1, 2, 1),
+                             complex, fcg, step, (fcg.strides[0], -step, 0,
+                                                  fcg.strides[1], 0, step, 0)),
+                  fcg.transpose(2, 0, 1)[:, :, None, :, None, None])
     return table
 
 
 @functools.lru_cache(maxsize=None)
-def gate_plan(gates: tuple, num_qubits: int) -> tuple:
-    """The steps of a gate sequence, built once per sequence: each rotation
-    is its Gate, and each maximal run of CNOT and CZ gates is one
-    (sign, source) step that maps a row psi to sign * psi[source], with
-    sign a read-only ±1 vector over the row's float view, or None where
-    every sign is +1. A run's step is the run's own one-step plan, so
-    sequences that share a run share it."""
-    groups = [(fused, tuple(group)) for fused, group in itertools.groupby(
-        gates, lambda gate: gate.kind in (CNOT, CZ))]
-    if groups != [(True, gates)]:
-        return tuple(step for fused, group in groups for step in (
-            gate_plan(group, num_qubits) if fused else group))
+def _run_step(run: tuple, num_qubits: int) -> tuple:
+    """The plan step (None, sign, source) of a CNOT/CZ run, psi to
+    sign * psi[source], sign a read-only ±1 vector over the float view or
+    None if all are +1; built once per run, which plans then share."""
     index = np.arange(1 << num_qubits)
     source, sign = index, np.ones(len(index))
-    for gate in gates:
+    for gate in run:
         c_on = index >> (num_qubits - 1 - gate.control) & 1
         t_bit = 1 << (num_qubits - 1 - gate.target)
         if gate.kind == CNOT:
@@ -286,62 +243,114 @@ def gate_plan(gates: tuple, num_qubits: int) -> tuple:
             sign = np.where(c_on * (index & t_bit), -sign, sign)
     sign = np.repeat(sign, 2)
     sign.flags.writeable = source.flags.writeable = False
-    return (None if (sign > 0).all() else sign, source),
+    return None, None if (sign > 0).all() else sign, source
 
 
-def apply_gate(state: np.ndarray, step, table: dict,
+def _plan(gates: tuple, num_qubits: int, places: dict | None = None):
+    """(steps, groups) of a gate sequence: a rotation is the step
+    (gate, at, i), whose factors are entry i of table[at] of an
+    angle_table over groups, and a maximal CNOT/CZ run is its _run_step.
+    Plans given one places, {(kind, source): (at, {column: i})}, share it."""
+    places = {} if places is None else places
+    steps = []
+    for fused, run in itertools.groupby(
+            gates, lambda gate: gate.kind in (CNOT, CZ)):
+        if fused:
+            steps.append(_run_step(tuple(run), num_qubits))
+            continue
+        for gate in run:
+            source, column = ((0, gate.param_slot) if gate.param_slot is not None
+                              else (2, 0) if gate.kind == FIXED_RY
+                              else (1, gate.feature_slot))
+            at, columns = places.setdefault(
+                (RY if gate.kind == FIXED_RY else gate.kind, source),
+                (sum(2 - (k == RZ) for k, _ in places), {}))
+            steps.append((gate, at, columns.setdefault(column, len(columns))))
+    return steps, tuple((kind, source, np.array(list(columns), dtype=int))
+                        for (kind, source), (_, columns) in places.items())
+
+
+class Compiled:
+    """What every run of a gate tuple needs that depends only on its gates.
+    skip counts the leading gates that read no slot, whose plan (prefix)
+    and constant table (fixed) make the read-only (1, 2^n) row from
+    |0...0>; steps and groups are the _plan of the rest, places its
+    layout, first the first theta gate's index (len(gates) if none), split
+    the shared tuples before and from it, and memo the sweeps' tables.
+    Step counts are static: rows x steps x 2^n is a run's work."""
+
+    def __init__(self, gates: tuple, num_qubits: int):
+        self.gates = gates  # held, so that its id names it while cached
+        self.skip = next((k for k, gate in enumerate(gates)
+                          if gate.kind in ROTATION_KINDS), len(gates))
+        self.first = next((k for k, gate in enumerate(gates)
+                           if gate.param_slot is not None), len(gates))
+        self.prefix, fixed = _plan(gates[:self.skip], num_qubits)
+        self.fixed, self.row = angle_table(fixed, None), zero_state(num_qubits, 1)
+        for step in self.prefix:
+            apply_gate(self.row, step, self.fixed, scratch_for(self.row.size))
+        self.row.flags.writeable = False
+        self.places, self.memo = {}, {}
+        self.steps, self.groups = _plan(gates[self.skip:], num_qubits,
+                                        self.places)
+        self.split = gates[:self.first], gates[self.first:]
+
+
+_COMPILED: dict = {}
+
+
+def compiled(gates: tuple, num_qubits: int) -> Compiled:
+    """A gate tuple's Compiled form, built on its first run and found by the
+    tuple's identity, which the cache keeps alive: no lookup hashes a gate."""
+    key = id(gates), num_qubits
+    if key not in _COMPILED:
+        _COMPILED[key] = Compiled(gates, num_qubits)
+    return _COMPILED[key]
+
+
+def apply_gate(state: np.ndarray, step, table: list,
                scratch: np.ndarray) -> None:
-    """Apply one gate_plan step in place to a C-contiguous (B, 2^n) state
-    batch.
+    """Apply one plan step in place to a C-contiguous (B, 2^n) state batch.
 
-    A rotation reads its factors from table, an angle_table over a
-    sequence that holds the gate (built with inverse=True, it applies the
-    gate's inverse), whose factors repeat over blocks of k rows. RZ is one
-    in-place multiply of the contiguous (B/k, k, 2^t, 2, rest) view by its
-    (k, 1, 2, 1) factors. On the last qubit (rest 1) that multiply's inner
-    loops are two amplitudes long, so on a state of 1,024 amplitudes or
-    more RZ scales the two strided half-views there instead, in longer
-    loops (at k = 1, one pass against two: 1.7 against 3.1 us at (8, 2^4),
-    14 against 9 us at (256, 2^4), 100 against 27 us at (128, 2^8)). RX
-    and RY form c * s0 - f * s1 and g * s0 + c * s1. Up to
-    PAIR_FORM_AMPLITUDES that is three calls: the matrix times the pair
-    view into scratch, an exact negation of f * s1 (a stored -f flips the
-    sign of some zeros) and one add; with k = B, means over targets, 5.7
-    against 9.2 us at (4, 2^4), 11.2 against 12.3 at (32, 2^4), 17.1
-    against 16.5 at (64, 2^4). Above it eight calls on views of the
-    matrix form the halves in scratch and copy them back, which on numpy
-    2.4 beats updating the strided half-views in place, looping along the
-    longer of the 2^t blocks above the target and the amplitudes below it:
-    at (100, 2^8), k = B, RX at t = 5 and 6 took 165 and 181 us, not 265
-    and 351 us
-    (tools/step_timings.py). A CNOT/CZ run gathers into scratch, copies
-    back and multiplies the float view by its signs, an exact negation
-    where a sign is -1, unless all are +1 (no CZ): a CNOT-only step at
-    (100, 2^8) took 37 us against 66. A CZ-only run keeps its gather
-    through the identity, whose removal saved 1% of bp-scan's run time
-    and cost 0.15 MB of peak RSS. CNOT and CZ are self-inverse, so a
-    reversed run's step undoes the run.
+    A rotation step (gate, at, i) takes entry i of table[at], an
+    angle_table over its plan's groups (inverse=True applies the inverse
+    gate), whose factors repeat over blocks of k rows. RZ is one in-place
+    multiply of the (B/k, k, 2^t, 2, rest) view by its (k, 1, 2, 1)
+    factors, or on the last qubit (rest 1) of 1,024 amplitudes or more two
+    multiplies of the strided half-views, whose loops are longer (27
+    against 100 us at (128, 2^8)). RX and RY form c * s0 - f * s1 and
+    g * s0 + c * s1: up to PAIR_FORM_AMPLITUDES in three calls, the matrix
+    times the pair view into scratch, an exact negation of f * s1 (a
+    stored -f flips the sign of some zeros) and one add (5.7 against 9.2 us
+    at (4, 2^4)); above it in eight calls on c, f and g, read directly off
+    table[at + 1], into scratch and back, not in place (165 against 265 us
+    at (100, 2^8), t = 5), along the longer of the 2^t blocks above the
+    target and the amplitudes below it. A run's step (None, sign, source)
+    gathers into scratch, copies back and multiplies the float view by its
+    signs, an exact negation where a sign is -1, unless all are +1 (37
+    against 66 us at (100, 2^8)); a CZ-only run keeps its identity gather,
+    whose removal cost 0.15 MB of peak RSS. CNOT and CZ are self-inverse,
+    so a reversed run undoes a run (times: tools/step_timings.py).
 
-    scratch is a flat complex array of at least scratch_for's
-    size + min(size, PAIR_FORM_AMPLITUDES) entries, size the widest state
-    of the walk, whose row prefixes a step may take; a step overwrites it
-    and never reads it first. numpy's ufuncs may still buffer up to
-    np.getbufsize() elements per operand: an RZ step allocates at most one
-    such buffer, np.getbufsize() * 16 + 4096 bytes, and other steps at
-    most three, 3 * np.getbufsize() * 16 + 4096 bytes."""
-    if not isinstance(step, Gate):
-        sign, source = step
+    scratch is a flat complex array of at least scratch_for(size).size
+    entries, size the widest state of the walk, whose row prefixes a step
+    may take; a step overwrites it and never reads it first. numpy's
+    ufuncs may still buffer up to np.getbufsize() elements per operand: an
+    RZ step allocates at most one such buffer, np.getbufsize() * 16 + 4096
+    bytes, and other steps at most three."""
+    gate, at, i = step
+    if gate is None:  # at holds the run's signs and i its source
         gathered = scratch[:state.size].reshape(state.shape)
-        np.take(state, source, axis=1, out=gathered, mode="clip")
+        np.take(state, i, axis=1, out=gathered, mode="clip")
         state[...] = gathered
-        if sign is not None:
+        if at is not None:
             real = state.view(float)
-            np.multiply(real, sign, out=real)
+            np.multiply(real, at, out=real)
         return
-    factors = table[step.kind, step.param_slot, step.feature_slot]
-    rz = step.kind == RZ
-    s = state.reshape(-1, factors.shape[-4], 1 << step.target, 2,
-                      state.shape[1] >> (step.target + 1))
+    factors = table[at][i]
+    rz = gate.kind == RZ
+    s = state.reshape(-1, factors.shape[-4], 1 << gate.target, 2,
+                      state.shape[1] >> (gate.target + 1))
     # on the last qubit one pass runs inner loops two amplitudes long, which
     # outweigh a second call from about 1,024 amplitudes on
     if rz and (s.shape[-1] > 1 or state.size < 1024):
@@ -362,8 +371,8 @@ def apply_gate(state: np.ndarray, step, table: dict,
         return
     if s0.shape[-1] < s0.shape[-2]:
         s0, s1 = s0.swapaxes(-1, -2), s1.swapaxes(-1, -2)
-    c, f, g = (factors[0, ..., 0, :], factors[1, ..., 0, :],
-               factors[0, ..., 1, :])
+    fcg = table[at + 1]
+    f, c, g = fcg[0, i], fcg[1, i], fcg[2, i]
     half = state.size >> 1
     a = scratch[:half].reshape(s0.shape)
     b = scratch[half:state.size].reshape(s0.shape)
@@ -377,53 +386,37 @@ def apply_gate(state: np.ndarray, step, table: dict,
     s1[...] = b
 
 
-def fixed_prefix(gates: tuple, num_qubits: int) -> tuple[int, np.ndarray]:
-    """(m, row): the count m of a sequence's leading gates that read no
-    theta or feature slot, and the read-only (1, 2^n) state they make from
-    |0...0>, built once per (prefix, n); an empty prefix gives |0...0>."""
-    m = next((k for k, gate in enumerate(gates)
-              if gate.kind in ROTATION_KINDS), len(gates))
-    return m, _prefix_row(gates[:m], num_qubits)
-
-
-@functools.lru_cache(maxsize=None)
-def _prefix_row(prefix: tuple, num_qubits: int) -> np.ndarray:
-    row = _forward(prefix, num_qubits, None, state=zero_state(num_qubits, 1))
-    row.flags.writeable = False
-    return row
-
-
 def _forward(gates, num_qubits: int, thetas: np.ndarray,
              features: np.ndarray | None = None,
              state: np.ndarray | None = None, read=None) -> np.ndarray:
-    """The forward engine: run a gate sequence on a batch of unit rows and
-    return the (B, 2^n) result. The start is max(k, k') copies of
-    fixed_prefix's row, for the (k, p) thetas and (k', f) features (row r
-    turns by angle row r % k and feature row r % k'), or the given
-    C-contiguous (B, 2^n) state batch, run in place. read(gate, state), if
-    given, is called on the state right after each theta rotation. The
-    engine builds the run's angle_table and scratch, walks the gate_plan,
-    and raises FloatingPointError unless every result row has unit norm (a
-    NaN angle fails). It does not re-validate slot coverage, so it also
-    works on truncated gate lists."""
-    if state is None:
-        skip, row = fixed_prefix(gates, num_qubits)
-        gates = gates[skip:]
-        state = np.repeat(row, max(
-            len(thetas), 0 if features is None else len(features)), axis=0)
-    table = angle_table(gates, thetas, features)
+    """The forward engine: run a gate tuple on a batch of unit rows and
+    return the (B, 2^n) result. The start is max(k, k') copies of the
+    compiled row, for the (k, p) thetas and (k', f) features (row r turns
+    by angle row r % k and feature row r % k'), or the given C-contiguous
+    (B, 2^n) state batch, run in place from the first gate. read(gate,
+    state), if given, sees the state right after each theta rotation. It
+    walks the compiled plan with the run's angle_table and scratch, and
+    raises FloatingPointError unless every result row has unit norm (a
+    NaN angle fails); slot coverage is not re-validated."""
+    plan = compiled(gates, num_qubits)
+    state, prefix = (np.repeat(plan.row, max(
+        len(thetas), 0 if features is None else len(features)), axis=0), ()
+    ) if state is None else (state, plan.prefix)
     scratch = scratch_for(state.size)
-    for step in gate_plan(gates, num_qubits):
+    for step in prefix:
+        apply_gate(state, step, plan.fixed, scratch)
+    table = angle_table(plan.groups, thetas, features)
+    for step in plan.steps:
         apply_gate(state, step, table, scratch)
-        if read and isinstance(step, Gate) and step.param_slot is not None:
-            read(step, state)
+        if read and step[0] is not None and step[0].param_slot is not None:
+            read(step[0], state)
     check_normalized(state)
     return state
 
 
 def run_gates(gates, num_qubits: int, thetas: np.ndarray,
               features: np.ndarray | None = None) -> np.ndarray:
-    """Apply a gate sequence to |0...0> for a (B, p) batch of parameter
+    """Apply a gate tuple to |0...0> for a (B, p) batch of parameter
     rows; returns the (B, 2^n) batch, norm-checked by _forward."""
     return _forward(gates, num_qubits, thetas, features)
 
@@ -475,9 +468,7 @@ def apply_circuit(circuit: Circuit, theta, features=None) -> np.ndarray:
     if thetas.shape[0] not in (1, batch) or feats.shape[0] not in (1, batch):
         raise ValueError("theta and features batch sizes are incompatible")
     state = run_gates(circuit.gates, circuit.num_qubits, thetas, feats)
-    if not (batched_t or batched_f):
-        return state[0]
-    return state
+    return state if batched_t or batched_f else state[0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,34 +6,33 @@ marginals. Each task's value_and_gradient returns the cost and its exact
 gradient from one simulation of theta, and cost_value the cost alone; it
 and qml_cost_batch give the cost of each row of a parameter batch to the
 parameter-shift oracle. The VQE energy and its gradient,
-2 Re<H psi|d_mu psi>, come from one adjoint pass (psi forward, then the
-rows [psi; H psi] backward, the energy read off the same psi and H psi)
-at any stack height, so a theta's curve is the same in any stack.
-The classification loss chains through the class marginals
-analytically; at fixed chain-rule weights it is a sum of per-row diagonal
-expectations, whose gradient one adjoint sweep gives.
+2 Re<H psi|d_mu psi>, come from one adjoint pass (psi forward, then
+[psi; H psi] backward, the energy read off the same psi and H psi). The
+classification loss chains through the class marginals analytically; at
+fixed chain-rule weights it is a sum of per-row diagonal expectations,
+whose gradient one adjoint sweep gives.
 
-value_and_gradient and cost_value take one (p,) theta or a (B, p) stack of
-thetas. A stack is simulated as one batch, chunked so that no buffer holds
-more than MAX_SWEEP_AMPLITUDES amplitudes, and returns (B,) costs and
-(B, p) gradients, row b bit for bit what theta b gives alone. `train`
-steps an (M, p) stack of starting points this way in lockstep: Adam is
-elementwise, so the rows never interact, and every step costs one batched
-simulation however many rows the stack holds.
+value_and_gradient and cost_value take one (p,) theta or a (B, p) stack,
+simulated as one batch, chunked so that no buffer holds more than
+MAX_SWEEP_AMPLITUDES amplitudes, with row b bit for bit what theta b gives
+alone. `train` steps an (M, p) stack of starting points this way in
+lockstep: Adam is elementwise, so the rows never interact, and every step
+costs one batched simulation however many rows the stack holds.
 
 A classifier whose feature gates all precede its first theta gate (every
 embed_angles circuit) has states psi_i = U(theta) x_i, with x_i the fixed
-state the feature prefix makes from row i. When the task has at least 2^q
-training rows it keeps X = (x_i) and, for each theta, runs the gates from
-the first theta gate on once on the 2^q basis rows to get U; every state
-is then a row of one matrix product, and the adjoint sweep runs over
-2 * 2^q rows per theta. Otherwise (features re-uploaded after a theta gate,
-or fewer rows than 2^q) each row is simulated and swept on its own. The
-path is fixed when the task is built. In a batch of B thetas, row j * B + b
-of a basis or sweep batch belongs to theta b, the row-to-angle rule of
-simulator.angle_table. The basis run is one call of the simulator's
-forward engine from B copies of the basis rows, whose norm check then
-covers the U rows: unit vectors, as the states are.
+state the feature prefix makes from row i. The prefix and the body, the
+gates from the first theta gate on, are the circuit's compiled split
+(simulator.compiled), which every task on the circuit shares, so each
+compiles once. With at least 2^q training rows the task keeps X = (x_i)
+and, for each theta, runs the body once on the 2^q basis rows to get U;
+every state is then a row of one matrix product, and the adjoint sweep
+runs over 2 * 2^q rows per theta. Otherwise (features re-uploaded after a
+theta gate, or fewer rows than 2^q) each row is simulated and swept on its
+own. The path is fixed when the task is built. In a batch of B thetas, row
+j * B + b of a basis or sweep batch belongs to theta b, the row-to-angle
+rule of simulator.angle_table. The basis run is one forward-engine call
+from B copies of the basis rows, whose norm check then covers the U rows.
 """
 from __future__ import annotations
 
@@ -43,10 +42,10 @@ import math
 import numpy as np
 
 from .differentiation import (_in_chunks, adjoint_gradient,
-                              first_param_gate, hermitian_eigenvalues,
+                              hermitian_eigenvalues,
                               observable_value_and_gradient)
 from .simulator import (Circuit, Observable, _batch_of, _features_of,
-                        _forward, apply_circuit, apply_observable,
+                        _forward, apply_circuit, apply_observable, compiled,
                         expectation, run_gates)
 
 PROB_CLAMP = 1e-10
@@ -123,8 +122,8 @@ class QmlTask:
     train_labels: np.ndarray
     num_classes: int
     measured_qubits: int = field(init=False)
-    # the theta-free gates before the first theta gate, the gates from it
-    # on, and on the shared path the (n, 2^q) training rows after the prefix
+    # the circuit's compiled split at its first theta gate, and on the
+    # shared path the (n, 2^q) training rows after the prefix
     _prefix: tuple = field(init=False, repr=False)
     _body: tuple = field(init=False, repr=False)
     _embedded: np.ndarray | None = field(init=False, repr=False)
@@ -143,9 +142,8 @@ class QmlTask:
         self.measured_qubits = class_qubits(self.num_classes)
         if self.measured_qubits > self.circuit.num_qubits:
             raise ValueError("too many classes for this qubit count")
-        first = first_param_gate(self.circuit)
-        self._prefix = self.circuit.gates[:first]
-        self._body = self.circuit.gates[first:]
+        self._prefix, self._body = compiled(
+            self.circuit.gates, self.circuit.num_qubits).split
         # the shared path needs every feature gate in the prefix, and pays
         # off once the 2^q basis rows are no more than the training rows
         shared = (all(gate.feature_slot is None for gate in self._body)
@@ -186,9 +184,8 @@ class QmlTask:
         2n-row sweep on the per-row path; the n states or the 2 * 2^q-row
         sweep on the shared path."""
         n = len(self.train_features)
-        if self._embedded is None:
-            return 2 * n
-        return max(n, 2 << self.circuit.num_qubits)
+        return 2 * n if self._embedded is None else max(
+            n, 2 << self.circuit.num_qubits)
 
     def probabilities(self, theta, features) -> np.ndarray:
         """Class probabilities under one (p,) theta for one feature row or

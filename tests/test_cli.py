@@ -429,6 +429,23 @@ def test_main_reports_config_errors(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_main_names_an_input_file_that_is_not_utf8(tmp_path, capsys):
+    """qml's dataset and hypopt's Hamiltonian, each holding byte 0xff,
+    end in one `error:` line naming the file and the line, exit code 2."""
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"a,b,label\n1,2,0\n3,\xff,1\n")
+    terms = tmp_path / "bad.txt"
+    terms.write_bytes(b"0.5 ZZ\n0.5 X\xff\n")
+    for command, key, path, line in (("qml", "dataset", data, 3),
+                                     ("hypopt", "hamiltonian", terms, 2)):
+        code = main([command, "--out", str(tmp_path / "out"),
+                     "--set", f'{key}="{path}"'])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {path}:{line}: not valid UTF-8\n"
+        assert not (tmp_path / "out").exists()
+
+
 def test_main_rejects_non_finite_dataset_cell(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,label\n" + "1,2,0\n3,4,1\n" * 10 + "5,nan,0\n")

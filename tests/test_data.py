@@ -171,6 +171,10 @@ CSV_CORPUS = {
     "header-only-label": b"label\n",
     "blank-lines-only": b"a,b,label\n\n\n",
     "empty": b"",
+    "not-utf-8": b"a,b,label\n1,2,0\n3,\xff,1\n",
+    "not-utf-8-in-header": b"a,\xe9,label\n1,2,0\n",
+    # past the first 8 KiB that a text file decodes at once
+    "not-utf-8-late": b"a,b,label\n" + b"1,2,0\n" * 2000 + b"3,4,\xc3\n",
 }
 
 # Where load_csv differs from the per-cell reader on purpose: what it does
@@ -188,6 +192,10 @@ CSV_CHANGES = {
     # the per-cell reader ended in OverflowError, which names no line
     "label-2**63": "{path}:2: label 9.223372036854776e+18 is outside int64",
     "label-1e300": "{path}:3: label 1e+300 is outside int64",
+    # the per-cell reader's UnicodeDecodeError named neither file nor line
+    "not-utf-8": "{path}:3: not valid UTF-8",
+    "not-utf-8-in-header": "{path}:1: not valid UTF-8",
+    "not-utf-8-late": "{path}:2002: not valid UTF-8",
 }
 
 
@@ -436,6 +444,14 @@ def test_load_hamiltonian_errors(tmp_path):
         load_hamiltonian(write(tmp_path / "empty.txt", "# nothing\n"))
     with pytest.raises(ValueError):
         load_hamiltonian(write(tmp_path / "badchar.txt", "0.5 ZA\n"))
+    # a byte that is not UTF-8, even in a comment, names its line, whatever
+    # the locale's encoding
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0.5 ZI\n# caf\xe9\n0.5 IZ\n")
+    with pytest.raises(ValueError, match=r"latin1\.txt:2: not valid UTF-8$"):
+        load_hamiltonian(path)
+    path.write_bytes("# café, in UTF-8\n0.5 ZI\n".encode())
+    assert load_hamiltonian(path).terms == ((0.5, "ZI"),)
 
 
 def test_shipped_hamiltonians_load():

@@ -25,10 +25,10 @@ from qinitopt.scoring import score
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, GATE_KINDS,
                                 ROTATION_KINDS, Circuit, Gate, Layer,
                                 Observable, RX, RY, RZ, _features_of,
-                                _forward, angle_table, apply_circuit,
+                                _forward, _plan, angle_table, apply_circuit,
                                 apply_gate, build_hea,
                                 build_strongly_entangling, build_two_design,
-                                embed_angles, expectation, gate_plan,
+                                compiled, embed_angles, expectation,
                                 run_gates, scratch_for)
 
 
@@ -552,19 +552,21 @@ def per_slot_adjoint(circ, thetas, phi, lam, features=None):
     one np.vecdot, on the same backward walk: the reference for its block
     reads."""
     m, b, p = len(phi), len(thetas), circ.num_params
-    first = differentiation.first_param_gate(circ)
+    plan = compiled(circ.gates, circ.num_qubits)
     pair = np.concatenate([phi, lam])
-    undo = angle_table(circ.gates[first + 1:], thetas, features,
-                       inverse=True)
+    steps, groups = _plan(circ.gates[plan.first + 1:][::-1], circ.num_qubits)
+    undo = angle_table(groups, thetas, features, inverse=True)
     scratch = scratch_for(pair.size)
     dots = np.zeros((p, m), dtype=complex)
-    steps = gate_plan(circ.gates[first:][::-1], circ.num_qubits)
-    for k, step in enumerate(steps):
-        if isinstance(step, Gate) and step.param_slot is not None:
-            dots[step.param_slot] = np.vecdot(pair[m:], _generator_rows(
-                step, circ.num_qubits, pair[:m]))
-        if k < len(steps) - 1:
-            apply_gate(pair, step, undo, scratch)
+
+    def read(gate):
+        dots[gate.param_slot] = np.vecdot(pair[m:], _generator_rows(
+            gate, circ.num_qubits, pair[:m]))
+    for gate, at, i in steps:
+        if gate is not None and gate.param_slot is not None:
+            read(gate)
+        apply_gate(pair, (gate, at, i), undo, scratch)
+    read(circ.gates[plan.first])
     per_theta = np.ascontiguousarray(
         dots.real.reshape(p, m // b, b).transpose(2, 0, 1))
     return 2.0 * per_theta.sum(axis=-1)

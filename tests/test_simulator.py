@@ -7,6 +7,7 @@ strided production simulator.
 import functools
 import itertools
 import math
+import pathlib
 import pickle
 import tracemalloc
 
@@ -16,20 +17,26 @@ import numpy as np
 import pytest
 
 from qinitopt import differentiation, simulator
+from qinitopt.cli import cmd_qml, cmd_vqe, resolve_config
 from qinitopt.differentiation import (_derivative_table, adjoint_gradient,
                                       observable_gradient,
                                       qfim_and_observable_gradient,
                                       qfim_block_diagonal, qfim_exact,
                                       qfim_trace)
+from qinitopt.tasks import QmlTask
 from qinitopt.simulator import (CNOT, CZ, FIXED_RY, FIXED_RY_ANGLE,
                                 GATE_KINDS, ROTATION_KINDS, RX, RY, RZ,
                                 Circuit, Gate, Layer, Observable, _forward,
-                                angle_table, apply_circuit, apply_gate,
-                                apply_observable, check_normalized,
-                                build_hea, build_strongly_entangling,
-                                build_two_design, embed_angles, expectation,
-                                fixed_prefix, gate_plan, run_gates,
-                                zero_state)
+                                _plan, angle_table, apply_circuit,
+                                apply_gate, apply_observable,
+                                check_normalized, build_hea,
+                                build_strongly_entangling, build_two_design,
+                                compiled, embed_angles, expectation,
+                                run_gates, zero_state)
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+H2_4Q = REPO / "hamiltonians" / "h2_4q.txt"
+WINE = REPO / "datasets" / "wine.csv"
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -182,10 +189,20 @@ def nan_scratch(size: int) -> np.ndarray:
     return np.full(simulator.scratch_for(size).size, np.nan + 1j * np.nan)
 
 
-def apply_one(state, gate, table, scratch):
-    """apply_gate on the one step of a one-gate plan: the gate itself for
-    a rotation, a one-gate run for CNOT or CZ."""
-    step, = gate_plan((gate,), state.shape[1].bit_length() - 1)
+def kernel_table(gates, n, thetas, feats=None, inverse=False):
+    """(steps, table): each gate's step in a plan of its own, a rotation
+    or a one-gate run for CNOT or CZ, with every rotation laid out in one
+    angle table, as a sequence's plan lays them out."""
+    places = {}
+    steps = [_plan((gate,), n, places)[0][0] for gate in gates]
+    return steps, angle_table(_plan((), n, places)[1], thetas, feats,
+                              inverse)
+
+
+def apply_one(state, gate, thetas, feats, scratch, inverse=False):
+    """apply_gate on the one step of a one-gate plan and its own table."""
+    (step,), table = kernel_table((gate,), state.shape[1].bit_length() - 1,
+                                  thetas, feats, inverse)
     apply_gate(state, step, table, scratch)
 
 
@@ -204,10 +221,9 @@ def test_apply_gate_inverse_undoes_each_kind():
         start = random_states(rng, 5, 3)
         state = start.copy()
         scratch = nan_scratch(state.size)
-        apply_one(state, gate, angle_table([gate], thetas, feats), scratch)
+        apply_one(state, gate, thetas, feats, scratch)
         assert np.max(np.abs(state - start)) > 1e-3
-        apply_one(state, gate,
-                  angle_table([gate], thetas, feats, inverse=True), scratch)
+        apply_one(state, gate, thetas, feats, scratch, inverse=True)
         assert np.allclose(state, start, atol=1e-12)
 
 
@@ -241,11 +257,10 @@ def test_gate_kernels_preserve_norm_and_invert(case):
     start = random_states(np.random.default_rng(seed), len(thetas), n)
     state = start.copy()
     scratch = nan_scratch(state.size)
-    apply_one(state, gate, angle_table([gate], thetas, feats), scratch)
+    apply_one(state, gate, thetas, feats, scratch)
     np.testing.assert_allclose(np.linalg.norm(state, axis=1), 1.0,
                                rtol=0, atol=1e-12)
-    apply_one(state, gate, angle_table([gate], thetas, feats, inverse=True),
-              scratch)
+    apply_one(state, gate, thetas, feats, scratch, inverse=True)
     np.testing.assert_allclose(state, start, rtol=0, atol=1e-12)
 
 
@@ -367,20 +382,20 @@ def test_gate_kernels_match_the_row_major_oracle_bit_for_bit(n, inverse):
         feats = rng.uniform(-7, 7, (k, 1))
         feats[0, 0] = -0.0
         gates = kernel_gates(n)
-        table = angle_table(gates, thetas, feats, inverse=inverse)
+        steps, table = kernel_table(gates, n, thetas, feats, inverse)
         for start in kernel_states(rng, batch, n):
-            for gate in gates:
+            for gate, step in zip(gates, steps):
                 want = start.copy()
                 _oracle_apply(want, gate, thetas, feats, inverse)
                 got = start.copy()
-                apply_one(got, gate, table, nan_scratch(got.size))
+                apply_gate(got, step, table, nan_scratch(got.size))
                 assert_same_bits(got, want)
                 # the sweep updates a row prefix of a larger buffer in place,
                 # with a scratch sized for the whole buffer
                 buffer = np.concatenate([start, random_states(rng, 3, n)])
                 rest = buffer[batch:].copy()
-                apply_one(buffer[:batch], gate, table,
-                          nan_scratch(buffer.size))
+                apply_gate(buffer[:batch], step, table,
+                           nan_scratch(buffer.size))
                 assert_same_bits(buffer[:batch], want)
                 assert_same_bits(buffer[batch:], rest)
 
@@ -399,9 +414,10 @@ def test_gate_sequences_match_the_oracle_bit_for_bit():
         for gate in reversed(circ.gates):
             _oracle_apply(want, gate, thetas, feats, True)
         # the reversed sequence's plan undoes it, as the adjoint walks it
-        undo = angle_table(circ.gates, thetas, feats, inverse=True)
+        steps, groups = _plan(circ.gates[::-1], circ.num_qubits)
+        undo = angle_table(groups, thetas, feats, inverse=True)
         scratch = nan_scratch(got.size)
-        for step in gate_plan(circ.gates[::-1], circ.num_qubits):
+        for step in steps:
             apply_gate(got, step, undo, scratch)
         assert_same_bits(got, want)
 
@@ -431,7 +447,7 @@ def test_rotations_match_the_oracle_bit_for_bit_at_every_target(inverse):
         gates += [Gate(kind, target=target, feature_slot=0)
                   for target in range(n) for kind in ROTATION_KINDS]
         gates += [Gate(FIXED_RY, target=target) for target in range(n)]
-        table = angle_table(gates, thetas, feats, inverse=inverse)
+        steps, table = kernel_table(gates, n, thetas, feats, inverse)
         for start in kernel_states(rng, batch, n):
             got = np.empty_like(start)
             scratch = nan_scratch(got.size)
@@ -439,14 +455,14 @@ def test_rotations_match_the_oracle_bit_for_bit_at_every_target(inverse):
             buffer = np.concatenate([start, random_states(rng, 3, n)])
             rest = buffer[batch:].copy()
             prefix_scratch = nan_scratch(buffer.size)
-            for gate in gates:
+            for gate, step in zip(gates, steps):
                 want = start.copy()
                 _oracle_apply(want, gate, thetas, feats, inverse)
                 got[...] = start
-                apply_gate(got, gate, table, scratch)
+                apply_gate(got, step, table, scratch)
                 assert_same_bits(got, want)
                 buffer[:batch] = start
-                apply_gate(buffer[:batch], gate, table, prefix_scratch)
+                apply_gate(buffer[:batch], step, table, prefix_scratch)
                 assert_same_bits(buffer[:batch], want)
                 assert_same_bits(buffer[batch:], rest)
 
@@ -477,25 +493,25 @@ def test_pair_form_matches_the_oracle_bit_for_bit(batch, n, inverse):
         gates += [Gate(kind, target=target, feature_slot=0)
                   for target in range(n) for kind in (RX, RY)]
         gates += [Gate(FIXED_RY, target=target) for target in range(n)]
-        table = angle_table(gates, thetas, feats, inverse=inverse)
+        steps, table = kernel_table(gates, n, thetas, feats, inverse)
         for start in kernel_states(rng, batch, n):
             buffer = np.concatenate([start, random_states(rng, 3, n)])
             rest = buffer[batch:].copy()
-            for gate in gates:
+            for gate, step in zip(gates, steps):
                 want = start.copy()
                 _oracle_apply(want, gate, thetas, feats, inverse)
                 got = start.copy()
-                apply_gate(got, gate, table, nan_scratch(got.size))
+                apply_gate(got, step, table, nan_scratch(got.size))
                 assert_same_bits(got, want)
                 buffer[:batch] = start
-                apply_gate(buffer[:batch], gate, table,
+                apply_gate(buffer[:batch], step, table,
                            nan_scratch(buffer.size))
                 assert_same_bits(buffer[:batch], want)
                 assert_same_bits(buffer[batch:], rest)
 
 
 def test_rz_factors_have_the_bits_of_complex_exp():
-    """An rz entry, built from real trig, holds the bits of
+    """An rz group's entry, built from real trig, holds the bits of
     [exp(-1j * h), exp(1j * h)] for h = a / 2 and, inverse, h = -a / 2,
     signed zeros included."""
     special = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi,
@@ -503,11 +519,12 @@ def test_rz_factors_have_the_bits_of_complex_exp():
     rng = np.random.default_rng(65)
     thetas = np.concatenate([special, rng.uniform(-20, 20, 54)]).reshape(8, 8)
     gates = [Gate(RZ, target=slot % 3, param_slot=slot) for slot in range(8)]
+    steps, groups = _plan(tuple(gates), 3)
     for inverse in (False, True):
-        table = angle_table(gates, thetas, inverse=inverse)
+        table = angle_table(groups, thetas, inverse=inverse)
         half = (-thetas if inverse else thetas) / 2.0
-        for gate in gates:
-            factors = table[RZ, gate.param_slot, None]
+        for gate, at, i in steps:
+            factors = table[at][i]
             assert factors.shape == (8, 1, 2, 1)
             h = half[:, gate.param_slot]
             for column, want in enumerate((np.exp(-1j * h), np.exp(1j * h))):
@@ -537,14 +554,198 @@ def test_one_walk_turns_a_target_by_three_angle_row_counts():
     assert_same_bits(got, want)
     for gate in reversed(gates):
         _oracle_apply(want, gate, thetas, feats, True)
-    undo = angle_table(gates, thetas, feats, inverse=True)
+    steps, groups = _plan(tuple(gates[::-1]), 3)
+    undo = angle_table(groups, thetas, feats, inverse=True)
     scratch = nan_scratch(got.size)
-    for step in gate_plan(tuple(gates[::-1]), 3):
+    for step in steps:
         apply_gate(got, step, undo, scratch)
     assert_same_bits(got, want)
 
 
+# The angle table as it stood before the compiled stacked tables, copied
+# verbatim apart from its name: a dict of per-rotation views keyed by
+# (kind, param_slot, feature_slot). The stacked tables must hold its bytes.
+
+def dict_angle_table(gates, thetas: np.ndarray, features: np.ndarray | None = None,
+                     inverse: bool = False) -> dict:
+    """The half-angle factors of every rotation in a gate sequence, built
+    once for a run of it, keyed by (kind, param_slot, feature_slot).
+
+    Theta slots read (k, p) thetas and feature slots (k', f) features, each
+    with its own row count, and row r of a state batch turns by angle row
+    r % k. With h = a / 2, or h = -a / 2 for the inverse gates, an rz
+    entry is one (k, 1, 2, 1) array of [exp(-ih), exp(ih)], which
+    broadcasts over a state view split at the gate's qubit. An ry or
+    fixed-ry entry is the matrix [[c, f], [g, c]], c = cos h, f = g = sin h
+    (rx: f = i sin h, g = -i sin h), as a (2, 1, k, 1, 2, 1) view of row
+    r's stored [f, c, g] whose [j, 0, r, 0, i, 0] takes half j to half i.
+    Every factor is complex, so no kernel casts a real operand.
+    """
+    fixed = np.full((1, 1), FIXED_RY_ANGLE)
+    columns: dict = {}  # (kind, angle source) -> {table key: column}
+    for gate in gates:
+        kind = gate.kind
+        if gate.param_slot is not None:
+            group, column = (kind, 0), gate.param_slot
+        elif gate.feature_slot is not None:
+            group, column = (kind, 1), gate.feature_slot
+        elif kind == FIXED_RY:
+            group, column = (RY, 2), 0
+        else:
+            continue
+        columns.setdefault(group, {})[
+            kind, gate.param_slot, gate.feature_slot] = column
+    table = {}
+    for (kind, source), keys in columns.items():
+        angles = np.asarray((thetas, features, fixed)[source], dtype=float)
+        angles = angles[:, list(keys.values())]
+        half = (-angles if inverse else angles) / 2.0
+        if kind == RZ:
+            # the bits of exp(-1j * h) and exp(1j * h), from real trig:
+            # + 0.0 turns sin(-0.0) into the +0 that exp(1j * -0.0) has
+            sn = np.sin(half).T
+            factors = np.empty(sn.shape + (1, 2, 1), dtype=complex)
+            pair = factors[:, :, 0, :, 0]
+            pair.real = np.cos(half).T[..., None]
+            pair.imag[..., 0] = -sn
+            pair.imag[..., 1] = sn + 0.0
+            table.update(zip(keys, factors))
+            continue
+        fcg = np.empty(half.shape[::-1] + (3,), dtype=complex)
+        f, c, g = fcg.T
+        c[...] = np.cos(half)
+        sn = np.sin(half)
+        f[...], g[...] = (1j * sn, -1j * sn) if kind == RX else (sn, sn)
+        step = fcg.itemsize
+        table.update(zip(keys, np.ndarray(
+            (len(keys), 2, 1, len(half), 1, 2, 1), complex, fcg, step,
+            (fcg.strides[0], -step, 0, fcg.strides[1], 0, step, 0))))
+    return table
+
+
+
+def assert_factors_match(steps, table, want):
+    """Each rotation step's factors in table are byte for byte the
+    dict-of-views entry of its gate, in shape too: an rz entry, and an rx
+    or ry matrix view whose [f, c, g] view holds its f, c and g. Returns
+    the count of rotation steps checked."""
+    checked = 0
+    for gate, at, i in steps:
+        if gate is None:
+            continue
+        old = want[gate.kind, gate.param_slot, gate.feature_slot]
+        pairs = [(table[at][i], old)]
+        if gate.kind != RZ:
+            f, c, g = table[at + 1][:, i]
+            pairs += [(f, old[1, ..., 0, :]), (c, old[0, ..., 0, :]),
+                      (g, old[0, ..., 1, :])]
+        for got, expected in pairs:
+            assert got.shape == expected.shape
+            assert (np.ascontiguousarray(got).tobytes()
+                    == np.ascontiguousarray(expected).tobytes())
+        checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+def test_stacked_tables_hold_the_bytes_of_the_dict_of_views_table(inverse):
+    """On the strongly-entangling circuit, the two-design (whose fixed-RY
+    prefix the compiled plan skips and the plan of all its gates holds),
+    the HEA and an embedded QML circuit, with k = 1 and k = B angle rows,
+    every rotation of the compiled plan, of the plan of all the gates and,
+    forward, of the compiled prefix gets the oracle's bytes from its
+    stacked table, theta and feature slots alike."""
+    rng = np.random.default_rng(72)
+    special = [0.0, -0.0, math.pi, -math.pi, 1e-300]
+    for circ in (build_strongly_entangling(3, 4), build_two_design(3, 4, 2),
+                 build_hea(2, 3), embed_angles(build_strongly_entangling(2, 3),
+                                               3)):
+        n, batch = circ.num_qubits, 5
+        plan = compiled(circ.gates, n)
+        rotations = sum(gate.kind not in (CNOT, CZ) for gate in circ.gates)
+        for k in (1, batch):
+            thetas = rng.uniform(-7, 7, (k, circ.num_params))
+            thetas[:, 0] = special[:k]
+            feats = rng.uniform(-7, 7, (k, circ.num_features))
+            want = dict_angle_table(circ.gates, thetas, feats, inverse)
+            table = angle_table(plan.groups, thetas, feats, inverse)
+            checked = assert_factors_match(plan.steps, table, want)
+            steps, groups = _plan(circ.gates, n)
+            assert assert_factors_match(
+                steps, angle_table(groups, thetas, feats, inverse),
+                want) == rotations
+            if not inverse:
+                checked += assert_factors_match(plan.prefix, plan.fixed, want)
+                assert checked == rotations
+
+
+def test_each_sequence_compiles_once_in_a_vqe_and_a_qml_run(monkeypatch):
+    """Across a small vqe run and a small qml run each gate sequence, a
+    circuit's gates or a classifier's prefix or body, is compiled exactly
+    once: the qml run's training and scoring tasks share the split of
+    their one circuit."""
+    built = []
+
+    class Counted(simulator.Compiled):
+        def __init__(self, gates, num_qubits):
+            built.append(gates)
+            super().__init__(gates, num_qubits)
+    monkeypatch.setattr(simulator, "Compiled", Counted)
+    monkeypatch.setattr(simulator, "_COMPILED", {})
+    cmd_vqe(resolve_config("vqe", overrides=[
+        f'hamiltonian="{H2_4Q}"', "ansatz.layers=2", "es.n_iters=1",
+        "train.iters=2"], seed=0))
+    cmd_qml(resolve_config("qml", overrides=[
+        f'dataset="{WINE}"', "es.n_iters=1", "train.iters=2",
+        "ansatz.layers=1"], seed=0))
+    assert len(built) >= 4
+    assert len(built) == len(set(built)) == len(simulator._COMPILED)
+
+
+def test_a_second_engine_call_hashes_no_gate(monkeypatch):
+    """Once a circuit has run, the forward engine, the adjoint, both swept
+    QFIMs, the trace run and both classifier paths find everything they
+    need by the gate tuple's identity: a second call hashes no Gate."""
+    rng = np.random.default_rng(73)
+    vqe = build_strongly_entangling(2, 3)
+    blocks = build_two_design(3, 3, 1)
+    obs = Observable(((0.5, "ZZI"), (0.3, "XYZ")))
+    theta = rng.uniform(0, 2 * math.pi, (4, vqe.num_params))
+    tilt = rng.uniform(0, 2 * math.pi, (4, blocks.num_params))
+    classifier = embed_angles(build_hea(1, 2), 2)
+    feats = rng.uniform(0, math.pi, (6, 2))
+    labels = np.arange(6) % 2
+    shared = QmlTask(classifier, feats, labels, 2)
+    per_row = QmlTask(classifier, feats[:3], labels[:3], 2)
+    assert shared._embedded is not None and per_row._embedded is None
+    w = rng.uniform(0, 2 * math.pi, (3, classifier.num_params))
+
+    def engines():
+        apply_circuit(vqe, theta)
+        observable_gradient(vqe, theta, obs)
+        qfim_and_observable_gradient(vqe, theta, obs)
+        qfim_block_diagonal(blocks, tilt)
+        qfim_trace(vqe, theta)
+        shared.value_and_gradient(w)
+        per_row.value_and_gradient(w)
+    engines()
+    hashes = []
+    gate_hash = Gate.__hash__
+
+    def counted(gate):
+        hashes.append(gate)
+        return gate_hash(gate)
+    monkeypatch.setattr(Gate, "__hash__", counted)
+    engines()
+    assert not hashes
+    hash(vqe.gates[0])  # the counter sees a hash when one is taken
+    assert len(hashes) == 1
+
+
 def test_equal_gates_hash_equal_and_share_a_cached_plan():
+    """A gate tuple's compiled form is found by its identity; an equal
+    tuple of fresh gates compiles its own, whose CNOT runs share the steps
+    (and arrays) of the first, built once per run."""
     circ = build_strongly_entangling(2, 3)
     fresh = tuple(Gate(g.kind, g.target, g.control, g.param_slot,
                        g.feature_slot) for g in circ.gates)
@@ -554,11 +755,14 @@ def test_equal_gates_hash_equal_and_share_a_cached_plan():
     assert hash(fresh) == hash(circ.gates)
     gate = circ.gates[0]
     assert hash(pickle.loads(pickle.dumps(gate))) == hash(gate)
-    plan = gate_plan(circ.gates, 3)
-    before = gate_plan.cache_info()
-    assert gate_plan(fresh, 3) is plan
-    after = gate_plan.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    plan = compiled(circ.gates, 3)
+    assert compiled(circ.gates, 3) is plan
+    other = compiled(fresh, 3)
+    assert other is not plan
+    runs = [step for step in plan.steps if step[0] is None]
+    assert len(runs) == 2
+    assert all(a is b for a, b in zip(
+        runs, [step for step in other.steps if step[0] is None]))
 
 
 def entangler_run(rng, n):
@@ -581,8 +785,8 @@ def test_fused_runs_match_the_per_gate_oracle_bit_for_bit(n):
     for gates in (run, run[:1], run[:2],
                   tuple(gate for gate in run if gate.kind == CZ),
                   tuple(gate for gate in run if gate.kind == CNOT)):
-        step, = gate_plan(gates, n)
-        back, = gate_plan(gates[::-1], n)
+        (step,), _ = _plan(gates, n)
+        (back,), _ = _plan(gates[::-1], n)
         for start in kernel_states(rng, batch, n):
             want = start.copy()
             for gate in gates:
@@ -610,8 +814,8 @@ def test_runs_whose_signs_are_all_plus_leave_out_the_multiply():
     rng = np.random.default_rng(68)
     for gates, signs in ((ladder, True), (ring, False), (ladder + ring, True),
                          (pair, False)):
-        step, = gate_plan(gates, n)
-        assert (step[0] is not None) == signs
+        (step,), _ = _plan(gates, n)
+        assert (step[1] is not None) == signs
         for start in kernel_states(rng, 6, n):
             want = start.copy()
             for gate in gates:
@@ -621,10 +825,13 @@ def test_runs_whose_signs_are_all_plus_leave_out_the_multiply():
             assert_same_bits(got, want)
 
 
-def per_gate_plan(gates, num_qubits):
-    """gate_plan with each CNOT and CZ its own one-gate run."""
-    return tuple(step for gate in gates
-                 for step in gate_plan((gate,), num_qubits))
+class PerGateRuns:
+    """itertools for the simulator with a groupby that makes every gate a
+    run of its own, so that each CNOT and CZ is a one-gate run step."""
+
+    @staticmethod
+    def groupby(gates, key):
+        return ((key(gate), [gate]) for gate in gates)
 
 
 def test_engines_give_fused_runs_the_bits_of_a_per_gate_loop(monkeypatch):
@@ -641,8 +848,7 @@ def test_engines_give_fused_runs_the_bits_of_a_per_gate_loop(monkeypatch):
     # the stops at 5 and 10 split the runs of gates 4-6 and 9-10
     circ = Circuit(3, gates, 4, layers=(Layer(5, 0, 1), Layer(10, 1, 3),
                                         Layer(14, 3, 4)))
-    assert sum(not isinstance(step, Gate)
-               for step in gate_plan(gates, 3)) == 4
+    assert sum(step[0] is None for step in _plan(gates, 3)[0]) == 4
     rng = np.random.default_rng(61)
     thetas = rng.uniform(-4, 4, (3, 4))
     lam = random_states(rng, 3, 3)
@@ -657,8 +863,9 @@ def test_engines_give_fused_runs_the_bits_of_a_per_gate_loop(monkeypatch):
     for gate in gates:
         _oracle_apply(want, gate, thetas, None, False)
     assert_same_bits(fused[0], want)
-    monkeypatch.setattr(simulator, "gate_plan", per_gate_plan)
-    monkeypatch.setattr(differentiation, "gate_plan", per_gate_plan)
+    monkeypatch.setattr(simulator, "itertools", PerGateRuns)
+    monkeypatch.setattr(simulator, "_COMPILED", {})
+    assert sum(step[0] is None for step in _plan(gates, 3)[0]) == 9
     for got, expected in zip(fused, run_engines()):
         assert_same_bits(got, expected)
 
@@ -667,7 +874,8 @@ def test_one_qubit_plan_is_its_gates():
     circ = Circuit(1, (Gate(RY, 0, param_slot=0), Gate(FIXED_RY, 0),
                        Gate(RZ, 0, param_slot=1), Gate(RX, 0, param_slot=2)),
                    3)
-    assert gate_plan(circ.gates, 1) == circ.gates
+    assert [step[0] for step in compiled(circ.gates, 1).steps] == list(
+        circ.gates)
     thetas = np.random.default_rng(62).uniform(-4, 4, (4, 3))
     want = zero_state(1, 4)
     for gate in circ.gates:
@@ -680,10 +888,9 @@ def test_adjoint_gradient_hits_its_cached_plan():
     thetas = np.random.default_rng(63).uniform(-4, 4, (2, circ.num_params))
     phi = apply_circuit(circ, thetas)
     adjoint_gradient(circ, thetas, phi, phi)
-    before = gate_plan.cache_info()
+    undo = compiled(circ.gates, 3).memo["undo"]
     adjoint_gradient(circ, thetas, phi, phi)
-    after = gate_plan.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert compiled(circ.gates, 3).memo["undo"] is undo
 
 
 def test_forward_engine_equals_an_explicit_gate_loop():
@@ -704,11 +911,11 @@ def test_forward_engine_equals_an_explicit_gate_loop():
         basis = np.repeat(np.eye(d, dtype=complex), b, axis=0)
         for start in (None, basis):
             want = zero_state(qubits, b) if start is None else start.copy()
-            table = angle_table(circ.gates, thetas, feats)
+            steps, table = kernel_table(circ.gates, qubits, thetas, feats)
             scratch = simulator.scratch_for(want.size)
             reads = []
-            for gate in circ.gates:
-                apply_one(want, gate, table, scratch)
+            for gate, step in zip(circ.gates, steps):
+                apply_gate(want, step, table, scratch)
                 if gate.param_slot is not None:
                     reads.append((gate.param_slot, want.copy()))
             seen = []
@@ -734,9 +941,11 @@ def test_forward_engine_checks_the_norm_of_its_result():
         _forward(circ.gates, 2, thetas[:1], state=np.full((1, 4), 0.75 + 0j))
 
 
-def no_prefix(gates, num_qubits):
-    """fixed_prefix as if no gate were fixed: every walk from |0...0>."""
-    return 0, zero_state(num_qubits, 1)
+def compile_without_prefix(mp):
+    """Compile every gate tuple anew as if no gate were fixed, so that
+    every walk from |0...0> runs the prefix on every row."""
+    mp.setattr(simulator, "_COMPILED", {})
+    mp.setattr(simulator, "ROTATION_KINDS", GATE_KINDS)
 
 
 def test_walks_start_from_the_cached_fixed_prefix(monkeypatch):
@@ -757,7 +966,7 @@ def test_walks_start_from_the_cached_fixed_prefix(monkeypatch):
     for circ, fixed in ((build_two_design(3, 4, 2), 4), (split, 4),
                         (build_strongly_entangling(2, 3), 0)):
         n = circ.num_qubits
-        m, row = fixed_prefix(circ.gates, n)
+        m, row = compiled(circ.gates, n).skip, compiled(circ.gates, n).row
         assert m == fixed and not row.flags.writeable
         want = zero_state(n, 1)
         for gate in circ.gates[:m]:
@@ -779,11 +988,11 @@ def test_walks_start_from_the_cached_fixed_prefix(monkeypatch):
             _oracle_apply(want, gate, thetas, None, False)
         assert_same_bits(got[0], want)
         with monkeypatch.context() as mp:
-            mp.setattr(simulator, "fixed_prefix", no_prefix)
-            mp.setattr(differentiation, "fixed_prefix", no_prefix)
+            compile_without_prefix(mp)
+            assert compiled(circ.gates, n).skip == 0
             for fast, full in zip(got, run_walks()):
                 assert_same_bits(fast, full)
-        assert fixed_prefix(circ.gates, n)[1] is row
+        assert compiled(circ.gates, n).row is row
         assert row.tobytes() == before
         with pytest.raises(ValueError, match="read-only"):
             row[0, 0] = 0.0
@@ -840,8 +1049,8 @@ def test_gate_kernels_allocate_no_state_sized_temporary():
         scratch = simulator.scratch_for(state.size)
         buffer = min(np.getbufsize(), 2 * state.size) * 16
         for gates in cases:
-            table = angle_table(gates, thetas)
-            step, = gate_plan(gates, n)
+            (step,), groups = _plan(gates, n)
+            table = angle_table(groups, thetas)
             bound = (1 if gates[0].kind == RZ else 3) * buffer + 4096
             tracemalloc.start()
             try:

@@ -12,10 +12,12 @@ per gate kind gives the microseconds of one simulator.apply_gate step at
 each target t = 0 .. n - 1: rx, ry and rz with one angle row per state
 row, as the engines run them, and cnot and cz as one-gate runs whose
 control is qubit t - 1 (mod n). Every step gets a scratch of twice the
-state, which holds what either RX/RY form needs. Next comes the
-microseconds of one differentiation.adjoint_gradient call at B = 4 on the
-8-layer, 4-qubit strongly-entangling circuit, the shape of a vqe training
-step's backward pass. The next lines give the milliseconds of bp-scan's
+state, which holds what either RX/RY form needs. Next come, on the
+8-layer, 4-qubit strongly-entangling circuit (128 gates), the microseconds
+of one simulator.angle_table call on its compiled layout at B = 4 and
+B = 48 angle rows, of one run_gates call at B = 1, and of one
+differentiation.adjoint_gradient call at B = 4, the shape of a vqe
+training step's backward pass. The next lines give the milliseconds of bp-scan's
 variance call, expectation(apply_circuit(...)) on 100 rows of its
 two-design circuit, at n = 2, 4, 6 and 8, and the last line the
 milliseconds of one data.load_csv call on each shipped dataset. Each
@@ -33,6 +35,7 @@ import timeit
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SHAPES = ((100, 8), (16, 4), (8, 4), (4, 4))
 ADJOINT_ROWS = 4
+TABLE_ROWS = (4, 48)
 DATASETS = ("wine", "breast_cancer", "digits")
 VARIANCE_ROWS = 100
 
@@ -55,10 +58,10 @@ def main(argv=None) -> int:
     from qinitopt import cli
     from qinitopt.data import load_csv
     from qinitopt.differentiation import adjoint_gradient
-    from qinitopt.simulator import (CNOT, CZ, ROTATION_KINDS, Gate,
+    from qinitopt.simulator import (CNOT, CZ, ROTATION_KINDS, Gate, _plan,
                                     angle_table, apply_circuit, apply_gate,
                                     build_strongly_entangling,
-                                    build_two_design, expectation, gate_plan,
+                                    build_two_design, compiled, expectation,
                                     run_gates)
 
     print(dispatch_line(), flush=True)
@@ -76,14 +79,26 @@ def main(argv=None) -> int:
             for t in range(n):
                 gate = (Gate(kind, t, param_slot=0) if kind in ROTATION_KINDS
                         else Gate(kind, t, control=(t - 1) % n))
-                table = angle_table((gate,), thetas)
-                step, = gate_plan((gate,), n)
+                (step,), groups = _plan((gate,), n)
+                table = angle_table(groups, thetas)
                 times.append(best(
                     lambda: apply_gate(state, step, table, scratch),
                     args.repeats))
             print(f"{kind:5}" + "".join(f"{1e6 * s:8.1f}" for s in times),
                   flush=True)
     circuit = build_strongly_entangling(8, 4)
+    groups = compiled(circuit.gates, 4).groups
+    line = []
+    for rows in TABLE_ROWS:
+        thetas = rng.uniform(0, 2 * np.pi, (rows, circuit.num_params))
+        seconds = best(lambda: angle_table(groups, thetas), args.repeats)
+        line.append(f"B={rows} {1e6 * seconds:.1f}")
+    print("# angle_table, 8 x 4 strongly-entangling, us\n" + "  ".join(line),
+          flush=True)
+    thetas = rng.uniform(0, 2 * np.pi, (1, circuit.num_params))
+    seconds = best(lambda: run_gates(circuit.gates, 4, thetas), args.repeats)
+    print(f"# run_gates, B = 1, 8 x 4 strongly-entangling, us\n"
+          f"{1e6 * seconds:8.1f}", flush=True)
     thetas = rng.uniform(0, 2 * np.pi, (ADJOINT_ROWS, circuit.num_params))
     psi = run_gates(circuit.gates, 4, thetas)
     seconds = best(lambda: adjoint_gradient(circuit, thetas, psi, psi[::-1]),
